@@ -19,7 +19,7 @@ from .bench import (
     run_bench,
 )
 from .bessel import BesselEvalConfig, bessel_j, bessel_j_int, h_func, jacobi_anger
-from .charfn import CirclePsiEvaluator, EcfCache, EvalGrid, ecf, psi_model, psi_model_marginals
+from .charfn import EcfCache, EvalGrid, ecf, psi_model, psi_model_marginals
 from .contrast import ContrastContext, contrast_m_oracle, contrast_mn
 from .errors import ConfigError, NumericalError
 from .estimators import (
@@ -69,7 +69,6 @@ __all__ = [
     "BenchSpec",
     "BesselEvalConfig",
     "CallableDensity",
-    "CirclePsiEvaluator",
     "ConfigError",
     "ContrastContext",
     "DESK_GRID",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .charfn import EvalGrid
 from .errors import ConfigError, NumericalError
-from .estimators import FitConfig, fit_joint, fit_radius_known_density, truncation_level
+from .estimators import FitConfig, check_radius_window, fit_joint, fit_radius_known_density, truncation_level
 from .geometry import FourierDensity, fourier_coefficient
 from .simulate import derive_seed, generate, scenario
 
@@ -34,6 +34,12 @@ DESK_GRID = (100, 1_000, 10_000)
 MODES = ("known_f", "unknown_f")
 EMIT_COLUMNS = ("n", "mode", "mse_R", "mse_C", "l2_density_err", "reps", "base_seed", "wall_ms")
 TAIL_CUTOFF = 64  # |k| beyond which truth coefficients are treated as zero
+BENCH_NU_EST = 0.5  # bench fits integrate over a narrower window than EvalGrid's default
+
+
+def bench_grid() -> EvalGrid:
+    """The frequency grid every bench fit runs on."""
+    return EvalGrid.build(dim=2, nu_est=BENCH_NU_EST)
 
 
 @dataclass(frozen=True)
@@ -128,20 +134,24 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
 
     Replications run sequentially with seeds derived from (base_seed,
     scenario, n, replication); a replication whose fit raises is recorded
-    as a failure and excluded from that cell's aggregates.
+    as a failure and excluded from that cell's aggregates.  A radius window
+    that check_radius_window refuses raises ConfigError before the cell's
+    first replication.
     """
     scn = scenario(spec.scenario_id)
-    grid = EvalGrid.build(dim=2, nu_est=0.5)
+    grid = bench_grid()
     rows = []
     for n in spec.n_values:
         level = truncation_level(n)
         k_cut = max(4, level)
-        base_kwargs = dict(k_cutoff=k_cut, n_trunc=min(level, k_cut))
+        base_kwargs = dict(k_cutoff=k_cut)
         base_kwargs.update(spec.fit_overrides or {})
         cfg = FitConfig(**base_kwargs)
         level = min(level, cfg.k_cutoff)
         truth = _truth_coeffs(scn.density, cfg.k_cutoff)
         tail_sq = _density_tail_mass(scn.density, level)
+        for mode in spec.modes():
+            check_radius_window(cfg, grid, scn.density if mode == "known_f" else None)
         cell = {
             mode: dict(sq_r=[], sq_c=[], sq_f=[], wall=0.0, failures=0)
             for mode in spec.modes()

@@ -11,6 +11,7 @@ with Fourier coefficients this collapses, in polar coordinates
 t = r (cos 2 pi theta, sin 2 pi theta), to the Bessel sum
 sum_p i^p c_p J_p(r R) exp(-2 i pi p theta); in all other cases the angle
 integral is evaluated by Gauss-Legendre quadrature on the unit box.
+psi_model_marginals is the one route from a grid to Psi values.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bessel import DEFAULT_CONFIG, BesselEvalConfig, _series_multi
-from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map
+from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, tensor_rule
+
+# half-width of the default frequency window [-nu_est, nu_est]^d
+DEFAULT_NU_EST = 1.0
 
 
 @lru_cache(maxsize=64)
@@ -51,7 +55,7 @@ class EvalGrid:
     axis2_weights: np.ndarray
 
     @classmethod
-    def build(cls, dim: int = 2, nu_est: float = 1.0, nodes_per_axis: int = 33) -> "EvalGrid":
+    def build(cls, dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = 33) -> "EvalGrid":
         if dim < 2:
             raise ValueError("dim must be >= 2")
         if not (nu_est > 0.0):
@@ -61,17 +65,7 @@ class EvalGrid:
         x, w = _gauss_nodes(nodes_per_axis)
         ax1 = nu_est * x
         w1 = nu_est * w
-        dm1 = dim - 1
-        if dm1 == 1:
-            ax2 = ax1[:, None]
-            w2 = w1.copy()
-        else:
-            grids = np.meshgrid(*([nu_est * x] * dm1), indexing="ij")
-            ax2 = np.column_stack([g.ravel() for g in grids])
-            wgrids = np.meshgrid(*([nu_est * w] * dm1), indexing="ij")
-            w2 = np.ones(ax2.shape[0])
-            for g in wgrids:
-                w2 *= g.ravel()
+        ax2, w2 = tensor_rule(ax1, w1, dim - 1)
         return cls(float(nu_est), int(nodes_per_axis), int(dim), ax1, w1, ax2, w2)
 
     @property
@@ -102,6 +96,19 @@ class EvalGrid:
             t2 = np.tile(self.axis2_nodes, (self.m1, 1))
             cached = np.hstack([t1, t2])
             self._full_points = cached
+        return cached
+
+    def polar(self) -> tuple:
+        """(r, theta) of the axis-1, axis-2 and full point sets (d = 2).
+
+        t = r (cos 2 pi theta, sin 2 pi theta); computed once per grid.
+        """
+        cached = getattr(self, "_polar", None)
+        if cached is None:
+            cached = tuple(
+                _to_polar(pts) for pts in (self.axis1_points(), self.axis2_points(), self.full_points())
+            )
+            self._polar = cached
         return cached
 
 
@@ -150,6 +157,17 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 15) -> EcfCache:
     return EcfCache(full / n, s1 / n, s2 / n, n)
 
 
+def _to_polar(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    theta = np.arctan2(pts[:, 1], pts[:, 0]) / (2.0 * np.pi)
+    return r, theta
+
+
+def closed_form_applies(f: AngleDensity, dim: int) -> bool:
+    """Whether Psi_f has the closed Bessel form: circle Fourier densities."""
+    return isinstance(f, FourierDensity) and dim == 2
+
+
 def _psi_polar(
     coeffs: np.ndarray, radius: float, r: np.ndarray, theta: np.ndarray, cfg: BesselEvalConfig
 ) -> np.ndarray:
@@ -181,17 +199,7 @@ def _angle_quad(dim_minus_1: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre tensor rule on [0, 1]^{d-1}, ~256^min(d-1,2) nodes."""
     per_axis = 256 if dim_minus_1 <= 2 else max(8, int(round(65_536 ** (1.0 / dim_minus_1))))
     x, w = _gauss_nodes(per_axis)
-    x01 = 0.5 * (x + 1.0)
-    w01 = 0.5 * w
-    if dim_minus_1 == 1:
-        return x01[:, None], w01.copy()
-    grids = np.meshgrid(*([x01] * dim_minus_1), indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*([w01] * dim_minus_1), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for g in wgrids:
-        weights *= g.ravel()
-    return nodes, weights
+    return tensor_rule(0.5 * (x + 1.0), 0.5 * w, dim_minus_1)
 
 
 def _psi_quadrature(
@@ -233,14 +241,13 @@ def psi_model(
     pts = t_arr[None, :] if single else t_arr
     if pts.ndim != 2 or pts.shape[1] != f.dim_minus_1 + 1:
         raise ValueError("t must have d = dim_minus_1 + 1 coordinates")
-    closed_ok = isinstance(f, FourierDensity) and pts.shape[1] == 2
+    closed_ok = closed_form_applies(f, pts.shape[1])
     if method is None:
         method = "closed" if closed_ok else "quadrature"
     if method == "closed":
         if not closed_ok:
             raise ValueError("closed form requires a circle Fourier density")
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        theta = np.arctan2(pts[:, 1], pts[:, 0]) / (2.0 * np.pi)
+        r, theta = _to_polar(pts)
         out = _psi_polar(f.coeffs, float(radius), r, theta, bessel_cfg)
     elif method == "quadrature":
         out = _psi_quadrature(f, float(radius), pts)
@@ -250,45 +257,22 @@ def psi_model(
 
 
 def psi_model_marginals(
-    f: AngleDensity,
-    radius: float,
-    grid: EvalGrid,
-    method: str | None = None,
-    bessel_cfg: BesselEvalConfig = DEFAULT_CONFIG,
+    f: AngleDensity, radius: float, grid: EvalGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Psi on the axis-1 slice, the axis-2 slice, and the full grid.
 
-    Returns (vals1, vals2, full) with full shaped (m1, m2); the values are
-    produced by the same vectorized path as pointwise psi_model calls.
+    Returns (vals1, vals2, full) with full shaped (m1, m2).  The route is
+    psi_model's automatic one, run on the same coordinates, so each value
+    equals the pointwise psi_model call bit for bit; the closed form reads
+    the grid's cached polar coordinates.
     """
-    vals1 = psi_model(f, radius, grid.axis1_points(), method, bessel_cfg)
-    vals2 = psi_model(f, radius, grid.axis2_points(), method, bessel_cfg)
-    full = psi_model(f, radius, grid.full_points(), method, bessel_cfg)
-    return vals1, vals2, full.reshape(grid.m1, grid.m2)
-
-
-class CirclePsiEvaluator:
-    """Repeated closed-form Psi evaluation on a fixed grid (circle case).
-
-    Caches the polar coordinates of the grid slices once; each call only
-    recomputes the Bessel factors (which depend on R) and the coefficient
-    combination.  Matches psi_model_marginals bit for bit because the same
-    elementwise kernel runs on the same coordinate arrays.
-    """
-
-    def __init__(self, grid: EvalGrid, bessel_cfg: BesselEvalConfig = DEFAULT_CONFIG):
-        if grid.dim != 2:
-            raise ValueError("closed-form evaluator requires d = 2")
-        self.grid = grid
-        self.cfg = bessel_cfg
-        self._parts = []
-        for pts in (grid.axis1_points(), grid.axis2_points(), grid.full_points()):
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            theta = np.arctan2(pts[:, 1], pts[:, 0]) / (2.0 * np.pi)
-            self._parts.append((r, theta))
-
-    def marginals(self, coeffs: np.ndarray, radius: float):
-        vals = [
-            _psi_polar(coeffs, float(radius), r, theta, self.cfg) for r, theta in self._parts
-        ]
-        return vals[0], vals[1], vals[2].reshape(self.grid.m1, self.grid.m2)
+    if not (radius > 0.0):
+        raise ValueError("radius must be positive")
+    if grid.dim != f.dim_minus_1 + 1:
+        raise ValueError("grid dimension does not match the density")
+    if closed_form_applies(f, grid.dim):
+        vals = [_psi_polar(f.coeffs, float(radius), r, theta, DEFAULT_CONFIG) for r, theta in grid.polar()]
+    else:
+        point_sets = (grid.axis1_points(), grid.axis2_points(), grid.full_points())
+        vals = [_psi_quadrature(f, float(radius), pts) for pts in point_sets]
+    return vals[0], vals[1], vals[2].reshape(grid.m1, grid.m2)

@@ -14,11 +14,11 @@ import sys
 
 import numpy as np
 
-from .bench import FULL_GRID, BenchSpec, determinism_hash, emit, run_bench
-from .charfn import EvalGrid
+from .bench import DESK_GRID, FULL_GRID, BenchSpec, bench_grid, determinism_hash, emit, run_bench
+from .charfn import DEFAULT_NU_EST, EvalGrid
 from .errors import ConfigError, NumericalError
 from .estimators import EstimateReport, FitConfig, fit_joint, truncate_density, truncation_level
-from .simulate import generate, load_sample_csv, save_sample_bin, save_sample_csv, scenario
+from .simulate import generate, load_sample_bin, load_sample_csv, save_sample_bin, save_sample_csv, scenario
 
 
 def _int_list(text: str) -> tuple:
@@ -52,13 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
 
-    e = sub.add_parser("estimate", help="joint fit on a CSV sample")
+    e = sub.add_parser("estimate", help="joint fit on a .csv or .bin sample")
     e.add_argument("--input", required=True)
     e.add_argument("--rmin", type=float, default=0.5)
     e.add_argument("--rmax", type=float, default=10.0)
-    e.add_argument("--nu", type=float, default=0.5,
-                   help="recorded in the report for provenance; does not alter the fit")
-    e.add_argument("--nu-est", type=float, default=1.0, dest="nu_est",
+    e.add_argument("--nu-est", type=float, default=DEFAULT_NU_EST, dest="nu_est",
                    help="half-width of the frequency window the contrast integrates over")
     e.add_argument("--out", default="report.json")
 
@@ -83,7 +81,7 @@ def _cmd_bench(args) -> int:
         n_values = FULL_GRID if n_values is None else n_values
         reps = 30 if args.reps == 10 else reps
     if n_values is None:
-        n_values = (100, 1_000, 10_000)
+        n_values = DESK_GRID
     overrides = {}
     if args.rmin is not None:
         overrides["r_min"] = args.rmin
@@ -101,18 +99,21 @@ def _cmd_bench(args) -> int:
     rows = run_bench(spec, progress=not args.quiet)
     fmt = "json" if args.out.endswith(".json") else "csv"
     emit(rows, args.out, fmt)
-    print(f"integration=gauss-legendre nodes=33 nu=0.5 rows={len(rows)} out={args.out}")
+    grid = bench_grid()
+    print(
+        f"integration=gauss-legendre nodes={grid.nodes_per_axis} nu_est={grid.nu_est:g} "
+        f"rows={len(rows)} out={args.out}"
+    )
     print(f"determinism_hash {determinism_hash(rows)}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    sample = load_sample_csv(args.input)
+    sample = (load_sample_bin if args.input.endswith(".bin") else load_sample_csv)(args.input)
     cfg = FitConfig(r_min=args.rmin, r_max=args.rmax)
     grid = EvalGrid.build(dim=sample.dim, nu_est=args.nu_est)
     report = fit_joint(sample, cfg, grid)
     payload = json.loads(report.to_json())
-    payload["nu"] = args.nu
     payload["nu_est"] = args.nu_est
     with open(args.out, "w") as handle:
         json.dump(payload, handle, sort_keys=True, indent=1)
@@ -140,7 +141,7 @@ def _cmd_density(args) -> int:
     with open(args.report) as handle:
         report = EstimateReport.from_json(handle.read())
     k_cut = report.f_hat_coeffs.size // 2
-    cfg = FitConfig(alpha=args.alpha, k_cutoff=max(k_cut, 1), n_trunc=0)
+    cfg = FitConfig(alpha=args.alpha, k_cutoff=max(k_cut, 1))
     poly = truncate_density(report, report.n, cfg)
     xs = (np.arange(args.grid) + 0.5) / args.grid
     values = poly(xs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import EcfCache, EvalGrid, ecf, psi_model, psi_model_marginals
+from .charfn import EcfCache, EvalGrid, ecf, psi_model_marginals
 from .geometry import AngleDensity
 
 
@@ -59,34 +59,13 @@ def _combine(
     return float(w1 @ integrand @ w2)
 
 
-def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext, **psi_kwargs) -> float:
+def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:
     """Empirical contrast of the candidate (f, R) against the sample ECF.
 
     Nonnegative; zero exactly when the candidate's characteristic-function
     products reproduce the ECF's on the whole grid.
     """
-    psi1, psi2, psi_full = psi_model_marginals(f, radius, ctx.grid, **psi_kwargs)
-    cache = ctx.cache
-    return _combine(
-        psi1,
-        psi2,
-        psi_full,
-        cache.marg1,
-        cache.marg2,
-        cache.full,
-        ctx.grid.axis1_weights,
-        ctx.grid.axis2_weights,
-    )
-
-
-def contrast_mn_precomputed(
-    psi1: np.ndarray, psi2: np.ndarray, psi_full: np.ndarray, ctx: ContrastContext
-) -> float:
-    """contrast_mn when the candidate's Psi values are already on the grid.
-
-    Hot path for optimizers that cache the grid geometry; identical
-    combination step as contrast_mn.
-    """
+    psi1, psi2, psi_full = psi_model_marginals(f, radius, ctx.grid)
     cache = ctx.cache
     return _combine(
         psi1,
@@ -109,7 +88,6 @@ def contrast_m_oracle(
     nu: float = 0.5,
     nodes_per_axis: int = 33,
     dim: int = 2,
-    **psi_kwargs,
 ) -> float:
     """Population contrast: the ECF is replaced by the true characteristic
     function products, and the integrand is weighted by |Phi_eps(t)|^2.
@@ -121,8 +99,8 @@ def contrast_m_oracle(
     if not getattr(noise, "has_char_fn", False) or not hasattr(noise, "char_fn"):
         raise ValueError("noise model does not expose a closed-form characteristic function")
     grid = EvalGrid.build(dim=dim, nu_est=nu, nodes_per_axis=nodes_per_axis)
-    cand1, cand2, cand_full = psi_model_marginals(f, radius, grid, **psi_kwargs)
-    true1, true2, true_full = psi_model_marginals(f_star, r_star, grid, **psi_kwargs)
+    cand1, cand2, cand_full = psi_model_marginals(f, radius, grid)
+    true1, true2, true_full = psi_model_marginals(f_star, r_star, grid)
     phi = noise.char_fn(grid.full_points()).reshape(grid.m1, grid.m2)
     weight = phi.real**2 + phi.imag**2
     return _combine(

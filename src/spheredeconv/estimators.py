@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .charfn import CirclePsiEvaluator, EvalGrid
-from .contrast import ContrastContext, contrast_mn, contrast_mn_precomputed
-from .errors import NumericalError
+from .bessel import DEFAULT_CONFIG, _series_multi
+from .charfn import EvalGrid, closed_form_applies
+from .contrast import ContrastContext, contrast_mn
+from .errors import ConfigError, NumericalError
 from .geometry import AngleDensity, FourierDensity, fourier_coefficient, fourier_series, sphere_mean
 
 AUDIT_POINTS = 16
@@ -32,9 +33,8 @@ class FitConfig:
     """Knobs for the contrast minimizers.
 
     r_min/r_max bound the admissible radius (estimates clamp to them);
-    k_cutoff is the Fourier cutoff K of the estimated density; n_trunc is
-    the intended output truncation level (must not exceed k_cutoff);
-    alpha controls the data-driven truncation level N = floor(alpha log n /
+    k_cutoff is the Fourier cutoff K of the estimated density; alpha
+    controls the data-driven truncation level N = floor(alpha log n /
     log log n) and must stay below 1/2; coeff_bound bounds
     sum_{k != 0} |c_k|^2 over the searched class.
     """
@@ -42,11 +42,9 @@ class FitConfig:
     r_min: float = 0.5
     r_max: float = 10.0
     k_cutoff: int = 4
-    n_trunc: int = 4
     alpha: float = 0.45
     restarts: int = 8
     max_iters: int = 2000
-    simplex_tol: float = 1e-10
     coeff_bound: float = 10.0
 
     def __post_init__(self) -> None:
@@ -54,16 +52,12 @@ class FitConfig:
             raise ValueError("need 0 < r_min < r_max")
         if self.k_cutoff < 0:
             raise ValueError("k_cutoff must be >= 0")
-        if not (0 <= self.n_trunc <= self.k_cutoff):
-            raise ValueError("n_trunc must satisfy 0 <= n_trunc <= k_cutoff")
         if not (0.0 < self.alpha < 0.5):
             raise ValueError("alpha must lie in (0, 1/2)")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.simplex_tol > 0.0):
-            raise ValueError("simplex_tol must be positive")
         if not (self.coeff_bound > 0.0):
             raise ValueError("coeff_bound must be positive")
 
@@ -201,16 +195,12 @@ def _project(x: np.ndarray, cfg: FitConfig) -> tuple[float, np.ndarray]:
     return radius, half
 
 
-def _full_coeffs(half: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.conj(half[::-1]), [1.0 + 0.0j], half])
-
-
 def _select_best(probes: list) -> tuple[float, float, np.ndarray]:
     """Smallest contrast wins; exact value ties break towards the smallest
     radius, then the smallest coefficient norm.  A tolerance window here
-    (e.g. simplex_tol) would let the pick wander by sqrt(tol/curvature)
-    in R, which is far larger than the advertised 1e-6 determinism, so
-    only exact ties are broken."""
+    would let the pick wander by sqrt(tol/curvature) in R, which is far
+    larger than the advertised 1e-6 determinism, so only exact ties are
+    broken."""
     vmin = min(p[0] for p in probes)
     best = None
     for value, radius, half in probes:
@@ -231,6 +221,33 @@ def _initial_simplex(x0: np.ndarray, r_step: float, c_step: float) -> np.ndarray
     return simplex
 
 
+def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | None = None) -> None:
+    """Refuse, with ConfigError, a radius window the Bessel series cannot certify.
+
+    The closed form evaluates J_0..J_K at r * R for every grid radius r
+    and probed radius R, and every fit probes R = r_max, so the largest
+    argument, r_max times the largest |t| on the grid, decides whether the
+    fit can finish.  f_star None stands for the joint fit (K = k_cutoff);
+    a known density uses its own cutoff, or needs no Bessel values when
+    the closed form does not apply to it.
+    """
+    if f_star is None:
+        k_cut = cfg.k_cutoff
+    elif closed_form_applies(f_star, grid.dim):
+        k_cut = f_star.cutoff
+    else:
+        return
+    full_radii = grid.polar()[2][0]
+    x = float(np.max(full_radii)) * cfg.r_max
+    try:
+        _series_multi(np.arange(k_cut + 1, dtype=float), np.array([x]), DEFAULT_CONFIG)
+    except NumericalError as exc:
+        raise ConfigError(
+            f"r_max={cfg.r_max:g} with nu_est={grid.nu_est:g} needs Bessel values at x={x:g}, "
+            f"beyond what the series certifies to abs_tol={DEFAULT_CONFIG.abs_tol:g}; lower r_max or nu_est"
+        ) from exc
+
+
 def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None) -> EstimateReport:
     """Jointly estimate the radius and the angular density on the circle.
 
@@ -241,6 +258,7 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
     A fixed audit scan of AUDIT_POINTS radii at the uniform density is probed
     as well, the best probe is polished with a tight final simplex, and ties
     break towards the smallest radius.  Deterministic given (sample, config).
+    Raises ConfigError before any work when check_radius_window refuses.
     """
     t_start = time.perf_counter()
     cfg = cfg or FitConfig()
@@ -250,15 +268,14 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
     if data.shape[0] < 50:
         raise ValueError("need at least 50 observations for a joint fit")
     grid = grid or EvalGrid.build(dim=2)
+    check_radius_window(cfg, grid)
     ctx = ContrastContext.from_sample(data, grid)
-    evaluator = CirclePsiEvaluator(grid)
     seed = getattr(sample, "seed", None)
     probes: list[tuple[float, float, np.ndarray]] = []
 
     def objective(x: np.ndarray) -> float:
         radius, half = _project(x, cfg)
-        psi1, psi2, psi_full = evaluator.marginals(_full_coeffs(half), radius)
-        value = contrast_mn_precomputed(psi1, psi2, psi_full, ctx)
+        value = contrast_mn(FourierDensity.from_half(half, cfg.coeff_bound), radius, ctx)
         if not np.isfinite(value):
             raise NumericalError("contrast evaluated non-finite; degenerate grid or sample")
         probes.append((value, radius, half))
@@ -316,8 +333,7 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
             ),
         )
     _, r_hat, half_hat = _select_best(probes)
-    f_hat = FourierDensity(_full_coeffs(half_hat), norm_bound=cfg.coeff_bound)
-    # reported value comes from the public evaluation path
+    f_hat = FourierDensity.from_half(half_hat, cfg.coeff_bound)
     value = contrast_mn(f_hat, r_hat, ctx)
     c_hat = estimate_center(data, r_hat, f_hat)
     return EstimateReport(
@@ -348,7 +364,8 @@ def fit_radius_known_density(
     golden-section refinement of the bracketing interval; every contrast
     evaluation is logged and the best probed radius is returned, ties
     breaking towards the smaller radius.  Works for any density
-    representation the model characteristic function supports.
+    representation the model characteristic function supports; raises
+    ConfigError before any work when check_radius_window refuses.
     """
     t_start = time.perf_counter()
     cfg = cfg or FitConfig()
@@ -358,6 +375,7 @@ def fit_radius_known_density(
     if data.ndim != 2 or data.shape[1] != f_star.dim_minus_1 + 1:
         raise ValueError("sample dimension does not match the density")
     grid = grid or EvalGrid.build(dim=data.shape[1])
+    check_radius_window(cfg, grid, f_star)
     ctx = ContrastContext.from_sample(data, grid)
     probes: list[tuple[float, float]] = []
 

@@ -148,21 +148,26 @@ def _axis_node_count(dim_minus_1: int) -> int:
     return {1: 10_001, 2: 101}.get(dim_minus_1, max(9, int(round(10_000 ** (1.0 / dim_minus_1)))))
 
 
+def tensor_rule(x: np.ndarray, w: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of the 1-d rule (x, w) over dim axes.
+
+    Nodes come in row-major order, shape (len(x)**dim, dim); each weight is
+    the product of its axis weights.
+    """
+    axes = [g.ravel() for g in np.meshgrid(*([np.arange(x.size)] * dim), indexing="ij")]
+    nodes = np.column_stack([x[i] for i in axes])
+    weights = np.ones(nodes.shape[0])
+    for i in axes:
+        weights *= w[i]
+    return nodes, weights
+
+
 def _unit_box_grid(dim_minus_1: int, per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor trapezoid nodes and weights on [0, 1]^{d-1}."""
-    xs = np.linspace(0.0, 1.0, per_axis)
     w1 = np.full(per_axis, 1.0 / (per_axis - 1))
     w1[0] *= 0.5
     w1[-1] *= 0.5
-    if dim_minus_1 == 1:
-        return xs[:, None], w1
-    grids = np.meshgrid(*([xs] * dim_minus_1), indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*([w1] * dim_minus_1), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for g in wgrids:
-        weights *= g.ravel()
-    return nodes, weights
+    return tensor_rule(np.linspace(0.0, 1.0, per_axis), w1, dim_minus_1)
 
 
 def _unit_box_integral(fn, dim_minus_1: int) -> float:
@@ -244,11 +249,7 @@ def _sup_estimate(f: AngleDensity) -> float:
     dm1 = f.dim_minus_1
     per_axis = 1024 if dm1 == 1 else (64 if dm1 == 2 else 17)
     xs = (np.arange(per_axis) + 0.5) / per_axis
-    if dm1 == 1:
-        pts = xs[:, None]
-    else:
-        grids = np.meshgrid(*([xs] * dm1), indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids])
+    pts, _ = tensor_rule(xs, np.full(per_axis, 1.0 / per_axis), dm1)
     return float(np.max(density_eval(f, pts))) * 1.01
 
 

@@ -131,6 +131,29 @@ def test_failed_replications_are_recorded_not_raised(monkeypatch):
     assert math.isnan(rows[0].mse_R)
 
 
+def test_uncertifiable_window_raises_before_any_replication(monkeypatch):
+    import spheredeconv.bench as bench_mod
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a replication ran before the window check")
+
+    monkeypatch.setattr(bench_mod, "generate", no_fit)
+    with pytest.raises(ConfigError, match="r_max=30"):
+        run_bench(BenchSpec(1, (100,), 1, fit_overrides={"r_max": 30}))
+
+
+def test_bench_cli_prints_the_grid_it_used(capsys, tmp_path):
+    from spheredeconv.bench import bench_grid
+    from spheredeconv.cli import main
+
+    out = str(tmp_path / "b.csv")
+    assert main(["bench", "--scenario", "1", "--n", "100", "--reps", "1", "--mode", "known_f",
+                 "--quiet", "--out", out]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    grid = bench_grid()
+    assert f"nodes={grid.nodes_per_axis} nu_est={grid.nu_est:g} " in first
+
+
 # ---------------------------------------------------------------- regression
 
 

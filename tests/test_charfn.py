@@ -7,7 +7,6 @@ import scipy.special as sp
 
 from spheredeconv.bessel import bessel_j, bessel_j_int
 from spheredeconv.charfn import (
-    CirclePsiEvaluator,
     EcfCache,
     EvalGrid,
     ecf,
@@ -209,17 +208,6 @@ class TestPsiModel:
         assert vals1[3] == psi_model(f, 3.3, g.axis1_points()[3])
         assert vals2[5] == psi_model(f, 3.3, g.axis2_points()[5])
         assert full[2, 7] == psi_model(f, 3.3, g.full_points()[2 * g.m2 + 7])
-
-    def test_cached_evaluator_matches_marginals(self):
-        g = EvalGrid.build(nodes_per_axis=17)
-        f = random_density(np.random.default_rng(13))
-        ev = CirclePsiEvaluator(g)
-        for radius in (0.7, 3.0, 6.2):
-            a1, a2, afull = ev.marginals(f.coeffs, radius)
-            b1, b2, bfull = psi_model_marginals(f, radius, g)
-            assert np.array_equal(a1, b1)
-            assert np.array_equal(a2, b2)
-            assert np.array_equal(afull, bfull)
 
     def test_errors(self):
         f = uniform_density(1)

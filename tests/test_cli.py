@@ -32,15 +32,25 @@ def test_estimate_then_density_chain(tmp_path, capsys):
     density_path = str(tmp_path / "d.csv")
     assert main(["generate", "--scenario", "1", "--n", "400", "--seed", "3", "--out", sample_path]) == 0
     assert main(["estimate", "--input", sample_path, "--rmin", "0.5", "--rmax", "10",
-                 "--nu", "0.5", "--nu-est", "1.0", "--out", report_path]) == 0
+                 "--nu-est", "1.0", "--out", report_path]) == 0
     printed = capsys.readouterr().out
     assert "r_hat=" in printed
 
     payload = json.loads(open(report_path).read())
     assert abs(payload["r_hat"] - 3.0) < 0.2
-    assert payload["nu"] == 0.5 and payload["nu_est"] == 1.0
+    assert payload["nu_est"] == 1.0
     assert payload["n"] == 400
     assert len(payload["f_hat_coeffs"]) % 2 == 1
+
+    # the same draw written as .bin fits to the same report
+    bin_path = str(tmp_path / "s.bin")
+    bin_report = str(tmp_path / "rb.json")
+    assert main(["generate", "--scenario", "1", "--n", "400", "--seed", "3", "--out", bin_path]) == 0
+    assert main(["estimate", "--input", bin_path, "--out", bin_report]) == 0
+    capsys.readouterr()
+    from_bin = json.loads(open(bin_report).read())
+    for key in ("r_hat", "c_hat", "f_hat_coeffs", "contrast_value", "iterations", "n"):
+        assert from_bin[key] == payload[key]
 
     assert main(["density", "--report", report_path, "--alpha", "0.45",
                  "--grid", "128", "--out", density_path]) == 0
@@ -87,6 +97,11 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     # unsorted n list
     assert main(["bench", "--scenario", "1", "--n", "1000,100", "--quiet"]) == 2
     capsys.readouterr()
+    # a radius window the Bessel series cannot certify is refused up front
+    sample_path = str(tmp_path / "s.csv")
+    assert main(["generate", "--scenario", "1", "--n", "100", "--seed", "0", "--out", sample_path]) == 0
+    assert main(["estimate", "--input", sample_path, "--rmax", "12"]) == 2
+    assert "r_max=12" in capsys.readouterr().err
     # bad density grid
     assert main(["density", "--report", str(tmp_path / "nope.json"), "--grid", "1"]) == 2
     capsys.readouterr()

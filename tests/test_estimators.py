@@ -8,10 +8,12 @@ import pytest
 
 from spheredeconv.charfn import EvalGrid
 from spheredeconv.contrast import ContrastContext, contrast_mn
+from spheredeconv.errors import ConfigError
 from spheredeconv.estimators import (
     EstimateReport,
     FitConfig,
     TrigPolynomial,
+    check_radius_window,
     estimate_center,
     fit_joint,
     fit_radius_known_density,
@@ -28,10 +30,8 @@ from spheredeconv.simulate import NoiseModel, Sample, Scenario, generate, scenar
 def test_fitconfig_defaults():
     cfg = FitConfig()
     assert cfg.r_min == 0.5 and cfg.r_max == 10.0
-    assert cfg.k_cutoff >= cfg.n_trunc
     assert 0.0 < cfg.alpha < 0.5
     assert cfg.restarts == 8
-    assert cfg.simplex_tol == 1e-10
 
 
 @pytest.mark.parametrize(
@@ -40,13 +40,13 @@ def test_fitconfig_defaults():
         dict(r_min=0.0),
         dict(r_min=5.0, r_max=2.0),
         dict(k_cutoff=-1),
-        dict(k_cutoff=2, n_trunc=3),
         dict(alpha=0.5),
         dict(alpha=0.0),
         dict(restarts=0),
         dict(max_iters=0),
-        dict(simplex_tol=0.0),
         dict(coeff_bound=-1.0),
+        dict(coeff_bound=float("nan")),
+        dict(r_min=2.0, r_max=2.0),
     ],
 )
 def test_fitconfig_rejects_bad_values(kwargs):
@@ -161,7 +161,7 @@ def test_truncate_density_uniform_is_constant_one():
 
 
 def test_truncate_density_raises_when_level_exceeds_cutoff():
-    cfg = FitConfig(k_cutoff=1, n_trunc=1)
+    cfg = FitConfig(k_cutoff=1)
     with pytest.raises(ValueError, match="cutoff"):
         truncate_density(_report_with([0.0, 1.0, 0.0], n=10**6), 10**6, cfg)
 
@@ -241,9 +241,52 @@ def test_known_density_fit_validates_inputs():
         fit_radius_known_density(np.zeros((5, 2)), uniform_density(), scan_points=1)
 
 
+# ---------------------------------------------------------------- radius window
+
+
+@pytest.mark.parametrize(
+    "cfg, grid",
+    [(FitConfig(r_max=12.0), None), (FitConfig(), EvalGrid.build(nu_est=2.0))],
+    ids=["r_max_12", "nu_est_2"],
+)
+def test_uncertifiable_window_is_refused_before_ecf(monkeypatch, cfg, grid):
+    import spheredeconv.contrast as contrast_mod
+
+    def no_ecf(*args, **kwargs):
+        raise AssertionError("ECF work started before the window check")
+
+    monkeypatch.setattr(contrast_mod, "ecf", no_ecf)
+    s = generate(scenario(1), 100, 0)
+    with pytest.raises(ConfigError, match="r_max=.*nu_est="):
+        fit_joint(s, cfg, grid)
+    with pytest.raises(ConfigError, match="r_max=.*nu_est="):
+        fit_radius_known_density(s, uniform_density(), cfg, grid)
+
+
+def test_window_check_skips_densities_off_the_closed_form():
+    check_radius_window(FitConfig(r_max=12.0), EvalGrid.build(), vonmises_like())
+    check_radius_window(FitConfig(), EvalGrid.build())
+
+
+def test_window_check_probes_the_largest_argument_a_fit_reaches(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+
+    seen = []
+    real = charfn_mod._series_multi
+
+    def recording(orders, x, cfg):
+        seen.append(float(np.max(x)))
+        return real(orders, x, cfg)
+
+    monkeypatch.setattr(charfn_mod, "_series_multi", recording)
+    cfg, grid = FitConfig(), EvalGrid.build()
+    fit_radius_known_density(generate(scenario(1), 100, 0), uniform_density(), cfg, grid)
+    assert max(seen) == float(np.max(grid.polar()[2][0])) * cfg.r_max
+
+
 # ---------------------------------------------------------------- joint fit
 
-JOINT_CFG = FitConfig(restarts=4, max_iters=600, k_cutoff=2, n_trunc=2)
+JOINT_CFG = FitConfig(restarts=4, max_iters=600, k_cutoff=2)
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +339,7 @@ def test_joint_fit_clamps_radius_to_the_box():
     scn = Scenario(scenario_id=0, density=uniform_density(),
                    noise=NoiseModel.none(2), r_star=12.0)
     s = generate(scn, 400, seed=3)
-    rep = fit_joint(s, FitConfig(restarts=2, max_iters=400, k_cutoff=2, n_trunc=2))
+    rep = fit_joint(s, FitConfig(restarts=2, max_iters=400, k_cutoff=2))
     assert rep.r_hat == 10.0
     assert np.isfinite(rep.contrast_value)
 
