@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .charfn import EvalGrid
+from .charfn import BENCH_NU_EST, EvalGrid
 from .errors import ConfigError, NumericalError
 from .estimators import FitConfig, check_radius_window, fit_joint, fit_radius_known_density, truncation_level
 from .geometry import FourierDensity, fourier_coefficient
@@ -34,7 +34,6 @@ DESK_GRID = (100, 1_000, 10_000)
 MODES = ("known_f", "unknown_f")
 EMIT_COLUMNS = ("n", "mode", "mse_R", "mse_C", "l2_density_err", "reps", "base_seed", "wall_ms")
 TAIL_CUTOFF = 64  # |k| beyond which truth coefficients are treated as zero
-BENCH_NU_EST = 0.5  # bench fits integrate over a narrower window than EvalGrid's default
 
 
 def bench_grid() -> EvalGrid:
@@ -48,7 +47,6 @@ class BenchSpec:
     n_values: tuple = DESK_GRID
     replications: int = 10
     mode: str = "both"
-    out_path: str | None = None
     base_seed: int = 0
     fit_overrides: dict | None = None
 

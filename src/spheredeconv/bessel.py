@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +63,21 @@ def _gamma_exact(a: float) -> float:
     return math.gamma(a)
 
 
+@lru_cache(maxsize=64)
+def _series_constants(orders: tuple, series_terms: int) -> tuple:
+    """Gamma(order+1) and the term-ratio denominators m (order + m), m >= 1.
+
+    Both depend on the orders and the term count alone, so they are built
+    once per (orders, series_terms) and shared read-only by every call.
+    """
+    ords = np.array(orders, dtype=float)[:, None]
+    gamma = np.array([_gamma_exact(o + 1.0) for o in orders])[:, None]
+    denoms = [m * (ords + m) for m in range(1, series_terms)]
+    for arr in [gamma, *denoms]:
+        arr.flags.writeable = False
+    return gamma, tuple(denoms)
+
+
 def _series_multi(orders: np.ndarray, x: np.ndarray, cfg: BesselEvalConfig) -> np.ndarray:
     """Ascending series for J_order(x), all orders at once.
 
@@ -71,13 +87,13 @@ def _series_multi(orders: np.ndarray, x: np.ndarray, cfg: BesselEvalConfig) -> n
     """
     half = 0.5 * x[None, :]
     ords = orders[:, None]
-    g = np.array([_gamma_exact(o + 1.0) for o in orders])[:, None]
+    g, denoms = _series_constants(tuple(orders.tolist()), cfg.series_terms)
     term = half**ords / g
     acc = term.copy()
     peak = np.abs(term)
     neg_q = -(half * half)
-    for m in range(1, cfg.series_terms):
-        term = term * (neg_q / (m * (ords + m)))
+    for denom in denoms:
+        term = term * (neg_q / denom)
         acc += term
         np.maximum(peak, np.abs(term), out=peak)
     # certification: tail <= first omitted term / (1 - ratio); roundoff ~ eps * peak

@@ -12,6 +12,13 @@ t = r (cos 2 pi theta, sin 2 pi theta), to the Bessel sum
 sum_p i^p c_p J_p(r R) exp(-2 i pi p theta); in all other cases the angle
 integral is evaluated by Gauss-Legendre quadrature on the unit box.
 psi_model_marginals is the one route from a grid to Psi values.
+
+The closed form reads a PolarTable: the sorted union of the radii of the
+point sets it serves, each set's index into that union, and each set's
+phase powers exp(-2 i pi p theta), p = 1..K.  EvalGrid caches one table
+per cutoff K for its axis-1, axis-2 and full point sets, built on the
+first probe, so each grid evaluation runs the Bessel series once, on the
+union times R, and gathers every set's J values from that one table.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, 
 
 # half-width of the default frequency window [-nu_est, nu_est]^d
 DEFAULT_NU_EST = 1.0
+# the narrower window of bench fits and of the population contrast's default grid
+BENCH_NU_EST = 0.5
 
 
 @lru_cache(maxsize=64)
@@ -111,6 +120,17 @@ class EvalGrid:
             self._polar = cached
         return cached
 
+    def polar_table(self, k_cut: int) -> "PolarTable":
+        """Closed-form table of the axis-1, axis-2 and full point sets (d = 2)
+        for cutoff k_cut; built on first use, then cached per k_cut."""
+        tables = getattr(self, "_polar_tables", None)
+        if tables is None:
+            tables = self._polar_tables = {}
+        table = tables.get(k_cut)
+        if table is None:
+            table = tables[k_cut] = PolarTable.build(k_cut, self.polar())
+        return table
+
 
 @dataclass(eq=False)
 class EcfCache:
@@ -168,29 +188,56 @@ def closed_form_applies(f: AngleDensity, dim: int) -> bool:
     return isinstance(f, FourierDensity) and dim == 2
 
 
-def _psi_polar(
-    coeffs: np.ndarray, radius: float, r: np.ndarray, theta: np.ndarray, cfg: BesselEvalConfig
-) -> np.ndarray:
-    """Closed-form circle characteristic function in polar frequency coordinates.
+@dataclass(frozen=True, eq=False)
+class PolarTable:
+    """What the closed form needs of a family of polar point sets, given K.
 
-    Returns sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta) for
+    radii is the sorted union of the sets' radii and index[s] maps set s
+    into it; phases[s][p - 1] = exp(-2 i pi p theta) on set s for
+    p = 1..K, built by repeated multiplication.
+    """
+
+    k_cut: int
+    radii: np.ndarray
+    index: tuple
+    phases: tuple
+
+    @classmethod
+    def build(cls, k_cut: int, polar_sets) -> "PolarTable":
+        """Table of (r, theta) point sets for cutoff k_cut."""
+        radii, inverse = np.unique(np.concatenate([r for r, _ in polar_sets]), return_inverse=True)
+        bounds = np.cumsum([r.size for r, _ in polar_sets])[:-1]
+        phases = []
+        for _, theta in polar_sets:
+            base = np.exp(-2j * np.pi * theta)
+            phase = np.ones_like(base)
+            powers = []
+            for _ in range(k_cut):
+                phase = phase * base
+                powers.append(phase)
+            phases.append(tuple(powers))
+        return cls(int(k_cut), radii, tuple(np.split(inverse, bounds)), tuple(phases))
+
+
+def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable, cfg: BesselEvalConfig) -> list:
+    """Closed-form circle characteristic function on each point set of a table.
+
+    Returns, per set, sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta) for
     p = -K..K; coefficients vanish beyond the cutoff, so the sum is exact.
     Conjugate pairs collapse to J_0 + sum_{p>=1} i^p J_p * 2 Re(c_p e^{-2 i pi p theta}).
+    One series call covers all sets: each set gathers its rows of the table.
     """
-    k_cut = coeffs.size // 2
-    x = r * radius
-    uniq, inverse = np.unique(x, return_inverse=True)
-    orders = np.arange(k_cut + 1, dtype=float)
-    jmat = _series_multi(orders, uniq, cfg)[:, inverse]
-    out = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
-    if k_cut:
-        base = np.exp(-2j * np.pi * theta)
-        phase = np.ones_like(base)
+    k_cut = table.k_cut
+    jtab = _series_multi(np.arange(k_cut + 1, dtype=float), table.radii * radius, cfg)
+    out = []
+    for index, phases in zip(table.index, table.phases):
+        jmat = jtab[:, index]
+        vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
         ipow = 1.0 + 0.0j
         for p in range(1, k_cut + 1):
-            phase = phase * base
             ipow = ipow * 1j
-            out += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * phase))
+            vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * phases[p - 1]))
+        out.append(vals)
     return out
 
 
@@ -247,8 +294,8 @@ def psi_model(
     if method == "closed":
         if not closed_ok:
             raise ValueError("closed form requires a circle Fourier density")
-        r, theta = _to_polar(pts)
-        out = _psi_polar(f.coeffs, float(radius), r, theta, bessel_cfg)
+        table = PolarTable.build(f.cutoff, [_to_polar(pts)])
+        out = _psi_polar(f.coeffs, float(radius), table, bessel_cfg)[0]
     elif method == "quadrature":
         out = _psi_quadrature(f, float(radius), pts)
     else:
@@ -264,14 +311,15 @@ def psi_model_marginals(
     Returns (vals1, vals2, full) with full shaped (m1, m2).  The route is
     psi_model's automatic one, run on the same coordinates, so each value
     equals the pointwise psi_model call bit for bit; the closed form reads
-    the grid's cached polar coordinates.
+    the grid's cached PolarTable for the density's cutoff and makes one
+    Bessel series call for all three point sets.
     """
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
     if grid.dim != f.dim_minus_1 + 1:
         raise ValueError("grid dimension does not match the density")
     if closed_form_applies(f, grid.dim):
-        vals = [_psi_polar(f.coeffs, float(radius), r, theta, DEFAULT_CONFIG) for r, theta in grid.polar()]
+        vals = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff), DEFAULT_CONFIG)
     else:
         point_sets = (grid.axis1_points(), grid.axis2_points(), grid.full_points())
         vals = [_psi_quadrature(f, float(radius), pts) for pts in point_sets]

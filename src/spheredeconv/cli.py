@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run the seeded MSE sweep")
     b.add_argument("--scenario", type=int, required=True, choices=(1, 2, 3, 4))
     b.add_argument("--n", type=_int_list, default=None, metavar="N1,N2,...")
-    b.add_argument("--reps", type=int, default=10)
+    b.add_argument("--reps", type=int, default=None,
+                   help="replications per cell (default: 10, or 30 with --full)")
     b.add_argument("--mode", default="both", choices=("known_f", "unknown_f", "both"))
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="bench.csv")
@@ -76,12 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bench(args) -> int:
     n_values = args.n
-    reps = args.reps
-    if args.full:
-        n_values = FULL_GRID if n_values is None else n_values
-        reps = 30 if args.reps == 10 else reps
     if n_values is None:
-        n_values = DESK_GRID
+        n_values = FULL_GRID if args.full else DESK_GRID
+    reps = args.reps
+    if reps is None:
+        reps = 30 if args.full else 10
     overrides = {}
     if args.rmin is not None:
         overrides["r_min"] = args.rmin
@@ -92,7 +92,6 @@ def _cmd_bench(args) -> int:
         n_values=n_values,
         replications=reps,
         mode=args.mode,
-        out_path=args.out,
         base_seed=args.seed,
         fit_overrides=overrides or None,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import EcfCache, EvalGrid, ecf, psi_model_marginals
+from .charfn import BENCH_NU_EST, EcfCache, EvalGrid, ecf, psi_model_marginals
 from .geometry import AngleDensity
 
 
@@ -85,20 +85,20 @@ def contrast_m_oracle(
     f_star: AngleDensity,
     r_star: float,
     noise,
-    nu: float = 0.5,
-    nodes_per_axis: int = 33,
-    dim: int = 2,
+    grid: EvalGrid | None = None,
 ) -> float:
     """Population contrast: the ECF is replaced by the true characteristic
     function products, and the integrand is weighted by |Phi_eps(t)|^2.
 
     Requires a noise model exposing a closed-form characteristic function
     (char_fn plus has_char_fn).  Zero exactly at the truth; positive at any
-    candidate generating a different observation law.
+    candidate generating a different observation law.  grid defaults to
+    the bench window: BENCH_NU_EST, 33 nodes per axis, the density's dimension.
     """
     if not getattr(noise, "has_char_fn", False) or not hasattr(noise, "char_fn"):
         raise ValueError("noise model does not expose a closed-form characteristic function")
-    grid = EvalGrid.build(dim=dim, nu_est=nu, nodes_per_axis=nodes_per_axis)
+    if grid is None:
+        grid = EvalGrid.build(dim=f.dim_minus_1 + 1, nu_est=BENCH_NU_EST)
     cand1, cand2, cand_full = psi_model_marginals(f, radius, grid)
     true1, true2, true_full = psi_model_marginals(f_star, r_star, grid)
     phi = noise.char_fn(grid.full_points()).reshape(grid.m1, grid.m2)

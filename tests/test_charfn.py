@@ -202,12 +202,20 @@ class TestPsiModel:
         assert abs(got - oracle) < 1e-8
 
     def test_marginals_bitwise_match_pointwise_calls(self):
-        g = EvalGrid.build(nodes_per_axis=9)
-        f = random_density(np.random.default_rng(9))
-        vals1, vals2, full = psi_model_marginals(f, 3.3, g)
-        assert vals1[3] == psi_model(f, 3.3, g.axis1_points()[3])
-        assert vals2[5] == psi_model(f, 3.3, g.axis2_points()[5])
-        assert full[2, 7] == psi_model(f, 3.3, g.full_points()[2 * g.m2 + 7])
+        # even grids have no zero node, so their axis radii are not among the full grid's;
+        # cutoffs are interleaved so each grid serves several cached tables
+        rng = np.random.default_rng(9)
+        for nodes_per_axis in (9, 10):
+            for nu_est in (0.5, 1.0):
+                g = EvalGrid.build(nu_est=nu_est, nodes_per_axis=nodes_per_axis)
+                point_sets = (g.axis1_points(), g.axis2_points(), g.full_points())
+                for k_cut in (2, 0, 4, 1, 3, 2):
+                    f = random_density(rng, k_cut)
+                    radius = float(rng.uniform(0.5, 10.0))
+                    vals = psi_model_marginals(f, radius, g)
+                    for got, pts in zip(vals, point_sets):
+                        want = np.array([psi_model(f, radius, t) for t in pts])
+                        assert got.ravel().tobytes() == want.tobytes()
 
     def test_errors(self):
         f = uniform_density(1)

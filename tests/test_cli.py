@@ -3,7 +3,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from spheredeconv.bench import DESK_GRID, FULL_GRID
 from spheredeconv.cli import main
 from spheredeconv.simulate import generate, load_sample_csv, scenario
 
@@ -113,9 +115,31 @@ def test_argparse_rejects_unknown_scenario(capsys):
 
 
 def test_console_script_entry_point():
-    import subprocess, sys
+    import os, subprocess, sys
+    from pathlib import Path
 
+    import spheredeconv
+
+    # the child imports the package from wherever this process found it
+    src = str(Path(spheredeconv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "spheredeconv.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "bench" in proc.stdout and "estimate" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "flags, reps",
+    [([], 10), (["--full"], 30), (["--full", "--reps", "10"], 10), (["--reps", "3"], 3)],
+    ids=["desk", "full", "full_reps_10", "reps_3"],
+)
+def test_bench_replications(monkeypatch, tmp_path, flags, reps):
+    import spheredeconv.cli as cli_mod
+
+    specs = []
+    monkeypatch.setattr(cli_mod, "run_bench", lambda spec, progress: specs.append(spec) or [])
+    out = str(tmp_path / "b.csv")
+    assert main(["bench", "--scenario", "1", "--quiet", "--out", out, *flags]) == 0
+    assert specs[0].replications == reps
+    assert specs[0].n_values == (FULL_GRID if "--full" in flags else DESK_GRID)

@@ -82,7 +82,37 @@ class TestEmpiricalContrast:
         assert a == b
 
 
+def test_one_series_call_per_closed_form_contrast(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+
+    calls = []
+    real = charfn_mod._series_multi
+
+    def counting(orders, x, cfg):
+        calls.append(x.size)
+        return real(orders, x, cfg)
+
+    monkeypatch.setattr(charfn_mod, "_series_multi", counting)
+    grid = EvalGrid.build(nodes_per_axis=33)
+    ctx = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), grid)
+    for k, radius in enumerate((2.0, 2.5, 3.0, 3.5)):
+        contrast_mn(FourierDensity.from_half([0.02j] * k), radius, ctx)
+        assert len(calls) == k + 1
+    # the odd grid's axis radii are among the full grid's 17 * 18 / 2 distinct radii
+    assert calls == [153] * 4
+
+
 class TestPopulationContrast:
+    def test_default_grid_is_the_bench_grid(self):
+        from spheredeconv.bench import bench_grid
+
+        scn = scenario(1)
+        f = FourierDensity.from_half([0.03 - 0.01j])
+        default = contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise)
+        assert default == contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise, grid=bench_grid())
+        wide = contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise, grid=EvalGrid.build(nu_est=1.0))
+        assert wide != default
+
     def test_zero_at_truth(self):
         scn = scenario(1)
         val = contrast_m_oracle(scn.density, scn.r_star, scn.density, scn.r_star, scn.noise)
