@@ -18,7 +18,7 @@ from .bench import (
     read_rows,
     run_bench,
 )
-from .bessel import BesselEvalConfig, bessel_j, bessel_j_int, h_func, jacobi_anger
+from .bessel import BesselEvalConfig, bessel_j
 from .charfn import EcfCache, EvalGrid, ecf, psi_model, psi_model_marginals
 from .contrast import ContrastContext, contrast_m_oracle, contrast_mn
 from .errors import ConfigError, NumericalError
@@ -85,7 +85,6 @@ __all__ = [
     "Scenario",
     "TrigPolynomial",
     "bessel_j",
-    "bessel_j_int",
     "contrast_m_oracle",
     "contrast_mn",
     "density_eval",
@@ -102,8 +101,6 @@ __all__ = [
     "fourier_coefficient",
     "fourier_series",
     "generate",
-    "h_func",
-    "jacobi_anger",
     "load_sample_bin",
     "load_sample_csv",
     "psi_model",

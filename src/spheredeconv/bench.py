@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .charfn import BENCH_NU_EST, EvalGrid
+from .charfn import bench_grid
 from .errors import ConfigError, NumericalError
 from .estimators import FitConfig, check_radius_window, fit_joint, fit_radius_known_density, truncation_level
 from .geometry import FourierDensity, fourier_coefficient
@@ -34,11 +34,6 @@ DESK_GRID = (100, 1_000, 10_000)
 MODES = ("known_f", "unknown_f")
 EMIT_COLUMNS = ("n", "mode", "mse_R", "mse_C", "l2_density_err", "reps", "base_seed", "wall_ms")
 TAIL_CUTOFF = 64  # |k| beyond which truth coefficients are treated as zero
-
-
-def bench_grid() -> EvalGrid:
-    """The frequency grid every bench fit runs on."""
-    return EvalGrid.build(dim=2, nu_est=BENCH_NU_EST)
 
 
 @dataclass(frozen=True)

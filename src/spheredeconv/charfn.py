@@ -13,12 +13,14 @@ sum_p i^p c_p J_p(r R) exp(-2 i pi p theta); in all other cases the angle
 integral is evaluated by Gauss-Legendre quadrature on the unit box.
 psi_model_marginals is the one route from a grid to Psi values.
 
-The closed form reads a PolarTable: the sorted union of the radii of the
-point sets it serves, each set's index into that union, and each set's
-phase powers exp(-2 i pi p theta), p = 1..K.  EvalGrid caches one table
-per cutoff K for its axis-1, axis-2 and full point sets, built on the
-first probe, so each grid evaluation runs the Bessel series once, on the
-union times R, and gathers every set's J values from that one table.
+EvalGrid.points() stacks the three point sets the contrast compares --
+the axis-1 slice (t1, 0), the axis-2 slice (0, t2) and the full grid --
+into one array, built once per grid, so each grid evaluation is one call
+on one point set, sliced afterwards.  The closed form reads a PolarTable
+of a point set: the sorted distinct radii, each point's index into them,
+and the phase powers exp(-2 i pi p theta), p = 1..K.  EvalGrid caches one
+table of its stacked points per cutoff K, built on the first probe, so
+each grid evaluation runs the Bessel series once, on the radii times R.
 """
 
 from __future__ import annotations
@@ -29,13 +31,24 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bessel import DEFAULT_CONFIG, BesselEvalConfig, _series_multi
+from .bessel import DEFAULT_CONFIG, _series_multi
 from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, tensor_rule
 
 # half-width of the default frequency window [-nu_est, nu_est]^d
 DEFAULT_NU_EST = 1.0
 # the narrower window of bench fits and of the population contrast's default grid
 BENCH_NU_EST = 0.5
+_BENCH_GRIDS: dict = {}
+
+
+def bench_grid(dim: int = 2) -> "EvalGrid":
+    """The frequency grid of every bench fit and of the population contrast's
+    default: BENCH_NU_EST, 33 nodes per axis; built once per dimension, so
+    its cached points and tables serve every later call."""
+    grid = _BENCH_GRIDS.get(dim)
+    if grid is None:
+        grid = _BENCH_GRIDS[dim] = EvalGrid.build(dim=dim, nu_est=BENCH_NU_EST)
+    return grid
 
 
 @lru_cache(maxsize=64)
@@ -85,50 +98,34 @@ class EvalGrid:
     def m2(self) -> int:
         return self.axis2_nodes.shape[0]
 
-    def axis1_points(self) -> np.ndarray:
-        """Axis-1 slice embedded in R^d: (t1, 0, ..., 0)."""
-        pts = np.zeros((self.m1, self.dim))
-        pts[:, 0] = self.axis1_nodes
-        return pts
-
-    def axis2_points(self) -> np.ndarray:
-        """Axis-2 slice embedded in R^d: (0, t2)."""
-        pts = np.zeros((self.m2, self.dim))
-        pts[:, 1:] = self.axis2_nodes
-        return pts
+    def points(self) -> np.ndarray:
+        """The axis-1 slice (t1, 0, ..., 0), the axis-2 slice (0, t2), then the
+        full grid (row m1 + m2 + i * m2 + j pairs t1_i with t2_j), stacked;
+        built once per grid."""
+        cached = getattr(self, "_points", None)
+        if cached is None:
+            m1, m2 = self.m1, self.m2
+            cached = np.zeros((m1 + m2 + m1 * m2, self.dim))
+            cached[:m1, 0] = self.axis1_nodes
+            cached[m1 : m1 + m2, 1:] = self.axis2_nodes
+            cached[m1 + m2 :, 0] = np.repeat(self.axis1_nodes, m2)
+            cached[m1 + m2 :, 1:] = np.tile(self.axis2_nodes, (m1, 1))
+            self._points = cached
+        return cached
 
     def full_points(self) -> np.ndarray:
-        """All (t1_i, t2_j) pairs, row index i * m2 + j."""
-        cached = getattr(self, "_full_points", None)
-        if cached is None:
-            t1 = np.repeat(self.axis1_nodes, self.m2)[:, None]
-            t2 = np.tile(self.axis2_nodes, (self.m1, 1))
-            cached = np.hstack([t1, t2])
-            self._full_points = cached
-        return cached
-
-    def polar(self) -> tuple:
-        """(r, theta) of the axis-1, axis-2 and full point sets (d = 2).
-
-        t = r (cos 2 pi theta, sin 2 pi theta); computed once per grid.
-        """
-        cached = getattr(self, "_polar", None)
-        if cached is None:
-            cached = tuple(
-                _to_polar(pts) for pts in (self.axis1_points(), self.axis2_points(), self.full_points())
-            )
-            self._polar = cached
-        return cached
+        """All (t1_i, t2_j) pairs, row index i * m2 + j: a view of points()."""
+        return self.points()[self.m1 + self.m2 :]
 
     def polar_table(self, k_cut: int) -> "PolarTable":
-        """Closed-form table of the axis-1, axis-2 and full point sets (d = 2)
-        for cutoff k_cut; built on first use, then cached per k_cut."""
+        """Closed-form table of points() (d = 2) for cutoff k_cut; built on
+        first use, then cached per k_cut."""
         tables = getattr(self, "_polar_tables", None)
         if tables is None:
             tables = self._polar_tables = {}
         table = tables.get(k_cut)
         if table is None:
-            table = tables[k_cut] = PolarTable.build(k_cut, self.polar())
+            table = tables[k_cut] = PolarTable.build(k_cut, self.points())
         return table
 
 
@@ -177,12 +174,6 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 15) -> EcfCache:
     return EcfCache(full / n, s1 / n, s2 / n, n)
 
 
-def _to_polar(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    theta = np.arctan2(pts[:, 1], pts[:, 0]) / (2.0 * np.pi)
-    return r, theta
-
-
 def closed_form_applies(f: AngleDensity, dim: int) -> bool:
     """Whether Psi_f has the closed Bessel form: circle Fourier densities."""
     return isinstance(f, FourierDensity) and dim == 2
@@ -190,55 +181,49 @@ def closed_form_applies(f: AngleDensity, dim: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PolarTable:
-    """What the closed form needs of a family of polar point sets, given K.
+    """What the closed form needs of a point set in R^2, given K.
 
-    radii is the sorted union of the sets' radii and index[s] maps set s
-    into it; phases[s][p - 1] = exp(-2 i pi p theta) on set s for
-    p = 1..K, built by repeated multiplication.
+    radii holds the points' distinct radii, sorted, and index maps each
+    point into them; phases[p - 1] = exp(-2 i pi p theta) for p = 1..K,
+    built by repeated multiplication.
     """
 
     k_cut: int
     radii: np.ndarray
-    index: tuple
+    index: np.ndarray
     phases: tuple
 
     @classmethod
-    def build(cls, k_cut: int, polar_sets) -> "PolarTable":
-        """Table of (r, theta) point sets for cutoff k_cut."""
-        radii, inverse = np.unique(np.concatenate([r for r, _ in polar_sets]), return_inverse=True)
-        bounds = np.cumsum([r.size for r, _ in polar_sets])[:-1]
+    def build(cls, k_cut: int, pts: np.ndarray) -> "PolarTable":
+        """Table of the (m, 2) points pts = r (cos 2 pi theta, sin 2 pi theta)."""
+        radii, index = np.unique(np.hypot(pts[:, 0], pts[:, 1]), return_inverse=True)
+        theta = np.arctan2(pts[:, 1], pts[:, 0]) / (2.0 * np.pi)
+        base = np.exp(-2j * np.pi * theta)
+        phase = np.ones_like(base)
         phases = []
-        for _, theta in polar_sets:
-            base = np.exp(-2j * np.pi * theta)
-            phase = np.ones_like(base)
-            powers = []
-            for _ in range(k_cut):
-                phase = phase * base
-                powers.append(phase)
-            phases.append(tuple(powers))
-        return cls(int(k_cut), radii, tuple(np.split(inverse, bounds)), tuple(phases))
+        for _ in range(k_cut):
+            phase = phase * base
+            phases.append(phase)
+        return cls(int(k_cut), radii, index, tuple(phases))
 
 
-def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable, cfg: BesselEvalConfig) -> list:
-    """Closed-form circle characteristic function on each point set of a table.
+def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> np.ndarray:
+    """Closed-form circle characteristic function on a table's points.
 
-    Returns, per set, sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta) for
+    Returns sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta) for
     p = -K..K; coefficients vanish beyond the cutoff, so the sum is exact.
     Conjugate pairs collapse to J_0 + sum_{p>=1} i^p J_p * 2 Re(c_p e^{-2 i pi p theta}).
-    One series call covers all sets: each set gathers its rows of the table.
+    One series call on the distinct radii; each point gathers its row.
     """
     k_cut = table.k_cut
-    jtab = _series_multi(np.arange(k_cut + 1, dtype=float), table.radii * radius, cfg)
-    out = []
-    for index, phases in zip(table.index, table.phases):
-        jmat = jtab[:, index]
-        vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
-        ipow = 1.0 + 0.0j
-        for p in range(1, k_cut + 1):
-            ipow = ipow * 1j
-            vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * phases[p - 1]))
-        out.append(vals)
-    return out
+    jtab = _series_multi(np.arange(k_cut + 1, dtype=float), table.radii * radius, DEFAULT_CONFIG)
+    jmat = jtab[:, table.index]
+    vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
+    ipow = 1.0 + 0.0j
+    for p in range(1, k_cut + 1):
+        ipow = ipow * 1j
+        vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * table.phases[p - 1]))
+    return vals
 
 
 @lru_cache(maxsize=16)
@@ -268,13 +253,7 @@ def _psi_quadrature(
     return out
 
 
-def psi_model(
-    f: AngleDensity,
-    radius: float,
-    t,
-    method: str | None = None,
-    bessel_cfg: BesselEvalConfig = DEFAULT_CONFIG,
-):
+def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
     """Model characteristic function Psi_{f,R}(t) = E exp(i R <t, S(U)>).
 
     t is a single d-vector or an (m, d) batch.  method selects the route:
@@ -294,8 +273,7 @@ def psi_model(
     if method == "closed":
         if not closed_ok:
             raise ValueError("closed form requires a circle Fourier density")
-        table = PolarTable.build(f.cutoff, [_to_polar(pts)])
-        out = _psi_polar(f.coeffs, float(radius), table, bessel_cfg)[0]
+        out = _psi_polar(f.coeffs, float(radius), PolarTable.build(f.cutoff, pts))
     elif method == "quadrature":
         out = _psi_quadrature(f, float(radius), pts)
     else:
@@ -308,19 +286,19 @@ def psi_model_marginals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Psi on the axis-1 slice, the axis-2 slice, and the full grid.
 
-    Returns (vals1, vals2, full) with full shaped (m1, m2).  The route is
-    psi_model's automatic one, run on the same coordinates, so each value
-    equals the pointwise psi_model call bit for bit; the closed form reads
-    the grid's cached PolarTable for the density's cutoff and makes one
-    Bessel series call for all three point sets.
+    Returns (vals1, vals2, full) with full shaped (m1, m2): slices of one
+    evaluation on grid.points().  The route is psi_model's automatic one,
+    run on the same coordinates, so each value equals the pointwise
+    psi_model call bit for bit; the closed form reads the grid's cached
+    PolarTable for the density's cutoff and makes one Bessel series call.
     """
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
     if grid.dim != f.dim_minus_1 + 1:
         raise ValueError("grid dimension does not match the density")
     if closed_form_applies(f, grid.dim):
-        vals = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff), DEFAULT_CONFIG)
+        vals = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff))
     else:
-        point_sets = (grid.axis1_points(), grid.axis2_points(), grid.full_points())
-        vals = [_psi_quadrature(f, float(radius), pts) for pts in point_sets]
-    return vals[0], vals[1], vals[2].reshape(grid.m1, grid.m2)
+        vals = _psi_quadrature(f, float(radius), grid.points())
+    m1, m2 = grid.m1, grid.m2
+    return vals[:m1], vals[m1 : m1 + m2], vals[m1 + m2 :].reshape(m1, m2)

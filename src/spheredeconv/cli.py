@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .bench import DESK_GRID, FULL_GRID, BenchSpec, bench_grid, determinism_hash, emit, run_bench
-from .charfn import DEFAULT_NU_EST, EvalGrid
+from .bench import DESK_GRID, FULL_GRID, BenchSpec, determinism_hash, emit, run_bench
+from .charfn import DEFAULT_NU_EST, EvalGrid, bench_grid
 from .errors import ConfigError, NumericalError
 from .estimators import EstimateReport, FitConfig, fit_joint, truncate_density, truncation_level
 from .simulate import generate, load_sample_bin, load_sample_csv, save_sample_bin, save_sample_csv, scenario

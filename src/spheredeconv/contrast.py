@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import BENCH_NU_EST, EcfCache, EvalGrid, ecf, psi_model_marginals
+from .charfn import EcfCache, EvalGrid, bench_grid, ecf, psi_model_marginals
 from .geometry import AngleDensity
 
 
@@ -36,27 +36,20 @@ class ContrastContext:
         return cls(grid, ecf(sample, grid))
 
 
-def _combine(
-    psi1: np.ndarray,
-    psi2: np.ndarray,
-    psi_full: np.ndarray,
-    ref1: np.ndarray,
-    ref2: np.ndarray,
-    ref_full: np.ndarray,
-    w1: np.ndarray,
-    w2: np.ndarray,
-    extra_weight: np.ndarray | None = None,
-) -> float:
-    """Quadrature of |psi_full ref1 ref2 - ref_full psi1 psi2|^2 over the box.
+def _combine(psi: tuple, ref: tuple, grid: EvalGrid, extra_weight: np.ndarray | None = None) -> float:
+    """Quadrature of |psi_full ref1 ref2 - ref_full psi1 psi2|^2 over the grid's box.
 
+    psi and ref are (axis-1, axis-2, full) triples, full shaped (m1, m2).
     numpy's pairwise reductions keep the summation order fixed, so the
     value is deterministic for given inputs.
     """
+    psi1, psi2, psi_full = psi
+    ref1, ref2, ref_full = ref
     diff = psi_full * np.multiply.outer(ref1, ref2) - ref_full * np.multiply.outer(psi1, psi2)
     integrand = diff.real**2 + diff.imag**2
     if extra_weight is not None:
         integrand = integrand * extra_weight
-    return float(w1 @ integrand @ w2)
+    return float(grid.axis1_weights @ integrand @ grid.axis2_weights)
 
 
 def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:
@@ -65,18 +58,8 @@ def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:
     Nonnegative; zero exactly when the candidate's characteristic-function
     products reproduce the ECF's on the whole grid.
     """
-    psi1, psi2, psi_full = psi_model_marginals(f, radius, ctx.grid)
     cache = ctx.cache
-    return _combine(
-        psi1,
-        psi2,
-        psi_full,
-        cache.marg1,
-        cache.marg2,
-        cache.full,
-        ctx.grid.axis1_weights,
-        ctx.grid.axis2_weights,
-    )
+    return _combine(psi_model_marginals(f, radius, ctx.grid), (cache.marg1, cache.marg2, cache.full), ctx.grid)
 
 
 def contrast_m_oracle(
@@ -93,24 +76,13 @@ def contrast_m_oracle(
     Requires a noise model exposing a closed-form characteristic function
     (char_fn plus has_char_fn).  Zero exactly at the truth; positive at any
     candidate generating a different observation law.  grid defaults to
-    the bench window: BENCH_NU_EST, 33 nodes per axis, the density's dimension.
+    bench_grid() of the density's dimension.
     """
     if not getattr(noise, "has_char_fn", False) or not hasattr(noise, "char_fn"):
         raise ValueError("noise model does not expose a closed-form characteristic function")
     if grid is None:
-        grid = EvalGrid.build(dim=f.dim_minus_1 + 1, nu_est=BENCH_NU_EST)
-    cand1, cand2, cand_full = psi_model_marginals(f, radius, grid)
-    true1, true2, true_full = psi_model_marginals(f_star, r_star, grid)
+        grid = bench_grid(f.dim_minus_1 + 1)
+    cand = psi_model_marginals(f, radius, grid)
+    truth = psi_model_marginals(f_star, r_star, grid)
     phi = noise.char_fn(grid.full_points()).reshape(grid.m1, grid.m2)
-    weight = phi.real**2 + phi.imag**2
-    return _combine(
-        cand1,
-        cand2,
-        cand_full,
-        true1,
-        true2,
-        true_full,
-        grid.axis1_weights,
-        grid.axis2_weights,
-        extra_weight=weight,
-    )
+    return _combine(cand, truth, grid, extra_weight=phi.real**2 + phi.imag**2)

@@ -226,10 +226,11 @@ def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | N
 
     The closed form evaluates J_0..J_K at r * R for every grid radius r
     and probed radius R, and every fit probes R = r_max, so the largest
-    argument, r_max times the largest |t| on the grid, decides whether the
-    fit can finish.  f_star None stands for the joint fit (K = k_cutoff);
-    a known density uses its own cutoff, or needs no Bessel values when
-    the closed form does not apply to it.
+    argument, r_max times the largest radius in the fit's own table (the
+    largest |t| on the grid), decides whether the fit can finish.  f_star
+    None stands for the joint fit (K = k_cutoff); a known density uses its
+    own cutoff, or needs no Bessel values when the closed form does not
+    apply to it.
     """
     if f_star is None:
         k_cut = cfg.k_cutoff
@@ -237,8 +238,7 @@ def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | N
         k_cut = f_star.cutoff
     else:
         return
-    full_radii = grid.polar()[2][0]
-    x = float(np.max(full_radii)) * cfg.r_max
+    x = float(grid.polar_table(k_cut).radii[-1]) * cfg.r_max
     try:
         _series_multi(np.arange(k_cut + 1, dtype=float), np.array([x]), DEFAULT_CONFIG)
     except NumericalError as exc:

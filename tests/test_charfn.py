@@ -23,6 +23,17 @@ from spheredeconv.geometry import (
 from spheredeconv.simulate import generate, scenario
 
 
+def stacked_slices(g):
+    """The axis-1, axis-2 and full point sets, each checked against its definition."""
+    pts = g.points()
+    m1, m2 = g.m1, g.m2
+    axis1, axis2, full = pts[:m1], pts[m1 : m1 + m2], pts[m1 + m2 :]
+    assert np.array_equal(axis1[:, 0], g.axis1_nodes) and not axis1[:, 1:].any()
+    assert np.array_equal(axis2[:, 1:], g.axis2_nodes) and not axis2[:, 0].any()
+    assert full.tobytes() == g.full_points().tobytes()
+    return axis1, axis2, full
+
+
 def random_density(rng, k_cut=4, scale=0.08):
     half = scale * (rng.normal(size=k_cut) + 1j * rng.normal(size=k_cut)) / np.arange(1, k_cut + 1)
     return FourierDensity.from_half(half)
@@ -208,7 +219,7 @@ class TestPsiModel:
         for nodes_per_axis in (9, 10):
             for nu_est in (0.5, 1.0):
                 g = EvalGrid.build(nu_est=nu_est, nodes_per_axis=nodes_per_axis)
-                point_sets = (g.axis1_points(), g.axis2_points(), g.full_points())
+                point_sets = stacked_slices(g)
                 for k_cut in (2, 0, 4, 1, 3, 2):
                     f = random_density(rng, k_cut)
                     radius = float(rng.uniform(0.5, 10.0))
@@ -216,6 +227,15 @@ class TestPsiModel:
                     for got, pts in zip(vals, point_sets):
                         want = np.array([psi_model(f, radius, t) for t in pts])
                         assert got.ravel().tobytes() == want.tobytes()
+
+    def test_quadrature_marginals_bitwise_match_batch_calls(self):
+        # more than one 128-row chunk, so the stacked set's chunks straddle the slices
+        for f, dim, nodes in ((vonmises_like(), 2, 11), (uniform_density(2), 3, 5)):
+            g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=nodes)
+            assert g.points().shape[0] > 128
+            vals = psi_model_marginals(f, 2.3, g)
+            for got, pts in zip(vals, stacked_slices(g)):
+                assert got.ravel().tobytes() == psi_model(f, 2.3, pts).tobytes()
 
     def test_errors(self):
         f = uniform_density(1)

@@ -102,6 +102,23 @@ def test_one_series_call_per_closed_form_contrast(monkeypatch):
     assert calls == [153] * 4
 
 
+def test_one_quadrature_call_per_contrast_off_the_closed_form(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+
+    calls = []
+    real = charfn_mod._psi_quadrature
+
+    def counting(f, radius, pts):
+        calls.append(pts.shape[0])
+        return real(f, radius, pts)
+
+    monkeypatch.setattr(charfn_mod, "_psi_quadrature", counting)
+    grid = EvalGrid.build(nodes_per_axis=9, nu_est=0.5)
+    ctx = ContrastContext.from_sample(generate(scenario(4), 200, seed=3), grid)
+    contrast_mn(scenario(4).density, 3.0, ctx)
+    assert calls == [9 + 9 + 81]
+
+
 class TestPopulationContrast:
     def test_default_grid_is_the_bench_grid(self):
         from spheredeconv.bench import bench_grid
@@ -112,6 +129,21 @@ class TestPopulationContrast:
         assert default == contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise, grid=bench_grid())
         wide = contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise, grid=EvalGrid.build(nu_est=1.0))
         assert wide != default
+
+    def test_default_grid_is_built_once(self, monkeypatch):
+        scn = scenario(1)
+        f = FourierDensity.from_half([0.03 - 0.01j])
+        first = contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise)
+        builds = []
+        real = EvalGrid.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(kwargs)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(EvalGrid, "build", classmethod(counting))
+        assert contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise) == first
+        assert builds == []
 
     def test_zero_at_truth(self):
         scn = scenario(1)

@@ -281,7 +281,7 @@ def test_window_check_probes_the_largest_argument_a_fit_reaches(monkeypatch):
     monkeypatch.setattr(charfn_mod, "_series_multi", recording)
     cfg, grid = FitConfig(), EvalGrid.build()
     fit_radius_known_density(generate(scenario(1), 100, 0), uniform_density(), cfg, grid)
-    assert max(seen) == float(np.max(grid.polar()[2][0])) * cfg.r_max
+    assert max(seen) == float(grid.polar_table(uniform_density().cutoff).radii[-1]) * cfg.r_max
 
 
 # ---------------------------------------------------------------- joint fit
