@@ -18,7 +18,7 @@ from .bench import (
     read_rows,
     run_bench,
 )
-from .bessel import BesselEvalConfig, bessel_j
+from .bessel import bessel_j
 from .charfn import EcfCache, EvalGrid, ecf, psi_model, psi_model_marginals
 from .contrast import ContrastContext, contrast_m_oracle, contrast_mn
 from .errors import ConfigError, NumericalError
@@ -67,7 +67,6 @@ __all__ = [
     "AngleDensity",
     "BenchRow",
     "BenchSpec",
-    "BesselEvalConfig",
     "CallableDensity",
     "ConfigError",
     "ContrastContext",

@@ -20,7 +20,7 @@ import numpy as np
 from .charfn import bench_grid
 from .errors import ConfigError, NumericalError
 from .estimators import FitConfig, check_radius_window, fit_joint, fit_radius_known_density, truncation_level
-from .geometry import FourierDensity, fourier_coefficient
+from .geometry import FourierDensity, fourier_coefficients
 from .simulate import derive_seed, generate, scenario
 
 # paper-scale grid; the desk default keeps the suite in minutes
@@ -32,7 +32,8 @@ FULL_GRID = (
 )
 DESK_GRID = (100, 1_000, 10_000)
 MODES = ("known_f", "unknown_f")
-EMIT_COLUMNS = ("n", "mode", "mse_R", "mse_C", "l2_density_err", "reps", "base_seed", "wall_ms")
+# reps is the requested count; reps - failures replications entered the means
+EMIT_COLUMNS = ("n", "mode", "mse_R", "mse_C", "l2_density_err", "reps", "base_seed", "failures", "wall_ms")
 TAIL_CUTOFF = 64  # |k| beyond which truth coefficients are treated as zero
 
 
@@ -80,9 +81,9 @@ class BenchRow:
     reps: int
     base_seed: int
     wall_ms: float
-    # diagnostics, not emitted: rate regression wants a robust location
-    med_abs_R: float = math.nan
     failures: int = 0
+    # a diagnostic, not emitted: rate regression wants a robust location
+    med_abs_R: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -91,20 +92,6 @@ class RateFit:
     slope: float
     intercept: float
     stderr: float
-
-
-def _truth_coeffs(density, k_cutoff: int) -> np.ndarray:
-    """Truth Fourier coefficients c_{-K}..c_K, zero-padded when the truth
-    has fewer and computed by quadrature for callable densities."""
-    if isinstance(density, FourierDensity):
-        out = np.zeros(2 * k_cutoff + 1, dtype=complex)
-        have = density.cutoff
-        lo = k_cutoff - min(have, k_cutoff)
-        src = density.coeffs[have - min(have, k_cutoff) : have + min(have, k_cutoff) + 1]
-        out[lo : lo + src.size] = src
-        return out
-    ks = np.arange(-k_cutoff, k_cutoff + 1)
-    return np.array([fourier_coefficient(density, int(k)) for k in ks])
 
 
 def _density_tail_mass(density, level: int) -> float:
@@ -116,9 +103,10 @@ def _density_tail_mass(density, level: int) -> float:
         mid = have
         tail = np.concatenate([density.coeffs[: mid - level], density.coeffs[mid + level + 1 :]])
         return float(np.sum(np.abs(tail) ** 2))
+    coeffs = fourier_coefficients(density, TAIL_CUTOFF)
     total = 0.0
     for k in range(level + 1, TAIL_CUTOFF + 1):
-        total += 2.0 * abs(fourier_coefficient(density, k)) ** 2
+        total += 2.0 * abs(complex(coeffs[TAIL_CUTOFF + k])) ** 2
     return total
 
 
@@ -136,12 +124,11 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
     rows = []
     for n in spec.n_values:
         level = truncation_level(n)
-        k_cut = max(4, level)
-        base_kwargs = dict(k_cutoff=k_cut)
+        base_kwargs = dict(k_cutoff=max(FitConfig.k_cutoff, level))
         base_kwargs.update(spec.fit_overrides or {})
         cfg = FitConfig(**base_kwargs)
         level = min(level, cfg.k_cutoff)
-        truth = _truth_coeffs(scn.density, cfg.k_cutoff)
+        truth = fourier_coefficients(scn.density, cfg.k_cutoff)
         tail_sq = _density_tail_mass(scn.density, level)
         for mode in spec.modes():
             check_radius_window(cfg, grid, scn.density if mode == "known_f" else None)
@@ -278,6 +265,7 @@ def read_rows(path: str, fmt: str = "csv") -> list:
                 l2_density_err=float(rec["l2_density_err"]),
                 reps=int(rec["reps"]),
                 base_seed=int(rec["base_seed"]),
+                failures=int(rec["failures"]),
                 wall_ms=float(rec["wall_ms"]),
             )
         )

@@ -7,13 +7,12 @@ deliberately self-contained and certifies its own accuracy per call: it
 bounds the truncation tail by the first omitted term and the roundoff by
 the largest intermediate term, and raises instead of silently degrading.
 In double precision that certification holds comfortably for x up to ~15
-at the default tolerance; the hard argument cap is X_MAX.
+at ABS_TOL; the hard argument cap is X_MAX.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,62 +22,30 @@ from .errors import NumericalError
 X_MAX = 50.0
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class BesselEvalConfig:
-    """Series evaluation knobs.
-
-    series_terms : number of terms kept in the ascending series.
-    abs_tol      : absolute accuracy certified per evaluation; evaluation
-                   raises NumericalError when the bound cannot be met.
-    """
-
-    series_terms: int = 40
-    abs_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.series_terms < 1:
-            raise ValueError("series_terms must be a positive integer")
-        if not (self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive")
-
-
-DEFAULT_CONFIG = BesselEvalConfig()
-
-
-def _gamma_exact(a: float) -> float:
-    """Gamma(a) for a >= 0.5, exact closed forms at integer and half-integer a.
-
-    Gamma(m) = (m-1)! and Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!); any
-    other real argument falls back to the library gamma.
-    """
-    two_a = 2.0 * a
-    if two_a == math.floor(two_a):
-        k = int(round(two_a))
-        if k % 2 == 0:
-            return float(math.factorial(k // 2 - 1))
-        m = (k - 1) // 2
-        return math.factorial(2 * m) * math.sqrt(math.pi) / (4.0**m * math.factorial(m))
-    return math.gamma(a)
+# terms kept in the ascending series, and the absolute accuracy each
+# evaluation certifies; evaluation raises NumericalError when the bound
+# cannot be met
+SERIES_TERMS = 40
+ABS_TOL = 1e-10
 
 
 @lru_cache(maxsize=64)
-def _series_constants(orders: tuple, series_terms: int) -> tuple:
+def _series_constants(orders: tuple) -> tuple:
     """Gamma(order+1) and the term-ratio denominators m (order + m), m >= 1.
 
-    Both depend on the orders and the term count alone, so they are built
-    once per (orders, series_terms) and shared read-only by every call.
+    Both depend on the orders alone, so they are built once per order set
+    and shared read-only by every call.  math.gamma is exact at the
+    integers up to 23, so integer orders get exact factorials.
     """
     ords = np.array(orders, dtype=float)[:, None]
-    gamma = np.array([_gamma_exact(o + 1.0) for o in orders])[:, None]
-    denoms = [m * (ords + m) for m in range(1, series_terms)]
+    gamma = np.array([math.gamma(o + 1.0) for o in orders])[:, None]
+    denoms = [m * (ords + m) for m in range(1, SERIES_TERMS)]
     for arr in [gamma, *denoms]:
         arr.flags.writeable = False
     return gamma, tuple(denoms)
 
 
-def _series_multi(orders: np.ndarray, x: np.ndarray, cfg: BesselEvalConfig) -> np.ndarray:
+def _series_multi(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Ascending series for J_order(x), all orders at once.
 
     orders: (p,) nonnegative reals; x: (m,) in [0, X_MAX].
@@ -87,7 +54,7 @@ def _series_multi(orders: np.ndarray, x: np.ndarray, cfg: BesselEvalConfig) -> n
     """
     half = 0.5 * x[None, :]
     ords = orders[:, None]
-    g, denoms = _series_constants(tuple(orders.tolist()), cfg.series_terms)
+    g, denoms = _series_constants(tuple(orders.tolist()))
     term = half**ords / g
     acc = term.copy()
     peak = np.abs(term)
@@ -97,18 +64,17 @@ def _series_multi(orders: np.ndarray, x: np.ndarray, cfg: BesselEvalConfig) -> n
         acc += term
         np.maximum(peak, np.abs(term), out=peak)
     # certification: tail <= first omitted term / (1 - ratio); roundoff ~ eps * peak
-    mterms = cfg.series_terms
+    mterms = SERIES_TERMS
     q = half * half
     nxt = np.abs(term) * q / (mterms * (ords + mterms))
     ratio = q / ((mterms + 1) * (ords + mterms + 1))
     tail = np.where(ratio < 1.0, nxt / np.maximum(1.0 - ratio, 1e-300), np.inf)
     err = tail + 4.0 * _EPS * peak
-    if np.any(err > cfg.abs_tol):
+    if np.any(err > ABS_TOL):
         flat = int(np.argmax(err))
         bad_x = float(x[flat % x.size])
         raise NumericalError(
-            f"cannot certify abs_tol={cfg.abs_tol:g} for J at x={bad_x:g} with "
-            f"series_terms={cfg.series_terms}; increase series_terms or relax abs_tol"
+            f"cannot certify abs_tol={ABS_TOL:g} for J at x={bad_x:g} with series_terms={SERIES_TERMS}"
         )
     return acc
 
@@ -123,11 +89,11 @@ def _check_range(xv: np.ndarray) -> None:
         raise ValueError(f"x must lie in [0, {X_MAX:g}], got extreme value {lo if lo < 0 else hi:g}")
 
 
-def bessel_j(order: float, x, cfg: BesselEvalConfig = DEFAULT_CONFIG):
+def bessel_j(order: float, x):
     """J_order(x) for order >= 0 and 0 <= x <= X_MAX.
 
     Vectorized over x; returns a float for scalar input.  Accuracy is
-    certified to cfg.abs_tol (see module docstring).
+    certified to ABS_TOL (see module docstring).
     """
     if order < 0:
         raise ValueError("order must be >= 0; use bessel_j_int for signed integer orders")
@@ -135,22 +101,22 @@ def bessel_j(order: float, x, cfg: BesselEvalConfig = DEFAULT_CONFIG):
     scalar = x_arr.ndim == 0
     xv = np.atleast_1d(x_arr)
     _check_range(xv)
-    out = _series_multi(np.array([float(order)]), xv.ravel(), cfg)[0]
+    out = _series_multi(np.array([float(order)]), xv.ravel())[0]
     if scalar:
         return float(out[0])
     return out.reshape(x_arr.shape)
 
 
-def bessel_j_int(k: int, x, cfg: BesselEvalConfig = DEFAULT_CONFIG):
+def bessel_j_int(k: int, x):
     """J_k(x) for any signed integer order, via J_{-k} = (-1)^k J_k."""
     kk = int(k)
-    val = bessel_j(abs(kk), x, cfg)
+    val = bessel_j(abs(kk), x)
     if kk < 0 and kk % 2 != 0:
         return -val
     return val
 
 
-def h_func(d: int, x, cfg: BesselEvalConfig = DEFAULT_CONFIG):
+def h_func(d: int, x):
     """H(x) = J_{d/2}(x) / x^{d/2}, extended by continuity to H(0).
 
     H(0) = 1 / (2^{d/2} Gamma(d/2 + 1)).  H is the angular average of the
@@ -165,17 +131,17 @@ def h_func(d: int, x, cfg: BesselEvalConfig = DEFAULT_CONFIG):
     _check_range(xv)
     out = np.empty_like(xv)
     at_zero = xv == 0.0
-    out[at_zero] = 1.0 / (2.0**half_d * _gamma_exact(half_d + 1.0))
+    out[at_zero] = 1.0 / (2.0**half_d * math.gamma(half_d + 1.0))
     pos = ~at_zero
     if np.any(pos):
         xp = xv[pos]
-        out[pos] = _series_multi(np.array([half_d]), xp, cfg)[0] / xp**half_d
+        out[pos] = _series_multi(np.array([half_d]), xp)[0] / xp**half_d
     if scalar:
         return float(out[0])
     return out.reshape(x_arr.shape)
 
 
-def jacobi_anger(z: float, theta: float, k_max: int, cfg: BesselEvalConfig = DEFAULT_CONFIG) -> complex:
+def jacobi_anger(z: float, theta: float, k_max: int) -> complex:
     """Partial sum sum_{|k| <= k_max} i^k J_k(z) exp(-i k theta).
 
     Approximates exp(i z cos theta); pairs of opposite orders collapse to
@@ -186,7 +152,7 @@ def jacobi_anger(z: float, theta: float, k_max: int, cfg: BesselEvalConfig = DEF
         raise ValueError("k_max must be >= 0")
     zz = abs(float(z))
     orders = np.arange(k_max + 1, dtype=float)
-    jvals = _series_multi(orders, np.array([zz]), cfg)[:, 0]
+    jvals = _series_multi(orders, np.array([zz]))[:, 0]
     if z < 0:
         jvals[1::2] *= -1.0
     ks = np.arange(1, k_max + 1)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bessel import DEFAULT_CONFIG, _series_multi
+from .bessel import _series_multi
 from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, tensor_rule
 
 # half-width of the default frequency window [-nu_est, nu_est]^d
@@ -216,7 +216,7 @@ def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> np.ndarr
     One series call on the distinct radii; each point gathers its row.
     """
     k_cut = table.k_cut
-    jtab = _series_multi(np.arange(k_cut + 1, dtype=float), table.radii * radius, DEFAULT_CONFIG)
+    jtab = _series_multi(np.arange(k_cut + 1, dtype=float), table.radii * radius)
     jmat = jtab[:, table.index]
     vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
     ipow = 1.0 + 0.0j

@@ -17,7 +17,7 @@ import numpy as np
 from .bench import DESK_GRID, FULL_GRID, BenchSpec, determinism_hash, emit, run_bench
 from .charfn import DEFAULT_NU_EST, EvalGrid, bench_grid
 from .errors import ConfigError, NumericalError
-from .estimators import EstimateReport, FitConfig, fit_joint, truncate_density, truncation_level
+from .estimators import ALPHA, EstimateReport, FitConfig, fit_joint, truncate_density
 from .simulate import generate, load_sample_bin, load_sample_csv, save_sample_bin, save_sample_csv, scenario
 
 
@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("estimate", help="joint fit on a .csv or .bin sample")
     e.add_argument("--input", required=True)
-    e.add_argument("--rmin", type=float, default=0.5)
-    e.add_argument("--rmax", type=float, default=10.0)
+    e.add_argument("--rmin", type=float, default=FitConfig.r_min)
+    e.add_argument("--rmax", type=float, default=FitConfig.r_max)
     e.add_argument("--nu-est", type=float, default=DEFAULT_NU_EST, dest="nu_est",
                    help="half-width of the frequency window the contrast integrates over")
     e.add_argument("--out", default="report.json")
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("density", help="tabulate the truncated density estimate")
     d.add_argument("--report", required=True)
-    d.add_argument("--alpha", type=float, default=0.45)
+    d.add_argument("--alpha", type=float, default=ALPHA)
     d.add_argument("--grid", type=int, default=512)
     d.add_argument("--out", default="density.csv")
     return parser
@@ -139,17 +139,14 @@ def _cmd_density(args) -> int:
         raise ConfigError("--grid must be >= 2")
     with open(args.report) as handle:
         report = EstimateReport.from_json(handle.read())
-    k_cut = report.f_hat_coeffs.size // 2
-    cfg = FitConfig(alpha=args.alpha, k_cutoff=max(k_cut, 1))
-    poly = truncate_density(report, report.n, cfg)
+    poly = truncate_density(report, args.alpha)
     xs = (np.arange(args.grid) + 0.5) / args.grid
     values = poly(xs)
     with open(args.out, "w") as handle:
         handle.write("x,density\n")
         for x, v in zip(xs, values):
             handle.write(f"{x:.17g},{v:.17g}\n")
-    level = truncation_level(report.n, args.alpha)
-    print(f"truncation_level={level} points={args.grid} out={args.out}")
+    print(f"truncation_level={poly.degree} points={args.grid} out={args.out}")
     return 0
 
 

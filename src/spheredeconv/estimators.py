@@ -3,8 +3,9 @@
 fit_joint minimizes the contrast jointly over the radius and the density's
 Fourier coefficients with multi-start Nelder-Mead; fit_radius_known_density
 minimizes over the radius alone (coarse scan plus golden-section).  Both
-log every objective probe and return the best probed point, so the
-reported value is a certified near-minimum over everything examined.
+probe the contrast through one _ProbeLog, which logs every probe and
+reports the best probed point, so the reported value is a certified
+near-minimum over everything examined.
 The center estimate plugs the fitted radius and density barycenter into
 C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.
 """
@@ -19,13 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .bessel import DEFAULT_CONFIG, _series_multi
+from .bessel import ABS_TOL, _series_multi
 from .charfn import EvalGrid, closed_form_applies
 from .contrast import ContrastContext, contrast_mn
 from .errors import ConfigError, NumericalError
-from .geometry import AngleDensity, FourierDensity, fourier_coefficient, fourier_series, sphere_mean
+from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_coefficients, fourier_series, sphere_mean
 
 AUDIT_POINTS = 16
+# radii in the known-density fit's coarse scan over [r_min, r_max]
+SCAN_POINTS = 64
+# the default alpha of the truncation level N = floor(alpha log n / log log n)
+ALPHA = 0.45
 
 
 @dataclass(frozen=True)
@@ -33,33 +38,29 @@ class FitConfig:
     """Knobs for the contrast minimizers.
 
     r_min/r_max bound the admissible radius (estimates clamp to them);
-    k_cutoff is the Fourier cutoff K of the estimated density; alpha
-    controls the data-driven truncation level N = floor(alpha log n /
-    log log n) and must stay below 1/2; coeff_bound bounds
-    sum_{k != 0} |c_k|^2 over the searched class.
+    k_cutoff is the Fourier cutoff K of the joint fit's density, and of a
+    known circle callable's reported coefficients; restarts and max_iters
+    set the joint fit's Nelder-Mead starts and budget.
     """
 
     r_min: float = 0.5
     r_max: float = 10.0
     k_cutoff: int = 4
-    alpha: float = 0.45
     restarts: int = 8
     max_iters: int = 2000
-    coeff_bound: float = 10.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise ValueError("need 0 < r_min < r_max < inf")
+        for name in ("k_cutoff", "restarts", "max_iters"):
+            if int(getattr(self, name)) != getattr(self, name):
+                raise ValueError(f"{name} must be an integer")
         if self.k_cutoff < 0:
             raise ValueError("k_cutoff must be >= 0")
-        if not (0.0 < self.alpha < 0.5):
-            raise ValueError("alpha must lie in (0, 1/2)")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.coeff_bound > 0.0):
-            raise ValueError("coeff_bound must be positive")
 
 
 @dataclass(eq=False)
@@ -148,9 +149,12 @@ def truncation_level(n: int, alpha: float | None = None) -> int:
     return int(math.floor(factor * math.log(n) / math.log(math.log(n))))
 
 
-def truncate_density(report: EstimateReport, n: int, cfg: FitConfig) -> TrigPolynomial:
-    """Keep the estimated coefficients up to N = floor(alpha log n / log log n)."""
-    level = truncation_level(n, cfg.alpha)
+def truncate_density(report: EstimateReport, alpha: float = ALPHA) -> TrigPolynomial:
+    """Keep the estimated coefficients up to N = floor(alpha log n / log log n),
+    n = report.n; alpha must lie in (0, 1/2)."""
+    if not (0.0 < alpha < 0.5):
+        raise ValueError("alpha must lie in (0, 1/2)")
+    level = truncation_level(report.n, alpha)
     k_cut = report.f_hat_coeffs.size // 2
     if level > k_cut:
         raise ValueError(
@@ -185,31 +189,67 @@ def _project(x: np.ndarray, cfg: FitConfig) -> tuple[float, np.ndarray]:
     """Map a raw optimizer point into the admissible set.
 
     Radius clips to [r_min, r_max]; coefficients shrink radially when
-    sum_{k != 0} |c_k|^2 = 2 sum_{k >= 1} |c_k|^2 exceeds coeff_bound.
+    sum_{k != 0} |c_k|^2 = 2 sum_{k >= 1} |c_k|^2 exceeds COEFF_NORM_BOUND.
     """
     radius = float(min(max(x[0], cfg.r_min), cfg.r_max))
     half = x[1::2] + 1j * x[2::2]
     off_mass = 2.0 * float(np.sum(np.abs(half) ** 2))
-    if off_mass > cfg.coeff_bound:
-        half = half * math.sqrt(cfg.coeff_bound / off_mass)
+    if off_mass > COEFF_NORM_BOUND:
+        half = half * math.sqrt(COEFF_NORM_BOUND / off_mass)
     return radius, half
 
 
-def _select_best(probes: list) -> tuple[float, float, np.ndarray]:
-    """Smallest contrast wins; exact value ties break towards the smallest
-    radius, then the smallest coefficient norm.  A tolerance window here
-    would let the pick wander by sqrt(tol/curvature) in R, which is far
-    larger than the advertised 1e-6 determinism, so only exact ties are
-    broken."""
-    vmin = min(p[0] for p in probes)
-    best = None
-    for value, radius, half in probes:
-        if value != vmin:
-            continue
-        key = (radius, float(np.sum(np.abs(half) ** 2)))
-        if best is None or key < best[0]:
-            best = (key, value, radius, half)
-    return best[1], best[2], best[3]
+def _half(f: AngleDensity) -> np.ndarray:
+    """c_1..c_K of a Fourier density; empty for any other density."""
+    return f.coeffs[f.cutoff + 1 :] if isinstance(f, FourierDensity) else np.zeros(0, dtype=complex)
+
+
+class _ProbeLog:
+    """The fit contract both estimators share.
+
+    Each probe evaluates contrast_mn on the sample's ECF, refuses a
+    non-finite value with NumericalError, and is logged.  The best probe
+    has the smallest contrast; exact value ties break towards the smallest
+    radius, then the smallest coefficient mass sum_{k >= 1} |c_k|^2.  A
+    tolerance window here would let the pick wander by sqrt(tol/curvature)
+    in R, which is far larger than the advertised 1e-6 determinism, so
+    only exact ties are broken.
+    """
+
+    def __init__(self, data: np.ndarray, grid: EvalGrid, seed: int | None, t_start: float) -> None:
+        self.data, self.seed, self.t_start = data, seed, t_start
+        self.ctx = ContrastContext.from_sample(data, grid)
+        self.probes: list[tuple[float, float, AngleDensity]] = []
+
+    def __call__(self, f: AngleDensity, radius: float) -> float:
+        value = contrast_mn(f, radius, self.ctx)
+        if not np.isfinite(value):
+            raise NumericalError("contrast evaluated non-finite; degenerate grid or sample")
+        self.probes.append((value, radius, f))
+        return value
+
+    def best(self) -> tuple[float, float, AngleDensity]:
+        """(value, radius, density) of the best probe."""
+        vmin = min(p[0] for p in self.probes)
+        return min(
+            (p for p in self.probes if p[0] == vmin),
+            key=lambda p: (p[1], float(np.sum(np.abs(_half(p[2])) ** 2))),
+        )
+
+    def report(self, coeffs: np.ndarray | None = None) -> EstimateReport:
+        """The best probe as a report: its logged contrast, the center it
+        implies, and coeffs (default: the probed density's own)."""
+        value, r_hat, f_hat = self.best()
+        return EstimateReport(
+            r_hat=float(r_hat),
+            c_hat=estimate_center(self.data, r_hat, f_hat),
+            f_hat_coeffs=f_hat.coeffs if coeffs is None else coeffs,
+            contrast_value=float(value),
+            iterations=len(self.probes),
+            wall_time=time.perf_counter() - self.t_start,
+            seed=self.seed,
+            n=self.data.shape[0],
+        )
 
 
 def _initial_simplex(x0: np.ndarray, r_step: float, c_step: float) -> np.ndarray:
@@ -240,11 +280,11 @@ def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | N
         return
     x = float(grid.polar_table(k_cut).radii[-1]) * cfg.r_max
     try:
-        _series_multi(np.arange(k_cut + 1, dtype=float), np.array([x]), DEFAULT_CONFIG)
+        _series_multi(np.arange(k_cut + 1, dtype=float), np.array([x]))
     except NumericalError as exc:
         raise ConfigError(
             f"r_max={cfg.r_max:g} with nu_est={grid.nu_est:g} needs Bessel values at x={x:g}, "
-            f"beyond what the series certifies to abs_tol={DEFAULT_CONFIG.abs_tol:g}; lower r_max or nu_est"
+            f"beyond what the series certifies to abs_tol={ABS_TOL:g}; lower r_max or nu_est"
         ) from exc
 
 
@@ -269,17 +309,12 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
         raise ValueError("need at least 50 observations for a joint fit")
     grid = grid or EvalGrid.build(dim=2)
     check_radius_window(cfg, grid)
-    ctx = ContrastContext.from_sample(data, grid)
     seed = getattr(sample, "seed", None)
-    probes: list[tuple[float, float, np.ndarray]] = []
+    log = _ProbeLog(data, grid, seed, t_start)
 
     def objective(x: np.ndarray) -> float:
         radius, half = _project(x, cfg)
-        value = contrast_mn(FourierDensity.from_half(half, cfg.coeff_bound), radius, ctx)
-        if not np.isfinite(value):
-            raise NumericalError("contrast evaluated non-finite; degenerate grid or sample")
-        probes.append((value, radius, half))
-        return value
+        return log(FourierDensity.from_half(half), radius)
 
     zeros = np.zeros(cfg.k_cutoff, dtype=complex)
     for radius in np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS):
@@ -317,8 +352,8 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
     # which is what makes reruns on translated data agree to the
     # advertised 1e-6
     for step, xatol in ((1e-2, 1e-6), (1e-5, 1e-9)):
-        _, r_best, half_best = _select_best(probes)
-        x_refine = _pack(r_best, half_best)
+        _, r_best, f_best = log.best()
+        x_refine = _pack(r_best, _half(f_best))
         minimize(
             objective,
             x_refine,
@@ -332,20 +367,7 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
                 initial_simplex=_initial_simplex(x_refine, step, step),
             ),
         )
-    _, r_hat, half_hat = _select_best(probes)
-    f_hat = FourierDensity.from_half(half_hat, cfg.coeff_bound)
-    value = contrast_mn(f_hat, r_hat, ctx)
-    c_hat = estimate_center(data, r_hat, f_hat)
-    return EstimateReport(
-        r_hat=float(r_hat),
-        c_hat=c_hat,
-        f_hat_coeffs=f_hat.coeffs,
-        contrast_value=float(value),
-        iterations=len(probes),
-        wall_time=time.perf_counter() - t_start,
-        seed=seed,
-        n=data.shape[0],
-    )
+    return log.report()
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -356,42 +378,33 @@ def fit_radius_known_density(
     f_star: AngleDensity,
     cfg: FitConfig | None = None,
     grid: EvalGrid | None = None,
-    scan_points: int = 64,
 ) -> EstimateReport:
     """Estimate the radius with the angular density held at f_star.
 
-    Coarse scan over [r_min, r_max] (leftmost minimum on ties) followed by
-    golden-section refinement of the bracketing interval; every contrast
-    evaluation is logged and the best probed radius is returned, ties
-    breaking towards the smaller radius.  Works for any density
+    Coarse scan of SCAN_POINTS radii over [r_min, r_max] (leftmost minimum
+    on ties) followed by golden-section refinement of the bracketing
+    interval; every contrast evaluation is logged and the best probed
+    radius is returned, ties breaking towards the smaller radius.  Works for any density
     representation the model characteristic function supports; raises
     ConfigError before any work when check_radius_window refuses.
     """
     t_start = time.perf_counter()
     cfg = cfg or FitConfig()
-    if scan_points < 2:
-        raise ValueError("scan_points must be >= 2")
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2 or data.shape[1] != f_star.dim_minus_1 + 1:
         raise ValueError("sample dimension does not match the density")
     grid = grid or EvalGrid.build(dim=data.shape[1])
     check_radius_window(cfg, grid, f_star)
-    ctx = ContrastContext.from_sample(data, grid)
-    probes: list[tuple[float, float]] = []
+    log = _ProbeLog(data, grid, getattr(sample, "seed", None), t_start)
 
     def objective(radius: float) -> float:
-        radius = float(min(max(radius, cfg.r_min), cfg.r_max))
-        value = contrast_mn(f_star, radius, ctx)
-        if not np.isfinite(value):
-            raise NumericalError("contrast evaluated non-finite; degenerate grid or sample")
-        probes.append((value, radius))
-        return value
+        return log(f_star, float(min(max(radius, cfg.r_min), cfg.r_max)))
 
-    scan = np.linspace(cfg.r_min, cfg.r_max, scan_points)
+    scan = np.linspace(cfg.r_min, cfg.r_max, SCAN_POINTS)
     scan_values = np.array([objective(r) for r in scan])
     best_idx = int(np.argmin(scan_values))  # argmin takes the leftmost minimum
     lo = scan[max(best_idx - 1, 0)]
-    hi = scan[min(best_idx + 1, scan_points - 1)]
+    hi = scan[min(best_idx + 1, SCAN_POINTS - 1)]
     a, b = float(lo), float(hi)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
@@ -406,27 +419,10 @@ def fit_radius_known_density(
             d = a + _INV_GOLDEN * (b - a)
             fd = objective(d)
 
-    vmin = min(p[0] for p in probes)
-    r_hat = min(radius for value, radius in probes if value == vmin)
-    value = contrast_mn(f_star, r_hat, ctx)
     if isinstance(f_star, FourierDensity):
-        coeffs = f_star.coeffs
-    elif f_star.dim_minus_1 == 1:
-        ks = np.arange(-cfg.k_cutoff, cfg.k_cutoff + 1)
-        coeffs = np.array([fourier_coefficient(f_star, int(k)) for k in ks])
-        mid = cfg.k_cutoff
-        coeffs[mid] = 1.0  # quadrature puts it within 1e-10 of 1 already
-        coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1]))
-    else:
-        coeffs = np.array([1.0 + 0.0j])  # no circle Fourier expansion above d = 2
-    c_hat = estimate_center(data, r_hat, f_star)
-    return EstimateReport(
-        r_hat=float(r_hat),
-        c_hat=c_hat,
-        f_hat_coeffs=coeffs,
-        contrast_value=float(value),
-        iterations=len(probes),
-        wall_time=time.perf_counter() - t_start,
-        seed=getattr(sample, "seed", None),
-        n=data.shape[0],
-    )
+        return log.report()
+    if f_star.dim_minus_1 == 1:
+        coeffs = fourier_coefficients(f_star, cfg.k_cutoff)
+        coeffs[cfg.k_cutoff] = 1.0  # quadrature puts it within 1e-10 of 1 already
+        return log.report(0.5 * (coeffs + np.conj(coeffs[::-1])))
+    return log.report(np.array([1.0 + 0.0j]))  # no circle Fourier expansion above d = 2

@@ -73,11 +73,10 @@ class FourierDensity:
     Conventions: c_k = int_0^1 f(u) exp(+2i pi k u) du, so that
     f(u) = sum_k c_k exp(-2i pi k u).  Unit mass forces c_0 = 1, realness
     forces c_{-k} = conj(c_k), and sum_{k != 0} |c_k|^2 must stay below
-    norm_bound (a compactness constraint on the admissible class).
+    COEFF_NORM_BOUND (a compactness constraint on the admissible class).
     """
 
     coeffs: np.ndarray
-    norm_bound: float = COEFF_NORM_BOUND
     name: str | None = None
 
     def __post_init__(self) -> None:
@@ -90,9 +89,9 @@ class FourierDensity:
         if np.max(np.abs(np.conj(c[::-1]) - c)) > 1e-12:
             raise ValueError("coefficients must satisfy c_{-k} = conj(c_k)")
         off_mass = float(np.sum(np.abs(c) ** 2)) - abs(c[k_cut]) ** 2
-        if off_mass > self.norm_bound + 1e-12:
+        if off_mass > COEFF_NORM_BOUND + 1e-12:
             raise ValueError(
-                f"sum_(k!=0) |c_k|^2 = {off_mass:.6g} exceeds the bound {self.norm_bound:g}"
+                f"sum_(k!=0) |c_k|^2 = {off_mass:.6g} exceeds the bound {COEFF_NORM_BOUND:g}"
             )
         c.flags.writeable = False
         self.coeffs = c
@@ -106,11 +105,11 @@ class FourierDensity:
         return 1
 
     @classmethod
-    def from_half(cls, half: Sequence[complex], norm_bound: float = COEFF_NORM_BOUND) -> "FourierDensity":
+    def from_half(cls, half: Sequence[complex]) -> "FourierDensity":
         """Build from c_1..c_K alone; c_0 = 1 and negative k by conjugation."""
         h = np.asarray(half, dtype=complex).ravel()
         full = np.concatenate([np.conj(h[::-1]), [1.0 + 0.0j], h])
-        return cls(full, norm_bound)
+        return cls(full)
 
     @classmethod
     def uniform(cls, name: str | None = None) -> "FourierDensity":
@@ -216,15 +215,33 @@ def density_eval(f: AngleDensity, u):
 def fourier_coefficient(f: AngleDensity, k: int) -> complex:
     """c_k = int_0^1 f(u) exp(+2i pi k u) du; exact for Fourier densities,
     ~1e4-node quadrature for circle callables."""
+    return complex(_coefficients(f, (k,))[0])
+
+
+def fourier_coefficients(f: AngleDensity, k_cut: int) -> np.ndarray:
+    """c_{-K}..c_K for K = k_cut, each equal to fourier_coefficient's.
+
+    A circle callable is evaluated once on the quadrature rule, then each
+    c_k is one weighted sum over its nodes; no (2K+1) x nodes matrix is
+    built.  Fourier densities are zero-padded beyond their cutoff.
+    """
+    return _coefficients(f, range(-k_cut, k_cut + 1))
+
+
+def _coefficients(f: AngleDensity, ks) -> np.ndarray:
+    out = np.zeros(len(ks), dtype=complex)
     if isinstance(f, FourierDensity):
-        if abs(k) <= f.cutoff:
-            return complex(f.coeffs[k + f.cutoff])
-        return 0.0 + 0.0j
+        for i, k in enumerate(ks):
+            if abs(k) <= f.cutoff:
+                out[i] = f.coeffs[k + f.cutoff]
+        return out
     if f.dim_minus_1 != 1:
         raise ValueError("Fourier coefficients are defined for circle densities only")
     nodes, weights = _unit_box_grid(1, _axis_node_count(1))
     vals = np.asarray(f.fn(nodes), dtype=float)
-    return complex(np.sum(vals * np.exp(2j * np.pi * k * nodes[:, 0]) * weights))
+    for i, k in enumerate(ks):
+        out[i] = np.sum(vals * np.exp(2j * np.pi * k * nodes[:, 0]) * weights)
+    return out
 
 
 def sphere_mean(f: AngleDensity) -> np.ndarray:

@@ -129,6 +129,19 @@ def test_failed_replications_are_recorded_not_raised(monkeypatch):
     assert calls["k"] == 2
     assert rows[0].failures == 2
     assert math.isnan(rows[0].mse_R)
+    assert "failures" in EMIT_COLUMNS
+    assert determinism_hash(rows) != determinism_hash([BenchRow(**{**rows[0].__dict__, "failures": 0})])
+
+
+def test_callable_tail_mass_sums_the_per_k_coefficients_in_order():
+    from spheredeconv.bench import TAIL_CUTOFF, _density_tail_mass
+    from spheredeconv.geometry import fourier_coefficient, vonmises_like
+
+    f = vonmises_like()
+    want = 0.0
+    for k in range(2, TAIL_CUTOFF + 1):
+        want += 2.0 * abs(fourier_coefficient(f, k)) ** 2
+    assert _density_tail_mass(f, 1) == want
 
 
 def test_uncertifiable_window_raises_before_any_replication(monkeypatch):
@@ -210,7 +223,7 @@ def _example_rows():
         BenchRow(n=100, mode="known_f", mse_R=3.7957912345678901e-04, mse_C=9.978e-02,
                  l2_density_err=0.0, reps=2, base_seed=9, wall_ms=81.5),
         BenchRow(n=100, mode="unknown_f", mse_R=1.905e-04, mse_C=2.564e-03,
-                 l2_density_err=5.052e-02, reps=2, base_seed=9, wall_ms=6200.0),
+                 l2_density_err=5.052e-02, reps=2, base_seed=9, wall_ms=6200.0, failures=1),
         BenchRow(n=400, mode="known_f", mse_R=float("nan"), mse_C=float("nan"),
                  l2_density_err=float("nan"), reps=2, base_seed=9, wall_ms=float("nan")),
     ]
@@ -218,7 +231,7 @@ def _example_rows():
 
 def _rows_equal(a, b):
     def key(r):
-        return (r.n, r.mode, r.reps, r.base_seed) + tuple(
+        return (r.n, r.mode, r.reps, r.base_seed, r.failures) + tuple(
             (math.isnan(v), v if not math.isnan(v) else 0.0)
             for v in (r.mse_R, r.mse_C, r.l2_density_err, r.wall_ms)
         )

@@ -109,6 +109,35 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_density_rejects_alpha_outside_the_open_half(tmp_path, capsys):
+    from spheredeconv.estimators import EstimateReport
+
+    report_path = str(tmp_path / "r.json")
+    report = EstimateReport(
+        r_hat=3.0, c_hat=np.zeros(2), f_hat_coeffs=np.array([0.1, 1.0, 0.1], dtype=complex),
+        contrast_value=0.0, iterations=1, wall_time=0.0, seed=None, n=10_000,
+    )
+    open(report_path, "w").write(report.to_json())
+    out = str(tmp_path / "d.csv")
+    assert main(["density", "--report", report_path, "--alpha", "0.5", "--out", out]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert main(["density", "--report", report_path, "--out", out]) == 0
+    assert "truncation_level=1 " in capsys.readouterr().out
+
+
+def test_cli_defaults_are_the_library_defaults():
+    import inspect
+
+    from spheredeconv.cli import _build_parser
+    from spheredeconv.estimators import FitConfig, truncate_density
+
+    parser = _build_parser()
+    estimate = parser.parse_args(["estimate", "--input", "s.csv"])
+    assert (estimate.rmin, estimate.rmax) == (FitConfig().r_min, FitConfig().r_max)
+    density = parser.parse_args(["density", "--report", "r.json"])
+    assert density.alpha == inspect.signature(truncate_density).parameters["alpha"].default
+
+
 def test_argparse_rejects_unknown_scenario(capsys):
     assert main(["bench", "--scenario", "9"]) == 2
     capsys.readouterr()

@@ -88,9 +88,9 @@ def test_one_series_call_per_closed_form_contrast(monkeypatch):
     calls = []
     real = charfn_mod._series_multi
 
-    def counting(orders, x, cfg):
+    def counting(orders, x):
         calls.append(x.size)
-        return real(orders, x, cfg)
+        return real(orders, x)
 
     monkeypatch.setattr(charfn_mod, "_series_multi", counting)
     grid = EvalGrid.build(nodes_per_axis=33)

@@ -8,7 +8,7 @@ import pytest
 
 from spheredeconv.charfn import EvalGrid
 from spheredeconv.contrast import ContrastContext, contrast_mn
-from spheredeconv.errors import ConfigError
+from spheredeconv.errors import ConfigError, NumericalError
 from spheredeconv.estimators import (
     EstimateReport,
     FitConfig,
@@ -30,7 +30,6 @@ from spheredeconv.simulate import NoiseModel, Sample, Scenario, generate, scenar
 def test_fitconfig_defaults():
     cfg = FitConfig()
     assert cfg.r_min == 0.5 and cfg.r_max == 10.0
-    assert 0.0 < cfg.alpha < 0.5
     assert cfg.restarts == 8
 
 
@@ -40,13 +39,13 @@ def test_fitconfig_defaults():
         dict(r_min=0.0),
         dict(r_min=5.0, r_max=2.0),
         dict(k_cutoff=-1),
-        dict(alpha=0.5),
-        dict(alpha=0.0),
         dict(restarts=0),
         dict(max_iters=0),
-        dict(coeff_bound=-1.0),
-        dict(coeff_bound=float("nan")),
         dict(r_min=2.0, r_max=2.0),
+        dict(r_max=float("inf")),
+        dict(k_cutoff=1.5),
+        dict(restarts=2.5),
+        dict(max_iters=2.5),
     ],
 )
 def test_fitconfig_rejects_bad_values(kwargs):
@@ -146,7 +145,7 @@ def _report_with(coeffs, n=10_000):
 def test_truncate_density_keeps_low_harmonics():
     half = np.array([0.3 + 0.1j, 0.05 - 0.02j, 0.01, 0.002j])
     full = np.concatenate([np.conj(half[::-1]), [1.0], half])
-    poly = truncate_density(_report_with(full), 10_000, FitConfig())
+    poly = truncate_density(_report_with(full))
     # N(10^4, 0.45) = 1: only c_{-1}, c_0, c_1 survive
     assert poly.degree == 1
     assert np.allclose(poly.coeffs, [np.conj(half[0]), 1.0, half[0]], atol=0)
@@ -155,15 +154,27 @@ def test_truncate_density_keeps_low_harmonics():
 def test_truncate_density_uniform_is_constant_one():
     full = np.zeros(9, dtype=complex)
     full[4] = 1.0
-    poly = truncate_density(_report_with(full), 10_000, FitConfig())
+    poly = truncate_density(_report_with(full))
     xs = np.linspace(0.0, 1.0, 101)
     assert np.all(poly(xs) == 1.0)
 
 
 def test_truncate_density_raises_when_level_exceeds_cutoff():
-    cfg = FitConfig(k_cutoff=1)
     with pytest.raises(ValueError, match="cutoff"):
-        truncate_density(_report_with([0.0, 1.0, 0.0], n=10**6), 10**6, cfg)
+        truncate_density(_report_with([0.0, 1.0, 0.0], n=10**6))
+
+
+def test_truncate_density_reads_n_from_the_report():
+    full = np.array([0.01, 0.1, 1.0, 0.1, 0.01], dtype=complex)
+    # N(10^4, 0.45) = 1, N(10^6, 0.45) = 2
+    assert truncate_density(_report_with(full, n=10_000)).degree == 1
+    assert truncate_density(_report_with(full, n=10**6)).degree == 2
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0, -0.1, float("nan")])
+def test_truncate_density_rejects_alpha_outside_the_open_half(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        truncate_density(_report_with([0.0, 1.0, 0.0]), alpha)
 
 
 # ---------------------------------------------------------------- center
@@ -219,7 +230,7 @@ def test_known_density_fit_noiseless_circle():
 def test_known_density_fit_callable_density():
     s = generate(scenario(4).noiseless(), 600, seed=5)
     grid = EvalGrid.build(dim=2, nodes_per_axis=17)
-    rep = fit_radius_known_density(s, vonmises_like(), grid=grid, scan_points=24)
+    rep = fit_radius_known_density(s, vonmises_like(), grid=grid)
     assert abs(rep.r_hat - 3.0) <= 0.05
     mid = rep.f_hat_coeffs.size // 2
     assert rep.f_hat_coeffs[mid] == 1.0
@@ -237,8 +248,6 @@ def test_known_density_fit_flat_sample_is_deterministic_leftmost():
 def test_known_density_fit_validates_inputs():
     with pytest.raises(ValueError):
         fit_radius_known_density(np.zeros((5, 3)), uniform_density())
-    with pytest.raises(ValueError):
-        fit_radius_known_density(np.zeros((5, 2)), uniform_density(), scan_points=1)
 
 
 # ---------------------------------------------------------------- radius window
@@ -274,14 +283,63 @@ def test_window_check_probes_the_largest_argument_a_fit_reaches(monkeypatch):
     seen = []
     real = charfn_mod._series_multi
 
-    def recording(orders, x, cfg):
+    def recording(orders, x):
         seen.append(float(np.max(x)))
-        return real(orders, x, cfg)
+        return real(orders, x)
 
     monkeypatch.setattr(charfn_mod, "_series_multi", recording)
     cfg, grid = FitConfig(), EvalGrid.build()
     fit_radius_known_density(generate(scenario(1), 100, 0), uniform_density(), cfg, grid)
     assert max(seen) == float(grid.polar_table(uniform_density().cutoff).radii[-1]) * cfg.r_max
+
+
+# ---------------------------------------------------------------- probe log
+
+
+def test_probe_log_picks_the_smallest_value_and_breaks_only_exact_ties(monkeypatch):
+    import spheredeconv.estimators as est_mod
+
+    values = {1.0: float(np.nextafter(0.25, 1.0)), 2.0: 0.5, 3.5: 0.25, 4.0: 0.25, 5.0: float("nan")}
+    monkeypatch.setattr(est_mod, "contrast_mn", lambda f, radius, ctx: values[radius])
+    data = generate(scenario(1), 60, seed=0).data
+    log = est_mod._ProbeLog(data, EvalGrid.build(nodes_per_axis=5), 7, 0.0)
+    big, small = FourierDensity.from_half([0.2]), FourierDensity.from_half([0.1])
+    for f, radius in ((big, 1.0), (big, 2.0), (big, 4.0), (big, 3.5), (small, 3.5), (small, 4.0)):
+        assert log(f, radius) == values[radius]
+    with pytest.raises(NumericalError):
+        log(small, 5.0)
+    # the value one ulp above the minimum at a smaller radius loses; among
+    # the exact ties the smallest radius wins, then the smaller mass
+    value, radius, f = log.best()
+    assert (value, radius) == (0.25, 3.5) and f is small
+    rep = log.report()
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (3.5, 0.25, 6)
+    assert np.array_equal(rep.f_hat_coeffs, small.coeffs)
+    assert np.array_equal(rep.c_hat, estimate_center(data, 3.5, small))
+    assert rep.seed == 7 and rep.n == 60
+
+
+@pytest.mark.parametrize("kind", ["joint", "known"])
+def test_every_contrast_evaluation_is_a_logged_probe(monkeypatch, kind):
+    import spheredeconv.estimators as est_mod
+
+    calls = []
+    real = est_mod.contrast_mn
+
+    def counting(f, radius, ctx):
+        calls.append((real(f, radius, ctx), radius))
+        return calls[-1][0]
+
+    monkeypatch.setattr(est_mod, "contrast_mn", counting)
+    s = generate(scenario(1), 200, seed=8)
+    if kind == "joint":
+        rep = fit_joint(s, FitConfig(restarts=2, max_iters=100, k_cutoff=1))
+    else:
+        rep = fit_radius_known_density(s, uniform_density())
+    assert len(calls) == rep.iterations
+    # the report carries the winning probe's logged value, not a re-evaluation
+    assert (rep.contrast_value, rep.r_hat) in calls
+    assert rep.contrast_value == min(value for value, _ in calls)
 
 
 # ---------------------------------------------------------------- joint fit

@@ -12,6 +12,7 @@ from spheredeconv.geometry import (
     density_from_json,
     density_to_json,
     fourier_coefficient,
+    fourier_coefficients,
     fourier_series,
     sample_angles,
     sphere_map,
@@ -109,6 +110,19 @@ class TestCallableDensity:
         # frozen oracle: int exp(cos 2 pi u) e^{2 i pi u} du / int exp(cos 2 pi u) du
         assert c1.real == pytest.approx(0.4463899658965345, abs=1e-8)
         assert abs(c1.imag) < 1e-10
+
+    def test_fourier_coefficients_equal_the_per_k_values_bit_for_bit(self):
+        f = vonmises_like()
+        coeffs = fourier_coefficients(f, 64)
+        assert coeffs.shape == (129,)
+        for k in range(-64, 65):
+            assert coeffs[k + 64] == fourier_coefficient(f, k)
+        # Fourier densities: exact values, zero-padded beyond the cutoff or cut to K
+        g = FourierDensity.from_half([0.2 - 0.1j, 0.05j])
+        assert np.array_equal(fourier_coefficients(g, 3), np.concatenate([[0.0], g.coeffs, [0.0]]))
+        assert np.array_equal(fourier_coefficients(g, 1), g.coeffs[1:4])
+        with pytest.raises(ValueError):
+            fourier_coefficients(uniform_density(2), 1)
 
 
 class TestSphereMean:
