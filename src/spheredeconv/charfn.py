@@ -25,6 +25,7 @@ each grid evaluation runs the Bessel series once, on the radii times R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,10 +81,10 @@ class EvalGrid:
     def build(cls, dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = 33) -> "EvalGrid":
         if dim < 2:
             raise ValueError("dim must be >= 2")
-        if not (nu_est > 0.0):
-            raise ValueError("nu_est must be positive")
-        if nodes_per_axis < 2:
-            raise ValueError("nodes_per_axis must be >= 2")
+        if not (0.0 < nu_est < math.inf):
+            raise ValueError("nu_est must be positive and finite")
+        if int(nodes_per_axis) != nodes_per_axis or nodes_per_axis < 2:
+            raise ValueError("nodes_per_axis must be an integer >= 2")
         x, w = _gauss_nodes(nodes_per_axis)
         ax1 = nu_est * x
         w1 = nu_est * w

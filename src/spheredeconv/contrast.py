@@ -11,7 +11,9 @@ vanishes identically (up to sampling error in the ECF psi~) exactly when
 the candidate matches the truth, without knowing the noise law.  The
 empirical contrast integrates the squared modulus of this quantity over
 the frequency box; the population version replaces the ECF by the true
-product and weights by |Phi_eps|^2.
+product and weights by |Phi_eps|^2.  Either quadrature is the squared norm
+of one weighted residual vector (_combine), which is what the estimators
+minimize by least squares.
 """
 
 from __future__ import annotations
@@ -36,20 +38,29 @@ class ContrastContext:
         return cls(grid, ecf(sample, grid))
 
 
-def _combine(psi: tuple, ref: tuple, grid: EvalGrid, extra_weight: np.ndarray | None = None) -> float:
-    """Quadrature of |psi_full ref1 ref2 - ref_full psi1 psi2|^2 over the grid's box.
+def _combine(psi: tuple, ref: tuple, grid: EvalGrid, extra_weight: np.ndarray | None = None) -> np.ndarray:
+    """Weighted residual of psi_full ref1 ref2 - ref_full psi1 psi2 over the grid's box.
 
     psi and ref are (axis-1, axis-2, full) triples, full shaped (m1, m2).
-    numpy's pairwise reductions keep the summation order fixed, so the
-    value is deterministic for given inputs.
+    Returns the Re and Im parts of the difference, each scaled by
+    sqrt(w1_i w2_j [* extra_weight_ij]), flattened to length 2 m1 m2, so
+    the quadrature of the squared modulus is the residual's squared norm.
     """
     psi1, psi2, psi_full = psi
     ref1, ref2, ref_full = ref
     diff = psi_full * np.multiply.outer(ref1, ref2) - ref_full * np.multiply.outer(psi1, psi2)
-    integrand = diff.real**2 + diff.imag**2
+    weight = np.multiply.outer(grid.axis1_weights, grid.axis2_weights)
     if extra_weight is not None:
-        integrand = integrand * extra_weight
-    return float(grid.axis1_weights @ integrand @ grid.axis2_weights)
+        weight = weight * extra_weight
+    scale = np.sqrt(weight)
+    return np.concatenate(((scale * diff.real).ravel(), (scale * diff.imag).ravel()))
+
+
+def contrast_residual(f: AngleDensity, radius: float, ctx: ContrastContext) -> np.ndarray:
+    """Weighted residual of the candidate (f, R) against the sample ECF;
+    its squared norm is contrast_mn."""
+    cache = ctx.cache
+    return _combine(psi_model_marginals(f, radius, ctx.grid), (cache.marg1, cache.marg2, cache.full), ctx.grid)
 
 
 def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:
@@ -58,8 +69,8 @@ def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:
     Nonnegative; zero exactly when the candidate's characteristic-function
     products reproduce the ECF's on the whole grid.
     """
-    cache = ctx.cache
-    return _combine(psi_model_marginals(f, radius, ctx.grid), (cache.marg1, cache.marg2, cache.full), ctx.grid)
+    r = contrast_residual(f, radius, ctx)
+    return float(r @ r)
 
 
 def contrast_m_oracle(
@@ -85,4 +96,5 @@ def contrast_m_oracle(
     cand = psi_model_marginals(f, radius, grid)
     truth = psi_model_marginals(f_star, r_star, grid)
     phi = noise.char_fn(grid.full_points()).reshape(grid.m1, grid.m2)
-    return _combine(cand, truth, grid, extra_weight=phi.real**2 + phi.imag**2)
+    r = _combine(cand, truth, grid, extra_weight=phi.real**2 + phi.imag**2)
+    return float(r @ r)

@@ -1,11 +1,13 @@
 """Estimators built on the empirical contrast.
 
-fit_joint minimizes the contrast jointly over the radius and the density's
-Fourier coefficients with multi-start Nelder-Mead; fit_radius_known_density
-minimizes over the radius alone (coarse scan plus golden-section).  Both
-probe the contrast through one _ProbeLog, which logs every probe and
-reports the best probed point, so the reported value is a certified
-near-minimum over everything examined.
+The contrast is the squared norm of a weighted residual vector, so both
+fits minimize it as a nonlinear least-squares problem through one
+trust-region descent (minimize).  fit_joint descends jointly in the radius
+and the density's Fourier coefficients from the best radii of an audit
+scan; fit_radius_known_density descends in the radius alone from the best
+radius of a coarse scan.  Both probe the contrast through one _ProbeLog,
+which logs every probe and reports the best probed point, so the reported
+value is a certified near-minimum over everything examined.
 The center estimate plugs the fitted radius and density barycenter into
 C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.
 """
@@ -18,14 +20,15 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .bessel import ABS_TOL, _series_multi
 from .charfn import EvalGrid, closed_form_applies
-from .contrast import ContrastContext, contrast_mn
+from .contrast import ContrastContext, contrast_residual
 from .errors import ConfigError, NumericalError
 from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_coefficients, fourier_series, sphere_mean
 
+# radii in the joint fit's audit scan over [r_min, r_max], at the uniform density
 AUDIT_POINTS = 16
 # radii in the known-density fit's coarse scan over [r_min, r_max]
 SCAN_POINTS = 64
@@ -39,8 +42,10 @@ class FitConfig:
 
     r_min/r_max bound the admissible radius (estimates clamp to them);
     k_cutoff is the Fourier cutoff K of the joint fit's density, and of a
-    known circle callable's reported coefficients; restarts and max_iters
-    set the joint fit's Nelder-Mead starts and budget.
+    known circle callable's reported coefficients; restarts is the number
+    of best audit radii (at most AUDIT_POINTS) the joint fit descends from,
+    and max_iters caps each of those descents' residual evaluations (not
+    counting the finite-difference Jacobian's).
     """
 
     r_min: float = 0.5
@@ -57,8 +62,8 @@ class FitConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.k_cutoff < 0:
             raise ValueError("k_cutoff must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if not (1 <= self.restarts <= AUDIT_POINTS):
+            raise ValueError(f"restarts must lie in [1, {AUDIT_POINTS}]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -207,13 +212,15 @@ def _half(f: AngleDensity) -> np.ndarray:
 class _ProbeLog:
     """The fit contract both estimators share.
 
-    Each probe evaluates contrast_mn on the sample's ECF, refuses a
-    non-finite value with NumericalError, and is logged.  The best probe
-    has the smallest contrast; exact value ties break towards the smallest
-    radius, then the smallest coefficient mass sum_{k >= 1} |c_k|^2.  A
-    tolerance window here would let the pick wander by sqrt(tol/curvature)
-    in R, which is far larger than the advertised 1e-6 determinism, so
-    only exact ties are broken.
+    Each probe evaluates contrast_residual on the sample's ECF, logs its
+    squared norm (the value contrast_mn returns, bit for bit), refuses a
+    non-finite value with NumericalError, and returns the residual.  Every
+    evaluation a descent makes, finite-difference ones included, is a
+    probe.  The best probe has the smallest contrast; exact value ties
+    break towards the smallest radius, then the smallest coefficient mass
+    sum_{k >= 1} |c_k|^2.  A tolerance window here would let the pick
+    wander by sqrt(tol/curvature) in R, which is far larger than the
+    advertised 1e-6 determinism, so only exact ties are broken.
     """
 
     def __init__(self, data: np.ndarray, grid: EvalGrid, seed: int | None, t_start: float) -> None:
@@ -221,12 +228,13 @@ class _ProbeLog:
         self.ctx = ContrastContext.from_sample(data, grid)
         self.probes: list[tuple[float, float, AngleDensity]] = []
 
-    def __call__(self, f: AngleDensity, radius: float) -> float:
-        value = contrast_mn(f, radius, self.ctx)
+    def __call__(self, f: AngleDensity, radius: float) -> np.ndarray:
+        r = contrast_residual(f, radius, self.ctx)
+        value = float(r @ r)
         if not np.isfinite(value):
             raise NumericalError("contrast evaluated non-finite; degenerate grid or sample")
         self.probes.append((value, radius, f))
-        return value
+        return r
 
     def best(self) -> tuple[float, float, AngleDensity]:
         """(value, radius, density) of the best probe."""
@@ -252,13 +260,11 @@ class _ProbeLog:
         )
 
 
-def _initial_simplex(x0: np.ndarray, r_step: float, c_step: float) -> np.ndarray:
-    dim = x0.size
-    simplex = np.tile(x0, (dim + 1, 1))
-    simplex[1, 0] += r_step
-    for j in range(1, dim):
-        simplex[j + 1, j] += c_step
-    return simplex
+def minimize(residual, x0: np.ndarray, max_nfev: int | None = None):
+    """Least-squares descent of residual from x0: trust-region reflective
+    (Branch, Coleman & Li 1999) with a finite-difference Jacobian, run to
+    roundoff; max_nfev caps the residual evaluations outside the Jacobian."""
+    return least_squares(residual, x0, method="trf", xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
 
 
 def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | None = None) -> None:
@@ -291,13 +297,14 @@ def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | N
 def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None) -> EstimateReport:
     """Jointly estimate the radius and the angular density on the circle.
 
-    Multi-start Nelder-Mead over (R, Re c_1, Im c_1, ..., Re c_K, Im c_K):
-    radius starts sit on an equispaced grid over [r_min, r_max], coefficient
-    starts alternate between zero (uniform density) and a small seeded
-    perturbation (stream: SeedSequence(sample seed, spawn_key=(101, restart))).
-    A fixed audit scan of AUDIT_POINTS radii at the uniform density is probed
-    as well, the best probe is polished with a tight final simplex, and ties
-    break towards the smallest radius.  Deterministic given (sample, config).
+    Probes an audit scan of AUDIT_POINTS radii over [r_min, r_max] at the
+    uniform density, then runs one least-squares descent over
+    (R, Re c_1, Im c_1, ..., Re c_K, Im c_K) from each of the cfg.restarts
+    best audit radii (ties to the smaller radius), with c = 0 and at most
+    cfg.max_iters residual evaluations each.  The radius clips to
+    [r_min, r_max] and the coefficients shrink into the admissible set
+    inside the residual.  Returns the best probe, ties breaking towards
+    the smallest radius.  Deterministic given (sample, config).
     Raises ConfigError before any work when check_radius_window refuses.
     """
     t_start = time.perf_counter()
@@ -309,68 +316,20 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
         raise ValueError("need at least 50 observations for a joint fit")
     grid = grid or EvalGrid.build(dim=2)
     check_radius_window(cfg, grid)
-    seed = getattr(sample, "seed", None)
-    log = _ProbeLog(data, grid, seed, t_start)
+    log = _ProbeLog(data, grid, getattr(sample, "seed", None), t_start)
 
-    def objective(x: np.ndarray) -> float:
+    def residual(x: np.ndarray) -> np.ndarray:
         radius, half = _project(x, cfg)
         return log(FourierDensity.from_half(half), radius)
 
     zeros = np.zeros(cfg.k_cutoff, dtype=complex)
-    for radius in np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS):
-        objective(_pack(radius, zeros))
-
-    span = cfg.r_max - cfg.r_min
-    r_starts = cfg.r_min + (np.arange(cfg.restarts) + 0.5) * span / cfg.restarts
-    # exploration only has to land the right basin to ~1e-2; the refine
-    # stages below own the final precision, so keep the per-restart budget low
-    nm_options = dict(
-        maxiter=min(cfg.max_iters, 400),
-        maxfev=min(2 * cfg.max_iters, 800),
-        xatol=1e-4,
-        fatol=1e-13,
-        adaptive=True,
-    )
-    for restart in range(cfg.restarts):
-        if restart % 2 == 0 or cfg.k_cutoff == 0:
-            half0 = zeros
-        else:
-            stream = np.random.default_rng(
-                np.random.SeedSequence(entropy=0 if seed is None else seed, spawn_key=(101, restart))
-            )
-            half0 = 0.05 * (stream.standard_normal(cfg.k_cutoff) + 1j * stream.standard_normal(cfg.k_cutoff))
-        x0 = _pack(r_starts[restart], half0)
-        minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options=dict(nm_options, initial_simplex=_initial_simplex(x0, 0.25 * span / cfg.restarts, 0.1)),
-        )
-
-    # refine the winning basin in two stages: a medium simplex travels the
-    # remaining ~1e-2, then a tiny one localizes the minimizer to ~1e-9,
-    # which is what makes reruns on translated data agree to the
-    # advertised 1e-6
-    for step, xatol in ((1e-2, 1e-6), (1e-5, 1e-9)):
-        _, r_best, f_best = log.best()
-        x_refine = _pack(r_best, _half(f_best))
-        minimize(
-            objective,
-            x_refine,
-            method="Nelder-Mead",
-            options=dict(
-                maxiter=min(cfg.max_iters, 800),
-                maxfev=min(2 * cfg.max_iters, 1600),
-                xatol=xatol,
-                fatol=1e-18,
-                adaptive=True,
-                initial_simplex=_initial_simplex(x_refine, step, step),
-            ),
-        )
+    audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
+    for radius in audit:
+        residual(_pack(radius, zeros))
+    ranked = np.argsort([value for value, _, _ in log.probes], kind="stable")
+    for i in ranked[: cfg.restarts]:
+        minimize(residual, _pack(audit[i], zeros), cfg.max_iters)
     return log.report()
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def fit_radius_known_density(
@@ -381,12 +340,13 @@ def fit_radius_known_density(
 ) -> EstimateReport:
     """Estimate the radius with the angular density held at f_star.
 
-    Coarse scan of SCAN_POINTS radii over [r_min, r_max] (leftmost minimum
-    on ties) followed by golden-section refinement of the bracketing
-    interval; every contrast evaluation is logged and the best probed
-    radius is returned, ties breaking towards the smaller radius.  Works for any density
-    representation the model characteristic function supports; raises
-    ConfigError before any work when check_radius_window refuses.
+    Coarse scan of SCAN_POINTS radii over [r_min, r_max], then one
+    least-squares descent in R from the best scan radius (the leftmost on
+    ties), the radius clipping to [r_min, r_max] inside the residual.
+    Every contrast evaluation is logged and the best probed radius is
+    returned, ties breaking towards the smaller radius.  Works for any
+    density representation the model characteristic function supports;
+    raises ConfigError before any work when check_radius_window refuses.
     """
     t_start = time.perf_counter()
     cfg = cfg or FitConfig()
@@ -397,27 +357,14 @@ def fit_radius_known_density(
     check_radius_window(cfg, grid, f_star)
     log = _ProbeLog(data, grid, getattr(sample, "seed", None), t_start)
 
-    def objective(radius: float) -> float:
-        return log(f_star, float(min(max(radius, cfg.r_min), cfg.r_max)))
+    def residual(x: np.ndarray) -> np.ndarray:
+        return log(f_star, float(min(max(x[0], cfg.r_min), cfg.r_max)))
 
     scan = np.linspace(cfg.r_min, cfg.r_max, SCAN_POINTS)
-    scan_values = np.array([objective(r) for r in scan])
-    best_idx = int(np.argmin(scan_values))  # argmin takes the leftmost minimum
-    lo = scan[max(best_idx - 1, 0)]
-    hi = scan[min(best_idx + 1, SCAN_POINTS - 1)]
-    a, b = float(lo), float(hi)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (b - a) > 1e-9:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = objective(d)
+    for radius in scan:
+        residual([radius])
+    best_idx = int(np.argmin([value for value, _, _ in log.probes]))  # argmin takes the leftmost minimum
+    minimize(residual, np.array([scan[best_idx]]))
 
     if isinstance(f_star, FourierDensity):
         return log.report()

@@ -71,6 +71,10 @@ class TestEvalGrid:
             EvalGrid.build(nu_est=0.0)
         with pytest.raises(ValueError):
             EvalGrid.build(nodes_per_axis=1)
+        with pytest.raises(ValueError):
+            EvalGrid.build(nu_est=float("inf"))
+        with pytest.raises(ValueError):
+            EvalGrid.build(nodes_per_axis=2.5)
 
 
 class TestEcf:

@@ -104,6 +104,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["generate", "--scenario", "1", "--n", "100", "--seed", "0", "--out", sample_path]) == 0
     assert main(["estimate", "--input", sample_path, "--rmax", "12"]) == 2
     assert "r_max=12" in capsys.readouterr().err
+    # a frequency window that cannot be finite is refused before any ECF work
+    assert main(["estimate", "--input", sample_path, "--nu-est", "inf"]) == 2
+    assert "nu_est" in capsys.readouterr().err
     # bad density grid
     assert main(["density", "--report", str(tmp_path / "nope.json"), "--grid", "1"]) == 2
     capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spheredeconv.charfn import EcfCache, EvalGrid, psi_model_marginals
-from spheredeconv.contrast import ContrastContext, contrast_m_oracle, contrast_mn
+from spheredeconv.contrast import ContrastContext, contrast_m_oracle, contrast_mn, contrast_residual
 from spheredeconv.geometry import FourierDensity, uniform_density
 from spheredeconv.simulate import NoiseModel, generate, scenario
 
@@ -54,6 +54,20 @@ class TestEmpiricalContrast:
         assert at_truth < contrast_mn(scn.density, 2.0, ctx)
         assert at_truth < contrast_mn(scn.density, 4.0, ctx)
         assert at_truth >= 0.0
+
+    def test_contrast_is_the_residual_squared_norm(self):
+        grid = EvalGrid.build(nodes_per_axis=9, nu_est=0.5)
+        ctx = ContrastContext.from_sample(generate(scenario(2), 200, 3).data, grid)
+        f = FourierDensity.from_half([0.1 - 0.05j, 0.02j])
+        r = contrast_residual(f, 2.7, ctx)
+        assert r.shape == (2 * grid.m1 * grid.m2,)
+        assert contrast_mn(f, 2.7, ctx) == float(r @ r)
+        # reference: the quadrature of |diff|^2 over the box, summed directly
+        psi1, psi2, psi_full = psi_model_marginals(f, 2.7, grid)
+        cache = ctx.cache
+        diff = psi_full * np.multiply.outer(cache.marg1, cache.marg2) - cache.full * np.multiply.outer(psi1, psi2)
+        direct = grid.axis1_weights @ np.abs(diff) ** 2 @ grid.axis2_weights
+        assert float(r @ r) == pytest.approx(direct, rel=1e-13)
 
     def test_nonnegative_at_random_candidates(self):
         grid = EvalGrid.build(nodes_per_axis=9, nu_est=0.5)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from spheredeconv.charfn import EvalGrid
-from spheredeconv.contrast import ContrastContext, contrast_mn
+from spheredeconv.contrast import ContrastContext, contrast_mn, contrast_residual
 from spheredeconv.errors import ConfigError, NumericalError
 from spheredeconv.estimators import (
+    AUDIT_POINTS,
     EstimateReport,
     FitConfig,
     TrigPolynomial,
@@ -46,6 +47,7 @@ def test_fitconfig_defaults():
         dict(k_cutoff=1.5),
         dict(restarts=2.5),
         dict(max_iters=2.5),
+        dict(restarts=AUDIT_POINTS + 1),
     ],
 )
 def test_fitconfig_rejects_bad_values(kwargs):
@@ -221,7 +223,7 @@ def test_known_density_fit_noiseless_circle():
     assert abs(rep.r_hat - 3.0) <= 0.01
     assert np.array_equal(rep.f_hat_coeffs, np.array([1.0 + 0.0j]))
     assert rep.contrast_value >= 0.0
-    assert rep.iterations > 64  # scan plus golden-section probes
+    assert rep.iterations > 64  # scan plus least-squares descent probes
     assert rep.seed == 11 and rep.n == 3000
     # per-coordinate std of the mean is 3/sqrt(2n) here, so 0.15 is ~3.5 sigma
     assert np.linalg.norm(rep.c_hat) <= 0.15
@@ -300,12 +302,23 @@ def test_probe_log_picks_the_smallest_value_and_breaks_only_exact_ties(monkeypat
     import spheredeconv.estimators as est_mod
 
     values = {1.0: float(np.nextafter(0.25, 1.0)), 2.0: 0.5, 3.5: 0.25, 4.0: 0.25, 5.0: float("nan")}
-    monkeypatch.setattr(est_mod, "contrast_mn", lambda f, radius, ctx: values[radius])
+    # residuals whose squared norms are exactly the values above: 2**-54 is
+    # one ulp of 0.25
+    residuals = {
+        1.0: np.array([0.5, 2.0**-27]),
+        2.0: np.array([0.5, 0.5]),
+        3.5: np.array([0.5]),
+        4.0: np.array([0.5]),
+        5.0: np.array([float("nan")]),
+    }
+    assert all(float(residuals[radius] @ residuals[radius]) == values[radius] for radius in (1.0, 2.0, 3.5, 4.0))
+    monkeypatch.setattr(est_mod, "contrast_residual", lambda f, radius, ctx: residuals[radius])
     data = generate(scenario(1), 60, seed=0).data
     log = est_mod._ProbeLog(data, EvalGrid.build(nodes_per_axis=5), 7, 0.0)
     big, small = FourierDensity.from_half([0.2]), FourierDensity.from_half([0.1])
     for f, radius in ((big, 1.0), (big, 2.0), (big, 4.0), (big, 3.5), (small, 3.5), (small, 4.0)):
-        assert log(f, radius) == values[radius]
+        assert log(f, radius) is residuals[radius]
+        assert log.probes[-1][0] == values[radius]
     with pytest.raises(NumericalError):
         log(small, 5.0)
     # the value one ulp above the minimum at a smaller radius loses; among
@@ -324,13 +337,14 @@ def test_every_contrast_evaluation_is_a_logged_probe(monkeypatch, kind):
     import spheredeconv.estimators as est_mod
 
     calls = []
-    real = est_mod.contrast_mn
+    real = est_mod.contrast_residual
 
     def counting(f, radius, ctx):
-        calls.append((real(f, radius, ctx), radius))
-        return calls[-1][0]
+        r = real(f, radius, ctx)
+        calls.append((float(r @ r), radius))
+        return r
 
-    monkeypatch.setattr(est_mod, "contrast_mn", counting)
+    monkeypatch.setattr(est_mod, "contrast_residual", counting)
     s = generate(scenario(1), 200, seed=8)
     if kind == "joint":
         rep = fit_joint(s, FitConfig(restarts=2, max_iters=100, k_cutoff=1))
@@ -340,6 +354,38 @@ def test_every_contrast_evaluation_is_a_logged_probe(monkeypatch, kind):
     # the report carries the winning probe's logged value, not a re-evaluation
     assert (rep.contrast_value, rep.r_hat) in calls
     assert rep.contrast_value == min(value for value, _ in calls)
+
+
+def test_max_iters_caps_each_descent():
+    s = generate(scenario(1), 200, seed=8)
+    full = fit_joint(s, FitConfig(restarts=2, k_cutoff=1))
+    capped = fit_joint(s, FitConfig(restarts=2, k_cutoff=1, max_iters=3))
+    # each descent: at most max_iters residual evaluations plus as many
+    # finite-difference Jacobians of 1 + 2K evaluations each
+    assert capped.iterations <= AUDIT_POINTS + 2 * 3 * (1 + (1 + 2 * 1))
+    assert capped.iterations < full.iterations
+
+
+@pytest.mark.parametrize("kind", ["joint", "known"])
+def test_every_probe_radius_lies_in_the_box(monkeypatch, kind):
+    import spheredeconv.estimators as est_mod
+
+    radii = []
+    real = est_mod.contrast_residual
+
+    def recording(f, radius, ctx):
+        radii.append(radius)
+        return real(f, radius, ctx)
+
+    monkeypatch.setattr(est_mod, "contrast_residual", recording)
+    # the truth lies beyond r_max, so every descent pushes against the box
+    scn = Scenario(scenario_id=0, density=uniform_density(), noise=NoiseModel.none(2), r_star=12.0)
+    s = generate(scn, 400, seed=3)
+    cfg = FitConfig(restarts=2, k_cutoff=1)
+    rep = fit_joint(s, cfg) if kind == "joint" else fit_radius_known_density(s, uniform_density(), cfg)
+    assert len(radii) == rep.iterations
+    assert all(cfg.r_min <= radius <= cfg.r_max for radius in radii)
+    assert radii.count(cfg.r_max) > 2 and rep.r_hat == cfg.r_max
 
 
 # ---------------------------------------------------------------- joint fit
