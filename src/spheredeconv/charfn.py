@@ -6,6 +6,16 @@ one axis, the remaining d-1 coordinates flattened into a tensor block.
 Integrals over the box use tensor Gauss-Legendre quadrature, so repeated
 evaluations are deterministic and smooth in the model parameters.
 
+The grid carries only the half box t1 <= 0.  Every characteristic function
+the contrast compares belongs to a real law, so psi(-t) = conj psi(t) and
+the integrand |diff(t)|^2 is even under t -> -t.  Gauss-Legendre nodes are
+exactly antisymmetric and their weights exactly symmetric, so keeping the
+ceil(m/2) axis-1 nodes with t1 <= 0 and doubling every kept weight but the
+centre node's integrates any such integrand exactly as the full box rule
+does: each dropped node (t1, t2), t1 > 0, mirrors the kept node
+(-t1, -t2), which has the same weight, since the axis-2 block keeps all
+its nodes.
+
 Model side: Psi_{f,R}(t) = int exp(i R <t, S(u)>) f(u) du.  On the circle
 with Fourier coefficients this collapses, in polar coordinates
 t = r (cos 2 pi theta, sin 2 pi theta), to the Bessel sum
@@ -62,11 +72,17 @@ def _gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class EvalGrid:
-    """Tensor Gauss-Legendre grid on [-nu_est, nu_est]^d with split (1, d-1).
+    """Tensor Gauss-Legendre grid on [-nu_est, nu_est]^d with split (1, d-1),
+    folded onto the half box t1 <= 0.
 
-    axis1_nodes carry the first frequency coordinate; axis2_nodes hold the
-    flattened (d-1)-dimensional block, one row per tensor node.  Full-grid
-    quantities are indexed [i, j] for (axis1 node i, axis2 node j).
+    axis1_nodes carry the first frequency coordinate: the ceil(m/2) nodes
+    t1 <= 0 of the m = nodes_per_axis point rule, with every weight but the
+    centre node's (odd m) doubled.  The rule integrates any integrand even
+    under t -> -t exactly as the full box rule does, because the nodes are
+    exactly antisymmetric and the weights exactly symmetric.  axis2_nodes
+    hold the whole flattened (d-1)-dimensional block, one row per tensor
+    node, with axis2_nodes[::-1] == -axis2_nodes.  Full-grid quantities are
+    indexed [i, j] for (axis1 node i, axis2 node j).
     """
 
     nu_est: float
@@ -86,9 +102,12 @@ class EvalGrid:
         if int(nodes_per_axis) != nodes_per_axis or nodes_per_axis < 2:
             raise ValueError("nodes_per_axis must be an integer >= 2")
         x, w = _gauss_nodes(nodes_per_axis)
-        ax1 = nu_est * x
-        w1 = nu_est * w
-        ax2, w2 = tensor_rule(ax1, w1, dim - 1)
+        ax, wx = nu_est * x, nu_est * w
+        ax2, w2 = tensor_rule(ax, wx, dim - 1)
+        # the nodes ascend, so the first ceil(m/2) are those with t1 <= 0
+        kept = (nodes_per_axis + 1) // 2
+        ax1 = ax[:kept]
+        w1 = np.where(ax1 < 0.0, 2.0 * wx[:kept], wx[:kept])
         return cls(float(nu_est), int(nodes_per_axis), int(dim), ax1, w1, ax2, w2)
 
     @property
@@ -135,7 +154,10 @@ class EcfCache:
     """Empirical characteristic function values on a grid.
 
     full[i, j] = psi-tilde(t1_i, t2_j); marg1[i] = psi-tilde(t1_i, 0);
-    marg2[j] = psi-tilde(0, t2_j); n is the sample size.
+    marg2[j] = psi-tilde(0, t2_j); n is the sample size.  Rows run over the
+    grid's folded axis-1 nodes t1 <= 0 only: psi-tilde(-t) is
+    conj psi-tilde(t) for any real sample, so the other half box holds no
+    further information.
     """
 
     full: np.ndarray
@@ -144,12 +166,22 @@ class EcfCache:
     n: int
 
 
+def _expi(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) for real phase: cos and sin written into one complex array."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def ecf(sample, grid: EvalGrid, chunk: int = 1 << 15) -> EcfCache:
     """Empirical characteristic function of the sample on the grid.
 
     Accepts an (n, d) array or any object with a .data attribute holding
     one.  Observations are accumulated in fixed-order chunks, so the result
-    is deterministic for given inputs.
+    is deterministic for given inputs.  The axis-2 factors are computed for
+    the first ceil(m2/2) nodes only; since axis2_nodes[::-1] == -axis2_nodes,
+    the others are the conjugates of those rows, reversed.
     """
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2:
@@ -162,13 +194,16 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 15) -> EcfCache:
     if not np.all(np.isfinite(data)):
         raise ValueError("sample contains non-finite values")
     m1, m2 = grid.m1, grid.m2
+    half2 = (m2 + 1) // 2
     full = np.zeros((m1, m2), dtype=complex)
     s1 = np.zeros(m1, dtype=complex)
     s2 = np.zeros(m2, dtype=complex)
     for start in range(0, n, chunk):
         block = data[start : start + chunk]
-        e1 = np.exp(1j * np.multiply.outer(grid.axis1_nodes, block[:, 0]))
-        e2 = np.exp(1j * (grid.axis2_nodes @ block[:, 1:].T))
+        e1 = _expi(np.multiply.outer(grid.axis1_nodes, block[:, 0]))
+        e2 = np.empty((m2, block.shape[0]), dtype=complex)
+        e2[:half2] = _expi(grid.axis2_nodes[:half2] @ block[:, 1:].T)
+        np.conjugate(e2[: m2 - half2][::-1], out=e2[half2:])
         full += e1 @ e2.T
         s1 += e1.sum(axis=1)
         s2 += e2.sum(axis=1)
@@ -249,8 +284,9 @@ def _psi_quadrature(
     svecs = sphere_map(nodes)
     out = np.empty(pts.shape[0], dtype=complex)
     for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
-        out[start : start + chunk] = np.exp(1j * radius * (block @ svecs.T)) @ payload
+        # one complex matrix-vector product: real dgemv rounds a call's last
+        # rows differently, which would tie each value to its row's offset
+        out[start : start + chunk] = _expi(radius * (pts[start : start + chunk] @ svecs.T)) @ payload
     return out
 
 

@@ -4,6 +4,7 @@ function (closed form and quadrature routes)."""
 import numpy as np
 import pytest
 import scipy.special as sp
+from numpy.polynomial.legendre import leggauss
 
 from spheredeconv.bessel import bessel_j, bessel_j_int
 from spheredeconv.charfn import (
@@ -48,13 +49,25 @@ class TestEvalGrid:
 
     def test_nodes_symmetric_and_centered(self):
         g = EvalGrid.build(dim=2, nu_est=1.0, nodes_per_axis=33)
-        assert np.allclose(g.axis1_nodes, -g.axis1_nodes[::-1], atol=1e-15)
-        assert g.axis1_nodes[g.m1 // 2] == 0.0  # odd count includes the origin
+        axis, weights = g.axis2_nodes[:, 0], g.axis2_weights
+        assert np.array_equal(axis[::-1], -axis) and np.array_equal(weights[::-1], weights)
+        # axis 1 keeps the non-positive half of the same nodes, ending at the origin (odd count)
+        assert g.m1 == 17 and np.array_equal(g.axis1_nodes, axis[:17])
+        assert g.axis1_nodes[-1] == 0.0 and np.all(g.axis1_nodes[:-1] < 0.0)
+        # every weight but the centre node's doubled
+        assert np.array_equal(g.axis1_weights[:-1], 2.0 * weights[:16])
+        assert g.axis1_weights[-1] == weights[16]
+
+    def test_even_count_folds_without_a_centre_node(self):
+        g = EvalGrid.build(dim=2, nu_est=0.5, nodes_per_axis=32)
+        assert g.m1 == 16 and g.m2 == 32
+        assert np.array_equal(g.axis1_nodes, g.axis2_nodes[:16, 0]) and np.all(g.axis1_nodes < 0.0)
+        assert np.array_equal(g.axis1_weights, 2.0 * g.axis2_weights[:16])
 
     def test_full_points_ordering(self):
         g = EvalGrid.build(dim=2, nu_est=1.0, nodes_per_axis=5)
         pts = g.full_points()
-        assert pts.shape == (25, 2)
+        assert pts.shape == (3 * 5, 2)
         # row i * m2 + j pairs axis1 node i with axis2 node j
         assert pts[7, 0] == g.axis1_nodes[1]
         assert pts[7, 1] == g.axis2_nodes[2, 0]
@@ -62,7 +75,16 @@ class TestEvalGrid:
     def test_dim3_block_shapes(self):
         g = EvalGrid.build(dim=3, nu_est=1.0, nodes_per_axis=7)
         assert g.axis2_nodes.shape == (49, 2)
-        assert g.full_points().shape == (7 * 49, 3)
+        assert np.array_equal(g.axis2_nodes[::-1], -g.axis2_nodes)
+        assert g.axis1_nodes.shape == (4,)
+        assert g.full_points().shape == (4 * 49, 3)
+
+    def test_leggauss_rules_exactly_symmetric(self):
+        # the fold and the ECF's mirrored axis-2 rows rely on both equalities holding bit for bit
+        for count in range(2, 65):
+            x, w = leggauss(count)
+            assert np.array_equal(x[::-1], -x), count
+            assert np.array_equal(w[::-1], w), count
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,24 +105,41 @@ class TestEcf:
         y = np.array([[0.7, -1.3]])
         cache = ecf(y, g)
         t = g.full_points()
-        want = np.exp(1j * (t @ y[0])).reshape(9, 9)
+        want = np.exp(1j * (t @ y[0])).reshape(5, 9)
         assert np.max(np.abs(cache.full - want)) < 1e-14
+
+    def test_mirrored_axis2_rows_match_direct_exp(self):
+        # with one observation marg2[j] is the axis-2 factor exp(i t2_j . y2) itself,
+        # computed for j < ceil(m2/2) and mirrored by conjugation for the rest
+        for dim, nodes in ((2, 9), (2, 10), (3, 5), (3, 4)):
+            g = EvalGrid.build(dim=dim, nu_est=1.3, nodes_per_axis=nodes)
+            y = np.array([[0.7, -1.3, 2.9][:dim]])
+            cache = ecf(y, g)
+            want = np.exp(1j * (g.axis2_nodes @ y[0, 1:]))
+            assert np.max(np.abs(cache.marg2 - want)) <= 1e-15, (dim, nodes)
 
     def test_unit_value_at_origin_and_modulus_bound(self):
         g = EvalGrid.build(nodes_per_axis=33)
         cache = ecf(generate(scenario(1), 500, 21).data, g)
-        mid = g.m1 // 2
-        assert abs(cache.marg1[mid] - 1.0) < 1e-12
-        assert abs(cache.marg2[mid] - 1.0) < 1e-12
-        assert abs(cache.full[mid, mid] - 1.0) < 1e-12
+        mid1, mid2 = g.m1 - 1, g.m2 // 2  # the folded axis 1 ends at the origin
+        assert g.axis1_nodes[mid1] == 0.0 and g.axis2_nodes[mid2, 0] == 0.0
+        assert abs(cache.marg1[mid1] - 1.0) < 1e-12
+        assert abs(cache.marg2[mid2] - 1.0) < 1e-12
+        assert abs(cache.full[mid1, mid2] - 1.0) < 1e-12
         for arr in (cache.full, cache.marg1, cache.marg2):
             assert np.max(np.abs(arr)) <= 1.0 + 1e-12
 
     def test_conjugate_symmetry(self):
         g = EvalGrid.build(nodes_per_axis=9)
-        cache = ecf(generate(scenario(2), 300, 4).data, g)
-        assert np.allclose(cache.full, np.conj(cache.full[::-1, ::-1]), atol=1e-13)
-        assert np.allclose(cache.marg1, np.conj(cache.marg1[::-1]), atol=1e-13)
+        data = generate(scenario(2), 300, 4).data
+        cache = ecf(data, g)
+        # the axis-2 slice and the t1 = 0 row hold both t and -t
+        assert np.allclose(cache.marg2, np.conj(cache.marg2[::-1]), atol=1e-13)
+        assert np.allclose(cache.full[-1], np.conj(cache.full[-1, ::-1]), atol=1e-13)
+        # the dropped half box: psi-tilde at -t is the reflected sample's value at t
+        mirror = ecf(-data, g)
+        for got, want in zip((mirror.full, mirror.marg1, mirror.marg2), (cache.full, cache.marg1, cache.marg2)):
+            assert np.allclose(got, np.conj(want), atol=1e-13)
 
     def test_chunking_consistent(self):
         g = EvalGrid.build(nodes_per_axis=9)
@@ -234,7 +273,7 @@ class TestPsiModel:
 
     def test_quadrature_marginals_bitwise_match_batch_calls(self):
         # more than one 128-row chunk, so the stacked set's chunks straddle the slices
-        for f, dim, nodes in ((vonmises_like(), 2, 11), (uniform_density(2), 3, 5)):
+        for f, dim, nodes in ((vonmises_like(), 2, 15), (uniform_density(2), 3, 7)):
             g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=nodes)
             assert g.points().shape[0] > 128
             vals = psi_model_marginals(f, 2.3, g)

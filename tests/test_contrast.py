@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from spheredeconv.charfn import EcfCache, EvalGrid, psi_model_marginals
+from spheredeconv.charfn import EcfCache, EvalGrid, psi_model, psi_model_marginals
 from spheredeconv.contrast import ContrastContext, contrast_m_oracle, contrast_mn, contrast_residual
-from spheredeconv.geometry import FourierDensity, uniform_density
-from spheredeconv.simulate import NoiseModel, generate, scenario
+from spheredeconv.geometry import CallableDensity, FourierDensity, uniform_density
+from spheredeconv.simulate import NoiseModel, Scenario, generate, scenario
 
 
 def product_cache(f, radius, noise, grid):
@@ -130,7 +131,57 @@ def test_one_quadrature_call_per_contrast_off_the_closed_form(monkeypatch):
     grid = EvalGrid.build(nodes_per_axis=9, nu_est=0.5)
     ctx = ContrastContext.from_sample(generate(scenario(4), 200, seed=3), grid)
     contrast_mn(scenario(4).density, 3.0, ctx)
-    assert calls == [9 + 9 + 81]
+    assert calls == [5 + 9 + 45]
+
+
+def unfolded_contrast(cand, ref, nu_est, nodes, dim, weight=None):
+    """Quadrature of |cand(t) ref(t1, 0) ref(0, t2) - ref(t) cand(t1, 0) cand(0, t2)|^2
+    [* weight(t)] over the whole Gauss-Legendre box [-nu_est, nu_est]^dim."""
+    x, w = leggauss(nodes)
+    t = np.stack([a.ravel() for a in np.meshgrid(*[nu_est * x] * dim, indexing="ij")], axis=1)
+    wt = np.prod([a.ravel() for a in np.meshgrid(*[nu_est * w] * dim, indexing="ij")], axis=0)
+    head, tail = t.copy(), t.copy()
+    head[:, 1:] = 0.0
+    tail[:, 0] = 0.0
+    diff = cand(t) * ref(head) * ref(tail) - ref(t) * cand(head) * cand(tail)
+    if weight is not None:
+        wt = wt * weight(t)
+    return float(np.sum(wt * np.abs(diff) ** 2))
+
+
+FOLD_CASES = {
+    2: (scenario(4), FourierDensity.from_half([0.08 - 0.03j, 0.02j])),
+    3: (
+        Scenario(0, uniform_density(2), NoiseModel.isotropic_gaussian(0.3, 3), r_star=2.0, dim=3),
+        CallableDensity(lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * u[:, 0]), dim_minus_1=2),
+    ),
+}
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 9), (2, 10), (3, 5), (3, 4)])
+def test_folded_grid_matches_unfolded_box(dim, nodes):
+    # the half-box rule sums an integrand even under t -> -t exactly as the full box does
+    scn, f = FOLD_CASES[dim]
+    grid = EvalGrid.build(dim=dim, nu_est=0.8, nodes_per_axis=nodes)
+    data = generate(scn, 200, 7).data
+
+    def cand(t):
+        return psi_model(f, 2.3, t)
+
+    def ecf_direct(t):
+        return np.exp(1j * (t @ data.T)).mean(axis=1)
+
+    def truth(t):
+        return psi_model(scn.density, scn.r_star, t)
+
+    def noise_weight(t):
+        return np.abs(scn.noise.char_fn(t)) ** 2
+
+    got = contrast_mn(f, 2.3, ContrastContext.from_sample(data, grid))
+    assert got == pytest.approx(unfolded_contrast(cand, ecf_direct, 0.8, nodes, dim), rel=1e-13, abs=0.0)
+    got = contrast_m_oracle(f, 2.3, scn.density, scn.r_star, scn.noise, grid)
+    want = unfolded_contrast(cand, truth, 0.8, nodes, dim, weight=noise_weight)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestPopulationContrast:
