@@ -284,9 +284,11 @@ def _psi_quadrature(
     svecs = sphere_map(nodes)
     out = np.empty(pts.shape[0], dtype=complex)
     for start in range(0, pts.shape[0], chunk):
-        # one complex matrix-vector product: real dgemv rounds a call's last
-        # rows differently, which would tie each value to its row's offset
-        out[start : start + chunk] = _expi(radius * (pts[start : start + chunk] @ svecs.T)) @ payload
+        block = pts[start : start + chunk]
+        # one complex product, not a real one each for cos and sin: real dgemv
+        # rounds a call's last rows differently, so grid values would stop
+        # equalling pointwise psi_model calls bit for bit
+        out[start : start + chunk] = _expi(radius * (block @ svecs.T)) @ payload
     return out
 
 
