@@ -31,12 +31,15 @@ of a point set: the sorted distinct radii, each point's index into them,
 and the phase powers exp(-2 i pi p theta), p = 1..K.  EvalGrid caches one
 table of its stacked points per cutoff K, built on the first probe, so
 each grid evaluation runs the Bessel series once, on the radii times R.
+The table keeps its latest Bessel rows, so psi_model_jacobian, the exact
+derivatives of the closed form in (R, Re c_p, Im c_p), runs no series of
+its own right after an evaluation at the same radius.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -95,12 +98,13 @@ class EvalGrid:
 
     @classmethod
     def build(cls, dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = 33) -> "EvalGrid":
-        if dim < 2:
-            raise ValueError("dim must be >= 2")
+        if int(dim) != dim or dim < 2:
+            raise ValueError("dim must be an integer >= 2")
         if not (0.0 < nu_est < math.inf):
             raise ValueError("nu_est must be positive and finite")
         if int(nodes_per_axis) != nodes_per_axis or nodes_per_axis < 2:
             raise ValueError("nodes_per_axis must be an integer >= 2")
+        dim, nodes_per_axis = int(dim), int(nodes_per_axis)
         x, w = _gauss_nodes(nodes_per_axis)
         ax, wx = nu_est * x, nu_est * w
         ax2, w2 = tensor_rule(ax, wx, dim - 1)
@@ -108,7 +112,7 @@ class EvalGrid:
         kept = (nodes_per_axis + 1) // 2
         ax1 = ax[:kept]
         w1 = np.where(ax1 < 0.0, 2.0 * wx[:kept], wx[:kept])
-        return cls(float(nu_est), int(nodes_per_axis), int(dim), ax1, w1, ax2, w2)
+        return cls(float(nu_est), nodes_per_axis, dim, ax1, w1, ax2, w2)
 
     @property
     def m1(self) -> int:
@@ -221,13 +225,15 @@ class PolarTable:
 
     radii holds the points' distinct radii, sorted, and index maps each
     point into them; phases[p - 1] = exp(-2 i pi p theta) for p = 1..K,
-    built by repeated multiplication.
+    built by repeated multiplication.  The rows of the latest bessel_rows
+    call are kept for latest_rows.
     """
 
     k_cut: int
     radii: np.ndarray
     index: np.ndarray
     phases: tuple
+    _latest: list = field(default_factory=list, repr=False)
 
     @classmethod
     def build(cls, k_cut: int, pts: np.ndarray) -> "PolarTable":
@@ -242,6 +248,31 @@ class PolarTable:
             phases.append(phase)
         return cls(int(k_cut), radii, index, tuple(phases))
 
+    def bessel_rows(self, radius: float) -> np.ndarray:
+        """J_p(r * radius) for p = 0..K (rows) at every point (columns): one
+        series call on the distinct radii, each point gathering its value."""
+        jmat = _series_multi(np.arange(self.k_cut + 1, dtype=float), self.radii * radius)[:, self.index]
+        self._latest[:] = [radius, jmat]
+        return jmat
+
+    def latest_rows(self, radius: float) -> np.ndarray:
+        """bessel_rows(radius), without a series call when the latest call
+        was at this radius: the rows depend on the radius alone."""
+        if self._latest and self._latest[0] == radius:
+            return self._latest[1]
+        return self.bessel_rows(radius)
+
+
+def _assemble(coeffs: np.ndarray, jmat: np.ndarray, table: PolarTable) -> np.ndarray:
+    """sum_p i^p c_p J_p exp(-2 i pi p theta) from the table's Bessel rows jmat."""
+    k_cut = table.k_cut
+    vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
+    ipow = 1.0 + 0.0j
+    for p in range(1, k_cut + 1):
+        ipow = ipow * 1j
+        vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * table.phases[p - 1]))
+    return vals
+
 
 def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> np.ndarray:
     """Closed-form circle characteristic function on a table's points.
@@ -251,15 +282,37 @@ def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> np.ndarr
     Conjugate pairs collapse to J_0 + sum_{p>=1} i^p J_p * 2 Re(c_p e^{-2 i pi p theta}).
     One series call on the distinct radii; each point gathers its row.
     """
+    return _assemble(coeffs, table.bessel_rows(radius), table)
+
+
+def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form on a table's points and its derivatives.
+
+    Returns (vals, dvals): vals as _psi_polar gives them, and dvals of shape
+    (1 + 2K, m) holding dPsi/dR, then dPsi/dRe c_p and dPsi/dIm c_p for
+    p = 1..K.  With e_p = exp(-2 i pi p theta),
+        dPsi/dRe c_p = i^p J_p(rR) 2 Re e_p,   dPsi/dIm c_p = -i^p J_p(rR) 2 Im e_p,
+        dPsi/dR = -r J_1(rR) + sum_{p>=1} i^p [r J_{p-1}(rR) - (p/R) J_p(rR)] 2 Re(c_p e_p),
+    by J_0' = -J_1 and J_p'(x) = J_{p-1}(x) - (p/x) J_p(x) (DLMF 10.6.2), so
+    no order past K enters and nothing divides by r.  The Bessel rows are
+    the table's latest at this radius; only K = 0 runs a series, for J_1,
+    which certifies wherever J_0 does.
+    """
     k_cut = table.k_cut
-    jtab = _series_multi(np.arange(k_cut + 1, dtype=float), table.radii * radius)
-    jmat = jtab[:, table.index]
-    vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
+    jmat = table.latest_rows(radius)
+    r = table.radii[table.index]
+    j1 = jmat[1] if k_cut else _series_multi(np.ones(1), table.radii * radius)[0, table.index]
+    dvals = np.empty((1 + 2 * k_cut, r.size), dtype=complex)
+    dvals[0] = -r * j1
     ipow = 1.0 + 0.0j
     for p in range(1, k_cut + 1):
         ipow = ipow * 1j
-        vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * table.phases[p - 1]))
-    return vals
+        phase = table.phases[p - 1]
+        dvals[2 * p - 1] = ipow * jmat[p] * (2.0 * phase.real)
+        dvals[2 * p] = -ipow * jmat[p] * (2.0 * phase.imag)
+        twice_re = 2.0 * np.real(coeffs[k_cut + p] * phase)
+        dvals[0] += ipow * (r * jmat[p - 1] - (p / radius) * jmat[p]) * twice_re
+    return _assemble(coeffs, jmat, table), dvals
 
 
 @lru_cache(maxsize=16)
@@ -339,5 +392,26 @@ def psi_model_marginals(
         vals = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff))
     else:
         vals = _psi_quadrature(f, float(radius), grid.points())
+    return _split(vals, grid)
+
+
+def psi_model_jacobian(f: FourierDensity, radius: float, grid: EvalGrid) -> tuple[tuple, tuple]:
+    """Psi and its derivatives in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
+    split as psi_model_marginals splits Psi; circle Fourier densities only.
+
+    Returns ((vals1, vals2, full), (d1, d2, d_full)), each derivative array
+    with one leading row per parameter.  The Bessel rows come from the
+    grid's table, so right after psi_model_marginals(f, radius, grid) no
+    series runs (for K >= 1), and vals equal that call's values bit for bit.
+    """
+    if not closed_form_applies(f, grid.dim):
+        raise ValueError("the Jacobian needs the closed form: a circle Fourier density")
+    vals, dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff))
+    return _split(vals, grid), _split(dvals, grid)
+
+
+def _split(vals: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values on grid.points() (last axis) as the axis-1 slice, the axis-2
+    slice and the full grid shaped (..., m1, m2): views into vals."""
     m1, m2 = grid.m1, grid.m2
-    return vals[:m1], vals[m1 : m1 + m2], vals[m1 + m2 :].reshape(m1, m2)
+    return vals[..., :m1], vals[..., m1 : m1 + m2], vals[..., m1 + m2 :].reshape(*vals.shape[:-1], m1, m2)

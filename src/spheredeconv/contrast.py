@@ -13,7 +13,8 @@ empirical contrast integrates the squared modulus of this quantity over
 the frequency box; the population version replaces the ECF by the true
 product and weights by |Phi_eps|^2.  Either quadrature is the squared norm
 of one weighted residual vector (_combine), which is what the estimators
-minimize by least squares.
+minimize by least squares; on the circle, contrast_jacobian gives that
+residual's exact Jacobian through _combine's linearisation.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import EcfCache, EvalGrid, bench_grid, ecf, psi_model_marginals
-from .geometry import AngleDensity
+from .charfn import EcfCache, EvalGrid, bench_grid, ecf, psi_model_jacobian, psi_model_marginals
+from .geometry import AngleDensity, FourierDensity
 
 
 @dataclass(eq=False)
@@ -37,6 +38,22 @@ class ContrastContext:
     def from_sample(cls, sample, grid: EvalGrid) -> "ContrastContext":
         return cls(grid, ecf(sample, grid))
 
+    @property
+    def ref(self) -> tuple:
+        """The ECF as the (axis-1, axis-2, full) triple _combine compares against."""
+        return self.cache.marg1, self.cache.marg2, self.cache.full
+
+
+def _weighted(diff: np.ndarray, grid: EvalGrid, extra_weight: np.ndarray | None = None) -> np.ndarray:
+    """Re and Im parts of diff, each scaled by sqrt(w1_i w2_j [* extra_weight_ij])
+    over its last two axes (m1, m2) and flattened, then concatenated."""
+    weight = np.multiply.outer(grid.axis1_weights, grid.axis2_weights)
+    if extra_weight is not None:
+        weight = weight * extra_weight
+    scale = np.sqrt(weight)
+    lead = diff.shape[:-2]
+    return np.concatenate(((scale * diff.real).reshape(*lead, -1), (scale * diff.imag).reshape(*lead, -1)), axis=-1)
+
 
 def _combine(psi: tuple, ref: tuple, grid: EvalGrid, extra_weight: np.ndarray | None = None) -> np.ndarray:
     """Weighted residual of psi_full ref1 ref2 - ref_full psi1 psi2 over the grid's box.
@@ -49,18 +66,35 @@ def _combine(psi: tuple, ref: tuple, grid: EvalGrid, extra_weight: np.ndarray | 
     psi1, psi2, psi_full = psi
     ref1, ref2, ref_full = ref
     diff = psi_full * np.multiply.outer(ref1, ref2) - ref_full * np.multiply.outer(psi1, psi2)
-    weight = np.multiply.outer(grid.axis1_weights, grid.axis2_weights)
-    if extra_weight is not None:
-        weight = weight * extra_weight
-    scale = np.sqrt(weight)
-    return np.concatenate(((scale * diff.real).ravel(), (scale * diff.imag).ravel()))
+    return _weighted(diff, grid, extra_weight)
+
+
+def _combine_jacobian(psi: tuple, dpsi: tuple, ref: tuple, grid: EvalGrid) -> np.ndarray:
+    """_combine(psi, ref, grid) linearised in psi: its (2 m1 m2, P) Jacobian.
+
+    dpsi is psi's derivative triple with one leading row per parameter, and
+    d diff = d psi_full ref1 ref2 - ref_full (d psi1 psi2 + psi1 d psi2).
+    """
+    psi1, psi2, _ = psi
+    d1, d2, d_full = dpsi
+    ref1, ref2, ref_full = ref
+    dprod = d1[:, :, None] * psi2 + psi1[:, None] * d2[:, None, :]
+    ddiff = d_full * np.multiply.outer(ref1, ref2) - ref_full * dprod
+    return _weighted(ddiff, grid).T
 
 
 def contrast_residual(f: AngleDensity, radius: float, ctx: ContrastContext) -> np.ndarray:
     """Weighted residual of the candidate (f, R) against the sample ECF;
     its squared norm is contrast_mn."""
-    cache = ctx.cache
-    return _combine(psi_model_marginals(f, radius, ctx.grid), (cache.marg1, cache.marg2, cache.full), ctx.grid)
+    return _combine(psi_model_marginals(f, radius, ctx.grid), ctx.ref, ctx.grid)
+
+
+def contrast_jacobian(f: FourierDensity, radius: float, ctx: ContrastContext) -> np.ndarray:
+    """Jacobian of contrast_residual in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
+    shape (2 m1 m2, 1 + 2K); circle Fourier densities only.  Right after
+    contrast_residual(f, radius, ctx) it reuses that call's Bessel rows."""
+    psi, dpsi = psi_model_jacobian(f, radius, ctx.grid)
+    return _combine_jacobian(psi, dpsi, ctx.ref, ctx.grid)
 
 
 def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:

@@ -4,10 +4,12 @@ The contrast is the squared norm of a weighted residual vector, so both
 fits minimize it as a nonlinear least-squares problem through one
 trust-region descent (minimize).  fit_joint descends jointly in the radius
 and the density's Fourier coefficients from the best radii of an audit
-scan; fit_radius_known_density descends in the radius alone from the best
-radius of a coarse scan.  Both probe the contrast through one _ProbeLog,
-which logs every probe and reports the best probed point, so the reported
-value is a certified near-minimum over everything examined.
+scan, with the residual's exact Jacobian (contrast_jacobian chained
+through the projection onto the admissible set); fit_radius_known_density
+descends in the radius alone from the best radius of a coarse scan, with
+a forward-difference derivative.  Both probe the contrast through one
+_ProbeLog, which logs every probe and reports the best probed point, so
+the reported value is a certified near-minimum over everything examined.
 The center estimate plugs the fitted radius and density barycenter into
 C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.
 """
@@ -24,7 +26,7 @@ from scipy.optimize import least_squares
 
 from .bessel import ABS_TOL, _series_multi
 from .charfn import EvalGrid, closed_form_applies
-from .contrast import ContrastContext, contrast_residual
+from .contrast import ContrastContext, contrast_jacobian, contrast_residual
 from .errors import ConfigError, NumericalError
 from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_coefficients, fourier_series, sphere_mean
 
@@ -44,8 +46,8 @@ class FitConfig:
     k_cutoff is the Fourier cutoff K of the joint fit's density, and of a
     known circle callable's reported coefficients; restarts is the number
     of best audit radii (at most AUDIT_POINTS) the joint fit descends from,
-    and max_iters caps each of those descents' residual evaluations (not
-    counting the finite-difference Jacobian's).
+    and max_iters caps each of those descents' residual evaluations.
+    Integer-valued floats are stored as ints.
     """
 
     r_min: float = 0.5
@@ -58,8 +60,10 @@ class FitConfig:
         if not (0.0 < self.r_min < self.r_max < math.inf):
             raise ValueError("need 0 < r_min < r_max < inf")
         for name in ("k_cutoff", "restarts", "max_iters"):
-            if int(getattr(self, name)) != getattr(self, name):
+            value = getattr(self, name)
+            if int(value) != value:
                 raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if self.k_cutoff < 0:
             raise ValueError("k_cutoff must be >= 0")
         if not (1 <= self.restarts <= AUDIT_POINTS):
@@ -190,18 +194,40 @@ def _pack(radius: float, half: np.ndarray) -> np.ndarray:
     return x
 
 
+def _shrink(half: np.ndarray) -> float:
+    """The factor _project scales c_1..c_K by: sqrt(COEFF_NORM_BOUND / m) when
+    their mass m = sum_{k != 0} |c_k|^2 = 2 sum_{k >= 1} |c_k|^2 exceeds
+    COEFF_NORM_BOUND, else 1."""
+    off_mass = 2.0 * float(np.sum(np.abs(half) ** 2))
+    return math.sqrt(COEFF_NORM_BOUND / off_mass) if off_mass > COEFF_NORM_BOUND else 1.0
+
+
 def _project(x: np.ndarray, cfg: FitConfig) -> tuple[float, np.ndarray]:
     """Map a raw optimizer point into the admissible set.
 
-    Radius clips to [r_min, r_max]; coefficients shrink radially when
-    sum_{k != 0} |c_k|^2 = 2 sum_{k >= 1} |c_k|^2 exceeds COEFF_NORM_BOUND.
+    Radius clips to [r_min, r_max]; coefficients shrink radially by _shrink.
     """
     radius = float(min(max(x[0], cfg.r_min), cfg.r_max))
     half = x[1::2] + 1j * x[2::2]
-    off_mass = 2.0 * float(np.sum(np.abs(half) ** 2))
-    if off_mass > COEFF_NORM_BOUND:
-        half = half * math.sqrt(COEFF_NORM_BOUND / off_mass)
-    return radius, half
+    scale = _shrink(half)
+    return radius, half if scale == 1.0 else half * scale
+
+
+def _project_jacobian(jac: np.ndarray, x: np.ndarray, cfg: FitConfig) -> np.ndarray:
+    """Chain jac, a Jacobian in the projected point (R, Re c_1, Im c_1, ...),
+    through _project to the raw point x, in place.
+
+    A clipped radius has a zero column.  Shrunk coefficients u = s v, with
+    v = x[1:] and s = sqrt(COEFF_NORM_BOUND / (2 |v|^2)), have
+    du/dv = s (I - v v^T / |v|^2).
+    """
+    if not cfg.r_min <= x[0] <= cfg.r_max:
+        jac[:, 0] = 0.0
+    scale = _shrink(x[1::2] + 1j * x[2::2])
+    if scale != 1.0:
+        v = x[1:]
+        jac[:, 1:] = scale * (jac[:, 1:] - np.outer(jac[:, 1:] @ v, v) / (v @ v))
+    return jac
 
 
 def _half(f: AngleDensity) -> np.ndarray:
@@ -215,10 +241,11 @@ class _ProbeLog:
     Each probe evaluates contrast_residual on the sample's ECF, logs its
     squared norm (the value contrast_mn returns, bit for bit), refuses a
     non-finite value with NumericalError, and returns the residual.  Every
-    evaluation a descent makes, finite-difference ones included, is a
-    probe.  The best probe has the smallest contrast; exact value ties
-    break towards the smallest radius, then the smallest coefficient mass
-    sum_{k >= 1} |c_k|^2.  A tolerance window here would let the pick
+    residual evaluation a descent makes, forward-difference ones included,
+    is a probe; the joint fit's exact Jacobian reuses the latest probe and
+    makes none of its own.  The best probe has the smallest contrast;
+    exact value ties break towards the smallest radius, then the smallest
+    coefficient mass sum_{k >= 1} |c_k|^2.  A tolerance window here would let the pick
     wander by sqrt(tol/curvature) in R, which is far larger than the
     advertised 1e-6 determinism, so only exact ties are broken.
     """
@@ -260,11 +287,14 @@ class _ProbeLog:
         )
 
 
-def minimize(residual, x0: np.ndarray, max_nfev: int | None = None):
+def minimize(residual, jac, x0: np.ndarray, max_nfev: int | None = None):
     """Least-squares descent of residual from x0: trust-region reflective
-    (Branch, Coleman & Li 1999) with a finite-difference Jacobian, run to
-    roundoff; max_nfev caps the residual evaluations outside the Jacobian."""
-    return least_squares(residual, x0, method="trf", xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
+    (Branch, Coleman & Li 1999), run to roundoff.  jac is the residual's
+    Jacobian as a callable, or "2-point" for forward differences; max_nfev
+    caps the residual evaluations outside any forward-difference step."""
+    return least_squares(
+        residual, x0, jac=jac, method="trf", xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev
+    )
 
 
 def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | None = None) -> None:
@@ -303,8 +333,12 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
     best audit radii (ties to the smaller radius), with c = 0 and at most
     cfg.max_iters residual evaluations each.  The radius clips to
     [r_min, r_max] and the coefficients shrink into the admissible set
-    inside the residual.  Returns the best probe, ties breaking towards
-    the smallest radius.  Deterministic given (sample, config).
+    inside the residual, and the exact Jacobian is chained through that
+    projection.  The optimizer asks for the Jacobian at the point it has
+    just evaluated, so the Jacobian reuses that probe's Bessel rows; at
+    any other point it probes first.  Returns the best probe, ties
+    breaking towards the smallest radius.  Deterministic given
+    (sample, config).
     Raises ConfigError before any work when check_radius_window refuses.
     """
     t_start = time.perf_counter()
@@ -322,13 +356,21 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
         radius, half = _project(x, cfg)
         return log(FourierDensity.from_half(half), radius)
 
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        radius, half = _project(x, cfg)
+        _, last_radius, f = log.probes[-1]
+        if radius != last_radius or not np.array_equal(half, _half(f)):
+            f = FourierDensity.from_half(half)
+            log(f, radius)
+        return _project_jacobian(contrast_jacobian(f, radius, log.ctx), x, cfg)
+
     zeros = np.zeros(cfg.k_cutoff, dtype=complex)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
     for radius in audit:
         residual(_pack(radius, zeros))
     ranked = np.argsort([value for value, _, _ in log.probes], kind="stable")
     for i in ranked[: cfg.restarts]:
-        minimize(residual, _pack(audit[i], zeros), cfg.max_iters)
+        minimize(residual, jacobian, _pack(audit[i], zeros), cfg.max_iters)
     return log.report()
 
 
@@ -364,7 +406,7 @@ def fit_radius_known_density(
     for radius in scan:
         residual([radius])
     best_idx = int(np.argmin([value for value, _, _ in log.probes]))  # argmin takes the leftmost minimum
-    minimize(residual, np.array([scan[best_idx]]))
+    minimize(residual, "2-point", np.array([scan[best_idx]]))
 
     if isinstance(f_star, FourierDensity):
         return log.report()

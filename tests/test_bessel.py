@@ -162,3 +162,19 @@ def test_default_config_envelope_covers_grid_arguments():
     xs = np.linspace(0.0, 14.5, 300)
     vals = bessel_j(0, xs)
     assert np.max(np.abs(vals - sp.j0(xs))) < 1e-10
+
+
+def test_j1_certifies_wherever_j0_does():
+    # a K = 0 joint fit's Jacobian evaluates J_1 where the radius window only
+    # certified J_0
+    from spheredeconv.bessel import _series_multi
+
+    def certifies(order, x):
+        try:
+            _series_multi(np.array([order]), np.array([x]))
+        except NumericalError:
+            return False
+        return True
+
+    for x in np.linspace(0.0, X_MAX, 2001):
+        assert certifies(1.0, x) or not certifies(0.0, x), x

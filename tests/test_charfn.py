@@ -12,6 +12,7 @@ from spheredeconv.charfn import (
     EvalGrid,
     ecf,
     psi_model,
+    psi_model_jacobian,
     psi_model_marginals,
 )
 from spheredeconv.geometry import (
@@ -97,6 +98,18 @@ class TestEvalGrid:
             EvalGrid.build(nu_est=float("inf"))
         with pytest.raises(ValueError):
             EvalGrid.build(nodes_per_axis=2.5)
+        with pytest.raises(ValueError):
+            EvalGrid.build(dim=2.5)
+
+    @pytest.mark.parametrize("dim, nodes", [(2.0, 7.0), (np.int64(3), np.int64(5)), (2, 11.0)])
+    def test_integer_valued_floats_build_the_int_grid(self, dim, nodes):
+        got = EvalGrid.build(dim=dim, nodes_per_axis=nodes)
+        want = EvalGrid.build(dim=int(dim), nodes_per_axis=int(nodes))
+        assert type(got.dim) is int and type(got.nodes_per_axis) is int
+        assert (got.dim, got.nodes_per_axis) == (want.dim, want.nodes_per_axis)
+        assert got.points().tobytes() == want.points().tobytes()
+        assert got.axis1_weights.tobytes() == want.axis1_weights.tobytes()
+        assert got.axis2_weights.tobytes() == want.axis2_weights.tobytes()
 
 
 class TestEcf:
@@ -279,6 +292,17 @@ class TestPsiModel:
             vals = psi_model_marginals(f, 2.3, g)
             for got, pts in zip(vals, stacked_slices(g)):
                 assert got.ravel().tobytes() == psi_model(f, 2.3, pts).tobytes()
+
+    def test_jacobian_values_bitwise_match_marginals(self):
+        rng = np.random.default_rng(12)
+        g = EvalGrid.build(nu_est=0.5, nodes_per_axis=9)
+        for k_cut in (0, 3):
+            f = random_density(rng, k_cut)
+            vals = psi_model_marginals(f, 2.7, g)
+            jvals, dvals = psi_model_jacobian(f, 2.7, g)
+            for got, want, d in zip(jvals, vals, dvals):
+                assert got.tobytes() == want.tobytes()
+                assert d.shape == (1 + 2 * k_cut, *want.shape)
 
     def test_errors(self):
         f = uniform_density(1)

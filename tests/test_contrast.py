@@ -5,7 +5,13 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from spheredeconv.charfn import EcfCache, EvalGrid, psi_model, psi_model_marginals
-from spheredeconv.contrast import ContrastContext, contrast_m_oracle, contrast_mn, contrast_residual
+from spheredeconv.contrast import (
+    ContrastContext,
+    contrast_jacobian,
+    contrast_m_oracle,
+    contrast_mn,
+    contrast_residual,
+)
 from spheredeconv.geometry import CallableDensity, FourierDensity, uniform_density
 from spheredeconv.simulate import NoiseModel, Scenario, generate, scenario
 
@@ -132,6 +138,66 @@ def test_one_quadrature_call_per_contrast_off_the_closed_form(monkeypatch):
     ctx = ContrastContext.from_sample(generate(scenario(4), 200, seed=3), grid)
     contrast_mn(scenario(4).density, 3.0, ctx)
     assert calls == [5 + 9 + 45]
+
+
+def central_differences(fn, x, step=1e-6):
+    """Jacobian of fn at x by central differences, one column per coordinate."""
+    return np.column_stack([(fn(x + step * e) - fn(x - step * e)) / (2.0 * step) for e in np.eye(x.size)])
+
+
+def residual_at(ctx):
+    """contrast_residual as a function of (R, Re c_1, Im c_1, ..., Re c_K, Im c_K)."""
+    return lambda x: contrast_residual(FourierDensity.from_half(x[1::2] + 1j * x[2::2]), x[0], ctx)
+
+
+@pytest.mark.parametrize("k_cut", [0, 1, 4])
+@pytest.mark.parametrize("scenario_id", [1, 4])
+def test_contrast_jacobian_matches_central_differences(scenario_id, k_cut):
+    grid = EvalGrid.build()
+    ctx = ContrastContext.from_sample(generate(scenario(scenario_id), 2000, seed=scenario_id), grid)
+    rng = np.random.default_rng(10 * scenario_id + k_cut)
+    residual = residual_at(ctx)
+    for _ in range(3):
+        x = np.concatenate([[rng.uniform(0.8, 9.0)], 0.1 * rng.standard_normal(2 * k_cut)])
+        want = central_differences(residual, x)
+        f = FourierDensity.from_half(x[1::2] + 1j * x[2::2])
+        got = contrast_jacobian(f, x[0], ctx)
+        assert got.shape == (2 * grid.m1 * grid.m2, 1 + 2 * k_cut)
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def test_contrast_jacobian_reuses_the_latest_bessel_rows(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+
+    calls = []
+    real = charfn_mod._series_multi
+
+    def counting(orders, x):
+        calls.append(orders.size)
+        return real(orders, x)
+
+    monkeypatch.setattr(charfn_mod, "_series_multi", counting)
+    ctx = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
+    f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
+    contrast_residual(f, 2.5, ctx)
+    at_probe = contrast_jacobian(f, 2.5, ctx)
+    assert calls == [3]
+    # at another radius the rows are evaluated afresh, and agree with a probe there
+    elsewhere = contrast_jacobian(f, 2.7, ctx)
+    contrast_residual(f, 2.7, ctx)
+    assert calls == [3, 3, 3]
+    assert np.array_equal(elsewhere, contrast_jacobian(f, 2.7, ctx))
+    assert not np.array_equal(at_probe, elsewhere)
+    # K = 0 keeps no J_1 in its table: one series call of that order alone
+    contrast_residual(FourierDensity.uniform(), 2.5, ctx)
+    contrast_jacobian(FourierDensity.uniform(), 2.5, ctx)
+    assert calls[-2:] == [1, 1]
+
+
+def test_contrast_jacobian_needs_the_closed_form():
+    ctx = ContrastContext.from_sample(generate(scenario(4), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
+    with pytest.raises(ValueError, match="closed form"):
+        contrast_jacobian(scenario(4).density, 3.0, ctx)
 
 
 def unfolded_contrast(cand, ref, nu_est, nodes, dim, weight=None):

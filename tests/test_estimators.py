@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spheredeconv.charfn import EvalGrid
-from spheredeconv.contrast import ContrastContext, contrast_mn, contrast_residual
+from spheredeconv.contrast import ContrastContext, contrast_jacobian, contrast_mn, contrast_residual
 from spheredeconv.errors import ConfigError, NumericalError
 from spheredeconv.estimators import (
     AUDIT_POINTS,
@@ -21,7 +21,7 @@ from spheredeconv.estimators import (
     truncate_density,
     truncation_level,
 )
-from spheredeconv.geometry import FourierDensity, sphere_map, uniform_density, vonmises_like
+from spheredeconv.geometry import COEFF_NORM_BOUND, FourierDensity, sphere_map, uniform_density, vonmises_like
 from spheredeconv.simulate import NoiseModel, Sample, Scenario, generate, scenario
 
 
@@ -53,6 +53,22 @@ def test_fitconfig_defaults():
 def test_fitconfig_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         FitConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("restarts", 2.0), ("k_cutoff", 2.0), ("max_iters", 40.0), ("restarts", np.int64(2)), ("k_cutoff", np.int64(2))],
+)
+def test_fitconfig_integer_valued_fields_fit_as_their_int_twins(name, value):
+    base = dict(restarts=2, k_cutoff=1, max_iters=60)
+    cfg = FitConfig(**{**base, name: value})
+    assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
+    s = generate(scenario(1), 200, seed=8)
+    grid = EvalGrid.build(nodes_per_axis=9)
+    got = fit_joint(s, cfg, grid)
+    want = fit_joint(s, FitConfig(**{**base, name: int(value)}), grid)
+    assert (got.r_hat, got.contrast_value, got.iterations) == (want.r_hat, want.contrast_value, want.iterations)
+    assert np.array_equal(got.f_hat_coeffs, want.f_hat_coeffs)
 
 
 # ---------------------------------------------------------------- report
@@ -247,6 +263,17 @@ def test_known_density_fit_flat_sample_is_deterministic_leftmost():
     assert FitConfig().r_min <= first.r_hat <= FitConfig().r_max
 
 
+def test_known_density_fit_keeps_the_forward_difference_descent():
+    # values of the known-density fit before the joint fit took its exact
+    # Jacobian: this path still descends with forward differences
+    s = generate(scenario(1), 1000, seed=21)
+    rep = fit_radius_known_density(s, FourierDensity.from_half([0.1 - 0.05j]))
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.998564267820686, 0.0001734495747298286, 76)
+    s = generate(scenario(4), 600, seed=5)
+    rep = fit_radius_known_density(s, vonmises_like(), grid=EvalGrid.build(nodes_per_axis=17))
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9716510212345604, 0.00011760948167644224, 81)
+
+
 def test_known_density_fit_validates_inputs():
     with pytest.raises(ValueError):
         fit_radius_known_density(np.zeros((5, 3)), uniform_density())
@@ -360,9 +387,9 @@ def test_max_iters_caps_each_descent():
     s = generate(scenario(1), 200, seed=8)
     full = fit_joint(s, FitConfig(restarts=2, k_cutoff=1))
     capped = fit_joint(s, FitConfig(restarts=2, k_cutoff=1, max_iters=3))
-    # each descent: at most max_iters residual evaluations plus as many
-    # finite-difference Jacobians of 1 + 2K evaluations each
-    assert capped.iterations <= AUDIT_POINTS + 2 * 3 * (1 + (1 + 2 * 1))
+    # each descent: at most max_iters residual evaluations; its exact
+    # Jacobians reuse them
+    assert capped.iterations <= AUDIT_POINTS + 2 * 3
     assert capped.iterations < full.iterations
 
 
@@ -386,6 +413,104 @@ def test_every_probe_radius_lies_in_the_box(monkeypatch, kind):
     assert len(radii) == rep.iterations
     assert all(cfg.r_min <= radius <= cfg.r_max for radius in radii)
     assert radii.count(cfg.r_max) > 2 and rep.r_hat == cfg.r_max
+
+
+# ---------------------------------------------------------------- Jacobian
+
+
+def central_differences(fn, x, step=1e-6):
+    return np.column_stack([(fn(x + step * e) - fn(x - step * e)) / (2.0 * step) for e in np.eye(x.size)])
+
+
+@pytest.mark.parametrize(
+    "radius, coeff_scale",
+    [(3.0, 0.1), (0.3, 0.1), (11.0, 0.1), (3.0, 2.0), (12.0, 2.0)],
+    ids=["inside", "below_r_min", "above_r_max", "shrunk", "clipped_and_shrunk"],
+)
+@pytest.mark.parametrize("scenario_id", [1, 4])
+def test_projected_jacobian_matches_central_differences(scenario_id, radius, coeff_scale):
+    import spheredeconv.estimators as est_mod
+
+    cfg = FitConfig()
+    ctx = ContrastContext.from_sample(generate(scenario(scenario_id), 2000, seed=4), EvalGrid.build())
+    rng = np.random.default_rng(scenario_id)
+    x = np.concatenate([[radius], coeff_scale * rng.standard_normal(8)])
+    shrunk = 2.0 * float(x[1:] @ x[1:]) > COEFF_NORM_BOUND
+    assert shrunk == (coeff_scale == 2.0)
+
+    def residual(x):
+        r_proj, half = est_mod._project(x, cfg)
+        return contrast_residual(FourierDensity.from_half(half), r_proj, ctx)
+
+    r_proj, half = est_mod._project(x, cfg)
+    got = est_mod._project_jacobian(contrast_jacobian(FourierDensity.from_half(half), r_proj, ctx), x, cfg)
+    want = central_differences(residual, x)
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+    clipped = not cfg.r_min <= radius <= cfg.r_max
+    assert (not got[:, 0].any()) == clipped
+    if shrunk:
+        # the radial direction is flat under the shrink
+        assert np.max(np.abs(got[:, 1:] @ x[1:])) <= 1e-12 * np.max(np.abs(got[:, 1:]))
+
+
+def test_default_joint_fit_runs_one_series_call_per_probe(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+    import spheredeconv.estimators as est_mod
+
+    series, probes = [], []
+    real_series, real_residual = charfn_mod._series_multi, est_mod.contrast_residual
+
+    def counting_series(orders, x):
+        series.append(orders.size)
+        return real_series(orders, x)
+
+    def counting_residual(f, radius, ctx):
+        probes.append(radius)
+        return real_residual(f, radius, ctx)
+
+    monkeypatch.setattr(charfn_mod, "_series_multi", counting_series)
+    monkeypatch.setattr(est_mod, "contrast_residual", counting_residual)
+    s = generate(scenario(1), 2000, seed=6)
+    rep = fit_joint(s)
+    # the window check calls the series through its own import
+    assert len(series) == len(probes) == rep.iterations
+    assert set(series) == {FitConfig().k_cutoff + 1}
+    again = fit_joint(s)
+    assert (again.r_hat, again.contrast_value, again.iterations) == (rep.r_hat, rep.contrast_value, rep.iterations)
+    assert np.array_equal(again.f_hat_coeffs, rep.f_hat_coeffs) and np.array_equal(again.c_hat, rep.c_hat)
+
+
+def test_jacobian_away_from_the_latest_probe_probes_first(monkeypatch):
+    import spheredeconv.estimators as est_mod
+
+    seen = {}
+
+    def one_step(fun, x0, jac, **kwargs):
+        fun(x0)
+        before = len(probes)
+        away = x0 + np.array([0.25, 0.01, -0.02])
+        seen["jac"], seen["probed"] = jac(away), len(probes) - before
+        seen["at_probe"] = jac(away)
+        seen["probed_again"] = len(probes) - before - seen["probed"]
+        seen["away"] = away
+
+    probes = []
+    real = est_mod.contrast_residual
+
+    def recording(f, radius, ctx):
+        probes.append((f, radius, ctx))
+        return real(f, radius, ctx)
+
+    monkeypatch.setattr(est_mod, "least_squares", one_step)
+    monkeypatch.setattr(est_mod, "contrast_residual", recording)
+    cfg = FitConfig(restarts=1, k_cutoff=1)
+    rep = fit_joint(generate(scenario(1), 200, seed=8), cfg)
+    assert rep.iterations == len(probes) == AUDIT_POINTS + 2
+    assert (seen["probed"], seen["probed_again"]) == (1, 0)
+    f, radius, ctx = probes[-1]
+    assert radius == seen["away"][0]
+    assert np.array_equal(seen["jac"], contrast_jacobian(f, radius, ctx))
+    assert np.array_equal(seen["at_probe"], seen["jac"])
 
 
 # ---------------------------------------------------------------- joint fit
