@@ -19,8 +19,8 @@ import numpy as np
 
 from .charfn import bench_grid
 from .errors import ConfigError, NumericalError
-from .estimators import FitConfig, check_radius_window, fit_joint, fit_radius_known_density, truncation_level
-from .geometry import FourierDensity, fourier_coefficients
+from .estimators import FitConfig, _as_int, check_radius_window, fit_joint, fit_radius_known_density, truncation_level
+from .geometry import fourier_coefficients
 from .simulate import derive_seed, generate, scenario
 
 # paper-scale grid; the desk default keeps the suite in minutes
@@ -49,7 +49,7 @@ class BenchSpec:
     def __post_init__(self) -> None:
         if self.scenario_id not in (1, 2, 3, 4):
             raise ConfigError(f"unknown scenario id {self.scenario_id}")
-        ns = tuple(int(n) for n in self.n_values)
+        ns = tuple(_as_int("n_values", n) for n in self.n_values)
         if not ns:
             raise ConfigError("n_values must be non-empty")
         if any(n < 50 for n in ns):
@@ -57,8 +57,12 @@ class BenchSpec:
         if list(ns) != sorted(ns):
             raise ConfigError("n_values must be sorted ascending")
         object.__setattr__(self, "n_values", ns)
+        for name in ("replications", "base_seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
         if self.mode not in MODES + ("both",):
             raise ConfigError(f"mode must be one of {MODES + ('both',)}")
         if self.fit_overrides:
@@ -96,13 +100,6 @@ class RateFit:
 
 def _density_tail_mass(density, level: int) -> float:
     """sum over level < |k| <= TAIL_CUTOFF of |c_k|^2 for the truth."""
-    if isinstance(density, FourierDensity):
-        have = density.cutoff
-        if have <= level:
-            return 0.0
-        mid = have
-        tail = np.concatenate([density.coeffs[: mid - level], density.coeffs[mid + level + 1 :]])
-        return float(np.sum(np.abs(tail) ** 2))
     coeffs = fourier_coefficients(density, TAIL_CUTOFF)
     total = 0.0
     for k in range(level + 1, TAIL_CUTOFF + 1):

@@ -263,14 +263,14 @@ class PolarTable:
         return self.bessel_rows(radius)
 
 
-def _assemble(coeffs: np.ndarray, jmat: np.ndarray, table: PolarTable) -> np.ndarray:
-    """sum_p i^p c_p J_p exp(-2 i pi p theta) from the table's Bessel rows jmat."""
-    k_cut = table.k_cut
+def _assemble(coeffs: np.ndarray, jmat: np.ndarray, phases) -> np.ndarray:
+    """sum_p i^p c_p J_p exp(-2 i pi p theta) from Bessel rows jmat and phase rows phases."""
+    k_cut = len(phases)
     vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
     ipow = 1.0 + 0.0j
     for p in range(1, k_cut + 1):
         ipow = ipow * 1j
-        vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * table.phases[p - 1]))
+        vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * phases[p - 1]))
     return vals
 
 
@@ -282,15 +282,15 @@ def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> np.ndarr
     Conjugate pairs collapse to J_0 + sum_{p>=1} i^p J_p * 2 Re(c_p e^{-2 i pi p theta}).
     One series call on the distinct radii; each point gathers its row.
     """
-    return _assemble(coeffs, table.bessel_rows(radius), table)
+    return _assemble(coeffs, table.bessel_rows(radius), table.phases)
 
 
-def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable) -> tuple[np.ndarray, np.ndarray]:
-    """The closed form on a table's points and its derivatives.
+def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, head: int) -> tuple:
+    """The closed form on a table's first head points and its derivatives on all.
 
-    Returns (vals, dvals): vals as _psi_polar gives them, and dvals of shape
-    (1 + 2K, m) holding dPsi/dR, then dPsi/dRe c_p and dPsi/dIm c_p for
-    p = 1..K.  With e_p = exp(-2 i pi p theta),
+    Returns (vals, dvals): vals as _psi_polar gives them on points 0..head-1,
+    and dvals of shape (1 + 2K, m) holding dPsi/dR, then dPsi/dRe c_p and
+    dPsi/dIm c_p for p = 1..K.  With e_p = exp(-2 i pi p theta),
         dPsi/dRe c_p = i^p J_p(rR) 2 Re e_p,   dPsi/dIm c_p = -i^p J_p(rR) 2 Im e_p,
         dPsi/dR = -r J_1(rR) + sum_{p>=1} i^p [r J_{p-1}(rR) - (p/R) J_p(rR)] 2 Re(c_p e_p),
     by J_0' = -J_1 and J_p'(x) = J_{p-1}(x) - (p/x) J_p(x) (DLMF 10.6.2), so
@@ -312,7 +312,7 @@ def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable) ->
         dvals[2 * p] = -ipow * jmat[p] * (2.0 * phase.imag)
         twice_re = 2.0 * np.real(coeffs[k_cut + p] * phase)
         dvals[0] += ipow * (r * jmat[p - 1] - (p / radius) * jmat[p]) * twice_re
-    return _assemble(coeffs, jmat, table), dvals
+    return _assemble(coeffs, jmat[:, :head], [phase[:head] for phase in table.phases]), dvals
 
 
 @lru_cache(maxsize=16)
@@ -396,18 +396,18 @@ def psi_model_marginals(
 
 
 def psi_model_jacobian(f: FourierDensity, radius: float, grid: EvalGrid) -> tuple[tuple, tuple]:
-    """Psi and its derivatives in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
-    split as psi_model_marginals splits Psi; circle Fourier densities only.
+    """Psi on the axis slices and its derivatives in (R, Re c_1, Im c_1, ...,
+    Re c_K, Im c_K) on the split grid; circle Fourier densities only.
 
-    Returns ((vals1, vals2, full), (d1, d2, d_full)), each derivative array
-    with one leading row per parameter.  The Bessel rows come from the
-    grid's table, so right after psi_model_marginals(f, radius, grid) no
-    series runs (for K >= 1), and vals equal that call's values bit for bit.
+    Returns ((vals1, vals2), (d1, d2, d_full)), one leading derivative row per
+    parameter; the contrast's Jacobian needs no Psi on the full grid.  Right
+    after psi_model_marginals(f, radius, grid) the grid's table runs no
+    series (K >= 1), and vals equal that call's slices bit for bit.
     """
     if not closed_form_applies(f, grid.dim):
         raise ValueError("the Jacobian needs the closed form: a circle Fourier density")
-    vals, dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff))
-    return _split(vals, grid), _split(dvals, grid)
+    vals, dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff), grid.m1 + grid.m2)
+    return (vals[: grid.m1], vals[grid.m1 :]), _split(dvals, grid)
 
 
 def _split(vals: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

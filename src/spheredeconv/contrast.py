@@ -72,10 +72,10 @@ def _combine(psi: tuple, ref: tuple, grid: EvalGrid, extra_weight: np.ndarray | 
 def _combine_jacobian(psi: tuple, dpsi: tuple, ref: tuple, grid: EvalGrid) -> np.ndarray:
     """_combine(psi, ref, grid) linearised in psi: its (2 m1 m2, P) Jacobian.
 
-    dpsi is psi's derivative triple with one leading row per parameter, and
-    d diff = d psi_full ref1 ref2 - ref_full (d psi1 psi2 + psi1 d psi2).
+    psi is the (axis-1, axis-2) pair and dpsi the derivative triple, one
+    leading row per parameter: d diff = d psi_full ref1 ref2 - ref_full (d psi1 psi2 + psi1 d psi2).
     """
-    psi1, psi2, _ = psi
+    psi1, psi2 = psi
     d1, d2, d_full = dpsi
     ref1, ref2, ref_full = ref
     dprod = d1[:, :, None] * psi2 + psi1[:, None] * d2[:, None, :]

@@ -2,22 +2,23 @@
 
 The contrast is the squared norm of a weighted residual vector, so both
 fits minimize it as a nonlinear least-squares problem through one
-trust-region descent (minimize).  fit_joint descends jointly in the radius
-and the density's Fourier coefficients from the best radii of an audit
-scan, with the residual's exact Jacobian (contrast_jacobian chained
-through the projection onto the admissible set); fit_radius_known_density
-descends in the radius alone from the best radius of a coarse scan, with
-a forward-difference derivative.  Both probe the contrast through one
-_ProbeLog, which logs every probe and reports the best probed point, so
-the reported value is a certified near-minimum over everything examined.
-The center estimate plugs the fitted radius and density barycenter into
-C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.
+skeleton (_scan_and_descend): an audit scan of radii, then trust-region
+descents (minimize) from the best of them.  fit_joint descends in the
+radius and the density's Fourier coefficients, with the residual's exact
+Jacobian (contrast_jacobian chained through the projection onto the
+admissible set); fit_radius_known_density holds the density at f_star and
+descends in the radius alone, with a forward-difference derivative.  Both
+probe the contrast through one _ProbeLog, which logs every probe and
+reports the best probed point, a certified near-minimum over everything
+examined.  The center estimate plugs the fitted radius and density
+barycenter into C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -30,12 +31,17 @@ from .contrast import ContrastContext, contrast_jacobian, contrast_residual
 from .errors import ConfigError, NumericalError
 from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_coefficients, fourier_series, sphere_mean
 
-# radii in the joint fit's audit scan over [r_min, r_max], at the uniform density
+# radii in both fits' audit scan over [r_min, r_max], the free coefficients at zero
 AUDIT_POINTS = 16
-# radii in the known-density fit's coarse scan over [r_min, r_max]
-SCAN_POINTS = 64
 # the default alpha of the truncation level N = floor(alpha log n / log log n)
 ALPHA = 0.45
+
+
+def _as_int(name: str, value) -> int:
+    """value as an int; ConfigError for anything not integer-valued."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,7 @@ class FitConfig:
     k_cutoff is the Fourier cutoff K of the joint fit's density, and of a
     known circle callable's reported coefficients; restarts is the number
     of best audit radii (at most AUDIT_POINTS) the joint fit descends from,
-    and max_iters caps each of those descents' residual evaluations.
+    and max_iters caps every descent's residual evaluations, in both fits.
     Integer-valued floats are stored as ints.
     """
 
@@ -60,10 +66,7 @@ class FitConfig:
         if not (0.0 < self.r_min < self.r_max < math.inf):
             raise ValueError("need 0 < r_min < r_max < inf")
         for name in ("k_cutoff", "restarts", "max_iters"):
-            value = getattr(self, name)
-            if int(value) != value:
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.k_cutoff < 0:
             raise ValueError("k_cutoff must be >= 0")
         if not (1 <= self.restarts <= AUDIT_POINTS):
@@ -84,9 +87,6 @@ class EstimateReport:
     wall_time: float
     seed: int | None
     n: int
-
-    def density(self) -> FourierDensity:
-        return FourierDensity(self.f_hat_coeffs)
 
     def to_json(self) -> str:
         payload = {
@@ -206,6 +206,7 @@ def _project(x: np.ndarray, cfg: FitConfig) -> tuple[float, np.ndarray]:
     """Map a raw optimizer point into the admissible set.
 
     Radius clips to [r_min, r_max]; coefficients shrink radially by _shrink.
+    A length-1 x, the known-density fit's, maps to (clipped R, no coefficients).
     """
     radius = float(min(max(x[0], cfg.r_min), cfg.r_max))
     half = x[1::2] + 1j * x[2::2]
@@ -287,7 +288,7 @@ class _ProbeLog:
         )
 
 
-def minimize(residual, jac, x0: np.ndarray, max_nfev: int | None = None):
+def minimize(residual, jac, x0: np.ndarray, max_nfev: int):
     """Least-squares descent of residual from x0: trust-region reflective
     (Branch, Coleman & Li 1999), run to roundoff.  jac is the residual's
     Jacobian as a callable, or "2-point" for forward differences; max_nfev
@@ -324,20 +325,38 @@ def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | N
         ) from exc
 
 
+def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, jac, starts: int, k_cut: int = 0) -> None:
+    """The fit skeleton: probe AUDIT_POINTS radii evenly over [r_min, r_max]
+    with k_cut coefficients at zero, rank them by value (stable, so ties go
+    to the smaller radius), then descend from the best starts of them, each
+    descent making at most cfg.max_iters residual evaluations.  Every point
+    maps through _project, density(half) is the density probed there, and
+    jac is minimize's."""
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        radius, half = _project(x, cfg)
+        return log(density(half), radius)
+
+    zeros = np.zeros(k_cut, dtype=complex)
+    audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
+    for radius in audit:
+        residual(_pack(radius, zeros))
+    ranked = np.argsort([value for value, _, _ in log.probes], kind="stable")
+    for i in ranked[:starts]:
+        minimize(residual, jac, _pack(audit[i], zeros), cfg.max_iters)
+
+
 def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None) -> EstimateReport:
     """Jointly estimate the radius and the angular density on the circle.
 
-    Probes an audit scan of AUDIT_POINTS radii over [r_min, r_max] at the
-    uniform density, then runs one least-squares descent over
-    (R, Re c_1, Im c_1, ..., Re c_K, Im c_K) from each of the cfg.restarts
-    best audit radii (ties to the smaller radius), with c = 0 and at most
-    cfg.max_iters residual evaluations each.  The radius clips to
-    [r_min, r_max] and the coefficients shrink into the admissible set
-    inside the residual, and the exact Jacobian is chained through that
-    projection.  The optimizer asks for the Jacobian at the point it has
-    just evaluated, so the Jacobian reuses that probe's Bessel rows; at
-    any other point it probes first.  Returns the best probe, ties
-    breaking towards the smallest radius.  Deterministic given
+    Runs _scan_and_descend over (R, Re c_1, Im c_1, ..., Re c_K, Im c_K)
+    from the cfg.restarts best audit radii, at the uniform density.  The
+    radius clips to [r_min, r_max] and the coefficients shrink into the
+    admissible set inside the residual, and the exact Jacobian is chained
+    through that projection.  The optimizer asks for the Jacobian at the
+    point it has just evaluated, so the Jacobian reuses that probe's Bessel
+    rows; at any other point it probes first.  Returns the best probe,
+    ties breaking towards the smallest radius.  Deterministic given
     (sample, config).
     Raises ConfigError before any work when check_radius_window refuses.
     """
@@ -352,10 +371,6 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
     check_radius_window(cfg, grid)
     log = _ProbeLog(data, grid, getattr(sample, "seed", None), t_start)
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        radius, half = _project(x, cfg)
-        return log(FourierDensity.from_half(half), radius)
-
     def jacobian(x: np.ndarray) -> np.ndarray:
         radius, half = _project(x, cfg)
         _, last_radius, f = log.probes[-1]
@@ -364,13 +379,7 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
             log(f, radius)
         return _project_jacobian(contrast_jacobian(f, radius, log.ctx), x, cfg)
 
-    zeros = np.zeros(cfg.k_cutoff, dtype=complex)
-    audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
-    for radius in audit:
-        residual(_pack(radius, zeros))
-    ranked = np.argsort([value for value, _, _ in log.probes], kind="stable")
-    for i in ranked[: cfg.restarts]:
-        minimize(residual, jacobian, _pack(audit[i], zeros), cfg.max_iters)
+    _scan_and_descend(log, cfg, FourierDensity.from_half, jacobian, cfg.restarts, cfg.k_cutoff)
     return log.report()
 
 
@@ -382,9 +391,8 @@ def fit_radius_known_density(
 ) -> EstimateReport:
     """Estimate the radius with the angular density held at f_star.
 
-    Coarse scan of SCAN_POINTS radii over [r_min, r_max], then one
-    least-squares descent in R from the best scan radius (the leftmost on
-    ties), the radius clipping to [r_min, r_max] inside the residual.
+    Runs _scan_and_descend in R alone, the density fixed: one descent, with
+    forward differences, from the best audit radius (the leftmost on ties).
     Every contrast evaluation is logged and the best probed radius is
     returned, ties breaking towards the smaller radius.  Works for any
     density representation the model characteristic function supports;
@@ -398,15 +406,7 @@ def fit_radius_known_density(
     grid = grid or EvalGrid.build(dim=data.shape[1])
     check_radius_window(cfg, grid, f_star)
     log = _ProbeLog(data, grid, getattr(sample, "seed", None), t_start)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        return log(f_star, float(min(max(x[0], cfg.r_min), cfg.r_max)))
-
-    scan = np.linspace(cfg.r_min, cfg.r_max, SCAN_POINTS)
-    for radius in scan:
-        residual([radius])
-    best_idx = int(np.argmin([value for value, _, _ in log.probes]))  # argmin takes the leftmost minimum
-    minimize(residual, "2-point", np.array([scan[best_idx]]))
+    _scan_and_descend(log, cfg, lambda half: f_star, "2-point", 1)
 
     if isinstance(f_star, FourierDensity):
         return log.report()

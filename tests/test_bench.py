@@ -32,6 +32,12 @@ def test_benchspec_defaults():
     assert BenchSpec(scenario_id=1, mode="known_f").modes() == ("known_f",)
 
 
+def test_benchspec_stores_integer_valued_floats_as_ints():
+    spec = BenchSpec(1, (100.0, np.int64(200)), 2.0, base_seed=3.0)
+    assert (spec.n_values, spec.replications, spec.base_seed) == ((100, 200), 2, 3)
+    assert all(type(v) is int for v in (*spec.n_values, spec.replications, spec.base_seed))
+
+
 def test_full_grid_matches_published_sweep():
     assert FULL_GRID[0] == 100 and FULL_GRID[-1] == 1_000_000
     assert list(FULL_GRID) == sorted(FULL_GRID)
@@ -48,6 +54,12 @@ def test_full_grid_matches_published_sweep():
         dict(scenario_id=1, replications=0),
         dict(scenario_id=1, mode="all"),
         dict(scenario_id=1, fit_overrides={"bogus": 1}),
+        dict(scenario_id=1, n_values=(100.7,)),
+        dict(scenario_id=1, replications=2.5),
+        dict(scenario_id=1, base_seed=-1),
+        dict(scenario_id=1, base_seed=1.5),
+        dict(scenario_id=1, replications=float("nan")),
+        dict(scenario_id=1, n_values=(100, float("inf"))),
     ],
 )
 def test_benchspec_rejects_bad_values(kwargs):
@@ -142,6 +154,15 @@ def test_callable_tail_mass_sums_the_per_k_coefficients_in_order():
     for k in range(2, TAIL_CUTOFF + 1):
         want += 2.0 * abs(fourier_coefficient(f, k)) ** 2
     assert _density_tail_mass(f, 1) == want
+
+
+def test_fourier_tail_mass_is_the_mass_past_the_level():
+    from spheredeconv.bench import _density_tail_mass
+    from spheredeconv.geometry import FourierDensity
+
+    f = FourierDensity.from_half([0.2, 0.1j, 0.05])
+    assert _density_tail_mass(f, 1) == 2.0 * (abs(0.1j) ** 2 + abs(0.05) ** 2)
+    assert [_density_tail_mass(f, level) for level in (3, 4, 64)] == [0.0, 0.0, 0.0]
 
 
 def test_uncertifiable_window_raises_before_any_replication(monkeypatch):

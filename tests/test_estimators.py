@@ -48,6 +48,7 @@ def test_fitconfig_defaults():
         dict(restarts=2.5),
         dict(max_iters=2.5),
         dict(restarts=AUDIT_POINTS + 1),
+        dict(max_iters=float("inf")),
     ],
 )
 def test_fitconfig_rejects_bad_values(kwargs):
@@ -239,7 +240,7 @@ def test_known_density_fit_noiseless_circle():
     assert abs(rep.r_hat - 3.0) <= 0.01
     assert np.array_equal(rep.f_hat_coeffs, np.array([1.0 + 0.0j]))
     assert rep.contrast_value >= 0.0
-    assert rep.iterations > 64  # scan plus least-squares descent probes
+    assert rep.iterations > AUDIT_POINTS  # scan plus least-squares descent probes
     assert rep.seed == 11 and rep.n == 3000
     # per-coordinate std of the mean is 3/sqrt(2n) here, so 0.15 is ~3.5 sigma
     assert np.linalg.norm(rep.c_hat) <= 0.15
@@ -264,14 +265,52 @@ def test_known_density_fit_flat_sample_is_deterministic_leftmost():
 
 
 def test_known_density_fit_keeps_the_forward_difference_descent():
-    # values of the known-density fit before the joint fit took its exact
-    # Jacobian: this path still descends with forward differences
+    # pinned values of the known-density fit, which descends with forward
+    # differences from the best of the AUDIT_POINTS scan radii
     s = generate(scenario(1), 1000, seed=21)
     rep = fit_radius_known_density(s, FourierDensity.from_half([0.1 - 0.05j]))
-    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.998564267820686, 0.0001734495747298286, 76)
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9985642678261195, 0.00017344957472982861, 28)
     s = generate(scenario(4), 600, seed=5)
     rep = fit_radius_known_density(s, vonmises_like(), grid=EvalGrid.build(nodes_per_axis=17))
-    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9716510212345604, 0.00011760948167644224, 81)
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9716510226717956, 0.00011760948167644213, 34)
+
+
+def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
+    import spheredeconv.estimators as est_mod
+
+    probes, starts = [], []
+    real_residual, real_minimize = est_mod.contrast_residual, est_mod.minimize
+
+    def recording_residual(f, radius, ctx):
+        r = real_residual(f, radius, ctx)
+        probes.append((float(r @ r), radius))
+        return r
+
+    def recording_minimize(residual, jac, x0, max_nfev):
+        starts.append(x0.copy())
+        return real_minimize(residual, jac, x0, max_nfev)
+
+    monkeypatch.setattr(est_mod, "contrast_residual", recording_residual)
+    monkeypatch.setattr(est_mod, "minimize", recording_minimize)
+    cfg = FitConfig(restarts=3, k_cutoff=1)
+    audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
+    s = generate(scenario(1), 400, seed=2)
+    fits = ((lambda: fit_joint(s, cfg), 3, 3), (lambda: fit_radius_known_density(s, uniform_density(), cfg), 1, 1))
+    for fit, n_starts, size in fits:
+        probes.clear()
+        starts.clear()
+        fit()
+        assert [radius for _, radius in probes[:AUDIT_POINTS]] == list(audit)
+        ranked = np.argsort([value for value, _ in probes[:AUDIT_POINTS]], kind="stable")
+        assert [x0[0] for x0 in starts] == list(audit[ranked[:n_starts]])
+        assert all(x0.size == size and not x0[1:].any() for x0 in starts)
+    # two audit radii tie at the minimum: the known fit descends from the leftmost
+    tie = lambda f, radius, ctx: np.array([min(abs(radius - audit[9]), abs(radius - audit[5]))])  # noqa: E731
+    monkeypatch.setattr(est_mod, "contrast_residual", tie)
+    starts.clear()
+    rep = fit_radius_known_density(s, uniform_density(), cfg)
+    assert [x0[0] for x0 in starts] == [audit[5]]
+    assert (rep.r_hat, rep.contrast_value) == (audit[5], 0.0)
 
 
 def test_known_density_fit_validates_inputs():
