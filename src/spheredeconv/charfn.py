@@ -34,6 +34,15 @@ each grid evaluation runs the Bessel series once, on the radii times R.
 The table keeps its latest Bessel rows, so psi_model_jacobian, the exact
 derivatives of the closed form in (R, Re c_p, Im c_p), runs no series of
 its own right after an evaluation at the same radius.
+
+Data side: the empirical characteristic function is one real product per
+chunk of observations, [1; cos t1 x1; sin t1 x1] times the transpose of
+[1; cos t2 . x2; sin t2 . x2] over the first ceil(m2/2) axis-2 nodes; the
+ones rows carry both marginals, and the complex grid values, including
+the mirrored axis-2 columns, are assembled once from the summed product.
+Its cos and sin come from _cos_sin, a table-driven kernel in numpy ufuncs
+within 2^-52 of np.cos and np.sin, which numpy evaluates element by
+element in scalar libm calls.
 """
 
 from __future__ import annotations
@@ -178,15 +187,101 @@ def _expi(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def ecf(sample, grid: EvalGrid, chunk: int = 1 << 15) -> EcfCache:
+# Table-driven cos/sin (Tang, ACM TOMS 15, 1989): phi = k * 2 pi / 4096 + r,
+# with r reduced by a three-part Cody-Waite split of 2 pi / 4096.  _STEP_HI
+# and _STEP_MID have 26 significant bits or fewer, so k * _STEP_HI and
+# k * _STEP_MID are exact for |k| <= 2^27; larger phases go to np.cos/np.sin.
+_TABLE_SIZE = 4096
+_STEP_HI, _STEP_MID, _STEP_LO = 0.001533980801468715, -1.3583073901757281e-11, 5.979720698961686e-20
+_STEPS_PER_RADIAN = _TABLE_SIZE / (2.0 * np.pi)
+_REDUCTION_LIMIT = 2.0**27 * _STEP_HI
+# OpenBLAS runs a product of m n k < 2 * 65536 * 4 multiply-adds on one
+# thread.  The ECF sums products over this many observations, 35 x 35 on the
+# default grid and below that threshold up to 43 nodes per axis (d = 2), so
+# there its bits do not depend on the BLAS thread count; larger products,
+# split across threads, round differently from a single-threaded run
+_PRODUCT_WIDTH = 256
+
+
+def _trig_table() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of j * 2 pi / 4096, j = 0..4095, by angle addition on
+    (j * _STEP_HI, j * (_STEP_MID + _STEP_LO)): the first part is exact, the
+    second below 6e-8, so cos d = 1 - d^2/2 and sin d = d to roundoff."""
+    j = np.arange(_TABLE_SIZE, dtype=float)
+    head = j * _STEP_HI
+    tail = j * _STEP_MID + j * _STEP_LO
+    c, s = np.cos(head), np.sin(head)
+    half_sq = 0.5 * tail * tail
+    return c - (c * half_sq + s * tail), s + (c * tail - s * half_sq)
+
+
+_COS_TABLE, _SIN_TABLE = _trig_table()
+
+
+def _cos_sin(phase: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, work: np.ndarray) -> None:
+    """cos(phase) into cos_out and sin(phase) into sin_out, within 2^-52 of
+    np.cos and np.sin, in numpy ufuncs only.
+
+    k = rint(phase * 4096 / 2 pi) picks the table entry (c, s) = (cos, sin)
+    of k * 2 pi / 4096; the remainder |r| <~ pi / 4096 takes degree-4 and
+    degree-5 Taylor polynomials, whose truncation error is below 1e-21, and
+    cos phase = c + (c (cos r - 1) - s sin r), sin phase = s + (s (cos r - 1)
+    + c sin r).  work is float scratch of shape (4,) + phase.shape, which
+    the caller allocates once: chunk-sized temporaries allocated per call
+    come back from the allocator as fresh pages, and faulting those in cost
+    about as much as the arithmetic.  A call with any |phase| past
+    the exact-reduction range, or any non-finite phase, runs np.cos and
+    np.sin instead.
+    """
+    if not (-_REDUCTION_LIMIT <= phase.min() and phase.max() <= _REDUCTION_LIMIT):
+        np.cos(phase, out=cos_out)
+        np.sin(phase, out=sin_out)
+        return
+    k, r, tmp, spare = work
+    np.multiply(phase, _STEPS_PER_RADIAN, out=k)
+    np.rint(k, out=k)
+    index = spare.view(np.int64)
+    np.copyto(index, k, casting="unsafe")
+    np.bitwise_and(index, _TABLE_SIZE - 1, out=index)
+    c = _COS_TABLE.take(index, out=cos_out, mode="clip")
+    s = _SIN_TABLE.take(index, out=sin_out, mode="clip")
+    np.multiply(k, _STEP_HI, out=r)
+    np.subtract(phase, r, out=r)
+    r -= np.multiply(k, _STEP_MID, out=tmp)
+    r -= np.multiply(k, _STEP_LO, out=tmp)
+    r2 = np.multiply(r, r, out=k)
+    cos_m1 = np.multiply(r2, 1.0 / 24.0, out=spare)
+    cos_m1 -= 0.5
+    cos_m1 *= r2
+    sin_r = np.multiply(r2, 1.0 / 120.0, out=tmp)
+    sin_r -= 1.0 / 6.0
+    sin_r *= r2
+    sin_r *= r
+    sin_r += r
+    cos_rest = np.multiply(c, cos_m1, out=k)
+    cos_rest -= np.multiply(s, sin_r, out=r)
+    sin_rest = np.multiply(s, cos_m1, out=cos_m1)
+    sin_rest += np.multiply(c, sin_r, out=sin_r)
+    c += cos_rest
+    s += sin_rest
+
+
+def ecf(sample, grid: EvalGrid, chunk: int = 1 << 10) -> EcfCache:
     """Empirical characteristic function of the sample on the grid.
 
     Accepts an (n, d) array or any object with a .data attribute holding
-    one.  Observations are accumulated in fixed-order chunks, so the result
-    is deterministic for given inputs.  The axis-2 factors are computed for
-    the first ceil(m2/2) nodes only; since axis2_nodes[::-1] == -axis2_nodes,
-    the others are the conjugates of those rows, reversed.
+    one.  Each chunk of observations stacks the rows [1; cos(t1 x1);
+    sin(t1 x1)] over the m1 axis-1 nodes and [1; cos(t2 . x2); sin(t2 . x2)]
+    over the first ceil(m2/2) axis-2 nodes, computed by _cos_sin, and adds
+    their one real product into a small accumulator; the ones rows give
+    both marginals.  The complex values are assembled once at the end:
+    since axis2_nodes[::-1] == -axis2_nodes, the other axis-2 columns are
+    the same sums with the axis-2 sines negated, reversed.  Observations
+    are accumulated in fixed-order chunks, so the result is bitwise stable
+    for given inputs and chunk.
     """
+    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError("chunk must be an integer >= 1")
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2:
         raise ValueError("sample must be a 2-d array of shape (n, d)")
@@ -199,19 +294,38 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 15) -> EcfCache:
         raise ValueError("sample contains non-finite values")
     m1, m2 = grid.m1, grid.m2
     half2 = (m2 + 1) // 2
-    full = np.zeros((m1, m2), dtype=complex)
-    s1 = np.zeros(m1, dtype=complex)
-    s2 = np.zeros(m2, dtype=complex)
+    t1 = grid.axis1_nodes[:, None]
+    t2 = grid.axis2_nodes[:half2]
+    width = min(chunk, n)
+    rows1 = np.empty((1 + 2 * m1, width))
+    rows2 = np.empty((1 + 2 * half2, width))
+    rows1[0] = rows2[0] = 1.0
+    # per axis: the phases, then _cos_sin's scratch
+    work1, work2 = np.empty((5, m1, width)), np.empty((5, half2, width))
+    sums = np.zeros((1 + 2 * m1, 1 + 2 * half2))
     for start in range(0, n, chunk):
         block = data[start : start + chunk]
-        e1 = _expi(np.multiply.outer(grid.axis1_nodes, block[:, 0]))
-        e2 = np.empty((m2, block.shape[0]), dtype=complex)
-        e2[:half2] = _expi(grid.axis2_nodes[:half2] @ block[:, 1:].T)
-        np.conjugate(e2[: m2 - half2][::-1], out=e2[half2:])
-        full += e1 @ e2.T
-        s1 += e1.sum(axis=1)
-        s2 += e2.sum(axis=1)
-    return EcfCache(full / n, s1 / n, s2 / n, n)
+        b = block.shape[0]
+        a1, a2, w1, w2 = rows1[:, :b], rows2[:, :b], work1[..., :b], work2[..., :b]
+        np.multiply(t1, block[:, 0], out=w1[0])
+        np.matmul(t2, block[:, 1:].T, out=w2[0])
+        _cos_sin(w1[0], a1[1 : 1 + m1], a1[1 + m1 :], w1[1:])
+        _cos_sin(w2[0], a2[1 : 1 + half2], a2[1 + half2 :], w2[1:])
+        for k in range(0, b, _PRODUCT_WIDTH):
+            sums += a1[:, k : k + _PRODUCT_WIDTH] @ a2[:, k : k + _PRODUCT_WIDTH].T
+    sums /= n
+    cos1, sin1 = sums[1 : 1 + m1], sums[1 + m1 :]
+    cc, cs = cos1[:, 1 : 1 + half2], cos1[:, 1 + half2 :]
+    sc, ss = sin1[:, 1 : 1 + half2], sin1[:, 1 + half2 :]
+    rest = m2 - half2
+    full = np.empty((m1, m2), dtype=complex)
+    full.real[:, :half2], full.imag[:, :half2] = cc - ss, sc + cs
+    full.real[:, half2:], full.imag[:, half2:] = (cc + ss)[:, rest - 1 :: -1], (sc - cs)[:, rest - 1 :: -1]
+    marg1 = cos1[:, 0] + 1j * sin1[:, 0]
+    marg2 = np.empty(m2, dtype=complex)
+    marg2[:half2] = sums[0, 1 : 1 + half2] + 1j * sums[0, 1 + half2 :]
+    np.conjugate(marg2[rest - 1 :: -1], out=marg2[half2:])
+    return EcfCache(full, marg1, marg2, n)
 
 
 def closed_form_applies(f: AngleDensity, dim: int) -> bool:

@@ -140,9 +140,15 @@ class Scenario:
     dim: int = 2
 
     def __post_init__(self) -> None:
+        if not self.density.dim_minus_1 + 1 == self.dim == self.noise.dim:
+            raise ValueError(
+                f"dimensions disagree: density on S^{self.density.dim_minus_1}, dim {self.dim}, noise dim {self.noise.dim}"
+            )
         if self.c_star is None:
             self.c_star = np.zeros(self.dim)
         self.c_star = np.asarray(self.c_star, dtype=float)
+        if self.c_star.shape != (self.dim,):
+            raise ValueError(f"c_star must have shape ({self.dim},)")
 
     def noiseless(self) -> "Scenario":
         return replace(self, noise=NoiseModel.none(self.dim))

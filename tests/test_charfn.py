@@ -1,6 +1,11 @@
 """Tests for the evaluation grid, the ECF, and the model characteristic
 function (closed form and quadrature routes)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -8,8 +13,10 @@ from numpy.polynomial.legendre import leggauss
 
 from spheredeconv.bessel import bessel_j, bessel_j_int
 from spheredeconv.charfn import (
+    _REDUCTION_LIMIT,
     EcfCache,
     EvalGrid,
+    _cos_sin,
     ecf,
     psi_model,
     psi_model_jacobian,
@@ -176,6 +183,51 @@ class TestEcf:
             gap = np.max(np.abs(cache.full.ravel() - product))
             assert gap <= bound, (seed, gap, bound)
 
+    def test_matches_the_direct_complex_exponential(self):
+        # the unfolded complex-exp formula: one exp(i t . x) factor per node and observation
+        def direct(data, g):
+            e1 = np.exp(1j * np.multiply.outer(g.axis1_nodes, data[:, 0]))
+            e2 = np.exp(1j * (g.axis2_nodes @ data[:, 1:].T))
+            n = data.shape[0]
+            return e1 @ e2.T / n, e1.sum(axis=1) / n, e2.sum(axis=1) / n
+
+        g = EvalGrid.build()
+        samples = [generate(scenario(sid), 1500, sid).data for sid in (1, 2, 3, 4)]
+        # phases near 1e6 lie past the table reduction's range
+        samples.append(samples[3] + 1e6)
+        for data in samples:
+            want = direct(data, g)
+            for chunk in (1 << 10, 300):
+                cache = ecf(data, g, chunk=chunk)
+                for got, ref in zip((cache.full, cache.marg1, cache.marg2), want):
+                    assert np.max(np.abs(got - ref)) <= 2e-15, chunk
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS reads its thread count once, at load, so each count needs its own process
+        import spheredeconv
+
+        src = str(Path(spheredeconv.__file__).resolve().parents[1])
+        code = (
+            "import hashlib; from spheredeconv.charfn import EvalGrid, ecf; "
+            "from spheredeconv.simulate import generate, scenario; "
+            "c = ecf(generate(scenario(4), 3000, 1), EvalGrid.build()); "
+            "print(hashlib.sha256(c.full.tobytes() + c.marg1.tobytes() + c.marg2.tobytes()).hexdigest())"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("chunk", [0, -5, 2.5, 1024.0, "64", None])
+    def test_bad_chunk_is_refused_first(self, chunk):
+        g = EvalGrid.build(nodes_per_axis=5)
+        with pytest.raises(ValueError, match="chunk"):
+            ecf(np.zeros((0, 2)), g, chunk=chunk)
+
     def test_errors(self):
         g = EvalGrid.build(nodes_per_axis=5)
         with pytest.raises(ValueError):
@@ -186,6 +238,41 @@ class TestEcf:
         bad[1, 0] = np.inf
         with pytest.raises(ValueError):
             ecf(bad, g)
+
+
+class TestCosSin:
+    @staticmethod
+    def cos_sin(phase):
+        c, s = np.empty_like(phase), np.empty_like(phase)
+        _cos_sin(phase, c, s, np.empty((4,) + phase.shape))
+        return c, s
+
+    def check(self, phase):
+        c, s = self.cos_sin(phase)
+        assert np.max(np.abs(c - np.cos(phase))) <= 2.0**-52
+        assert np.max(np.abs(s - np.sin(phase))) <= 2.0**-52
+        return c, s
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 1e3, 1e5])
+    def test_random_phases_within_one_unit_of_2_to_minus_52(self, scale):
+        rng = np.random.default_rng(int(scale))
+        self.check(rng.uniform(-scale, scale, (50, 5000)))
+
+    def test_signed_zeros_and_table_nodes(self):
+        self.check(np.array([0.0, -0.0]))
+        self.check(np.arange(-3 * 4096, 3 * 4096 + 1) * (2.0 * np.pi / 4096))
+        # the table's own nodes, rounded to doubles, sit at r ~ 0
+        self.check(np.arange(4096) * (2.0 * np.pi / 4096) + 2.0 * np.pi * 1000)
+
+    def test_phases_past_the_reduction_limit_fall_back_to_numpy(self):
+        rng = np.random.default_rng(3)
+        big = rng.uniform(_REDUCTION_LIMIT, 1e9, 1000) * rng.choice([-1.0, 1.0], 1000)
+        mixed = np.concatenate([rng.uniform(-4.0, 4.0, 1000), [_REDUCTION_LIMIT * 1.5]])
+        for phase in (big, mixed):
+            c, s = self.check(phase)
+            assert np.array_equal(c, np.cos(phase)) and np.array_equal(s, np.sin(phase))
+        # up to the limit itself the table reduction holds
+        self.check(np.array([_REDUCTION_LIMIT, -_REDUCTION_LIMIT]) * np.linspace(0.9, 1.0, 101)[:, None])
 
 
 class TestPsiModel:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from spheredeconv.geometry import uniform_density
 from spheredeconv.simulate import (
     MIXTURE_MEAN,
     MIXTURE_POINT,
     NoiseModel,
     Sample,
+    Scenario,
     derive_seed,
     draw_noise,
     generate,
@@ -100,6 +102,17 @@ class TestScenarios:
             assert np.all(s.c_star == 0.0)
         with pytest.raises(ValueError):
             scenario(9)
+
+    def test_dimensions_must_agree(self):
+        circle, plane, space = uniform_density(1), NoiseModel.none(2), NoiseModel.none(3)
+        for density, noise, dim in ((uniform_density(2), space, 2), (circle, space, 2), (circle, plane, 3)):
+            with pytest.raises(ValueError, match="dimensions disagree"):
+                Scenario(0, density, noise, dim=dim)
+        for c_star in ((1.0,), (1.0, 2.0, 3.0), [[0.0, 0.0]]):
+            with pytest.raises(ValueError, match="c_star"):
+                Scenario(0, circle, plane, c_star=c_star)
+        scn = Scenario(0, uniform_density(2), space, c_star=(1.0, 2.0, 3.0), dim=3)
+        assert generate(scn, 5, 0).data.shape == (5, 3)
 
     def test_noiseless_points_lie_on_circle(self):
         s = scenario(1).noiseless()
