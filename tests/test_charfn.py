@@ -254,14 +254,14 @@ class TestCosSin:
         return c, s
 
     @pytest.mark.parametrize("scale", [1.0, 10.0, 1e3, 1e5])
-    def test_random_phases_within_one_unit_of_2_to_minus_52(self, scale):
+    def test_random_phases_within_2_to_minus_52(self, scale):
         rng = np.random.default_rng(int(scale))
         self.check(rng.uniform(-scale, scale, (50, 5000)))
 
     def test_signed_zeros_and_table_nodes(self):
         self.check(np.array([0.0, -0.0]))
         self.check(np.arange(-3 * 4096, 3 * 4096 + 1) * (2.0 * np.pi / 4096))
-        # the table's own nodes, rounded to doubles, sit at r ~ 0
+        # the same nodes a thousand turns out, where k runs past the table size
         self.check(np.arange(4096) * (2.0 * np.pi / 4096) + 2.0 * np.pi * 1000)
 
     def test_phases_past_the_reduction_limit_fall_back_to_numpy(self):
