@@ -1,82 +1,45 @@
-"""Bessel functions of the first kind via the ascending power series.
+"""Bessel functions of the first kind on [0, X_MAX], over scipy.special.
 
 Everything downstream (model characteristic functions, contrast values)
-reduces to J_alpha evaluated at moderate arguments x = r * R, where the
-truncated series is accurate to near machine precision.  The evaluator is
-deliberately self-contained and certifies its own accuracy per call: it
-bounds the truncation tail by the first omitted term and the roundoff by
-the largest intermediate term, and raises instead of silently degrading.
-In double precision that certification holds comfortably for x up to ~15
-at ABS_TOL; the hard argument cap is X_MAX.
+reduces to J_alpha evaluated at arguments x = r * R in [0, X_MAX].  The
+public functions wrap scipy.special.jv.  The closed form's hot path asks
+for J_0..J_K at many points at once, which bessel_rows serves: J_0 and
+J_1 from scipy.special.j0 and j1, higher orders by the forward three-term
+recurrence (DLMF 10.6.1) wherever x >= K, where it is stable (DLMF
+10.74(iv)), and by jv at the remaining points.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
-
-from .errors import NumericalError
+from scipy.special import j0, j1, jv
 
 X_MAX = 50.0
 
-_EPS = float(np.finfo(float).eps)
-# terms kept in the ascending series, and the absolute accuracy each
-# evaluation certifies; evaluation raises NumericalError when the bound
-# cannot be met
-SERIES_TERMS = 40
-ABS_TOL = 1e-10
 
+def bessel_rows(k_cut: int, x: np.ndarray) -> np.ndarray:
+    """J_p(x) for p = 0..max(k_cut, 1) (rows) at the points x >= 0 (columns).
 
-@lru_cache(maxsize=64)
-def _series_constants(orders: tuple) -> tuple:
-    """Gamma(order+1) and the term-ratio denominators m (order + m), m >= 1.
-
-    Both depend on the orders alone, so they are built once per order set
-    and shared read-only by every call.  math.gamma is exact at the
-    integers up to 23, so integer orders get exact factorials.
+    Row p + 1 is (2p / x) J_p - J_{p-1} where x >= max(k_cut, 1): the
+    recurrence then only runs at orders p < x, where it is stable.  At the
+    other points, x = 0 among them, rows 2.. come from jv.
     """
-    ords = np.array(orders, dtype=float)[:, None]
-    gamma = np.array([math.gamma(o + 1.0) for o in orders])[:, None]
-    denoms = [m * (ords + m) for m in range(1, SERIES_TERMS)]
-    for arr in [gamma, *denoms]:
-        arr.flags.writeable = False
-    return gamma, tuple(denoms)
-
-
-def _series_multi(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Ascending series for J_order(x), all orders at once.
-
-    orders: (p,) nonnegative reals; x: (m,) in [0, X_MAX].
-    Returns (p, m).  term_{k+1}/term_k = -(x/2)^2 / ((k+1)(order+k+1)), so
-    only Gamma(order+1) is ever needed explicitly.
-    """
-    half = 0.5 * x[None, :]
-    ords = orders[:, None]
-    g, denoms = _series_constants(tuple(orders.tolist()))
-    term = half**ords / g
-    acc = term.copy()
-    peak = np.abs(term)
-    neg_q = -(half * half)
-    for denom in denoms:
-        term = term * (neg_q / denom)
-        acc += term
-        np.maximum(peak, np.abs(term), out=peak)
-    # certification: tail <= first omitted term / (1 - ratio); roundoff ~ eps * peak
-    mterms = SERIES_TERMS
-    q = half * half
-    nxt = np.abs(term) * q / (mterms * (ords + mterms))
-    ratio = q / ((mterms + 1) * (ords + mterms + 1))
-    tail = np.where(ratio < 1.0, nxt / np.maximum(1.0 - ratio, 1e-300), np.inf)
-    err = tail + 4.0 * _EPS * peak
-    if np.any(err > ABS_TOL):
-        flat = int(np.argmax(err))
-        bad_x = float(x[flat % x.size])
-        raise NumericalError(
-            f"cannot certify abs_tol={ABS_TOL:g} for J at x={bad_x:g} with series_terms={SERIES_TERMS}"
-        )
-    return acc
+    top = max(int(k_cut), 1)
+    rows = np.empty((top + 1, x.size))
+    j0(x, out=rows[0])
+    j1(x, out=rows[1])
+    if top > 1:
+        # points with x < top get finite stand-in values here, replaced below
+        two_over_x = 2.0 / np.maximum(x, top)
+        for p in range(1, top):
+            np.multiply(two_over_x, p * rows[p], out=rows[p + 1])
+            rows[p + 1] -= rows[p - 1]
+        near = x < top
+        if near.any():
+            rows[2:, near] = jv(np.arange(2.0, top + 1.0)[:, None], x[near])
+    return rows
 
 
 def _check_range(xv: np.ndarray) -> None:
@@ -92,19 +55,14 @@ def _check_range(xv: np.ndarray) -> None:
 def bessel_j(order: float, x):
     """J_order(x) for order >= 0 and 0 <= x <= X_MAX.
 
-    Vectorized over x; returns a float for scalar input.  Accuracy is
-    certified to ABS_TOL (see module docstring).
+    Vectorized over x; returns a float for scalar input.
     """
     if order < 0:
         raise ValueError("order must be >= 0; use bessel_j_int for signed integer orders")
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xv = np.atleast_1d(x_arr)
-    _check_range(xv)
-    out = _series_multi(np.array([float(order)]), xv.ravel())[0]
-    if scalar:
-        return float(out[0])
-    return out.reshape(x_arr.shape)
+    _check_range(x_arr)
+    out = jv(float(order), x_arr)
+    return float(out) if x_arr.ndim == 0 else out
 
 
 def bessel_j_int(k: int, x):
@@ -126,19 +84,10 @@ def h_func(d: int, x):
         raise ValueError("d must be an integer >= 2")
     half_d = 0.5 * d
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xv = np.atleast_1d(x_arr).astype(float).ravel()
-    _check_range(xv)
-    out = np.empty_like(xv)
-    at_zero = xv == 0.0
-    out[at_zero] = 1.0 / (2.0**half_d * math.gamma(half_d + 1.0))
-    pos = ~at_zero
-    if np.any(pos):
-        xp = xv[pos]
-        out[pos] = _series_multi(np.array([half_d]), xp)[0] / xp**half_d
-    if scalar:
-        return float(out[0])
-    return out.reshape(x_arr.shape)
+    _check_range(x_arr)
+    out = np.full(x_arr.shape, 1.0 / (2.0**half_d * math.gamma(half_d + 1.0)))
+    np.divide(jv(half_d, x_arr), x_arr**half_d, out=out, where=x_arr > 0.0)
+    return float(out) if x_arr.ndim == 0 else out
 
 
 def jacobi_anger(z: float, theta: float, k_max: int) -> complex:
@@ -151,8 +100,8 @@ def jacobi_anger(z: float, theta: float, k_max: int) -> complex:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     zz = abs(float(z))
-    orders = np.arange(k_max + 1, dtype=float)
-    jvals = _series_multi(orders, np.array([zz]))[:, 0]
+    _check_range(np.array([zz]))
+    jvals = jv(np.arange(k_max + 1.0), zz)
     if z < 0:
         jvals[1::2] *= -1.0
     ks = np.arange(1, k_max + 1)

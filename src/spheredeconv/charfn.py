@@ -30,10 +30,11 @@ on one point set, sliced afterwards.  The closed form reads a PolarTable
 of a point set: the sorted distinct radii, each point's index into them,
 and the phase powers exp(-2 i pi p theta), p = 1..K.  EvalGrid caches one
 table of its stacked points per cutoff K, built on the first probe, so
-each grid evaluation runs the Bessel series once, on the radii times R.
-The table keeps its latest Bessel rows, so psi_model_jacobian, the exact
-derivatives of the closed form in (R, Re c_p, Im c_p), runs no series of
-its own right after an evaluation at the same radius.
+each grid evaluation calls the Bessel kernel bessel_rows once, on the
+radii times R.  The table keeps its latest Bessel rows, so
+psi_model_jacobian, the exact derivatives of the closed form in
+(R, Re c_p, Im c_p), makes no kernel call of its own right after an
+evaluation at the same radius.
 
 Data side: the empirical characteristic function is one real product per
 chunk of observations, [1; cos t1 x1; sin t1 x1] times the transpose of
@@ -54,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bessel import _series_multi
+from .bessel import bessel_rows
 from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, tensor_rule
 
 # half-width of the default frequency window [-nu_est, nu_est]^d
@@ -196,10 +197,12 @@ _STEP_HI, _STEP_MID, _STEP_LO = 0.001533980801468715, -1.3583073901757281e-11, 5
 _STEPS_PER_RADIAN = _TABLE_SIZE / (2.0 * np.pi)
 _REDUCTION_LIMIT = 2.0**27 * _STEP_HI
 # OpenBLAS runs a product of m n k < 2 * 65536 * 4 multiply-adds on one
-# thread.  The ECF sums products over this many observations, 35 x 35 on the
-# default grid and below that threshold up to 43 nodes per axis (d = 2), so
-# there its bits do not depend on the BLAS thread count; larger products,
-# split across threads, round differently from a single-threaded run
+# thread; a larger one, split across threads, rounds differently from a
+# single-threaded run.  The ECF sums its products over slices of
+# observations narrow enough to stay below that size, so its bits do not
+# depend on the BLAS thread count; _PRODUCT_WIDTH caps the slices, and is
+# their width on the default grid's 35 x 35 products
+_ONE_THREAD_PRODUCT = 2 * 65536 * 4
 _PRODUCT_WIDTH = 256
 
 
@@ -303,6 +306,7 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 10) -> EcfCache:
     # per axis: the phases, then _cos_sin's scratch
     work1, work2 = np.empty((5, m1, width)), np.empty((5, half2, width))
     sums = np.zeros((1 + 2 * m1, 1 + 2 * half2))
+    step = max(1, min(_PRODUCT_WIDTH, (_ONE_THREAD_PRODUCT - 1) // sums.size))
     for start in range(0, n, chunk):
         block = data[start : start + chunk]
         b = block.shape[0]
@@ -311,8 +315,8 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 10) -> EcfCache:
         np.matmul(t2, block[:, 1:].T, out=w2[0])
         _cos_sin(w1[0], a1[1 : 1 + m1], a1[1 + m1 :], w1[1:])
         _cos_sin(w2[0], a2[1 : 1 + half2], a2[1 + half2 :], w2[1:])
-        for k in range(0, b, _PRODUCT_WIDTH):
-            sums += a1[:, k : k + _PRODUCT_WIDTH] @ a2[:, k : k + _PRODUCT_WIDTH].T
+        for k in range(0, b, step):
+            sums += a1[:, k : k + step] @ a2[:, k : k + step].T
     sums /= n
     cos1, sin1 = sums[1 : 1 + m1], sums[1 + m1 :]
     cc, cs = cos1[:, 1 : 1 + half2], cos1[:, 1 + half2 :]
@@ -363,14 +367,15 @@ class PolarTable:
         return cls(int(k_cut), radii, index, tuple(phases))
 
     def bessel_rows(self, radius: float) -> np.ndarray:
-        """J_p(r * radius) for p = 0..K (rows) at every point (columns): one
-        series call on the distinct radii, each point gathering its value."""
-        jmat = _series_multi(np.arange(self.k_cut + 1, dtype=float), self.radii * radius)[:, self.index]
+        """J_p(r * radius) for p = 0..max(K, 1) (rows) at every point
+        (columns): one kernel call on the distinct radii, each point
+        gathering its value."""
+        jmat = bessel_rows(self.k_cut, self.radii * radius)[:, self.index]
         self._latest[:] = [radius, jmat]
         return jmat
 
     def latest_rows(self, radius: float) -> np.ndarray:
-        """bessel_rows(radius), without a series call when the latest call
+        """bessel_rows(radius), without a kernel call when the latest call
         was at this radius: the rows depend on the radius alone."""
         if self._latest and self._latest[0] == radius:
             return self._latest[1]
@@ -394,7 +399,7 @@ def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> np.ndarr
     Returns sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta) for
     p = -K..K; coefficients vanish beyond the cutoff, so the sum is exact.
     Conjugate pairs collapse to J_0 + sum_{p>=1} i^p J_p * 2 Re(c_p e^{-2 i pi p theta}).
-    One series call on the distinct radii; each point gathers its row.
+    One kernel call on the distinct radii; each point gathers its row.
     """
     return _assemble(coeffs, table.bessel_rows(radius), table.phases)
 
@@ -408,16 +413,14 @@ def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, he
         dPsi/dRe c_p = i^p J_p(rR) 2 Re e_p,   dPsi/dIm c_p = -i^p J_p(rR) 2 Im e_p,
         dPsi/dR = -r J_1(rR) + sum_{p>=1} i^p [r J_{p-1}(rR) - (p/R) J_p(rR)] 2 Re(c_p e_p),
     by J_0' = -J_1 and J_p'(x) = J_{p-1}(x) - (p/x) J_p(x) (DLMF 10.6.2), so
-    no order past K enters and nothing divides by r.  The Bessel rows are
-    the table's latest at this radius; only K = 0 runs a series, for J_1,
-    which certifies wherever J_0 does.
+    no order past max(K, 1) enters and nothing divides by r.  The Bessel
+    rows are the table's latest at this radius.
     """
     k_cut = table.k_cut
     jmat = table.latest_rows(radius)
     r = table.radii[table.index]
-    j1 = jmat[1] if k_cut else _series_multi(np.ones(1), table.radii * radius)[0, table.index]
     dvals = np.empty((1 + 2 * k_cut, r.size), dtype=complex)
-    dvals[0] = -r * j1
+    dvals[0] = -r * jmat[1]
     ipow = 1.0 + 0.0j
     for p in range(1, k_cut + 1):
         ipow = ipow * 1j
@@ -496,7 +499,7 @@ def psi_model_marginals(
     evaluation on grid.points().  The route is psi_model's automatic one,
     run on the same coordinates, so each value equals the pointwise
     psi_model call bit for bit; the closed form reads the grid's cached
-    PolarTable for the density's cutoff and makes one Bessel series call.
+    PolarTable for the density's cutoff and makes one Bessel kernel call.
     """
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
@@ -515,8 +518,8 @@ def psi_model_jacobian(f: FourierDensity, radius: float, grid: EvalGrid) -> tupl
 
     Returns ((vals1, vals2), (d1, d2, d_full)), one leading derivative row per
     parameter; the contrast's Jacobian needs no Psi on the full grid.  Right
-    after psi_model_marginals(f, radius, grid) the grid's table runs no
-    series (K >= 1), and vals equal that call's slices bit for bit.
+    after psi_model_marginals(f, radius, grid) the grid's table makes no
+    kernel call, and vals equal that call's slices bit for bit.
     """
     if not closed_form_applies(f, grid.dim):
         raise ValueError("the Jacobian needs the closed form: a circle Fourier density")

@@ -6,4 +6,4 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine produced a non-finite or uncertifiable result."""
+    """A contrast evaluated non-finite, on a degenerate grid or sample."""

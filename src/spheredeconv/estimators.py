@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .bessel import ABS_TOL, _series_multi
+from .bessel import X_MAX
 from .charfn import EvalGrid, closed_form_applies
 from .contrast import ContrastContext, contrast_jacobian, contrast_residual
 from .errors import ConfigError, NumericalError
@@ -299,30 +299,23 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int):
 
 
 def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | None = None) -> None:
-    """Refuse, with ConfigError, a radius window the Bessel series cannot certify.
+    """Refuse, with ConfigError, a radius window past the Bessel domain.
 
     The closed form evaluates J_0..J_K at r * R for every grid radius r
-    and probed radius R, and every fit probes R = r_max, so the largest
-    argument, r_max times the largest radius in the fit's own table (the
-    largest |t| on the grid), decides whether the fit can finish.  f_star
-    None stands for the joint fit (K = k_cutoff); a known density uses its
-    own cutoff, or needs no Bessel values when the closed form does not
+    and probed radius R <= r_max, so r_max times the largest |t| on the
+    grid must not exceed X_MAX.  f_star None stands for the joint fit; a
+    known density needs no Bessel values when the closed form does not
     apply to it.
     """
-    if f_star is None:
-        k_cut = cfg.k_cutoff
-    elif closed_form_applies(f_star, grid.dim):
-        k_cut = f_star.cutoff
-    else:
+    if f_star is not None and not closed_form_applies(f_star, grid.dim):
         return
-    x = float(grid.polar_table(k_cut).radii[-1]) * cfg.r_max
-    try:
-        _series_multi(np.arange(k_cut + 1, dtype=float), np.array([x]))
-    except NumericalError as exc:
+    pts = grid.points()
+    x = float(np.hypot(pts[:, 0], pts[:, 1]).max()) * cfg.r_max
+    if x > X_MAX:
         raise ConfigError(
             f"r_max={cfg.r_max:g} with nu_est={grid.nu_est:g} needs Bessel values at x={x:g}, "
-            f"beyond what the series certifies to abs_tol={ABS_TOL:g}; lower r_max or nu_est"
-        ) from exc
+            f"past X_MAX={X_MAX:g}; lower r_max or nu_est"
+        )
 
 
 def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, jac, starts: int, k_cut: int = 0) -> None:

@@ -172,8 +172,9 @@ def test_uncertifiable_window_raises_before_any_replication(monkeypatch):
         raise AssertionError("a replication ran before the window check")
 
     monkeypatch.setattr(bench_mod, "generate", no_fit)
-    with pytest.raises(ConfigError, match="r_max=30"):
-        run_bench(BenchSpec(1, (100,), 1, fit_overrides={"r_max": 30}))
+    # the bench grid's largest |t| is about 0.7, so r_max = 30 stays inside X_MAX
+    with pytest.raises(ConfigError, match="r_max=80"):
+        run_bench(BenchSpec(1, (100,), 1, fit_overrides={"r_max": 80}))
 
 
 def test_bench_cli_prints_the_grid_it_used(capsys, tmp_path):

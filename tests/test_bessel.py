@@ -15,10 +15,10 @@ from spheredeconv.bessel import (
     X_MAX,
     bessel_j,
     bessel_j_int,
+    bessel_rows,
     h_func,
     jacobi_anger,
 )
-from spheredeconv.errors import NumericalError
 
 
 def reference_series(alpha, x, terms=30):
@@ -151,10 +151,9 @@ def test_rejects_bad_arguments():
         jacobi_anger(1.0, 0.0, -1)
 
 
-def test_certification_fails_loudly_out_of_envelope():
-    # x = 45 cannot meet the default tolerance in double precision
-    with pytest.raises(NumericalError):
-        bessel_j(0, 45.0)
+def test_bessel_j_covers_the_whole_domain():
+    # x = 45 is well inside [0, X_MAX]
+    assert bessel_j(0, 45.0) == sp.jv(0, 45.0)
 
 
 def test_default_config_envelope_covers_grid_arguments():
@@ -164,17 +163,25 @@ def test_default_config_envelope_covers_grid_arguments():
     assert np.max(np.abs(vals - sp.j0(xs))) < 1e-10
 
 
-def test_j1_certifies_wherever_j0_does():
-    # a K = 0 joint fit's Jacobian evaluates J_1 where the radius window only
-    # certified J_0
-    from spheredeconv.bessel import _series_multi
+@pytest.mark.parametrize("k_cut", range(13))
+def test_rows_match_scipy_jv(k_cut):
+    # the recurrence runs where x >= max(K, 1): probe x = 0 and both sides of
+    # that boundary, and the whole domain
+    top = max(k_cut, 1)
+    edges = [0.0, np.nextafter(top, 0.0), float(top), np.nextafter(top, np.inf)]
+    xs = np.concatenate([edges, np.linspace(0.0, X_MAX, 2001)])
+    rows = bessel_rows(k_cut, xs)
+    assert rows.shape == (top + 1, xs.size)
+    assert np.max(np.abs(rows - sp.jv(np.arange(top + 1.0)[:, None], xs))) <= 2e-15
 
-    def certifies(order, x):
-        try:
-            _series_multi(np.array([order]), np.array([x]))
-        except NumericalError:
-            return False
-        return True
 
-    for x in np.linspace(0.0, X_MAX, 2001):
-        assert certifies(1.0, x) or not certifies(0.0, x), x
+@pytest.mark.parametrize("k_cut", [1, 2, 11, 12])
+def test_rows_satisfy_the_neumann_sum(k_cut):
+    # J_0 + 2 sum_{k>=1} J_2k = 1 (DLMF 10.12.4): the even rows the kernel
+    # returns, with the tail past its top order from jv up to order 120
+    xs = np.linspace(0.0, X_MAX, 2001)
+    rows = bessel_rows(k_cut, xs)
+    top = rows.shape[0] - 1
+    tail = sp.jv(np.arange(top + 2 - top % 2, 121.0, 2.0)[:, None], xs)
+    terms = np.vstack([rows[:1], 2.0 * rows[2::2], 2.0 * tail])
+    assert max(abs(math.fsum(column) - 1.0) for column in terms.T) <= 1e-14

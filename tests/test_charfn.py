@@ -203,24 +203,28 @@ class TestEcf:
                     assert np.max(np.abs(got - ref)) <= 2e-15, chunk
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
-        # OpenBLAS reads its thread count once, at load, so each count needs its own process
+        # OpenBLAS reads its thread count once, at load, so each count needs its
+        # own process; on 65 nodes per axis (67 x 67 rows) the product slices
+        # narrow below the default 256 observations
         import spheredeconv
 
         src = str(Path(spheredeconv.__file__).resolve().parents[1])
-        code = (
-            "import hashlib; from spheredeconv.charfn import EvalGrid, ecf; "
-            "from spheredeconv.simulate import generate, scenario; "
-            "c = ecf(generate(scenario(4), 3000, 1), EvalGrid.build()); "
-            "print(hashlib.sha256(c.full.tobytes() + c.marg1.tobytes() + c.marg2.tobytes()).hexdigest())"
-        )
-        digests = set()
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            digests.add(proc.stdout.strip())
-        assert len(digests) == 1
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for nodes in (33, 65):
+            code = (
+                "import hashlib; from spheredeconv.charfn import EvalGrid, ecf; "
+                "from spheredeconv.simulate import generate, scenario; "
+                f"c = ecf(generate(scenario(4), 3000, 1), EvalGrid.build(nodes_per_axis={nodes})); "
+                "print(hashlib.sha256(c.full.tobytes() + c.marg1.tobytes() + c.marg2.tobytes()).hexdigest())"
+            )
+            digests = set()
+            for threads in ("1", "2"):
+                env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+                proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                digests.add(proc.stdout.strip())
+            assert len(digests) == 1, nodes
 
     @pytest.mark.parametrize("chunk", [0, -5, 2.5, 1024.0, "64", None])
     def test_bad_chunk_is_refused_first(self, chunk):

@@ -107,13 +107,13 @@ def test_one_series_call_per_closed_form_contrast(monkeypatch):
     import spheredeconv.charfn as charfn_mod
 
     calls = []
-    real = charfn_mod._series_multi
+    real = charfn_mod.bessel_rows
 
-    def counting(orders, x):
+    def counting(k_cut, x):
         calls.append(x.size)
-        return real(orders, x)
+        return real(k_cut, x)
 
-    monkeypatch.setattr(charfn_mod, "_series_multi", counting)
+    monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
     grid = EvalGrid.build(nodes_per_axis=33)
     ctx = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), grid)
     for k, radius in enumerate((2.0, 2.5, 3.0, 3.5)):
@@ -170,28 +170,28 @@ def test_contrast_jacobian_reuses_the_latest_bessel_rows(monkeypatch):
     import spheredeconv.charfn as charfn_mod
 
     calls = []
-    real = charfn_mod._series_multi
+    real = charfn_mod.bessel_rows
 
-    def counting(orders, x):
-        calls.append(orders.size)
-        return real(orders, x)
+    def counting(k_cut, x):
+        calls.append(k_cut)
+        return real(k_cut, x)
 
-    monkeypatch.setattr(charfn_mod, "_series_multi", counting)
+    monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
     ctx = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
     f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
     contrast_residual(f, 2.5, ctx)
     at_probe = contrast_jacobian(f, 2.5, ctx)
-    assert calls == [3]
+    assert calls == [2]
     # at another radius the rows are evaluated afresh, and agree with a probe there
     elsewhere = contrast_jacobian(f, 2.7, ctx)
     contrast_residual(f, 2.7, ctx)
-    assert calls == [3, 3, 3]
+    assert calls == [2, 2, 2]
     assert np.array_equal(elsewhere, contrast_jacobian(f, 2.7, ctx))
     assert not np.array_equal(at_probe, elsewhere)
-    # K = 0 keeps no J_1 in its table: one series call of that order alone
+    # K = 0 rows hold J_1 too, so its Jacobian also reuses the probe's rows
     contrast_residual(FourierDensity.uniform(), 2.5, ctx)
     contrast_jacobian(FourierDensity.uniform(), 2.5, ctx)
-    assert calls[-2:] == [1, 1]
+    assert calls[3:] == [0]
 
 
 def test_contrast_jacobian_needs_the_closed_form():

@@ -269,7 +269,7 @@ def test_known_density_fit_keeps_the_forward_difference_descent():
     # differences from the best of the AUDIT_POINTS scan radii
     s = generate(scenario(1), 1000, seed=21)
     rep = fit_radius_known_density(s, FourierDensity.from_half([0.1 - 0.05j]))
-    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9985642690912484, 0.00017344957472982845, 33)
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.998564267727167, 0.00017344957472982845, 28)
     s = generate(scenario(4), 600, seed=5)
     rep = fit_radius_known_density(s, vonmises_like(), grid=EvalGrid.build(nodes_per_axis=17))
     assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9716510222684964, 0.00011760948167644273, 29)
@@ -323,8 +323,8 @@ def test_known_density_fit_validates_inputs():
 
 @pytest.mark.parametrize(
     "cfg, grid",
-    [(FitConfig(r_max=12.0), None), (FitConfig(), EvalGrid.build(nu_est=2.0))],
-    ids=["r_max_12", "nu_est_2"],
+    [(FitConfig(r_max=40.0), None), (FitConfig(), EvalGrid.build(nu_est=4.0))],
+    ids=["r_max_40", "nu_est_4"],
 )
 def test_uncertifiable_window_is_refused_before_ecf(monkeypatch, cfg, grid):
     import spheredeconv.contrast as contrast_mod
@@ -341,7 +341,7 @@ def test_uncertifiable_window_is_refused_before_ecf(monkeypatch, cfg, grid):
 
 
 def test_window_check_skips_densities_off_the_closed_form():
-    check_radius_window(FitConfig(r_max=12.0), EvalGrid.build(), vonmises_like())
+    check_radius_window(FitConfig(r_max=40.0), EvalGrid.build(), vonmises_like())
     check_radius_window(FitConfig(), EvalGrid.build())
 
 
@@ -349,13 +349,13 @@ def test_window_check_probes_the_largest_argument_a_fit_reaches(monkeypatch):
     import spheredeconv.charfn as charfn_mod
 
     seen = []
-    real = charfn_mod._series_multi
+    real = charfn_mod.bessel_rows
 
-    def recording(orders, x):
+    def recording(k_cut, x):
         seen.append(float(np.max(x)))
-        return real(orders, x)
+        return real(k_cut, x)
 
-    monkeypatch.setattr(charfn_mod, "_series_multi", recording)
+    monkeypatch.setattr(charfn_mod, "bessel_rows", recording)
     cfg, grid = FitConfig(), EvalGrid.build()
     fit_radius_known_density(generate(scenario(1), 100, 0), uniform_density(), cfg, grid)
     assert max(seen) == float(grid.polar_table(uniform_density().cutoff).radii[-1]) * cfg.r_max
@@ -497,23 +497,22 @@ def test_default_joint_fit_runs_one_series_call_per_probe(monkeypatch):
     import spheredeconv.estimators as est_mod
 
     series, probes = [], []
-    real_series, real_residual = charfn_mod._series_multi, est_mod.contrast_residual
+    real_series, real_residual = charfn_mod.bessel_rows, est_mod.contrast_residual
 
-    def counting_series(orders, x):
-        series.append(orders.size)
-        return real_series(orders, x)
+    def counting_series(k_cut, x):
+        series.append(k_cut)
+        return real_series(k_cut, x)
 
     def counting_residual(f, radius, ctx):
         probes.append(radius)
         return real_residual(f, radius, ctx)
 
-    monkeypatch.setattr(charfn_mod, "_series_multi", counting_series)
+    monkeypatch.setattr(charfn_mod, "bessel_rows", counting_series)
     monkeypatch.setattr(est_mod, "contrast_residual", counting_residual)
     s = generate(scenario(1), 2000, seed=6)
     rep = fit_joint(s)
-    # the window check calls the series through its own import
     assert len(series) == len(probes) == rep.iterations
-    assert set(series) == {FitConfig().k_cutoff + 1}
+    assert set(series) == {FitConfig().k_cutoff}
     again = fit_joint(s)
     assert (again.r_hat, again.contrast_value, again.iterations) == (rep.r_hat, rep.contrast_value, rep.iterations)
     assert np.array_equal(again.f_hat_coeffs, rep.f_hat_coeffs) and np.array_equal(again.c_hat, rep.c_hat)
