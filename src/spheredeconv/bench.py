@@ -19,8 +19,8 @@ import numpy as np
 
 from .charfn import bench_grid
 from .errors import ConfigError, NumericalError
-from .estimators import FitConfig, _as_int, check_radius_window, fit_joint, fit_radius_known_density, truncation_level
-from .geometry import fourier_coefficients
+from .estimators import FitConfig, _as_int, fit_joint, fit_radius_known_density, truncation_level
+from .geometry import TAIL_CUTOFF, fourier_coefficients
 from .simulate import derive_seed, generate, scenario
 
 # paper-scale grid; the desk default keeps the suite in minutes
@@ -34,7 +34,6 @@ DESK_GRID = (100, 1_000, 10_000)
 MODES = ("known_f", "unknown_f")
 # reps is the requested count; reps - failures replications entered the means
 EMIT_COLUMNS = ("n", "mode", "mse_R", "mse_C", "l2_density_err", "reps", "base_seed", "failures", "wall_ms")
-TAIL_CUTOFF = 64  # |k| beyond which truth coefficients are treated as zero
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,7 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
 
     Replications run sequentially with seeds derived from (base_seed,
     scenario, n, replication); a replication whose fit raises is recorded
-    as a failure and excluded from that cell's aggregates.  A radius window
-    that check_radius_window refuses raises ConfigError before the cell's
-    first replication.
+    as a failure and excluded from that cell's aggregates.
     """
     scn = scenario(spec.scenario_id)
     grid = bench_grid()
@@ -127,8 +124,6 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
         level = min(level, cfg.k_cutoff)
         truth = fourier_coefficients(scn.density, cfg.k_cutoff)
         tail_sq = _density_tail_mass(scn.density, level)
-        for mode in spec.modes():
-            check_radius_window(cfg, grid, scn.density if mode == "known_f" else None)
         cell = {
             mode: dict(sq_r=[], sq_c=[], sq_f=[], wall=0.0, failures=0)
             for mode in spec.modes()

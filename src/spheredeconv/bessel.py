@@ -1,7 +1,7 @@
-"""Bessel functions of the first kind on [0, X_MAX], over scipy.special.
+"""Bessel functions of the first kind at nonnegative arguments, over scipy.special.
 
 Everything downstream (model characteristic functions, contrast values)
-reduces to J_alpha evaluated at arguments x = r * R in [0, X_MAX].  The
+reduces to J_alpha evaluated at arguments x = r * R >= 0.  The
 public functions wrap scipy.special.jv.  The closed form's hot path asks
 for J_0..J_K at many points at once, which bessel_rows serves: J_0 and
 J_1 from scipy.special.j0 and j1, higher orders by the forward three-term
@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 from scipy.special import j0, j1, jv
-
-X_MAX = 50.0
 
 
 def bessel_rows(k_cut: int, x: np.ndarray) -> np.ndarray:
@@ -43,17 +41,14 @@ def bessel_rows(k_cut: int, x: np.ndarray) -> np.ndarray:
 
 
 def _check_range(xv: np.ndarray) -> None:
-    if xv.size == 0:
-        return
-    lo, hi = float(xv.min()), float(xv.max())
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if not np.all(np.isfinite(xv)):
         raise ValueError("x must be finite")
-    if lo < 0.0 or hi > X_MAX:
-        raise ValueError(f"x must lie in [0, {X_MAX:g}], got extreme value {lo if lo < 0 else hi:g}")
+    if xv.size and xv.min() < 0.0:
+        raise ValueError(f"x must be nonnegative, got {xv.min():g}")
 
 
 def bessel_j(order: float, x):
-    """J_order(x) for order >= 0 and 0 <= x <= X_MAX.
+    """J_order(x) for order >= 0 and finite x >= 0.
 
     Vectorized over x; returns a float for scalar input.
     """
@@ -94,8 +89,8 @@ def jacobi_anger(z: float, theta: float, k_max: int) -> complex:
     """Partial sum sum_{|k| <= k_max} i^k J_k(z) exp(-i k theta).
 
     Approximates exp(i z cos theta); pairs of opposite orders collapse to
-    J_0(z) + 2 sum_{k>=1} i^k J_k(z) cos(k theta).  z may be negative
-    (handled through J_k(-z) = (-1)^k J_k(z)); |z| <= X_MAX.
+    J_0(z) + 2 sum_{k>=1} i^k J_k(z) cos(k theta).  z is finite and may be
+    negative (handled through J_k(-z) = (-1)^k J_k(z)).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")

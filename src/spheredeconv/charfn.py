@@ -20,7 +20,8 @@ Model side: Psi_{f,R}(t) = int exp(i R <t, S(u)>) f(u) du.  On the circle
 with Fourier coefficients this collapses, in polar coordinates
 t = r (cos 2 pi theta, sin 2 pi theta), to the Bessel sum
 sum_p i^p c_p J_p(r R) exp(-2 i pi p theta); in all other cases the angle
-integral is evaluated by Gauss-Legendre quadrature on the unit box.
+integral is evaluated by Gauss-Legendre quadrature on the unit box, which
+the fits reach in d >= 3 only: they take circle callables in fourier_form.
 psi_model_marginals is the one route from a grid to Psi values.
 
 EvalGrid.points() stacks the three point sets the contrast compares --
@@ -34,7 +35,8 @@ each grid evaluation calls the Bessel kernel bessel_rows once, on the
 radii times R.  The table keeps its latest Bessel rows, so
 psi_model_jacobian, the exact derivatives of the closed form in
 (R, Re c_p, Im c_p), makes no kernel call of its own right after an
-evaluation at the same radius.
+evaluation at the same radius.  Off the closed form it returns dPsi/dR
+from the same quadrature as Psi.
 
 Data side: the empirical characteristic function is one real product per
 chunk of observations, [1; cos t1 x1; sin t1 x1] times the transpose of
@@ -404,12 +406,13 @@ def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> np.ndarr
     return _assemble(coeffs, table.bessel_rows(radius), table.phases)
 
 
-def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, head: int) -> tuple:
+def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, head: int, columns=None) -> tuple:
     """The closed form on a table's first head points and its derivatives on all.
 
     Returns (vals, dvals): vals as _psi_polar gives them on points 0..head-1,
-    and dvals of shape (1 + 2K, m) holding dPsi/dR, then dPsi/dRe c_p and
-    dPsi/dIm c_p for p = 1..K.  With e_p = exp(-2 i pi p theta),
+    and dvals of shape (columns, m) holding the first columns (default: all
+    1 + 2K) of dPsi/dR, then dPsi/dRe c_p and dPsi/dIm c_p for p = 1..K.
+    With e_p = exp(-2 i pi p theta),
         dPsi/dRe c_p = i^p J_p(rR) 2 Re e_p,   dPsi/dIm c_p = -i^p J_p(rR) 2 Im e_p,
         dPsi/dR = -r J_1(rR) + sum_{p>=1} i^p [r J_{p-1}(rR) - (p/R) J_p(rR)] 2 Re(c_p e_p),
     by J_0' = -J_1 and J_p'(x) = J_{p-1}(x) - (p/x) J_p(x) (DLMF 10.6.2), so
@@ -419,14 +422,15 @@ def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, he
     k_cut = table.k_cut
     jmat = table.latest_rows(radius)
     r = table.radii[table.index]
-    dvals = np.empty((1 + 2 * k_cut, r.size), dtype=complex)
+    dvals = np.empty((columns or 1 + 2 * k_cut, r.size), dtype=complex)
     dvals[0] = -r * jmat[1]
     ipow = 1.0 + 0.0j
     for p in range(1, k_cut + 1):
         ipow = ipow * 1j
         phase = table.phases[p - 1]
-        dvals[2 * p - 1] = ipow * jmat[p] * (2.0 * phase.real)
-        dvals[2 * p] = -ipow * jmat[p] * (2.0 * phase.imag)
+        if 2 * p < len(dvals):
+            dvals[2 * p - 1] = ipow * jmat[p] * (2.0 * phase.real)
+            dvals[2 * p] = -ipow * jmat[p] * (2.0 * phase.imag)
         twice_re = 2.0 * np.real(coeffs[k_cut + p] * phase)
         dvals[0] += ipow * (r * jmat[p - 1] - (p / radius) * jmat[p]) * twice_re
     return _assemble(coeffs, jmat[:, :head], [phase[:head] for phase in table.phases]), dvals
@@ -441,9 +445,10 @@ def _angle_quad(dim_minus_1: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _psi_quadrature(
-    f: AngleDensity, radius: float, pts: np.ndarray, chunk: int = 128
+    f: AngleDensity, radius: float, pts: np.ndarray, chunk: int = 128, d_radius: np.ndarray | None = None
 ) -> np.ndarray:
-    """Angle-box quadrature of exp(i R <t, S(u)>) f(u), unclipped density."""
+    """Angle-box quadrature of exp(i R <t, S(u)>) f(u), unclipped density;
+    d_radius, when given, receives dPsi/dR, that of i <t, S(u)> times it."""
     dm1 = pts.shape[1] - 1
     nodes, weights = _angle_quad(dm1)
     if isinstance(f, FourierDensity):
@@ -458,7 +463,12 @@ def _psi_quadrature(
         # one complex product, not a real one each for cos and sin: real dgemv
         # rounds a call's last rows differently, so grid values would stop
         # equalling pointwise psi_model calls bit for bit
-        out[start : start + chunk] = _expi(radius * (block @ svecs.T)) @ payload
+        proj = block @ svecs.T
+        waves = _expi(radius * proj)
+        out[start : start + chunk] = waves @ payload
+        if d_radius is not None:
+            waves *= proj
+            d_radius[start : start + chunk] = 1j * (waves @ payload)
     return out
 
 
@@ -512,19 +522,24 @@ def psi_model_marginals(
     return _split(vals, grid)
 
 
-def psi_model_jacobian(f: FourierDensity, radius: float, grid: EvalGrid) -> tuple[tuple, tuple]:
-    """Psi on the axis slices and its derivatives in (R, Re c_1, Im c_1, ...,
-    Re c_K, Im c_K) on the split grid; circle Fourier densities only.
+def psi_model_jacobian(f: AngleDensity, radius: float, grid: EvalGrid, columns: int | None = None) -> tuple:
+    """Psi on the axis slices and its derivatives in the first columns (default:
+    all) of (R, Re c_1, Im c_1, ..., Re c_K, Im c_K) on the split grid.
 
-    Returns ((vals1, vals2), (d1, d2, d_full)), one leading derivative row per
-    parameter; the contrast's Jacobian needs no Psi on the full grid.  Right
-    after psi_model_marginals(f, radius, grid) the grid's table makes no
-    kernel call, and vals equal that call's slices bit for bit.
+    Off the closed form only dPsi/dR exists, from the quadrature, and
+    columns must be 1.  Returns ((vals1, vals2), (d1, d2, d_full)), one
+    leading derivative row per column; the contrast's Jacobian needs no Psi
+    on the full grid.  vals equal psi_model_marginals' slices bit for bit,
+    and right after that call the closed form makes no kernel call.
     """
-    if not closed_form_applies(f, grid.dim):
-        raise ValueError("the Jacobian needs the closed form: a circle Fourier density")
-    vals, dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff), grid.m1 + grid.m2)
-    return (vals[: grid.m1], vals[grid.m1 :]), _split(dvals, grid)
+    if closed_form_applies(f, grid.dim):
+        vals, dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff), grid.m1 + grid.m2, columns)
+    elif columns != 1:
+        raise ValueError("the coefficient columns need the closed form; pass columns=1 for dPsi/dR")
+    else:
+        dvals = np.empty((1, grid.points().shape[0]), dtype=complex)
+        vals = _psi_quadrature(f, float(radius), grid.points(), d_radius=dvals[0])
+    return (vals[: grid.m1], vals[grid.m1 : grid.m1 + grid.m2]), _split(dvals, grid)
 
 
 def _split(vals: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

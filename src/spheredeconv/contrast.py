@@ -13,8 +13,8 @@ empirical contrast integrates the squared modulus of this quantity over
 the frequency box; the population version replaces the ECF by the true
 product and weights by |Phi_eps|^2.  Either quadrature is the squared norm
 of one weighted residual vector (_combine), which is what the estimators
-minimize by least squares; on the circle, contrast_jacobian gives that
-residual's exact Jacobian through _combine's linearisation.
+minimize by least squares; contrast_jacobian gives that residual's exact
+Jacobian through _combine's linearisation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import EcfCache, EvalGrid, bench_grid, ecf, psi_model_jacobian, psi_model_marginals
-from .geometry import AngleDensity, FourierDensity
+from .geometry import AngleDensity, fourier_form
 
 
 @dataclass(eq=False)
@@ -89,11 +89,11 @@ def contrast_residual(f: AngleDensity, radius: float, ctx: ContrastContext) -> n
     return _combine(psi_model_marginals(f, radius, ctx.grid), ctx.ref, ctx.grid)
 
 
-def contrast_jacobian(f: FourierDensity, radius: float, ctx: ContrastContext) -> np.ndarray:
-    """Jacobian of contrast_residual in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
-    shape (2 m1 m2, 1 + 2K); circle Fourier densities only.  Right after
-    contrast_residual(f, radius, ctx) it reuses that call's Bessel rows."""
-    psi, dpsi = psi_model_jacobian(f, radius, ctx.grid)
+def contrast_jacobian(f: AngleDensity, radius: float, ctx: ContrastContext, columns: int | None = None) -> np.ndarray:
+    """Jacobian of contrast_residual in the first columns (as psi_model_jacobian's)
+    of (R, Re c_1, Im c_1, ..., Re c_K, Im c_K), shape (2 m1 m2, columns).  Right
+    after contrast_residual(f, radius, ctx) the closed form reuses its Bessel rows."""
+    psi, dpsi = psi_model_jacobian(f, radius, ctx.grid, columns)
     return _combine_jacobian(psi, dpsi, ctx.ref, ctx.grid)
 
 
@@ -121,10 +121,12 @@ def contrast_m_oracle(
     Requires a noise model exposing a closed-form characteristic function
     (char_fn plus has_char_fn).  Zero exactly at the truth; positive at any
     candidate generating a different observation law.  grid defaults to
-    bench_grid() of the density's dimension.
+    bench_grid() of the density's dimension.  Circle callables enter in
+    their fourier_form.
     """
     if not getattr(noise, "has_char_fn", False) or not hasattr(noise, "char_fn"):
         raise ValueError("noise model does not expose a closed-form characteristic function")
+    f, f_star = fourier_form(f), fourier_form(f_star)
     if grid is None:
         grid = bench_grid(f.dim_minus_1 + 1)
     cand = psi_model_marginals(f, radius, grid)

@@ -3,15 +3,15 @@
 The contrast is the squared norm of a weighted residual vector, so both
 fits minimize it as a nonlinear least-squares problem through one
 skeleton (_scan_and_descend): an audit scan of radii, then trust-region
-descents (minimize) from the best of them.  fit_joint descends in the
-radius and the density's Fourier coefficients, with the residual's exact
+descents (minimize) from the best of them, with the residual's exact
 Jacobian (contrast_jacobian chained through the projection onto the
-admissible set); fit_radius_known_density holds the density at f_star and
-descends in the radius alone, with a forward-difference derivative.  Both
-probe the contrast through one _ProbeLog, which logs every probe and
-reports the best probed point, a certified near-minimum over everything
-examined.  The center estimate plugs the fitted radius and density
-barycenter into C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.
+admissible set).  fit_joint descends in the radius and the density's
+Fourier coefficients; fit_radius_known_density is the same fit with the
+density held at f_star, descending in the radius alone.  Both probe the
+contrast through one _ProbeLog, which logs every probe and reports the
+best probed point, a certified near-minimum over everything examined.
+The center estimate plugs the fitted radius and density barycenter into
+C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .bessel import X_MAX
-from .charfn import EvalGrid, closed_form_applies
+from .charfn import EvalGrid
 from .contrast import ContrastContext, contrast_jacobian, contrast_residual
 from .errors import ConfigError, NumericalError
-from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_coefficients, fourier_series, sphere_mean
+from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_form, fourier_series, sphere_mean
 
 # radii in both fits' audit scan over [r_min, r_max], the free coefficients at zero
 AUDIT_POINTS = 16
@@ -49,10 +48,10 @@ class FitConfig:
     """Knobs for the contrast minimizers.
 
     r_min/r_max bound the admissible radius (estimates clamp to them);
-    k_cutoff is the Fourier cutoff K of the joint fit's density, and of a
-    known circle callable's reported coefficients; restarts is the number
-    of best audit radii (at most AUDIT_POINTS) the joint fit descends from,
-    and max_iters caps every descent's residual evaluations, in both fits.
+    k_cutoff is the Fourier cutoff K of the joint fit's density; restarts
+    is the number of best audit radii (at most AUDIT_POINTS) the joint fit
+    descends from, and max_iters caps every descent's residual
+    evaluations, in both fits.
     Integer-valued floats are stored as ints.
     """
 
@@ -242,13 +241,13 @@ class _ProbeLog:
     Each probe evaluates contrast_residual on the sample's ECF, logs its
     squared norm (the value contrast_mn returns, bit for bit), refuses a
     non-finite value with NumericalError, and returns the residual.  Every
-    residual evaluation a descent makes, forward-difference ones included,
-    is a probe; the joint fit's exact Jacobian reuses the latest probe and
-    makes none of its own.  The best probe has the smallest contrast;
-    exact value ties break towards the smallest radius, then the smallest
-    coefficient mass sum_{k >= 1} |c_k|^2.  A tolerance window here would let the pick
-    wander by sqrt(tol/curvature) in R, which is far larger than the
-    advertised 1e-6 determinism, so only exact ties are broken.
+    residual evaluation a descent makes is a probe; the exact Jacobian
+    reuses the latest probe, or probes first at any other point.  The best
+    probe has the smallest contrast; exact value ties break towards the
+    smallest radius, then the smallest coefficient mass sum_{k >= 1} |c_k|^2.
+    A tolerance window here would let the pick wander by sqrt(tol/curvature)
+    in R, far more than the advertised 1e-6 determinism, so only exact ties
+    are broken.
     """
 
     def __init__(self, data: np.ndarray, grid: EvalGrid, seed: int | None, t_start: float) -> None:
@@ -272,14 +271,14 @@ class _ProbeLog:
             key=lambda p: (p[1], float(np.sum(np.abs(_half(p[2])) ** 2))),
         )
 
-    def report(self, coeffs: np.ndarray | None = None) -> EstimateReport:
+    def report(self) -> EstimateReport:
         """The best probe as a report: its logged contrast, the center it
-        implies, and coeffs (default: the probed density's own)."""
+        implies, and the probed density's coefficients ([1] in d >= 3)."""
         value, r_hat, f_hat = self.best()
         return EstimateReport(
             r_hat=float(r_hat),
             c_hat=estimate_center(self.data, r_hat, f_hat),
-            f_hat_coeffs=f_hat.coeffs if coeffs is None else coeffs,
+            f_hat_coeffs=f_hat.coeffs if isinstance(f_hat, FourierDensity) else np.array([1.0 + 0.0j]),
             contrast_value=float(value),
             iterations=len(self.probes),
             wall_time=time.perf_counter() - self.t_start,
@@ -291,44 +290,36 @@ class _ProbeLog:
 def minimize(residual, jac, x0: np.ndarray, max_nfev: int):
     """Least-squares descent of residual from x0: trust-region reflective
     (Branch, Coleman & Li 1999), run to roundoff.  jac is the residual's
-    Jacobian as a callable, or "2-point" for forward differences; max_nfev
-    caps the residual evaluations outside any forward-difference step."""
+    Jacobian as a callable; max_nfev caps the residual evaluations."""
     return least_squares(
         residual, x0, jac=jac, method="trf", xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev
     )
 
 
-def check_radius_window(cfg: FitConfig, grid: EvalGrid, f_star: AngleDensity | None = None) -> None:
-    """Refuse, with ConfigError, a radius window past the Bessel domain.
-
-    The closed form evaluates J_0..J_K at r * R for every grid radius r
-    and probed radius R <= r_max, so r_max times the largest |t| on the
-    grid must not exceed X_MAX.  f_star None stands for the joint fit; a
-    known density needs no Bessel values when the closed form does not
-    apply to it.
-    """
-    if f_star is not None and not closed_form_applies(f_star, grid.dim):
-        return
-    pts = grid.points()
-    x = float(np.hypot(pts[:, 0], pts[:, 1]).max()) * cfg.r_max
-    if x > X_MAX:
-        raise ConfigError(
-            f"r_max={cfg.r_max:g} with nu_est={grid.nu_est:g} needs Bessel values at x={x:g}, "
-            f"past X_MAX={X_MAX:g}; lower r_max or nu_est"
-        )
-
-
-def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, jac, starts: int, k_cut: int = 0) -> None:
+def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cut: int = 0) -> EstimateReport:
     """The fit skeleton: probe AUDIT_POINTS radii evenly over [r_min, r_max]
     with k_cut coefficients at zero, rank them by value (stable, so ties go
     to the smaller radius), then descend from the best starts of them, each
-    descent making at most cfg.max_iters residual evaluations.  Every point
-    maps through _project, density(half) is the density probed there, and
-    jac is minimize's."""
+    descent making at most cfg.max_iters residual evaluations; returns the
+    log's report.  Every point maps through _project, and density(half) is
+    the density probed there.  The Jacobian is contrast_jacobian's in the
+    point's coordinates, chained through _project.  The optimizer asks for
+    it at the point it has just evaluated, so it reuses that probe's Bessel
+    rows; at any other point it probes first.
+    """
 
     def residual(x: np.ndarray) -> np.ndarray:
         radius, half = _project(x, cfg)
         return log(density(half), radius)
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        radius, half = _project(x, cfg)
+        _, last_radius, f = log.probes[-1]
+        # compare the coefficients the descent varies: none in the known fit
+        if radius != last_radius or not np.array_equal(half, _half(f)[: half.size]):
+            f = density(half)
+            log(f, radius)
+        return _project_jacobian(contrast_jacobian(f, radius, log.ctx, x.size), x, cfg)
 
     zeros = np.zeros(k_cut, dtype=complex)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
@@ -336,7 +327,8 @@ def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, jac, starts: int,
         residual(_pack(radius, zeros))
     ranked = np.argsort([value for value, _, _ in log.probes], kind="stable")
     for i in ranked[:starts]:
-        minimize(residual, jac, _pack(audit[i], zeros), cfg.max_iters)
+        minimize(residual, jacobian, _pack(audit[i], zeros), cfg.max_iters)
+    return log.report()
 
 
 def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None) -> EstimateReport:
@@ -345,13 +337,9 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
     Runs _scan_and_descend over (R, Re c_1, Im c_1, ..., Re c_K, Im c_K)
     from the cfg.restarts best audit radii, at the uniform density.  The
     radius clips to [r_min, r_max] and the coefficients shrink into the
-    admissible set inside the residual, and the exact Jacobian is chained
-    through that projection.  The optimizer asks for the Jacobian at the
-    point it has just evaluated, so the Jacobian reuses that probe's Bessel
-    rows; at any other point it probes first.  Returns the best probe,
-    ties breaking towards the smallest radius.  Deterministic given
+    admissible set inside the residual.  Returns the best probe, ties
+    breaking towards the smallest radius.  Deterministic given
     (sample, config).
-    Raises ConfigError before any work when check_radius_window refuses.
     """
     t_start = time.perf_counter()
     cfg = cfg or FitConfig()
@@ -361,19 +349,8 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
     if data.shape[0] < 50:
         raise ValueError("need at least 50 observations for a joint fit")
     grid = grid or EvalGrid.build(dim=2)
-    check_radius_window(cfg, grid)
     log = _ProbeLog(data, grid, getattr(sample, "seed", None), t_start)
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        radius, half = _project(x, cfg)
-        _, last_radius, f = log.probes[-1]
-        if radius != last_radius or not np.array_equal(half, _half(f)):
-            f = FourierDensity.from_half(half)
-            log(f, radius)
-        return _project_jacobian(contrast_jacobian(f, radius, log.ctx), x, cfg)
-
-    _scan_and_descend(log, cfg, FourierDensity.from_half, jacobian, cfg.restarts, cfg.k_cutoff)
-    return log.report()
+    return _scan_and_descend(log, cfg, FourierDensity.from_half, cfg.restarts, cfg.k_cutoff)
 
 
 def fit_radius_known_density(
@@ -384,12 +361,12 @@ def fit_radius_known_density(
 ) -> EstimateReport:
     """Estimate the radius with the angular density held at f_star.
 
-    Runs _scan_and_descend in R alone, the density fixed: one descent, with
-    forward differences, from the best audit radius (the leftmost on ties).
-    Every contrast evaluation is logged and the best probed radius is
-    returned, ties breaking towards the smaller radius.  Works for any
-    density representation the model characteristic function supports;
-    raises ConfigError before any work when check_radius_window refuses.
+    Runs _scan_and_descend in R alone, the density fixed: one descent from
+    the best audit radius (the leftmost on ties).  Every contrast
+    evaluation is logged and the best probed radius is returned, ties
+    breaking towards the smaller radius.  A circle callable is fitted and
+    reported in its fourier_form, which may refuse it with ConfigError
+    before any work.
     """
     t_start = time.perf_counter()
     cfg = cfg or FitConfig()
@@ -397,14 +374,6 @@ def fit_radius_known_density(
     if data.ndim != 2 or data.shape[1] != f_star.dim_minus_1 + 1:
         raise ValueError("sample dimension does not match the density")
     grid = grid or EvalGrid.build(dim=data.shape[1])
-    check_radius_window(cfg, grid, f_star)
+    f_star = fourier_form(f_star)
     log = _ProbeLog(data, grid, getattr(sample, "seed", None), t_start)
-    _scan_and_descend(log, cfg, lambda half: f_star, "2-point", 1)
-
-    if isinstance(f_star, FourierDensity):
-        return log.report()
-    if f_star.dim_minus_1 == 1:
-        coeffs = fourier_coefficients(f_star, cfg.k_cutoff)
-        coeffs[cfg.k_cutoff] = 1.0  # quadrature puts it within 1e-10 of 1 already
-        return log.report(0.5 * (coeffs + np.conj(coeffs[::-1])))
-    return log.report(np.array([1.0 + 0.0j]))  # no circle Fourier expansion above d = 2
+    return _scan_and_descend(log, cfg, lambda half: f_star, 1)

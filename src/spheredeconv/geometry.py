@@ -18,8 +18,14 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .errors import ConfigError
+
 # compactness bound on sum_{k != 0} |c_k|^2 for Fourier densities
 COEFF_NORM_BOUND = 10.0
+# harmonics |k| > TAIL_CUTOFF of a circle density count as zero; fourier_form
+# cuts a circle callable where sum_{k > K} |c_k| falls to TAIL_BOUND
+TAIL_CUTOFF = 64
+TAIL_BOUND = 1e-13
 
 
 def sphere_map(u):
@@ -215,33 +221,49 @@ def density_eval(f: AngleDensity, u):
 def fourier_coefficient(f: AngleDensity, k: int) -> complex:
     """c_k = int_0^1 f(u) exp(+2i pi k u) du; exact for Fourier densities,
     ~1e4-node quadrature for circle callables."""
-    return complex(_coefficients(f, (k,))[0])
+    return complex(fourier_coefficients(f, abs(k))[k + abs(k)])
 
 
 def fourier_coefficients(f: AngleDensity, k_cut: int) -> np.ndarray:
     """c_{-K}..c_K for K = k_cut, each equal to fourier_coefficient's.
 
-    A circle callable is evaluated once on the quadrature rule, then each
-    c_k is one weighted sum over its nodes; no (2K+1) x nodes matrix is
-    built.  Fourier densities are zero-padded beyond their cutoff.
+    A circle callable is evaluated once on the quadrature rule, and
+    exp(2i pi k u) for k = 1..K is formed by repeated multiplication, so
+    each c_k is one weighted sum over the nodes; c_{-k} = conj(c_k) exactly,
+    as f is real.  Fourier densities are zero-padded beyond their cutoff.
     """
-    return _coefficients(f, range(-k_cut, k_cut + 1))
-
-
-def _coefficients(f: AngleDensity, ks) -> np.ndarray:
-    out = np.zeros(len(ks), dtype=complex)
     if isinstance(f, FourierDensity):
-        for i, k in enumerate(ks):
-            if abs(k) <= f.cutoff:
-                out[i] = f.coeffs[k + f.cutoff]
+        out, m = np.zeros(2 * k_cut + 1, dtype=complex), min(k_cut, f.cutoff)
+        out[k_cut - m : k_cut + m + 1] = f.coeffs[f.cutoff - m : f.cutoff + m + 1]
         return out
     if f.dim_minus_1 != 1:
         raise ValueError("Fourier coefficients are defined for circle densities only")
     nodes, weights = _unit_box_grid(1, _axis_node_count(1))
-    vals = np.asarray(f.fn(nodes), dtype=float)
-    for i, k in enumerate(ks):
-        out[i] = np.sum(vals * np.exp(2j * np.pi * k * nodes[:, 0]) * weights)
-    return out
+    payload = np.asarray(f.fn(nodes), dtype=float) * weights
+    base = np.exp(2j * np.pi * nodes[:, 0])
+    power, sums = np.ones_like(base), np.empty(k_cut + 1, dtype=complex)
+    for k in range(k_cut + 1):
+        sums[k] = np.sum(payload * power)
+        power = power * base
+    return np.concatenate([np.conj(sums[:0:-1]), sums])
+
+
+def fourier_form(f: AngleDensity) -> AngleDensity:
+    """A circle callable as a FourierDensity with c_0 = 1 and c_{-k} = conj(c_k);
+    any other density unchanged.  The cutoff is the first K < TAIL_CUTOFF with
+    sum_{K < k <= TAIL_CUTOFF} |c_k| <= TAIL_BOUND; a callable with no such K,
+    or past COEFF_NORM_BOUND, is refused with ConfigError."""
+    if isinstance(f, FourierDensity) or f.dim_minus_1 != 1:
+        return f
+    half = fourier_coefficients(f, TAIL_CUTOFF)[TAIL_CUTOFF + 1 :]
+    tails = np.cumsum(np.abs(half[::-1]))[::-1]  # tails[K] = sum_{K < k <= TAIL_CUTOFF} |c_k|
+    k_cut = int(np.argmax(tails <= TAIL_BOUND))
+    if tails[k_cut] > TAIL_BOUND:
+        raise ConfigError(f"{f.name or 'circle callable'}: harmonics do not fall below {TAIL_BOUND:g} by k = {TAIL_CUTOFF}")
+    try:
+        return FourierDensity.from_half(half[:k_cut])
+    except ValueError as exc:
+        raise ConfigError(f"{f.name or 'circle callable'}: {exc}") from exc
 
 
 def sphere_mean(f: AngleDensity) -> np.ndarray:

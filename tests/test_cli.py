@@ -99,13 +99,10 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     # unsorted n list
     assert main(["bench", "--scenario", "1", "--n", "1000,100", "--quiet"]) == 2
     capsys.readouterr()
-    # a radius window past the Bessel domain X_MAX is refused up front; one
-    # inside it fits
+    # a wide radius window fits: Bessel arguments reach about 57 here
     sample_path = str(tmp_path / "s.csv")
     assert main(["generate", "--scenario", "1", "--n", "100", "--seed", "0", "--out", sample_path]) == 0
-    assert main(["estimate", "--input", sample_path, "--rmax", "40"]) == 2
-    assert "r_max=40" in capsys.readouterr().err
-    assert main(["estimate", "--input", sample_path, "--rmax", "12", "--out", str(tmp_path / "r.json")]) == 0
+    assert main(["estimate", "--input", sample_path, "--rmax", "40", "--out", str(tmp_path / "r.json")]) == 0
     capsys.readouterr()
     # a frequency window that cannot be finite is refused before any ECF work
     assert main(["estimate", "--input", sample_path, "--nu-est", "inf"]) == 2

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from spheredeconv.geometry import (
+    TAIL_BOUND,
+    TAIL_CUTOFF,
     CallableDensity,
     FourierDensity,
     density_eval,
@@ -13,6 +15,7 @@ from spheredeconv.geometry import (
     density_to_json,
     fourier_coefficient,
     fourier_coefficients,
+    fourier_form,
     fourier_series,
     sample_angles,
     sphere_map,
@@ -123,6 +126,19 @@ class TestCallableDensity:
         assert np.array_equal(fourier_coefficients(g, 1), g.coeffs[1:4])
         with pytest.raises(ValueError):
             fourier_coefficients(uniform_density(2), 1)
+
+    def test_fourier_form_cuts_a_circle_callable_where_its_tail_vanishes(self):
+        f = vonmises_like()
+        g = fourier_form(f)
+        # |c_12| is about 4e-13 and everything past it sums below TAIL_BOUND
+        assert g.cutoff == 12
+        coeffs = fourier_coefficients(f, 12)
+        assert np.sum(np.abs(fourier_coefficients(f, TAIL_CUTOFF)[TAIL_CUTOFF + 13 :])) <= TAIL_BOUND
+        assert g.coeffs[12] == 1.0 and np.array_equal(g.coeffs[13:], coeffs[13:])
+        assert np.array_equal(g.coeffs[:12], np.conj(g.coeffs[:12:-1]))
+        # Fourier densities and densities on higher spheres pass through
+        h, sphere = FourierDensity.from_half([0.2]), uniform_density(2)
+        assert fourier_form(h) is h and fourier_form(sphere) is sphere
 
 
 class TestSphereMean:
