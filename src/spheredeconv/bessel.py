@@ -64,9 +64,7 @@ def bessel_j_int(k: int, x):
     """J_k(x) for any signed integer order, via J_{-k} = (-1)^k J_k."""
     kk = int(k)
     val = bessel_j(abs(kk), x)
-    if kk < 0 and kk % 2 != 0:
-        return -val
-    return val
+    return -val if kk < 0 and kk % 2 != 0 else val
 
 
 def h_func(d: int, x):
@@ -100,6 +98,5 @@ def jacobi_anger(z: float, theta: float, k_max: int) -> complex:
     if z < 0:
         jvals[1::2] *= -1.0
     ks = np.arange(1, k_max + 1)
-    ipow = 1j**ks
-    total = jvals[0] + 2.0 * np.sum(ipow * jvals[1:] * np.cos(ks * float(theta)))
+    total = jvals[0] + 2.0 * np.sum(1j**ks * jvals[1:] * np.cos(ks * float(theta)))
     return complex(total)

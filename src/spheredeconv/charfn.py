@@ -35,8 +35,8 @@ each grid evaluation calls the Bessel kernel bessel_rows once, on the
 radii times R.  The table keeps its latest Bessel rows, so
 psi_model_jacobian, the exact derivatives of the closed form in
 (R, Re c_p, Im c_p), makes no kernel call of its own right after an
-evaluation at the same radius.  Off the closed form it returns dPsi/dR
-from the same quadrature as Psi.
+evaluation at the same radius.  Off the closed form the grid keeps its
+latest quadrature pass, which fills Psi and dPsi/dR together.
 
 Data side: the empirical characteristic function is one real product per
 chunk of observations, [1; cos t1 x1; sin t1 x1] times the transpose of
@@ -71,10 +71,9 @@ def bench_grid(dim: int = 2) -> "EvalGrid":
     """The frequency grid of every bench fit and of the population contrast's
     default: BENCH_NU_EST, 33 nodes per axis; built once per dimension, so
     its cached points and tables serve every later call."""
-    grid = _BENCH_GRIDS.get(dim)
-    if grid is None:
-        grid = _BENCH_GRIDS[dim] = EvalGrid.build(dim=dim, nu_est=BENCH_NU_EST)
-    return grid
+    if dim not in _BENCH_GRIDS:
+        _BENCH_GRIDS[dim] = EvalGrid.build(dim=dim, nu_est=BENCH_NU_EST)
+    return _BENCH_GRIDS[dim]
 
 
 @lru_cache(maxsize=64)
@@ -156,13 +155,19 @@ class EvalGrid:
     def polar_table(self, k_cut: int) -> "PolarTable":
         """Closed-form table of points() (d = 2) for cutoff k_cut; built on
         first use, then cached per k_cut."""
-        tables = getattr(self, "_polar_tables", None)
-        if tables is None:
-            tables = self._polar_tables = {}
-        table = tables.get(k_cut)
-        if table is None:
-            table = tables[k_cut] = PolarTable.build(k_cut, self.points())
-        return table
+        tables = self.__dict__.setdefault("_polar_tables", {})
+        if k_cut not in tables:
+            tables[k_cut] = PolarTable.build(k_cut, self.points())
+        return tables[k_cut]
+
+    def quadrature(self, f: AngleDensity, radius: float) -> tuple:
+        """_psi_quadrature's Psi and dPsi/dR on points(), from one pass kept for
+        the latest (f, radius): the Jacobian at a probe reuses the probe's pass."""
+        latest = getattr(self, "_quadrature", None)
+        if latest is None or latest[0] is not f or latest[1] != radius:
+            d_radius = np.empty(self.points().shape[0], dtype=complex)
+            latest = self._quadrature = (f, radius, _psi_quadrature(f, radius, self.points(), d_radius=d_radius), d_radius)
+        return latest[2:]
 
 
 @dataclass(eq=False)
@@ -406,12 +411,12 @@ def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> np.ndarr
     return _assemble(coeffs, table.bessel_rows(radius), table.phases)
 
 
-def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, head: int, columns=None) -> tuple:
+def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, head: int, radius_only: bool = False) -> tuple:
     """The closed form on a table's first head points and its derivatives on all.
 
     Returns (vals, dvals): vals as _psi_polar gives them on points 0..head-1,
-    and dvals of shape (columns, m) holding the first columns (default: all
-    1 + 2K) of dPsi/dR, then dPsi/dRe c_p and dPsi/dIm c_p for p = 1..K.
+    and dvals of shape (1 + 2K, m) holding dPsi/dR, then dPsi/dRe c_p and
+    dPsi/dIm c_p for p = 1..K, or of shape (1, m) with dPsi/dR alone.
     With e_p = exp(-2 i pi p theta),
         dPsi/dRe c_p = i^p J_p(rR) 2 Re e_p,   dPsi/dIm c_p = -i^p J_p(rR) 2 Im e_p,
         dPsi/dR = -r J_1(rR) + sum_{p>=1} i^p [r J_{p-1}(rR) - (p/R) J_p(rR)] 2 Re(c_p e_p),
@@ -422,13 +427,13 @@ def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, he
     k_cut = table.k_cut
     jmat = table.latest_rows(radius)
     r = table.radii[table.index]
-    dvals = np.empty((columns or 1 + 2 * k_cut, r.size), dtype=complex)
+    dvals = np.empty((1 if radius_only else 1 + 2 * k_cut, r.size), dtype=complex)
     dvals[0] = -r * jmat[1]
     ipow = 1.0 + 0.0j
     for p in range(1, k_cut + 1):
         ipow = ipow * 1j
         phase = table.phases[p - 1]
-        if 2 * p < len(dvals):
+        if not radius_only:
             dvals[2 * p - 1] = ipow * jmat[p] * (2.0 * phase.real)
             dvals[2 * p] = -ipow * jmat[p] * (2.0 * phase.imag)
         twice_re = 2.0 * np.real(coeffs[k_cut + p] * phase)
@@ -509,7 +514,8 @@ def psi_model_marginals(
     evaluation on grid.points().  The route is psi_model's automatic one,
     run on the same coordinates, so each value equals the pointwise
     psi_model call bit for bit; the closed form reads the grid's cached
-    PolarTable for the density's cutoff and makes one Bessel kernel call.
+    PolarTable for the density's cutoff and makes one Bessel kernel call,
+    the quadrature fills the grid's dPsi/dR in the same pass.
     """
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
@@ -518,27 +524,27 @@ def psi_model_marginals(
     if closed_form_applies(f, grid.dim):
         vals = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff))
     else:
-        vals = _psi_quadrature(f, float(radius), grid.points())
+        vals = grid.quadrature(f, float(radius))[0]
     return _split(vals, grid)
 
 
-def psi_model_jacobian(f: AngleDensity, radius: float, grid: EvalGrid, columns: int | None = None) -> tuple:
-    """Psi on the axis slices and its derivatives in the first columns (default:
-    all) of (R, Re c_1, Im c_1, ..., Re c_K, Im c_K) on the split grid.
+def psi_model_jacobian(f: AngleDensity, radius: float, grid: EvalGrid, radius_only: bool = False) -> tuple:
+    """Psi on the axis slices and its derivatives in (R, Re c_1, Im c_1, ...,
+    Re c_K, Im c_K), or in R alone when radius_only, on the split grid.
 
     Off the closed form only dPsi/dR exists, from the quadrature, and
-    columns must be 1.  Returns ((vals1, vals2), (d1, d2, d_full)), one
-    leading derivative row per column; the contrast's Jacobian needs no Psi
-    on the full grid.  vals equal psi_model_marginals' slices bit for bit,
-    and right after that call the closed form makes no kernel call.
+    radius_only must be set.  Returns ((vals1, vals2), (d1, d2, d_full)), one
+    leading derivative row per parameter; the contrast's Jacobian needs no Psi
+    on the full grid.  vals equal psi_model_marginals' slices bit for bit, and
+    right after that call neither route makes a kernel call or a quadrature pass.
     """
     if closed_form_applies(f, grid.dim):
-        vals, dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff), grid.m1 + grid.m2, columns)
-    elif columns != 1:
-        raise ValueError("the coefficient columns need the closed form; pass columns=1 for dPsi/dR")
+        vals, dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff), grid.m1 + grid.m2, radius_only)
+    elif not radius_only:
+        raise ValueError("the coefficient columns need the closed form; pass radius_only=True for dPsi/dR")
     else:
-        dvals = np.empty((1, grid.points().shape[0]), dtype=complex)
-        vals = _psi_quadrature(f, float(radius), grid.points(), d_radius=dvals[0])
+        vals, d_radius = grid.quadrature(f, float(radius))
+        dvals = d_radius[None]
     return (vals[: grid.m1], vals[grid.m1 : grid.m1 + grid.m2]), _split(dvals, grid)
 
 

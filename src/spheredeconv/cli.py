@@ -76,17 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    n_values = args.n
-    if n_values is None:
-        n_values = FULL_GRID if args.full else DESK_GRID
-    reps = args.reps
-    if reps is None:
-        reps = 30 if args.full else 10
-    overrides = {}
-    if args.rmin is not None:
-        overrides["r_min"] = args.rmin
-    if args.rmax is not None:
-        overrides["r_max"] = args.rmax
+    n_values = args.n if args.n is not None else (FULL_GRID if args.full else DESK_GRID)
+    reps = args.reps if args.reps is not None else (30 if args.full else 10)
+    overrides = {key: value for key, value in (("r_min", args.rmin), ("r_max", args.rmax)) if value is not None}
     spec = BenchSpec(
         scenario_id=args.scenario,
         n_values=n_values,

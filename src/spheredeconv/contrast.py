@@ -89,11 +89,11 @@ def contrast_residual(f: AngleDensity, radius: float, ctx: ContrastContext) -> n
     return _combine(psi_model_marginals(f, radius, ctx.grid), ctx.ref, ctx.grid)
 
 
-def contrast_jacobian(f: AngleDensity, radius: float, ctx: ContrastContext, columns: int | None = None) -> np.ndarray:
-    """Jacobian of contrast_residual in the first columns (as psi_model_jacobian's)
-    of (R, Re c_1, Im c_1, ..., Re c_K, Im c_K), shape (2 m1 m2, columns).  Right
-    after contrast_residual(f, radius, ctx) the closed form reuses its Bessel rows."""
-    psi, dpsi = psi_model_jacobian(f, radius, ctx.grid, columns)
+def contrast_jacobian(f: AngleDensity, radius: float, ctx: ContrastContext, radius_only: bool = False) -> np.ndarray:
+    """Jacobian of contrast_residual in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
+    or in R alone when radius_only (as psi_model_jacobian's), shape (2 m1 m2, P).
+    Right after contrast_residual(f, radius, ctx) it reuses that call's Bessel rows or quadrature pass."""
+    psi, dpsi = psi_model_jacobian(f, radius, ctx.grid, radius_only)
     return _combine_jacobian(psi, dpsi, ctx.ref, ctx.grid)
 
 

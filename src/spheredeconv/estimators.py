@@ -137,10 +137,7 @@ class TrigPolynomial:
         """Exact L2([0,1]) distance: the exponential basis is orthonormal,
         so the squared distance is the sum of squared coefficient gaps."""
         big = max(self.degree, other.degree)
-        a = np.zeros(2 * big + 1, dtype=complex)
-        b = np.zeros(2 * big + 1, dtype=complex)
-        a[big - self.degree : big + self.degree + 1] = self.coeffs
-        b[big - other.degree : big + other.degree + 1] = other.coeffs
+        a, b = (np.pad(p.coeffs, big - p.degree) for p in (self, other))
         return float(np.sqrt(np.sum(np.abs(a - b) ** 2)))
 
 
@@ -168,8 +165,7 @@ def truncate_density(report: EstimateReport, alpha: float = ALPHA) -> TrigPolyno
         raise ValueError(
             f"truncation level {level} exceeds the estimated cutoff {k_cut}; refit with larger k_cutoff"
         )
-    mid = k_cut
-    return TrigPolynomial(report.f_hat_coeffs[mid - level : mid + level + 1])
+    return TrigPolynomial(report.f_hat_coeffs[k_cut - level : k_cut + level + 1])
 
 
 def estimate_center(sample, r_hat: float, f_hat: AngleDensity) -> np.ndarray:
@@ -186,11 +182,7 @@ def estimate_center(sample, r_hat: float, f_hat: AngleDensity) -> np.ndarray:
 
 
 def _pack(radius: float, half: np.ndarray) -> np.ndarray:
-    x = np.empty(1 + 2 * half.size)
-    x[0] = radius
-    x[1::2] = half.real
-    x[2::2] = half.imag
-    return x
+    return np.concatenate([[radius], np.column_stack([half.real, half.imag]).ravel()])
 
 
 def _shrink(half: np.ndarray) -> float:
@@ -303,9 +295,10 @@ def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cu
     descent making at most cfg.max_iters residual evaluations; returns the
     log's report.  Every point maps through _project, and density(half) is
     the density probed there.  The Jacobian is contrast_jacobian's in the
-    point's coordinates, chained through _project.  The optimizer asks for
-    it at the point it has just evaluated, so it reuses that probe's Bessel
-    rows; at any other point it probes first.
+    point's coordinates (R alone for a length-1 point), chained through
+    _project.  The optimizer asks for it at the point it has just evaluated,
+    so it reuses that probe's Bessel rows or, in d >= 3, its quadrature
+    pass; at any other point it probes first.
     """
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -319,7 +312,7 @@ def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cu
         if radius != last_radius or not np.array_equal(half, _half(f)[: half.size]):
             f = density(half)
             log(f, radius)
-        return _project_jacobian(contrast_jacobian(f, radius, log.ctx, x.size), x, cfg)
+        return _project_jacobian(contrast_jacobian(f, radius, log.ctx, x.size == 1), x, cfg)
 
     zeros = np.zeros(k_cut, dtype=complex)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)

@@ -22,8 +22,8 @@ from .errors import ConfigError
 
 # compactness bound on sum_{k != 0} |c_k|^2 for Fourier densities
 COEFF_NORM_BOUND = 10.0
-# harmonics |k| > TAIL_CUTOFF of a circle density count as zero; fourier_form
-# cuts a circle callable where sum_{k > K} |c_k| falls to TAIL_BOUND
+# fourier_form counts harmonics |k| > TAIL_CUTOFF of a circle callable as zero (refusing
+# it if they hold over TAIL_BOUND of int f^2) and cuts it where sum_{k > K} |c_k| <= TAIL_BOUND
 TAIL_CUTOFF = 64
 TAIL_BOUND = 1e-13
 
@@ -251,19 +251,26 @@ def fourier_coefficients(f: AngleDensity, k_cut: int) -> np.ndarray:
 def fourier_form(f: AngleDensity) -> AngleDensity:
     """A circle callable as a FourierDensity with c_0 = 1 and c_{-k} = conj(c_k);
     any other density unchanged.  The cutoff is the first K < TAIL_CUTOFF with
-    sum_{K < k <= TAIL_CUTOFF} |c_k| <= TAIL_BOUND; a callable with no such K,
-    or past COEFF_NORM_BOUND, is refused with ConfigError."""
+    sum_{K < k <= TAIL_CUTOFF} |c_k| <= TAIL_BOUND.  A callable with no such K,
+    with more than TAIL_BOUND of int f^2 past |k| = TAIL_CUTOFF (Parseval on
+    the coefficients' own rule), or past COEFF_NORM_BOUND is refused with
+    ConfigError."""
     if isinstance(f, FourierDensity) or f.dim_minus_1 != 1:
         return f
-    half = fourier_coefficients(f, TAIL_CUTOFF)[TAIL_CUTOFF + 1 :]
+    name, full = f.name or "circle callable", fourier_coefficients(f, TAIL_CUTOFF)
+    half = full[TAIL_CUTOFF + 1 :]
     tails = np.cumsum(np.abs(half[::-1]))[::-1]  # tails[K] = sum_{K < k <= TAIL_CUTOFF} |c_k|
     k_cut = int(np.argmax(tails <= TAIL_BOUND))
     if tails[k_cut] > TAIL_BOUND:
-        raise ConfigError(f"{f.name or 'circle callable'}: harmonics do not fall below {TAIL_BOUND:g} by k = {TAIL_CUTOFF}")
+        raise ConfigError(f"{name}: harmonics do not fall below {TAIL_BOUND:g} by k = {TAIL_CUTOFF}")
+    nodes, weights = _unit_box_grid(1, _axis_node_count(1))
+    past = float(np.asarray(f.fn(nodes), dtype=float) ** 2 @ weights) - float(np.sum(np.abs(full) ** 2))
+    if past > TAIL_BOUND:
+        raise ConfigError(f"{name}: harmonics past k = {TAIL_CUTOFF} carry {past:.3g} of int f^2")
     try:
         return FourierDensity.from_half(half[:k_cut])
     except ValueError as exc:
-        raise ConfigError(f"{f.name or 'circle callable'}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def sphere_mean(f: AngleDensity) -> np.ndarray:

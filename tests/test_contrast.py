@@ -129,9 +129,9 @@ def test_one_quadrature_call_per_contrast_off_the_closed_form(monkeypatch):
     calls = []
     real = charfn_mod._psi_quadrature
 
-    def counting(f, radius, pts):
+    def counting(f, radius, pts, **kwargs):
         calls.append(pts.shape[0])
-        return real(f, radius, pts)
+        return real(f, radius, pts, **kwargs)
 
     monkeypatch.setattr(charfn_mod, "_psi_quadrature", counting)
     grid = EvalGrid.build(nodes_per_axis=9, nu_est=0.5)
@@ -192,6 +192,33 @@ def test_contrast_jacobian_reuses_the_latest_bessel_rows(monkeypatch):
     contrast_residual(FourierDensity.uniform(), 2.5, ctx)
     contrast_jacobian(FourierDensity.uniform(), 2.5, ctx)
     assert calls[3:] == [0]
+
+
+def test_contrast_jacobian_reuses_the_probes_quadrature_pass(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+
+    calls = []
+    real = charfn_mod._psi_quadrature
+
+    def counting(f, radius, pts, **kwargs):
+        calls.append(radius)
+        return real(f, radius, pts, **kwargs)
+
+    monkeypatch.setattr(charfn_mod, "_psi_quadrature", counting)
+    data = np.random.default_rng(3).standard_normal((200, 3))
+    ctx = ContrastContext.from_sample(data, EvalGrid.build(dim=3, nodes_per_axis=3))
+    f = uniform_density(2)
+    contrast_residual(f, 2.5, ctx)
+    at_probe = contrast_jacobian(f, 2.5, ctx, radius_only=True)
+    assert calls == [2.5]
+    # another radius or another density object takes a pass of its own
+    elsewhere = contrast_jacobian(f, 2.7, ctx, radius_only=True)
+    contrast_jacobian(uniform_density(2), 2.7, ctx, radius_only=True)
+    assert calls == [2.5, 2.7, 2.7]
+    assert not np.array_equal(at_probe, elsewhere)
+    # the kept pass gives what a fresh grid computes from scratch
+    fresh = ContrastContext.from_sample(data, EvalGrid.build(dim=3, nodes_per_axis=3))
+    assert np.array_equal(at_probe, contrast_jacobian(f, 2.5, fresh, radius_only=True))
 
 
 def test_contrast_jacobian_needs_the_closed_form():

@@ -325,7 +325,7 @@ def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
     # two audit radii tie at the minimum: the known fit descends from the leftmost
     nearest = lambda radius: min((audit[9], audit[5]), key=lambda a: abs(radius - a))  # noqa: E731
     tie = lambda f, radius, ctx: np.array([abs(radius - nearest(radius))])  # noqa: E731
-    tie_jacobian = lambda f, radius, ctx, columns: np.array([[np.sign(radius - nearest(radius))]])  # noqa: E731
+    tie_jacobian = lambda f, radius, ctx, radius_only: np.array([[np.sign(radius - nearest(radius))]])  # noqa: E731
     monkeypatch.setattr(est_mod, "contrast_residual", tie)
     monkeypatch.setattr(est_mod, "contrast_jacobian", tie_jacobian)
     starts.clear()
@@ -352,8 +352,10 @@ def _normalized(raw):
         (lambda u: np.exp(200.0 * (np.cos(2.0 * np.pi * u[:, 0]) - 1.0)), "do not fall below"),
         # c_1 = 3: sum_(k != 0) |c_k|^2 = 18
         (lambda u: 1.0 + 6.0 * np.cos(2.0 * np.pi * u[:, 0]), "exceeds the bound"),
+        # all of its mass past k = 64 at c_70 = 1/4: 1/8 of int f^2 there
+        (lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * 70.0 * u[:, 0]), "past k = 64 carry 0.125"),
     ],
-    ids=["past_the_tail_cutoff", "past_the_norm_bound"],
+    ids=["past_the_tail_cutoff", "past_the_norm_bound", "mass_past_the_cap"],
 )
 def test_circle_callable_off_the_fourier_form_is_refused_before_ecf(monkeypatch, raw, match):
     import spheredeconv.contrast as contrast_mod
@@ -549,7 +551,7 @@ def test_projected_jacobian_matches_central_differences(scenario_id, radius, coe
         return contrast_residual(density(half), r_proj, ctx)
 
     r_proj, half = est_mod._project(x, cfg)
-    got = est_mod._project_jacobian(contrast_jacobian(density(half), r_proj, ctx, x.size), x, cfg)
+    got = est_mod._project_jacobian(contrast_jacobian(density(half), r_proj, ctx, x.size == 1), x, cfg)
     want = central_differences(residual, x)
     assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
     clipped = not cfg.r_min <= radius <= cfg.r_max
