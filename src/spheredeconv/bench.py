@@ -20,7 +20,7 @@ import numpy as np
 from .charfn import bench_grid
 from .errors import ConfigError, NumericalError
 from .estimators import FitConfig, _as_int, fit_joint, fit_radius_known_density, truncation_level
-from .geometry import TAIL_CUTOFF, fourier_coefficients
+from .geometry import fourier_coefficients, fourier_form
 from .simulate import derive_seed, generate, scenario
 
 # paper-scale grid; the desk default keeps the suite in minutes
@@ -97,23 +97,18 @@ class RateFit:
     stderr: float
 
 
-def _density_tail_mass(density, level: int) -> float:
-    """sum over level < |k| <= TAIL_CUTOFF of |c_k|^2 for the truth."""
-    coeffs = fourier_coefficients(density, TAIL_CUTOFF)
-    total = 0.0
-    for k in range(level + 1, TAIL_CUTOFF + 1):
-        total += 2.0 * abs(complex(coeffs[TAIL_CUTOFF + k])) ** 2
-    return total
-
-
 def run_bench(spec: BenchSpec, progress: bool = False) -> list:
     """Run the sweep; one row per (n, mode), deterministic given base_seed.
 
     Replications run sequentially with seeds derived from (base_seed,
     scenario, n, replication); a replication whose fit raises is recorded
-    as a failure and excluded from that cell's aggregates.
+    as a failure and excluded from that cell's aggregates.  The truth
+    density enters in its fourier_form, projected once per sweep: the known
+    fits take it, and the density error is sum_{|k| <= level} |c-hat_k - c_k|^2
+    plus the truth's tail sum_{|k| > level} |c_k|^2.
     """
     scn = scenario(spec.scenario_id)
+    density = fourier_form(scn.density)
     grid = bench_grid()
     rows = []
     for n in spec.n_values:
@@ -122,8 +117,8 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
         base_kwargs.update(spec.fit_overrides or {})
         cfg = FitConfig(**base_kwargs)
         level = min(level, cfg.k_cutoff)
-        truth = fourier_coefficients(scn.density, cfg.k_cutoff)
-        tail_sq = _density_tail_mass(scn.density, level)
+        truth = fourier_coefficients(density, level)
+        tail_sq = 2.0 * float(np.sum(np.abs(density.coeffs[density.cutoff + level + 1 :]) ** 2))
         cell = {
             mode: dict(sq_r=[], sq_c=[], sq_f=[], wall=0.0, failures=0)
             for mode in spec.modes()
@@ -135,7 +130,7 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
                 acc = cell[mode]
                 try:
                     if mode == "known_f":
-                        report = fit_radius_known_density(sample, scn.density, cfg, grid)
+                        report = fit_radius_known_density(sample, density, cfg, grid)
                     else:
                         report = fit_joint(sample, cfg, grid)
                 except (NumericalError, ValueError) as exc:
@@ -150,8 +145,7 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
                 else:
                     mid = report.f_hat_coeffs.size // 2
                     low = report.f_hat_coeffs[mid - level : mid + level + 1]
-                    ref = truth[cfg.k_cutoff - level : cfg.k_cutoff + level + 1]
-                    acc["sq_f"].append(float(np.sum(np.abs(low - ref) ** 2)) + tail_sq)
+                    acc["sq_f"].append(float(np.sum(np.abs(low - truth) ** 2)) + tail_sq)
                 acc["wall"] += report.wall_time * 1000.0
         for mode in spec.modes():
             acc = cell[mode]

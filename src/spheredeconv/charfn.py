@@ -22,7 +22,7 @@ t = r (cos 2 pi theta, sin 2 pi theta), to the Bessel sum
 sum_p i^p c_p J_p(r R) exp(-2 i pi p theta); in all other cases the angle
 integral is evaluated by Gauss-Legendre quadrature on the unit box, which
 the fits reach in d >= 3 only: they take circle callables in fourier_form.
-psi_model_marginals is the one route from a grid to Psi values.
+psi_model_grid is the one route from a grid to Psi values.
 
 EvalGrid.points() stacks the three point sets the contrast compares --
 the axis-1 slice (t1, 0), the axis-2 slice (0, t2) and the full grid --
@@ -32,11 +32,13 @@ of a point set: the sorted distinct radii, each point's index into them,
 and the phase powers exp(-2 i pi p theta), p = 1..K.  EvalGrid caches one
 table of its stacked points per cutoff K, built on the first probe, so
 each grid evaluation calls the Bessel kernel bessel_rows once, on the
-radii times R.  The table keeps its latest Bessel rows, so
-psi_model_jacobian, the exact derivatives of the closed form in
-(R, Re c_p, Im c_p), makes no kernel call of its own right after an
-evaluation at the same radius.  Off the closed form the grid keeps its
-latest quadrature pass, which fills Psi and dPsi/dR together.
+radii times R.  The grid and its tables hold nothing else: psi_model_grid
+returns, with Psi, what its derivatives need -- the closed form's Bessel
+rows, or dPsi/dR from the same quadrature pass -- and
+psi_model_derivatives takes those, so the exact derivatives in
+(R, Re c_p, Im c_p) cost no kernel call or pass of their own.  Whoever
+evaluates keeps the evaluation: a fit keeps its latest one in its
+ContrastContext.
 
 Data side: the empirical characteristic function is one real product per
 chunk of observations, [1; cos t1 x1; sin t1 x1] times the transpose of
@@ -51,7 +53,7 @@ element in scalar libm calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -159,15 +161,6 @@ class EvalGrid:
         if k_cut not in tables:
             tables[k_cut] = PolarTable.build(k_cut, self.points())
         return tables[k_cut]
-
-    def quadrature(self, f: AngleDensity, radius: float) -> tuple:
-        """_psi_quadrature's Psi and dPsi/dR on points(), from one pass kept for
-        the latest (f, radius): the Jacobian at a probe reuses the probe's pass."""
-        latest = getattr(self, "_quadrature", None)
-        if latest is None or latest[0] is not f or latest[1] != radius:
-            d_radius = np.empty(self.points().shape[0], dtype=complex)
-            latest = self._quadrature = (f, radius, _psi_quadrature(f, radius, self.points(), d_radius=d_radius), d_radius)
-        return latest[2:]
 
 
 @dataclass(eq=False)
@@ -350,15 +343,13 @@ class PolarTable:
 
     radii holds the points' distinct radii, sorted, and index maps each
     point into them; phases[p - 1] = exp(-2 i pi p theta) for p = 1..K,
-    built by repeated multiplication.  The rows of the latest bessel_rows
-    call are kept for latest_rows.
+    built by repeated multiplication.
     """
 
     k_cut: int
     radii: np.ndarray
     index: np.ndarray
     phases: tuple
-    _latest: list = field(default_factory=list, repr=False)
 
     @classmethod
     def build(cls, k_cut: int, pts: np.ndarray) -> "PolarTable":
@@ -373,59 +364,39 @@ class PolarTable:
             phases.append(phase)
         return cls(int(k_cut), radii, index, tuple(phases))
 
-    def bessel_rows(self, radius: float) -> np.ndarray:
-        """J_p(r * radius) for p = 0..max(K, 1) (rows) at every point
-        (columns): one kernel call on the distinct radii, each point
-        gathering its value."""
-        jmat = bessel_rows(self.k_cut, self.radii * radius)[:, self.index]
-        self._latest[:] = [radius, jmat]
-        return jmat
 
-    def latest_rows(self, radius: float) -> np.ndarray:
-        """bessel_rows(radius), without a kernel call when the latest call
-        was at this radius: the rows depend on the radius alone."""
-        if self._latest and self._latest[0] == radius:
-            return self._latest[1]
-        return self.bessel_rows(radius)
+def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form circle characteristic function on a table's points.
 
-
-def _assemble(coeffs: np.ndarray, jmat: np.ndarray, phases) -> np.ndarray:
-    """sum_p i^p c_p J_p exp(-2 i pi p theta) from Bessel rows jmat and phase rows phases."""
-    k_cut = len(phases)
+    Returns (vals, jmat): vals = sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta)
+    for p = -K..K, exact since coefficients vanish beyond the cutoff, and
+    the rows jmat[p] = J_p(r * radius), p = 0..max(K, 1), of one kernel call
+    on the distinct radii, each point gathering its row.  Conjugate pairs
+    collapse to J_0 + sum_{p>=1} i^p J_p * 2 Re(c_p e^{-2 i pi p theta}).
+    """
+    k_cut = table.k_cut
+    jmat = bessel_rows(k_cut, table.radii * radius)[:, table.index]
     vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
     ipow = 1.0 + 0.0j
     for p in range(1, k_cut + 1):
         ipow = ipow * 1j
-        vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * phases[p - 1]))
-    return vals
+        vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * table.phases[p - 1]))
+    return vals, jmat
 
 
-def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> np.ndarray:
-    """Closed-form circle characteristic function on a table's points.
+def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, jmat: np.ndarray, radius_only: bool = False) -> np.ndarray:
+    """Derivatives of the closed form on a table's points, from the Bessel
+    rows jmat that _psi_polar returned at this radius.
 
-    Returns sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta) for
-    p = -K..K; coefficients vanish beyond the cutoff, so the sum is exact.
-    Conjugate pairs collapse to J_0 + sum_{p>=1} i^p J_p * 2 Re(c_p e^{-2 i pi p theta}).
-    One kernel call on the distinct radii; each point gathers its row.
-    """
-    return _assemble(coeffs, table.bessel_rows(radius), table.phases)
-
-
-def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, head: int, radius_only: bool = False) -> tuple:
-    """The closed form on a table's first head points and its derivatives on all.
-
-    Returns (vals, dvals): vals as _psi_polar gives them on points 0..head-1,
-    and dvals of shape (1 + 2K, m) holding dPsi/dR, then dPsi/dRe c_p and
+    Returns dvals of shape (1 + 2K, m) holding dPsi/dR, then dPsi/dRe c_p and
     dPsi/dIm c_p for p = 1..K, or of shape (1, m) with dPsi/dR alone.
     With e_p = exp(-2 i pi p theta),
         dPsi/dRe c_p = i^p J_p(rR) 2 Re e_p,   dPsi/dIm c_p = -i^p J_p(rR) 2 Im e_p,
         dPsi/dR = -r J_1(rR) + sum_{p>=1} i^p [r J_{p-1}(rR) - (p/R) J_p(rR)] 2 Re(c_p e_p),
     by J_0' = -J_1 and J_p'(x) = J_{p-1}(x) - (p/x) J_p(x) (DLMF 10.6.2), so
-    no order past max(K, 1) enters and nothing divides by r.  The Bessel
-    rows are the table's latest at this radius.
+    no order past max(K, 1) enters and nothing divides by r.
     """
     k_cut = table.k_cut
-    jmat = table.latest_rows(radius)
     r = table.radii[table.index]
     dvals = np.empty((1 if radius_only else 1 + 2 * k_cut, r.size), dtype=complex)
     dvals[0] = -r * jmat[1]
@@ -438,7 +409,7 @@ def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, he
             dvals[2 * p] = -ipow * jmat[p] * (2.0 * phase.imag)
         twice_re = 2.0 * np.real(coeffs[k_cut + p] * phase)
         dvals[0] += ipow * (r * jmat[p - 1] - (p / radius) * jmat[p]) * twice_re
-    return _assemble(coeffs, jmat[:, :head], [phase[:head] for phase in table.phases]), dvals
+    return dvals
 
 
 @lru_cache(maxsize=16)
@@ -497,7 +468,7 @@ def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
     if method == "closed":
         if not closed_ok:
             raise ValueError("closed form requires a circle Fourier density")
-        out = _psi_polar(f.coeffs, float(radius), PolarTable.build(f.cutoff, pts))
+        out = _psi_polar(f.coeffs, float(radius), PolarTable.build(f.cutoff, pts))[0]
     elif method == "quadrature":
         out = _psi_quadrature(f, float(radius), pts)
     else:
@@ -505,47 +476,42 @@ def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
     return out[0] if single else out
 
 
-def psi_model_marginals(
-    f: AngleDensity, radius: float, grid: EvalGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Psi on the axis-1 slice, the axis-2 slice, and the full grid.
+def psi_model_grid(f: AngleDensity, radius: float, grid: EvalGrid) -> tuple:
+    """One evaluation of Psi on grid.points(): ((vals1, vals2, full), aux).
 
-    Returns (vals1, vals2, full) with full shaped (m1, m2): slices of one
-    evaluation on grid.points().  The route is psi_model's automatic one,
-    run on the same coordinates, so each value equals the pointwise
-    psi_model call bit for bit; the closed form reads the grid's cached
-    PolarTable for the density's cutoff and makes one Bessel kernel call,
-    the quadrature fills the grid's dPsi/dR in the same pass.
+    The values on the axis-1 slice, the axis-2 slice and the full grid,
+    shaped (m1, m2), are views into one array, each equal to the pointwise
+    psi_model call bit for bit (same route, same coordinates).  aux is what
+    psi_model_derivatives reads: the closed form's Bessel rows, from one
+    kernel call through the grid's PolarTable for the density's cutoff, or
+    dPsi/dR from the same quadrature pass.
     """
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
     if grid.dim != f.dim_minus_1 + 1:
         raise ValueError("grid dimension does not match the density")
     if closed_form_applies(f, grid.dim):
-        vals = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff))
+        vals, aux = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff))
     else:
-        vals = grid.quadrature(f, float(radius))[0]
-    return _split(vals, grid)
+        aux = np.empty(grid.points().shape[0], dtype=complex)
+        vals = _psi_quadrature(f, float(radius), grid.points(), d_radius=aux)
+    return _split(vals, grid), aux
 
 
-def psi_model_jacobian(f: AngleDensity, radius: float, grid: EvalGrid, radius_only: bool = False) -> tuple:
-    """Psi on the axis slices and its derivatives in (R, Re c_1, Im c_1, ...,
-    Re c_K, Im c_K), or in R alone when radius_only, on the split grid.
+def psi_model_marginals(f: AngleDensity, radius: float, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Psi on the axis-1 slice, the axis-2 slice, and the full grid: psi_model_grid's values."""
+    return psi_model_grid(f, radius, grid)[0]
 
-    Off the closed form only dPsi/dR exists, from the quadrature, and
-    radius_only must be set.  Returns ((vals1, vals2), (d1, d2, d_full)), one
-    leading derivative row per parameter; the contrast's Jacobian needs no Psi
-    on the full grid.  vals equal psi_model_marginals' slices bit for bit, and
-    right after that call neither route makes a kernel call or a quadrature pass.
-    """
+
+def psi_model_derivatives(f: AngleDensity, radius: float, grid: EvalGrid, aux: np.ndarray, radius_only: bool = False) -> tuple:
+    """Derivatives (d1, d2, d_full) of Psi in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
+    or in R alone when radius_only, one leading row per parameter, from aux,
+    psi_model_grid's at (f, radius).  Off the closed form aux is dPsi/dR, the only one."""
     if closed_form_applies(f, grid.dim):
-        vals, dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff), grid.m1 + grid.m2, radius_only)
-    elif not radius_only:
-        raise ValueError("the coefficient columns need the closed form; pass radius_only=True for dPsi/dR")
+        dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff), aux, radius_only)
     else:
-        vals, d_radius = grid.quadrature(f, float(radius))
-        dvals = d_radius[None]
-    return (vals[: grid.m1], vals[grid.m1 : grid.m1 + grid.m2]), _split(dvals, grid)
+        dvals = aux[None]
+    return _split(dvals, grid)
 
 
 def _split(vals: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

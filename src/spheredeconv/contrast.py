@@ -14,25 +14,28 @@ the frequency box; the population version replaces the ECF by the true
 product and weights by |Phi_eps|^2.  Either quadrature is the squared norm
 of one weighted residual vector (_combine), which is what the estimators
 minimize by least squares; contrast_jacobian gives that residual's exact
-Jacobian through _combine's linearisation.
+Jacobian through _combine's linearisation, from the same model evaluation
+as the residual at that point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import EcfCache, EvalGrid, bench_grid, ecf, psi_model_jacobian, psi_model_marginals
+from .charfn import EcfCache, EvalGrid, bench_grid, closed_form_applies, ecf, psi_model_derivatives, psi_model_grid
 from .geometry import AngleDensity, fourier_form
 
 
 @dataclass(eq=False)
 class ContrastContext:
-    """Grid plus the sample's ECF values, reused across many evaluations."""
+    """Grid plus the sample's ECF values, reused across many evaluations, and
+    the latest psi_model_grid evaluation, kept for its (density object, radius)."""
 
     grid: EvalGrid
     cache: EcfCache
+    _latest: tuple = field(default=(None, None, None), init=False, repr=False)
 
     @classmethod
     def from_sample(cls, sample, grid: EvalGrid) -> "ContrastContext":
@@ -42,6 +45,12 @@ class ContrastContext:
     def ref(self) -> tuple:
         """The ECF as the (axis-1, axis-2, full) triple _combine compares against."""
         return self.cache.marg1, self.cache.marg2, self.cache.full
+
+    def psi(self, f: AngleDensity, radius: float) -> tuple:
+        """psi_model_grid(f, radius, self.grid), kept from the latest call when it had this f and radius."""
+        if self._latest[0] is not f or self._latest[1] != radius:
+            self._latest = (f, radius, psi_model_grid(f, radius, self.grid))
+        return self._latest[2]
 
 
 def _weighted(diff: np.ndarray, grid: EvalGrid, extra_weight: np.ndarray | None = None) -> np.ndarray:
@@ -86,15 +95,18 @@ def _combine_jacobian(psi: tuple, dpsi: tuple, ref: tuple, grid: EvalGrid) -> np
 def contrast_residual(f: AngleDensity, radius: float, ctx: ContrastContext) -> np.ndarray:
     """Weighted residual of the candidate (f, R) against the sample ECF;
     its squared norm is contrast_mn."""
-    return _combine(psi_model_marginals(f, radius, ctx.grid), ctx.ref, ctx.grid)
+    return _combine(ctx.psi(f, radius)[0], ctx.ref, ctx.grid)
 
 
 def contrast_jacobian(f: AngleDensity, radius: float, ctx: ContrastContext, radius_only: bool = False) -> np.ndarray:
     """Jacobian of contrast_residual in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
-    or in R alone when radius_only (as psi_model_jacobian's), shape (2 m1 m2, P).
-    Right after contrast_residual(f, radius, ctx) it reuses that call's Bessel rows or quadrature pass."""
-    psi, dpsi = psi_model_jacobian(f, radius, ctx.grid, radius_only)
-    return _combine_jacobian(psi, dpsi, ctx.ref, ctx.grid)
+    or in R alone when radius_only, shape (2 m1 m2, P), from the evaluation
+    contrast_residual(f, radius, ctx) made or shares.  Off the closed form only
+    dPsi/dR exists, and the coefficient columns are refused before any work."""
+    if not (radius_only or closed_form_applies(f, ctx.grid.dim)):
+        raise ValueError("the coefficient columns need the closed form; pass radius_only=True for dPsi/dR")
+    psi, aux = ctx.psi(f, radius)
+    return _combine_jacobian(psi[:2], psi_model_derivatives(f, radius, ctx.grid, aux, radius_only), ctx.ref, ctx.grid)
 
 
 def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:
@@ -129,8 +141,7 @@ def contrast_m_oracle(
     f, f_star = fourier_form(f), fourier_form(f_star)
     if grid is None:
         grid = bench_grid(f.dim_minus_1 + 1)
-    cand = psi_model_marginals(f, radius, grid)
-    truth = psi_model_marginals(f_star, r_star, grid)
+    cand, truth = psi_model_grid(f, radius, grid)[0], psi_model_grid(f_star, r_star, grid)[0]
     phi = noise.char_fn(grid.full_points()).reshape(grid.m1, grid.m2)
     r = _combine(cand, truth, grid, extra_weight=phi.real**2 + phi.imag**2)
     return float(r @ r)

@@ -5,9 +5,10 @@ fits minimize it as a nonlinear least-squares problem through one
 skeleton (_scan_and_descend): an audit scan of radii, then trust-region
 descents (minimize) from the best of them, with the residual's exact
 Jacobian (contrast_jacobian chained through the projection onto the
-admissible set).  fit_joint descends in the radius and the density's
-Fourier coefficients; fit_radius_known_density is the same fit with the
-density held at f_star, descending in the radius alone.  Both probe the
+admissible set), derived from the probe's own model evaluation.
+fit_joint descends in the radius and the density's Fourier coefficients;
+fit_radius_known_density is the same fit with the density held at
+f_star, descending in the radius alone.  Both probe the
 contrast through one _ProbeLog, which logs every probe and reports the
 best probed point, a certified near-minimum over everything examined.
 The center estimate plugs the fitted radius and density barycenter into
@@ -297,8 +298,8 @@ def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cu
     the density probed there.  The Jacobian is contrast_jacobian's in the
     point's coordinates (R alone for a length-1 point), chained through
     _project.  The optimizer asks for it at the point it has just evaluated,
-    so it reuses that probe's Bessel rows or, in d >= 3, its quadrature
-    pass; at any other point it probes first.
+    so it reads the Psi, Bessel rows or, in d >= 3, dPsi/dR that the probe
+    left in the log's ContrastContext; at any other point it probes first.
     """
 
     def residual(x: np.ndarray) -> np.ndarray:

@@ -146,24 +146,50 @@ def test_failed_replications_are_recorded_not_raised(monkeypatch):
     assert determinism_hash(rows) != determinism_hash([BenchRow(**{**rows[0].__dict__, "failures": 0})])
 
 
-def test_callable_tail_mass_sums_the_per_k_coefficients_in_order():
-    from spheredeconv.bench import _density_tail_mass
-    from spheredeconv.geometry import TAIL_CUTOFF, fourier_coefficient, vonmises_like
+def test_callable_density_error_is_the_parseval_split(monkeypatch):
+    import spheredeconv.bench as bench_mod
+    from spheredeconv.estimators import truncation_level
+    from spheredeconv.geometry import TAIL_CUTOFF, fourier_coefficient
+    from spheredeconv.simulate import scenario
 
-    f = vonmises_like()
-    want = 0.0
-    for k in range(2, TAIL_CUTOFF + 1):
-        want += 2.0 * abs(fourier_coefficient(f, k)) ** 2
-    assert _density_tail_mass(f, 1) == want
+    reports, real = [], bench_mod.fit_joint
+
+    def recording(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(bench_mod, "fit_joint", recording)
+    rows = run_bench(BenchSpec(scenario_id=4, n_values=(100,), replications=2, mode="unknown_f", base_seed=5))
+    f, level = scenario(4).density, truncation_level(100)
+    coeffs = {k: fourier_coefficient(f, k) for k in range(-TAIL_CUTOFF, TAIL_CUTOFF + 1)}
+    tail = sum(abs(coeffs[k]) ** 2 for k in coeffs if abs(k) > level)
+    want = []
+    for rep in reports:
+        mid = rep.f_hat_coeffs.size // 2
+        want.append(sum(abs(rep.f_hat_coeffs[mid + k] - coeffs[k]) ** 2 for k in range(-level, level + 1)) + tail)
+    assert tail > 1e-6
+    assert rows[0].l2_density_err == pytest.approx(np.mean(want), rel=1e-12, abs=0.0)
 
 
-def test_fourier_tail_mass_is_the_mass_past_the_level():
-    from spheredeconv.bench import _density_tail_mass
+def test_fourier_density_error_adds_the_mass_past_the_level(monkeypatch):
+    import spheredeconv.bench as bench_mod
+    from spheredeconv.estimators import EstimateReport
     from spheredeconv.geometry import FourierDensity
+    from spheredeconv.simulate import Scenario, scenario
 
-    f = FourierDensity.from_half([0.2, 0.1j, 0.05])
-    assert _density_tail_mass(f, 1) == 2.0 * (abs(0.1j) ** 2 + abs(0.05) ** 2)
-    assert [_density_tail_mass(f, level) for level in (3, 4, 64)] == [0.0, 0.0, 0.0]
+    truth = FourierDensity.from_half([0.2, 0.1j, 0.05, 0.04, 0.03j])
+    fitted = FourierDensity.from_half([0.1, 0.0, 0.0, 0.0])
+
+    def fake_fit(sample, cfg, grid):
+        assert cfg.k_cutoff == fitted.cutoff
+        return EstimateReport(3.0, np.zeros(2), fitted.coeffs, 0.0, 1, 0.0, None, 100)
+
+    monkeypatch.setattr(bench_mod, "scenario", lambda _: Scenario(1, truth, scenario(1).noise))
+    monkeypatch.setattr(bench_mod, "fit_joint", fake_fit)
+    rows = run_bench(BenchSpec(scenario_id=1, n_values=(100,), replications=2, mode="unknown_f"))
+    # level 3 at n = 100: the gaps at |k| = 1, 2, 3, then the truth's mass at |k| = 4, 5
+    gaps = 2.0 * (0.1**2 + 0.1**2 + 0.05**2)
+    assert rows[0].l2_density_err == pytest.approx(gaps + 2.0 * (0.04**2 + 0.03**2), rel=1e-14, abs=0.0)
 
 
 def test_wide_window_sweep_fits_every_replication():

@@ -19,7 +19,8 @@ from spheredeconv.charfn import (
     _cos_sin,
     ecf,
     psi_model,
-    psi_model_jacobian,
+    psi_model_derivatives,
+    psi_model_grid,
     psi_model_marginals,
 )
 from spheredeconv.geometry import (
@@ -384,19 +385,38 @@ class TestPsiModel:
             for got, pts in zip(vals, stacked_slices(g)):
                 assert got.ravel().tobytes() == psi_model(f, 2.3, pts).tobytes()
 
-    def test_jacobian_values_bitwise_match_marginals(self):
+    def test_jacobian_values_bitwise_match_marginals(self, monkeypatch):
+        import spheredeconv.contrast as contrast_mod
+
         rng = np.random.default_rng(12)
         g = EvalGrid.build(nu_est=0.5, nodes_per_axis=9)
         for k_cut in (0, 3):
             f = random_density(rng, k_cut)
             vals = psi_model_marginals(f, 2.7, g)
-            jvals, dvals = psi_model_jacobian(f, 2.7, g)
-            # Psi itself is assembled on the two axis slices only
-            assert len(jvals) == 2
-            for got, want in zip(jvals, vals):
+            psi, aux = psi_model_grid(f, 2.7, g)
+            for got, want in zip(psi, vals):
                 assert got.tobytes() == want.tobytes()
-            for d, want in zip(dvals, vals):
-                assert d.shape == (1 + 2 * k_cut, *want.shape)
+            for radius_only, rows in ((False, 1 + 2 * k_cut), (True, 1)):
+                for d, want in zip(psi_model_derivatives(f, 2.7, g, aux, radius_only), vals):
+                    assert d.shape == (rows, *want.shape)
+        # the contrast's Jacobian multiplies the very Psi arrays its probe compared
+        seen = []
+        real_combine, real_jacobian = contrast_mod._combine, contrast_mod._combine_jacobian
+
+        def combine(psi, *args):
+            seen.append(psi)
+            return real_combine(psi, *args)
+
+        def combine_jacobian(psi, *args):
+            seen.append(psi)
+            return real_jacobian(psi, *args)
+
+        monkeypatch.setattr(contrast_mod, "_combine", combine)
+        monkeypatch.setattr(contrast_mod, "_combine_jacobian", combine_jacobian)
+        ctx = contrast_mod.ContrastContext.from_sample(generate(scenario(1), 200, seed=3), g)
+        contrast_mod.contrast_residual(f, 2.7, ctx)
+        contrast_mod.contrast_jacobian(f, 2.7, ctx)
+        assert seen[1][0] is seen[0][0] and seen[1][1] is seen[0][1]
 
     def test_errors(self):
         f = uniform_density(1)

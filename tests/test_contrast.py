@@ -182,15 +182,18 @@ def test_contrast_jacobian_reuses_the_latest_bessel_rows(monkeypatch):
     contrast_residual(f, 2.5, ctx)
     at_probe = contrast_jacobian(f, 2.5, ctx)
     assert calls == [2]
-    # at another radius the rows are evaluated afresh, and agree with a probe there
+    # at another radius the Jacobian evaluates afresh, and a residual there reuses that evaluation
     elsewhere = contrast_jacobian(f, 2.7, ctx)
-    contrast_residual(f, 2.7, ctx)
-    assert calls == [2, 2, 2]
-    assert np.array_equal(elsewhere, contrast_jacobian(f, 2.7, ctx))
+    residual = contrast_residual(f, 2.7, ctx)
+    assert calls == [2, 2]
+    fresh = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
+    assert np.array_equal(residual, contrast_residual(f, 2.7, fresh))
+    assert np.array_equal(elsewhere, contrast_jacobian(f, 2.7, fresh))
     assert not np.array_equal(at_probe, elsewhere)
     # K = 0 rows hold J_1 too, so its Jacobian also reuses the probe's rows
-    contrast_residual(FourierDensity.uniform(), 2.5, ctx)
-    contrast_jacobian(FourierDensity.uniform(), 2.5, ctx)
+    uniform = FourierDensity.uniform()
+    contrast_residual(uniform, 2.5, ctx)
+    contrast_jacobian(uniform, 2.5, ctx)
     assert calls[3:] == [0]
 
 
@@ -221,10 +224,53 @@ def test_contrast_jacobian_reuses_the_probes_quadrature_pass(monkeypatch):
     assert np.array_equal(at_probe, contrast_jacobian(f, 2.5, fresh, radius_only=True))
 
 
-def test_contrast_jacobian_needs_the_closed_form():
+def test_contrast_jacobian_needs_the_closed_form(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("quadrature pass before the refusal")
+
     ctx = ContrastContext.from_sample(generate(scenario(4), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
+    monkeypatch.setattr(charfn_mod, "_psi_quadrature", no_pass)
     with pytest.raises(ValueError, match="closed form"):
         contrast_jacobian(scenario(4).density, 3.0, ctx)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interleaved_contexts_on_one_grid_keep_their_own_evaluations(monkeypatch, dim):
+    import spheredeconv.charfn as charfn_mod
+
+    calls = []
+    real_rows, real_pass = charfn_mod.bessel_rows, charfn_mod._psi_quadrature
+
+    def rows(k_cut, x):
+        calls.append("rows")
+        return real_rows(k_cut, x)
+
+    def quadrature_pass(*args, **kwargs):
+        calls.append("pass")
+        return real_pass(*args, **kwargs)
+
+    monkeypatch.setattr(charfn_mod, "bessel_rows", rows)
+    monkeypatch.setattr(charfn_mod, "_psi_quadrature", quadrature_pass)
+    nodes = 9 if dim == 2 else 3
+    rng = np.random.default_rng(dim)
+    data_a, data_b = (rng.standard_normal((200, dim)) + 2.5 * np.eye(dim)[0] for _ in range(2))
+    f = FourierDensity.from_half([0.05 - 0.02j, 0.01j]) if dim == 2 else uniform_density(2)
+    radius_only = dim == 3
+    grid = EvalGrid.build(dim=dim, nodes_per_axis=nodes)
+    a, b = ContrastContext.from_sample(data_a, grid), ContrastContext.from_sample(data_b, grid)
+    contrast_residual(f, 2.5, a)
+    contrast_residual(f, 2.7, b)
+    before = len(calls)
+    got = contrast_jacobian(f, 2.5, a, radius_only)
+    assert len(calls) == before
+    fresh = ContrastContext.from_sample(data_a, EvalGrid.build(dim=dim, nodes_per_axis=nodes))
+    assert np.array_equal(got, contrast_jacobian(f, 2.5, fresh, radius_only))
+    # the shared grid holds only what it determines: its points and one table per cutoff
+    assert set(vars(grid)) - set(EvalGrid.__dataclass_fields__) <= {"_points", "_polar_tables"}
+    for table in vars(grid).get("_polar_tables", {}).values():
+        assert set(vars(table)) == {"k_cut", "radii", "index", "phases"}
 
 
 def unfolded_contrast(cand, ref, nu_est, nodes, dim, weight=None):
