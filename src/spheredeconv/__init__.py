@@ -19,7 +19,7 @@ from .bench import (
     run_bench,
 )
 from .bessel import bessel_j
-from .charfn import EcfCache, EvalGrid, ecf, psi_model, psi_model_marginals
+from .charfn import EvalGrid, ecf, psi_model, psi_model_marginals
 from .contrast import ContrastContext, contrast_m_oracle, contrast_mn
 from .errors import ConfigError, NumericalError
 from .estimators import (
@@ -71,7 +71,6 @@ __all__ = [
     "ConfigError",
     "ContrastContext",
     "DESK_GRID",
-    "EcfCache",
     "EstimateReport",
     "EvalGrid",
     "FULL_GRID",

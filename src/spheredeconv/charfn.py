@@ -40,8 +40,9 @@ psi_model_derivatives takes those, so the exact derivatives in
 evaluates keeps the evaluation: a fit keeps its latest one in its
 ContrastContext.
 
-Data side: the empirical characteristic function is one real product per
-chunk of observations, [1; cos t1 x1; sin t1 x1] times the transpose of
+Data side: the empirical characteristic function, in the model's
+(axis-1, axis-2, full) layout, is one real product per chunk of
+observations, [1; cos t1 x1; sin t1 x1] times the transpose of
 [1; cos t2 . x2; sin t2 . x2] over the first ceil(m2/2) axis-2 nodes; the
 ones rows carry both marginals, and the complex grid values, including
 the mirrored axis-2 columns, are assembled once from the summed product.
@@ -78,14 +79,6 @@ def bench_grid(dim: int = 2) -> "EvalGrid":
     return _BENCH_GRIDS[dim]
 
 
-@lru_cache(maxsize=64)
-def _gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(count)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 @dataclass(eq=False)
 class EvalGrid:
     """Tensor Gauss-Legendre grid on [-nu_est, nu_est]^d with split (1, d-1),
@@ -118,7 +111,7 @@ class EvalGrid:
         if int(nodes_per_axis) != nodes_per_axis or nodes_per_axis < 2:
             raise ValueError("nodes_per_axis must be an integer >= 2")
         dim, nodes_per_axis = int(dim), int(nodes_per_axis)
-        x, w = _gauss_nodes(nodes_per_axis)
+        x, w = leggauss(nodes_per_axis)
         ax, wx = nu_est * x, nu_est * w
         ax2, w2 = tensor_rule(ax, wx, dim - 1)
         # the nodes ascend, so the first ceil(m/2) are those with t1 <= 0
@@ -163,23 +156,6 @@ class EvalGrid:
         return tables[k_cut]
 
 
-@dataclass(eq=False)
-class EcfCache:
-    """Empirical characteristic function values on a grid.
-
-    full[i, j] = psi-tilde(t1_i, t2_j); marg1[i] = psi-tilde(t1_i, 0);
-    marg2[j] = psi-tilde(0, t2_j); n is the sample size.  Rows run over the
-    grid's folded axis-1 nodes t1 <= 0 only: psi-tilde(-t) is
-    conj psi-tilde(t) for any real sample, so the other half box holds no
-    further information.
-    """
-
-    full: np.ndarray
-    marg1: np.ndarray
-    marg2: np.ndarray
-    n: int
-
-
 def _expi(phase: np.ndarray) -> np.ndarray:
     """exp(i phase) for real phase: cos and sin written into one complex array."""
     out = np.empty(phase.shape, dtype=complex)
@@ -204,6 +180,8 @@ _REDUCTION_LIMIT = 2.0**27 * _STEP_HI
 # their width on the default grid's 35 x 35 products
 _ONE_THREAD_PRODUCT = 2 * 65536 * 4
 _PRODUCT_WIDTH = 256
+# observations per ecf chunk and points per _psi_quadrature block
+_ECF_CHUNK, _QUAD_CHUNK = 1 << 10, 128
 
 
 def _trig_table() -> tuple[np.ndarray, np.ndarray]:
@@ -269,11 +247,12 @@ def _cos_sin(phase: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, work: 
     s += sin_rest
 
 
-def ecf(sample, grid: EvalGrid, chunk: int = 1 << 10) -> EcfCache:
-    """Empirical characteristic function of the sample on the grid.
+def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empirical characteristic function of the sample on the grid in the
+    model's (axis-1, axis-2, full) layout, over the folded axis-1 nodes.
 
     Accepts an (n, d) array or any object with a .data attribute holding
-    one.  Each chunk of observations stacks the rows [1; cos(t1 x1);
+    one.  Each chunk of _ECF_CHUNK observations stacks the rows [1; cos(t1 x1);
     sin(t1 x1)] over the m1 axis-1 nodes and [1; cos(t2 . x2); sin(t2 . x2)]
     over the first ceil(m2/2) axis-2 nodes, computed by _cos_sin, and adds
     their one real product into a small accumulator; the ones rows give
@@ -281,10 +260,8 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 10) -> EcfCache:
     since axis2_nodes[::-1] == -axis2_nodes, the other axis-2 columns are
     the same sums with the axis-2 sines negated, reversed.  Observations
     are accumulated in fixed-order chunks, so the result is bitwise stable
-    for given inputs and chunk.
+    for given inputs.
     """
-    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError("chunk must be an integer >= 1")
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2:
         raise ValueError("sample must be a 2-d array of shape (n, d)")
@@ -299,7 +276,7 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 10) -> EcfCache:
     half2 = (m2 + 1) // 2
     t1 = grid.axis1_nodes[:, None]
     t2 = grid.axis2_nodes[:half2]
-    width = min(chunk, n)
+    width = min(_ECF_CHUNK, n)
     rows1 = np.empty((1 + 2 * m1, width))
     rows2 = np.empty((1 + 2 * half2, width))
     rows1[0] = rows2[0] = 1.0
@@ -307,8 +284,8 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 10) -> EcfCache:
     work1, work2 = np.empty((5, m1, width)), np.empty((5, half2, width))
     sums = np.zeros((1 + 2 * m1, 1 + 2 * half2))
     step = max(1, min(_PRODUCT_WIDTH, (_ONE_THREAD_PRODUCT - 1) // sums.size))
-    for start in range(0, n, chunk):
-        block = data[start : start + chunk]
+    for start in range(0, n, _ECF_CHUNK):
+        block = data[start : start + _ECF_CHUNK]
         b = block.shape[0]
         a1, a2, w1, w2 = rows1[:, :b], rows2[:, :b], work1[..., :b], work2[..., :b]
         np.multiply(t1, block[:, 0], out=w1[0])
@@ -329,12 +306,7 @@ def ecf(sample, grid: EvalGrid, chunk: int = 1 << 10) -> EcfCache:
     marg2 = np.empty(m2, dtype=complex)
     marg2[:half2] = sums[0, 1 : 1 + half2] + 1j * sums[0, 1 + half2 :]
     np.conjugate(marg2[rest - 1 :: -1], out=marg2[half2:])
-    return EcfCache(full, marg1, marg2, n)
-
-
-def closed_form_applies(f: AngleDensity, dim: int) -> bool:
-    """Whether Psi_f has the closed Bessel form: circle Fourier densities."""
-    return isinstance(f, FourierDensity) and dim == 2
+    return marg1, marg2, full
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,13 +388,11 @@ def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, jm
 def _angle_quad(dim_minus_1: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre tensor rule on [0, 1]^{d-1}, ~256^min(d-1,2) nodes."""
     per_axis = 256 if dim_minus_1 <= 2 else max(8, int(round(65_536 ** (1.0 / dim_minus_1))))
-    x, w = _gauss_nodes(per_axis)
+    x, w = leggauss(per_axis)
     return tensor_rule(0.5 * (x + 1.0), 0.5 * w, dim_minus_1)
 
 
-def _psi_quadrature(
-    f: AngleDensity, radius: float, pts: np.ndarray, chunk: int = 128, d_radius: np.ndarray | None = None
-) -> np.ndarray:
+def _psi_quadrature(f: AngleDensity, radius: float, pts: np.ndarray, d_radius: np.ndarray | None = None) -> np.ndarray:
     """Angle-box quadrature of exp(i R <t, S(u)>) f(u), unclipped density;
     d_radius, when given, receives dPsi/dR, that of i <t, S(u)> times it."""
     dm1 = pts.shape[1] - 1
@@ -434,17 +404,17 @@ def _psi_quadrature(
     payload = weights * fvals
     svecs = sphere_map(nodes)
     out = np.empty(pts.shape[0], dtype=complex)
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
+    for start in range(0, pts.shape[0], _QUAD_CHUNK):
+        block = pts[start : start + _QUAD_CHUNK]
         # one complex product, not a real one each for cos and sin: real dgemv
         # rounds a call's last rows differently, so grid values would stop
         # equalling pointwise psi_model calls bit for bit
         proj = block @ svecs.T
         waves = _expi(radius * proj)
-        out[start : start + chunk] = waves @ payload
+        out[start : start + _QUAD_CHUNK] = waves @ payload
         if d_radius is not None:
             waves *= proj
-            d_radius[start : start + chunk] = 1j * (waves @ payload)
+            d_radius[start : start + _QUAD_CHUNK] = 1j * (waves @ payload)
     return out
 
 
@@ -462,7 +432,7 @@ def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
     pts = t_arr[None, :] if single else t_arr
     if pts.ndim != 2 or pts.shape[1] != f.dim_minus_1 + 1:
         raise ValueError("t must have d = dim_minus_1 + 1 coordinates")
-    closed_ok = closed_form_applies(f, pts.shape[1])
+    closed_ok = isinstance(f, FourierDensity)
     if method is None:
         method = "closed" if closed_ok else "quadrature"
     if method == "closed":
@@ -490,7 +460,7 @@ def psi_model_grid(f: AngleDensity, radius: float, grid: EvalGrid) -> tuple:
         raise ValueError("radius must be positive")
     if grid.dim != f.dim_minus_1 + 1:
         raise ValueError("grid dimension does not match the density")
-    if closed_form_applies(f, grid.dim):
+    if isinstance(f, FourierDensity):
         vals, aux = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff))
     else:
         aux = np.empty(grid.points().shape[0], dtype=complex)
@@ -507,7 +477,7 @@ def psi_model_derivatives(f: AngleDensity, radius: float, grid: EvalGrid, aux: n
     """Derivatives (d1, d2, d_full) of Psi in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
     or in R alone when radius_only, one leading row per parameter, from aux,
     psi_model_grid's at (f, radius).  Off the closed form aux is dPsi/dR, the only one."""
-    if closed_form_applies(f, grid.dim):
+    if isinstance(f, FourierDensity):
         dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff), aux, radius_only)
     else:
         dvals = aux[None]

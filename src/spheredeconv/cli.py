@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -157,6 +158,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
+        # every subcommand writes --out last: refuse one that cannot be written before any work
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out or ".") or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise ConfigError(f"--out {args.out}: not a file in an existing writable directory")
         return _HANDLERS[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

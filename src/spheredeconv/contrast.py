@@ -24,27 +24,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import EcfCache, EvalGrid, bench_grid, closed_form_applies, ecf, psi_model_derivatives, psi_model_grid
-from .geometry import AngleDensity, fourier_form
+from .charfn import EvalGrid, bench_grid, ecf, psi_model_derivatives, psi_model_grid
+from .geometry import AngleDensity, FourierDensity, fourier_form
 
 
 @dataclass(eq=False)
 class ContrastContext:
-    """Grid plus the sample's ECF values, reused across many evaluations, and
-    the latest psi_model_grid evaluation, kept for its (density object, radius)."""
+    """Grid plus the sample's ECF triple ref, reused across many evaluations,
+    and the latest psi_model_grid evaluation, kept for its (density object, radius)."""
 
     grid: EvalGrid
-    cache: EcfCache
+    ref: tuple
     _latest: tuple = field(default=(None, None, None), init=False, repr=False)
 
     @classmethod
     def from_sample(cls, sample, grid: EvalGrid) -> "ContrastContext":
         return cls(grid, ecf(sample, grid))
-
-    @property
-    def ref(self) -> tuple:
-        """The ECF as the (axis-1, axis-2, full) triple _combine compares against."""
-        return self.cache.marg1, self.cache.marg2, self.cache.full
 
     def psi(self, f: AngleDensity, radius: float) -> tuple:
         """psi_model_grid(f, radius, self.grid), kept from the latest call when it had this f and radius."""
@@ -103,7 +98,7 @@ def contrast_jacobian(f: AngleDensity, radius: float, ctx: ContrastContext, radi
     or in R alone when radius_only, shape (2 m1 m2, P), from the evaluation
     contrast_residual(f, radius, ctx) made or shares.  Off the closed form only
     dPsi/dR exists, and the coefficient columns are refused before any work."""
-    if not (radius_only or closed_form_applies(f, ctx.grid.dim)):
+    if not (radius_only or isinstance(f, FourierDensity)):
         raise ValueError("the coefficient columns need the closed form; pass radius_only=True for dPsi/dR")
     psi, aux = ctx.psi(f, radius)
     return _combine_jacobian(psi[:2], psi_model_derivatives(f, radius, ctx.grid, aux, radius_only), ctx.ref, ctx.grid)
@@ -130,13 +125,13 @@ def contrast_m_oracle(
     """Population contrast: the ECF is replaced by the true characteristic
     function products, and the integrand is weighted by |Phi_eps(t)|^2.
 
-    Requires a noise model exposing a closed-form characteristic function
-    (char_fn plus has_char_fn).  Zero exactly at the truth; positive at any
+    Requires a noise model exposing a closed-form characteristic function,
+    char_fn.  Zero exactly at the truth; positive at any
     candidate generating a different observation law.  grid defaults to
     bench_grid() of the density's dimension.  Circle callables enter in
     their fourier_form.
     """
-    if not getattr(noise, "has_char_fn", False) or not hasattr(noise, "char_fn"):
+    if not hasattr(noise, "char_fn"):
         raise ValueError("noise model does not expose a closed-form characteristic function")
     f, f_star = fourier_form(f), fourier_form(f_star)
     if grid is None:

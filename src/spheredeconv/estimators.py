@@ -103,17 +103,26 @@ class EstimateReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EstimateReport":
-        d = json.loads(text)
-        return cls(
-            r_hat=float(d["r_hat"]),
-            c_hat=np.asarray(d["c_hat"], dtype=float),
-            f_hat_coeffs=np.array([complex(re, im) for re, im in d["f_hat_coeffs"]]),
-            contrast_value=float(d["contrast_value"]),
-            iterations=int(d["iterations"]),
-            wall_time=float(d["wall_time"]),
-            seed=None if d["seed"] is None else int(d["seed"]),
-            n=int(d["n"]),
-        )
+        """The report to_json wrote; ValueError names a missing or malformed field."""
+        d, fields = json.loads(text), {}
+        for name, parse in _REPORT_FIELDS.items():
+            try:
+                fields[name] = parse(d[name])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"report field {name!r} is missing or malformed: {exc!r}") from exc
+        return cls(**fields)
+
+
+_REPORT_FIELDS = {
+    "r_hat": float,
+    "c_hat": lambda v: np.asarray(v, dtype=float),
+    "f_hat_coeffs": lambda v: np.array([complex(re, im) for re, im in v]),
+    "contrast_value": float,
+    "iterations": int,
+    "wall_time": float,
+    "seed": lambda v: None if v is None else int(v),
+    "n": int,
+}
 
 
 @dataclass(eq=False)
@@ -142,17 +151,16 @@ class TrigPolynomial:
         return float(np.sqrt(np.sum(np.abs(a - b) ** 2)))
 
 
-def truncation_level(n: int, alpha: float | None = None) -> int:
-    """floor(alpha * log n / log log n); alpha=None applies factor 1.
+def truncation_level(n: int, alpha: float = 1.0) -> int:
+    """floor(alpha * log n / log log n).
 
     Requires n >= 16 so that log log n is safely positive.
     """
     if n < 16:
         raise ValueError("n must be >= 16 for a meaningful truncation level")
-    factor = 1.0 if alpha is None else float(alpha)
-    if factor <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    return int(math.floor(factor * math.log(n) / math.log(math.log(n))))
+    return int(math.floor(alpha * math.log(n) / math.log(math.log(n))))
 
 
 def truncate_density(report: EstimateReport, alpha: float = ALPHA) -> TrigPolynomial:

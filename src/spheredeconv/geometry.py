@@ -128,14 +128,12 @@ class CallableDensity:
 
     fn maps an (n, d-1) array to n nonnegative values and must integrate
     to 1 over the unit box (checked at construction with ~1e4 quadrature
-    nodes).  factors, when provided, are per-axis 1-d callables whose
-    product equals fn; they enable inverse-CDF sampling for d > 2.
+    nodes).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     dim_minus_1: int = 1
     name: str | None = None
-    factors: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.dim_minus_1 < 1:
@@ -184,10 +182,7 @@ def uniform_density(dim_minus_1: int = 1) -> AngleDensity:
     """Uniform angular density; Fourier form on the circle, callable above."""
     if dim_minus_1 == 1:
         return FourierDensity.uniform(name="uniform")
-    return CallableDensity(
-        lambda u: np.ones(u.shape[0]), dim_minus_1=dim_minus_1, name="uniform",
-        factors=tuple(lambda x: np.ones_like(x) for _ in range(dim_minus_1)),
-    )
+    return CallableDensity(lambda u: np.ones(u.shape[0]), dim_minus_1=dim_minus_1, name="uniform")
 
 
 def vonmises_like() -> CallableDensity:
@@ -302,23 +297,13 @@ def _sup_estimate(f: AngleDensity) -> float:
 def sample_angles(f: AngleDensity, n: int, seed) -> np.ndarray:
     """Draw n i.i.d. angle vectors from f; returns shape (n, d-1).
 
-    Deterministic given the seed (PCG64 stream).  Fourier densities and
-    generic callables use rejection sampling from the uniform envelope;
-    product-form callables use per-axis inverse-CDF tables.
+    Deterministic given the seed (PCG64 stream).  Every density is drawn
+    by rejection sampling from the uniform envelope on [0, 1]^{d-1}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     dm1 = f.dim_minus_1
-    if isinstance(f, CallableDensity) and f.factors is not None:
-        cols = []
-        grid = np.linspace(0.0, 1.0, 4097)
-        for fac in f.factors:
-            pdf = np.asarray(fac(grid), dtype=float)
-            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
-            cdf /= cdf[-1]
-            cols.append(np.interp(rng.random(n), cdf, grid))
-        return np.column_stack(cols)
     envelope = max(_sup_estimate(f), 1e-12)
     out = np.empty((n, dm1))
     filled = 0

@@ -74,10 +74,6 @@ class NoiseModel:
     def mixture_dirac_exp(cls, dim: int = 2) -> "NoiseModel":
         return cls("mixture_dirac_exp", dim)
 
-    @property
-    def has_char_fn(self) -> bool:
-        return True
-
     def coord_char(self, j: int, t):
         """Characteristic function of the j-th noise coordinate."""
         t_arr = np.asarray(t, dtype=float)
@@ -130,25 +126,26 @@ def draw_noise(model: NoiseModel, n: int, seed) -> np.ndarray:
 
 @dataclass(eq=False)
 class Scenario:
-    """A complete observation model: density, noise, and sphere parameters."""
+    """An observation model: density, noise and sphere parameters; dim is the density's dim_minus_1 + 1."""
 
     scenario_id: int
     density: AngleDensity
     noise: NoiseModel
     r_star: float = 3.0
     c_star: np.ndarray = None
-    dim: int = 2
 
     def __post_init__(self) -> None:
-        if not self.density.dim_minus_1 + 1 == self.dim == self.noise.dim:
-            raise ValueError(
-                f"dimensions disagree: density on S^{self.density.dim_minus_1}, dim {self.dim}, noise dim {self.noise.dim}"
-            )
+        if self.noise.dim != self.dim:
+            raise ValueError(f"dimensions disagree: density on S^{self.density.dim_minus_1}, noise dim {self.noise.dim}")
         if self.c_star is None:
             self.c_star = np.zeros(self.dim)
         self.c_star = np.asarray(self.c_star, dtype=float)
         if self.c_star.shape != (self.dim,):
             raise ValueError(f"c_star must have shape ({self.dim},)")
+
+    @property
+    def dim(self) -> int:
+        return self.density.dim_minus_1 + 1
 
     def noiseless(self) -> "Scenario":
         return replace(self, noise=NoiseModel.none(self.dim))

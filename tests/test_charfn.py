@@ -14,7 +14,6 @@ from numpy.polynomial.legendre import leggauss
 from spheredeconv.bessel import bessel_j, bessel_j_int
 from spheredeconv.charfn import (
     _REDUCTION_LIMIT,
-    EcfCache,
     EvalGrid,
     _cos_sin,
     ecf,
@@ -124,10 +123,10 @@ class TestEcf:
     def test_single_observation_exact(self):
         g = EvalGrid.build(nodes_per_axis=9)
         y = np.array([[0.7, -1.3]])
-        cache = ecf(y, g)
+        full = ecf(y, g)[2]
         t = g.full_points()
         want = np.exp(1j * (t @ y[0])).reshape(5, 9)
-        assert np.max(np.abs(cache.full - want)) < 1e-14
+        assert np.max(np.abs(full - want)) < 1e-14
 
     def test_mirrored_axis2_rows_match_direct_exp(self):
         # with one observation marg2[j] is the axis-2 factor exp(i t2_j . y2) itself,
@@ -135,41 +134,37 @@ class TestEcf:
         for dim, nodes in ((2, 9), (2, 10), (3, 5), (3, 4)):
             g = EvalGrid.build(dim=dim, nu_est=1.3, nodes_per_axis=nodes)
             y = np.array([[0.7, -1.3, 2.9][:dim]])
-            cache = ecf(y, g)
+            marg2 = ecf(y, g)[1]
             want = np.exp(1j * (g.axis2_nodes @ y[0, 1:]))
-            assert np.max(np.abs(cache.marg2 - want)) <= 1e-15, (dim, nodes)
+            assert np.max(np.abs(marg2 - want)) <= 1e-15, (dim, nodes)
 
     def test_unit_value_at_origin_and_modulus_bound(self):
         g = EvalGrid.build(nodes_per_axis=33)
-        cache = ecf(generate(scenario(1), 500, 21).data, g)
+        marg1, marg2, full = ecf(generate(scenario(1), 500, 21).data, g)
         mid1, mid2 = g.m1 - 1, g.m2 // 2  # the folded axis 1 ends at the origin
         assert g.axis1_nodes[mid1] == 0.0 and g.axis2_nodes[mid2, 0] == 0.0
-        assert abs(cache.marg1[mid1] - 1.0) < 1e-12
-        assert abs(cache.marg2[mid2] - 1.0) < 1e-12
-        assert abs(cache.full[mid1, mid2] - 1.0) < 1e-12
-        for arr in (cache.full, cache.marg1, cache.marg2):
+        assert abs(marg1[mid1] - 1.0) < 1e-12
+        assert abs(marg2[mid2] - 1.0) < 1e-12
+        assert abs(full[mid1, mid2] - 1.0) < 1e-12
+        for arr in (full, marg1, marg2):
             assert np.max(np.abs(arr)) <= 1.0 + 1e-12
 
     def test_conjugate_symmetry(self):
         g = EvalGrid.build(nodes_per_axis=9)
         data = generate(scenario(2), 300, 4).data
-        cache = ecf(data, g)
+        marg1, marg2, full = ecf(data, g)
         # the axis-2 slice and the t1 = 0 row hold both t and -t
-        assert np.allclose(cache.marg2, np.conj(cache.marg2[::-1]), atol=1e-13)
-        assert np.allclose(cache.full[-1], np.conj(cache.full[-1, ::-1]), atol=1e-13)
+        assert np.allclose(marg2, np.conj(marg2[::-1]), atol=1e-13)
+        assert np.allclose(full[-1], np.conj(full[-1, ::-1]), atol=1e-13)
         # the dropped half box: psi-tilde at -t is the reflected sample's value at t
-        mirror = ecf(-data, g)
-        for got, want in zip((mirror.full, mirror.marg1, mirror.marg2), (cache.full, cache.marg1, cache.marg2)):
+        for got, want in zip(ecf(-data, g), (marg1, marg2, full)):
             assert np.allclose(got, np.conj(want), atol=1e-13)
 
     def test_chunking_consistent(self):
         g = EvalGrid.build(nodes_per_axis=9)
         data = generate(scenario(1), 1000, 2).data
-        a = ecf(data, g)
-        b = ecf(data, g, chunk=127)
-        assert np.max(np.abs(a.full - b.full)) < 1e-12
-        c = ecf(data, g)
-        assert np.array_equal(a.full, c.full)  # fixed chunking is bitwise stable
+        for a, c in zip(ecf(data, g), ecf(data, g)):
+            assert np.array_equal(a, c)  # fixed chunking is bitwise stable
 
     def test_concentration_around_product_form(self):
         # psi-tilde should concentrate around Psi * Phi_eps: checked on 20 seeds
@@ -180,8 +175,8 @@ class TestEcf:
         product = bessel_j(0, scn.r_star * np.linalg.norm(t, axis=1)) * scn.noise.char_fn(t)
         bound = 5.0 / np.sqrt(n) * (1.0 + np.sqrt(2.0) * g.nu_est)
         for seed in range(20):
-            cache = ecf(generate(scn, n, seed).data, g)
-            gap = np.max(np.abs(cache.full.ravel() - product))
+            full = ecf(generate(scn, n, seed).data, g)[2]
+            gap = np.max(np.abs(full.ravel() - product))
             assert gap <= bound, (seed, gap, bound)
 
     def test_matches_the_direct_complex_exponential(self):
@@ -190,18 +185,16 @@ class TestEcf:
             e1 = np.exp(1j * np.multiply.outer(g.axis1_nodes, data[:, 0]))
             e2 = np.exp(1j * (g.axis2_nodes @ data[:, 1:].T))
             n = data.shape[0]
-            return e1 @ e2.T / n, e1.sum(axis=1) / n, e2.sum(axis=1) / n
+            return e1.sum(axis=1) / n, e2.sum(axis=1) / n, e1 @ e2.T / n
 
         g = EvalGrid.build()
+        # 1500 observations: one full 1024-observation chunk and a partial one
         samples = [generate(scenario(sid), 1500, sid).data for sid in (1, 2, 3, 4)]
         # phases near 1e6 lie past the table reduction's range
         samples.append(samples[3] + 1e6)
         for data in samples:
-            want = direct(data, g)
-            for chunk in (1 << 10, 300):
-                cache = ecf(data, g, chunk=chunk)
-                for got, ref in zip((cache.full, cache.marg1, cache.marg2), want):
-                    assert np.max(np.abs(got - ref)) <= 2e-15, chunk
+            for got, ref in zip(ecf(data, g), direct(data, g)):
+                assert np.max(np.abs(got - ref)) <= 2e-15
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS reads its thread count once, at load, so each count needs its
@@ -217,7 +210,7 @@ class TestEcf:
                 "import hashlib; from spheredeconv.charfn import EvalGrid, ecf; "
                 "from spheredeconv.simulate import generate, scenario; "
                 f"c = ecf(generate(scenario(4), 3000, 1), EvalGrid.build(nodes_per_axis={nodes})); "
-                "print(hashlib.sha256(c.full.tobytes() + c.marg1.tobytes() + c.marg2.tobytes()).hexdigest())"
+                "print(hashlib.sha256(b''.join(a.tobytes() for a in c)).hexdigest())"
             )
             digests = set()
             for threads in ("1", "2"):
@@ -226,12 +219,6 @@ class TestEcf:
                 assert proc.returncode == 0, proc.stderr
                 digests.add(proc.stdout.strip())
             assert len(digests) == 1, nodes
-
-    @pytest.mark.parametrize("chunk", [0, -5, 2.5, 1024.0, "64", None])
-    def test_bad_chunk_is_refused_first(self, chunk):
-        g = EvalGrid.build(nodes_per_axis=5)
-        with pytest.raises(ValueError, match="chunk"):
-            ecf(np.zeros((0, 2)), g, chunk=chunk)
 
     def test_errors(self):
         g = EvalGrid.build(nodes_per_axis=5)

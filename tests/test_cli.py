@@ -175,3 +175,57 @@ def test_bench_replications(monkeypatch, tmp_path, flags, reps):
     assert main(["bench", "--scenario", "1", "--quiet", "--out", out, *flags]) == 0
     assert specs[0].replications == reps
     assert specs[0].n_values == (FULL_GRID if "--full" in flags else DESK_GRID)
+
+
+def test_unwritable_out_is_refused_before_any_work(monkeypatch, tmp_path, capsys):
+    import spheredeconv.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    monkeypatch.setattr(cli_mod, "run_bench", no_work)
+    monkeypatch.setattr(cli_mod, "fit_joint", no_work)
+    monkeypatch.setattr(cli_mod, "generate", no_work)
+    sample_path = tmp_path / "s.csv"
+    sample_path.write_text("not read")
+    missing = str(tmp_path / "absent" / "x.csv")
+    for argv in (
+        ["bench", "--scenario", "1", "--n", "100,200", "--reps", "2", "--quiet", "--out", missing],
+        ["estimate", "--input", str(sample_path), "--out", missing],
+        ["generate", "--scenario", "1", "--n", "10", "--seed", "0", "--out", missing],
+        ["density", "--report", str(sample_path), "--out", missing],
+        ["bench", "--scenario", "1", "--quiet", "--out", str(tmp_path)],
+        ["bench", "--scenario", "1", "--quiet", "--out", ""],
+    ):
+        assert main(argv) == 2, argv
+        assert "--out" in capsys.readouterr().err
+    # an existing output file is left as it was
+    existing = tmp_path / "keep.csv"
+    existing.write_text("old\n")
+    assert main(["estimate", "--input", str(tmp_path / "absent.csv"), "--out", str(existing)]) == 2
+    assert existing.read_text() == "old\n"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", None), ("f_hat_coeffs", [1.0, [1.0, 0.0], 1.0]), ("f_hat_coeffs", [[1.0, 0.0, 2.0]]), ("seed", "x")],
+    ids=["missing_n", "scalar_coeffs", "triple_coeffs", "bad_seed"],
+)
+def test_malformed_report_exits_2_naming_the_field(tmp_path, capsys, field, value):
+    from spheredeconv.estimators import EstimateReport
+
+    report = EstimateReport(
+        r_hat=3.0, c_hat=np.zeros(2), f_hat_coeffs=np.array([0.1, 1.0, 0.1], dtype=complex),
+        contrast_value=0.0, iterations=1, wall_time=0.0, seed=None, n=10_000,
+    )
+    payload = json.loads(report.to_json())
+    if value is None:
+        del payload[field]
+    else:
+        payload[field] = value
+    report_path = tmp_path / "r.json"
+    report_path.write_text(json.dumps(payload))
+    assert main(["density", "--report", str(report_path), "--out", str(tmp_path / "d.csv")]) == 2
+    assert repr(field) in capsys.readouterr().err
+    with pytest.raises(ValueError, match=field):
+        EstimateReport.from_json(json.dumps(payload))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from spheredeconv.charfn import EcfCache, EvalGrid, psi_model, psi_model_marginals
+from spheredeconv.charfn import EvalGrid, psi_model, psi_model_marginals
 from spheredeconv.contrast import (
     ContrastContext,
     contrast_jacobian,
@@ -16,39 +16,32 @@ from spheredeconv.geometry import CallableDensity, FourierDensity, uniform_densi
 from spheredeconv.simulate import NoiseModel, Scenario, generate, scenario
 
 
-def product_cache(f, radius, noise, grid):
+def product_ref(f, radius, noise, grid):
     """ECF replaced by its infinite-n limit Psi * Phi_eps (factorized)."""
     psi1, psi2, psi_full = psi_model_marginals(f, radius, grid)
     phi1 = noise.coord_char(0, grid.axis1_nodes)
     phi2 = noise.coord_char(1, grid.axis2_nodes[:, 0])
-    return EcfCache(
-        full=psi_full * np.multiply.outer(phi1, phi2),
-        marg1=psi1 * phi1,
-        marg2=psi2 * phi2,
-        n=10**9,
-    )
+    return psi1 * phi1, psi2 * phi2, psi_full * np.multiply.outer(phi1, phi2)
 
 
 class TestEmpiricalContrast:
     def test_zero_when_cache_equals_model_noiseless(self):
         grid = EvalGrid.build(nodes_per_axis=17, nu_est=0.5)
         f = uniform_density(1)
-        psi1, psi2, psi_full = psi_model_marginals(f, 3.0, grid)
-        cache = EcfCache(psi_full, psi1, psi2, n=1000)
-        val = contrast_mn(f, 3.0, ContrastContext(grid, cache))
+        val = contrast_mn(f, 3.0, ContrastContext(grid, psi_model_marginals(f, 3.0, grid)))
         assert 0.0 <= val <= 1e-20
 
     def test_zero_at_truth_for_exact_product_cache(self):
         grid = EvalGrid.build(nodes_per_axis=17, nu_est=0.5)
         scn = scenario(1)
-        cache = product_cache(scn.density, scn.r_star, scn.noise, grid)
-        val = contrast_mn(scn.density, scn.r_star, ContrastContext(grid, cache))
+        ref = product_ref(scn.density, scn.r_star, scn.noise, grid)
+        val = contrast_mn(scn.density, scn.r_star, ContrastContext(grid, ref))
         assert 0.0 <= val <= 1e-12
 
     def test_positive_off_truth_for_exact_product_cache(self):
         grid = EvalGrid.build(nodes_per_axis=17, nu_est=0.5)
         scn = scenario(1)
-        ctx = ContrastContext(grid, product_cache(scn.density, scn.r_star, scn.noise, grid))
+        ctx = ContrastContext(grid, product_ref(scn.density, scn.r_star, scn.noise, grid))
         assert contrast_mn(scn.density, 2.2, ctx) > 1e-8
         bumped = FourierDensity.from_half([0.1])
         assert contrast_mn(bumped, scn.r_star, ctx) > 1e-8
@@ -71,8 +64,8 @@ class TestEmpiricalContrast:
         assert contrast_mn(f, 2.7, ctx) == float(r @ r)
         # reference: the quadrature of |diff|^2 over the box, summed directly
         psi1, psi2, psi_full = psi_model_marginals(f, 2.7, grid)
-        cache = ctx.cache
-        diff = psi_full * np.multiply.outer(cache.marg1, cache.marg2) - cache.full * np.multiply.outer(psi1, psi2)
+        ref1, ref2, ref_full = ctx.ref
+        diff = psi_full * np.multiply.outer(ref1, ref2) - ref_full * np.multiply.outer(psi1, psi2)
         direct = grid.axis1_weights @ np.abs(diff) ** 2 @ grid.axis2_weights
         assert float(r @ r) == pytest.approx(direct, rel=1e-13)
 
@@ -291,7 +284,7 @@ def unfolded_contrast(cand, ref, nu_est, nodes, dim, weight=None):
 FOLD_CASES = {
     2: (scenario(4), FourierDensity.from_half([0.08 - 0.03j, 0.02j])),
     3: (
-        Scenario(0, uniform_density(2), NoiseModel.isotropic_gaussian(0.3, 3), r_star=2.0, dim=3),
+        Scenario(0, uniform_density(2), NoiseModel.isotropic_gaussian(0.3, 3), r_star=2.0),
         CallableDensity(lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * u[:, 0]), dim_minus_1=2),
     ),
 }
@@ -375,7 +368,7 @@ class TestPopulationContrast:
 
     def test_requires_closed_form_noise(self):
         class Opaque:
-            has_char_fn = False
+            pass
 
         with pytest.raises(ValueError):
             contrast_m_oracle(

@@ -247,7 +247,6 @@ D3_SCENARIO = Scenario(
     CallableDensity(lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * u[:, 0]), dim_minus_1=2),
     NoiseModel.isotropic_gaussian(0.3, 3),
     r_star=2.0,
-    dim=3,
 )
 
 

