@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .charfn import bench_grid
+from .contrast import ContrastContext
 from .errors import ConfigError, NumericalError
 from .estimators import FitConfig, _as_int, fit_joint, fit_radius_known_density, truncation_level
 from .geometry import fourier_coefficients, fourier_form
@@ -101,11 +102,13 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
     """Run the sweep; one row per (n, mode), deterministic given base_seed.
 
     Replications run sequentially with seeds derived from (base_seed,
-    scenario, n, replication); a replication whose fit raises is recorded
-    as a failure and excluded from that cell's aggregates.  The truth
-    density enters in its fourier_form, projected once per sweep: the known
-    fits take it, and the density error is sum_{|k| <= level} |c-hat_k - c_k|^2
-    plus the truth's tail sum_{|k| > level} |c_k|^2.
+    scenario, n, replication); each computes its sample's ECF once, for
+    both modes, so wall_ms times the fits alone.  A replication whose fit
+    raises is recorded as a failure and excluded from that cell's
+    aggregates.  The truth density enters in its fourier_form, projected
+    once per sweep: the known fits take it, and the density error is
+    sum_{|k| <= level} |c-hat_k - c_k|^2 plus the truth's tail
+    sum_{|k| > level} |c_k|^2.
     """
     scn = scenario(spec.scenario_id)
     density = fourier_form(scn.density)
@@ -126,13 +129,14 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
         for rep in range(spec.replications):
             seed = derive_seed(spec.base_seed, spec.scenario_id, n, rep)
             sample = generate(scn, n, seed)
+            ctx = ContrastContext.from_sample(sample.data, grid)
             for mode in spec.modes():
                 acc = cell[mode]
                 try:
                     if mode == "known_f":
-                        report = fit_radius_known_density(sample, density, cfg, grid)
+                        report = fit_radius_known_density(sample, density, cfg, grid, ctx=ctx)
                     else:
-                        report = fit_joint(sample, cfg, grid)
+                        report = fit_joint(sample, cfg, grid, ctx=ctx)
                 except (NumericalError, ValueError) as exc:
                     acc["failures"] += 1
                     if progress:

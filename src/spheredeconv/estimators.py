@@ -2,10 +2,11 @@
 
 The contrast is the squared norm of a weighted residual vector, so both
 fits minimize it as a nonlinear least-squares problem through one
-skeleton (_scan_and_descend): an audit scan of radii, then trust-region
-descents (minimize) from the best of them, with the residual's exact
-Jacobian (contrast_jacobian chained through the projection onto the
-admissible set), derived from the probe's own model evaluation.
+skeleton (_scan_and_descend): an audit scan of radii, then one
+trust-region descent (minimize) per basin of that audit profile, with the
+residual's exact Jacobian (contrast_jacobian chained through the
+projection onto the admissible set), derived from the probe's own model
+evaluation.
 fit_joint descends in the radius and the density's Fourier coefficients;
 fit_radius_known_density is the same fit with the density held at
 f_star, descending in the radius alone.  Both probe the
@@ -50,9 +51,9 @@ class FitConfig:
 
     r_min/r_max bound the admissible radius (estimates clamp to them);
     k_cutoff is the Fourier cutoff K of the joint fit's density; restarts
-    is the number of best audit radii (at most AUDIT_POINTS) the joint fit
-    descends from, and max_iters caps every descent's residual
-    evaluations, in both fits.
+    caps the number of audit basins the joint fit descends from (see
+    _scan_and_descend; at most AUDIT_POINTS), and max_iters caps every
+    descent's residual evaluations, in both fits.
     Integer-valued floats are stored as ints.
     """
 
@@ -251,9 +252,8 @@ class _ProbeLog:
     are broken.
     """
 
-    def __init__(self, data: np.ndarray, grid: EvalGrid, seed: int | None, t_start: float) -> None:
-        self.data, self.seed, self.t_start = data, seed, t_start
-        self.ctx = ContrastContext.from_sample(data, grid)
+    def __init__(self, data: np.ndarray, ctx: ContrastContext, seed: int | None, t_start: float) -> None:
+        self.data, self.ctx, self.seed, self.t_start = data, ctx, seed, t_start
         self.probes: list[tuple[float, float, AngleDensity]] = []
 
     def __call__(self, f: AngleDensity, radius: float) -> np.ndarray:
@@ -299,10 +299,13 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int):
 
 def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cut: int = 0) -> EstimateReport:
     """The fit skeleton: probe AUDIT_POINTS radii evenly over [r_min, r_max]
-    with k_cut coefficients at zero, rank them by value (stable, so ties go
-    to the smaller radius), then descend from the best starts of them, each
-    descent making at most cfg.max_iters residual evaluations; returns the
-    log's report.  Every point maps through _project, and density(half) is
+    with k_cut coefficients at zero and rank them by value (stable, so ties
+    go to the smaller radius).  Then descend once per basin of that audit
+    profile, best first, at most starts times: from the best audit radius,
+    then from each interior strict local minimum (both neighbours strictly
+    higher).  An endpoint gets a descent only as the best audit radius.
+    Each descent makes at most cfg.max_iters residual evaluations; returns
+    the log's report.  Every point maps through _project, and density(half) is
     the density probed there.  The Jacobian is contrast_jacobian's in the
     point's coordinates (R alone for a length-1 point), chained through
     _project.  The optimizer asks for it at the point it has just evaluated,
@@ -327,21 +330,36 @@ def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cu
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
     for radius in audit:
         residual(_pack(radius, zeros))
-    ranked = np.argsort([value for value, _, _ in log.probes], kind="stable")
-    for i in ranked[:starts]:
+    values = np.array([value for value, _, _ in log.probes])
+    ranked = np.argsort(values, kind="stable")
+    basin = np.zeros(AUDIT_POINTS, dtype=bool)
+    basin[1:-1] = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
+    basin[ranked[0]] = True
+    for i in ranked[basin[ranked]][:starts]:
         minimize(residual, jacobian, _pack(audit[i], zeros), cfg.max_iters)
     return log.report()
 
 
-def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None) -> EstimateReport:
+def _check_context(grid: EvalGrid | None, ctx: ContrastContext | None) -> None:
+    """ValueError for a prebuilt ctx on another grid than the fit's (None takes ctx's)."""
+    if ctx is not None and grid is not None and ctx.grid is not grid:
+        raise ValueError("ctx was built on another grid than the fit's")
+
+
+def fit_joint(
+    sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None, *, ctx: ContrastContext | None = None
+) -> EstimateReport:
     """Jointly estimate the radius and the angular density on the circle.
 
     Runs _scan_and_descend over (R, Re c_1, Im c_1, ..., Re c_K, Im c_K)
-    from the cfg.restarts best audit radii, at the uniform density.  The
-    radius clips to [r_min, r_max] and the coefficients shrink into the
-    admissible set inside the residual.  Returns the best probe, ties
-    breaking towards the smallest radius.  Deterministic given
-    (sample, config).
+    at the uniform density, one descent per audit basin, at most
+    cfg.restarts of them.  The radius clips to [r_min, r_max] and the
+    coefficients shrink into the admissible set inside the residual.
+    Returns the best probe, ties breaking towards the smallest radius.
+    ctx, if given, is the sample's ContrastContext, so a caller fitting one
+    sample twice builds its ECF once; the fit runs on its grid, and one
+    built on another grid than a given grid is refused with ValueError
+    before any work.  Deterministic given (sample, config).
     """
     t_start = time.perf_counter()
     cfg = cfg or FitConfig()
@@ -350,8 +368,9 @@ def fit_joint(sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None
         raise ValueError("fit_joint works on circle data of shape (n, 2)")
     if data.shape[0] < 50:
         raise ValueError("need at least 50 observations for a joint fit")
-    grid = grid or EvalGrid.build(dim=2)
-    log = _ProbeLog(data, grid, getattr(sample, "seed", None), t_start)
+    _check_context(grid, ctx)
+    ctx = ctx or ContrastContext.from_sample(data, grid or EvalGrid.build(dim=2))
+    log = _ProbeLog(data, ctx, getattr(sample, "seed", None), t_start)
     return _scan_and_descend(log, cfg, FourierDensity.from_half, cfg.restarts, cfg.k_cutoff)
 
 
@@ -360,6 +379,8 @@ def fit_radius_known_density(
     f_star: AngleDensity,
     cfg: FitConfig | None = None,
     grid: EvalGrid | None = None,
+    *,
+    ctx: ContrastContext | None = None,
 ) -> EstimateReport:
     """Estimate the radius with the angular density held at f_star.
 
@@ -368,14 +389,15 @@ def fit_radius_known_density(
     evaluation is logged and the best probed radius is returned, ties
     breaking towards the smaller radius.  A circle callable is fitted and
     reported in its fourier_form, which may refuse it with ConfigError
-    before any work.
+    before any work.  ctx is taken as in fit_joint.
     """
     t_start = time.perf_counter()
     cfg = cfg or FitConfig()
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2 or data.shape[1] != f_star.dim_minus_1 + 1:
         raise ValueError("sample dimension does not match the density")
-    grid = grid or EvalGrid.build(dim=data.shape[1])
+    _check_context(grid, ctx)
     f_star = fourier_form(f_star)
-    log = _ProbeLog(data, grid, getattr(sample, "seed", None), t_start)
+    ctx = ctx or ContrastContext.from_sample(data, grid or EvalGrid.build(dim=data.shape[1]))
+    log = _ProbeLog(data, ctx, getattr(sample, "seed", None), t_start)
     return _scan_and_descend(log, cfg, lambda half: f_star, 1)

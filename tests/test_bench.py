@@ -132,7 +132,7 @@ def test_failed_replications_are_recorded_not_raised(monkeypatch):
 
     calls = {"k": 0}
 
-    def flaky(sample, density, cfg, grid):
+    def flaky(sample, density, cfg, grid, *, ctx):
         calls["k"] += 1
         raise ValueError("synthetic failure")
 
@@ -146,6 +146,23 @@ def test_failed_replications_are_recorded_not_raised(monkeypatch):
     assert determinism_hash(rows) != determinism_hash([BenchRow(**{**rows[0].__dict__, "failures": 0})])
 
 
+def test_each_replication_computes_one_ecf_for_both_modes(monkeypatch):
+    import spheredeconv.contrast as contrast_mod
+
+    calls = []
+    real_ecf = contrast_mod.ecf
+
+    def counting_ecf(sample, grid):
+        calls.append(len(sample))
+        return real_ecf(sample, grid)
+
+    monkeypatch.setattr(contrast_mod, "ecf", counting_ecf)
+    spec = BenchSpec(1, (100, 200), 2, mode="both", fit_overrides={"restarts": 1})
+    rows = run_bench(spec)
+    assert calls == [100, 100, 200, 200]
+    assert all(row.failures == 0 for row in rows)
+
+
 def test_callable_density_error_is_the_parseval_split(monkeypatch):
     import spheredeconv.bench as bench_mod
     from spheredeconv.estimators import truncation_level
@@ -154,8 +171,8 @@ def test_callable_density_error_is_the_parseval_split(monkeypatch):
 
     reports, real = [], bench_mod.fit_joint
 
-    def recording(*args):
-        reports.append(real(*args))
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
         return reports[-1]
 
     monkeypatch.setattr(bench_mod, "fit_joint", recording)
@@ -180,7 +197,7 @@ def test_fourier_density_error_adds_the_mass_past_the_level(monkeypatch):
     truth = FourierDensity.from_half([0.2, 0.1j, 0.05, 0.04, 0.03j])
     fitted = FourierDensity.from_half([0.1, 0.0, 0.0, 0.0])
 
-    def fake_fit(sample, cfg, grid):
+    def fake_fit(sample, cfg, grid, *, ctx):
         assert cfg.k_cutoff == fitted.cutoff
         return EstimateReport(3.0, np.zeros(2), fitted.coeffs, 0.0, 1, 0.0, None, 100)
 

@@ -292,36 +292,53 @@ def test_known_density_fit_keeps_its_exact_radius_descent():
     assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.971651021778806, 0.00011760948167643992, 26)
 
 
+def _basins(values, cap):
+    """Audit indices a fit descends from: the best (leftmost on ties), then each
+    interior strict local minimum, best first, at most cap of them."""
+    ranked = sorted(range(len(values)), key=lambda i: values[i])
+    interior = [i for i in range(1, len(values) - 1) if values[i - 1] > values[i] < values[i + 1]]
+    return ([ranked[0]] + [i for i in ranked if i in interior and i != ranked[0]])[:cap]
+
+
+def _recording_minimize(monkeypatch, starts):
+    import spheredeconv.estimators as est_mod
+
+    real_minimize = est_mod.minimize
+
+    def recording_minimize(residual, jac, x0, max_nfev):
+        starts.append(x0.copy())
+        return real_minimize(residual, jac, x0, max_nfev)
+
+    monkeypatch.setattr(est_mod, "minimize", recording_minimize)
+
+
 def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
     import spheredeconv.estimators as est_mod
 
     probes, starts = [], []
-    real_residual, real_minimize = est_mod.contrast_residual, est_mod.minimize
+    real_residual = est_mod.contrast_residual
 
     def recording_residual(f, radius, ctx):
         r = real_residual(f, radius, ctx)
         probes.append((float(r @ r), radius))
         return r
 
-    def recording_minimize(residual, jac, x0, max_nfev):
-        starts.append(x0.copy())
-        return real_minimize(residual, jac, x0, max_nfev)
-
     monkeypatch.setattr(est_mod, "contrast_residual", recording_residual)
-    monkeypatch.setattr(est_mod, "minimize", recording_minimize)
+    _recording_minimize(monkeypatch, starts)
     cfg = FitConfig(restarts=3, k_cutoff=1)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
     s = generate(scenario(1), 400, seed=2)
     fits = ((lambda: fit_joint(s, cfg), 3, 3), (lambda: fit_radius_known_density(s, uniform_density(), cfg), 1, 1))
-    for fit, n_starts, size in fits:
+    for fit, cap, size in fits:
         probes.clear()
         starts.clear()
         fit()
         assert [radius for _, radius in probes[:AUDIT_POINTS]] == list(audit)
-        ranked = np.argsort([value for value, _ in probes[:AUDIT_POINTS]], kind="stable")
-        assert [x0[0] for x0 in starts] == list(audit[ranked[:n_starts]])
+        basins = _basins([value for value, _ in probes[:AUDIT_POINTS]], cap)
+        assert [x0[0] for x0 in starts] == list(audit[basins])
         assert all(x0.size == size and not x0[1:].any() for x0 in starts)
-    # two audit radii tie at the minimum: the known fit descends from the leftmost
+    # two audit radii tie at the minimum: the known fit descends from the
+    # leftmost, the joint fit from it and then from the other basin
     nearest = lambda radius: min((audit[9], audit[5]), key=lambda a: abs(radius - a))  # noqa: E731
     tie = lambda f, radius, ctx: np.array([abs(radius - nearest(radius))])  # noqa: E731
     tie_jacobian = lambda f, radius, ctx, radius_only: np.array([[np.sign(radius - nearest(radius))]])  # noqa: E731
@@ -331,6 +348,116 @@ def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
     rep = fit_radius_known_density(s, uniform_density(), cfg)
     assert [x0[0] for x0 in starts] == [audit[5]]
     assert (rep.r_hat, rep.contrast_value) == (audit[5], 0.0)
+    starts.clear()
+    rep = fit_joint(s, FitConfig(restarts=3, k_cutoff=0))
+    assert [x0[0] for x0 in starts] == [audit[5], audit[9]]
+    assert (rep.r_hat, rep.contrast_value) == (audit[5], 0.0)
+
+
+def _profile(wells):
+    return [min(a + (radius - m) ** 2 for a, m in wells) for radius in AUDIT]
+
+
+def _profile_fit(monkeypatch, wells, restarts):
+    """fit_joint at k_cutoff = 0 on the synthetic contrast min_k (a_k + (R - m_k)^2)
+    over wells = ((a_k, m_k), ...): (descent start radii, report)."""
+    import spheredeconv.estimators as est_mod
+
+    def well(radius):
+        return min(wells, key=lambda w: w[0] + (radius - w[1]) ** 2)
+
+    def residual(f, radius, ctx):
+        a, m = well(radius)
+        return np.array([math.sqrt(a + (radius - m) ** 2)])
+
+    def jacobian(f, radius, ctx, radius_only):
+        a, m = well(radius)
+        return np.array([[(radius - m) / math.sqrt(a + (radius - m) ** 2)]])
+
+    starts = []
+    monkeypatch.setattr(est_mod, "contrast_residual", residual)
+    monkeypatch.setattr(est_mod, "contrast_jacobian", jacobian)
+    _recording_minimize(monkeypatch, starts)
+    rep = fit_joint(generate(scenario(1), 60, seed=0), FitConfig(k_cutoff=0, restarts=restarts))
+    return [float(x0[0]) for x0 in starts], rep
+
+
+AUDIT = np.linspace(FitConfig.r_min, FitConfig.r_max, AUDIT_POINTS)
+# interior minima near audit[4] (value 0.3) and audit[11] (value 0.1)
+TWO_WELLS = ((0.3, 3.1), (0.1, 7.7))
+
+
+def test_two_interior_minima_get_two_descents_best_first(monkeypatch):
+    assert _basins(_profile(TWO_WELLS), AUDIT_POINTS) == [11, 4]
+    starts, rep = _profile_fit(monkeypatch, TWO_WELLS, restarts=8)
+    assert starts == [AUDIT[11], AUDIT[4]]
+    assert rep.r_hat == pytest.approx(7.7, abs=1e-6) and rep.contrast_value == pytest.approx(0.1, abs=1e-12)
+
+
+def test_one_restart_descends_only_the_best_basin(monkeypatch):
+    starts, rep = _profile_fit(monkeypatch, TWO_WELLS, restarts=1)
+    assert starts == [AUDIT[11]]
+    assert rep.r_hat == pytest.approx(7.7, abs=1e-6)
+
+
+def test_an_endpoint_minimum_that_is_not_the_best_gets_no_descent(monkeypatch):
+    # the second well falls all the way to r_max, where the profile ends lower
+    # than its neighbour but above the interior minimum at audit[4]
+    wells = ((0.1, 3.1), (0.5, 10.5))
+    profile = _profile(wells)
+    assert profile[4] < profile[15] < profile[14]
+    starts, rep = _profile_fit(monkeypatch, wells, restarts=AUDIT_POINTS)
+    assert starts == [AUDIT[4]]
+    assert rep.r_hat == pytest.approx(3.1, abs=1e-6)
+
+
+def test_a_best_audit_radius_at_the_endpoint_is_descended(monkeypatch):
+    # the profile's best audit value is at r_max; the interior minimum at audit[4] follows
+    wells = ((0.5, 3.1), (0.05, 10.5))
+    profile = _profile(wells)
+    assert profile[15] == min(profile) and profile[3] > profile[4] < profile[5]
+    starts, rep = _profile_fit(monkeypatch, wells, restarts=8)
+    assert starts == [AUDIT[15], AUDIT[4]]
+    assert rep.r_hat == FitConfig.r_max
+
+
+def test_basin_descents_rerun_bit_identically(monkeypatch):
+    starts, rep = _profile_fit(monkeypatch, TWO_WELLS, restarts=8)
+    again_starts, again = _profile_fit(monkeypatch, TWO_WELLS, restarts=8)
+    assert again_starts == starts
+    assert (again.r_hat, again.contrast_value, again.iterations) == (rep.r_hat, rep.contrast_value, rep.iterations)
+
+
+def _same_fit(a, b):
+    return (a.r_hat, a.contrast_value, a.iterations) == (b.r_hat, b.contrast_value, b.iterations) and np.array_equal(
+        a.f_hat_coeffs, b.f_hat_coeffs
+    )
+
+
+def test_fits_on_a_prebuilt_context_are_bitwise_the_fits_that_build_their_own():
+    from spheredeconv.charfn import bench_grid
+
+    grid, cfg = bench_grid(), FitConfig(restarts=2, k_cutoff=2)
+    s = generate(scenario(4), 300, seed=5)
+    own = (fit_radius_known_density(s, scenario(4).density, cfg, grid), fit_joint(s, cfg, grid))
+    # one context for both fits, in run_bench's order; grid None takes ctx's
+    ctx = ContrastContext.from_sample(s.data, grid)
+    shared = (fit_radius_known_density(s, scenario(4).density, cfg, ctx=ctx), fit_joint(s, cfg, grid, ctx=ctx))
+    assert all(_same_fit(a, b) for a, b in zip(own, shared))
+
+
+def test_a_context_on_another_grid_is_refused_before_any_work(monkeypatch):
+    import spheredeconv.estimators as est_mod
+
+    monkeypatch.setattr(est_mod, "contrast_residual", lambda *a: pytest.fail("probed"))
+    monkeypatch.setattr(est_mod, "fourier_form", lambda *a: pytest.fail("projected"))
+    s = generate(scenario(1), 100, seed=0)
+    ctx = ContrastContext.from_sample(s.data, EvalGrid.build(nodes_per_axis=5))
+    other = EvalGrid.build(nodes_per_axis=5)
+    with pytest.raises(ValueError, match="another grid"):
+        fit_joint(s, grid=other, ctx=ctx)
+    with pytest.raises(ValueError, match="another grid"):
+        fit_radius_known_density(s, uniform_density(), grid=other, ctx=ctx)
 
 
 def test_known_density_fit_validates_inputs():
@@ -432,7 +559,7 @@ def test_probe_log_picks_the_smallest_value_and_breaks_only_exact_ties(monkeypat
     assert all(float(residuals[radius] @ residuals[radius]) == values[radius] for radius in (1.0, 2.0, 3.5, 4.0))
     monkeypatch.setattr(est_mod, "contrast_residual", lambda f, radius, ctx: residuals[radius])
     data = generate(scenario(1), 60, seed=0).data
-    log = est_mod._ProbeLog(data, EvalGrid.build(nodes_per_axis=5), 7, 0.0)
+    log = est_mod._ProbeLog(data, ContrastContext.from_sample(data, EvalGrid.build(nodes_per_axis=5)), 7, 0.0)
     big, small = FourierDensity.from_half([0.2]), FourierDensity.from_half([0.1])
     for f, radius in ((big, 1.0), (big, 2.0), (big, 4.0), (big, 3.5), (small, 3.5), (small, 4.0)):
         assert log(f, radius) is residuals[radius]
