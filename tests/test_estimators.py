@@ -354,6 +354,11 @@ def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
     assert (rep.r_hat, rep.contrast_value) == (audit[5], 0.0)
 
 
+AUDIT = np.linspace(FitConfig.r_min, FitConfig.r_max, AUDIT_POINTS)
+# interior minima near audit[4] (value 0.3) and audit[11] (value 0.1)
+TWO_WELLS = ((0.3, 3.1), (0.1, 7.7))
+
+
 def _profile(wells):
     return [min(a + (radius - m) ** 2 for a, m in wells) for radius in AUDIT]
 
@@ -380,11 +385,6 @@ def _profile_fit(monkeypatch, wells, restarts):
     _recording_minimize(monkeypatch, starts)
     rep = fit_joint(generate(scenario(1), 60, seed=0), FitConfig(k_cutoff=0, restarts=restarts))
     return [float(x0[0]) for x0 in starts], rep
-
-
-AUDIT = np.linspace(FitConfig.r_min, FitConfig.r_max, AUDIT_POINTS)
-# interior minima near audit[4] (value 0.3) and audit[11] (value 0.1)
-TWO_WELLS = ((0.3, 3.1), (0.1, 7.7))
 
 
 def test_two_interior_minima_get_two_descents_best_first(monkeypatch):
