@@ -5,7 +5,7 @@
 #
 # Runs perfbench/run.py of CHECKOUT (default: this repository) on every
 # workload at seeds 1-3 for 15 s each, plus one traced run each of
-# joint_s1 and known_s1_big at seed 1, one run at a time, and writes
+# joint_s1, known_s1_big and known_s4 at seed 1, one run at a time, and writes
 # BENCH_<short-sha of CHECKOUT's HEAD>.json to the current directory: a
 # JSON list with one object per run holding the run's arguments and the
 # two JSON lines it printed (info, result).
@@ -28,5 +28,6 @@ for workload in joint_s1 known_s1_big known_s4 sweep_s4; do
 done
 record joint_s1 1 1
 record known_s1_big 1 1
+record known_s4 1 1
 python3 -c 'import json, sys; json.dump([json.loads(line) for line in open(sys.argv[1])], sys.stdout, indent=1); print()' "$runs" > "$out"
 echo "wrote $out"

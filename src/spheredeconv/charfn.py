@@ -29,16 +29,21 @@ the axis-1 slice (t1, 0), the axis-2 slice (0, t2) and the full grid --
 into one array, built once per grid, so each grid evaluation is one call
 on one point set, sliced afterwards.  The closed form reads a PolarTable
 of a point set: the sorted distinct radii, each point's index into them,
-and the phase powers exp(-2 i pi p theta), p = 1..K.  EvalGrid caches one
-table of its stacked points per cutoff K, built on the first probe, so
-each grid evaluation calls the Bessel kernel bessel_rows once, on the
-radii times R.  The grid and its tables hold nothing else: psi_model_grid
-returns, with Psi, what its derivatives need -- the closed form's Bessel
-rows, or dPsi/dR from the same quadrature pass -- and
-psi_model_derivatives takes those, so the exact derivatives in
-(R, Re c_p, Im c_p) cost no kernel call or pass of their own.  Whoever
-evaluates keeps the evaluation: a fit keeps its latest one in its
-ContrastContext.
+and the phase powers exp(-2 i pi p theta), p = 1..K, scaled by the sign of
+i^p and the 2 of conjugate pairs.  EvalGrid caches one table of its
+stacked points per cutoff K, built on the first probe, so each grid
+evaluation calls the Bessel kernel bessel_rows once, on the radii times
+R.  The closed form then sums over all orders at once: the
+(K, m) weights 2 Re(c_p e_p), with the sign of i^p folded in, are built
+once per evaluation, and Psi and dPsi/dR are the same signed sums over p
+of Bessel rows times weights, even orders into the real part and odd ones
+into the imaginary part.  The grid and its tables hold nothing else:
+psi_model_grid returns, with Psi, what its derivatives need -- the closed
+form's Bessel rows and weights, or dPsi/dR from the same quadrature pass,
+which psi_model_marginals skips -- and psi_model_derivatives takes those,
+so the exact derivatives in (R, Re c_p, Im c_p) cost no kernel call or
+pass of their own.  Whoever evaluates keeps the evaluation: a fit keeps
+its latest one in its ContrastContext.
 
 Data side: the empirical characteristic function, in the model's
 (axis-1, axis-2, full) layout, is one real product per chunk of
@@ -314,14 +319,16 @@ class PolarTable:
     """What the closed form needs of a point set in R^2, given K.
 
     radii holds the points' distinct radii, sorted, and index maps each
-    point into them; phases[p - 1] = exp(-2 i pi p theta) for p = 1..K,
-    built by repeated multiplication.
+    point into them; phases, shape (K, m), holds the phase powers
+    e_p = exp(-2 i pi p theta), p = 1..K, built by repeated multiplication
+    and scaled by 2 (-1)^floor(p/2): i^p is that sign times 1 at even p and
+    times i at odd p, and conjugate pairs bring the 2.
     """
 
     k_cut: int
     radii: np.ndarray
     index: np.ndarray
-    phases: tuple
+    phases: np.ndarray
 
     @classmethod
     def build(cls, k_cut: int, pts: np.ndarray) -> "PolarTable":
@@ -329,36 +336,48 @@ class PolarTable:
         radii, index = np.unique(np.hypot(pts[:, 0], pts[:, 1]), return_inverse=True)
         theta = np.arctan2(pts[:, 1], pts[:, 0]) / (2.0 * np.pi)
         base = np.exp(-2j * np.pi * theta)
+        phases = np.empty((k_cut, base.size), dtype=complex)
         phase = np.ones_like(base)
-        phases = []
-        for _ in range(k_cut):
+        for p in range(1, k_cut + 1):
             phase = phase * base
-            phases.append(phase)
-        return cls(int(k_cut), radii, index, tuple(phases))
+            phases[p - 1] = (2.0 if p % 4 < 2 else -2.0) * phase
+        return cls(int(k_cut), radii, index, phases)
 
 
-def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> tuple[np.ndarray, np.ndarray]:
+def _signed_parts(vals: np.ndarray, terms: np.ndarray) -> None:
+    """Add sum_p i^p terms[p - 1] into the complex vals, for real terms of
+    orders p = 1..K that already carry their sign (-1)^floor(p/2): the even
+    orders into the real part, the odd ones into the imaginary part, one
+    order after another, so each point's sum is the same for any number of
+    points (a reduction over p may pair up one column's terms differently)."""
+    parts = [vals.real, vals.imag]
+    for p, term in enumerate(terms, start=1):
+        parts[p % 2] += term
+
+
+def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> tuple[np.ndarray, tuple]:
     """Closed-form circle characteristic function on a table's points.
 
-    Returns (vals, jmat): vals = sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta)
-    for p = -K..K, exact since coefficients vanish beyond the cutoff, and
-    the rows jmat[p] = J_p(r * radius), p = 0..max(K, 1), of one kernel call
-    on the distinct radii, each point gathering its row.  Conjugate pairs
-    collapse to J_0 + sum_{p>=1} i^p J_p * 2 Re(c_p e^{-2 i pi p theta}).
+    Returns (vals, (jmat, weights)): vals = sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta)
+    for p = -K..K, exact since coefficients vanish beyond the cutoff; the
+    rows jmat[p] = J_p(r * radius), p = 0..max(K, 1), of one kernel call on
+    the distinct radii, each point gathering its row; and the (K, m) weights
+    (-1)^floor(p/2) 2 Re(c_p e_p), e_p = exp(-2 i pi p theta), into which
+    conjugate pairs collapse, from the table's scaled phases.  vals is
+    c_0 J_0 plus the even orders' J_p weights_p in its real part and the
+    odd orders' in its imaginary part (_signed_parts).
     """
     k_cut = table.k_cut
     jmat = bessel_rows(k_cut, table.radii * radius)[:, table.index]
+    weights = np.real(coeffs[k_cut + 1 :, None] * table.phases)
     vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
-    ipow = 1.0 + 0.0j
-    for p in range(1, k_cut + 1):
-        ipow = ipow * 1j
-        vals += ipow * jmat[p] * (2.0 * np.real(coeffs[k_cut + p] * table.phases[p - 1]))
-    return vals, jmat
+    _signed_parts(vals, jmat[1 : k_cut + 1] * weights)
+    return vals, (jmat, weights)
 
 
-def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, jmat: np.ndarray, radius_only: bool = False) -> np.ndarray:
+def _psi_polar_jacobian(radius: float, table: PolarTable, aux: tuple, radius_only: bool = False) -> np.ndarray:
     """Derivatives of the closed form on a table's points, from the Bessel
-    rows jmat that _psi_polar returned at this radius.
+    rows and weights (aux) that _psi_polar returned at this radius.
 
     Returns dvals of shape (1 + 2K, m) holding dPsi/dR, then dPsi/dRe c_p and
     dPsi/dIm c_p for p = 1..K, or of shape (1, m) with dPsi/dR alone.
@@ -366,21 +385,24 @@ def _psi_polar_jacobian(coeffs: np.ndarray, radius: float, table: PolarTable, jm
         dPsi/dRe c_p = i^p J_p(rR) 2 Re e_p,   dPsi/dIm c_p = -i^p J_p(rR) 2 Im e_p,
         dPsi/dR = -r J_1(rR) + sum_{p>=1} i^p [r J_{p-1}(rR) - (p/R) J_p(rR)] 2 Re(c_p e_p),
     by J_0' = -J_1 and J_p'(x) = J_{p-1}(x) - (p/x) J_p(x) (DLMF 10.6.2), so
-    no order past max(K, 1) enters and nothing divides by r.
+    no order past max(K, 1) enters and nothing divides by r.  dPsi/dR is
+    the same signed sum over p as _psi_polar's, on the same weights.
     """
+    jmat, weights = aux
     k_cut = table.k_cut
     r = table.radii[table.index]
-    dvals = np.empty((1 if radius_only else 1 + 2 * k_cut, r.size), dtype=complex)
-    dvals[0] = -r * jmat[1]
-    ipow = 1.0 + 0.0j
-    for p in range(1, k_cut + 1):
-        ipow = ipow * 1j
-        phase = table.phases[p - 1]
-        if not radius_only:
-            dvals[2 * p - 1] = ipow * jmat[p] * (2.0 * phase.real)
-            dvals[2 * p] = -ipow * jmat[p] * (2.0 * phase.imag)
-        twice_re = 2.0 * np.real(coeffs[k_cut + p] * phase)
-        dvals[0] += ipow * (r * jmat[p - 1] - (p / radius) * jmat[p]) * twice_re
+    dvals = np.zeros((1 if radius_only else 1 + 2 * k_cut, r.size), dtype=complex)
+    dvals[0].real = -r * jmat[1]
+    orders = np.arange(1.0, k_cut + 1.0)[:, None]
+    slopes = r * jmat[:k_cut] - (orders / radius) * jmat[1 : k_cut + 1]
+    _signed_parts(dvals[0], slopes * weights)
+    if not radius_only:
+        # the coefficient rows of order p: i^p J_p 2 Re e_p, then -i^p J_p 2 Im e_p
+        rows = jmat[1 : k_cut + 1]
+        pairs = dvals[1:].reshape(k_cut, 2, r.size)
+        for col, part in ((0, rows * table.phases.real), (1, -rows * table.phases.imag)):
+            pairs[1::2, col].real = part[1::2]
+            pairs[0::2, col].imag = part[0::2]
     return dvals
 
 
@@ -446,15 +468,17 @@ def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
     return out[0] if single else out
 
 
-def psi_model_grid(f: AngleDensity, radius: float, grid: EvalGrid) -> tuple:
+def psi_model_grid(f: AngleDensity, radius: float, grid: EvalGrid, derivatives: bool = True) -> tuple:
     """One evaluation of Psi on grid.points(): ((vals1, vals2, full), aux).
 
     The values on the axis-1 slice, the axis-2 slice and the full grid,
     shaped (m1, m2), are views into one array, each equal to the pointwise
     psi_model call bit for bit (same route, same coordinates).  aux is what
-    psi_model_derivatives reads: the closed form's Bessel rows, from one
-    kernel call through the grid's PolarTable for the density's cutoff, or
-    dPsi/dR from the same quadrature pass.
+    psi_model_derivatives reads: the closed form's Bessel rows and weights,
+    from one kernel call through the grid's PolarTable for the density's
+    cutoff, or dPsi/dR from the same quadrature pass.  Off the closed form,
+    derivatives=False skips dPsi/dR and returns aux None, with the same
+    values bit for bit.
     """
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
@@ -463,22 +487,23 @@ def psi_model_grid(f: AngleDensity, radius: float, grid: EvalGrid) -> tuple:
     if isinstance(f, FourierDensity):
         vals, aux = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff))
     else:
-        aux = np.empty(grid.points().shape[0], dtype=complex)
+        aux = np.empty(grid.points().shape[0], dtype=complex) if derivatives else None
         vals = _psi_quadrature(f, float(radius), grid.points(), d_radius=aux)
     return _split(vals, grid), aux
 
 
 def psi_model_marginals(f: AngleDensity, radius: float, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Psi on the axis-1 slice, the axis-2 slice, and the full grid: psi_model_grid's values."""
-    return psi_model_grid(f, radius, grid)[0]
+    """Psi on the axis-1 slice, the axis-2 slice, and the full grid:
+    psi_model_grid's values, without the dPsi/dR pass off the closed form."""
+    return psi_model_grid(f, radius, grid, derivatives=False)[0]
 
 
-def psi_model_derivatives(f: AngleDensity, radius: float, grid: EvalGrid, aux: np.ndarray, radius_only: bool = False) -> tuple:
+def psi_model_derivatives(f: AngleDensity, radius: float, grid: EvalGrid, aux, radius_only: bool = False) -> tuple:
     """Derivatives (d1, d2, d_full) of Psi in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
     or in R alone when radius_only, one leading row per parameter, from aux,
     psi_model_grid's at (f, radius).  Off the closed form aux is dPsi/dR, the only one."""
     if isinstance(f, FourierDensity):
-        dvals = _psi_polar_jacobian(f.coeffs, float(radius), grid.polar_table(f.cutoff), aux, radius_only)
+        dvals = _psi_polar_jacobian(float(radius), grid.polar_table(f.cutoff), aux, radius_only)
     else:
         dvals = aux[None]
     return _split(dvals, grid)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import EvalGrid, bench_grid, ecf, psi_model_derivatives, psi_model_grid
+from .charfn import EvalGrid, bench_grid, ecf, psi_model_derivatives, psi_model_grid, psi_model_marginals
 from .geometry import AngleDensity, FourierDensity, fourier_form
 
 
@@ -136,7 +136,7 @@ def contrast_m_oracle(
     f, f_star = fourier_form(f), fourier_form(f_star)
     if grid is None:
         grid = bench_grid(f.dim_minus_1 + 1)
-    cand, truth = psi_model_grid(f, radius, grid)[0], psi_model_grid(f_star, r_star, grid)[0]
+    cand, truth = psi_model_marginals(f, radius, grid), psi_model_marginals(f_star, r_star, grid)
     phi = noise.char_fn(grid.full_points()).reshape(grid.m1, grid.m2)
     r = _combine(cand, truth, grid, extra_weight=phi.real**2 + phi.imag**2)
     return float(r @ r)

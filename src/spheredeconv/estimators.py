@@ -49,7 +49,15 @@ def _as_int(name: str, value) -> int:
 class FitConfig:
     """Knobs for the contrast minimizers.
 
-    r_min/r_max bound the admissible radius (estimates clamp to them);
+    r_min/r_max bound the admissible radius (estimates clamp to them).
+    The paper's estimators minimize over a compact parameter set, and
+    [r_min, r_max] is that set for the radius: keep it a window around the
+    plausible radii, not a stand-in for "any R".  The model's Psi vanishes
+    away from t = 0 as R grows, so the contrast C(R) tends to 0 there, and
+    a huge r_max finds that degenerate minimum; the audit's 16 radii also
+    spread (r_max - r_min) / 15 apart.  On scenario 1 at n = 2000 (seed 3)
+    the joint fit finds R = 3 up to r_max = 50, not at r_max = 100, and
+    returns r_hat ~ 1e6 at r_max = 1e6.
     k_cutoff is the Fourier cutoff K of the joint fit's density; restarts
     caps the number of audit basins the joint fit descends from (see
     _scan_and_descend; at most AUDIT_POINTS), and max_iters caps every

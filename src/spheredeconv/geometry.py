@@ -222,10 +222,9 @@ def fourier_coefficient(f: AngleDensity, k: int) -> complex:
 def fourier_coefficients(f: AngleDensity, k_cut: int) -> np.ndarray:
     """c_{-K}..c_K for K = k_cut, each equal to fourier_coefficient's.
 
-    A circle callable is evaluated once on the quadrature rule, and
-    exp(2i pi k u) for k = 1..K is formed by repeated multiplication, so
-    each c_k is one weighted sum over the nodes; c_{-k} = conj(c_k) exactly,
-    as f is real.  Fourier densities are zero-padded beyond their cutoff.
+    A circle callable is evaluated once on the quadrature rule, and all its
+    c_k come from _rule_coefficients; c_{-k} = conj(c_k) exactly, as f is
+    real.  Fourier densities are zero-padded beyond their cutoff.
     """
     if isinstance(f, FourierDensity):
         out, m = np.zeros(2 * k_cut + 1, dtype=complex), min(k_cut, f.cutoff)
@@ -233,14 +232,27 @@ def fourier_coefficients(f: AngleDensity, k_cut: int) -> np.ndarray:
         return out
     if f.dim_minus_1 != 1:
         raise ValueError("Fourier coefficients are defined for circle densities only")
-    nodes, weights = _unit_box_grid(1, _axis_node_count(1))
-    payload = np.asarray(f.fn(nodes), dtype=float) * weights
-    base = np.exp(2j * np.pi * nodes[:, 0])
-    power, sums = np.ones_like(base), np.empty(k_cut + 1, dtype=complex)
-    for k in range(k_cut + 1):
-        sums[k] = np.sum(payload * power)
-        power = power * base
-    return np.concatenate([np.conj(sums[:0:-1]), sums])
+    nodes, _ = _unit_box_grid(1, _axis_node_count(1))
+    return _rule_coefficients(np.asarray(f.fn(nodes), dtype=float), k_cut)
+
+
+def _rule_coefficients(vals: np.ndarray, k_cut: int) -> np.ndarray:
+    """c_{-K}..c_K of the trapezoid rule on the nodes u_j = j / M, j = 0..M,
+    from the values vals[j] = f(u_j).
+
+    The rule is periodic, exp(2i pi k u_M) = 1 = exp(2i pi k u_0), so its two
+    end nodes fold into one, f(0) and f(1) averaged at u = 0, and
+    c_k = (1/M) sum_{j < M} folded_j exp(2i pi k j / M) is the conjugate of
+    one real FFT of the M folded values, scaled.  The rule resolves
+    harmonics up to k = M / 2; a larger K is refused.
+    """
+    m = vals.size - 1
+    if k_cut > m // 2:
+        raise ValueError(f"the {m + 1}-node rule resolves harmonics up to k = {m // 2}, not {k_cut}")
+    folded = vals[:m].copy()
+    folded[0] = 0.5 * (vals[0] + vals[m])
+    half = np.conj(np.fft.rfft(folded)[: k_cut + 1]) / m
+    return np.concatenate([np.conj(half[:0:-1]), half])
 
 
 def fourier_form(f: AngleDensity) -> AngleDensity:
@@ -249,17 +261,18 @@ def fourier_form(f: AngleDensity) -> AngleDensity:
     sum_{K < k <= TAIL_CUTOFF} |c_k| <= TAIL_BOUND.  A callable with no such K,
     with more than TAIL_BOUND of int f^2 past |k| = TAIL_CUTOFF (Parseval on
     the coefficients' own rule), or past COEFF_NORM_BOUND is refused with
-    ConfigError."""
+    ConfigError.  f is evaluated once, on that rule."""
     if isinstance(f, FourierDensity) or f.dim_minus_1 != 1:
         return f
-    name, full = f.name or "circle callable", fourier_coefficients(f, TAIL_CUTOFF)
+    nodes, weights = _unit_box_grid(1, _axis_node_count(1))
+    vals = np.asarray(f.fn(nodes), dtype=float)
+    name, full = f.name or "circle callable", _rule_coefficients(vals, TAIL_CUTOFF)
     half = full[TAIL_CUTOFF + 1 :]
     tails = np.cumsum(np.abs(half[::-1]))[::-1]  # tails[K] = sum_{K < k <= TAIL_CUTOFF} |c_k|
     k_cut = int(np.argmax(tails <= TAIL_BOUND))
     if tails[k_cut] > TAIL_BOUND:
         raise ConfigError(f"{name}: harmonics do not fall below {TAIL_BOUND:g} by k = {TAIL_CUTOFF}")
-    nodes, weights = _unit_box_grid(1, _axis_node_count(1))
-    past = float(np.asarray(f.fn(nodes), dtype=float) ** 2 @ weights) - float(np.sum(np.abs(full) ** 2))
+    past = float(vals**2 @ weights) - float(np.sum(np.abs(full) ** 2))
     if past > TAIL_BOUND:
         raise ConfigError(f"{name}: harmonics past k = {TAIL_CUTOFF} carry {past:.3g} of int f^2")
     try:

@@ -196,3 +196,58 @@ def test_rows_match_scipy_jv_far_out(k_cut, tol):
     xs = np.linspace(0.0, 2000.0, 20_001)
     rows = bessel_rows(k_cut, xs)
     assert np.max(np.abs(rows - sp.jv(np.arange(k_cut + 1.0)[:, None], xs))) <= tol
+
+
+@pytest.mark.parametrize("k_cut", [32, 64])
+def test_rows_match_scipy_jv_up_to_the_tail_cutoff(k_cut):
+    # a known fit reaches K = TAIL_CUTOFF = 64; below x = K every row comes
+    # from the backward recurrence.  The bound is 2.5e-15: at K = 64 jv
+    # itself is 1.8e-15 off 40-digit values on this range, the rows 8e-16
+    top = float(k_cut)
+    edges = [0.0, np.nextafter(top, 0.0), top, np.nextafter(top, np.inf)]
+    xs = np.concatenate([edges, np.linspace(0.0, X_CHECK, 2001)])
+    rows = bessel_rows(k_cut, xs)
+    assert np.max(np.abs(rows - sp.jv(np.arange(k_cut + 1.0)[:, None], xs))) <= 2.5e-15
+
+
+@pytest.mark.parametrize("k_cut", [2, 4, 12, 32, 64])
+def test_rows_at_tiny_arguments_raise_no_floating_point_error(k_cut):
+    # a fixed starting order would overflow here (already at x = 1e-8 for
+    # K >= 32); FitConfig(r_min=1e-6) reaches x ~ 5e-8
+    xs = np.array([1e-300, 1e-12, 1e-8])
+    with np.errstate(all="raise"):
+        rows = bessel_rows(k_cut, xs)
+    assert np.max(np.abs(rows - sp.jv(np.arange(k_cut + 1.0)[:, None], xs))) <= 1e-24
+    assert np.array_equal(bessel_rows(k_cut, np.zeros(1))[:, 0], np.eye(k_cut + 1)[0])
+
+
+@pytest.mark.parametrize("k_cut", [4, 12])
+def test_rows_at_the_first_zeros_of_j0_and_j1(k_cut):
+    # the Neumann sum normalises, so a vanishing J_0 or J_1 costs nothing
+    zeros = np.array([2.404825557695773, 3.8317059702075125])
+    xs = np.concatenate([zeros, np.nextafter(zeros, 0.0), np.nextafter(zeros, np.inf)])
+    rows = bessel_rows(k_cut, xs)
+    assert np.max(np.abs(rows - sp.jv(np.arange(k_cut + 1.0)[:, None], xs))) <= 2e-15
+
+
+def test_rows_never_call_jv(monkeypatch):
+    import spheredeconv.bessel as bessel_mod
+
+    def refuse(*args):
+        raise AssertionError("bessel_rows called jv")
+
+    monkeypatch.setattr(bessel_mod, "jv", refuse)
+    xs = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.0, 80.0, 801)])
+    for k_cut in (0, 1, 2, 4, 12, 64):
+        assert np.all(np.isfinite(bessel_rows(k_cut, xs)))
+
+
+def test_each_column_depends_on_its_own_argument_alone():
+    # the closed form's grid values equal its pointwise calls bit for bit only
+    # if a point's rows do not depend on which other points share the call
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.uniform(0.0, 15.0, 60), [0.0, 1e-9, 11.99, 12.0]])
+    rng.shuffle(xs)
+    rows = bessel_rows(12, xs)
+    for i, x in enumerate(xs):
+        assert rows[:, i].tobytes() == bessel_rows(12, np.array([x]))[:, 0].tobytes()

@@ -363,6 +363,48 @@ class TestPsiModel:
                         want = np.array([psi_model(f, radius, t) for t in pts])
                         assert got.ravel().tobytes() == want.tobytes()
 
+    def test_marginals_bitwise_match_pointwise_calls_at_high_cutoffs(self):
+        # past 8 orders of one parity numpy's sum pairs up a single column's terms
+        # differently from many columns'; the closed form sums order after order
+        rng = np.random.default_rng(13)
+        g = EvalGrid.build(nu_est=1.0, nodes_per_axis=9)
+        for k_cut, radius in ((16, 2.2), (40, 9.5)):
+            f = random_density(rng, k_cut)
+            vals = psi_model_marginals(f, radius, g)
+            for got, pts in zip(vals, stacked_slices(g)):
+                want = np.array([psi_model(f, radius, t) for t in pts])
+                assert got.ravel().tobytes() == want.tobytes()
+
+    def test_closed_and_quadrature_routes_agree_at_high_cutoffs(self):
+        rng = np.random.default_rng(14)
+        t = rng.uniform(-1.0, 1.0, size=(40, 2))
+        for k_cut in (12, 24):
+            f = random_density(rng, k_cut)
+            for radius in (0.7, 3.0, 8.0):
+                closed = psi_model(f, radius, t, method="closed")
+                assert np.max(np.abs(closed - psi_model(f, radius, t, method="quadrature"))) < 1e-12
+
+    def test_marginals_skip_the_radius_derivative_off_the_closed_form(self, monkeypatch):
+        import spheredeconv.charfn as charfn_mod
+
+        passes = []
+        real_pass = charfn_mod._psi_quadrature
+
+        def recording(f, radius, pts, d_radius=None):
+            passes.append(d_radius)
+            return real_pass(f, radius, pts, d_radius=d_radius)
+
+        monkeypatch.setattr(charfn_mod, "_psi_quadrature", recording)
+        for f, dim, nodes in ((uniform_density(2), 3, 3), (vonmises_like(), 2, 9)):
+            g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=nodes)
+            passes.clear()
+            vals = psi_model_marginals(f, 2.3, g)
+            assert passes == [None]
+            psi, aux = psi_model_grid(f, 2.3, g)
+            assert passes[1] is aux and aux.shape == (g.points().shape[0],)
+            for got, want in zip(vals, psi):
+                assert got.tobytes() == want.tobytes()
+
     def test_quadrature_marginals_bitwise_match_batch_calls(self):
         # more than one 128-row chunk, so the stacked set's chunks straddle the slices
         for f, dim, nodes in ((vonmises_like(), 2, 15), (uniform_density(2), 3, 7)):

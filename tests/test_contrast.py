@@ -143,7 +143,7 @@ def residual_at(ctx):
     return lambda x: contrast_residual(FourierDensity.from_half(x[1::2] + 1j * x[2::2]), x[0], ctx)
 
 
-@pytest.mark.parametrize("k_cut", [0, 1, 4])
+@pytest.mark.parametrize("k_cut", [0, 1, 4, 12])
 @pytest.mark.parametrize("scenario_id", [1, 4])
 def test_contrast_jacobian_matches_central_differences(scenario_id, k_cut):
     grid = EvalGrid.build()
@@ -374,6 +374,22 @@ class TestPopulationContrast:
             contrast_m_oracle(
                 uniform_density(1), 2.0, uniform_density(1), 3.0, Opaque()
             )
+
+    def test_skips_the_radius_derivative_off_the_closed_form(self, monkeypatch):
+        import spheredeconv.charfn as charfn_mod
+
+        passes = []
+        real_pass = charfn_mod._psi_quadrature
+
+        def recording(f, radius, pts, d_radius=None):
+            passes.append(d_radius)
+            return real_pass(f, radius, pts, d_radius=d_radius)
+
+        monkeypatch.setattr(charfn_mod, "_psi_quadrature", recording)
+        f = uniform_density(2)
+        grid = EvalGrid.build(dim=3, nu_est=0.5, nodes_per_axis=3)
+        val = contrast_m_oracle(f, 2.5, f, 3.0, NoiseModel.isotropic_gaussian(0.3, dim=3), grid=grid)
+        assert val > 0.0 and passes == [None, None]
 
     def test_mixture_noise_supported(self):
         scn = scenario(2)

@@ -1,6 +1,7 @@
 """Tests for the sphere parametrization, densities, and sampling."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,35 @@ class TestCallableDensity:
         assert np.array_equal(fourier_coefficients(g, 1), g.coeffs[1:4])
         with pytest.raises(ValueError):
             fourier_coefficients(uniform_density(2), 1)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda u: np.exp(np.cos(2.0 * np.pi * u)),
+            lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * 70.0 * u),
+            lambda u: 2.0 * u,  # f(0) != f(1): the end nodes fold into their average
+        ],
+    )
+    def test_fourier_coefficients_equal_direct_sums_on_the_same_rule(self, fn):
+        # the 10 001-node trapezoid rule, summed node by node with exact phases
+        # 2 pi (k j mod 10 000) / 10 000 and compensated sums
+        f = CallableDensity(lambda u: fn(u[:, 0]) / trapezoid_integral(fn), dim_minus_1=1)
+        j = np.arange(10_001)
+        w = np.full(j.size, 1e-4)
+        w[[0, -1]] = 0.5e-4
+        payload = w * f.fn(j[:, None] / 10_000.0)
+        got = fourier_coefficients(f, TAIL_CUTOFF)
+        for k in range(TAIL_CUTOFF + 1):
+            phase = 2.0 * np.pi * ((k * j) % 10_000) / 10_000.0
+            want = complex(math.fsum(payload * np.cos(phase)), math.fsum(payload * np.sin(phase)))
+            assert abs(got[TAIL_CUTOFF + k] - want) <= 1e-15
+            assert got[TAIL_CUTOFF - k] == np.conj(got[TAIL_CUTOFF + k])
+
+    def test_fourier_coefficients_past_the_rules_resolution_are_refused(self):
+        f = vonmises_like()
+        assert fourier_coefficients(f, 5000).shape == (10_001,)
+        with pytest.raises(ValueError, match="up to k = 5000"):
+            fourier_coefficients(f, 5001)
 
     def test_fourier_form_cuts_a_circle_callable_where_its_tail_vanishes(self):
         f = vonmises_like()
