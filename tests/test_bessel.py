@@ -202,7 +202,7 @@ def test_rows_match_scipy_jv_far_out(k_cut, tol):
 def test_rows_match_scipy_jv_up_to_the_tail_cutoff(k_cut):
     # a known fit reaches K = TAIL_CUTOFF = 64; below x = K every row comes
     # from the backward recurrence.  The bound is 2.5e-15: at K = 64 jv
-    # itself is 1.8e-15 off 40-digit values on this range, the rows 8e-16
+    # itself is 1.8e-15 off 40-digit values on this range, the rows 4e-16
     top = float(k_cut)
     edges = [0.0, np.nextafter(top, 0.0), top, np.nextafter(top, np.inf)]
     xs = np.concatenate([edges, np.linspace(0.0, X_CHECK, 2001)])
