@@ -7,7 +7,9 @@ for J_0..J_K at many points at once, which bessel_rows serves without jv:
 J_0 and J_1 from scipy.special.j0 and j1, higher orders by the forward
 three-term recurrence (DLMF 10.6.1) wherever x >= K, where it is stable
 (DLMF 10.74(iv)), and by Miller's backward recurrence at the points
-0 < x < K, normalised by J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4).
+0 < x < K, normalised by J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4).  The
+order that recurrence starts from, negligible_order, also truncates the
+empirical characteristic function's Jacobi-Anger sums.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from scipy.special import j0, j1, jv
 
 
 # Miller's recurrence runs from J_{n+1} = 0, J_n = 1 at n = max(K + 1,
-# ceil(x + 10 x^(1/3)) + 4).  Measured against 40-digit values at x < K <= 64,
+# negligible_order(x)).  Measured against 40-digit values at x < K <= 64,
 # a start at n - 1 already reaches roundoff, and one at n - 2 stays within
 # 4e-16.  Where the values could pass exp(_LOG_RANGE), n drops to the last
 # order within it: there J_n(x) < exp(-_LOG_RANGE), and the rows above n are
@@ -28,6 +30,16 @@ from scipy.special import j0, j1, jv
 _LOG_RANGE = 650.0
 _X_FLOOR = 1e-140
 _SMALLEST_POSITIVE = 5e-324
+
+
+def negligible_order(x):
+    """ceil(x + 10 x^(1/3)) + 4 at x > 0 and 0 at x = 0: the order n past
+    which the orders p > n of J_p(x) are negligible.  It starts Miller's
+    recurrence, and it truncates the Jacobi-Anger expansion
+    exp(i x cos a) = J_0(x) + 2 sum_{p>=1} i^p J_p(x) cos(p a) (DLMF 10.12.2),
+    whose tail 2 sum_{p>n} |J_p(x)| it leaves is below 1e-17 at 0 <= x <= 30.
+    """
+    return np.where(x > 0.0, np.ceil(x + 10.0 * np.cbrt(x)) + 4.0, 0.0)
 
 
 def _miller_rows(top: int, x: np.ndarray) -> np.ndarray:
@@ -43,7 +55,7 @@ def _miller_rows(top: int, x: np.ndarray) -> np.ndarray:
     """
     if x[0] < _X_FLOOR:
         x = np.maximum(x, _X_FLOOR)
-    start = np.maximum(top + 1.0, np.ceil(x + 10.0 * np.cbrt(x)) + 4.0).astype(np.intp)
+    start = np.maximum(top + 1.0, negligible_order(x)).astype(np.intp)
     n_max = int(start[-1])
     if n_max * (math.log(2.0 * n_max + x[0]) - math.log(x[0])) > _LOG_RANGE:
         # sum_{q <= n} log(1 + 2q / x), each term as logaddexp(0, log 2q - log x)

@@ -46,14 +46,23 @@ pass of their own.  Whoever evaluates keeps the evaluation: a fit keeps
 its latest one in its ContrastContext.
 
 Data side: the empirical characteristic function, in the model's
-(axis-1, axis-2, full) layout, is one real product per chunk of
-observations, [1; cos t1 x1; sin t1 x1] times the transpose of
-[1; cos t2 . x2; sin t2 . x2] over the first ceil(m2/2) axis-2 nodes; the
-ones rows carry both marginals, and the complex grid values, including
-the mirrored axis-2 columns, are assembled once from the summed product.
-Its cos and sin come from _cos_sin, a table-driven kernel in numpy ufuncs
-within 2^-52 of np.cos and np.sin, which numpy evaluates element by
-element in scalar libm calls.
+(axis-1, axis-2, full) layout, takes one of two routes, whichever costs
+less per observation (_moment_orders).  On samples compact next to the
+window it sums Chebyshev moments: with L_c = max |x_c| and the
+Jacobi-Anger expansion exp(i t x) = sum_j eps_j i^j J_j(t L_c) T_j(x / L_c)
+(DLMF 10.12.3), truncated at J_c = negligible_order(nu_est L_c), each
+chunk of observations builds the rows T_0..T_J by the three-term
+recurrence and adds one real product of the axis-1 rows and the other
+coordinates' rows (their row-wise Kronecker product in d >= 3) into a
+small moment matrix M; the Bessel coefficient tables, from one
+bessel_rows call per coordinate, turn M into the grid values once per
+call, and T_0 = 1 makes M's first column and row carry the marginals.
+On wide samples, where J grows like nu_est max |x|, and on small grids
+it sums cos/sin rows instead: one real product per chunk of
+[1; cos t1 x1; sin t1 x1] times the transpose of [1; cos t2 . x2;
+sin t2 . x2] over the first ceil(m2/2) axis-2 nodes, whose cos and sin
+come from _cos_sin, a table-driven kernel in numpy ufuncs within 2^-52
+of np.cos and np.sin.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bessel import bessel_rows
+from .bessel import bessel_rows, negligible_order
 from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, tensor_rule
 
 # half-width of the default frequency window [-nu_est, nu_est]^d
@@ -185,8 +194,17 @@ _REDUCTION_LIMIT = 2.0**27 * _STEP_HI
 # their width on the default grid's 35 x 35 products
 _ONE_THREAD_PRODUCT = 2 * 65536 * 4
 _PRODUCT_WIDTH = 256
-# observations per ecf chunk and points per _psi_quadrature block
-_ECF_CHUNK, _QUAD_CHUNK = 1 << 10, 128
+# observations per ecf chunk on the rows and the moment route, and points
+# per _psi_quadrature block
+_ECF_CHUNK, _MOMENT_CHUNK, _QUAD_CHUNK = 1 << 10, 1 << 12, 128
+# per-observation costs of the ecf routes, in multiply-adds of the
+# accumulator product: one cos/sin pair of _cos_sin, and one Chebyshev
+# value or Kronecker entry of _ecf_moments.  Least-squares fit of each
+# route's time per observation on 2 cores at one BLAS thread, over d = 2
+# (5..65 nodes per axis), d = 3 (5..33) and d = 4 (3..9) grids and
+# samples with J = 11..66; the rule then picks the faster route on 59 of
+# the 60 cases, and the one miss costs 17%
+_COS_SIN_COST, _CHEBYSHEV_COST = 220.0, 22.0
 
 
 def _trig_table() -> tuple[np.ndarray, np.ndarray]:
@@ -257,15 +275,13 @@ def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     model's (axis-1, axis-2, full) layout, over the folded axis-1 nodes.
 
     Accepts an (n, d) array or any object with a .data attribute holding
-    one.  Each chunk of _ECF_CHUNK observations stacks the rows [1; cos(t1 x1);
-    sin(t1 x1)] over the m1 axis-1 nodes and [1; cos(t2 . x2); sin(t2 . x2)]
-    over the first ceil(m2/2) axis-2 nodes, computed by _cos_sin, and adds
-    their one real product into a small accumulator; the ones rows give
-    both marginals.  The complex values are assembled once at the end:
-    since axis2_nodes[::-1] == -axis2_nodes, the other axis-2 columns are
-    the same sums with the axis-2 sines negated, reversed.  Observations
-    are accumulated in fixed-order chunks, so the result is bitwise stable
-    for given inputs.
+    one.  _moment_orders picks one of two routes by their cost per
+    observation: Chebyshev moments (_ecf_moments), where the sample is
+    compact next to the window, or cos/sin rows (_ecf_rows), the others.
+    Both sum the observations in fixed-order chunks, each adding one real
+    product into a small accumulator in slices that stay on one BLAS
+    thread, and assemble the complex values once at the end, so the result
+    is bitwise stable for given inputs whatever the BLAS thread count.
     """
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2:
@@ -275,8 +291,32 @@ def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("sample is empty")
     if d != grid.dim:
         raise ValueError(f"sample dimension {d} does not match grid dimension {grid.dim}")
-    if not np.all(np.isfinite(data)):
+    # max and min propagate NaN, so finite extremes mean a finite sample;
+    # taken column by column, which numpy reduces far faster than axis 0
+    scale = np.array([max(col.max(), -col.min()) for col in data.T])
+    if not np.all(np.isfinite(scale)):
         raise ValueError("sample contains non-finite values")
+    orders = _moment_orders(grid, scale)
+    if orders is None:
+        return _ecf_rows(data, grid)
+    return _ecf_moments(data, grid, scale, orders)
+
+
+def _slice_width(sums: np.ndarray) -> int:
+    """Observations per product slice into the accumulator sums, few enough
+    that each product stays on one BLAS thread."""
+    return max(1, min(_PRODUCT_WIDTH, (_ONE_THREAD_PRODUCT - 1) // sums.size))
+
+
+def _ecf_rows(data: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ecf from cos/sin rows: each chunk stacks [1; cos(t1 x1); sin(t1 x1)]
+    over the m1 axis-1 nodes and [1; cos(t2 . x2); sin(t2 . x2)] over the
+    first ceil(m2/2) axis-2 nodes, computed by _cos_sin, and adds their
+    real product; the ones rows give both marginals.  The complex values
+    are assembled once at the end: since axis2_nodes[::-1] == -axis2_nodes,
+    the other axis-2 columns are the same sums with the axis-2 sines
+    negated, reversed."""
+    n = data.shape[0]
     m1, m2 = grid.m1, grid.m2
     half2 = (m2 + 1) // 2
     t1 = grid.axis1_nodes[:, None]
@@ -288,7 +328,7 @@ def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # per axis: the phases, then _cos_sin's scratch
     work1, work2 = np.empty((5, m1, width)), np.empty((5, half2, width))
     sums = np.zeros((1 + 2 * m1, 1 + 2 * half2))
-    step = max(1, min(_PRODUCT_WIDTH, (_ONE_THREAD_PRODUCT - 1) // sums.size))
+    step = _slice_width(sums)
     for start in range(0, n, _ECF_CHUNK):
         block = data[start : start + _ECF_CHUNK]
         b = block.shape[0]
@@ -312,6 +352,109 @@ def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     marg2[:half2] = sums[0, 1 : 1 + half2] + 1j * sums[0, 1 + half2 :]
     np.conjugate(marg2[rest - 1 :: -1], out=marg2[half2:])
     return marg1, marg2, full
+
+
+def _moment_orders(grid: EvalGrid, scale: np.ndarray) -> list[int] | None:
+    """The Chebyshev orders J_c of each coordinate if the moment route costs
+    less per observation than the rows route, else None.
+
+    J_c = negligible_order(nu_est L_c) for L_c = max |x_c|.  Costs are in
+    multiply-adds of the accumulator product: the rows route pays
+    _COS_SIN_COST per cos/sin pair, m1 + ceil(m2/2) of them, and
+    (1 + 2 m1)(1 + 2 ceil(m2/2)) for its product; the moment route pays
+    _CHEBYSHEV_COST per Chebyshev value, d (max J_c + 1) of them, and per
+    entry of the row-wise Kronecker products in d >= 3, and
+    (J_1 + 1) prod_{c>=2} (J_c + 1) for its product.
+    """
+    half2 = (grid.m2 + 1) // 2
+    rows_cost = _COS_SIN_COST * (grid.m1 + half2) + (1 + 2 * grid.m1) * (1 + 2 * half2)
+    sizes = negligible_order(grid.nu_est * scale) + 1.0
+    kron = np.cumprod(sizes[1:])
+    moment_cost = _CHEBYSHEV_COST * (sizes.size * sizes.max() + kron[1:].sum()) + sizes[0] * kron[-1]
+    if not moment_cost < rows_cost:
+        return None
+    return [int(j) - 1 for j in sizes]
+
+
+def _jacobi_anger_table(nodes: np.ndarray, scale: float, order: int) -> np.ndarray:
+    """B[k, j] = eps_j i^j J_j(t_k scale), j = 0..order, at the nodes t_k:
+    the Chebyshev coefficients of exp(i t_k x), |x| <= scale, in T_j(x / scale)
+    (DLMF 10.12.3), eps_0 = 1 and eps_j = 2 after.  J_j(-z) = (-1)^j J_j(z),
+    so a negative node takes (-i)^j = conj(i^j), and B at -t is conj(B at t)."""
+    jmat = bessel_rows(order, np.abs(nodes) * scale)[: order + 1].T
+    j = np.arange(order + 1)
+    unit = np.array([1.0, 1j, -1.0, -1j])[j % 4] * np.where(j > 0, 2.0, 1.0)
+    return jmat * np.where(nodes[:, None] < 0.0, np.conj(unit), unit)
+
+
+def _small_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in row slices of a, each product below a quarter of
+    _ONE_THREAD_PRODUCT (a complex multiply-add is four real ones), so it
+    stays on one BLAS thread."""
+    rows = max(1, (_ONE_THREAD_PRODUCT // 4 - 1) // max(1, a.shape[1] * b.shape[1]))
+    return np.concatenate([a[k : k + rows] @ b for k in range(0, a.shape[0], rows)])
+
+
+def _ecf_moments(data, grid, scale, orders) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ecf from Chebyshev moments: exp(i t x) = sum_j eps_j i^j J_j(t L) T_j(x / L)
+    for |x| <= L (_jacobi_anger_table), so the ECF is a Bessel-weighted sum
+    of the moments M[j, k] = sum_obs T_j(x_1 / L_1) T_k(x_2 / L_2) ....
+
+    Each chunk of _MOMENT_CHUNK observations builds the rows T_0..T_J of
+    all coordinates at once by T_{j+1} = 2 y T_j - T_{j-1}, two ufunc calls
+    per order.  Each slice of it then combines coordinates 2..d by a
+    row-wise Kronecker product in tensor_rule's row-major order and adds
+    the real product of the axis-1 rows and that block into M.  Once per
+    call, with one coefficient table B_c per coordinate,
+    full = B_1 M B_2^T / n, B_2 the Kronecker product of the per-axis
+    tables of coordinates 2..d, applied one axis at a time; the marginals
+    are B_1 M[:, 0] and B_2 M[0, :], since T_0 = 1.
+    """
+    n, d = data.shape
+    sizes = [j + 1 for j in orders]
+    width = min(_MOMENT_CHUNK, n)
+    cheb = np.empty((max(sizes), d, width))
+    cheb[0] = 1.0
+    twice = np.empty((d, width))
+    # an all-zero coordinate has the one row T_0 = 1; its y = 0 / 1 is never read
+    divisor = np.where(scale > 0.0, scale, 1.0)[:, None]
+    block_size = math.prod(sizes[1:])
+    sums = np.zeros((sizes[0], block_size))
+    step = _slice_width(sums)
+    kron = np.empty((block_size, step)) if d > 2 else None
+    for start in range(0, n, _MOMENT_CHUNK):
+        block = data[start : start + _MOMENT_CHUNK]
+        b = block.shape[0]
+        rows, tw = cheb[..., :b], twice[:, :b]
+        if len(rows) > 1:
+            np.divide(block.T, divisor, out=rows[1])
+            np.multiply(rows[1], 2.0, out=tw)
+            for j in range(1, len(rows) - 1):
+                np.multiply(tw, rows[j], out=rows[j + 1])
+                rows[j + 1] -= rows[j - 1]
+        for k in range(0, b, step):
+            part = rows[..., k : k + step]
+            w = part.shape[-1]
+            second = part[: sizes[1], 1]
+            for c in range(2, d):
+                pairs = kron[: len(second) * sizes[c], :w].reshape(len(second), sizes[c], w)
+                second = np.multiply(second[:, None], part[: sizes[c], c], out=pairs).reshape(-1, w)
+            sums += part[: sizes[0], 0] @ second.T
+    sums /= n
+    sums = sums.astype(complex)
+    table1 = _jacobi_anger_table(grid.axis1_nodes, scale[0], orders[0])
+    # every axis of the block carries the same 1-d nodes; the last runs fastest
+    axis_nodes = grid.axis2_nodes[: grid.nodes_per_axis, -1]
+    # row 0 of the stack gives the axis-2 marginal, the others the full grid
+    stacked = np.concatenate([sums[:1], _small_product(table1, sums)])
+    marg1 = stacked[1:, 0].copy()
+    for c in range(1, d):
+        table = _jacobi_anger_table(axis_nodes, scale[c], orders[c])
+        # contract the leading remaining order axis, appending its node axis
+        lead = stacked.reshape(stacked.shape[0], sizes[c], -1)
+        moved = lead.transpose(0, 2, 1).reshape(-1, sizes[c])
+        stacked = _small_product(moved, table.T).reshape(stacked.shape[0], -1)
+    return marg1, stacked[0], stacked[1:]
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,8 @@ from spheredeconv.charfn import (
     _REDUCTION_LIMIT,
     EvalGrid,
     _cos_sin,
+    _moment_orders,
+    bench_grid,
     ecf,
     psi_model,
     psi_model_derivatives,
@@ -29,7 +31,7 @@ from spheredeconv.geometry import (
     uniform_density,
     vonmises_like,
 )
-from spheredeconv.simulate import generate, scenario
+from spheredeconv.simulate import NoiseModel, Scenario, generate, scenario
 
 
 def stacked_slices(g):
@@ -41,6 +43,25 @@ def stacked_slices(g):
     assert np.array_equal(axis2[:, 1:], g.axis2_nodes) and not axis2[:, 0].any()
     assert full.tobytes() == g.full_points().tobytes()
     return axis1, axis2, full
+
+
+def direct_ecf(data, g):
+    """The unfolded complex-exp formula: one exp(i t . x) factor per node and observation."""
+    e1 = np.exp(1j * np.multiply.outer(g.axis1_nodes, data[:, 0]))
+    e2 = np.exp(1j * (g.axis2_nodes @ data[:, 1:].T))
+    n = data.shape[0]
+    return e1.sum(axis=1) / n, e2.sum(axis=1) / n, e1 @ e2.T / n
+
+
+def only_route(monkeypatch, route):
+    """Make the other ecf route raise, so a call shows which route it took."""
+    import spheredeconv.charfn as charfn_mod
+
+    def refuse(*args):
+        raise AssertionError(f"ecf left the {route} route")
+
+    # the rows route computes its cos/sin by _cos_sin; the moment route builds Chebyshev rows
+    monkeypatch.setattr(charfn_mod, "_cos_sin" if route == "moment" else "_ecf_moments", refuse)
 
 
 def random_density(rng, k_cut=4, scale=0.08):
@@ -180,13 +201,7 @@ class TestEcf:
             assert gap <= bound, (seed, gap, bound)
 
     def test_matches_the_direct_complex_exponential(self):
-        # the unfolded complex-exp formula: one exp(i t . x) factor per node and observation
-        def direct(data, g):
-            e1 = np.exp(1j * np.multiply.outer(g.axis1_nodes, data[:, 0]))
-            e2 = np.exp(1j * (g.axis2_nodes @ data[:, 1:].T))
-            n = data.shape[0]
-            return e1.sum(axis=1) / n, e2.sum(axis=1) / n, e1 @ e2.T / n
-
+        direct = direct_ecf
         g = EvalGrid.build()
         # 1500 observations: one full 1024-observation chunk and a partial one
         samples = [generate(scenario(sid), 1500, sid).data for sid in (1, 2, 3, 4)]
@@ -196,20 +211,75 @@ class TestEcf:
             for got, ref in zip(ecf(data, g), direct(data, g)):
                 assert np.max(np.abs(got - ref)) <= 2e-15
 
+    def test_scenario_samples_take_the_moment_route(self, monkeypatch):
+        only_route(monkeypatch, "moment")
+        for g in (EvalGrid.build(), bench_grid()):
+            for sid in (1, 2, 3, 4):
+                for n in (300, 10_000):
+                    ecf(generate(scenario(sid), n, sid), g)
+
+    def test_wide_sample_takes_the_rows_route(self, monkeypatch):
+        # against the rounded phases fl(t x) of the direct formula, the rows
+        # route's own cos/sin of those phases match far closer than moments would
+        only_route(monkeypatch, "rows")
+        data = generate(scenario(4), 1500, 4).data + 1e6
+        for got, ref in zip(ecf(data, EvalGrid.build()), direct_ecf(data, EvalGrid.build())):
+            assert np.max(np.abs(got - ref)) <= 2e-15
+
+    def test_zero_coordinate_on_the_moment_route(self, monkeypatch):
+        # L = 0 gives J = 0: the coordinate's one Chebyshev row T_0 = 1
+        only_route(monkeypatch, "moment")
+        g = EvalGrid.build(nu_est=1.3, nodes_per_axis=9)
+        assert _moment_orders(g, np.array([0.7, 0.0])) == [15, 0]
+        marg1, marg2, full = ecf(np.array([[0.7, 0.0]]), g)
+        assert np.array_equal(marg2, np.ones(g.m2))
+        assert np.max(np.abs(marg1 - np.exp(0.7j * g.axis1_nodes))) <= 1e-15
+        assert np.max(np.abs(full - marg1[:, None])) <= 1e-15
+        marg1, marg2, full = ecf(np.array([[0.0, -1.3]]), g)
+        assert np.array_equal(marg1, np.ones(g.m1))
+        assert np.max(np.abs(full - marg2)) <= 1e-15
+        for got in ecf(np.zeros((1, 2)), g):
+            assert np.array_equal(got, np.ones_like(got))
+
+    def test_both_sides_of_the_crossover_match_the_direct_formula(self, monkeypatch):
+        # on 9 nodes per axis the rule leaves the moments at L = 6.5 (J = 30)
+        g = EvalGrid.build(nodes_per_axis=9)
+        unit = generate(scenario(1), 1500, 1).data
+        unit /= np.abs(unit).max(axis=0)  # L = 1 in each coordinate
+        scales = np.arange(4.0, 9.0, 0.125)
+        moment = [_moment_orders(g, np.full(2, s)) is not None for s in scales]
+        last = moment.index(False) - 1
+        assert last > 0 and moment[: last + 1] == [True] * (last + 1) and not any(moment[last + 1 :])
+        for scale, route in ((scales[last], "moment"), (scales[last + 1], "rows")):
+            with monkeypatch.context() as patch:
+                only_route(patch, route)
+                data = unit * scale
+                for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
+                    assert np.max(np.abs(got - ref)) <= 2e-15, (scale, route)
+
+    def test_moment_route_in_three_dimensions(self, monkeypatch):
+        only_route(monkeypatch, "moment")
+        scn = Scenario(0, uniform_density(2), NoiseModel.isotropic_gaussian(0.1, 3), r_star=1.0)
+        data = generate(scn, 1500, 2).data
+        g = EvalGrid.build(dim=3, nodes_per_axis=17)
+        for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
+            assert np.max(np.abs(got - ref)) <= 2e-15
+
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS reads its thread count once, at load, so each count needs its
-        # own process; on 65 nodes per axis (67 x 67 rows) the product slices
-        # narrow below the default 256 observations
+        # own process; on 65 nodes per axis (67 x 67 rows) the rows route's
+        # product slices narrow below the default 256 observations, and the
+        # sample shifted by 1e6 takes that route
         import spheredeconv
 
         src = str(Path(spheredeconv.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        for nodes in (33, 65):
+        for nodes, sample in ((33, ""), (65, ""), (33, ".data + 1e6"), (65, ".data + 1e6")):
             code = (
                 "import hashlib; from spheredeconv.charfn import EvalGrid, ecf; "
                 "from spheredeconv.simulate import generate, scenario; "
-                f"c = ecf(generate(scenario(4), 3000, 1), EvalGrid.build(nodes_per_axis={nodes})); "
+                f"c = ecf(generate(scenario(4), 3000, 1){sample}, EvalGrid.build(nodes_per_axis={nodes})); "
                 "print(hashlib.sha256(b''.join(a.tobytes() for a in c)).hexdigest())"
             )
             digests = set()
@@ -218,7 +288,7 @@ class TestEcf:
                 proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
                 assert proc.returncode == 0, proc.stderr
                 digests.add(proc.stdout.strip())
-            assert len(digests) == 1, nodes
+            assert len(digests) == 1, (nodes, sample)
 
     def test_errors(self):
         g = EvalGrid.build(nodes_per_axis=5)
@@ -226,10 +296,11 @@ class TestEcf:
             ecf(np.zeros((0, 2)), g)
         with pytest.raises(ValueError):
             ecf(np.zeros((5, 3)), g)
-        bad = np.zeros((4, 2))
-        bad[1, 0] = np.inf
-        with pytest.raises(ValueError):
-            ecf(bad, g)
+        for value in (np.inf, -np.inf, np.nan):
+            bad = np.zeros((4, 2))
+            bad[1, 0] = value
+            with pytest.raises(ValueError):
+                ecf(bad, g)
 
 
 class TestCosSin:

@@ -106,9 +106,10 @@ def test_one_series_call_per_closed_form_contrast(monkeypatch):
         calls.append(x.size)
         return real(k_cut, x)
 
-    monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
     grid = EvalGrid.build(nodes_per_axis=33)
+    # the sample's ECF calls the kernel too, once per coordinate, before any contrast
     ctx = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), grid)
+    monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
     for k, radius in enumerate((2.0, 2.5, 3.0, 3.5)):
         contrast_mn(FourierDensity.from_half([0.02j] * k), radius, ctx)
         assert len(calls) == k + 1
@@ -169,8 +170,10 @@ def test_contrast_jacobian_reuses_the_latest_bessel_rows(monkeypatch):
         calls.append(k_cut)
         return real(k_cut, x)
 
-    monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
+    # the samples' ECFs call the kernel too, once per coordinate, before any contrast
     ctx = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
+    fresh = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
+    monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
     f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
     contrast_residual(f, 2.5, ctx)
     at_probe = contrast_jacobian(f, 2.5, ctx)
@@ -179,7 +182,6 @@ def test_contrast_jacobian_reuses_the_latest_bessel_rows(monkeypatch):
     elsewhere = contrast_jacobian(f, 2.7, ctx)
     residual = contrast_residual(f, 2.7, ctx)
     assert calls == [2, 2]
-    fresh = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
     assert np.array_equal(residual, contrast_residual(f, 2.7, fresh))
     assert np.array_equal(elsewhere, contrast_jacobian(f, 2.7, fresh))
     assert not np.array_equal(at_probe, elsewhere)

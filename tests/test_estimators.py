@@ -286,10 +286,10 @@ def test_known_density_fit_keeps_its_exact_radius_descent():
     # radii; a circle callable is fitted in its Fourier form
     s = generate(scenario(1), 1000, seed=21)
     rep = fit_radius_known_density(s, FourierDensity.from_half([0.1 - 0.05j]))
-    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.998564267226492, 0.00017344957472982856, 22)
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.998564267226493, 0.00017344957472982861, 22)
     s = generate(scenario(4), 600, seed=5)
     rep = fit_radius_known_density(s, vonmises_like(), grid=EvalGrid.build(nodes_per_axis=17))
-    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9716510217937238, 0.0001176094816764401, 25)
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9716510217937238, 0.00011760948167643937, 25)
 
 
 def _basins(values, cap):
@@ -533,9 +533,11 @@ def test_wide_window_fit_reaches_the_largest_argument(monkeypatch):
         seen.append(float(np.max(x)))
         return real(k_cut, x)
 
-    monkeypatch.setattr(charfn_mod, "bessel_rows", recording)
     cfg, grid = FitConfig(r_max=40.0), EvalGrid.build()
-    rep = fit_radius_known_density(generate(scenario(1), 100, 0), uniform_density(), cfg, grid)
+    # the sample's ECF calls the kernel too, once per coordinate, before the fit
+    ctx = ContrastContext.from_sample(generate(scenario(1), 100, 0), grid)
+    monkeypatch.setattr(charfn_mod, "bessel_rows", recording)
+    rep = fit_radius_known_density(generate(scenario(1), 100, 0), uniform_density(), cfg, grid, ctx=ctx)
     assert max(seen) == float(grid.polar_table(uniform_density().cutoff).radii[-1]) * cfg.r_max > 50.0
     assert len(seen) == rep.iterations
 
@@ -702,10 +704,12 @@ def test_default_joint_fit_runs_one_series_call_per_probe(monkeypatch):
         probes.append(radius)
         return real_residual(f, radius, ctx)
 
+    s = generate(scenario(1), 2000, seed=6)
+    # the sample's ECF calls the kernel too, once per coordinate, before the fit
+    ctx = ContrastContext.from_sample(s, EvalGrid.build(dim=2))
     monkeypatch.setattr(charfn_mod, "bessel_rows", counting_series)
     monkeypatch.setattr(est_mod, "contrast_residual", counting_residual)
-    s = generate(scenario(1), 2000, seed=6)
-    rep = fit_joint(s)
+    rep = fit_joint(s, ctx=ctx)
     assert len(series) == len(probes) == rep.iterations
     assert set(series) == {FitConfig().k_cutoff}
     again = fit_joint(s)
