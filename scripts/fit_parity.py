@@ -1,0 +1,73 @@
+"""Print the fit-parity hashes of the checkout this script sits in.
+
+    python3 scripts/fit_parity.py
+
+Runs fit_joint and fit_radius_known_density (the scenario's true density)
+at the default FitConfig on scenarios 1-4, n in {300, 1e3, 1e4}, seeds 0-1,
+on EvalGrid.build() and bench_grid(): 96 fits, with BLAS pinned to one
+thread.  Prints one SHA-256 over every fit's (r_hat, c_hat, f_hat_coeffs,
+contrast_value, iterations), one per field over all fits (so a moved hash
+names the field that moved), and the determinism_hash of the sweep_s4
+benchmark spec (scenario 4, n = 1e4, 2 replications, both modes,
+restarts = 2) at base seeds 1-3.  Two checkouts whose lines agree fit
+bit for bit alike on these inputs.
+"""
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+import spheredeconv as sd  # noqa: E402
+from spheredeconv.charfn import bench_grid  # noqa: E402
+
+FIELDS = ("r_hat", "c_hat", "f_hat_coeffs", "contrast_value", "iterations")
+
+
+def fit_reports():
+    """The 96 parity fits' reports, in a fixed order."""
+    grids = (sd.EvalGrid.build(dim=2), bench_grid())
+    for scenario_id in (1, 2, 3, 4):
+        scn = sd.scenario(scenario_id)
+        for n in (300, 1_000, 10_000):
+            for seed in (0, 1):
+                sample = sd.generate(scn, n, seed)
+                for grid in grids:
+                    yield sd.fit_joint(sample, grid=grid)
+                    yield sd.fit_radius_known_density(sample, scn.density, grid=grid)
+
+
+def field_bytes(report, name: str) -> bytes:
+    value = getattr(report, name)
+    if name == "iterations":
+        return str(value).encode()
+    return np.ascontiguousarray(value, dtype=complex if name == "f_hat_coeffs" else float).tobytes()
+
+
+def main() -> None:
+    total = hashlib.sha256()
+    per_field = {name: hashlib.sha256() for name in FIELDS}
+    count = 0
+    for report in fit_reports():
+        count += 1
+        for name in FIELDS:
+            chunk = field_bytes(report, name)
+            total.update(chunk)
+            per_field[name].update(chunk)
+    print(f"fits {count} {total.hexdigest()}")
+    for name in FIELDS:
+        print(f"  {name} {per_field[name].hexdigest()}")
+    for seed in (1, 2, 3):
+        spec = sd.BenchSpec(4, n_values=(10_000,), replications=2, mode="both", base_seed=seed,
+                            fit_overrides={"restarts": 2})
+        print(f"sweep_s4 seed {seed} {sd.determinism_hash(sd.run_bench(spec))}")
+
+
+if __name__ == "__main__":
+    main()

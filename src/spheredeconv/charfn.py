@@ -488,33 +488,40 @@ class PolarTable:
 
 
 def _signed_parts(vals: np.ndarray, terms: np.ndarray) -> None:
-    """Add sum_p i^p terms[p - 1] into the complex vals, for real terms of
-    orders p = 1..K that already carry their sign (-1)^floor(p/2): the even
-    orders into the real part, the odd ones into the imaginary part, one
-    order after another, so each point's sum is the same for any number of
-    points (a reduction over p may pair up one column's terms differently)."""
+    """Add sum_p i^p terms[..., p - 1, :] into the complex vals, for real
+    terms of orders p = 1..K (second-to-last axis) that already carry their
+    sign (-1)^floor(p/2): the even orders into the real part, the odd ones
+    into the imaginary part, one order after another, so each point's sum is
+    the same for any number of points or radii (a reduction over p may pair
+    up one column's terms differently)."""
     parts = [vals.real, vals.imag]
-    for p, term in enumerate(terms, start=1):
-        parts[p % 2] += term
+    for p in range(1, terms.shape[-2] + 1):
+        parts[p % 2] += terms[..., p - 1, :]
 
 
-def _psi_polar(coeffs: np.ndarray, radius: float, table: PolarTable) -> tuple[np.ndarray, tuple]:
-    """Closed-form circle characteristic function on a table's points.
+def _psi_polar(coeffs: np.ndarray, radius, table: PolarTable) -> tuple[np.ndarray, tuple]:
+    """Closed-form circle characteristic function on a table's points, at a
+    radius or at each of a 1-d array of radii (a leading batch axis).
 
-    Returns (vals, (jmat, weights)): vals = sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta)
+    Returns (vals, (jmat, weights)): vals[..., :] = sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta)
     for p = -K..K, exact since coefficients vanish beyond the cutoff; the
-    rows jmat[p] = J_p(r * radius), p = 0..max(K, 1), of one kernel call on
-    the distinct radii, each point gathering its row; and the (K, m) weights
-    (-1)^floor(p/2) 2 Re(c_p e_p), e_p = exp(-2 i pi p theta), into which
-    conjugate pairs collapse, from the table's scaled phases.  vals is
-    c_0 J_0 plus the even orders' J_p weights_p in its real part and the
-    odd orders' in its imaginary part (_signed_parts).
+    rows jmat[..., p, :] = J_p(r * radius), p = 0..max(K, 1), of one kernel
+    call on the distinct radii times every radius, each point gathering its
+    row; and the (K, m) weights (-1)^floor(p/2) 2 Re(c_p e_p),
+    e_p = exp(-2 i pi p theta), into which conjugate pairs collapse, from the
+    table's scaled phases, shared by every radius.  vals is c_0 J_0 plus the
+    even orders' J_p weights_p in its real part and the odd orders' in its
+    imaginary part (_signed_parts).  The kernel's columns and the sums are
+    pointwise, so each radius's values and rows equal, bit for bit, those of
+    a call at that radius alone.
     """
     k_cut = table.k_cut
-    jmat = bessel_rows(k_cut, table.radii * radius)[:, table.index]
+    radii = np.asarray(radius, dtype=float)
+    rows = bessel_rows(k_cut, np.multiply.outer(radii, table.radii).ravel())
+    jmat = np.moveaxis(rows.reshape(-1, *radii.shape, table.radii.size), 0, -2).take(table.index, axis=-1)
     weights = np.real(coeffs[k_cut + 1 :, None] * table.phases)
-    vals = np.asarray(coeffs[k_cut] * jmat[0], dtype=complex)
-    _signed_parts(vals, jmat[1 : k_cut + 1] * weights)
+    vals = np.asarray(coeffs[k_cut] * jmat[..., 0, :], dtype=complex)
+    _signed_parts(vals, jmat[..., 1 : k_cut + 1, :] * weights)
     return vals, (jmat, weights)
 
 
@@ -611,28 +618,50 @@ def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
     return out[0] if single else out
 
 
-def psi_model_grid(f: AngleDensity, radius: float, grid: EvalGrid, derivatives: bool = True) -> tuple:
-    """One evaluation of Psi on grid.points(): ((vals1, vals2, full), aux).
+def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid, derivatives: bool = True) -> tuple:
+    """One evaluation of Psi on grid.points(): ((vals1, vals2, full), aux),
+    at a radius or at each of a 1-d array of radii (a leading batch axis,
+    which psi_model_entries splits).
 
     The values on the axis-1 slice, the axis-2 slice and the full grid,
     shaped (m1, m2), are views into one array, each equal to the pointwise
     psi_model call bit for bit (same route, same coordinates).  aux is what
     psi_model_derivatives reads: the closed form's Bessel rows and weights,
-    from one kernel call through the grid's PolarTable for the density's
-    cutoff, or dPsi/dR from the same quadrature pass.  Off the closed form,
-    derivatives=False skips dPsi/dR and returns aux None, with the same
-    values bit for bit.
+    from one kernel call for all the radii through the grid's PolarTable for
+    the density's cutoff, or dPsi/dR from the same quadrature pass, one pass
+    per radius.  Off the closed form, derivatives=False skips dPsi/dR and
+    returns aux None, with the same values bit for bit.
     """
-    if not (radius > 0.0):
-        raise ValueError("radius must be positive")
+    radii = np.asarray(radius, dtype=float)
+    if radii.ndim > 1 or not np.all(radii > 0.0):
+        raise ValueError("radius must be positive, or a 1-d array of positive radii")
     if grid.dim != f.dim_minus_1 + 1:
         raise ValueError("grid dimension does not match the density")
     if isinstance(f, FourierDensity):
-        vals, aux = _psi_polar(f.coeffs, float(radius), grid.polar_table(f.cutoff))
+        vals, aux = _psi_polar(f.coeffs, radii, grid.polar_table(f.cutoff))
     else:
-        aux = np.empty(grid.points().shape[0], dtype=complex) if derivatives else None
-        vals = _psi_quadrature(f, float(radius), grid.points(), d_radius=aux)
+        pts = grid.points()
+        vals = np.empty(radii.shape + pts.shape[:1], dtype=complex)
+        aux = np.empty_like(vals) if derivatives else None
+        for b in np.ndindex(radii.shape):
+            # b is () at a scalar radius, whose pass fills aux itself
+            vals[b] = _psi_quadrature(f, float(radii[b]), pts, d_radius=aux if aux is None or not b else aux[b])
     return _split(vals, grid), aux
+
+
+def psi_model_entries(evaluation: tuple) -> list:
+    """A psi_model_grid evaluation at a 1-d array of radii as one evaluation
+    per radius, each as psi_model_grid returns it at that radius (views)."""
+    vals, aux = evaluation
+    entries = []
+    for b in range(vals[0].shape[0]):
+        if isinstance(aux, tuple):
+            # the closed form's weights hold for every radius
+            aux_b = (aux[0][b], aux[1])
+        else:
+            aux_b = None if aux is None else aux[b]
+        entries.append((tuple(v[b] for v in vals), aux_b))
+    return entries
 
 
 def psi_model_marginals(f: AngleDensity, radius: float, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -24,28 +24,45 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import EvalGrid, bench_grid, ecf, psi_model_derivatives, psi_model_grid, psi_model_marginals
+from .charfn import (
+    EvalGrid,
+    bench_grid,
+    ecf,
+    psi_model_derivatives,
+    psi_model_entries,
+    psi_model_grid,
+    psi_model_marginals,
+)
 from .geometry import AngleDensity, FourierDensity, fourier_form
 
 
 @dataclass(eq=False)
 class ContrastContext:
     """Grid plus the sample's ECF triple ref, reused across many evaluations,
-    and the latest psi_model_grid evaluation, kept for its (density object, radius)."""
+    and the latest psi_model_grid evaluation, kept in one slot for its
+    (density object, radii): one radius, or a batch that evaluate made."""
 
     grid: EvalGrid
     ref: tuple
-    _latest: tuple = field(default=(None, None, None), init=False, repr=False)
+    _latest: tuple = field(default=(None, (), None), init=False, repr=False)
 
     @classmethod
     def from_sample(cls, sample, grid: EvalGrid) -> "ContrastContext":
         return cls(grid, ecf(sample, grid))
 
+    def evaluate(self, f: AngleDensity, radii) -> None:
+        """Evaluate Psi of f at every radius of radii in one psi_model_grid
+        call, and keep that evaluation, split per radius, for psi."""
+        radii = [float(r) for r in radii]
+        self._latest = (f, radii, psi_model_entries(psi_model_grid(f, np.array(radii), self.grid)))
+
     def psi(self, f: AngleDensity, radius: float) -> tuple:
-        """psi_model_grid(f, radius, self.grid), kept from the latest call when it had this f and radius."""
-        if self._latest[0] is not f or self._latest[1] != radius:
-            self._latest = (f, radius, psi_model_grid(f, radius, self.grid))
-        return self._latest[2]
+        """psi_model_grid(f, radius, self.grid), served from the kept evaluation
+        when it had this f and radius among its radii, else evaluated alone."""
+        if self._latest[0] is not f or radius not in self._latest[1]:
+            self.evaluate(f, [radius])
+        _, radii, entries = self._latest
+        return entries[radii.index(radius)]
 
 
 def _weighted(diff: np.ndarray, grid: EvalGrid, extra_weight: np.ndarray | None = None) -> np.ndarray:

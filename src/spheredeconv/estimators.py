@@ -335,9 +335,11 @@ def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cu
         return _project_jacobian(contrast_jacobian(f, radius, log.ctx, x.size == 1), x, cfg)
 
     zeros = np.zeros(k_cut, dtype=complex)
+    f0 = density(zeros)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
+    log.ctx.evaluate(f0, audit)
     for radius in audit:
-        residual(_pack(radius, zeros))
+        log(f0, float(radius))
     values = np.array([value for value, _, _ in log.probes])
     ranked = np.argsort(values, kind="stable")
     basin = np.zeros(AUDIT_POINTS, dtype=bool)

@@ -21,6 +21,7 @@ from spheredeconv.charfn import (
     ecf,
     psi_model,
     psi_model_derivatives,
+    psi_model_entries,
     psi_model_grid,
     psi_model_marginals,
 )
@@ -518,8 +519,45 @@ class TestPsiModel:
         contrast_mod.contrast_jacobian(f, 2.7, ctx)
         assert seen[1][0] is seen[0][0] and seen[1][1] is seen[0][1]
 
+    @pytest.mark.parametrize("k_cut", [0, 1, 4, 12, 40])
+    @pytest.mark.parametrize("nodes_per_axis", [9, 10])
+    @pytest.mark.parametrize("nu_est", [0.5, 1.0])
+    def test_batched_radii_bitwise_match_per_radius_calls(self, k_cut, nodes_per_axis, nu_est):
+        g = EvalGrid.build(nu_est=nu_est, nodes_per_axis=nodes_per_axis)
+        f = random_density(np.random.default_rng(k_cut), k_cut)
+        # unsorted radii whose arguments x = r R fall on both sides of x = max(K, 1)
+        top = max(k_cut, 1) / float(g.polar_table(k_cut).radii[-1])
+        radii = np.array([3.0, 0.3, 1.7 * top, 0.6 * top, 1e-3])
+        xs = np.multiply.outer(radii, g.polar_table(k_cut).radii)
+        assert (xs < max(k_cut, 1)).any() and (xs >= max(k_cut, 1)).any()
+        batch = psi_model_grid(f, radii, g)
+        assert batch[0][2].shape == (radii.size, g.m1, g.m2)
+        for radius, (vals, (jmat, weights)) in zip(radii, psi_model_entries(batch)):
+            want_vals, (want_jmat, want_weights) = psi_model_grid(f, float(radius), g)
+            for got, want in zip(vals, want_vals):
+                assert got.tobytes() == want.tobytes()
+            assert jmat.tobytes() == want_jmat.tobytes() and weights.tobytes() == want_weights.tobytes()
+
+    def test_batched_radii_off_the_closed_form_are_one_pass_per_radius(self):
+        for f, dim in ((vonmises_like(), 2), (uniform_density(2), 3)):
+            g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=3)
+            radii = np.array([2.5, 0.7])
+            for derivatives in (True, False):
+                entries = psi_model_entries(psi_model_grid(f, radii, g, derivatives))
+                for radius, (vals, aux) in zip(radii, entries):
+                    want_vals, want_aux = psi_model_grid(f, float(radius), g, derivatives)
+                    for got, want in zip(vals, want_vals):
+                        assert got.tobytes() == want.tobytes()
+                    if derivatives:
+                        assert aux.tobytes() == want_aux.tobytes()
+                    else:
+                        assert aux is None and want_aux is None
+
     def test_errors(self):
         f = uniform_density(1)
+        for radii in (np.array([2.0, 0.0]), np.array([[1.0]]), np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                psi_model_grid(f, radii, EvalGrid.build(nodes_per_axis=3))
         with pytest.raises(ValueError):
             psi_model(f, 0.0, np.zeros(2))
         with pytest.raises(ValueError):

@@ -117,6 +117,35 @@ def test_one_series_call_per_closed_form_contrast(monkeypatch):
     assert calls == [153] * 4
 
 
+def test_context_serves_every_radius_of_its_batch(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+
+    calls = []
+    real = charfn_mod.bessel_rows
+
+    def counting(k_cut, x):
+        calls.append(x.size)
+        return real(k_cut, x)
+
+    grid = EvalGrid.build(nodes_per_axis=33)
+    sample = generate(scenario(1), 200, seed=3)
+    ctx = ContrastContext.from_sample(sample, grid)
+    monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
+    f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
+    radii = np.linspace(0.5, 10.0, 16)
+    ctx.evaluate(f, radii)
+    values = [contrast_mn(f, radius, ctx) for radius in radii[::-1]]
+    # the batch is one kernel call on every radius's 153 distinct grid radii
+    assert calls == [16 * 153]
+    # a radius off the batch, or another density object, evaluates a batch of one
+    contrast_mn(f, 2.6, ctx)
+    contrast_mn(FourierDensity.from_half([0.05 - 0.02j, 0.01j]), 2.6, ctx)
+    assert calls == [16 * 153, 153, 153]
+    monkeypatch.undo()
+    for radius, value in zip(radii[::-1], values):
+        assert value == contrast_mn(f, radius, ContrastContext.from_sample(sample, grid))
+
+
 def test_one_quadrature_call_per_contrast_off_the_closed_form(monkeypatch):
     import spheredeconv.charfn as charfn_mod
 

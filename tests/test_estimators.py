@@ -539,7 +539,9 @@ def test_wide_window_fit_reaches_the_largest_argument(monkeypatch):
     monkeypatch.setattr(charfn_mod, "bessel_rows", recording)
     rep = fit_radius_known_density(generate(scenario(1), 100, 0), uniform_density(), cfg, grid, ctx=ctx)
     assert max(seen) == float(grid.polar_table(uniform_density().cutoff).radii[-1]) * cfg.r_max > 50.0
-    assert len(seen) == rep.iterations
+    # one call for the whole audit, then one per descent probe but the first,
+    # which starts at an audit radius with the same density object
+    assert len(seen) == 1 + (rep.iterations - AUDIT_POINTS - 1)
 
 
 # ---------------------------------------------------------------- probe log
@@ -710,11 +712,95 @@ def test_default_joint_fit_runs_one_series_call_per_probe(monkeypatch):
     monkeypatch.setattr(charfn_mod, "bessel_rows", counting_series)
     monkeypatch.setattr(est_mod, "contrast_residual", counting_residual)
     rep = fit_joint(s, ctx=ctx)
-    assert len(series) == len(probes) == rep.iterations
+    # one call for the whole audit, then one per descent probe
+    assert len(probes) == rep.iterations
+    assert len(series) == 1 + (rep.iterations - AUDIT_POINTS)
     assert set(series) == {FitConfig().k_cutoff}
     again = fit_joint(s)
     assert (again.r_hat, again.contrast_value, again.iterations) == (rep.r_hat, rep.contrast_value, rep.iterations)
     assert np.array_equal(again.f_hat_coeffs, rep.f_hat_coeffs) and np.array_equal(again.c_hat, rep.c_hat)
+
+
+def record_probes(monkeypatch):
+    """Record each probe's (density, radius, logged value) as the fit's log computes it."""
+    import spheredeconv.estimators as est_mod
+
+    probes = []
+    real = est_mod.contrast_residual
+
+    def recording(f, radius, ctx):
+        r = real(f, radius, ctx)
+        probes.append((f, radius, float(r @ r)))
+        return r
+
+    monkeypatch.setattr(est_mod, "contrast_residual", recording)
+    return probes
+
+
+@pytest.mark.parametrize("known", [False, True])
+def test_audit_values_equal_the_contrast_at_each_radius(monkeypatch, known):
+    s, grid = generate(scenario(4), 2000, seed=2), EvalGrid.build(dim=2)
+    probes = record_probes(monkeypatch)
+    if known:
+        fit_radius_known_density(s, scenario(4).density, grid=grid)
+    else:
+        fit_joint(s, grid=grid)
+    audit = np.linspace(FitConfig().r_min, FitConfig().r_max, AUDIT_POINTS)
+    assert [radius for _, radius, _ in probes[:AUDIT_POINTS]] == list(audit)
+    # each value as a context holding that radius alone computes it
+    for f, radius, value in probes[:AUDIT_POINTS]:
+        assert value == contrast_mn(f, radius, ContrastContext.from_sample(s, grid))
+
+
+@pytest.mark.parametrize("known", [False, True])
+def test_the_audit_is_one_kernel_call_on_every_audit_radius(monkeypatch, known):
+    import spheredeconv.charfn as charfn_mod
+
+    seen = []
+    real = charfn_mod.bessel_rows
+
+    def recording(k_cut, x):
+        seen.append(x.copy())
+        return real(k_cut, x)
+
+    s, grid = generate(scenario(1), 2000, seed=4), EvalGrid.build(dim=2)
+    # the sample's ECF calls the kernel too, once per coordinate, before the fit
+    ctx = ContrastContext.from_sample(s, grid)
+    monkeypatch.setattr(charfn_mod, "bessel_rows", recording)
+    if known:
+        rep = fit_radius_known_density(s, uniform_density(), grid=grid, ctx=ctx)
+    else:
+        rep = fit_joint(s, grid=grid, ctx=ctx)
+    radii = grid.polar_table(0 if known else FitConfig().k_cutoff).radii
+    assert radii.size == 153
+    audit = np.linspace(FitConfig().r_min, FitConfig().r_max, AUDIT_POINTS)
+    assert seen[0].tobytes() == np.multiply.outer(audit, radii).ravel().tobytes()
+    assert all(x.size == 153 for x in seen[1:]) and rep.iterations > AUDIT_POINTS
+
+
+def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+
+    passes = []
+    real_pass = charfn_mod._psi_quadrature
+
+    def recording(f, radius, pts, d_radius=None):
+        passes.append(radius)
+        return real_pass(f, radius, pts, d_radius=d_radius)
+
+    s = generate(D3_SCENARIO, 300, seed=1)
+    grid = EvalGrid.build(dim=3, nodes_per_axis=2)
+    cfg = FitConfig(max_iters=1)
+    probes = record_probes(monkeypatch)
+    monkeypatch.setattr(charfn_mod, "_psi_quadrature", recording)
+    fit_radius_known_density(s, D3_SCENARIO.density, cfg, grid)
+    audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
+    assert passes[:AUDIT_POINTS] == list(audit)
+    monkeypatch.undo()
+    # the values a context holding each radius alone computes
+    fresh = ContrastContext.from_sample(s, grid)
+    for f, radius, value in probes[:AUDIT_POINTS]:
+        assert value == contrast_mn(f, radius, fresh)
 
 
 def test_jacobian_away_from_the_latest_probe_probes_first(monkeypatch):
