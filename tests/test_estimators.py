@@ -26,6 +26,7 @@ from spheredeconv.geometry import (
     FourierDensity,
     fourier_form,
     sphere_map,
+    sphere_mean,
     uniform_density,
     vonmises_like,
 )
@@ -210,7 +211,8 @@ def test_estimate_center_uniform_density_returns_sample_mean():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((50, 2))
     c_hat = estimate_center(data, 2.5, uniform_density())
-    assert np.array_equal(c_hat, data.mean(axis=0))
+    # the mean of each column, bit for bit
+    assert np.array_equal(c_hat, [data[:, 0].mean(), data[:, 1].mean()])
 
 
 def test_estimate_center_exact_on_equally_spaced_circle():
@@ -227,6 +229,17 @@ def test_estimate_center_subtracts_density_barycenter():
     data = np.zeros((10, 2))
     c_hat = estimate_center(data, 2.0, f)
     assert np.allclose(c_hat, [-0.6, -0.2], atol=1e-15)
+
+
+def test_estimate_center_is_within_ulps_of_the_exact_mean():
+    # an offset far above the spread: summing row after row drifts by
+    # hundreds of ulps at this n, pairwise column sums stay within a few
+    n = 200_000
+    data = np.random.default_rng(5).normal(size=(n, 2)) * 3.0 + np.array([1e3, -2.5])
+    f = vonmises_like()
+    c_hat = estimate_center(data, 2.0, f)
+    exact = np.array([math.fsum(col) / n for col in data.T])
+    assert np.all(np.abs((c_hat + 2.0 * sphere_mean(f)) - exact) <= 4 * np.spacing(np.abs(exact)))
 
 
 def test_estimate_center_validates_inputs():
