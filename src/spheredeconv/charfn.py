@@ -33,7 +33,12 @@ and the phase powers exp(-2 i pi p theta), p = 1..K, scaled by the sign of
 i^p and the 2 of conjugate pairs.  EvalGrid caches one table of its
 stacked points per cutoff K, built on the first probe, so each grid
 evaluation calls the Bessel kernel bessel_rows once, on the radii times
-R.  The closed form then sums over all orders at once: the
+R.  An evaluation may be at one R or at a 1-d array of them (the fits'
+audit of 16 radii), and is still one bessel_rows call, on the radii times
+every R, with a leading batch axis on what it returns; the kernel's
+columns and the sums below are pointwise, so each R's values equal those
+of an evaluation at that R alone, bit for bit.  The closed form then sums
+over all orders at once: the
 (K, m) weights 2 Re(c_p e_p), with the sign of i^p folded in, are built
 once per evaluation, and Psi and dPsi/dR are the same signed sums over p
 of Bessel rows times weights, even orders into the real part and odd ones
@@ -43,7 +48,8 @@ form's Bessel rows and weights, or dPsi/dR from the same quadrature pass,
 which psi_model_marginals skips -- and psi_model_derivatives takes those,
 so the exact derivatives in (R, Re c_p, Im c_p) cost no kernel call or
 pass of their own.  Whoever evaluates keeps the evaluation: a fit keeps
-its latest one in its ContrastContext.
+its latest one in its ContrastContext, split per radius by
+psi_model_entries.
 
 Data side: the empirical characteristic function, in the model's
 (axis-1, axis-2, full) layout, takes one of two routes, whichever costs
@@ -503,7 +509,7 @@ def _psi_polar(coeffs: np.ndarray, radius, table: PolarTable) -> tuple[np.ndarra
     """Closed-form circle characteristic function on a table's points, at a
     radius or at each of a 1-d array of radii (a leading batch axis).
 
-    Returns (vals, (jmat, weights)): vals[..., :] = sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta)
+    Returns (vals, (jmat, weights)): vals = sum_p i^p c_p J_p(r * radius) exp(-2 i pi p theta)
     for p = -K..K, exact since coefficients vanish beyond the cutoff; the
     rows jmat[..., p, :] = J_p(r * radius), p = 0..max(K, 1), of one kernel
     call on the distinct radii times every radius, each point gathering its

@@ -2,7 +2,8 @@
 
 The contrast is the squared norm of a weighted residual vector, so both
 fits minimize it as a nonlinear least-squares problem through one
-skeleton (_scan_and_descend): an audit scan of radii, then one
+skeleton (_scan_and_descend): an audit scan of radii, served from one
+model evaluation at every audit radius, then one
 trust-region descent (minimize) per basin of that audit profile, with the
 residual's exact Jacobian (contrast_jacobian chained through the
 projection onto the admissible set), derived from the probe's own model
@@ -310,7 +311,11 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int):
 def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cut: int = 0) -> EstimateReport:
     """The fit skeleton: probe AUDIT_POINTS radii evenly over [r_min, r_max]
     with k_cut coefficients at zero and rank them by value (stable, so ties
-    go to the smaller radius).  Then descend once per basin of that audit
+    go to the smaller radius).  The audit's density density(zeros) is built
+    once and Psi evaluated at all its radii at once in the log's
+    ContrastContext (one Bessel kernel call on the closed form), then each
+    radius is logged as its own probe from that evaluation, with the value
+    a lone evaluation there gives, bit for bit.  Then descend once per basin of that audit
     profile, best first, at most starts times: from the best audit radius,
     then from each interior strict local minimum (both neighbours strictly
     higher).  An endpoint gets a descent only as the best audit radius.
