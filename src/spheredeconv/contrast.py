@@ -39,12 +39,21 @@ from .geometry import AngleDensity, FourierDensity, fourier_form
 @dataclass(eq=False)
 class ContrastContext:
     """Grid plus the sample's ECF triple ref, reused across many evaluations,
-    and the latest psi_model_grid evaluation, kept in one slot for its
-    (density object, radii): one radius, or a batch that evaluate made."""
+    with what every residual reuses: the grid's weights' roots
+    root_weights = sqrt(w1_i w2_j) and the ECF marginals' product
+    ref_outer = ref1 ref2^T.  Also the latest psi_model_grid evaluation,
+    kept in one slot for its (density object, radii): one radius, or a
+    batch that evaluate made."""
 
     grid: EvalGrid
     ref: tuple
+    root_weights: np.ndarray = field(init=False, repr=False)
+    ref_outer: np.ndarray = field(init=False, repr=False)
     _latest: tuple = field(default=(None, (), None), init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.root_weights = np.sqrt(np.multiply.outer(self.grid.axis1_weights, self.grid.axis2_weights))
+        self.ref_outer = np.multiply.outer(self.ref[0], self.ref[1])
 
     @classmethod
     def from_sample(cls, sample, grid: EvalGrid) -> "ContrastContext":
@@ -65,49 +74,46 @@ class ContrastContext:
         return entries[radii.index(radius)]
 
 
-def _weighted(diff: np.ndarray, grid: EvalGrid, extra_weight: np.ndarray | None = None) -> np.ndarray:
-    """Re and Im parts of diff, each scaled by sqrt(w1_i w2_j [* extra_weight_ij])
-    over its last two axes (m1, m2) and flattened, then concatenated."""
-    weight = np.multiply.outer(grid.axis1_weights, grid.axis2_weights)
-    if extra_weight is not None:
-        weight = weight * extra_weight
-    scale = np.sqrt(weight)
+def _weighted(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Re and Im parts of diff, each scaled by scale over its last two axes
+    (m1, m2) and flattened, then concatenated."""
     lead = diff.shape[:-2]
     return np.concatenate(((scale * diff.real).reshape(*lead, -1), (scale * diff.imag).reshape(*lead, -1)), axis=-1)
 
 
-def _combine(psi: tuple, ref: tuple, grid: EvalGrid, extra_weight: np.ndarray | None = None) -> np.ndarray:
+def _combine(psi: tuple, ref_outer: np.ndarray, ref_full: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Weighted residual of psi_full ref1 ref2 - ref_full psi1 psi2 over the grid's box.
 
-    psi and ref are (axis-1, axis-2, full) triples, full shaped (m1, m2).
-    Returns the Re and Im parts of the difference, each scaled by
-    sqrt(w1_i w2_j [* extra_weight_ij]), flattened to length 2 m1 m2, so
-    the quadrature of the squared modulus is the residual's squared norm.
+    psi is an (axis-1, axis-2, full) triple and ref_outer = ref1 ref2^T,
+    full, ref_outer and ref_full shaped (m1, m2).  Returns the Re and Im
+    parts of the difference, each scaled by scale, sqrt(w1_i w2_j) times
+    any extra weight's root, flattened to length 2 m1 m2, so the
+    quadrature of the squared modulus is the residual's squared norm.
     """
     psi1, psi2, psi_full = psi
-    ref1, ref2, ref_full = ref
-    diff = psi_full * np.multiply.outer(ref1, ref2) - ref_full * np.multiply.outer(psi1, psi2)
-    return _weighted(diff, grid, extra_weight)
+    diff = psi_full * ref_outer - ref_full * np.multiply.outer(psi1, psi2)
+    return _weighted(diff, scale)
 
 
-def _combine_jacobian(psi: tuple, dpsi: tuple, ref: tuple, grid: EvalGrid) -> np.ndarray:
-    """_combine(psi, ref, grid) linearised in psi: its (2 m1 m2, P) Jacobian.
+def _combine_jacobian(
+    psi: tuple, dpsi: tuple, ref_outer: np.ndarray, ref_full: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """_combine(psi, ref_outer, ref_full, scale) linearised in psi: its (2 m1 m2, P) Jacobian.
 
     psi is the (axis-1, axis-2) pair and dpsi the derivative triple, one
     leading row per parameter: d diff = d psi_full ref1 ref2 - ref_full (d psi1 psi2 + psi1 d psi2).
     """
     psi1, psi2 = psi
     d1, d2, d_full = dpsi
-    ref1, ref2, ref_full = ref
     dprod = d1[:, :, None] * psi2 + psi1[:, None] * d2[:, None, :]
-    ddiff = d_full * np.multiply.outer(ref1, ref2) - ref_full * dprod
-    return _weighted(ddiff, grid).T
+    ddiff = d_full * ref_outer - ref_full * dprod
+    return _weighted(ddiff, scale).T
 
 
 def contrast_residual(f: AngleDensity, radius: float, ctx: ContrastContext) -> np.ndarray:
     """Weighted residual of the candidate (f, R) against the sample ECF;
     its squared norm is contrast_mn."""
-    return _combine(ctx.psi(f, radius)[0], ctx.ref, ctx.grid)
+    return _combine(ctx.psi(f, radius)[0], ctx.ref_outer, ctx.ref[2], ctx.root_weights)
 
 
 def contrast_jacobian(f: AngleDensity, radius: float, ctx: ContrastContext, radius_only: bool = False) -> np.ndarray:
@@ -118,7 +124,8 @@ def contrast_jacobian(f: AngleDensity, radius: float, ctx: ContrastContext, radi
     if not (radius_only or isinstance(f, FourierDensity)):
         raise ValueError("the coefficient columns need the closed form; pass radius_only=True for dPsi/dR")
     psi, aux = ctx.psi(f, radius)
-    return _combine_jacobian(psi[:2], psi_model_derivatives(f, radius, ctx.grid, aux, radius_only), ctx.ref, ctx.grid)
+    dpsi = psi_model_derivatives(f, radius, ctx.grid, aux, radius_only)
+    return _combine_jacobian(psi[:2], dpsi, ctx.ref_outer, ctx.ref[2], ctx.root_weights)
 
 
 def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:
@@ -155,5 +162,6 @@ def contrast_m_oracle(
         grid = bench_grid(f.dim_minus_1 + 1)
     cand, truth = psi_model_marginals(f, radius, grid), psi_model_marginals(f_star, r_star, grid)
     phi = noise.char_fn(grid.full_points()).reshape(grid.m1, grid.m2)
-    r = _combine(cand, truth, grid, extra_weight=phi.real**2 + phi.imag**2)
+    scale = np.sqrt(np.multiply.outer(grid.axis1_weights, grid.axis2_weights) * (phi.real**2 + phi.imag**2))
+    r = _combine(cand, np.multiply.outer(truth[0], truth[1]), truth[2], scale)
     return float(r @ r)

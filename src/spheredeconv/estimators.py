@@ -7,7 +7,10 @@ model evaluation at every audit radius, then one
 trust-region descent (minimize) per basin of that audit profile, with the
 residual's exact Jacobian (contrast_jacobian chained through the
 projection onto the admissible set), derived from the probe's own model
-evaluation.
+evaluation.  The descent is the package's own port of scipy's unbounded
+trust-region reflective method: More's Levenberg-Marquardt step, solved
+on the (1 + 2K)-square Gram matrix J^T J rather than on an SVD of the tall
+Jacobian, so the package never imports scipy.optimize.
 fit_joint descends in the radius and the density's Fourier coefficients;
 fit_radius_known_density is the same fit with the density held at
 f_star, descending in the radius alone.  Both probe the
@@ -26,9 +29,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .charfn import EvalGrid
+from .charfn import _ONE_THREAD_PRODUCT, EvalGrid
 from .contrast import ContrastContext, contrast_jacobian, contrast_residual
 from .errors import ConfigError, NumericalError
 from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_form, fourier_series, sphere_mean
@@ -37,6 +39,7 @@ from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_fo
 AUDIT_POINTS = 16
 # the default alpha of the truncation level N = floor(alpha log n / log log n)
 ALPHA = 0.45
+_EPS = float(np.finfo(float).eps)
 
 
 def _as_int(name: str, value) -> int:
@@ -299,13 +302,111 @@ class _ProbeLog:
         )
 
 
-def minimize(residual, jac, x0: np.ndarray, max_nfev: int):
-    """Least-squares descent of residual from x0: trust-region reflective
-    (Branch, Coleman & Li 1999), run to roundoff.  jac is the residual's
-    Jacobian as a callable; max_nfev caps the residual evaluations."""
-    return least_squares(
-        residual, x0, jac=jac, method="trf", xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev
-    )
+def _gram(jac: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T f, from [J f]^T [J f] summed over row slices narrow
+    enough that each product stays on one BLAS thread, as ecf sums its
+    products, so their bits do not depend on the BLAS thread count."""
+    aug = np.column_stack([jac, f])
+    rows = max(1, (_ONE_THREAD_PRODUCT - 1) // aug.shape[1] ** 2)
+    gram = aug[:rows].T @ aug[:rows]
+    for k in range(rows, aug.shape[0], rows):
+        gram += aug[k : k + rows].T @ aug[k : k + rows]
+    return gram[:-1, :-1], gram[:-1, -1]
+
+
+def _trust_step(s2: np.ndarray, vg: np.ndarray, vecs: np.ndarray, m: int, delta: float, alpha: float):
+    """The step p = -(J^T J + alpha I)^+ J^T f with |p| = delta, or the
+    Gauss-Newton step (alpha = 0) if J has full rank and that step fits in
+    the trust region; (p, alpha).  s2 are the eigenvalues of J^T J, in
+    descending order, vecs their eigenvectors and vg = vecs^T J^T f.  alpha
+    is found by Newton's method on |p(alpha)| - delta, warm-started from
+    the previous step's alpha, to 1% of delta in at most 10 iterations."""
+
+    def phi(a: float) -> tuple[float, float]:
+        denom = s2 + a
+        p_norm = math.sqrt(np.sum((vg / denom) ** 2))
+        return p_norm - delta, -np.sum(vg**2 / denom**3) / p_norm
+
+    full_rank = m >= s2.size and s2[-1] > (_EPS * m) ** 2 * s2[0]
+    if full_rank:
+        p = -vecs @ (vg / s2)
+        if math.sqrt(p @ p) <= delta:
+            return p, 0.0
+    upper, lower = math.sqrt(vg @ vg) / delta, 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        lower = -value / slope
+    elif alpha == 0.0:
+        alpha = max(0.001 * upper, math.sqrt(lower * upper))
+    for _ in range(10):
+        if not lower <= alpha <= upper:
+            alpha = max(0.001 * upper, math.sqrt(lower * upper))
+        value, slope = phi(alpha)
+        if value < 0.0:
+            upper = alpha
+        ratio = value / slope
+        lower = max(lower, alpha - ratio)
+        alpha -= (value + delta) * ratio / delta
+        if abs(value) < 0.01 * delta:
+            break
+    p = -vecs @ (vg / (s2 + alpha))
+    return p * (delta / math.sqrt(p @ p)), alpha
+
+
+def minimize(residual, jac, x0: np.ndarray, max_nfev: int) -> np.ndarray:
+    """Least-squares descent of residual from x0, run to roundoff; returns the
+    last accepted point.  jac is the residual's Jacobian as a callable, and
+    max_nfev caps the residual evaluations, the one at x0 included.
+
+    A port of scipy's unbounded trust-region reflective descent
+    (least_squares(method="trf") without bounds, x_scale = 1, linear loss,
+    xtol = 1e-12, ftol = gtol = 1e-15): the trust region starts at |x0|
+    (1 if x0 = 0), each step is More's (1977) Levenberg-Marquardt step with
+    warm-started alpha (_trust_step), and the radius update and termination
+    tests are trf's.  Only the linear algebra differs: with at most 1 + 2K
+    unknowns, the step needs J^T J and J^T f alone, so one eigh of the small
+    Gram matrix (_gram) replaces trf's SVD of the tall J, and the predicted
+    reduction is -(p^T J^T J p / 2 + p^T J^T f).  trf's branch that shrinks
+    the region after a non-finite trial residual is dropped: _ProbeLog
+    raises NumericalError on one first.
+    """
+    x = np.array(x0, dtype=float)
+    f = residual(x)
+    cost, nfev, alpha = 0.5 * (f @ f), 1, 0.0
+    delta = math.sqrt(x @ x) or 1.0
+    gram, g = _gram(jac(x), f)
+    while np.max(np.abs(g)) >= 1e-15 and nfev < max_nfev:
+        eigenvalues, vecs = np.linalg.eigh(gram)
+        s2, vecs = np.maximum(eigenvalues[::-1], 0.0), vecs[:, ::-1]
+        vg = vecs.T @ g
+        reduction, done = -1.0, False
+        while reduction <= 0.0 and nfev < max_nfev:
+            step, alpha = _trust_step(s2, vg, vecs, f.size, delta, alpha)
+            predicted = -(0.5 * (step @ gram @ step) + g @ step)
+            f_new = residual(x + step)
+            nfev += 1
+            cost_new = 0.5 * (f_new @ f_new)
+            reduction, step_norm = cost - cost_new, math.sqrt(step @ step)
+            if predicted > 0.0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1.0 if predicted == reduction == 0.0 else 0.0
+            new_delta = delta
+            if ratio < 0.25:
+                new_delta = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * delta:
+                new_delta = 2.0 * delta
+            done = (reduction < 1e-15 * cost and ratio > 0.25) or step_norm < 1e-12 * (1e-12 + math.sqrt(x @ x))
+            if done:
+                break
+            alpha *= delta / new_delta
+            delta = new_delta
+        if reduction > 0.0:
+            x, f, cost = x + step, f_new, cost_new
+        if done or nfev == max_nfev:
+            break
+        gram, g = _gram(jac(x), f)
+    return x
 
 
 def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cut: int = 0) -> EstimateReport:

@@ -17,6 +17,7 @@ from spheredeconv.estimators import (
     estimate_center,
     fit_joint,
     fit_radius_known_density,
+    minimize,
     truncate_density,
     truncation_level,
 )
@@ -821,8 +822,8 @@ def test_jacobian_away_from_the_latest_probe_probes_first(monkeypatch):
 
     seen = {}
 
-    def one_step(fun, x0, jac, **kwargs):
-        fun(x0)
+    def one_step(residual, jac, x0, max_nfev):
+        residual(x0)
         before = len(probes)
         away = x0 + np.array([0.25, 0.01, -0.02])
         seen["jac"], seen["probed"] = jac(away), len(probes) - before
@@ -837,7 +838,7 @@ def test_jacobian_away_from_the_latest_probe_probes_first(monkeypatch):
         probes.append((f, radius, ctx))
         return real(f, radius, ctx)
 
-    monkeypatch.setattr(est_mod, "least_squares", one_step)
+    monkeypatch.setattr(est_mod, "minimize", one_step)
     monkeypatch.setattr(est_mod, "contrast_residual", recording)
     cfg = FitConfig(restarts=1, k_cutoff=1)
     rep = fit_joint(generate(scenario(1), 200, seed=8), cfg)
@@ -847,6 +848,139 @@ def test_jacobian_away_from_the_latest_probe_probes_first(monkeypatch):
     assert radius == seen["away"][0]
     assert np.array_equal(seen["jac"], contrast_jacobian(f, radius, ctx))
     assert np.array_equal(seen["at_probe"], seen["jac"])
+
+
+# ---------------------------------------------------------------- the descent
+
+
+def _counted(residual):
+    """residual, recording every point it is evaluated at in .points."""
+
+    def wrapped(x):
+        wrapped.points.append(x.copy())
+        return residual(x)
+
+    wrapped.points = []
+    return wrapped
+
+
+def _linear(a, b):
+    return _counted(lambda x: a @ x - b), lambda x: a.copy()
+
+
+def test_descent_reaches_the_least_squares_solution_of_a_linear_residual_in_one_step():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 3))
+    b = a @ np.array([3.0, -2.0, 1.0]) + 0.1 * rng.standard_normal(40)
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    residual, jac = _linear(a, b)
+    # the Gauss-Newton step from x0 fits in the first trust region, of radius |x0|
+    x = minimize(residual, jac, want + np.array([0.1, -0.05, 0.08]), 100)
+    assert np.max(np.abs(residual.points[1] - want)) <= 1e-12
+    assert np.max(np.abs(x - want)) <= 1e-12
+
+
+def test_descent_with_a_zero_jacobian_column_converges():
+    # the column of a clipped radius: J^T J is singular, so every step is a
+    # Levenberg-Marquardt one on the rank-deficient path
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((40, 2))
+    b = a @ np.array([3.0, -2.0]) + 0.1 * rng.standard_normal(40)
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    residual, jac = _linear(np.column_stack([a, np.zeros(40)]), b)
+    x0 = np.array([0.0, 0.0, 4.0])
+    x = minimize(residual, jac, x0, 200)
+    assert len(residual.points) < 200
+    # that path converges linearly, and ftol stops it at the minimum's cost
+    # to roundoff, short of its point
+    floor = np.sum((a @ want - b) ** 2)
+    assert np.sum(residual(x) ** 2) - floor <= 1e-14 * floor
+    assert np.max(np.abs(x[:2] - want)) <= 1e-8
+    assert x[2] == x0[2]
+
+
+def test_descent_max_nfev_caps_the_residual_evaluations_exactly():
+    def rosenbrock(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    def jac(x):
+        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    for cap in (1, 2, 3, 5, 8):
+        residual = _counted(rosenbrock)
+        minimize(residual, jac, np.array([-1.2, 1.0]), cap)
+        assert len(residual.points) == cap
+    residual = _counted(rosenbrock)
+    x = minimize(residual, jac, np.array([-1.2, 1.0]), 1000)
+    assert len(residual.points) < 1000
+    assert np.max(np.abs(x - 1.0)) <= 1e-10
+
+
+def _first_descent(monkeypatch, fit):
+    """(residual, jac, x0, max_nfev) of the first descent fit makes."""
+    import spheredeconv.estimators as est_mod
+
+    calls = []
+    real_minimize = est_mod.minimize
+
+    def recording_minimize(residual, jac, x0, max_nfev):
+        calls.append((residual, jac, x0.copy(), max_nfev))
+        return real_minimize(residual, jac, x0, max_nfev)
+
+    monkeypatch.setattr(est_mod, "minimize", recording_minimize)
+    fit()
+    return calls[0]
+
+
+@pytest.mark.parametrize("fit", ["joint_s1", "known_s4"])
+def test_descent_agrees_with_scipy_trf(monkeypatch, fit):
+    from scipy.optimize import least_squares
+
+    if fit == "joint_s1":
+        s = generate(scenario(1), 2000, seed=6)
+        residual, jac, x0, max_nfev = _first_descent(monkeypatch, lambda: fit_joint(s))
+        assert x0.size == 9
+    else:
+        scn = scenario(4)
+        s = generate(scn, 2000, seed=6)
+        residual, jac, x0, max_nfev = _first_descent(monkeypatch, lambda: fit_radius_known_density(s, scn.density))
+        assert x0.size == 1
+    ours = minimize(residual, jac, x0, max_nfev)
+    theirs = least_squares(
+        residual, x0, jac=jac, method="trf", xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev
+    ).x
+    assert abs(ours[0] - theirs[0]) <= 1e-8
+    ours_cost, theirs_cost = (float(residual(x) @ residual(x)) for x in (ours, theirs))
+    assert abs(ours_cost - theirs_cost) <= 1e-12 * theirs_cost
+
+
+def test_fit_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads its thread count once, at load, so each count needs its
+    # own process; the descent forms J^T J and J^T f in single-threaded slices
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spheredeconv
+
+    src = str(Path(spheredeconv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "from spheredeconv import fit_joint, fit_radius_known_density, generate, scenario; "
+        "scn = scenario(4); "
+        "reports = (fit_joint(generate(scenario(1), 2000, 1)), "
+        "fit_radius_known_density(generate(scn, 2000, 1), scn.density)); "
+        "print([(r.r_hat.hex(), r.contrast_value.hex(), r.iterations) for r in reports])"
+    )
+    outputs = set()
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout.strip())
+    assert len(outputs) == 1, outputs
 
 
 # ---------------------------------------------------------------- joint fit
