@@ -1,4 +1,4 @@
-"""Print the fit-parity hashes of the checkout this script sits in.
+"""Print the fit-parity hashes and per-fit values of the checkout this script sits in.
 
     python3 scripts/fit_parity.py
 
@@ -9,8 +9,10 @@ thread.  Prints one SHA-256 over every fit's (r_hat, c_hat, f_hat_coeffs,
 contrast_value, iterations), one per field over all fits (so a moved hash
 names the field that moved), and the determinism_hash of the sweep_s4
 benchmark spec (scenario 4, n = 1e4, 2 replications, both modes,
-restarts = 2) at base seeds 1-3.  Two checkouts whose lines agree fit
-bit for bit alike on these inputs.
+restarts = 2) at base seeds 1-3.  Then one line per fit: its scenario,
+n, seed, grid and fit, with r_hat.hex() and contrast_value.hex().  Two
+checkouts whose lines agree fit bit for bit alike on these inputs; where
+they differ, diffing the per-fit lines sizes the move of each fit.
 """
 
 import hashlib
@@ -31,16 +33,17 @@ FIELDS = ("r_hat", "c_hat", "f_hat_coeffs", "contrast_value", "iterations")
 
 
 def fit_reports():
-    """The 96 parity fits' reports, in a fixed order."""
-    grids = (sd.EvalGrid.build(dim=2), bench_grid())
+    """The 96 parity fits' labels and reports, in a fixed order."""
+    grids = (("default", sd.EvalGrid.build(dim=2)), ("bench", bench_grid()))
     for scenario_id in (1, 2, 3, 4):
         scn = sd.scenario(scenario_id)
         for n in (300, 1_000, 10_000):
             for seed in (0, 1):
                 sample = sd.generate(scn, n, seed)
-                for grid in grids:
-                    yield sd.fit_joint(sample, grid=grid)
-                    yield sd.fit_radius_known_density(sample, scn.density, grid=grid)
+                for name, grid in grids:
+                    label = f"s{scenario_id} n={n} seed={seed} {name}"
+                    yield f"{label} joint", sd.fit_joint(sample, grid=grid)
+                    yield f"{label} known", sd.fit_radius_known_density(sample, scn.density, grid=grid)
 
 
 def field_bytes(report, name: str) -> bytes:
@@ -53,20 +56,21 @@ def field_bytes(report, name: str) -> bytes:
 def main() -> None:
     total = hashlib.sha256()
     per_field = {name: hashlib.sha256() for name in FIELDS}
-    count = 0
-    for report in fit_reports():
-        count += 1
+    fits = list(fit_reports())
+    for _, report in fits:
         for name in FIELDS:
             chunk = field_bytes(report, name)
             total.update(chunk)
             per_field[name].update(chunk)
-    print(f"fits {count} {total.hexdigest()}")
+    print(f"fits {len(fits)} {total.hexdigest()}")
     for name in FIELDS:
         print(f"  {name} {per_field[name].hexdigest()}")
     for seed in (1, 2, 3):
         spec = sd.BenchSpec(4, n_values=(10_000,), replications=2, mode="both", base_seed=seed,
                             fit_overrides={"restarts": 2})
         print(f"sweep_s4 seed {seed} {sd.determinism_hash(sd.run_bench(spec))}")
+    for label, report in fits:
+        print(f"{label} r_hat {report.r_hat.hex()} contrast {report.contrast_value.hex()}")
 
 
 if __name__ == "__main__":

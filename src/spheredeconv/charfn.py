@@ -52,23 +52,14 @@ its latest one in its ContrastContext, split per radius by
 psi_model_entries.
 
 Data side: the empirical characteristic function, in the model's
-(axis-1, axis-2, full) layout, takes one of two routes, whichever costs
-less per observation (_moment_orders).  On samples compact next to the
-window it sums Chebyshev moments: with L_c = max |x_c| and the
-Jacobi-Anger expansion exp(i t x) = sum_j eps_j i^j J_j(t L_c) T_j(x / L_c)
-(DLMF 10.12.3), truncated at J_c = negligible_order(nu_est L_c), each
-chunk of observations builds the rows T_0..T_J by the three-term
-recurrence and adds one real product of the axis-1 rows and the other
-coordinates' rows (their row-wise Kronecker product in d >= 3) into a
-small moment matrix M; the Bessel coefficient tables, from one
-bessel_rows call per coordinate, turn M into the grid values once per
-call, and T_0 = 1 makes M's first column and row carry the marginals.
-On wide samples, where J grows like nu_est max |x|, and on small grids
-it sums cos/sin rows instead: one real product per chunk of
-[1; cos t1 x1; sin t1 x1] times the transpose of [1; cos t2 . x2;
-sin t2 . x2] over the first ceil(m2/2) axis-2 nodes, whose cos and sin
-come from _cos_sin, a table-driven kernel in numpy ufuncs within 2^-52
-of np.cos and np.sin.
+(axis-1, axis-2, full) layout, is one accumulator of exp(i <t, x - m>)
+about the centre m of the sample's core, multiplied once by exp(i <t, m>),
+its phase split exactly: the contrast is translation invariant, and the
+cost follows the core, not the sample's offset or extremes.  The core,
+the whole of a clean sample, is summed by Chebyshev moments and the
+Jacobi-Anger expansion (DLMF 10.12.3) truncated at the order
+negligible_order(nu_est L) for its half-width L; the few observations
+outside it, outliers or a bulk wider than the window, directly.
 """
 
 from __future__ import annotations
@@ -87,16 +78,19 @@ from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, 
 DEFAULT_NU_EST = 1.0
 # the narrower window of bench fits and of the population contrast's default grid
 BENCH_NU_EST = 0.5
-_BENCH_GRIDS: dict = {}
+
+
+@lru_cache(maxsize=None)
+def default_grid(dim: int = 2, nu_est: float = DEFAULT_NU_EST) -> "EvalGrid":
+    """EvalGrid.build(dim=dim, nu_est=nu_est), the grid of a fit given none;
+    built once per call signature, so its cached tables serve every later call."""
+    return EvalGrid.build(dim=dim, nu_est=nu_est)
 
 
 def bench_grid(dim: int = 2) -> "EvalGrid":
     """The frequency grid of every bench fit and of the population contrast's
-    default: BENCH_NU_EST, 33 nodes per axis; built once per dimension, so
-    its cached points and tables serve every later call."""
-    if dim not in _BENCH_GRIDS:
-        _BENCH_GRIDS[dim] = EvalGrid.build(dim=dim, nu_est=BENCH_NU_EST)
-    return _BENCH_GRIDS[dim]
+    default: default_grid at BENCH_NU_EST."""
+    return default_grid(dim, BENCH_NU_EST)
 
 
 @dataclass(eq=False)
@@ -184,96 +178,21 @@ def _expi(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-# Table-driven cos/sin (Tang, ACM TOMS 15, 1989): phi = k * 2 pi / 4096 + r,
-# with r reduced by a three-part Cody-Waite split of 2 pi / 4096.  _STEP_HI
-# and _STEP_MID have 26 significant bits or fewer, so k * _STEP_HI and
-# k * _STEP_MID are exact for |k| <= 2^27; larger phases go to np.cos/np.sin.
-_TABLE_SIZE = 4096
-_STEP_HI, _STEP_MID, _STEP_LO = 0.001533980801468715, -1.3583073901757281e-11, 5.979720698961686e-20
-_STEPS_PER_RADIAN = _TABLE_SIZE / (2.0 * np.pi)
-_REDUCTION_LIMIT = 2.0**27 * _STEP_HI
-# OpenBLAS runs a product of m n k < 2 * 65536 * 4 multiply-adds on one
-# thread; a larger one, split across threads, rounds differently from a
-# single-threaded run.  The ECF sums its products over slices of
-# observations narrow enough to stay below that size, so its bits do not
-# depend on the BLAS thread count; _PRODUCT_WIDTH caps the slices, and is
-# their width on the default grid's 35 x 35 products
+# OpenBLAS runs a real product of m n k < 2 * 65536 * 4 multiply-adds, and a
+# complex one of an eighth of that, on one thread; a larger one may round
+# differently on several (an 18 x 130 by 130 x 34 complex product does).  The
+# ECF sums its products over slices small enough to stay below those sizes,
+# so its bits do not depend on the BLAS thread count
 _ONE_THREAD_PRODUCT = 2 * 65536 * 4
-_PRODUCT_WIDTH = 256
-# observations per ecf chunk on the rows and the moment route, and points
-# per _psi_quadrature block
-_ECF_CHUNK, _MOMENT_CHUNK, _QUAD_CHUNK = 1 << 10, 1 << 12, 128
-# per-observation costs of the ecf routes, in multiply-adds of the
-# accumulator product: one cos/sin pair of _cos_sin, and one Chebyshev
-# value or Kronecker entry of _ecf_moments.  Least-squares fit of each
-# route's time per observation on 2 cores at one BLAS thread, over d = 2
-# (5..65 nodes per axis), d = 3 (5..33) and d = 4 (3..9) grids and
-# samples with J = 11..66; the rule then picks the faster route on 59 of
-# the 60 cases, and the one miss costs 17%
-_COS_SIN_COST, _CHEBYSHEV_COST = 220.0, 22.0
-
-
-def _trig_table() -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of j * 2 pi / 4096, j = 0..4095, by angle addition on
-    (j * _STEP_HI, j * (_STEP_MID + _STEP_LO)): the first part is exact, the
-    second below 6e-8, so cos d = 1 - d^2/2 and sin d = d to roundoff."""
-    j = np.arange(_TABLE_SIZE, dtype=float)
-    head = j * _STEP_HI
-    tail = j * _STEP_MID + j * _STEP_LO
-    c, s = np.cos(head), np.sin(head)
-    half_sq = 0.5 * tail * tail
-    return c - (c * half_sq + s * tail), s + (c * tail - s * half_sq)
-
-
-_COS_TABLE, _SIN_TABLE = _trig_table()
-
-
-def _cos_sin(phase: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, work: np.ndarray) -> None:
-    """cos(phase) into cos_out and sin(phase) into sin_out, within 2^-52 of
-    np.cos and np.sin, in numpy ufuncs only.
-
-    k = rint(phase * 4096 / 2 pi) picks the table entry (c, s) = (cos, sin)
-    of k * 2 pi / 4096; the remainder |r| <~ pi / 4096 takes degree-4 and
-    degree-5 Taylor polynomials, whose truncation error is below 1e-21, and
-    cos phase = c + (c (cos r - 1) - s sin r), sin phase = s + (s (cos r - 1)
-    + c sin r).  work is float scratch of shape (4,) + phase.shape, which
-    the caller allocates once: chunk-sized temporaries allocated per call
-    come back from the allocator as fresh pages, and faulting those in cost
-    about as much as the arithmetic.  A call with any |phase| past
-    the exact-reduction range, or any non-finite phase, runs np.cos and
-    np.sin instead.
-    """
-    if not (-_REDUCTION_LIMIT <= phase.min() and phase.max() <= _REDUCTION_LIMIT):
-        np.cos(phase, out=cos_out)
-        np.sin(phase, out=sin_out)
-        return
-    k, r, tmp, spare = work
-    np.multiply(phase, _STEPS_PER_RADIAN, out=k)
-    np.rint(k, out=k)
-    index = spare.view(np.int64)
-    np.copyto(index, k, casting="unsafe")
-    np.bitwise_and(index, _TABLE_SIZE - 1, out=index)
-    c = _COS_TABLE.take(index, out=cos_out, mode="clip")
-    s = _SIN_TABLE.take(index, out=sin_out, mode="clip")
-    np.multiply(k, _STEP_HI, out=r)
-    np.subtract(phase, r, out=r)
-    r -= np.multiply(k, _STEP_MID, out=tmp)
-    r -= np.multiply(k, _STEP_LO, out=tmp)
-    r2 = np.multiply(r, r, out=k)
-    cos_m1 = np.multiply(r2, 1.0 / 24.0, out=spare)
-    cos_m1 -= 0.5
-    cos_m1 *= r2
-    sin_r = np.multiply(r2, 1.0 / 120.0, out=tmp)
-    sin_r -= 1.0 / 6.0
-    sin_r *= r2
-    sin_r *= r
-    sin_r += r
-    cos_rest = np.multiply(c, cos_m1, out=k)
-    cos_rest -= np.multiply(s, sin_r, out=r)
-    sin_rest = np.multiply(s, cos_m1, out=cos_m1)
-    sin_rest += np.multiply(c, sin_r, out=sin_r)
-    c += cos_rest
-    s += sin_rest
+# observations per ecf chunk and at most in its subsample; points per _psi_quadrature block
+_MOMENT_CHUNK, _QUAD_CHUNK = 1 << 12, 128
+# The core's orders keep (J + 1)^d <= _WINDOW (1 + m1)(1 + m2): its moment
+# block holds at most _WINDOW times the entries of a tail observation's
+# product.  Per observation (CPU time, one BLAS thread) moments cost as much
+# as direct sums at 16 times on the 33-node d = 2 grid (J = 98), 26 on a
+# 9-node one, 13 on a 17-node d = 3 grid (J = 33), 6.5 on the 33-node one
+# (J = 48).  At 12 the default grid's core reaches J = 84: nu_est L = 44
+_WINDOW = 12.0
 
 
 def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,13 +200,12 @@ def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     model's (axis-1, axis-2, full) layout, over the folded axis-1 nodes.
 
     Accepts an (n, d) array or any object with a .data attribute holding
-    one.  _moment_orders picks one of two routes by their cost per
-    observation: Chebyshev moments (_ecf_moments), where the sample is
-    compact next to the window, or cos/sin rows (_ecf_rows), the others.
-    Both sum the observations in fixed-order chunks, each adding one real
-    product into a small accumulator in slices that stay on one BLAS
-    thread, and assemble the complex values once at the end, so the result
-    is bitwise stable for given inputs whatever the BLAS thread count.
+    one.  One (1 + m1, 1 + m2) array of sums of exp(i <t, x - m>), its first
+    row and column the marginals', takes Chebyshev moments of the core
+    (_core) and direct sums of the few observations outside it; multiplied
+    once by exp(i <t, m>) (_phase), it is the sample's ECF.  Fixed-order
+    chunks and products small enough for one BLAS thread make it bitwise
+    stable whatever the BLAS thread count.
     """
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2:
@@ -299,87 +217,84 @@ def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"sample dimension {d} does not match grid dimension {grid.dim}")
     # max and min propagate NaN, so finite extremes mean a finite sample;
     # taken column by column, which numpy reduces far faster than axis 0
-    scale = np.array([max(col.max(), -col.min()) for col in data.T])
-    if not np.all(np.isfinite(scale)):
+    lo = np.array([col.min() for col in data.T])
+    hi = np.array([col.max() for col in data.T])
+    if not np.isfinite([lo, hi]).all():
         raise ValueError("sample contains non-finite values")
-    orders = _moment_orders(grid, scale)
-    if orders is None:
-        return _ecf_rows(data, grid)
-    return _ecf_moments(data, grid, scale, orders)
+    centre, scale, orders, keep = _core(data, grid, lo, hi)
+    sums = _ecf_moments(data, keep, centre, scale, orders, grid) / n
+    phase1, phase2 = _phase(grid.axis1_nodes[:, None], centre[:1]), _phase(grid.axis2_nodes, centre[1:])
+    return sums[1:, 0] * phase1, sums[0, 1:] * phase2, sums[1:, 1:] * np.multiply.outer(phase1, phase2)
 
 
-def _slice_width(sums: np.ndarray) -> int:
-    """Observations per product slice into the accumulator sums, few enough
-    that each product stays on one BLAS thread."""
-    return max(1, min(_PRODUCT_WIDTH, (_ONE_THREAD_PRODUCT - 1) // sums.size))
+def _core(data: np.ndarray, grid: EvalGrid, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Centre, half-width and Chebyshev order of the core box per coordinate,
+    and the mask of its observations, None when it holds them all.  A sample
+    with nothing past the far-out fences of a strided subsample (Tukey's,
+    three interquartile ranges past its quartiles), whose orders fit the
+    window, is the core about its midrange; else the box spans the
+    subsample's bulk inside the fences, widened to its orders' reach, within
+    the window."""
+    n, d = data.shape
+    cap = math.floor((_WINDOW * (1 + grid.m1) * (1 + grid.m2)) ** (1.0 / d)) - 1
+    sub = np.sort(data[:: -(-n // _MOMENT_CHUNK)], axis=0)
+    q1, q3 = sub[len(sub) // 4], sub[3 * len(sub) // 4]
+    inner, outer = q1 - 3.0 * (q3 - q1), q3 + 3.0 * (q3 - q1)
+    clean = np.all(inner <= lo) and np.all(hi <= outer)
+    if not clean:
+        bulk = np.where((inner <= sub) & (sub <= outer), sub, np.nan)
+        lo, hi = np.nanmin(bulk, axis=0), np.nanmax(bulk, axis=0)
+    centre, scale = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    orders = negligible_order(grid.nu_est * scale).astype(int)
+    if clean and np.all(orders <= cap):
+        return centre, scale, orders, None
+    orders = np.minimum(orders, cap)
+    scale = _reach(orders) / grid.nu_est
+    keep = np.ones(n, dtype=bool)
+    for col, low, high in zip(data.T, centre - scale, centre + scale):
+        keep &= (low <= col) & (col <= high)
+    return centre, scale, orders, keep
 
 
-def _ecf_rows(data: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ecf from cos/sin rows: each chunk stacks [1; cos(t1 x1); sin(t1 x1)]
-    over the m1 axis-1 nodes and [1; cos(t2 . x2); sin(t2 . x2)] over the
-    first ceil(m2/2) axis-2 nodes, computed by _cos_sin, and adds their
-    real product; the ones rows give both marginals.  The complex values
-    are assembled once at the end: since axis2_nodes[::-1] == -axis2_nodes,
-    the other axis-2 columns are the same sums with the axis-2 sines
-    negated, reversed."""
-    n = data.shape[0]
-    m1, m2 = grid.m1, grid.m2
-    half2 = (m2 + 1) // 2
-    t1 = grid.axis1_nodes[:, None]
-    t2 = grid.axis2_nodes[:half2]
-    width = min(_ECF_CHUNK, n)
-    rows1 = np.empty((1 + 2 * m1, width))
-    rows2 = np.empty((1 + 2 * half2, width))
-    rows1[0] = rows2[0] = 1.0
-    # per axis: the phases, then _cos_sin's scratch
-    work1, work2 = np.empty((5, m1, width)), np.empty((5, half2, width))
-    sums = np.zeros((1 + 2 * m1, 1 + 2 * half2))
-    step = _slice_width(sums)
-    for start in range(0, n, _ECF_CHUNK):
-        block = data[start : start + _ECF_CHUNK]
-        b = block.shape[0]
-        a1, a2, w1, w2 = rows1[:, :b], rows2[:, :b], work1[..., :b], work2[..., :b]
-        np.multiply(t1, block[:, 0], out=w1[0])
-        np.matmul(t2, block[:, 1:].T, out=w2[0])
-        _cos_sin(w1[0], a1[1 : 1 + m1], a1[1 + m1 :], w1[1:])
-        _cos_sin(w2[0], a2[1 : 1 + half2], a2[1 + half2 :], w2[1:])
-        for k in range(0, b, step):
-            sums += a1[:, k : k + step] @ a2[:, k : k + step].T
-    sums /= n
-    cos1, sin1 = sums[1 : 1 + m1], sums[1 + m1 :]
-    cc, cs = cos1[:, 1 : 1 + half2], cos1[:, 1 + half2 :]
-    sc, ss = sin1[:, 1 : 1 + half2], sin1[:, 1 + half2 :]
-    rest = m2 - half2
-    full = np.empty((m1, m2), dtype=complex)
-    full.real[:, :half2], full.imag[:, :half2] = cc - ss, sc + cs
-    full.real[:, half2:], full.imag[:, half2:] = (cc + ss)[:, rest - 1 :: -1], (sc - cs)[:, rest - 1 :: -1]
-    marg1 = cos1[:, 0] + 1j * sin1[:, 0]
-    marg2 = np.empty(m2, dtype=complex)
-    marg2[:half2] = sums[0, 1 : 1 + half2] + 1j * sums[0, 1 + half2 :]
-    np.conjugate(marg2[rest - 1 :: -1], out=marg2[half2:])
-    return marg1, marg2, full
+def _reach(order):
+    """The largest x with negligible_order(x) <= order: the root of
+    x + 10 x^(1/3) = order - 4 (Cardano), and 0 below order 5."""
+    q = np.maximum(order - 4.0, 0.0)
+    s = np.sqrt(q * q / 4.0 + (10.0 / 3.0) ** 3)
+    return (np.cbrt(q / 2.0 + s) + np.cbrt(q / 2.0 - s)) ** 3
 
 
-def _moment_orders(grid: EvalGrid, scale: np.ndarray) -> list[int] | None:
-    """The Chebyshev orders J_c of each coordinate if the moment route costs
-    less per observation than the rows route, else None.
+def _phase(nodes: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """exp(i <t, centre>) at each row t of nodes, to roundoff at any size:
+    Dekker's two-product splits each t_c centre_c exactly into p + e, on
+    26-bit halves cut at the binary exponent, and exp(i (p + e)) = exp(i p) exp(i e)."""
 
-    J_c = negligible_order(nu_est L_c) for L_c = max |x_c|.  Costs are in
-    multiply-adds of the accumulator product: the rows route pays
-    _COS_SIN_COST per cos/sin pair, m1 + ceil(m2/2) of them, and
-    (1 + 2 m1)(1 + 2 ceil(m2/2)) for its product; the moment route pays
-    _CHEBYSHEV_COST per Chebyshev value, d (max J_c + 1) of them, and per
-    entry of the row-wise Kronecker products in d >= 3, and
-    (J_1 + 1) prod_{c>=2} (J_c + 1) for its product.
-    """
-    half2 = (grid.m2 + 1) // 2
-    rows_cost = _COS_SIN_COST * (grid.m1 + half2) + (1 + 2 * grid.m1) * (1 + 2 * half2)
-    sizes = negligible_order(grid.nu_est * scale) + 1.0
-    kron = np.cumprod(sizes[1:])
-    moment_cost = _CHEBYSHEV_COST * (sizes.size * sizes.max() + kron[1:].sum()) + sizes[0] * kron[-1]
-    if not moment_cost < rows_cost:
-        return None
-    return [int(j) - 1 for j in sizes]
+    def halves(a):
+        mant, expo = np.frexp(a)
+        high = np.ldexp(np.rint(mant * 2.0**26), expo - 26)
+        return high, a - high
+
+    out = np.ones(nodes.shape[0], dtype=complex)
+    for t, m in zip(nodes.T, centre):
+        p = t * m
+        (t1, t2), (m1, m2) = halves(t), halves(m)
+        out *= _expi(p) * _expi(((t1 * m1 - p) + t1 * m2 + t2 * m1) + t2 * m2)
+    return out
+
+
+def _ecf_direct(tail: np.ndarray, grid: EvalGrid) -> np.ndarray:
+    """Sums of [1; exp(i t1 x_1)] [1; exp(i t2 . x_2)]^T over the rows x of
+    tail, in complex products small enough for one BLAS thread; the axis-2
+    rows past ceil(m2/2) mirror the first ones, as axis2_nodes[::-1] == -axis2_nodes."""
+    sums = np.zeros((1 + grid.m1, 1 + grid.m2), dtype=complex)
+    step = max(1, (_ONE_THREAD_PRODUCT // 8 - 1) // sums.size)
+    for start in range(0, tail.shape[0], step):
+        part = tail[start : start + step]
+        ones = np.ones((1, part.shape[0]))
+        first = _expi(grid.axis2_nodes[: (grid.m2 + 1) // 2] @ part[:, 1:].T)
+        rows1 = np.concatenate([ones, _expi(np.multiply.outer(grid.axis1_nodes, part[:, 0]))])
+        sums += rows1 @ np.concatenate([ones, first, first[grid.m2 // 2 - 1 :: -1].conj()]).T
+    return sums
 
 
 def _jacobi_anger_table(nodes: np.ndarray, scale: float, order: int) -> np.ndarray:
@@ -394,46 +309,52 @@ def _jacobi_anger_table(nodes: np.ndarray, scale: float, order: int) -> np.ndarr
 
 
 def _small_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in row slices of a, each product below a quarter of
-    _ONE_THREAD_PRODUCT (a complex multiply-add is four real ones), so it
-    stays on one BLAS thread."""
-    rows = max(1, (_ONE_THREAD_PRODUCT // 4 - 1) // max(1, a.shape[1] * b.shape[1]))
+    """a @ b in row slices of a, each complex product below an eighth of
+    _ONE_THREAD_PRODUCT, so it stays on one BLAS thread."""
+    rows = max(1, (_ONE_THREAD_PRODUCT // 8 - 1) // max(1, a.shape[1] * b.shape[1]))
     return np.concatenate([a[k : k + rows] @ b for k in range(0, a.shape[0], rows)])
 
 
-def _ecf_moments(data, grid, scale, orders) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ecf from Chebyshev moments: exp(i t x) = sum_j eps_j i^j J_j(t L) T_j(x / L)
-    for |x| <= L (_jacobi_anger_table), so the ECF is a Bessel-weighted sum
-    of the moments M[j, k] = sum_obs T_j(x_1 / L_1) T_k(x_2 / L_2) ....
+def _ecf_moments(data, keep, centre, scale, orders, grid) -> np.ndarray:
+    """ecf's sums, over the core (the rows where keep holds, all when it is
+    None) from Chebyshev moments: exp(i t y) = sum_j eps_j i^j J_j(t L) T_j(y / L)
+    for |y| <= L (_jacobi_anger_table), so the sums are Bessel-weighted sums
+    of the moments M[j, k] = sum T_j(y_1 / L_1) T_k(y_2 / L_2) ..., y = x - centre.
+    The rest of each chunk, the tail, goes to _ecf_direct, centred.
 
-    Each chunk of _MOMENT_CHUNK observations builds the rows T_0..T_J of
-    all coordinates at once by T_{j+1} = 2 y T_j - T_{j-1}, two ufunc calls
-    per order.  Each slice of it then combines coordinates 2..d by a
-    row-wise Kronecker product in tensor_rule's row-major order and adds
-    the real product of the axis-1 rows and that block into M.  Once per
-    call, with one coefficient table B_c per coordinate,
-    full = B_1 M B_2^T / n, B_2 the Kronecker product of the per-axis
-    tables of coordinates 2..d, applied one axis at a time; the marginals
-    are B_1 M[:, 0] and B_2 M[0, :], since T_0 = 1.
-    """
+    Each chunk of _MOMENT_CHUNK rows, its core centred, builds the rows
+    T_0..T_J of all coordinates by T_{j+1} = 2 y T_j - T_{j-1}, two ufunc
+    calls per order; each slice of it combines coordinates 2..d by a row-wise
+    Kronecker product in tensor_rule's row-major order and adds the real
+    product of the axis-1 rows and that block into M.  Once per call, with
+    a coefficient table B_c per coordinate, full = B_1 M B_2^T, B_2 the
+    Kronecker product of the tables of coordinates 2..d, applied one axis
+    at a time; the marginals are B_1 M[:, 0] and B_2 M[0, :], as T_0 = 1.
+    Returns them in one array, ecf's layout."""
     n, d = data.shape
     sizes = [j + 1 for j in orders]
-    width = min(_MOMENT_CHUNK, n)
+    width = min(_MOMENT_CHUNK, n if keep is None else np.count_nonzero(keep))
     cheb = np.empty((max(sizes), d, width))
     cheb[0] = 1.0
     twice = np.empty((d, width))
     # an all-zero coordinate has the one row T_0 = 1; its y = 0 / 1 is never read
     divisor = np.where(scale > 0.0, scale, 1.0)[:, None]
     block_size = math.prod(sizes[1:])
-    sums = np.zeros((sizes[0], block_size))
-    step = _slice_width(sums)
+    moments = np.zeros((sizes[0], block_size))
+    step = max(1, min(width, (_ONE_THREAD_PRODUCT - 1) // moments.size))
     kron = np.empty((block_size, step)) if d > 2 else None
+    tail = np.zeros((1 + grid.m1, 1 + grid.m2), dtype=complex)
     for start in range(0, n, _MOMENT_CHUNK):
         block = data[start : start + _MOMENT_CHUNK]
+        inside = True if keep is None else keep[start : start + _MOMENT_CHUNK]
+        if not np.all(inside):
+            tail += _ecf_direct(block[~inside] - centre, grid)
+            block = block[inside]
         b = block.shape[0]
         rows, tw = cheb[..., :b], twice[:, :b]
         if len(rows) > 1:
-            np.divide(block.T, divisor, out=rows[1])
+            np.subtract(block.T, centre[:, None], out=rows[1])
+            rows[1] /= divisor
             np.multiply(rows[1], 2.0, out=tw)
             for j in range(1, len(rows) - 1):
                 np.multiply(tw, rows[j], out=rows[j + 1])
@@ -445,22 +366,21 @@ def _ecf_moments(data, grid, scale, orders) -> tuple[np.ndarray, np.ndarray, np.
             for c in range(2, d):
                 pairs = kron[: len(second) * sizes[c], :w].reshape(len(second), sizes[c], w)
                 second = np.multiply(second[:, None], part[: sizes[c], c], out=pairs).reshape(-1, w)
-            sums += part[: sizes[0], 0] @ second.T
-    sums /= n
-    sums = sums.astype(complex)
+            moments += part[: sizes[0], 0] @ second.T
+    moments = moments.astype(complex)
     table1 = _jacobi_anger_table(grid.axis1_nodes, scale[0], orders[0])
     # every axis of the block carries the same 1-d nodes; the last runs fastest
     axis_nodes = grid.axis2_nodes[: grid.nodes_per_axis, -1]
     # row 0 of the stack gives the axis-2 marginal, the others the full grid
-    stacked = np.concatenate([sums[:1], _small_product(table1, sums)])
-    marg1 = stacked[1:, 0].copy()
+    stacked = np.concatenate([moments[:1], _small_product(table1, moments)])
+    first = stacked[:, 0]
     for c in range(1, d):
         table = _jacobi_anger_table(axis_nodes, scale[c], orders[c])
         # contract the leading remaining order axis, appending its node axis
         lead = stacked.reshape(stacked.shape[0], sizes[c], -1)
         moved = lead.transpose(0, 2, 1).reshape(-1, sizes[c])
         stacked = _small_product(moved, table.T).reshape(stacked.shape[0], -1)
-    return marg1, stacked[0], stacked[1:]
+    return np.column_stack([first, stacked]) + tail
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--full",
         action="store_true",
-        help="paper-scale grid (n up to 1e6, 30 replications); runtime is hours",
+        help="paper-scale grid (n up to 1e6, 30 replications); about 30 s per scenario on 2 cores",
     )
     b.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import _ONE_THREAD_PRODUCT, EvalGrid
+from .charfn import _ONE_THREAD_PRODUCT, EvalGrid, default_grid
 from .contrast import ContrastContext, contrast_jacobian, contrast_residual
 from .errors import ConfigError, NumericalError
 from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_form, fourier_series, sphere_mean
@@ -487,7 +487,7 @@ def fit_joint(
     if data.shape[0] < 50:
         raise ValueError("need at least 50 observations for a joint fit")
     _check_context(grid, ctx)
-    ctx = ctx or ContrastContext.from_sample(data, grid or EvalGrid.build(dim=2))
+    ctx = ctx or ContrastContext.from_sample(data, grid or default_grid(2))
     log = _ProbeLog(data, ctx, getattr(sample, "seed", None), t_start)
     return _scan_and_descend(log, cfg, FourierDensity.from_half, cfg.restarts, cfg.k_cutoff)
 
@@ -516,6 +516,6 @@ def fit_radius_known_density(
         raise ValueError("sample dimension does not match the density")
     _check_context(grid, ctx)
     f_star = fourier_form(f_star)
-    ctx = ctx or ContrastContext.from_sample(data, grid or EvalGrid.build(dim=data.shape[1]))
+    ctx = ctx or ContrastContext.from_sample(data, grid or default_grid(data.shape[1]))
     log = _ProbeLog(data, ctx, getattr(sample, "seed", None), t_start)
     return _scan_and_descend(log, cfg, lambda half: f_star, 1)

@@ -11,12 +11,13 @@ import pytest
 import scipy.special as sp
 from numpy.polynomial.legendre import leggauss
 
-from spheredeconv.bessel import bessel_j, bessel_j_int
+from spheredeconv.bessel import bessel_j, bessel_j_int, negligible_order
 from spheredeconv.charfn import (
-    _REDUCTION_LIMIT,
+    _WINDOW,
     EvalGrid,
-    _cos_sin,
-    _moment_orders,
+    _core,
+    _phase,
+    _reach,
     bench_grid,
     ecf,
     psi_model,
@@ -46,23 +47,47 @@ def stacked_slices(g):
     return axis1, axis2, full
 
 
+def exact_exp(t, x):
+    """exp(i t x) for the given doubles, with the product t x split exactly
+    into p + e (Dekker's two-product on Veltkamp's split), then exp(i p)(1 + i e):
+    the exp(i fl(t x)) of a naive formula is off by up to |t x| 2^-53."""
+    p = t * x
+
+    def split(a):
+        c = 134217729.0 * a
+        high = c - (c - a)
+        return high, a - high
+
+    (t1, t2), (x1, x2) = split(t), split(x)
+    e = ((t1 * x1 - p) + t1 * x2 + t2 * x1) + t2 * x2
+    return np.exp(1j * p) * (1.0 + 1j * e)
+
+
 def direct_ecf(data, g):
-    """The unfolded complex-exp formula: one exp(i t . x) factor per node and observation."""
-    e1 = np.exp(1j * np.multiply.outer(g.axis1_nodes, data[:, 0]))
-    e2 = np.exp(1j * (g.axis2_nodes @ data[:, 1:].T))
+    """The unfolded formula, exact in the phase: one exp(i t_c x_c) factor per
+    node, coordinate and observation."""
+    e1 = exact_exp(g.axis1_nodes[:, None], data[:, 0])
+    e2 = np.ones((g.m2, data.shape[0]), dtype=complex)
+    for c in range(1, data.shape[1]):
+        e2 *= exact_exp(g.axis2_nodes[:, c - 1, None], data[:, c])
     n = data.shape[0]
     return e1.sum(axis=1) / n, e2.sum(axis=1) / n, e1 @ e2.T / n
 
 
-def only_route(monkeypatch, route):
-    """Make the other ecf route raise, so a call shows which route it took."""
-    import spheredeconv.charfn as charfn_mod
+def core(data, g):
+    """_core as ecf calls it: (centre, half-width, orders, mask or None)."""
+    return _core(data, g, data.min(axis=0), data.max(axis=0))
 
-    def refuse(*args):
-        raise AssertionError(f"ecf left the {route} route")
 
-    # the rows route computes its cos/sin by _cos_sin; the moment route builds Chebyshev rows
-    monkeypatch.setattr(charfn_mod, "_cos_sin" if route == "moment" else "_ecf_moments", refuse)
+def with_outlier(data, x1):
+    moved = data.copy()
+    moved[7, 0] = x1
+    return moved
+
+
+def d3_sample(n, seed):
+    scn = Scenario(0, uniform_density(2), NoiseModel.isotropic_gaussian(0.1, 3), r_star=1.0)
+    return generate(scn, n, seed).data
 
 
 def random_density(rng, k_cut=4, scale=0.08):
@@ -202,94 +227,141 @@ class TestEcf:
             assert gap <= bound, (seed, gap, bound)
 
     def test_matches_the_direct_complex_exponential(self):
-        direct = direct_ecf
-        g = EvalGrid.build()
-        # 1500 observations: one full 1024-observation chunk and a partial one
         samples = [generate(scenario(sid), 1500, sid).data for sid in (1, 2, 3, 4)]
-        # phases near 1e6 lie past the table reduction's range
-        samples.append(samples[3] + 1e6)
-        for data in samples:
-            for got, ref in zip(ecf(data, g), direct(data, g)):
-                assert np.max(np.abs(got - ref)) <= 2e-15
+        # shifted by 1e6, where fl(t x) is off by up to 1e-10
+        samples += [data + 1e6 for data in samples]
+        # one observation moved out, to the tail
+        samples += [with_outlier(samples[0], x1) for x1 in (30.0, 1e3)]
+        d3 = d3_sample(1500, 2)
+        for nodes in (9, 33, 65):
+            g, g3 = EvalGrid.build(nodes_per_axis=nodes), EvalGrid.build(dim=3, nodes_per_axis=min(nodes, 17))
+            for data, grid in [(data, g) for data in samples] + [(d3, g3), (d3 + 1e6, g3), (with_outlier(d3, 30.0), g3)]:
+                for got, ref in zip(ecf(data, grid), direct_ecf(data, grid)):
+                    assert np.max(np.abs(got - ref)) <= 2e-15, nodes
 
-    def test_scenario_samples_take_the_moment_route(self, monkeypatch):
-        only_route(monkeypatch, "moment")
+    def test_scenario_samples_take_the_moment_route(self):
+        # the whole sample is the core, summed by moments: an empty tail
         for g in (EvalGrid.build(), bench_grid()):
             for sid in (1, 2, 3, 4):
                 for n in (300, 10_000):
-                    ecf(generate(scenario(sid), n, sid), g)
+                    data = generate(scenario(sid), n, sid).data
+                    centre, scale, orders, keep = core(data, g)
+                    assert keep is None
+                    # the core about its midrange
+                    lo, hi = data.min(axis=0), data.max(axis=0)
+                    assert np.array_equal(centre, 0.5 * lo + 0.5 * hi) and np.array_equal(scale, 0.5 * hi - 0.5 * lo)
+                    assert np.array_equal(orders, negligible_order(g.nu_est * scale))
 
-    def test_wide_sample_takes_the_rows_route(self, monkeypatch):
-        # against the rounded phases fl(t x) of the direct formula, the rows
-        # route's own cos/sin of those phases match far closer than moments would
-        only_route(monkeypatch, "rows")
-        data = generate(scenario(4), 1500, 4).data + 1e6
-        for got, ref in zip(ecf(data, EvalGrid.build()), direct_ecf(data, EvalGrid.build())):
+    def test_shifted_sample_is_all_core_after_centring(self):
+        # a sample 1e6 off the origin costs what the sample at the origin does
+        g = EvalGrid.build()
+        data = generate(scenario(4), 1500, 4).data
+        near, far = core(data, g), core(data + 1e6, g)
+        assert near[3] is None and far[3] is None
+        assert np.array_equal(near[2], far[2]) and np.all(far[2] < 30)
+
+    def test_an_outlier_lands_in_the_tail(self):
+        g = EvalGrid.build()
+        clean = generate(scenario(1), 1500, 1).data
+        orders = core(clean, g)[2]
+        for x1 in (30.0, 1e3, -1e3):
+            centre, scale, got, keep = core(with_outlier(clean, x1), g)
+            assert np.flatnonzero(~keep).tolist() == [7]
+            # the core keeps the clean sample's orders, on a box that holds it
+            assert np.array_equal(got, orders)
+            assert np.all(np.abs(np.delete(clean, 7, axis=0) - centre) <= scale)
+
+    def test_the_window_caps_a_wide_bulk(self):
+        # a circle of radius 80 at nu_est = 1 outgrows the window: the core
+        # orders stop at the cap and the ring goes to the tail, summed directly
+        g = EvalGrid.build()
+        cap = int(np.sqrt(_WINDOW * (1 + g.m1) * (1 + g.m2))) - 1
+        for radius, in_window in ((40.0, True), (80.0, False)):
+            scn = Scenario(0, uniform_density(1), NoiseModel.isotropic_gaussian(0.12, 2), r_star=radius)
+            data = generate(scn, 1500, 5).data
+            centre, scale, orders, keep = core(data, g)
+            assert (keep is None) == in_window
+            assert np.all(orders <= cap) and (in_window or np.all(orders == cap))
+            for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
+                assert np.max(np.abs(got - ref)) <= 2e-15
+        # a window of nu_est = 50 leaves no observation of scenario 1 in the core
+        g = EvalGrid.build(nu_est=50.0, nodes_per_axis=9)
+        data = generate(scenario(1), 1500, 1).data
+        assert not core(data, g)[3].any()
+        for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
             assert np.max(np.abs(got - ref)) <= 2e-15
 
-    def test_zero_coordinate_on_the_moment_route(self, monkeypatch):
-        # L = 0 gives J = 0: the coordinate's one Chebyshev row T_0 = 1
-        only_route(monkeypatch, "moment")
+    def test_reach_is_the_widest_argument_of_an_order(self):
+        orders = np.arange(0.0, 200.0)
+        reach = _reach(orders)
+        assert np.array_equal(reach[:5], np.zeros(5)) and np.all(np.diff(reach[4:]) > 0.0)
+        assert np.all(negligible_order(reach * (1.0 - 1e-12)) <= np.maximum(orders, 0.0))
+        assert np.all(negligible_order(reach[5:] * (1.0 + 1e-12)) > orders[5:])
+
+    def test_phase_is_the_exact_product_phase(self):
+        from fractions import Fraction
+
+        two_pi = 2 * Fraction("3.14159265358979323846264338327950288419716939937510")
+        nodes = EvalGrid.build(dim=3, nodes_per_axis=9).axis2_nodes
+        for centre in ([1e6 + 0.1, -3.7], [0.0, -2.5e7], [0.1, 1e15]):
+            got = _phase(nodes, np.array(centre))
+            for row, value in zip(nodes, got):
+                # <t, centre> mod 2 pi from the exact rational products
+                turns = sum(Fraction(t) * Fraction(m) for t, m in zip(row, centre)) / two_pi
+                assert abs(value - np.exp(2j * np.pi * float(turns - round(turns)))) <= 1e-15
+        # the split of a centre near the largest doubles does not overflow
+        assert np.all(np.abs(np.abs(_phase(nodes, np.array([1e300, -1.7e308]))) - 1.0) <= 1e-15)
+
+    def test_zero_coordinate_on_the_moment_route(self):
+        # a zero half-range gives J = 0: the coordinate's one Chebyshev row T_0 = 1
         g = EvalGrid.build(nu_est=1.3, nodes_per_axis=9)
-        assert _moment_orders(g, np.array([0.7, 0.0])) == [15, 0]
-        marg1, marg2, full = ecf(np.array([[0.7, 0.0]]), g)
+        pair = np.array([[0.7, 0.0], [-0.7, 0.0]])
+        assert core(pair, g)[2].tolist() == [15, 0]
+        marg1, marg2, full = ecf(pair, g)
         assert np.array_equal(marg2, np.ones(g.m2))
-        assert np.max(np.abs(marg1 - np.exp(0.7j * g.axis1_nodes))) <= 1e-15
+        assert np.max(np.abs(marg1 - np.cos(0.7 * g.axis1_nodes))) <= 1e-15
         assert np.max(np.abs(full - marg1[:, None])) <= 1e-15
         marg1, marg2, full = ecf(np.array([[0.0, -1.3]]), g)
         assert np.array_equal(marg1, np.ones(g.m1))
+        assert np.max(np.abs(marg2 - np.exp(-1.3j * g.axis2_nodes[:, 0]))) <= 1e-15
         assert np.max(np.abs(full - marg2)) <= 1e-15
         for got in ecf(np.zeros((1, 2)), g):
             assert np.array_equal(got, np.ones_like(got))
 
-    def test_both_sides_of_the_crossover_match_the_direct_formula(self, monkeypatch):
-        # on 9 nodes per axis the rule leaves the moments at L = 6.5 (J = 30)
-        g = EvalGrid.build(nodes_per_axis=9)
-        unit = generate(scenario(1), 1500, 1).data
-        unit /= np.abs(unit).max(axis=0)  # L = 1 in each coordinate
-        scales = np.arange(4.0, 9.0, 0.125)
-        moment = [_moment_orders(g, np.full(2, s)) is not None for s in scales]
-        last = moment.index(False) - 1
-        assert last > 0 and moment[: last + 1] == [True] * (last + 1) and not any(moment[last + 1 :])
-        for scale, route in ((scales[last], "moment"), (scales[last + 1], "rows")):
-            with monkeypatch.context() as patch:
-                only_route(patch, route)
-                data = unit * scale
-                for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
-                    assert np.max(np.abs(got - ref)) <= 2e-15, (scale, route)
-
-    def test_moment_route_in_three_dimensions(self, monkeypatch):
-        only_route(monkeypatch, "moment")
-        scn = Scenario(0, uniform_density(2), NoiseModel.isotropic_gaussian(0.1, 3), r_star=1.0)
-        data = generate(scn, 1500, 2).data
+    def test_moment_route_in_three_dimensions(self):
+        data = d3_sample(1500, 2)
         g = EvalGrid.build(dim=3, nodes_per_axis=17)
+        assert core(data, g)[3] is None
         for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
             assert np.max(np.abs(got - ref)) <= 2e-15
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS reads its thread count once, at load, so each count needs its
-        # own process; on 65 nodes per axis (67 x 67 rows) the rows route's
-        # product slices narrow below the default 256 observations, and the
-        # sample shifted by 1e6 takes that route
+        # own process; the moment and the direct products are sliced to stay on
+        # one thread, on 33 and on 65 nodes per axis, about any centre, and at
+        # nu_est = 50 the whole sample is summed directly
         import spheredeconv
 
         src = str(Path(spheredeconv.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        for nodes, sample in ((33, ""), (65, ""), (33, ".data + 1e6"), (65, ".data + 1e6")):
-            code = (
-                "import hashlib; from spheredeconv.charfn import EvalGrid, ecf; "
-                "from spheredeconv.simulate import generate, scenario; "
-                f"c = ecf(generate(scenario(4), 3000, 1){sample}, EvalGrid.build(nodes_per_axis={nodes})); "
-                "print(hashlib.sha256(b''.join(a.tobytes() for a in c)).hexdigest())"
-            )
-            digests = set()
-            for threads in ("1", "2"):
-                env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-                proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-                assert proc.returncode == 0, proc.stderr
-                digests.add(proc.stdout.strip())
-            assert len(digests) == 1, (nodes, sample)
+        code = (
+            "import hashlib; from spheredeconv.charfn import EvalGrid, ecf; "
+            "from spheredeconv.simulate import generate, scenario\n"
+            "d = generate(scenario(4), 3000, 1).data; far = d.copy(); far[7, 0] = 1e3\n"
+            "for nodes in (33, 65):\n"
+            "    g, wide = EvalGrid.build(nodes_per_axis=nodes), EvalGrid.build(nu_est=50.0, nodes_per_axis=nodes)\n"
+            "    for sample, grid in ((d, g), (d + 1e6, g), (far, g), (d, wide)):\n"
+            "        c = ecf(sample, grid)\n"
+            "        print(hashlib.sha256(b''.join(a.tobytes() for a in c)).hexdigest())"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert len(outputs[0]) == 8 and outputs[0] == outputs[1]
 
     def test_errors(self):
         g = EvalGrid.build(nodes_per_axis=5)
@@ -302,41 +374,6 @@ class TestEcf:
             bad[1, 0] = value
             with pytest.raises(ValueError):
                 ecf(bad, g)
-
-
-class TestCosSin:
-    @staticmethod
-    def cos_sin(phase):
-        c, s = np.empty_like(phase), np.empty_like(phase)
-        _cos_sin(phase, c, s, np.empty((4,) + phase.shape))
-        return c, s
-
-    def check(self, phase):
-        c, s = self.cos_sin(phase)
-        assert np.max(np.abs(c - np.cos(phase))) <= 2.0**-52
-        assert np.max(np.abs(s - np.sin(phase))) <= 2.0**-52
-        return c, s
-
-    @pytest.mark.parametrize("scale", [1.0, 10.0, 1e3, 1e5])
-    def test_random_phases_within_2_to_minus_52(self, scale):
-        rng = np.random.default_rng(int(scale))
-        self.check(rng.uniform(-scale, scale, (50, 5000)))
-
-    def test_signed_zeros_and_table_nodes(self):
-        self.check(np.array([0.0, -0.0]))
-        self.check(np.arange(-3 * 4096, 3 * 4096 + 1) * (2.0 * np.pi / 4096))
-        # the same nodes a thousand turns out, where k runs past the table size
-        self.check(np.arange(4096) * (2.0 * np.pi / 4096) + 2.0 * np.pi * 1000)
-
-    def test_phases_past_the_reduction_limit_fall_back_to_numpy(self):
-        rng = np.random.default_rng(3)
-        big = rng.uniform(_REDUCTION_LIMIT, 1e9, 1000) * rng.choice([-1.0, 1.0], 1000)
-        mixed = np.concatenate([rng.uniform(-4.0, 4.0, 1000), [_REDUCTION_LIMIT * 1.5]])
-        for phase in (big, mixed):
-            c, s = self.check(phase)
-            assert np.array_equal(c, np.cos(phase)) and np.array_equal(s, np.sin(phase))
-        # up to the limit itself the table reduction holds
-        self.check(np.array([_REDUCTION_LIMIT, -_REDUCTION_LIMIT]) * np.linspace(0.9, 1.0, 101)[:, None])
 
 
 class TestPsiModel:

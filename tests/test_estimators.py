@@ -300,10 +300,10 @@ def test_known_density_fit_keeps_its_exact_radius_descent():
     # radii; a circle callable is fitted in its Fourier form
     s = generate(scenario(1), 1000, seed=21)
     rep = fit_radius_known_density(s, FourierDensity.from_half([0.1 - 0.05j]))
-    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.998564267226493, 0.00017344957472982861, 22)
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.998564267226493, 0.00017344957472982867, 22)
     s = generate(scenario(4), 600, seed=5)
     rep = fit_radius_known_density(s, vonmises_like(), grid=EvalGrid.build(nodes_per_axis=17))
-    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9716510217937238, 0.00011760948167643937, 25)
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.971651021778806, 0.00011760948167644029, 23)
 
 
 def _basins(values, cap):
@@ -446,6 +446,28 @@ def _same_fit(a, b):
     return (a.r_hat, a.contrast_value, a.iterations) == (b.r_hat, b.contrast_value, b.iterations) and np.array_equal(
         a.f_hat_coeffs, b.f_hat_coeffs
     )
+
+
+def test_default_fits_build_their_grid_once(monkeypatch):
+    s = generate(scenario(1), 1000, seed=3)
+    builds = []
+    real = EvalGrid.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        builds.append(kwargs)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(EvalGrid, "build", classmethod(counting))
+    fits = [fit_joint(s), fit_radius_known_density(s, scenario(1).density)]
+    first = len(builds)
+    again = [fit_joint(s), fit_radius_known_density(s, scenario(1).density)]
+    # at most the first default fit of the process builds the grid
+    assert first <= 1 and len(builds) == first
+    monkeypatch.undo()
+    grid = EvalGrid.build()
+    explicit = [fit_joint(s, grid=grid), fit_radius_known_density(s, scenario(1).density, grid=grid)]
+    for a, b, c in zip(fits, again, explicit):
+        assert _same_fit(a, c) and _same_fit(b, c) and np.array_equal(a.c_hat, c.c_hat)
 
 
 def test_fits_on_a_prebuilt_context_are_bitwise_the_fits_that_build_their_own():
