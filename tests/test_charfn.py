@@ -233,11 +233,12 @@ class TestEcf:
         # one observation moved out, to the tail
         samples += [with_outlier(samples[0], x1) for x1 in (30.0, 1e3)]
         d3 = d3_sample(1500, 2)
-        for nodes in (9, 33, 65):
-            g, g3 = EvalGrid.build(nodes_per_axis=nodes), EvalGrid.build(dim=3, nodes_per_axis=min(nodes, 17))
-            for data, grid in [(data, g) for data in samples] + [(d3, g3), (d3 + 1e6, g3), (with_outlier(d3, 30.0), g3)]:
-                for got, ref in zip(ecf(data, grid), direct_ecf(data, grid)):
-                    assert np.max(np.abs(got - ref)) <= 2e-15, nodes
+        cases = [(data, EvalGrid.build(nodes_per_axis=nodes)) for nodes in (9, 33, 65) for data in samples]
+        for g3 in (EvalGrid.build(dim=3, nodes_per_axis=9), EvalGrid.build(dim=3, nodes_per_axis=17)):
+            cases += [(data, g3) for data in (d3, d3 + 1e6, with_outlier(d3, 30.0))]
+        for data, g in cases:
+            for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
+                assert np.max(np.abs(got - ref)) <= 2e-15, (g.dim, g.nodes_per_axis)
 
     def test_scenario_samples_take_the_moment_route(self):
         # the whole sample is the core, summed by moments: an empty tail
@@ -258,6 +259,7 @@ class TestEcf:
         data = generate(scenario(4), 1500, 4).data
         near, far = core(data, g), core(data + 1e6, g)
         assert near[3] is None and far[3] is None
+        # the orders of the core's own spread, not of max |x| = 1e6
         assert np.array_equal(near[2], far[2]) and np.all(far[2] < 30)
 
     def test_an_outlier_lands_in_the_tail(self):
