@@ -245,7 +245,7 @@ def _core(data: np.ndarray, grid: EvalGrid, lo: np.ndarray, hi: np.ndarray) -> t
         bulk = np.where((inner <= sub) & (sub <= outer), sub, np.nan)
         lo, hi = np.nanmin(bulk, axis=0), np.nanmax(bulk, axis=0)
     centre, scale = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-    orders = negligible_order(grid.nu_est * scale).astype(int)
+    orders = np.minimum(negligible_order(grid.nu_est * scale), cap + 1).astype(int)
     if clean and np.all(orders <= cap):
         return centre, scale, orders, None
     orders = np.minimum(orders, cap)

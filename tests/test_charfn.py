@@ -293,6 +293,15 @@ class TestEcf:
         for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
             assert np.max(np.abs(got - ref)) <= 2e-15
 
+    def test_a_spread_past_any_order_is_summed_directly(self):
+        # negligible_order(1e300) is no integer order: the pair goes to the tail
+        g = EvalGrid.build(nodes_per_axis=9)
+        pair = np.array([[1e300, 0.0], [-1e300, 0.0]])
+        assert not core(pair, g)[3].any()
+        marg1, marg2, full = ecf(pair, g)
+        assert np.max(np.abs(marg1 - np.cos(1e300 * g.axis1_nodes))) <= 1e-15
+        assert np.array_equal(marg2, np.ones(g.m2)) and np.max(np.abs(full - marg1[:, None])) <= 1e-15
+
     def test_reach_is_the_widest_argument_of_an_order(self):
         orders = np.arange(0.0, 200.0)
         reach = _reach(orders)
