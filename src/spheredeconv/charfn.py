@@ -42,14 +42,14 @@ over all orders at once: the
 (K, m) weights 2 Re(c_p e_p), with the sign of i^p folded in, are built
 once per evaluation, and Psi and dPsi/dR are the same signed sums over p
 of Bessel rows times weights, even orders into the real part and odd ones
-into the imaginary part.  The grid and its tables hold nothing else:
+into the imaginary part.  The grid and its tables hold no fit's state:
 psi_model_grid returns, with Psi, what its derivatives need -- the closed
 form's Bessel rows and weights, or dPsi/dR from the same quadrature pass,
 which psi_model_marginals skips -- and psi_model_derivatives takes those,
 so the exact derivatives in (R, Re c_p, Im c_p) cost no kernel call or
 pass of their own.  Whoever evaluates keeps the evaluation: a fit keeps
 its latest one in its ContrastContext, split per radius by
-psi_model_entries.
+psi_model_entries; a grid keeps only the fits' audits (EvalGrid).
 
 Data side: the empirical characteristic function, in the model's
 (axis-1, axis-2, full) layout, is one accumulator of exp(i <t, x - m>)
@@ -93,6 +93,12 @@ def bench_grid(dim: int = 2) -> "EvalGrid":
     return default_grid(dim, BENCH_NU_EST)
 
 
+# evaluations a grid keeps (EvalGrid.kept_psi): a sweep alternates two audits
+# per grid, the joint and the known fit's, and a K = 12 audit holds about
+# 1 MB of Bessel rows, so four serve two such sweeps at a few MB per grid
+_KEPT_PSI = 4
+
+
 @dataclass(eq=False)
 class EvalGrid:
     """Tensor Gauss-Legendre grid on [-nu_est, nu_est]^d with split (1, d-1),
@@ -106,6 +112,13 @@ class EvalGrid:
     hold the whole flattened (d-1)-dimensional block, one row per tensor
     node, with axis2_nodes[::-1] == -axis2_nodes.  Full-grid quantities are
     indexed [i, j] for (axis1 node i, axis2 node j).
+
+    Built on first use and kept: the stacked points, one PolarTable per
+    cutoff, and the _KEPT_PSI latest used batch evaluations of a Fourier
+    density, the fits' audits (kept_psi), keyed on the cutoff and the bytes
+    of the coefficients (+0.0 and -0.0 apart) and of the radii.
+    Single-radius evaluations, the fits' descent probes, whose radii follow
+    the sample, and densities off the closed form are never kept.
     """
 
     nu_est: float
@@ -168,6 +181,21 @@ class EvalGrid:
         if k_cut not in tables:
             tables[k_cut] = PolarTable.build(k_cut, self.points())
         return tables[k_cut]
+
+    def kept_psi(self, f: FourierDensity, radii: np.ndarray) -> tuple:
+        """psi_model_grid(f, radii, self) from the grid's store, or computed,
+        made read-only and stored, the least recently used entry evicted."""
+        store = self.__dict__.setdefault("_kept_psi", {})
+        key = (f.cutoff, f.coeffs.tobytes(), radii.tobytes())
+        evaluation = store.pop(key, None)
+        if evaluation is None:
+            evaluation = psi_model_grid(f, radii, self)
+            for array in (*evaluation[0], *evaluation[1]):
+                array.flags.writeable = False
+            if len(store) >= _KEPT_PSI:
+                del store[next(iter(store))]
+        store[key] = evaluation
+        return evaluation
 
 
 def _expi(phase: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .bench import DESK_GRID, FULL_GRID, BenchSpec, determinism_hash, emit, run_bench
-from .charfn import DEFAULT_NU_EST, EvalGrid, bench_grid
+from .charfn import DEFAULT_NU_EST, bench_grid, default_grid
 from .errors import ConfigError, NumericalError
 from .estimators import ALPHA, EstimateReport, FitConfig, fit_joint, truncate_density
 from .simulate import generate, load_sample_bin, load_sample_csv, save_sample_bin, save_sample_csv, scenario
@@ -103,8 +103,7 @@ def _cmd_bench(args) -> int:
 def _cmd_estimate(args) -> int:
     sample = (load_sample_bin if args.input.endswith(".bin") else load_sample_csv)(args.input)
     cfg = FitConfig(r_min=args.rmin, r_max=args.rmax)
-    grid = EvalGrid.build(dim=sample.dim, nu_est=args.nu_est)
-    report = fit_joint(sample, cfg, grid)
+    report = fit_joint(sample, cfg, default_grid(sample.dim, args.nu_est))
     payload = json.loads(report.to_json())
     payload["nu_est"] = args.nu_est
     with open(args.out, "w") as handle:

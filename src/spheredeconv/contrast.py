@@ -43,7 +43,7 @@ class ContrastContext:
     root_weights = sqrt(w1_i w2_j) and the ECF marginals' product
     ref_outer = ref1 ref2^T.  Also the latest psi_model_grid evaluation,
     kept in one slot for its (density object, radii): one radius, or a
-    batch that evaluate made."""
+    batch that evaluate made or took from the grid's store."""
 
     grid: EvalGrid
     ref: tuple
@@ -61,9 +61,17 @@ class ContrastContext:
 
     def evaluate(self, f: AngleDensity, radii) -> None:
         """Evaluate Psi of f at every radius of radii in one psi_model_grid
-        call, and keep that evaluation, split per radius, for psi."""
+        call, and keep that evaluation, split per radius, for psi.  A Fourier
+        density at several radii, a fit's audit, is served read-only from the
+        grid's store of the latest few, keyed on the cutoff and the bytes of
+        the coefficients and radii (EvalGrid.kept_psi); a single radius (a
+        descent probe) or another density is evaluated afresh."""
         radii = [float(r) for r in radii]
-        self._latest = (f, radii, psi_model_entries(psi_model_grid(f, np.array(radii), self.grid)))
+        if len(radii) > 1 and isinstance(f, FourierDensity):
+            evaluation = self.grid.kept_psi(f, np.array(radii))
+        else:
+            evaluation = psi_model_grid(f, np.array(radii), self.grid)
+        self._latest = (f, radii, psi_model_entries(evaluation))
 
     def psi(self, f: AngleDensity, radius: float) -> tuple:
         """psi_model_grid(f, radius, self.grid), served from the kept evaluation

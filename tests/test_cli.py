@@ -7,7 +7,8 @@ import pytest
 
 from spheredeconv.bench import DESK_GRID, FULL_GRID
 from spheredeconv.cli import main
-from spheredeconv.simulate import generate, load_sample_csv, scenario
+from spheredeconv.estimators import fit_joint
+from spheredeconv.simulate import generate, load_sample_bin, load_sample_csv, scenario
 
 
 def test_generate_writes_loadable_sample(tmp_path, capsys):
@@ -23,8 +24,6 @@ def test_generate_writes_loadable_sample(tmp_path, capsys):
 def test_generate_binary_output(tmp_path):
     out = str(tmp_path / "sample.bin")
     assert main(["generate", "--scenario", "2", "--n", "64", "--seed", "1", "--out", out]) == 0
-    from spheredeconv.simulate import load_sample_bin
-
     assert load_sample_bin(out).n == 64
 
 
@@ -110,6 +109,15 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     # bad density grid
     assert main(["density", "--report", str(tmp_path / "nope.json"), "--grid", "1"]) == 2
     capsys.readouterr()
+
+
+def test_estimate_is_the_default_joint_fit(tmp_path, capsys):
+    sample_path, report_path = str(tmp_path / "s.bin"), str(tmp_path / "r.json")
+    assert main(["generate", "--scenario", "4", "--n", "500", "--seed", "2", "--out", sample_path]) == 0
+    assert main(["estimate", "--input", sample_path, "--out", report_path]) == 0
+    capsys.readouterr()
+    rep = fit_joint(load_sample_bin(sample_path))
+    assert json.loads(open(report_path).read())["r_hat"] == rep.r_hat
 
 
 def test_density_rejects_alpha_outside_the_open_half(tmp_path, capsys):

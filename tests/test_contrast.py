@@ -146,6 +146,48 @@ def test_context_serves_every_radius_of_its_batch(monkeypatch):
         assert value == contrast_mn(f, radius, ContrastContext.from_sample(sample, grid))
 
 
+def test_the_grid_serves_batches_read_only_from_a_bounded_store(monkeypatch):
+    import spheredeconv.charfn as charfn_mod
+
+    calls = []
+    real = charfn_mod.bessel_rows
+
+    def counting(k_cut, x):
+        calls.append(x.size)
+        return real(k_cut, x)
+
+    grid = EvalGrid.build(nodes_per_axis=9)
+    ctx, other = (ContrastContext.from_sample(generate(scenario(1), 200, seed=k), grid) for k in (3, 4))
+    monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
+    f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
+    batches = [np.linspace(0.5, 10.0, 16) + k for k in range(charfn_mod._KEPT_PSI + 2)]
+    ctx.evaluate(f, batches[0])
+    (psi, (jmat, weights)) = ctx.psi(f, batches[0][3])
+    for array in (*psi, jmat, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    # a second context on the grid, or another density object with the same
+    # coefficients, is served the kept batch; the store's least recently used
+    # batch goes first
+    other.evaluate(FourierDensity.from_half([0.05 - 0.02j, 0.01j]), batches[0])
+    assert len(calls) == 1
+    for batch in batches[1:]:
+        ctx.evaluate(f, batches[0])
+        ctx.evaluate(f, batch)
+        assert len(vars(grid)["_kept_psi"]) <= charfn_mod._KEPT_PSI
+    assert len(calls) == len(batches)
+    kept = list(vars(grid)["_kept_psi"])
+    assert {key[2] for key in kept} == {b.tobytes() for b in (batches[0], *batches[-charfn_mod._KEPT_PSI + 1 :])}
+    # a single radius and off the closed form are evaluated afresh, never kept
+    ctx.evaluate(f, batches[0][:1])
+    ctx.evaluate(CallableDensity(lambda u: np.ones(u.shape[0]), dim_minus_1=1), batches[1])
+    assert list(vars(grid)["_kept_psi"]) == kept and len(calls) == len(batches) + 1
+    # -0.0 and +0.0 coefficients are other keys
+    ctx.evaluate(FourierDensity(np.array([0.0, 1.0, -0.0j])), batches[0])
+    ctx.evaluate(FourierDensity(np.array([-0.0, 1.0, 0.0j])), batches[0])
+    assert len(calls) == len(batches) + 3
+
+
 def test_one_quadrature_call_per_contrast_off_the_closed_form(monkeypatch):
     import spheredeconv.charfn as charfn_mod
 
@@ -292,7 +334,7 @@ def test_interleaved_contexts_on_one_grid_keep_their_own_evaluations(monkeypatch
     fresh = ContrastContext.from_sample(data_a, EvalGrid.build(dim=dim, nodes_per_axis=nodes))
     assert np.array_equal(got, contrast_jacobian(f, 2.5, fresh, radius_only))
     # the shared grid holds only what it determines: its points and one table per cutoff
-    assert set(vars(grid)) - set(EvalGrid.__dataclass_fields__) <= {"_points", "_polar_tables"}
+    assert set(vars(grid)) - set(EvalGrid.__dataclass_fields__) <= {"_points", "_polar_tables", "_kept_psi"}
     for table in vars(grid).get("_polar_tables", {}).values():
         assert set(vars(table)) == {"k_cut", "radii", "index", "phases"}
 

@@ -814,6 +814,80 @@ def test_the_audit_is_one_kernel_call_on_every_audit_radius(monkeypatch, known):
     assert all(x.size == 153 for x in seen[1:]) and rep.iterations > AUDIT_POINTS
 
 
+def _report_bytes(rep) -> dict:
+    """Every report field but wall_time, as bytes."""
+    fields = json.loads(rep.to_json())
+    fields.pop("wall_time")
+    fields.update(r_hat=rep.r_hat.hex(), contrast_value=rep.contrast_value.hex())
+    fields.update(c_hat=rep.c_hat.tobytes(), f_hat_coeffs=rep.f_hat_coeffs.tobytes())
+    return fields
+
+
+def _fit(s, known, grid, cfg=None, density=None, ctx=None):
+    if known:
+        return fit_radius_known_density(s, density or scenario(s.scenario_id).density, cfg, grid, ctx=ctx)
+    return fit_joint(s, cfg, grid, ctx=ctx)
+
+
+def _audit_calls(monkeypatch, grid) -> list:
+    """Record the size of every bessel_rows call as the 16-radius audit on grid makes it."""
+    import spheredeconv.charfn as charfn_mod
+
+    sizes, real = [], charfn_mod.bessel_rows
+
+    def recording(k_cut, x):
+        sizes.append(x.size)
+        return real(k_cut, x)
+
+    monkeypatch.setattr(charfn_mod, "bessel_rows", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("known", [False, True])
+@pytest.mark.parametrize("scenario_id", [1, 4])
+@pytest.mark.parametrize("bench", [False, True])
+def test_a_fit_on_a_warm_grid_is_the_fit_on_a_fresh_grid(known, scenario_id, bench):
+    from spheredeconv.charfn import BENCH_NU_EST, DEFAULT_NU_EST, bench_grid, default_grid
+
+    warm = bench_grid() if bench else default_grid()
+    nu_est = BENCH_NU_EST if bench else DEFAULT_NU_EST
+    # another sample's fit leaves this fit's audit in the grid's store
+    _fit(generate(scenario(scenario_id), 500, seed=11), known, warm)
+    s = generate(scenario(scenario_id), 1000, seed=12)
+    assert _report_bytes(_fit(s, known, warm)) == _report_bytes(_fit(s, known, EvalGrid.build(nu_est=nu_est)))
+
+
+@pytest.mark.parametrize("known", [False, True])
+def test_a_warm_fit_makes_no_audit_kernel_call(monkeypatch, known):
+    grid = EvalGrid.build()
+    _fit(generate(scenario(4), 500, seed=13), known, grid)
+    s = generate(scenario(4), 1000, seed=14)
+    # the sample's ECF calls the kernel too, once per coordinate, before the fit
+    ctx = ContrastContext.from_sample(s, grid)
+    sizes = _audit_calls(monkeypatch, grid)
+    rep = _fit(s, known, grid, ctx=ctx)
+    # descent probes alone call it, each on the grid's 153 distinct radii
+    assert set(sizes) == {153} and rep.iterations > AUDIT_POINTS
+
+
+@pytest.mark.parametrize(
+    "known, change",
+    [(False, FitConfig(r_max=12.0)), (False, FitConfig(k_cutoff=3)), (True, FitConfig(r_max=12.0)), (True, None)],
+)
+def test_another_audit_misses_the_store_and_is_the_cold_fit(monkeypatch, known, change):
+    grid = EvalGrid.build()
+    s = generate(scenario(1), 1000, seed=15)
+    _fit(s, known, grid, density=uniform_density())
+    # the known fit's other audit is another density's
+    density = scenario(4).density if change is None else uniform_density()
+    ctx = ContrastContext.from_sample(s, grid)
+    sizes = _audit_calls(monkeypatch, grid)
+    rep = _fit(s, known, grid, change, density, ctx)
+    assert sizes[0] == AUDIT_POINTS * 153 and set(sizes[1:]) == {153}
+    monkeypatch.undo()
+    assert _report_bytes(rep) == _report_bytes(_fit(s, known, EvalGrid.build(), change, density))
+
+
 def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
     import spheredeconv.charfn as charfn_mod
 
