@@ -113,12 +113,10 @@ class EvalGrid:
     node, with axis2_nodes[::-1] == -axis2_nodes.  Full-grid quantities are
     indexed [i, j] for (axis1 node i, axis2 node j).
 
-    Built on first use and kept: the stacked points, one PolarTable per
-    cutoff, and the _KEPT_PSI latest used batch evaluations of a Fourier
-    density, the fits' audits (kept_psi), keyed on the cutoff and the bytes
-    of the coefficients (+0.0 and -0.0 apart) and of the radii.
-    Single-radius evaluations, the fits' descent probes, whose radii follow
-    the sample, and densities off the closed form are never kept.
+    Kept once built: the stacked points, a PolarTable per cutoff, and the
+    _KEPT_PSI latest used batch evaluations of a Fourier density, the fits'
+    audits (kept_psi), keyed on the cutoff and the bytes of the coefficients
+    and radii; never descent probes (one radius) or densities off the closed form.
     """
 
     nu_est: float

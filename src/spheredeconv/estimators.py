@@ -414,11 +414,10 @@ def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cu
     with k_cut coefficients at zero and rank them by value (stable, so ties
     go to the smaller radius).  The audit's density density(zeros) is built
     once and Psi evaluated at all its radii at once in the log's
-    ContrastContext: on the closed form the grid keeps that evaluation, one
-    Bessel kernel call, among its latest few, keyed on the cutoff and the
-    bytes of the coefficients and radii (EvalGrid.kept_psi), and a repeated
-    audit reads it; descent probes are never kept.  Each radius is logged
-    as its own probe from that evaluation, with the value
+    ContrastContext, on the closed form one Bessel kernel call that the grid
+    keeps among its latest few, keyed on the cutoff and the bytes of the
+    coefficients and radii (EvalGrid.kept_psi), descent probes never; then
+    each radius is logged as its own probe from that evaluation, with the value
     a lone evaluation there gives, bit for bit.  Then descend once per basin of that audit
     profile, best first, at most starts times: from the best audit radius,
     then from each interior strict local minimum (both neighbours strictly
