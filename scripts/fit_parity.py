@@ -10,9 +10,10 @@ contrast_value, iterations), one per field over all fits (so a moved hash
 names the field that moved), and the determinism_hash of the sweep_s4
 benchmark spec (scenario 4, n = 1e4, 2 replications, both modes,
 restarts = 2) at base seeds 1-3.  Then one line per fit: its scenario,
-n, seed, grid and fit, with r_hat.hex() and contrast_value.hex().  Two
-checkouts whose lines agree fit bit for bit alike on these inputs; where
-they differ, diffing the per-fit lines sizes the move of each fit.
+n, seed, grid and fit, with r_hat.hex(), contrast_value.hex() and
+iterations (the fit's probes).  Two checkouts whose lines agree fit bit
+for bit alike on these inputs; where they differ, diffing the per-fit
+lines sizes the move of each fit and its change in probes.
 """
 
 import hashlib
@@ -70,7 +71,7 @@ def main() -> None:
                             fit_overrides={"restarts": 2})
         print(f"sweep_s4 seed {seed} {sd.determinism_hash(sd.run_bench(spec))}")
     for label, report in fits:
-        print(f"{label} r_hat {report.r_hat.hex()} contrast {report.contrast_value.hex()}")
+        print(f"{label} r_hat {report.r_hat.hex()} contrast {report.contrast_value.hex()} iterations {report.iterations}")
 
 
 if __name__ == "__main__":

@@ -80,10 +80,17 @@ DEFAULT_NU_EST = 1.0
 BENCH_NU_EST = 0.5
 
 
-@lru_cache(maxsize=None)
 def default_grid(dim: int = 2, nu_est: float = DEFAULT_NU_EST) -> "EvalGrid":
     """EvalGrid.build(dim=dim, nu_est=nu_est), the grid of a fit given none;
-    built once per call signature, so its cached tables serve every later call."""
+    built once per value of (dim, nu_est), whatever the call's form, so its
+    cached tables and kept evaluations serve every later call.  Values
+    EvalGrid.build refuses are refused with its ValueError."""
+    dim, nu_est, _ = EvalGrid._checked(dim, nu_est)
+    return _default_grid(dim, nu_est)
+
+
+@lru_cache(maxsize=None)
+def _default_grid(dim: int, nu_est: float) -> "EvalGrid":
     return EvalGrid.build(dim=dim, nu_est=nu_est)
 
 
@@ -127,15 +134,20 @@ class EvalGrid:
     axis2_nodes: np.ndarray
     axis2_weights: np.ndarray
 
-    @classmethod
-    def build(cls, dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = 33) -> "EvalGrid":
+    @staticmethod
+    def _checked(dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = 33) -> tuple[int, float, int]:
+        """build's arguments as (int, float, int), or ValueError for values it refuses."""
         if int(dim) != dim or dim < 2:
             raise ValueError("dim must be an integer >= 2")
         if not (0.0 < nu_est < math.inf):
             raise ValueError("nu_est must be positive and finite")
         if int(nodes_per_axis) != nodes_per_axis or nodes_per_axis < 2:
             raise ValueError("nodes_per_axis must be an integer >= 2")
-        dim, nodes_per_axis = int(dim), int(nodes_per_axis)
+        return int(dim), float(nu_est), int(nodes_per_axis)
+
+    @classmethod
+    def build(cls, dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = 33) -> "EvalGrid":
+        dim, nu_est, nodes_per_axis = cls._checked(dim, nu_est, nodes_per_axis)
         x, w = leggauss(nodes_per_axis)
         ax, wx = nu_est * x, nu_est * w
         ax2, w2 = tensor_rule(ax, wx, dim - 1)
@@ -143,7 +155,7 @@ class EvalGrid:
         kept = (nodes_per_axis + 1) // 2
         ax1 = ax[:kept]
         w1 = np.where(ax1 < 0.0, 2.0 * wx[:kept], wx[:kept])
-        return cls(float(nu_est), nodes_per_axis, dim, ax1, w1, ax2, w2)
+        return cls(nu_est, nodes_per_axis, dim, ax1, w1, ax2, w2)
 
     @property
     def m1(self) -> int:

@@ -369,6 +369,16 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int) -> np.ndarray:
     reduction is -(p^T J^T J p / 2 + p^T J^T f).  trf's branch that shrinks
     the region after a non-finite trial residual is dropped: _ProbeLog
     raises NumericalError on one first.
+
+    One test is added, More's and MINPACK's predicted-reduction test with
+    the cost's rounding bound as its floor: the descent ends before a step
+    once the Gauss-Newton model promises at most m eps cost, where m is the
+    residual's length, i.e. sum vg_i^2 / (2 s2_i) <= m eps cost over the
+    eigenvalues s2_i that pass _trust_step's full-rank threshold.  A sum of
+    m squares is only known to about m eps of itself (Higham's gamma_m), so
+    below that floor trf's ftol = 1e-15 keeps probing points whose costs
+    rounding cannot tell apart; the cost is then within the floor of the
+    model's minimum.
     """
     x = np.array(x0, dtype=float)
     f = residual(x)
@@ -379,6 +389,9 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int) -> np.ndarray:
         eigenvalues, vecs = np.linalg.eigh(gram)
         s2, vecs = np.maximum(eigenvalues[::-1], 0.0), vecs[:, ::-1]
         vg = vecs.T @ g
+        resolved = s2 > (_EPS * f.size) ** 2 * s2[0]
+        if 0.5 * np.sum(vg[resolved] ** 2 / s2[resolved]) <= f.size * _EPS * cost:
+            break
         reduction, done = -1.0, False
         while reduction <= 0.0 and nfev < max_nfev:
             step, alpha = _trust_step(s2, vg, vecs, f.size, delta, alpha)
@@ -424,28 +437,35 @@ def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cu
     higher).  An endpoint gets a descent only as the best audit radius.
     Each descent makes at most cfg.max_iters residual evaluations; returns
     the log's report.  Every point maps through _project, and density(half) is
-    the density probed there.  The Jacobian is contrast_jacobian's in the
+    the density probed there: the audit's own density object where half has
+    the bytes of the audit's zeros (so -0.0 is not 0.0), so that a descent's
+    first probe, at an audit radius, is served from the audit's evaluation.
+    The Jacobian is contrast_jacobian's in the
     point's coordinates (R alone for a length-1 point), chained through
     _project.  The optimizer asks for it at the point it has just evaluated,
     so it reads the Psi, Bessel rows or, in d >= 3, dPsi/dR that the probe
     left in the log's ContrastContext; at any other point it probes first.
     """
 
+    zeros = np.zeros(k_cut, dtype=complex)
+    f0 = density(zeros)
+
+    def probed(half: np.ndarray) -> AngleDensity:
+        return f0 if half.tobytes() == zeros.tobytes() else density(half)
+
     def residual(x: np.ndarray) -> np.ndarray:
         radius, half = _project(x, cfg)
-        return log(density(half), radius)
+        return log(probed(half), radius)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         radius, half = _project(x, cfg)
         _, last_radius, f = log.probes[-1]
         # compare the coefficients the descent varies: none in the known fit
         if radius != last_radius or not np.array_equal(half, _half(f)[: half.size]):
-            f = density(half)
+            f = probed(half)
             log(f, radius)
         return _project_jacobian(contrast_jacobian(f, radius, log.ctx, x.size == 1), x, cfg)
 
-    zeros = np.zeros(k_cut, dtype=complex)
-    f0 = density(zeros)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
     log.ctx.evaluate(f0, audit)
     for radius in audit:

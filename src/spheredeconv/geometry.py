@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -122,13 +123,14 @@ class FourierDensity:
         return cls(np.array([1.0 + 0.0j]), name=name)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CallableDensity:
     """Density on [0, 1]^{d-1} given as a vectorized callable.
 
     fn maps an (n, d-1) array to n nonnegative values and must integrate
     to 1 over the unit box (checked at construction with ~1e4 quadrature
-    nodes).
+    nodes).  Frozen, so that a circle callable's fourier_form, kept on it
+    once projected, stays its own.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -141,6 +143,26 @@ class CallableDensity:
         mass = _unit_box_integral(self.fn, self.dim_minus_1)
         if abs(mass - 1.0) > 1e-6:
             raise ValueError(f"density integrates to {mass:.8f}, not 1")
+
+    @cached_property
+    def _fourier(self) -> "FourierDensity":
+        # fourier_form of a circle callable, projected on first use; a refusal
+        # keeps nothing, so it is raised again on every use
+        nodes, weights = _unit_box_grid(1, _axis_node_count(1))
+        vals = np.asarray(self.fn(nodes), dtype=float)
+        name, full = self.name or "circle callable", _rule_coefficients(vals, TAIL_CUTOFF)
+        half = full[TAIL_CUTOFF + 1 :]
+        tails = np.cumsum(np.abs(half[::-1]))[::-1]  # tails[K] = sum_{K < k <= TAIL_CUTOFF} |c_k|
+        k_cut = int(np.argmax(tails <= TAIL_BOUND))
+        if tails[k_cut] > TAIL_BOUND:
+            raise ConfigError(f"{name}: harmonics do not fall below {TAIL_BOUND:g} by k = {TAIL_CUTOFF}")
+        past = float(vals**2 @ weights) - float(np.sum(np.abs(full) ** 2))
+        if past > TAIL_BOUND:
+            raise ConfigError(f"{name}: harmonics past k = {TAIL_CUTOFF} carry {past:.3g} of int f^2")
+        try:
+            return FourierDensity.from_half(half[:k_cut])
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
 
 AngleDensity = Union[FourierDensity, CallableDensity]
@@ -261,24 +283,11 @@ def fourier_form(f: AngleDensity) -> AngleDensity:
     sum_{K < k <= TAIL_CUTOFF} |c_k| <= TAIL_BOUND.  A callable with no such K,
     with more than TAIL_BOUND of int f^2 past |k| = TAIL_CUTOFF (Parseval on
     the coefficients' own rule), or past COEFF_NORM_BOUND is refused with
-    ConfigError.  f is evaluated once, on that rule."""
+    ConfigError.  f is evaluated once, on that rule, and its projection kept
+    on f, so every later call returns the same FourierDensity."""
     if isinstance(f, FourierDensity) or f.dim_minus_1 != 1:
         return f
-    nodes, weights = _unit_box_grid(1, _axis_node_count(1))
-    vals = np.asarray(f.fn(nodes), dtype=float)
-    name, full = f.name or "circle callable", _rule_coefficients(vals, TAIL_CUTOFF)
-    half = full[TAIL_CUTOFF + 1 :]
-    tails = np.cumsum(np.abs(half[::-1]))[::-1]  # tails[K] = sum_{K < k <= TAIL_CUTOFF} |c_k|
-    k_cut = int(np.argmax(tails <= TAIL_BOUND))
-    if tails[k_cut] > TAIL_BOUND:
-        raise ConfigError(f"{name}: harmonics do not fall below {TAIL_BOUND:g} by k = {TAIL_CUTOFF}")
-    past = float(vals**2 @ weights) - float(np.sum(np.abs(full) ** 2))
-    if past > TAIL_BOUND:
-        raise ConfigError(f"{name}: harmonics past k = {TAIL_CUTOFF} carry {past:.3g} of int f^2")
-    try:
-        return FourierDensity.from_half(half[:k_cut])
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    return f._fourier
 
 
 def sphere_mean(f: AngleDensity) -> np.ndarray:

@@ -19,6 +19,7 @@ from spheredeconv.charfn import (
     _phase,
     _reach,
     bench_grid,
+    default_grid,
     ecf,
     psi_model,
     psi_model_derivatives,
@@ -164,6 +165,24 @@ class TestEvalGrid:
         assert got.points().tobytes() == want.points().tobytes()
         assert got.axis1_weights.tobytes() == want.axis1_weights.tobytes()
         assert got.axis2_weights.tobytes() == want.axis2_weights.tobytes()
+
+    def test_default_grid_is_one_grid_per_setting(self):
+        grid = default_grid()
+        for args, kwargs in [((2,), {}), ((2, 1.0), {}), ((), {"dim": 2}), ((2.0, 1), {}), ((np.int64(2), np.float64(1.0)), {})]:
+            assert default_grid(*args, **kwargs) is grid
+        assert default_grid(3) is not grid and default_grid(2, 0.5) is bench_grid() is not grid
+        assert (grid.dim, grid.nu_est, grid.nodes_per_axis) == (2, 1.0, 33)
+        assert type(default_grid(3.0).dim) is int and default_grid(3.0) is default_grid(3)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"dim": 2.5}, {"dim": 1}, {"nu_est": 0.0}, {"nu_est": float("inf")}, {"nu_est": float("nan")}]
+    )
+    def test_default_grid_refuses_what_build_refuses(self, kwargs):
+        # checked before it is normalised: dim 2.5 is refused, never taken as 2
+        with pytest.raises(ValueError) as built:
+            EvalGrid.build(**kwargs)
+        with pytest.raises(ValueError, match=str(built.value)):
+            default_grid(**kwargs)
 
 
 class TestEcf:

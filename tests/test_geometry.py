@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spheredeconv.errors import ConfigError
 from spheredeconv.geometry import (
     TAIL_BOUND,
     TAIL_CUTOFF,
@@ -169,6 +170,36 @@ class TestCallableDensity:
         # Fourier densities and densities on higher spheres pass through
         h, sphere = FourierDensity.from_half([0.2]), uniform_density(2)
         assert fourier_form(h) is h and fourier_form(sphere) is sphere
+
+    def test_fourier_form_projects_a_circle_callable_once(self):
+        calls = []
+
+        def fn(u):
+            calls.append(u.shape[0])
+            return vonmises_like().fn(u)
+
+        f = CallableDensity(fn)
+        g = fourier_form(f)
+        # one evaluation on the projection's rule, then none: later calls
+        # return the kept FourierDensity, the projection of a fresh twin bit for bit
+        assert calls[1:] == [10_001]
+        assert fourier_form(f) is g and len(calls) == 2
+        assert np.array_equal(g.coeffs, fourier_form(CallableDensity(vonmises_like().fn)).coeffs)
+        with pytest.raises(AttributeError):
+            f.fn = np.ones_like
+
+    def test_a_refused_circle_callable_is_refused_on_every_call(self):
+        calls = []
+
+        def fn(u):
+            calls.append(u.shape[0])
+            return 1.0 + 6.0 * np.cos(2.0 * np.pi * u[:, 0])
+
+        f = CallableDensity(fn)
+        for attempt in (1, 2):
+            with pytest.raises(ConfigError, match="exceeds the bound"):
+                fourier_form(f)
+            assert len(calls) == 1 + attempt
 
 
 class TestSphereMean:
