@@ -168,7 +168,8 @@ class TestEvalGrid:
 
     def test_default_grid_is_one_grid_per_setting(self):
         grid = default_grid()
-        for args, kwargs in [((2,), {}), ((2, 1.0), {}), ((), {"dim": 2}), ((2.0, 1), {}), ((np.int64(2), np.float64(1.0)), {})]:
+        forms = [((2,), {}), ((2, 1.0), {}), ((), {"dim": 2}), ((2.0, 1), {}), ((np.int64(2), np.float64(1.0)), {})]
+        for args, kwargs in forms:
             assert default_grid(*args, **kwargs) is grid
         assert default_grid(3) is not grid and default_grid(2, 0.5) is bench_grid() is not grid
         assert (grid.dim, grid.nu_est, grid.nodes_per_axis) == (2, 1.0, 33)
