@@ -19,8 +19,8 @@ import numpy as np
 
 from .charfn import bench_grid
 from .contrast import ContrastContext
-from .errors import ConfigError, NumericalError
-from .estimators import FitConfig, _as_int, fit_joint, fit_radius_known_density, truncation_level
+from .errors import ConfigError, NumericalError, _as_int
+from .estimators import FitConfig, fit_joint, fit_radius_known_density, truncation_level
 from .geometry import fourier_coefficients, fourier_form
 from .simulate import derive_seed, generate, scenario
 

@@ -24,14 +24,16 @@ integral is evaluated by Gauss-Legendre quadrature on the unit box, which
 the fits reach in d >= 3 only: they take circle callables in fourier_form.
 psi_model_grid is the one route from a grid to Psi values.
 
-EvalGrid.points() stacks the three point sets the contrast compares --
-the axis-1 slice (t1, 0), the axis-2 slice (0, t2) and the full grid --
-into one array, built once per grid, so each grid evaluation is one call
-on one point set, sliced afterwards.  The closed form reads a PolarTable
+The contrast compares three point sets: the axis-1 slice (t1, 0), the
+axis-2 slice (0, t2) and the full grid.  The node count is odd, so both
+slices are lines of the full grid, t2 = 0 its column m2 // 2 and t1 = 0
+its last row: EvalGrid.points() is the full grid alone, built once per
+grid, each grid evaluation is one call on it, and _split reads the
+slices as views.  The closed form reads a PolarTable
 of a point set: the sorted distinct radii, each point's index into them,
 and the phase powers exp(-2 i pi p theta), p = 1..K, scaled by the sign of
 i^p and the 2 of conjugate pairs.  EvalGrid caches one table of its
-stacked points per cutoff K, built on the first probe, so each grid
+points per cutoff K, built on the first probe, so each grid
 evaluation calls the Bessel kernel bessel_rows once, on the radii times
 R.  An evaluation may be at one R or at a 1-d array of them (the fits'
 audit of 16 radii), and is still one bessel_rows call, on the radii times
@@ -51,8 +53,8 @@ pass of their own.  Whoever evaluates keeps the evaluation: a fit keeps
 its latest one in its ContrastContext, split per radius by
 psi_model_entries; a grid keeps only the fits' audits (EvalGrid).
 
-Data side: the empirical characteristic function, in the model's
-(axis-1, axis-2, full) layout, is one accumulator of exp(i <t, x - m>)
+Data side: the empirical characteristic function on the full grid, split
+like the model's, is one accumulator of exp(i <t, x - m>)
 about the centre m of the sample's core, multiplied once by exp(i <t, m>),
 its phase split exactly: the contrast is translation invariant, and the
 cost follows the core, not the sample's offset or extremes.  The core,
@@ -72,12 +74,15 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bessel import bessel_rows, negligible_order
+from .errors import ConfigError, _as_int
 from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, tensor_rule
 
 # half-width of the default frequency window [-nu_est, nu_est]^d
 DEFAULT_NU_EST = 1.0
 # the narrower window of bench fits and of the population contrast's default grid
 BENCH_NU_EST = 0.5
+# Gauss-Legendre nodes per frequency axis of a grid built without a count
+DEFAULT_NODES = 33
 
 
 def default_grid(dim: int = 2, nu_est: float = DEFAULT_NU_EST) -> "EvalGrid":
@@ -85,7 +90,7 @@ def default_grid(dim: int = 2, nu_est: float = DEFAULT_NU_EST) -> "EvalGrid":
     built once per value of (dim, nu_est), whatever the call's form, so its
     cached tables and kept evaluations serve every later call.  Values
     EvalGrid.build refuses are refused with its ValueError."""
-    dim, nu_est, _ = EvalGrid._checked(dim, nu_est)
+    dim, nu_est, _ = EvalGrid._checked(dim, nu_est, DEFAULT_NODES)
     return _default_grid(dim, nu_est)
 
 
@@ -111,16 +116,19 @@ class EvalGrid:
     """Tensor Gauss-Legendre grid on [-nu_est, nu_est]^d with split (1, d-1),
     folded onto the half box t1 <= 0.
 
-    axis1_nodes carry the first frequency coordinate: the ceil(m/2) nodes
-    t1 <= 0 of the m = nodes_per_axis point rule, with every weight but the
-    centre node's (odd m) doubled.  The rule integrates any integrand even
-    under t -> -t exactly as the full box rule does, because the nodes are
-    exactly antisymmetric and the weights exactly symmetric.  axis2_nodes
-    hold the whole flattened (d-1)-dimensional block, one row per tensor
-    node, with axis2_nodes[::-1] == -axis2_nodes.  Full-grid quantities are
-    indexed [i, j] for (axis1 node i, axis2 node j).
+    nodes_per_axis = m is odd, so the rule's centre node is exactly 0.0.
+    axis1_nodes carry the first frequency coordinate: the (m + 1) / 2 nodes
+    t1 <= 0, the last of them 0.0, with every weight but that centre node's
+    doubled.  The rule integrates any integrand even under t -> -t exactly
+    as the full box rule does, because the nodes are exactly antisymmetric
+    and the weights exactly symmetric.  axis2_nodes hold the whole flattened
+    (d-1)-dimensional block, one row per tensor node, with
+    axis2_nodes[::-1] == -axis2_nodes and row m2 // 2 all zero.  Full-grid
+    quantities are indexed [i, j] for (axis1 node i, axis2 node j); the
+    axis-1 slice (t1, 0) is column m2 // 2 and the axis-2 slice (0, t2) the
+    last row.
 
-    Kept once built: the stacked points, a PolarTable per cutoff, and the
+    Kept once built: the points, a PolarTable per cutoff, and the
     _KEPT_PSI latest used batch evaluations of a Fourier density, the fits'
     audits (kept_psi), keyed on the cutoff and the bytes of the coefficients
     and radii; never descent probes (one radius) or densities off the closed form.
@@ -135,23 +143,26 @@ class EvalGrid:
     axis2_weights: np.ndarray
 
     @staticmethod
-    def _checked(dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = 33) -> tuple[int, float, int]:
-        """build's arguments as (int, float, int), or ValueError for values it refuses."""
-        if int(dim) != dim or dim < 2:
-            raise ValueError("dim must be an integer >= 2")
+    def _checked(dim: int, nu_est: float, nodes_per_axis: int) -> tuple[int, float, int]:
+        """build's arguments as (int, float, int), or ConfigError, a
+        ValueError, for values it refuses."""
+        dim, nodes_per_axis = _as_int("dim", dim), _as_int("nodes_per_axis", nodes_per_axis)
+        if dim < 2:
+            raise ConfigError("dim must be an integer >= 2")
         if not (0.0 < nu_est < math.inf):
-            raise ValueError("nu_est must be positive and finite")
-        if int(nodes_per_axis) != nodes_per_axis or nodes_per_axis < 2:
-            raise ValueError("nodes_per_axis must be an integer >= 2")
-        return int(dim), float(nu_est), int(nodes_per_axis)
+            raise ConfigError("nu_est must be positive and finite")
+        # only an odd rule has the node 0 that the axis slices lie on
+        if nodes_per_axis < 3 or nodes_per_axis % 2 == 0:
+            raise ConfigError(f"nodes_per_axis must be an odd integer >= 3, got {nodes_per_axis}")
+        return dim, float(nu_est), nodes_per_axis
 
     @classmethod
-    def build(cls, dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = 33) -> "EvalGrid":
+    def build(cls, dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = DEFAULT_NODES) -> "EvalGrid":
         dim, nu_est, nodes_per_axis = cls._checked(dim, nu_est, nodes_per_axis)
         x, w = leggauss(nodes_per_axis)
         ax, wx = nu_est * x, nu_est * w
         ax2, w2 = tensor_rule(ax, wx, dim - 1)
-        # the nodes ascend, so the first ceil(m/2) are those with t1 <= 0
+        # the nodes ascend, so the first (m + 1) / 2 are those with t1 <= 0
         kept = (nodes_per_axis + 1) // 2
         ax1 = ax[:kept]
         w1 = np.where(ax1 < 0.0, 2.0 * wx[:kept], wx[:kept])
@@ -166,23 +177,14 @@ class EvalGrid:
         return self.axis2_nodes.shape[0]
 
     def points(self) -> np.ndarray:
-        """The axis-1 slice (t1, 0, ..., 0), the axis-2 slice (0, t2), then the
-        full grid (row m1 + m2 + i * m2 + j pairs t1_i with t2_j), stacked;
-        built once per grid."""
+        """All (t1_i, t2_j) pairs, row i * m2 + j; built once per grid."""
         cached = getattr(self, "_points", None)
         if cached is None:
-            m1, m2 = self.m1, self.m2
-            cached = np.zeros((m1 + m2 + m1 * m2, self.dim))
-            cached[:m1, 0] = self.axis1_nodes
-            cached[m1 : m1 + m2, 1:] = self.axis2_nodes
-            cached[m1 + m2 :, 0] = np.repeat(self.axis1_nodes, m2)
-            cached[m1 + m2 :, 1:] = np.tile(self.axis2_nodes, (m1, 1))
+            cached = np.empty((self.m1 * self.m2, self.dim))
+            cached[:, 0] = np.repeat(self.axis1_nodes, self.m2)
+            cached[:, 1:] = np.tile(self.axis2_nodes, (self.m1, 1))
             self._points = cached
         return cached
-
-    def full_points(self) -> np.ndarray:
-        """All (t1_i, t2_j) pairs, row index i * m2 + j: a view of points()."""
-        return self.points()[self.m1 + self.m2 :]
 
     def polar_table(self, k_cut: int) -> "PolarTable":
         """Closed-form table of points() (d = 2) for cutoff k_cut; built on
@@ -225,7 +227,7 @@ _ONE_THREAD_PRODUCT = 2 * 65536 * 4
 # observations per ecf chunk and at most in its subsample; points per _psi_quadrature block
 _MOMENT_CHUNK, _QUAD_CHUNK = 1 << 12, 128
 # The core's orders keep (J + 1)^d <= _WINDOW (1 + m1)(1 + m2): its moment
-# block holds at most _WINDOW times the entries of a tail observation's
+# block holds about _WINDOW times the m1 m2 entries of a tail observation's
 # product.  Per observation (CPU time, one BLAS thread) moments cost as much
 # as direct sums at 16 times on the 33-node d = 2 grid (J = 98), 26 on a
 # 9-node one, 13 on a 17-node d = 3 grid (J = 33), 6.5 on the 33-node one
@@ -234,14 +236,14 @@ _WINDOW = 12.0
 
 
 def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Empirical characteristic function of the sample on the grid in the
-    model's (axis-1, axis-2, full) layout, over the folded axis-1 nodes.
+    """Empirical characteristic function of the sample on the grid, over the
+    folded axis-1 nodes, as the (axis-1, axis-2, full) views _split reads.
 
     Accepts an (n, d) array or any object with a .data attribute holding
-    one.  One (1 + m1, 1 + m2) array of sums of exp(i <t, x - m>), its first
-    row and column the marginals', takes Chebyshev moments of the core
-    (_core) and direct sums of the few observations outside it; multiplied
-    once by exp(i <t, m>) (_phase), it is the sample's ECF.  Fixed-order
+    one.  One (m1, m2) array of sums of exp(i <t, x - m>) on the full grid
+    takes Chebyshev moments of the core (_core) and direct sums of the few
+    observations outside it; multiplied once by exp(i <t, m>) (_phase), it
+    is the sample's ECF.  Fixed-order
     chunks and products small enough for one BLAS thread make it bitwise
     stable whatever the BLAS thread count.
     """
@@ -261,8 +263,8 @@ def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("sample contains non-finite values")
     centre, scale, orders, keep = _core(data, grid, lo, hi)
     sums = _ecf_moments(data, keep, centre, scale, orders, grid) / n
-    phase1, phase2 = _phase(grid.axis1_nodes[:, None], centre[:1]), _phase(grid.axis2_nodes, centre[1:])
-    return sums[1:, 0] * phase1, sums[0, 1:] * phase2, sums[1:, 1:] * np.multiply.outer(phase1, phase2)
+    sums *= np.multiply.outer(_phase(grid.axis1_nodes[:, None], centre[:1]), _phase(grid.axis2_nodes, centre[1:]))
+    return _split(sums.ravel(), grid)
 
 
 def _core(data: np.ndarray, grid: EvalGrid, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -321,17 +323,17 @@ def _phase(nodes: np.ndarray, centre: np.ndarray) -> np.ndarray:
 
 
 def _ecf_direct(tail: np.ndarray, grid: EvalGrid) -> np.ndarray:
-    """Sums of [1; exp(i t1 x_1)] [1; exp(i t2 . x_2)]^T over the rows x of
-    tail, in complex products small enough for one BLAS thread; the axis-2
-    rows past ceil(m2/2) mirror the first ones, as axis2_nodes[::-1] == -axis2_nodes."""
-    sums = np.zeros((1 + grid.m1, 1 + grid.m2), dtype=complex)
+    """Sums of exp(i t1 x_1) exp(i t2 . x_2) over the rows x of tail, shaped
+    (m1, m2), in complex products small enough for one BLAS thread; the
+    axis-2 rows past the all-zero node m2 // 2 mirror the first ones, as
+    axis2_nodes[::-1] == -axis2_nodes."""
+    sums = np.zeros((grid.m1, grid.m2), dtype=complex)
     step = max(1, (_ONE_THREAD_PRODUCT // 8 - 1) // sums.size)
     for start in range(0, tail.shape[0], step):
         part = tail[start : start + step]
-        ones = np.ones((1, part.shape[0]))
-        first = _expi(grid.axis2_nodes[: (grid.m2 + 1) // 2] @ part[:, 1:].T)
-        rows1 = np.concatenate([ones, _expi(np.multiply.outer(grid.axis1_nodes, part[:, 0]))])
-        sums += rows1 @ np.concatenate([ones, first, first[grid.m2 // 2 - 1 :: -1].conj()]).T
+        first = _expi(grid.axis2_nodes[: grid.m2 // 2 + 1] @ part[:, 1:].T)
+        rows1 = _expi(np.multiply.outer(grid.axis1_nodes, part[:, 0]))
+        sums += rows1 @ np.concatenate([first, first[grid.m2 // 2 - 1 :: -1].conj()]).T
     return sums
 
 
@@ -367,8 +369,7 @@ def _ecf_moments(data, keep, centre, scale, orders, grid) -> np.ndarray:
     product of the axis-1 rows and that block into M.  Once per call, with
     a coefficient table B_c per coordinate, full = B_1 M B_2^T, B_2 the
     Kronecker product of the tables of coordinates 2..d, applied one axis
-    at a time; the marginals are B_1 M[:, 0] and B_2 M[0, :], as T_0 = 1.
-    Returns them in one array, ecf's layout."""
+    at a time.  Returns full, shaped (m1, m2), plus the tail's sums."""
     n, d = data.shape
     sizes = [j + 1 for j in orders]
     width = min(_MOMENT_CHUNK, n if keep is None else np.count_nonzero(keep))
@@ -381,7 +382,7 @@ def _ecf_moments(data, keep, centre, scale, orders, grid) -> np.ndarray:
     moments = np.zeros((sizes[0], block_size))
     step = max(1, min(width, (_ONE_THREAD_PRODUCT - 1) // moments.size))
     kron = np.empty((block_size, step)) if d > 2 else None
-    tail = np.zeros((1 + grid.m1, 1 + grid.m2), dtype=complex)
+    tail = np.zeros((grid.m1, grid.m2), dtype=complex)
     for start in range(0, n, _MOMENT_CHUNK):
         block = data[start : start + _MOMENT_CHUNK]
         inside = True if keep is None else keep[start : start + _MOMENT_CHUNK]
@@ -405,20 +406,15 @@ def _ecf_moments(data, keep, centre, scale, orders, grid) -> np.ndarray:
                 pairs = kron[: len(second) * sizes[c], :w].reshape(len(second), sizes[c], w)
                 second = np.multiply(second[:, None], part[: sizes[c], c], out=pairs).reshape(-1, w)
             moments += part[: sizes[0], 0] @ second.T
-    moments = moments.astype(complex)
-    table1 = _jacobi_anger_table(grid.axis1_nodes, scale[0], orders[0])
+    full = _small_product(_jacobi_anger_table(grid.axis1_nodes, scale[0], orders[0]), moments.astype(complex))
     # every axis of the block carries the same 1-d nodes; the last runs fastest
     axis_nodes = grid.axis2_nodes[: grid.nodes_per_axis, -1]
-    # row 0 of the stack gives the axis-2 marginal, the others the full grid
-    stacked = np.concatenate([moments[:1], _small_product(table1, moments)])
-    first = stacked[:, 0]
     for c in range(1, d):
         table = _jacobi_anger_table(axis_nodes, scale[c], orders[c])
         # contract the leading remaining order axis, appending its node axis
-        lead = stacked.reshape(stacked.shape[0], sizes[c], -1)
-        moved = lead.transpose(0, 2, 1).reshape(-1, sizes[c])
-        stacked = _small_product(moved, table.T).reshape(stacked.shape[0], -1)
-    return np.column_stack([first, stacked]) + tail
+        moved = full.reshape(grid.m1, sizes[c], -1).transpose(0, 2, 1).reshape(-1, sizes[c])
+        full = _small_product(moved, table.T).reshape(grid.m1, -1)
+    return full + tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -608,8 +604,8 @@ def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid, derivatives: bool = 
         vals = np.empty(radii.shape + pts.shape[:1], dtype=complex)
         aux = np.empty_like(vals) if derivatives else None
         for b in np.ndindex(radii.shape):
-            # b is () at a scalar radius, whose pass fills aux itself
-            vals[b] = _psi_quadrature(f, float(radii[b]), pts, d_radius=aux if aux is None or not b else aux[b])
+            # b is () at a scalar radius, and aux[()] is a view of all of aux
+            vals[b] = _psi_quadrature(f, float(radii[b]), pts, d_radius=None if aux is None else aux[b])
     return _split(vals, grid), aux
 
 
@@ -646,7 +642,9 @@ def psi_model_derivatives(f: AngleDensity, radius: float, grid: EvalGrid, aux, r
 
 
 def _split(vals: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values on grid.points() (last axis) as the axis-1 slice, the axis-2
-    slice and the full grid shaped (..., m1, m2): views into vals."""
-    m1, m2 = grid.m1, grid.m2
-    return vals[..., :m1], vals[..., m1 : m1 + m2], vals[..., m1 + m2 :].reshape(*vals.shape[:-1], m1, m2)
+    """Values on grid.points() (last axis) as the axis-1 slice (t1, 0), the
+    axis-2 slice (0, t2) and the full grid shaped (..., m1, m2): views into
+    vals, the slices the full grid's column m2 // 2, whose axis-2 node is
+    all zero, and its last row, whose axis-1 node is 0."""
+    full = vals.reshape(*vals.shape[:-1], grid.m1, grid.m2)
+    return full[..., grid.m2 // 2], full[..., -1, :], full

@@ -169,7 +169,7 @@ def contrast_m_oracle(
     if grid is None:
         grid = bench_grid(f.dim_minus_1 + 1)
     cand, truth = psi_model_marginals(f, radius, grid), psi_model_marginals(f_star, r_star, grid)
-    phi = noise.char_fn(grid.full_points()).reshape(grid.m1, grid.m2)
+    phi = noise.char_fn(grid.points()).reshape(grid.m1, grid.m2)
     scale = np.sqrt(np.multiply.outer(grid.axis1_weights, grid.axis2_weights) * (phi.real**2 + phi.imag**2))
     r = _combine(cand, np.multiply.outer(truth[0], truth[1]), truth[2], scale)
     return float(r @ r)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .charfn import _ONE_THREAD_PRODUCT, EvalGrid, default_grid
 from .contrast import ContrastContext, contrast_jacobian, contrast_residual
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError, _as_int
 from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_form, fourier_series, sphere_mean
 
 # radii in both fits' audit scan over [r_min, r_max], the free coefficients at zero
@@ -40,13 +39,6 @@ AUDIT_POINTS = 16
 # the default alpha of the truncation level N = floor(alpha log n / log log n)
 ALPHA = 0.45
 _EPS = float(np.finfo(float).eps)
-
-
-def _as_int(name: str, value) -> int:
-    """value as an int; ConfigError for anything not integer-valued."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

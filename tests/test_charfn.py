@@ -37,14 +37,14 @@ from spheredeconv.geometry import (
 from spheredeconv.simulate import NoiseModel, Scenario, generate, scenario
 
 
-def stacked_slices(g):
-    """The axis-1, axis-2 and full point sets, each checked against its definition."""
-    pts = g.points()
-    m1, m2 = g.m1, g.m2
-    axis1, axis2, full = pts[:m1], pts[m1 : m1 + m2], pts[m1 + m2 :]
+def grid_slices(g):
+    """The axis-1, axis-2 and full point sets: the full grid's column m2 // 2,
+    its last row and itself, each checked against its definition."""
+    full = g.points()
+    lines = full.reshape(g.m1, g.m2, g.dim)
+    axis1, axis2 = lines[:, g.m2 // 2], lines[-1]
     assert np.array_equal(axis1[:, 0], g.axis1_nodes) and not axis1[:, 1:].any()
     assert np.array_equal(axis2[:, 1:], g.axis2_nodes) and not axis2[:, 0].any()
-    assert full.tobytes() == g.full_points().tobytes()
     return axis1, axis2, full
 
 
@@ -114,15 +114,9 @@ class TestEvalGrid:
         assert np.array_equal(g.axis1_weights[:-1], 2.0 * weights[:16])
         assert g.axis1_weights[-1] == weights[16]
 
-    def test_even_count_folds_without_a_centre_node(self):
-        g = EvalGrid.build(dim=2, nu_est=0.5, nodes_per_axis=32)
-        assert g.m1 == 16 and g.m2 == 32
-        assert np.array_equal(g.axis1_nodes, g.axis2_nodes[:16, 0]) and np.all(g.axis1_nodes < 0.0)
-        assert np.array_equal(g.axis1_weights, 2.0 * g.axis2_weights[:16])
-
     def test_full_points_ordering(self):
         g = EvalGrid.build(dim=2, nu_est=1.0, nodes_per_axis=5)
-        pts = g.full_points()
+        pts = g.points()
         assert pts.shape == (3 * 5, 2)
         # row i * m2 + j pairs axis1 node i with axis2 node j
         assert pts[7, 0] == g.axis1_nodes[1]
@@ -133,7 +127,26 @@ class TestEvalGrid:
         assert g.axis2_nodes.shape == (49, 2)
         assert np.array_equal(g.axis2_nodes[::-1], -g.axis2_nodes)
         assert g.axis1_nodes.shape == (4,)
-        assert g.full_points().shape == (4 * 49, 3)
+        assert g.points().shape == (4 * 49, 3)
+
+    def test_marginals_are_views_of_the_full_grid_on_its_zero_lines(self):
+        # psi's and the ECF's axis slices are the full grid's column m2 // 2,
+        # where t2 = +0.0, and its last row, where t1 = +0.0
+        rng = np.random.default_rng(3)
+        for dim, nodes in ((2, 9), (2, 33), (3, 5)):
+            g = EvalGrid.build(dim=dim, nu_est=0.7, nodes_per_axis=nodes)
+            col = g.m2 // 2
+            pts = g.points().reshape(g.m1, g.m2, dim)
+            for zeros in (pts[:, col, 1:], pts[-1, :, 0]):
+                assert not zeros.any() and np.all(np.copysign(1.0, zeros) == 1.0)
+            if dim == 2:
+                f, data = random_density(rng), generate(scenario(1), 300, 1).data
+            else:
+                f, data = uniform_density(2), d3_sample(300, 1)
+            for one, two, full in (psi_model_marginals(f, 2.3, g), ecf(data, g)):
+                assert full.shape == (g.m1, g.m2)
+                assert np.shares_memory(one, full) and np.shares_memory(two, full)
+                assert one.tobytes() == full[:, col].tobytes() and two.tobytes() == full[-1].tobytes()
 
     def test_leggauss_rules_exactly_symmetric(self):
         # the fold and the ECF's mirrored axis-2 rows rely on both equalities holding bit for bit
@@ -176,12 +189,34 @@ class TestEvalGrid:
         assert type(default_grid(3.0).dim) is int and default_grid(3.0) is default_grid(3)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"dim": 2.5}, {"dim": 1}, {"nu_est": 0.0}, {"nu_est": float("inf")}, {"nu_est": float("nan")}]
+        "kwargs",
+        [
+            {"dim": 2.5},
+            {"dim": 1},
+            {"nu_est": 0.0},
+            {"nu_est": float("inf")},
+            {"nu_est": float("nan")},
+            {"dim": float("inf")},
+            {"dim": float("nan")},
+            {"nodes_per_axis": float("inf")},
+            {"nodes_per_axis": float("nan")},
+            # an even rule has no node 0, so the axis slices would be no lines of the grid
+            {"nodes_per_axis": 32},
+            {"nodes_per_axis": 2},
+            {"dim": 3, "nodes_per_axis": 4},
+        ],
     )
-    def test_default_grid_refuses_what_build_refuses(self, kwargs):
-        # checked before it is normalised: dim 2.5 is refused, never taken as 2
+    def test_default_grid_refuses_what_build_refuses(self, kwargs, monkeypatch):
+        # checked before it is normalised: dim 2.5 is refused, never taken as 2;
+        # and before any work: no Gauss-Legendre rule is computed
+        import spheredeconv.charfn as charfn_mod
+
+        monkeypatch.setattr(charfn_mod, "leggauss", None)
         with pytest.raises(ValueError) as built:
             EvalGrid.build(**kwargs)
+        # default_grid takes no node count: it checks DEFAULT_NODES as build checks any
+        kwargs = dict(kwargs)
+        monkeypatch.setattr(charfn_mod, "DEFAULT_NODES", kwargs.pop("nodes_per_axis", charfn_mod.DEFAULT_NODES))
         with pytest.raises(ValueError, match=str(built.value)):
             default_grid(**kwargs)
 
@@ -191,14 +226,14 @@ class TestEcf:
         g = EvalGrid.build(nodes_per_axis=9)
         y = np.array([[0.7, -1.3]])
         full = ecf(y, g)[2]
-        t = g.full_points()
+        t = g.points()
         want = np.exp(1j * (t @ y[0])).reshape(5, 9)
         assert np.max(np.abs(full - want)) < 1e-14
 
     def test_mirrored_axis2_rows_match_direct_exp(self):
         # with one observation marg2[j] is the axis-2 factor exp(i t2_j . y2) itself,
-        # computed for j < ceil(m2/2) and mirrored by conjugation for the rest
-        for dim, nodes in ((2, 9), (2, 10), (3, 5), (3, 4)):
+        # computed for j <= m2 // 2 and mirrored by conjugation for the rest
+        for dim, nodes in ((2, 9), (2, 11), (3, 5), (3, 3)):
             g = EvalGrid.build(dim=dim, nu_est=1.3, nodes_per_axis=nodes)
             y = np.array([[0.7, -1.3, 2.9][:dim]])
             marg2 = ecf(y, g)[1]
@@ -238,7 +273,7 @@ class TestEcf:
         n = 10_000
         g = EvalGrid.build(nodes_per_axis=17, nu_est=1.0)
         scn = scenario(1)
-        t = g.full_points()
+        t = g.points()
         product = bessel_j(0, scn.r_star * np.linalg.norm(t, axis=1)) * scn.noise.char_fn(t)
         bound = 5.0 / np.sqrt(n) * (1.0 + np.sqrt(2.0) * g.nu_est)
         for seed in range(20):
@@ -410,7 +445,7 @@ class TestEcf:
 class TestPsiModel:
     def test_uniform_density_is_bessel_j0(self):
         g = EvalGrid.build(nodes_per_axis=17, nu_est=1.0)
-        t = g.full_points()
+        t = g.points()
         vals = psi_model(uniform_density(1), 3.0, t)
         want = bessel_j(0, 3.0 * np.linalg.norm(t, axis=1))
         assert np.max(np.abs(vals - want)) < 1e-12
@@ -488,13 +523,12 @@ class TestPsiModel:
         assert abs(got - oracle) < 1e-8
 
     def test_marginals_bitwise_match_pointwise_calls(self):
-        # even grids have no zero node, so their axis radii are not among the full grid's;
         # cutoffs are interleaved so each grid serves several cached tables
         rng = np.random.default_rng(9)
-        for nodes_per_axis in (9, 10):
+        for nodes_per_axis in (9, 11):
             for nu_est in (0.5, 1.0):
                 g = EvalGrid.build(nu_est=nu_est, nodes_per_axis=nodes_per_axis)
-                point_sets = stacked_slices(g)
+                point_sets = grid_slices(g)
                 for k_cut in (2, 0, 4, 1, 3, 2):
                     f = random_density(rng, k_cut)
                     radius = float(rng.uniform(0.5, 10.0))
@@ -511,7 +545,7 @@ class TestPsiModel:
         for k_cut, radius in ((16, 2.2), (40, 9.5)):
             f = random_density(rng, k_cut)
             vals = psi_model_marginals(f, radius, g)
-            for got, pts in zip(vals, stacked_slices(g)):
+            for got, pts in zip(vals, grid_slices(g)):
                 want = np.array([psi_model(f, radius, t) for t in pts])
                 assert got.ravel().tobytes() == want.tobytes()
 
@@ -541,17 +575,18 @@ class TestPsiModel:
             vals = psi_model_marginals(f, 2.3, g)
             assert passes == [None]
             psi, aux = psi_model_grid(f, 2.3, g)
-            assert passes[1] is aux and aux.shape == (g.points().shape[0],)
+            # the pass writes dPsi/dR into aux itself, through the view aux[()]
+            assert passes[1].base is aux and aux.shape == (g.points().shape[0],)
             for got, want in zip(vals, psi):
                 assert got.tobytes() == want.tobytes()
 
     def test_quadrature_marginals_bitwise_match_batch_calls(self):
-        # more than one 128-row chunk, so the stacked set's chunks straddle the slices
-        for f, dim, nodes in ((vonmises_like(), 2, 15), (uniform_density(2), 3, 7)):
+        # more than one 128-row chunk, so the axis-1 slice straddles the chunks
+        for f, dim, nodes in ((vonmises_like(), 2, 17), (uniform_density(2), 3, 7)):
             g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=nodes)
             assert g.points().shape[0] > 128
             vals = psi_model_marginals(f, 2.3, g)
-            for got, pts in zip(vals, stacked_slices(g)):
+            for got, pts in zip(vals, grid_slices(g)):
                 assert got.ravel().tobytes() == psi_model(f, 2.3, pts).tobytes()
 
     def test_jacobian_values_bitwise_match_marginals(self, monkeypatch):
@@ -588,7 +623,7 @@ class TestPsiModel:
         assert seen[1][0] is seen[0][0] and seen[1][1] is seen[0][1]
 
     @pytest.mark.parametrize("k_cut", [0, 1, 4, 12, 40])
-    @pytest.mark.parametrize("nodes_per_axis", [9, 10])
+    @pytest.mark.parametrize("nodes_per_axis", [9, 11])
     @pytest.mark.parametrize("nu_est", [0.5, 1.0])
     def test_batched_radii_bitwise_match_per_radius_calls(self, k_cut, nodes_per_axis, nu_est):
         g = EvalGrid.build(nu_est=nu_est, nodes_per_axis=nodes_per_axis)

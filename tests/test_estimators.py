@@ -535,9 +535,9 @@ def test_circle_callable_off_the_fourier_form_is_refused_before_ecf(monkeypatch,
 
 def test_known_density_fit_recovers_the_radius_in_three_dimensions():
     # off the closed form: the angle quadrature, with its exact radius column
-    # on 4 nodes per axis; seeds 1-3 missed R by at most 0.0021 at this n
+    # on 3 nodes per axis; seeds 1-3 missed R by at most 0.0019 at this n
     s = generate(D3_SCENARIO.noiseless(), 20_000, seed=1)
-    rep = fit_radius_known_density(s, D3_SCENARIO.density, grid=EvalGrid.build(dim=3, nodes_per_axis=4))
+    rep = fit_radius_known_density(s, D3_SCENARIO.density, grid=EvalGrid.build(dim=3, nodes_per_axis=3))
     assert abs(rep.r_hat - D3_SCENARIO.r_star) <= 0.01
     assert np.array_equal(rep.f_hat_coeffs, np.array([1.0 + 0.0j]))
     assert rep.iterations > AUDIT_POINTS
@@ -905,7 +905,7 @@ def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
         return real_pass(f, radius, pts, d_radius=d_radius)
 
     s = generate(D3_SCENARIO, 300, seed=1)
-    grid = EvalGrid.build(dim=3, nodes_per_axis=2)
+    grid = EvalGrid.build(dim=3, nodes_per_axis=3)
     cfg = FitConfig(max_iters=1)
     probes = record_probes(monkeypatch)
     monkeypatch.setattr(charfn_mod, "_psi_quadrature", recording)
