@@ -11,9 +11,13 @@ names the field that moved), and the determinism_hash of the sweep_s4
 benchmark spec (scenario 4, n = 1e4, 2 replications, both modes,
 restarts = 2) at base seeds 1-3.  Then one line per fit: its scenario,
 n, seed, grid and fit, with r_hat.hex(), contrast_value.hex() and
-iterations (the fit's probes).  Two checkouts whose lines agree fit bit
-for bit alike on these inputs; where they differ, diffing the per-fit
-lines sizes the move of each fit and its change in probes.
+iterations (the fit's probes).  Last, the same for two d = 3 known fits
+(the d = 3 audit and descent off the closed form: a circle-cosine density
+on the 2-sphere, isotropic noise 0.3, R = 2, n = 300, seeds 0-1, on a
+3-node grid): one hash line over both, then one line per fit.  Two
+checkouts whose lines agree fit bit for bit alike on these inputs; where
+they differ, diffing the per-fit lines sizes the move of each fit and its
+change in probes.
 """
 
 import hashlib
@@ -47,6 +51,32 @@ def fit_reports():
                     yield f"{label} known", sd.fit_radius_known_density(sample, scn.density, grid=grid)
 
 
+def d3_reports():
+    """The two d = 3 known fits' labels and reports."""
+    scn = sd.Scenario(
+        0,
+        sd.CallableDensity(lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * u[:, 0]), dim_minus_1=2),
+        sd.NoiseModel.isotropic_gaussian(0.3, 3),
+        r_star=2.0,
+    )
+    grid = sd.EvalGrid.build(dim=3, nodes_per_axis=3)
+    for seed in (0, 1):
+        sample = sd.generate(scn, 300, seed)
+        yield f"d3 n=300 seed={seed} known", sd.fit_radius_known_density(sample, scn.density, grid=grid)
+
+
+def fits_hash(fits) -> str:
+    total = hashlib.sha256()
+    for _, report in fits:
+        for name in FIELDS:
+            total.update(field_bytes(report, name))
+    return total.hexdigest()
+
+
+def per_fit_line(label, report) -> str:
+    return f"{label} r_hat {report.r_hat.hex()} contrast {report.contrast_value.hex()} iterations {report.iterations}"
+
+
 def field_bytes(report, name: str) -> bytes:
     value = getattr(report, name)
     if name == "iterations":
@@ -55,15 +85,12 @@ def field_bytes(report, name: str) -> bytes:
 
 
 def main() -> None:
-    total = hashlib.sha256()
     per_field = {name: hashlib.sha256() for name in FIELDS}
     fits = list(fit_reports())
     for _, report in fits:
         for name in FIELDS:
-            chunk = field_bytes(report, name)
-            total.update(chunk)
-            per_field[name].update(chunk)
-    print(f"fits {len(fits)} {total.hexdigest()}")
+            per_field[name].update(field_bytes(report, name))
+    print(f"fits {len(fits)} {fits_hash(fits)}")
     for name in FIELDS:
         print(f"  {name} {per_field[name].hexdigest()}")
     for seed in (1, 2, 3):
@@ -71,7 +98,11 @@ def main() -> None:
                             fit_overrides={"restarts": 2})
         print(f"sweep_s4 seed {seed} {sd.determinism_hash(sd.run_bench(spec))}")
     for label, report in fits:
-        print(f"{label} r_hat {report.r_hat.hex()} contrast {report.contrast_value.hex()} iterations {report.iterations}")
+        print(per_fit_line(label, report))
+    d3 = list(d3_reports())
+    print(f"d3 fits {len(d3)} {fits_hash(d3)}")
+    for label, report in d3:
+        print(per_fit_line(label, report))
 
 
 if __name__ == "__main__":

@@ -70,6 +70,9 @@ class BenchSpec:
             bad = set(self.fit_overrides) - allowed
             if bad:
                 raise ConfigError(f"unknown FitConfig overrides: {sorted(bad)}")
+            # refuse a bad value now, not at run_bench's first cell; run_bench
+            # sets only k_cutoff besides, to a value FitConfig accepts
+            FitConfig(**self.fit_overrides)
 
     def modes(self) -> tuple:
         return MODES if self.mode == "both" else (self.mode,)

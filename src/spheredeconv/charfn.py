@@ -49,9 +49,9 @@ psi_model_grid returns, with Psi, what its derivatives need -- the closed
 form's Bessel rows and weights, or dPsi/dR from the same quadrature pass,
 which psi_model_marginals skips -- and psi_model_derivatives takes those,
 so the exact derivatives in (R, Re c_p, Im c_p) cost no kernel call or
-pass of their own.  Whoever evaluates keeps the evaluation: a fit keeps
-its latest one in its ContrastContext, split per radius by
-psi_model_entries; a grid keeps only the fits' audits (EvalGrid).
+pass of their own.  Each evaluation has one keeper: a grid keeps the
+fits' audits, batches of a Fourier density (EvalGrid.kept_psi), and a
+fit's ContrastContext its latest single-radius probe.
 
 Data side: the empirical characteristic function on the full grid, split
 like the model's, is one accumulator of exp(i <t, x - m>)
@@ -131,7 +131,9 @@ class EvalGrid:
     Kept once built: the points, a PolarTable per cutoff, and the
     _KEPT_PSI latest used batch evaluations of a Fourier density, the fits'
     audits (kept_psi), keyed on the cutoff and the bytes of the coefficients
-    and radii; never descent probes (one radius) or densities off the closed form.
+    and radii.  Nothing else is kept here: a descent probe (one radius) is
+    its ContrastContext's to keep, and an audit off the closed form is
+    evaluated afresh.
     """
 
     nu_est: float
@@ -580,8 +582,7 @@ def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
 
 def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid, derivatives: bool = True) -> tuple:
     """One evaluation of Psi on grid.points(): ((vals1, vals2, full), aux),
-    at a radius or at each of a 1-d array of radii (a leading batch axis,
-    which psi_model_entries splits).
+    at a radius or at each of a 1-d array of radii (a leading batch axis).
 
     The values on the axis-1 slice, the axis-2 slice and the full grid,
     shaped (m1, m2), are views into one array, each equal to the pointwise
@@ -607,21 +608,6 @@ def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid, derivatives: bool = 
             # b is () at a scalar radius, and aux[()] is a view of all of aux
             vals[b] = _psi_quadrature(f, float(radii[b]), pts, d_radius=None if aux is None else aux[b])
     return _split(vals, grid), aux
-
-
-def psi_model_entries(evaluation: tuple) -> list:
-    """A psi_model_grid evaluation at a 1-d array of radii as one evaluation
-    per radius, each as psi_model_grid returns it at that radius (views)."""
-    vals, aux = evaluation
-    entries = []
-    for b in range(vals[0].shape[0]):
-        if isinstance(aux, tuple):
-            # the closed form's weights hold for every radius
-            aux_b = (aux[0][b], aux[1])
-        else:
-            aux_b = None if aux is None else aux[b]
-        entries.append((tuple(v[b] for v in vals), aux_b))
-    return entries
 
 
 def psi_model_marginals(f: AngleDensity, radius: float, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -29,7 +29,6 @@ from .charfn import (
     bench_grid,
     ecf,
     psi_model_derivatives,
-    psi_model_entries,
     psi_model_grid,
     psi_model_marginals,
 )
@@ -41,15 +40,16 @@ class ContrastContext:
     """Grid plus the sample's ECF triple ref, reused across many evaluations,
     with what every residual reuses: the grid's weights' roots
     root_weights = sqrt(w1_i w2_j) and the ECF marginals' product
-    ref_outer = ref1 ref2^T.  Also the latest psi_model_grid evaluation,
-    kept in one slot for its (density object, radii): one radius, or a
-    batch that evaluate made or took from the grid's store."""
+    ref_outer = ref1 ref2^T.  Also the latest single-radius psi_model_grid
+    evaluation, a fit's latest probe, kept for its (density object, radius)
+    so that the Jacobian there reads it; the fits' audits are the grid's to
+    keep (EvalGrid.kept_psi)."""
 
     grid: EvalGrid
     ref: tuple
     root_weights: np.ndarray = field(init=False, repr=False)
     ref_outer: np.ndarray = field(init=False, repr=False)
-    _latest: tuple = field(default=(None, (), None), init=False, repr=False)
+    _latest: tuple = field(default=(None, None, None), init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.root_weights = np.sqrt(np.multiply.outer(self.grid.axis1_weights, self.grid.axis2_weights))
@@ -59,27 +59,12 @@ class ContrastContext:
     def from_sample(cls, sample, grid: EvalGrid) -> "ContrastContext":
         return cls(grid, ecf(sample, grid))
 
-    def evaluate(self, f: AngleDensity, radii) -> None:
-        """Evaluate Psi of f at every radius of radii in one psi_model_grid
-        call, and keep that evaluation, split per radius, for psi.  A Fourier
-        density at several radii, a fit's audit, is served read-only from the
-        grid's store of the latest few, keyed on the cutoff and the bytes of
-        the coefficients and radii (EvalGrid.kept_psi); a single radius (a
-        descent probe) or another density is evaluated afresh."""
-        radii = [float(r) for r in radii]
-        if len(radii) > 1 and isinstance(f, FourierDensity):
-            evaluation = self.grid.kept_psi(f, np.array(radii))
-        else:
-            evaluation = psi_model_grid(f, np.array(radii), self.grid)
-        self._latest = (f, radii, psi_model_entries(evaluation))
-
     def psi(self, f: AngleDensity, radius: float) -> tuple:
         """psi_model_grid(f, radius, self.grid), served from the kept evaluation
-        when it had this f and radius among its radii, else evaluated alone."""
-        if self._latest[0] is not f or radius not in self._latest[1]:
-            self.evaluate(f, [radius])
-        _, radii, entries = self._latest
-        return entries[radii.index(radius)]
+        when it had this f and radius, else evaluated and kept in its place."""
+        if self._latest[0] is not f or self._latest[1] != radius:
+            self._latest = (f, radius, psi_model_grid(f, radius, self.grid))
+        return self._latest[2]
 
 
 def _weighted(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -92,14 +77,16 @@ def _weighted(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
 def _combine(psi: tuple, ref_outer: np.ndarray, ref_full: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Weighted residual of psi_full ref1 ref2 - ref_full psi1 psi2 over the grid's box.
 
-    psi is an (axis-1, axis-2, full) triple and ref_outer = ref1 ref2^T,
-    full, ref_outer and ref_full shaped (m1, m2).  Returns the Re and Im
-    parts of the difference, each scaled by scale, sqrt(w1_i w2_j) times
-    any extra weight's root, flattened to length 2 m1 m2, so the
-    quadrature of the squared modulus is the residual's squared norm.
+    psi is an (axis-1, axis-2, full) triple, full shaped (..., m1, m2) with
+    any leading radius axes, and ref_outer = ref1 ref2^T and ref_full
+    shaped (m1, m2).  Returns the Re and Im parts of the difference, each
+    scaled by scale, sqrt(w1_i w2_j) times any extra weight's root,
+    flattened to rows of length 2 m1 m2, so the quadrature of each row's
+    squared modulus is its squared norm.  The products are elementwise, so
+    each row equals, bit for bit, a call on that radius's triple alone.
     """
     psi1, psi2, psi_full = psi
-    diff = psi_full * ref_outer - ref_full * np.multiply.outer(psi1, psi2)
+    diff = psi_full * ref_outer - ref_full * (psi1[..., :, None] * psi2[..., None, :])
     return _weighted(diff, scale)
 
 
@@ -118,10 +105,23 @@ def _combine_jacobian(
     return _weighted(ddiff, scale).T
 
 
-def contrast_residual(f: AngleDensity, radius: float, ctx: ContrastContext) -> np.ndarray:
+def contrast_residual(f: AngleDensity, radius, ctx: ContrastContext) -> np.ndarray:
     """Weighted residual of the candidate (f, R) against the sample ECF;
-    its squared norm is contrast_mn."""
-    return _combine(ctx.psi(f, radius)[0], ctx.ref_outer, ctx.ref[2], ctx.root_weights)
+    its squared norm is contrast_mn.
+
+    radius may be a 1-d array of radii, a fit's audit: then one row per
+    radius, from one evaluation at all of them (a Fourier density's from
+    the grid's store, EvalGrid.kept_psi; any other's without dPsi/dR) and
+    one _combine call, each row equal, bit for bit, to the residual at that
+    radius alone.  A single radius is evaluated through ctx.psi.
+    """
+    if np.ndim(radius) == 0:
+        psi = ctx.psi(f, radius)[0]
+    elif isinstance(f, FourierDensity):
+        psi = ctx.grid.kept_psi(f, np.asarray(radius, dtype=float))[0]
+    else:
+        psi = psi_model_marginals(f, radius, ctx.grid)
+    return _combine(psi, ctx.ref_outer, ctx.ref[2], ctx.root_weights)
 
 
 def contrast_jacobian(f: AngleDensity, radius: float, ctx: ContrastContext, radius_only: bool = False) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The contrast is the squared norm of a weighted residual vector, so both
 fits minimize it as a nonlinear least-squares problem through one
-skeleton (_scan_and_descend): an audit scan of radii, served from one
-model evaluation at every audit radius, then one
+skeleton (_scan_and_descend): an audit scan of radii, one residual batch
+from one model evaluation at every audit radius, then one
 trust-region descent (minimize) per basin of that audit profile, with the
 residual's exact Jacobian (contrast_jacobian chained through the
 projection onto the admissible set), derived from the probe's own model
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .charfn import _ONE_THREAD_PRODUCT, EvalGrid, default_grid
 from .contrast import ContrastContext, contrast_jacobian, contrast_residual
-from .errors import NumericalError, _as_int
+from .errors import ConfigError, NumericalError, _as_int
 from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_form, fourier_series, sphere_mean
 
 # radii in both fits' audit scan over [r_min, r_max], the free coefficients at zero
@@ -58,7 +59,8 @@ class FitConfig:
     caps the number of audit basins the joint fit descends from (see
     _scan_and_descend; at most AUDIT_POINTS), and max_iters caps every
     descent's residual evaluations, in both fits.
-    Integer-valued floats are stored as ints.
+    Integer-valued floats are stored as ints.  Every value it refuses is
+    refused with ConfigError, a ValueError.
     """
 
     r_min: float = 0.5
@@ -68,16 +70,18 @@ class FitConfig:
     max_iters: int = 2000
 
     def __post_init__(self) -> None:
+        if not all(isinstance(r, numbers.Real) for r in (self.r_min, self.r_max)):
+            raise ConfigError(f"r_min and r_max must be real numbers, got {self.r_min!r} and {self.r_max!r}")
         if not (0.0 < self.r_min < self.r_max < math.inf):
-            raise ValueError("need 0 < r_min < r_max < inf")
+            raise ConfigError("need 0 < r_min < r_max < inf")
         for name in ("k_cutoff", "restarts", "max_iters"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.k_cutoff < 0:
-            raise ValueError("k_cutoff must be >= 0")
+            raise ConfigError("k_cutoff must be >= 0")
         if not (1 <= self.restarts <= AUDIT_POINTS):
-            raise ValueError(f"restarts must lie in [1, {AUDIT_POINTS}]")
+            raise ConfigError(f"restarts must lie in [1, {AUDIT_POINTS}]")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ConfigError("max_iters must be >= 1")
 
 
 @dataclass(eq=False)
@@ -248,7 +252,9 @@ class _ProbeLog:
 
     Each probe evaluates contrast_residual on the sample's ECF, logs its
     squared norm (the value contrast_mn returns, bit for bit), refuses a
-    non-finite value with NumericalError, and returns the residual.  Every
+    non-finite value with NumericalError, and returns the residual.  A call
+    at a 1-d array of radii, a fit's audit, is one residual batch and logs
+    one probe per row, in order, refusing at its first non-finite row.  Every
     residual evaluation a descent makes is a probe; the exact Jacobian
     reuses the latest probe, or probes first at any other point.  The best
     probe has the smallest contrast; exact value ties break towards the
@@ -262,12 +268,13 @@ class _ProbeLog:
         self.data, self.ctx, self.seed, self.t_start = data, ctx, seed, t_start
         self.probes: list[tuple[float, float, AngleDensity]] = []
 
-    def __call__(self, f: AngleDensity, radius: float) -> np.ndarray:
+    def __call__(self, f: AngleDensity, radius) -> np.ndarray:
         r = contrast_residual(f, radius, self.ctx)
-        value = float(r @ r)
-        if not np.isfinite(value):
-            raise NumericalError("contrast evaluated non-finite; degenerate grid or sample")
-        self.probes.append((value, radius, f))
+        for row, at in zip(np.atleast_2d(r), np.atleast_1d(radius)):
+            value = float(row @ row)
+            if not np.isfinite(value):
+                raise NumericalError("contrast evaluated non-finite; degenerate grid or sample")
+            self.probes.append((value, float(at), f))
         return r
 
     def best(self) -> tuple[float, float, AngleDensity]:
@@ -416,52 +423,40 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int) -> np.ndarray:
 
 def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cut: int = 0) -> EstimateReport:
     """The fit skeleton: probe AUDIT_POINTS radii evenly over [r_min, r_max]
-    with k_cut coefficients at zero and rank them by value (stable, so ties
-    go to the smaller radius).  The audit's density density(zeros) is built
-    once and Psi evaluated at all its radii at once in the log's
-    ContrastContext, on the closed form one Bessel kernel call that the grid
-    keeps among its latest few, keyed on the cutoff and the bytes of the
-    coefficients and radii (EvalGrid.kept_psi), descent probes never; then
-    each radius is logged as its own probe from that evaluation, with the value
-    a lone evaluation there gives, bit for bit.  Then descend once per basin of that audit
-    profile, best first, at most starts times: from the best audit radius,
-    then from each interior strict local minimum (both neighbours strictly
-    higher).  An endpoint gets a descent only as the best audit radius.
-    Each descent makes at most cfg.max_iters residual evaluations; returns
-    the log's report.  Every point maps through _project, and density(half) is
-    the density probed there: the audit's own density object where half has
-    the bytes of the audit's zeros (so -0.0 is not 0.0), so that a descent's
-    first probe, at an audit radius, is served from the audit's evaluation.
-    The Jacobian is contrast_jacobian's in the
-    point's coordinates (R alone for a length-1 point), chained through
-    _project.  The optimizer asks for it at the point it has just evaluated,
-    so it reads the Psi, Bessel rows or, in d >= 3, dPsi/dR that the probe
-    left in the log's ContrastContext; at any other point it probes first.
+    with k_cut coefficients at zero, in one residual batch on the audit's
+    density density(zeros) (on the closed form one Bessel kernel call, which
+    the grid keeps among its latest few, EvalGrid.kept_psi), and rank them by
+    value (stable, so ties go to the smaller radius).  Then descend once per
+    basin of that audit profile, best first, at most starts times: from the
+    best audit radius, then from each interior strict local minimum (both
+    neighbours strictly higher).  An endpoint gets a descent only as the
+    best audit radius.  Each descent makes at most cfg.max_iters residual
+    evaluations; returns the log's report.  Every point maps through
+    _project, and density(half) is the density probed there; a descent's
+    first probe, at an audit radius, evaluates Psi there like any other.
+    The Jacobian is contrast_jacobian's in the point's coordinates (R alone
+    for a length-1 point), chained through _project.  The optimizer asks for
+    it at the point it has just evaluated, so it reads the Psi, Bessel rows
+    or, in d >= 3, dPsi/dR that the probe left in the log's ContrastContext;
+    at any other point it probes first.
     """
-
-    zeros = np.zeros(k_cut, dtype=complex)
-    f0 = density(zeros)
-
-    def probed(half: np.ndarray) -> AngleDensity:
-        return f0 if half.tobytes() == zeros.tobytes() else density(half)
 
     def residual(x: np.ndarray) -> np.ndarray:
         radius, half = _project(x, cfg)
-        return log(probed(half), radius)
+        return log(density(half), radius)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         radius, half = _project(x, cfg)
         _, last_radius, f = log.probes[-1]
         # compare the coefficients the descent varies: none in the known fit
         if radius != last_radius or not np.array_equal(half, _half(f)[: half.size]):
-            f = probed(half)
+            f = density(half)
             log(f, radius)
         return _project_jacobian(contrast_jacobian(f, radius, log.ctx, x.size == 1), x, cfg)
 
+    zeros = np.zeros(k_cut, dtype=complex)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
-    log.ctx.evaluate(f0, audit)
-    for radius in audit:
-        log(f0, float(radius))
+    log(density(zeros), audit)
     values = np.array([value for value, _, _ in log.probes])
     ranked = np.argsort(values, kind="stable")
     basin = np.zeros(AUDIT_POINTS, dtype=bool)

@@ -61,6 +61,9 @@ def test_full_grid_matches_published_sweep():
         dict(scenario_id=1, base_seed=1.5),
         dict(scenario_id=1, replications=float("nan")),
         dict(scenario_id=1, n_values=(100, float("inf"))),
+        dict(scenario_id=1, fit_overrides={"r_max": "5"}),
+        dict(scenario_id=1, fit_overrides={"r_min": 20.0}),
+        dict(scenario_id=1, fit_overrides={"restarts": 0}),
     ],
 )
 def test_benchspec_rejects_bad_values(kwargs):

@@ -23,7 +23,6 @@ from spheredeconv.charfn import (
     ecf,
     psi_model,
     psi_model_derivatives,
-    psi_model_entries,
     psi_model_grid,
     psi_model_marginals,
 )
@@ -633,26 +632,27 @@ class TestPsiModel:
         radii = np.array([3.0, 0.3, 1.7 * top, 0.6 * top, 1e-3])
         xs = np.multiply.outer(radii, g.polar_table(k_cut).radii)
         assert (xs < max(k_cut, 1)).any() and (xs >= max(k_cut, 1)).any()
-        batch = psi_model_grid(f, radii, g)
-        assert batch[0][2].shape == (radii.size, g.m1, g.m2)
-        for radius, (vals, (jmat, weights)) in zip(radii, psi_model_entries(batch)):
+        batch, (jmat, weights) = psi_model_grid(f, radii, g)
+        assert batch[2].shape == (radii.size, g.m1, g.m2)
+        for b, radius in enumerate(radii):
             want_vals, (want_jmat, want_weights) = psi_model_grid(f, float(radius), g)
-            for got, want in zip(vals, want_vals):
-                assert got.tobytes() == want.tobytes()
-            assert jmat.tobytes() == want_jmat.tobytes() and weights.tobytes() == want_weights.tobytes()
+            for got, want in zip(batch, want_vals):
+                assert got[b].tobytes() == want.tobytes()
+            # the weights hold for every radius
+            assert jmat[b].tobytes() == want_jmat.tobytes() and weights.tobytes() == want_weights.tobytes()
 
     def test_batched_radii_off_the_closed_form_are_one_pass_per_radius(self):
         for f, dim in ((vonmises_like(), 2), (uniform_density(2), 3)):
             g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=3)
             radii = np.array([2.5, 0.7])
             for derivatives in (True, False):
-                entries = psi_model_entries(psi_model_grid(f, radii, g, derivatives))
-                for radius, (vals, aux) in zip(radii, entries):
+                batch, aux = psi_model_grid(f, radii, g, derivatives)
+                for b, radius in enumerate(radii):
                     want_vals, want_aux = psi_model_grid(f, float(radius), g, derivatives)
-                    for got, want in zip(vals, want_vals):
-                        assert got.tobytes() == want.tobytes()
+                    for got, want in zip(batch, want_vals):
+                        assert got[b].tobytes() == want.tobytes()
                     if derivatives:
-                        assert aux.tobytes() == want_aux.tobytes()
+                        assert aux[b].tobytes() == want_aux.tobytes()
                     else:
                         assert aux is None and want_aux is None
 

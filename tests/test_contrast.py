@@ -117,35 +117,6 @@ def test_one_series_call_per_closed_form_contrast(monkeypatch):
     assert calls == [153] * 4
 
 
-def test_context_serves_every_radius_of_its_batch(monkeypatch):
-    import spheredeconv.charfn as charfn_mod
-
-    calls = []
-    real = charfn_mod.bessel_rows
-
-    def counting(k_cut, x):
-        calls.append(x.size)
-        return real(k_cut, x)
-
-    grid = EvalGrid.build(nodes_per_axis=33)
-    sample = generate(scenario(1), 200, seed=3)
-    ctx = ContrastContext.from_sample(sample, grid)
-    monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
-    f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
-    radii = np.linspace(0.5, 10.0, 16)
-    ctx.evaluate(f, radii)
-    values = [contrast_mn(f, radius, ctx) for radius in radii[::-1]]
-    # the batch is one kernel call on every radius's 153 distinct grid radii
-    assert calls == [16 * 153]
-    # a radius off the batch, or another density object, evaluates a batch of one
-    contrast_mn(f, 2.6, ctx)
-    contrast_mn(FourierDensity.from_half([0.05 - 0.02j, 0.01j]), 2.6, ctx)
-    assert calls == [16 * 153, 153, 153]
-    monkeypatch.undo()
-    for radius, value in zip(radii[::-1], values):
-        assert value == contrast_mn(f, radius, ContrastContext.from_sample(sample, grid))
-
-
 def test_the_grid_serves_batches_read_only_from_a_bounded_store(monkeypatch):
     import spheredeconv.charfn as charfn_mod
 
@@ -161,31 +132,81 @@ def test_the_grid_serves_batches_read_only_from_a_bounded_store(monkeypatch):
     monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
     f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
     batches = [np.linspace(0.5, 10.0, 16) + k for k in range(charfn_mod._KEPT_PSI + 2)]
-    ctx.evaluate(f, batches[0])
-    (psi, (jmat, weights)) = ctx.psi(f, batches[0][3])
+    contrast_residual(f, batches[0], ctx)
+    ((psi, (jmat, weights)),) = vars(grid)["_kept_psi"].values()
     for array in (*psi, jmat, weights):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
     # a second context on the grid, or another density object with the same
     # coefficients, is served the kept batch; the store's least recently used
     # batch goes first
-    other.evaluate(FourierDensity.from_half([0.05 - 0.02j, 0.01j]), batches[0])
+    contrast_residual(FourierDensity.from_half([0.05 - 0.02j, 0.01j]), batches[0], other)
     assert len(calls) == 1
     for batch in batches[1:]:
-        ctx.evaluate(f, batches[0])
-        ctx.evaluate(f, batch)
+        contrast_residual(f, batches[0], ctx)
+        contrast_residual(f, batch, ctx)
         assert len(vars(grid)["_kept_psi"]) <= charfn_mod._KEPT_PSI
     assert len(calls) == len(batches)
     kept = list(vars(grid)["_kept_psi"])
     assert {key[2] for key in kept} == {b.tobytes() for b in (batches[0], *batches[-charfn_mod._KEPT_PSI + 1 :])}
     # a single radius and off the closed form are evaluated afresh, never kept
-    ctx.evaluate(f, batches[0][:1])
-    ctx.evaluate(CallableDensity(lambda u: np.ones(u.shape[0]), dim_minus_1=1), batches[1])
+    contrast_residual(f, batches[0][0], ctx)
+    contrast_residual(CallableDensity(lambda u: np.ones(u.shape[0]), dim_minus_1=1), batches[1], ctx)
     assert list(vars(grid)["_kept_psi"]) == kept and len(calls) == len(batches) + 1
     # -0.0 and +0.0 coefficients are other keys
-    ctx.evaluate(FourierDensity(np.array([0.0, 1.0, -0.0j])), batches[0])
-    ctx.evaluate(FourierDensity(np.array([-0.0, 1.0, 0.0j])), batches[0])
+    contrast_residual(FourierDensity(np.array([0.0, 1.0, -0.0j])), batches[0], ctx)
+    contrast_residual(FourierDensity(np.array([-0.0, 1.0, 0.0j])), batches[0], ctx)
     assert len(calls) == len(batches) + 3
+
+
+AUDIT_RADII = np.linspace(0.5, 10.0, 16)
+
+
+def _rows_match_scalar_calls(monkeypatch, f, radii, ctx):
+    """A batched contrast_residual at radii is one _combine call, and each of
+    its rows and squared norms equals, bit for bit, the residual at that
+    radius alone, on a fresh context."""
+    import spheredeconv.contrast as contrast_mod
+
+    combines = []
+    real = contrast_mod._combine
+
+    def counting(*args):
+        combines.append(args[0][2].shape)
+        return real(*args)
+
+    monkeypatch.setattr(contrast_mod, "_combine", counting)
+    batch = contrast_residual(f, radii, ctx)
+    monkeypatch.undo()
+    assert combines == [(radii.size, ctx.grid.m1, ctx.grid.m2)]
+    assert batch.shape == (radii.size, 2 * ctx.grid.m1 * ctx.grid.m2)
+    fresh = ContrastContext(ctx.grid, ctx.ref)
+    for radius, row in zip(radii, batch):
+        alone = contrast_residual(f, float(radius), fresh)
+        assert row.tobytes() == alone.tobytes()
+        assert float(row @ row) == float(alone @ alone)
+
+
+@pytest.mark.parametrize("grid_name", ["default", "bench", "nine_nodes"])
+@pytest.mark.parametrize("scenario_id", [1, 2, 3, 4])
+def test_batched_residual_rows_bitwise_match_per_radius_calls(monkeypatch, scenario_id, grid_name):
+    from spheredeconv.charfn import bench_grid
+
+    grid = {"default": EvalGrid.build, "bench": bench_grid, "nine_nodes": lambda: EvalGrid.build(nodes_per_axis=9)}
+    grid = grid[grid_name]()
+    for seed in (0, 1, 2):
+        ctx = ContrastContext.from_sample(generate(scenario(scenario_id), 500, seed), grid)
+        rng = np.random.default_rng(seed)
+        for k_cut in (0, 4, 12):
+            half = 0.08 * (rng.normal(size=k_cut) + 1j * rng.normal(size=k_cut)) / np.arange(1, k_cut + 1)
+            _rows_match_scalar_calls(monkeypatch, FourierDensity.from_half(half), AUDIT_RADII, ctx)
+
+
+def test_batched_residual_rows_bitwise_match_per_radius_calls_in_three_dimensions(monkeypatch):
+    f = CallableDensity(lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * u[:, 0]), dim_minus_1=2)
+    data = np.random.default_rng(3).standard_normal((300, 3)) + np.array([2.0, 0.0, 0.0])
+    ctx = ContrastContext.from_sample(data, EvalGrid.build(dim=3, nodes_per_axis=3))
+    _rows_match_scalar_calls(monkeypatch, f, AUDIT_RADII, ctx)
 
 
 def test_one_quadrature_call_per_contrast_off_the_closed_form(monkeypatch):

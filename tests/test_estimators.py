@@ -58,10 +58,13 @@ def test_fitconfig_defaults():
         dict(max_iters=2.5),
         dict(restarts=AUDIT_POINTS + 1),
         dict(max_iters=float("inf")),
+        dict(r_min=None),
+        dict(r_max="5"),
+        dict(r_max=float("nan")),
     ],
 )
 def test_fitconfig_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         FitConfig(**kwargs)
 
 
@@ -314,6 +317,24 @@ def _basins(values, cap):
     return ([ranked[0]] + [i for i in ranked if i in interior and i != ranked[0]])[:cap]
 
 
+def per_radius(monkeypatch, each):
+    """Patch the fits' contrast_residual so that each(f, radius, row) sees the
+    real residual's row at each radius, one radius at a time, and returns
+    the row the fit takes there.  A batch of radii, a fit's audit, is still
+    evaluated in one call, and the rows each returns are stacked into it."""
+    import spheredeconv.estimators as est_mod
+
+    real = est_mod.contrast_residual
+
+    def residual(f, radius, ctx):
+        r = real(f, radius, ctx)
+        if np.ndim(radius) == 0:
+            return each(f, radius, r)
+        return np.stack([each(f, float(at), row) for at, row in zip(radius, r)])
+
+    monkeypatch.setattr(est_mod, "contrast_residual", residual)
+
+
 def _recording_minimize(monkeypatch, starts):
     import spheredeconv.estimators as est_mod
 
@@ -330,14 +351,12 @@ def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
     import spheredeconv.estimators as est_mod
 
     probes, starts = [], []
-    real_residual = est_mod.contrast_residual
 
-    def recording_residual(f, radius, ctx):
-        r = real_residual(f, radius, ctx)
-        probes.append((float(r @ r), radius))
-        return r
+    def recording_residual(f, radius, row):
+        probes.append((float(row @ row), radius))
+        return row
 
-    monkeypatch.setattr(est_mod, "contrast_residual", recording_residual)
+    per_radius(monkeypatch, recording_residual)
     _recording_minimize(monkeypatch, starts)
     cfg = FitConfig(restarts=3, k_cutoff=1)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
@@ -354,9 +373,9 @@ def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
     # two audit radii tie at the minimum: the known fit descends from the
     # leftmost, the joint fit from it and then from the other basin
     nearest = lambda radius: min((audit[9], audit[5]), key=lambda a: abs(radius - a))  # noqa: E731
-    tie = lambda f, radius, ctx: np.array([abs(radius - nearest(radius))])  # noqa: E731
+    tie = lambda f, radius, row: np.array([abs(radius - nearest(radius))])  # noqa: E731
     tie_jacobian = lambda f, radius, ctx, radius_only: np.array([[np.sign(radius - nearest(radius))]])  # noqa: E731
-    monkeypatch.setattr(est_mod, "contrast_residual", tie)
+    per_radius(monkeypatch, tie)
     monkeypatch.setattr(est_mod, "contrast_jacobian", tie_jacobian)
     starts.clear()
     rep = fit_radius_known_density(s, uniform_density(), cfg)
@@ -385,7 +404,7 @@ def _profile_fit(monkeypatch, wells, restarts):
     def well(radius):
         return min(wells, key=lambda w: w[0] + (radius - w[1]) ** 2)
 
-    def residual(f, radius, ctx):
+    def residual(f, radius, row):
         a, m = well(radius)
         return np.array([math.sqrt(a + (radius - m) ** 2)])
 
@@ -394,7 +413,7 @@ def _profile_fit(monkeypatch, wells, restarts):
         return np.array([[(radius - m) / math.sqrt(a + (radius - m) ** 2)]])
 
     starts = []
-    monkeypatch.setattr(est_mod, "contrast_residual", residual)
+    per_radius(monkeypatch, residual)
     monkeypatch.setattr(est_mod, "contrast_jacobian", jacobian)
     _recording_minimize(monkeypatch, starts)
     rep = fit_joint(generate(scenario(1), 60, seed=0), FitConfig(k_cutoff=0, restarts=restarts))
@@ -578,9 +597,9 @@ def test_wide_window_fit_reaches_the_largest_argument(monkeypatch):
     monkeypatch.setattr(charfn_mod, "bessel_rows", recording)
     rep = fit_radius_known_density(generate(scenario(1), 100, 0), uniform_density(), cfg, grid, ctx=ctx)
     assert max(seen) == float(grid.polar_table(uniform_density().cutoff).radii[-1]) * cfg.r_max > 50.0
-    # one call for the whole audit, then one per descent probe but the first,
-    # which starts at an audit radius with the same density object
-    assert len(seen) == 1 + (rep.iterations - AUDIT_POINTS - 1)
+    # one call for the whole audit, then one per descent probe, the first,
+    # at an audit radius, included
+    assert len(seen) == 1 + (rep.iterations - AUDIT_POINTS)
 
 
 # ---------------------------------------------------------------- probe log
@@ -620,19 +639,32 @@ def test_probe_log_picks_the_smallest_value_and_breaks_only_exact_ties(monkeypat
     assert rep.seed == 7 and rep.n == 60
 
 
-@pytest.mark.parametrize("kind", ["joint", "known"])
-def test_every_contrast_evaluation_is_a_logged_probe(monkeypatch, kind):
+def test_a_batch_of_radii_is_one_probe_per_row(monkeypatch):
     import spheredeconv.estimators as est_mod
 
+    rows = {1.0: [0.5, 0.25], 2.0: [float("nan"), 0.0], 3.0: [0.25, 0.0]}
+    monkeypatch.setattr(est_mod, "contrast_residual", lambda f, radii, ctx: np.array([rows[r] for r in radii]))
+    data = generate(scenario(1), 60, seed=0).data
+    log = est_mod._ProbeLog(data, ContrastContext.from_sample(data, EvalGrid.build(nodes_per_axis=5)), None, 0.0)
+    f = FourierDensity.uniform()
+    assert log(f, np.array([3.0, 1.0])).shape == (2, 2)
+    assert log.probes == [(0.0625, 3.0, f), (0.3125, 1.0, f)]
+    assert all(type(radius) is float for _, radius, _ in log.probes)
+    # the rows before the first non-finite one are logged, then it is refused
+    with pytest.raises(NumericalError):
+        log(f, np.array([1.0, 2.0, 3.0]))
+    assert [radius for _, radius, _ in log.probes] == [3.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("kind", ["joint", "known"])
+def test_every_contrast_evaluation_is_a_logged_probe(monkeypatch, kind):
     calls = []
-    real = est_mod.contrast_residual
 
-    def counting(f, radius, ctx):
-        r = real(f, radius, ctx)
-        calls.append((float(r @ r), radius))
-        return r
+    def counting(f, radius, row):
+        calls.append((float(row @ row), radius))
+        return row
 
-    monkeypatch.setattr(est_mod, "contrast_residual", counting)
+    per_radius(monkeypatch, counting)
     s = generate(scenario(1), 200, seed=8)
     if kind == "joint":
         rep = fit_joint(s, FitConfig(restarts=2, max_iters=100, k_cutoff=1))
@@ -656,16 +688,13 @@ def test_max_iters_caps_each_descent():
 
 @pytest.mark.parametrize("kind", ["joint", "known"])
 def test_every_probe_radius_lies_in_the_box(monkeypatch, kind):
-    import spheredeconv.estimators as est_mod
-
     radii = []
-    real = est_mod.contrast_residual
 
-    def recording(f, radius, ctx):
+    def recording(f, radius, row):
         radii.append(radius)
-        return real(f, radius, ctx)
+        return row
 
-    monkeypatch.setattr(est_mod, "contrast_residual", recording)
+    per_radius(monkeypatch, recording)
     # the truth lies beyond r_max, so every descent pushes against the box
     scn = Scenario(scenario_id=0, density=uniform_density(), noise=NoiseModel.none(2), r_star=12.0)
     s = generate(scn, 400, seed=3)
@@ -732,29 +761,28 @@ def test_projected_jacobian_matches_central_differences(scenario_id, radius, coe
 
 def test_default_joint_fit_runs_one_series_call_per_probe(monkeypatch):
     import spheredeconv.charfn as charfn_mod
-    import spheredeconv.estimators as est_mod
 
     series, probes = [], []
-    real_series, real_residual = charfn_mod.bessel_rows, est_mod.contrast_residual
+    real_series = charfn_mod.bessel_rows
 
     def counting_series(k_cut, x):
         series.append(k_cut)
         return real_series(k_cut, x)
 
-    def counting_residual(f, radius, ctx):
+    def counting_residual(f, radius, row):
         probes.append(radius)
-        return real_residual(f, radius, ctx)
+        return row
 
     s = generate(scenario(1), 2000, seed=6)
     # the sample's ECF calls the kernel too, once per coordinate, before the fit
     ctx = ContrastContext.from_sample(s, EvalGrid.build(dim=2))
     monkeypatch.setattr(charfn_mod, "bessel_rows", counting_series)
-    monkeypatch.setattr(est_mod, "contrast_residual", counting_residual)
+    per_radius(monkeypatch, counting_residual)
     rep = fit_joint(s, ctx=ctx)
-    # one call for the whole audit, whose evaluation also serves the
-    # descent's first probe at the best audit radius, then one per later probe
+    # one call for the whole audit, then one per descent probe, the first,
+    # at the best audit radius, included
     assert len(probes) == rep.iterations
-    assert len(series) == rep.iterations - AUDIT_POINTS
+    assert len(series) == 1 + (rep.iterations - AUDIT_POINTS)
     assert set(series) == {FitConfig().k_cutoff}
     again = fit_joint(s)
     assert (again.r_hat, again.contrast_value, again.iterations) == (rep.r_hat, rep.contrast_value, rep.iterations)
@@ -763,17 +791,13 @@ def test_default_joint_fit_runs_one_series_call_per_probe(monkeypatch):
 
 def record_probes(monkeypatch):
     """Record each probe's (density, radius, logged value) as the fit's log computes it."""
-    import spheredeconv.estimators as est_mod
-
     probes = []
-    real = est_mod.contrast_residual
 
-    def recording(f, radius, ctx):
-        r = real(f, radius, ctx)
-        probes.append((f, radius, float(r @ r)))
-        return r
+    def recording(f, radius, row):
+        probes.append((f, radius, float(row @ row)))
+        return row
 
-    monkeypatch.setattr(est_mod, "contrast_residual", recording)
+    per_radius(monkeypatch, recording)
     return probes
 
 
@@ -870,10 +894,10 @@ def test_a_warm_fit_makes_no_audit_kernel_call(monkeypatch, known):
     ctx = ContrastContext.from_sample(s, grid)
     sizes = _audit_calls(monkeypatch, grid)
     rep = _fit(s, known, grid, ctx=ctx)
-    # descent probes alone call it, each on the grid's 153 distinct radii, all
-    # but the first, which the audit's kept evaluation serves
+    # descent probes alone call it, each on the grid's 153 distinct radii, the
+    # first, at an audit radius, included
     assert set(sizes) == {153} and rep.iterations > AUDIT_POINTS
-    assert len(sizes) == rep.iterations - AUDIT_POINTS - 1
+    assert len(sizes) == rep.iterations - AUDIT_POINTS
 
 
 @pytest.mark.parametrize(
@@ -897,11 +921,12 @@ def test_another_audit_misses_the_store_and_is_the_cold_fit(monkeypatch, known, 
 def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
     import spheredeconv.charfn as charfn_mod
 
-    passes = []
+    passes, derivatives = [], []
     real_pass = charfn_mod._psi_quadrature
 
     def recording(f, radius, pts, d_radius=None):
         passes.append(radius)
+        derivatives.append(d_radius is not None)
         return real_pass(f, radius, pts, d_radius=d_radius)
 
     s = generate(D3_SCENARIO, 300, seed=1)
@@ -912,6 +937,8 @@ def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
     fit_radius_known_density(s, D3_SCENARIO.density, cfg, grid)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
     assert passes[:AUDIT_POINTS] == list(audit)
+    # the audit takes no dPsi/dR; the descent's one probe, at an audit radius, does
+    assert derivatives == [False] * AUDIT_POINTS + [True]
     monkeypatch.undo()
     # the values a context holding each radius alone computes
     fresh = ContrastContext.from_sample(s, grid)
@@ -934,19 +961,20 @@ def test_jacobian_away_from_the_latest_probe_probes_first(monkeypatch):
         seen["away"] = away
 
     probes = []
-    real = est_mod.contrast_residual
 
-    def recording(f, radius, ctx):
-        probes.append((f, radius, ctx))
-        return real(f, radius, ctx)
+    def recording(f, radius, row):
+        probes.append((f, radius))
+        return row
 
     monkeypatch.setattr(est_mod, "minimize", one_step)
-    monkeypatch.setattr(est_mod, "contrast_residual", recording)
+    per_radius(monkeypatch, recording)
     cfg = FitConfig(restarts=1, k_cutoff=1)
-    rep = fit_joint(generate(scenario(1), 200, seed=8), cfg)
+    s = generate(scenario(1), 200, seed=8)
+    ctx = ContrastContext.from_sample(s, EvalGrid.build())
+    rep = fit_joint(s, cfg, ctx=ctx)
     assert rep.iterations == len(probes) == AUDIT_POINTS + 2
     assert (seen["probed"], seen["probed_again"]) == (1, 0)
-    f, radius, ctx = probes[-1]
+    f, radius = probes[-1]
     assert radius == seen["away"][0]
     assert np.array_equal(seen["jac"], contrast_jacobian(f, radius, ctx))
     assert np.array_equal(seen["at_probe"], seen["jac"])
