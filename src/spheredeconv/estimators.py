@@ -56,7 +56,7 @@ class FitConfig:
     the joint fit finds R = 3 up to r_max = 50, not at r_max = 100, and
     returns r_hat ~ 1e6 at r_max = 1e6.
     k_cutoff is the Fourier cutoff K of the joint fit's density; restarts
-    caps the number of audit basins the joint fit descends from (see
+    caps the number of audit basins each fit descends from (see
     _scan_and_descend; at most AUDIT_POINTS), and max_iters caps every
     descent's residual evaluations, in both fits.
     Integer-valued floats are stored as ints.  Every value it refuses is
@@ -511,8 +511,8 @@ def fit_radius_known_density(
 ) -> EstimateReport:
     """Estimate the radius with the angular density held at f_star.
 
-    Runs _scan_and_descend in R alone, the density fixed: one descent from
-    the best audit radius (the leftmost on ties).  Every contrast
+    Runs _scan_and_descend in R alone, the density fixed: one descent per
+    audit basin, at most cfg.restarts of them, as in fit_joint.  Every contrast
     evaluation is logged and the best probed radius is returned, ties
     breaking towards the smaller radius.  A circle callable is fitted and
     reported in its fourier_form, which may refuse it with ConfigError
@@ -527,4 +527,4 @@ def fit_radius_known_density(
     f_star = fourier_form(f_star)
     ctx = ctx or ContrastContext.from_sample(data, grid or default_grid(data.shape[1]))
     log = _ProbeLog(data, ctx, getattr(sample, "seed", None), t_start)
-    return _scan_and_descend(log, cfg, lambda half: f_star, 1)
+    return _scan_and_descend(log, cfg, lambda half: f_star, cfg.restarts)

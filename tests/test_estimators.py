@@ -361,17 +361,17 @@ def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
     cfg = FitConfig(restarts=3, k_cutoff=1)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
     s = generate(scenario(1), 400, seed=2)
-    fits = ((lambda: fit_joint(s, cfg), 3, 3), (lambda: fit_radius_known_density(s, uniform_density(), cfg), 1, 1))
-    for fit, cap, size in fits:
+    fits = ((lambda: fit_joint(s, cfg), 3), (lambda: fit_radius_known_density(s, uniform_density(), cfg), 1))
+    for fit, size in fits:
         probes.clear()
         starts.clear()
         fit()
         assert [radius for _, radius in probes[:AUDIT_POINTS]] == list(audit)
-        basins = _basins([value for value, _ in probes[:AUDIT_POINTS]], cap)
+        basins = _basins([value for value, _ in probes[:AUDIT_POINTS]], cfg.restarts)
         assert [x0[0] for x0 in starts] == list(audit[basins])
         assert all(x0.size == size and not x0[1:].any() for x0 in starts)
-    # two audit radii tie at the minimum: the known fit descends from the
-    # leftmost, the joint fit from it and then from the other basin
+    # two audit radii tie at the minimum: both fits descend from the
+    # leftmost and then from the other basin
     nearest = lambda radius: min((audit[9], audit[5]), key=lambda a: abs(radius - a))  # noqa: E731
     tie = lambda f, radius, row: np.array([abs(radius - nearest(radius))])  # noqa: E731
     tie_jacobian = lambda f, radius, ctx, radius_only: np.array([[np.sign(radius - nearest(radius))]])  # noqa: E731
@@ -379,7 +379,7 @@ def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
     monkeypatch.setattr(est_mod, "contrast_jacobian", tie_jacobian)
     starts.clear()
     rep = fit_radius_known_density(s, uniform_density(), cfg)
-    assert [x0[0] for x0 in starts] == [audit[5]]
+    assert [x0[0] for x0 in starts] == [audit[5], audit[9]]
     assert (rep.r_hat, rep.contrast_value) == (audit[5], 0.0)
     starts.clear()
     rep = fit_joint(s, FitConfig(restarts=3, k_cutoff=0))
@@ -560,6 +560,15 @@ def test_known_density_fit_recovers_the_radius_in_three_dimensions():
     assert abs(rep.r_hat - D3_SCENARIO.r_star) <= 0.01
     assert np.array_equal(rep.f_hat_coeffs, np.array([1.0 + 0.0j]))
     assert rep.iterations > AUDIT_POINTS
+
+
+def test_known_density_fit_descends_every_audit_basin():
+    # this sample's audit profile has two basins on 3 nodes per axis; the
+    # best audit radius descends to r_hat = 8.996, the other basin to the
+    # lower contrast near R = 2
+    s = generate(D3_SCENARIO, 300, seed=2)
+    rep = fit_radius_known_density(s, D3_SCENARIO.density, grid=EvalGrid.build(dim=3, nodes_per_axis=3))
+    assert abs(rep.r_hat - D3_SCENARIO.r_star) <= 0.05
 
 
 # ---------------------------------------------------------------- radius window
@@ -937,8 +946,10 @@ def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
     fit_radius_known_density(s, D3_SCENARIO.density, cfg, grid)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
     assert passes[:AUDIT_POINTS] == list(audit)
-    # the audit takes no dPsi/dR; the descent's one probe, at an audit radius, does
-    assert derivatives == [False] * AUDIT_POINTS + [True]
+    # the audit takes no dPsi/dR; each descent's one probe, at an audit radius, does
+    descents = _basins([value for _, _, value in probes[:AUDIT_POINTS]], cfg.restarts)
+    assert len(descents) > 1
+    assert derivatives == [False] * AUDIT_POINTS + [True] * len(descents)
     monkeypatch.undo()
     # the values a context holding each radius alone computes
     fresh = ContrastContext.from_sample(s, grid)
