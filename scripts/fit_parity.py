@@ -1,6 +1,6 @@
 """Print the fit-parity hashes and per-fit values of the checkout this script sits in.
 
-    python3 scripts/fit_parity.py
+    python3 scripts/fit_parity.py [--against FILE]
 
 Runs fit_joint and fit_radius_known_density (the scenario's true density)
 at the default FitConfig on scenarios 1-4, n in {300, 1e3, 1e4}, seeds 0-1,
@@ -18,10 +18,18 @@ on the 2-sphere, isotropic noise 0.3, R = 2, n = 300, seeds 0-1, on a
 checkouts whose lines agree fit bit for bit alike on these inputs; where
 they differ, diffing the per-fit lines sizes the move of each fit and its
 change in probes.
+
+With --against FILE, a saved output of this script, it prints instead how
+this checkout's fits differ from that run's: the largest |delta r_hat| and
+relative |delta contrast_value| over the fits both name, each fit whose
+probe count changed, each hash line that differs and each fit only one of
+the two names.
 """
 
+import argparse
 import hashlib
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -84,25 +92,77 @@ def field_bytes(report, name: str) -> bytes:
     return np.ascontiguousarray(value, dtype=complex if name == "f_hat_coeffs" else float).tobytes()
 
 
-def main() -> None:
+def parity_lines():
+    """The script's output, line by line."""
     per_field = {name: hashlib.sha256() for name in FIELDS}
     fits = list(fit_reports())
     for _, report in fits:
         for name in FIELDS:
             per_field[name].update(field_bytes(report, name))
-    print(f"fits {len(fits)} {fits_hash(fits)}")
+    yield f"fits {len(fits)} {fits_hash(fits)}"
     for name in FIELDS:
-        print(f"  {name} {per_field[name].hexdigest()}")
+        yield f"  {name} {per_field[name].hexdigest()}"
     for seed in (1, 2, 3):
         spec = sd.BenchSpec(4, n_values=(10_000,), replications=2, mode="both", base_seed=seed,
                             fit_overrides={"restarts": 2})
-        print(f"sweep_s4 seed {seed} {sd.determinism_hash(sd.run_bench(spec))}")
+        yield f"sweep_s4 seed {seed} {sd.determinism_hash(sd.run_bench(spec))}"
     for label, report in fits:
-        print(per_fit_line(label, report))
+        yield per_fit_line(label, report)
     d3 = list(d3_reports())
-    print(f"d3 fits {len(d3)} {fits_hash(d3)}")
+    yield f"d3 fits {len(d3)} {fits_hash(d3)}"
     for label, report in d3:
-        print(per_fit_line(label, report))
+        yield per_fit_line(label, report)
+
+
+PER_FIT = re.compile(r"(.+) r_hat (\S+) contrast (\S+) iterations (\d+)")
+
+
+def split_lines(lines):
+    """{label: (r_hat, contrast_value, iterations)} of the per-fit lines, and
+    {name: hash} of the others, named by all their words but the last."""
+    fits, hashes = {}, {}
+    for line in lines:
+        match = PER_FIT.fullmatch(line.strip())
+        if match:
+            label, r_hat, contrast, probes = match.groups()
+            fits[label] = (float.fromhex(r_hat), float.fromhex(contrast), int(probes))
+        elif line.strip():
+            *name, value = line.split()
+            hashes[" ".join(name)] = value
+    return fits, hashes
+
+
+def compare(saved, current) -> list[str]:
+    """How the current lines differ from the saved ones."""
+    (old_fits, old_hashes), (new_fits, new_hashes) = split_lines(saved), split_lines(current)
+    both = [label for label in new_fits if label in old_fits]
+    out = [f"{len(both)} fits in both runs"]
+    if both:
+        dr = {label: abs(new_fits[label][0] - old_fits[label][0]) for label in both}
+        dc = {label: abs(new_fits[label][1] - old_fits[label][1]) / abs(old_fits[label][1] or 1.0) for label in both}
+        worst_r, worst_c = max(dr, key=dr.get), max(dc, key=dc.get)
+        out.append(f"max |delta r_hat| {dr[worst_r]:.3g} ({worst_r})")
+        out.append(f"max relative |delta contrast| {dc[worst_c]:.3g} ({worst_c})")
+    moved = [label for label in both if new_fits[label][2] != old_fits[label][2]]
+    out.append(f"probe counts changed on {len(moved)} fits")
+    out += [f"  {label}: {old_fits[label][2]} -> {new_fits[label][2]}" for label in moved]
+    out += [f"hash {name}: {old_hashes.get(name)} -> {new_hashes.get(name)}"
+            for name in sorted(set(old_hashes) | set(new_hashes)) if old_hashes.get(name) != new_hashes.get(name)]
+    out += [f"only in the saved run: {label}" for label in old_fits if label not in new_fits]
+    out += [f"only in this run: {label}" for label in new_fits if label not in old_fits]
+    return out
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE", help="a saved output of this script to compare with")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for line in parity_lines():
+            print(line, flush=True)
+        return
+    with open(args.against) as saved:
+        print("\n".join(compare(saved.read().splitlines(), list(parity_lines()))))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .bench import (
     read_rows,
     run_bench,
 )
-from .bessel import bessel_j
 from .charfn import EvalGrid, ecf, psi_model, psi_model_marginals
 from .contrast import ContrastContext, contrast_m_oracle, contrast_mn
 from .errors import ConfigError, NumericalError
@@ -82,7 +81,6 @@ __all__ = [
     "Sample",
     "Scenario",
     "TrigPolynomial",
-    "bessel_j",
     "contrast_m_oracle",
     "contrast_mn",
     "density_eval",

@@ -1,15 +1,16 @@
-"""Bessel functions of the first kind at nonnegative arguments, over scipy.special.
+"""Bessel functions of the first kind at nonnegative arguments.
 
 Everything downstream (model characteristic functions, contrast values)
-reduces to J_alpha evaluated at arguments x = r * R >= 0.  The
-public functions wrap scipy.special.jv.  The closed form's hot path asks
-for J_0..J_K at many points at once, which bessel_rows serves without jv:
-J_0 and J_1 from scipy.special.j0 and j1, higher orders by the forward
-three-term recurrence (DLMF 10.6.1) wherever x >= K, where it is stable
-(DLMF 10.74(iv)), and by Miller's backward recurrence at the points
-0 < x < K, normalised by J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4).  The
-order that recurrence starts from, negligible_order, also truncates the
-empirical characteristic function's Jacobi-Anger sums.
+reduces to J_p evaluated at arguments x = r * R >= 0, at integer orders.
+bessel_rows serves J_0..J_K at many points at once from recurrences alone:
+by Miller's backward recurrence (DLMF 10.74(iv)) at 0 < x < max(K, X_HANKEL),
+normalised by J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4), and at
+x >= max(K, X_HANKEL) by the forward three-term recurrence (DLMF 10.6.1),
+stable at orders p < x, from J_0 and J_1 by Hankel's expansion (DLMF
+10.17.3).  The order Miller's recurrence starts from, negligible_order, also
+truncates the empirical characteristic function's Jacobi-Anger sums.
+h_func, the ball-average kernel, takes the half-integer orders of odd d from
+scipy.special.jv, imported when it is called.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import j0, j1, jv
 
 
 # Miller's recurrence runs from J_{n+1} = 0, J_n = 1 at n = max(K + 1,
@@ -30,6 +30,23 @@ from scipy.special import j0, j1, jv
 _LOG_RANGE = 650.0
 _X_FLOOR = 1e-140
 _SMALLEST_POSITIVE = 5e-324
+# Hankel's expansion J_nu(x) = sqrt(2 / (pi x)) (P cos w - Q sin w),
+# w = x - nu pi / 2 - pi / 4, with P = sum_k (-1)^k a_2k(nu) / x^2k and
+# Q = sum_k (-1)^k a_2k+1(nu) / x^(2k+1), a_k(nu) = prod_{j <= k}
+# (4 nu^2 - (2j - 1)^2) / (k! 8^k) (DLMF 10.17.1-3), in _HANKEL_TERMS terms
+# each at every x >= X_HANKEL: the first term left out, which bounds the
+# remainder (DLMF 10.17(iii)), is below 4.3e-18 at x = X_HANKEL.
+X_HANKEL = 25.0
+_HANKEL_TERMS = 10
+
+
+# the coefficients (-1)^floor(k/2) a_k of P and of Q of J_0, then of J_1, in
+# powers of 1 / x^2, highest first (for Horner's rule), Q's without its 1 / x
+_HANKEL = np.array([
+    [(-1) ** (k // 2) * math.prod(4 * nu * nu - (2 * j - 1) ** 2 for j in range(1, k + 1)) / (math.factorial(k) * 8**k)
+     for k in range(2 * _HANKEL_TERMS - 2 + odd, -1, -2)]
+    for nu in (0, 1) for odd in (0, 1)
+])
 
 
 def negligible_order(x):
@@ -43,14 +60,15 @@ def negligible_order(x):
 
 
 def _miller_rows(top: int, x: np.ndarray) -> np.ndarray:
-    """J_0..J_top (rows) at the ascending points 0 < x < top (columns) by
-    backward recurrence, normalised by J_0 + 2 sum_k J_2k = 1.
+    """J_0..J_top (rows) at the ascending points x > 0 (columns) by backward
+    recurrence, normalised by J_0 + 2 sum_k J_2k = 1.
 
     Each point starts at its own order n: when the pass reaches n, J_n is
     set to 1 at the points that start there, whose J_{n+1} is still zero.
     n does not fall as x grows, so those points are a slice of the columns,
-    and one pass of two ufunc calls per order serves every start.  A point's
-    rows depend on its x alone, and its values stay below
+    and one pass of four ufunc calls per order serves every start, with the
+    Neumann sum running from the highest order down.  A point's rows
+    depend on its x alone, and its values stay below
     prod_{q <= n} (1 + 2q / x), the bound n is held to.
     """
     if x[0] < _X_FLOOR:
@@ -63,77 +81,69 @@ def _miller_rows(top: int, x: np.ndarray) -> np.ndarray:
         growth = np.cumsum(np.logaddexp(0.0, np.log(2.0 * orders) - np.log(x)), axis=0)
         start = np.minimum(start, np.count_nonzero(growth <= _LOG_RANGE, axis=0))
     first = np.searchsorted(start, np.arange(n_max + 2)).tolist()  # first column with start >= q
-    coef = np.divide.outer(np.arange(0.0, 2.0 * n_max + 1.0, 2.0), x)  # coef[q] = 2q / x
-    vals = np.zeros((n_max + 2, x.size))
-    rows, coefs = list(vals), list(coef)
+    # the orders past top take turns in three rows; the columns that have not
+    # started yet stay zero, as (2q / x) 0 - 0 = 0
+    vals, spare, neumann = np.zeros((top + 1, x.size)), np.zeros((3, x.size)), np.zeros(x.size)
+    rows = [vals[q] if q <= top else spare[q % 3] for q in range(n_max + 2)]
     for q in range(n_max, 0, -1):
         if first[q] < first[q + 1]:
             rows[q][first[q] : first[q + 1]] = 1.0
-        np.multiply(coefs[q], rows[q], out=rows[q - 1])
-        rows[q - 1] -= rows[q + 1]
-    # a running sum, not a reduction, which numpy may pair up differently for one column
-    neumann = np.cumsum(vals[2::2], axis=0)[-1]
+        below = np.divide(2.0 * q, x, out=rows[q - 1])
+        below *= rows[q]
+        below -= rows[q + 1]
+        if q % 2 and q > 1:
+            neumann += below
     neumann *= 2.0
     neumann += vals[0]
-    return np.divide(vals[: top + 1], neumann, out=vals[: top + 1])
+    return np.divide(vals, neumann, out=vals)
+
+
+def _hankel_j0_j1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_0 and J_1 at the points x >= X_HANKEL by Hankel's expansion, with
+    cos w and sin w from cos x and sin x: at nu = 0, sqrt(2) cos w = cos x + sin x
+    and sqrt(2) sin w = sin x - cos x; at nu = 1 those are sin x - cos x and
+    -(cos x + sin x)."""
+    inv_sq = 1.0 / (x * x)
+    series = np.zeros((4, x.size))
+    for coefficient in _HANKEL.T:
+        series *= inv_sq
+        series += coefficient[:, None]
+    p0, q0, p1, q1 = series
+    q0 /= x
+    q1 /= x
+    cos, sin = np.cos(x), np.sin(x)
+    plus, minus = cos + sin, sin - cos
+    scale = 1.0 / np.sqrt(np.pi * x)
+    return scale * (p0 * plus - q0 * minus), scale * (p1 * minus + q1 * plus)
 
 
 def bessel_rows(k_cut: int, x: np.ndarray) -> np.ndarray:
     """J_p(x) for p = 0..max(k_cut, 1) (rows) at the points x >= 0 (columns).
 
-    The points are taken in ascending order.  Rows 2.. are zero at x = 0,
-    come from _miller_rows at 0 < x < max(k_cut, 1), and follow
-    J_{p+1} = (2p / x) J_p - J_{p-1} at x >= max(k_cut, 1): the forward
-    recurrence then only runs at orders p < x, where it is stable.  Each
-    column depends on its own x alone.
+    The points are taken in ascending order.  Rows 1.. are zero at x = 0,
+    come from _miller_rows at 0 < x < max(k_cut, 1, X_HANKEL), and at
+    larger x follow J_{p+1} = (2p / x) J_p - J_{p-1} from Hankel's J_0 and
+    J_1: the forward recurrence then only runs at orders p < x, where it is
+    stable.  Each column depends on its own x alone.
     """
     top = max(int(k_cut), 1)
     order = np.argsort(x, kind="stable")
     ascending = x[order]
-    rows = np.empty((top + 1, x.size))
-    j0(ascending, out=rows[0])
-    j1(ascending, out=rows[1])
-    if top > 1:
-        # the first positive point and the first at or past top
-        lo, hi = np.searchsorted(ascending, (_SMALLEST_POSITIVE, top)).tolist()
-        rows[2:, :lo] = 0.0
-        if lo < hi:
-            rows[2:, lo:hi] = _miller_rows(top, ascending[lo:hi])[2:]
-        if hi < x.size:
-            far, two_over_x = list(rows[:, hi:]), 2.0 / ascending[hi:]
-            for p in range(1, top):
-                np.multiply(two_over_x, p * far[p], out=far[p + 1])
-                far[p + 1] -= far[p - 1]
+    rows = np.zeros((top + 1, x.size))
+    # the first positive point and the first the forward recurrence takes
+    lo, hi = np.searchsorted(ascending, (_SMALLEST_POSITIVE, max(top, X_HANKEL))).tolist()
+    rows[0, :lo] = 1.0
+    if lo < hi:
+        rows[:, lo:hi] = _miller_rows(top, ascending[lo:hi])
+    if hi < x.size:
+        far, two_over_x = list(rows[:, hi:]), 2.0 / ascending[hi:]
+        far[0][:], far[1][:] = _hankel_j0_j1(ascending[hi:])
+        for p in range(1, top):
+            np.multiply(two_over_x, p * far[p], out=far[p + 1])
+            far[p + 1] -= far[p - 1]
     out = np.empty_like(rows)
     out[:, order] = rows
     return out
-
-
-def _check_range(xv: np.ndarray) -> None:
-    if not np.all(np.isfinite(xv)):
-        raise ValueError("x must be finite")
-    if xv.size and xv.min() < 0.0:
-        raise ValueError(f"x must be nonnegative, got {xv.min():g}")
-
-
-def bessel_j(order: float, x):
-    """J_order(x) for order >= 0 and finite x >= 0.
-
-    Vectorized over x; returns a float for scalar input.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0; use bessel_j_int for signed integer orders")
-    x_arr = np.asarray(x, dtype=float)
-    _check_range(x_arr)
-    out = jv(float(order), x_arr)
-    return float(out) if x_arr.ndim == 0 else out
-
-
-def bessel_j_int(k: int, x):
-    """J_k(x) for any signed integer order, via J_{-k} = (-1)^k J_k."""
-    kk = int(k)
-    val = bessel_j(abs(kk), x)
-    return -val if kk < 0 and kk % 2 != 0 else val
 
 
 def h_func(d: int, x):
@@ -142,30 +152,14 @@ def h_func(d: int, x):
     H(0) = 1 / (2^{d/2} Gamma(d/2 + 1)).  H is the angular average of the
     plane wave over the unit sphere in R^d, up to the constant 2^{d/2}.
     """
+    from scipy.special import jv
+
     if int(d) != d or d < 2:
         raise ValueError("d must be an integer >= 2")
     half_d = 0.5 * d
     x_arr = np.asarray(x, dtype=float)
-    _check_range(x_arr)
+    if not np.all((0.0 <= x_arr) & (x_arr < math.inf)):
+        raise ValueError("x must be finite and nonnegative")
     out = np.full(x_arr.shape, 1.0 / (2.0**half_d * math.gamma(half_d + 1.0)))
     np.divide(jv(half_d, x_arr), x_arr**half_d, out=out, where=x_arr > 0.0)
     return float(out) if x_arr.ndim == 0 else out
-
-
-def jacobi_anger(z: float, theta: float, k_max: int) -> complex:
-    """Partial sum sum_{|k| <= k_max} i^k J_k(z) exp(-i k theta).
-
-    Approximates exp(i z cos theta); pairs of opposite orders collapse to
-    J_0(z) + 2 sum_{k>=1} i^k J_k(z) cos(k theta).  z is finite and may be
-    negative (handled through J_k(-z) = (-1)^k J_k(z)).
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    zz = abs(float(z))
-    _check_range(np.array([zz]))
-    jvals = jv(np.arange(k_max + 1.0), zz)
-    if z < 0:
-        jvals[1::2] *= -1.0
-    ks = np.arange(1, k_max + 1)
-    total = jvals[0] + 2.0 * np.sum(1j**ks * jvals[1:] * np.cos(ks * float(theta)))
-    return complex(total)

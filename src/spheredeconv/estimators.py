@@ -421,13 +421,13 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int) -> np.ndarray:
     return x
 
 
-def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cut: int = 0) -> EstimateReport:
+def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, k_cut: int = 0) -> EstimateReport:
     """The fit skeleton: probe AUDIT_POINTS radii evenly over [r_min, r_max]
     with k_cut coefficients at zero, in one residual batch on the audit's
     density density(zeros) (on the closed form one Bessel kernel call, which
     the grid keeps among its latest few, EvalGrid.kept_psi), and rank them by
     value (stable, so ties go to the smaller radius).  Then descend once per
-    basin of that audit profile, best first, at most starts times: from the
+    basin of that audit profile, best first, at most cfg.restarts times: from the
     best audit radius, then from each interior strict local minimum (both
     neighbours strictly higher).  An endpoint gets a descent only as the
     best audit radius.  Each descent makes at most cfg.max_iters residual
@@ -462,7 +462,7 @@ def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, starts: int, k_cu
     basin = np.zeros(AUDIT_POINTS, dtype=bool)
     basin[1:-1] = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
     basin[ranked[0]] = True
-    for i in ranked[basin[ranked]][:starts]:
+    for i in ranked[basin[ranked]][: cfg.restarts]:
         minimize(residual, jacobian, _pack(audit[i], zeros), cfg.max_iters)
     return log.report()
 
@@ -498,7 +498,7 @@ def fit_joint(
     _check_context(grid, ctx)
     ctx = ctx or ContrastContext.from_sample(data, grid or default_grid(2))
     log = _ProbeLog(data, ctx, getattr(sample, "seed", None), t_start)
-    return _scan_and_descend(log, cfg, FourierDensity.from_half, cfg.restarts, cfg.k_cutoff)
+    return _scan_and_descend(log, cfg, FourierDensity.from_half, cfg.k_cutoff)
 
 
 def fit_radius_known_density(
@@ -527,4 +527,4 @@ def fit_radius_known_density(
     f_star = fourier_form(f_star)
     ctx = ctx or ContrastContext.from_sample(data, grid or default_grid(data.shape[1]))
     log = _ProbeLog(data, ctx, getattr(sample, "seed", None), t_start)
-    return _scan_and_descend(log, cfg, lambda half: f_star, cfg.restarts)
+    return _scan_and_descend(log, cfg, lambda half: f_star)

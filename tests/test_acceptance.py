@@ -14,9 +14,10 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from spheredeconv.bench import BenchSpec, rate_regression, run_bench
-from spheredeconv.bessel import bessel_j, bessel_j_int, h_func, jacobi_anger
+from spheredeconv.bessel import bessel_rows, h_func
 from spheredeconv.cli import main as cli_main
 from spheredeconv.contrast import contrast_m_oracle
 from spheredeconv.estimators import fit_joint, fit_radius_known_density
@@ -54,36 +55,49 @@ def verdict(num, desc):
     _console(f"[PASS] acceptance {num:>2}: {desc}")
 
 
+def _plane_wave(z, theta, k_max):
+    """sum_{|k| <= k_max} i^k J_k(z) exp(-i k theta) from bessel_rows, as
+    J_0(|z|) + 2 sum_{k>=1} i^k J_k(z) cos(k theta), J_k(-z) = (-1)^k J_k(z)."""
+    rows = bessel_rows(k_max, np.array([abs(z)]))[:, 0]
+    ks = np.arange(1, k_max + 1)
+    signs = (-1.0) ** ks if z < 0 else 1.0
+    return rows[0] + 2.0 * np.sum(1j**ks * signs * rows[1:] * np.cos(ks * theta))
+
+
 def test_acceptance_01_bessel_identity_suite():
     with verdict(1, "Bessel identity suite (parity, expansion, Lipschitz, recurrence, bounds)"):
         t0 = time.perf_counter()
         xs = np.linspace(0.05, 12.0, 120)
+        rows = bessel_rows(8, xs)
 
-        # negative-order parity
+        # negative-order parity, against jv at the negative order
         for k in range(1, 9):
-            assert np.max(np.abs(bessel_j_int(-k, xs) - (-1.0) ** k * bessel_j_int(k, xs))) <= 1e-9
+            assert np.max(np.abs(sp.jv(-k, xs) - (-1.0) ** k * rows[k])) <= 1e-9
 
         # plane-wave expansion, spot check (the dedicated criterion below is larger)
         rng = np.random.default_rng(101)
         for z, theta in zip(rng.uniform(0, 5, 100), rng.uniform(0, 2 * np.pi, 100)):
-            assert abs(jacobi_anger(z, theta, 40) - np.exp(1j * z * np.cos(theta))) <= 1e-10
+            assert abs(_plane_wave(z, theta, 40) - np.exp(1j * z * np.cos(theta))) <= 1e-10
 
         # unit Lipschitz bound in the argument
         pairs = rng.uniform(0.01, 12.0, (500, 2))
-        for k in range(7):
-            gap = np.abs(bessel_j_int(k, pairs[:, 0]) - bessel_j_int(k, pairs[:, 1]))
-            assert np.max(gap - np.abs(pairs[:, 0] - pairs[:, 1])) <= 1e-12
+        gap = np.abs(bessel_rows(6, pairs[:, 0]) - bessel_rows(6, pairs[:, 1]))
+        assert np.max(gap - np.abs(pairs[:, 0] - pairs[:, 1])) <= 1e-12
 
         # three-term recurrence
         for alpha in range(1, 8):
-            resid = bessel_j(alpha + 1, xs) - (2.0 * alpha / xs) * bessel_j(alpha, xs) + bessel_j(alpha - 1, xs)
+            resid = rows[alpha + 1] - (2.0 * alpha / xs) * rows[alpha] + rows[alpha - 1]
             assert np.max(np.abs(resid)) <= 1e-9
 
-        # small-argument lower bound, fractional orders included
+        # small-argument lower bound, fractional orders included: 1.5 as
+        # x^1.5 h_func(3, x), and 0.5 (h_func's d = 1, which it refuses) from jv
         small = np.linspace(0.0, 0.999, 200)
+        small_rows = bessel_rows(3, small)
+        fractional = {0.5: sp.jv(0.5, small), 1.5: small**1.5 * h_func(3, small)}
         for alpha in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
+            vals = fractional.get(alpha, small_rows[int(alpha)])
             bound = (small / 2.0) ** alpha / math.gamma(alpha + 1.0) * (1.0 - small**2 / (4.0 * (alpha + 1.0)))
-            assert np.min(bessel_j(alpha, small) - bound) >= -1e-12
+            assert np.min(vals - bound) >= -1e-12
 
         # weighted square-integral lower bound
         radius, nu, level = 3.0, 0.3, 3
@@ -91,8 +105,9 @@ def test_acceptance_01_bessel_identity_suite():
             (level + 1) * 4.0**level * math.factorial(level) ** 2
         )
         grid = np.linspace(0.0, nu, 20_001)
+        grid_rows = bessel_rows(level, grid * radius)
         for k in range(level + 1):
-            integral = np.trapezoid(grid * bessel_j_int(k, grid * radius) ** 2, grid)
+            integral = np.trapezoid(grid * grid_rows[k] ** 2, grid)
             assert integral >= floor
 
         # derivative of the ball-average kernel
@@ -100,7 +115,7 @@ def test_acceptance_01_bessel_identity_suite():
         for dim in (2, 3):
             pts = np.linspace(0.5, 10.0, 40)
             numeric = (h_func(dim, pts + step) - h_func(dim, pts - step)) / (2.0 * step)
-            exact = -bessel_j(dim / 2.0 + 1.0, pts) / pts ** (dim / 2.0)
+            exact = -sp.jv(dim / 2.0 + 1.0, pts) / pts ** (dim / 2.0)
             assert np.max(np.abs(numeric - exact)) <= 1e-6
 
         # ball-average series identity
@@ -123,7 +138,7 @@ def test_acceptance_02_jacobi_anger_truncation():
         zs = rng.uniform(-5.0, 5.0, 1000)
         thetas = rng.uniform(0.0, 2.0 * np.pi, 1000)
         worst = max(
-            abs(jacobi_anger(z, th, 40) - np.exp(1j * z * np.cos(th)))
+            abs(_plane_wave(z, th, 40) - np.exp(1j * z * np.cos(th)))
             for z, th in zip(zs, thetas)
         )
         assert worst <= 1e-10
@@ -150,7 +165,7 @@ def test_acceptance_03_closed_form_vs_quadrature():
             radius = rng.uniform(0.5, 8.0)
             t = rng.uniform(-1.5, 1.5, 2)
             val = psi_model(uniform, radius, t)
-            assert abs(val - bessel_j(0, radius * np.hypot(*t))) <= 1e-10
+            assert abs(val - sp.j0(radius * np.hypot(*t))) <= 1e-10
 
 
 def test_acceptance_04_population_contrast_identifiability():

@@ -11,7 +11,7 @@ import pytest
 import scipy.special as sp
 from numpy.polynomial.legendre import leggauss
 
-from spheredeconv.bessel import bessel_j, bessel_j_int, negligible_order
+from spheredeconv.bessel import negligible_order
 from spheredeconv.charfn import (
     _WINDOW,
     EvalGrid,
@@ -273,7 +273,7 @@ class TestEcf:
         g = EvalGrid.build(nodes_per_axis=17, nu_est=1.0)
         scn = scenario(1)
         t = g.points()
-        product = bessel_j(0, scn.r_star * np.linalg.norm(t, axis=1)) * scn.noise.char_fn(t)
+        product = sp.j0(scn.r_star * np.linalg.norm(t, axis=1)) * scn.noise.char_fn(t)
         bound = 5.0 / np.sqrt(n) * (1.0 + np.sqrt(2.0) * g.nu_est)
         for seed in range(20):
             full = ecf(generate(scn, n, seed).data, g)[2]
@@ -446,7 +446,7 @@ class TestPsiModel:
         g = EvalGrid.build(nodes_per_axis=17, nu_est=1.0)
         t = g.points()
         vals = psi_model(uniform_density(1), 3.0, t)
-        want = bessel_j(0, 3.0 * np.linalg.norm(t, axis=1))
+        want = sp.j0(3.0 * np.linalg.norm(t, axis=1))
         assert np.max(np.abs(vals - want)) < 1e-12
         assert np.max(np.abs(vals - sp.j0(3.0 * np.linalg.norm(t, axis=1)))) < 1e-10
 
@@ -475,7 +475,7 @@ class TestPsiModel:
         f = FourierDensity.from_half([0.3 + 0.2j])
         radius, r = 2.0, 0.8
         got = psi_model(f, radius, np.array([r, 0.0]), method="closed")
-        want = bessel_j(0, r * radius) + 1j * bessel_j(1, r * radius) * 2.0 * 0.3
+        want = sp.j0(r * radius) + 1j * sp.j1(r * radius) * 2.0 * 0.3
         assert got == pytest.approx(want, abs=1e-13)
         quad = psi_model(f, radius, np.array([r, 0.0]), method="quadrature")
         assert got == pytest.approx(quad, abs=1e-10)
@@ -505,7 +505,7 @@ class TestPsiModel:
             lhs = np.mean(np.abs(vals) ** 2)
             ks = np.arange(-f.cutoff, f.cutoff + 1)
             rhs = sum(
-                abs(f.coeffs[k + f.cutoff] * bessel_j_int(k, r * radius)) ** 2 for k in ks
+                abs(f.coeffs[k + f.cutoff] * sp.jv(k, r * radius)) ** 2 for k in ks
             )
             assert lhs == pytest.approx(rhs, abs=1e-8)
 

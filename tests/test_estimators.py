@@ -306,7 +306,7 @@ def test_known_density_fit_keeps_its_exact_radius_descent():
     assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9985643616769777, 0.00017344957472986065, 20)
     s = generate(scenario(4), 600, seed=5)
     rep = fit_radius_known_density(s, vonmises_like(), grid=EvalGrid.build(nodes_per_axis=17))
-    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9716510279247395, 0.00011760948167644118, 20)
+    assert (rep.r_hat, rep.contrast_value, rep.iterations) == (2.9716510279247395, 0.00011760948167644109, 20)
 
 
 def _basins(values, cap):
