@@ -14,7 +14,12 @@ n, seed, grid and fit, with r_hat.hex(), contrast_value.hex() and
 iterations (the fit's probes).  Last, the same for two d = 3 known fits
 (the d = 3 audit and descent off the closed form: a circle-cosine density
 on the 2-sphere, isotropic noise 0.3, R = 2, n = 300, seeds 0-1, on a
-3-node grid): one hash line over both, then one line per fit.  Two
+3-node grid): one hash line over both, then one line per fit.  Last, one
+line per fit the benchmark's fit workloads refit (perfbench/harness.py):
+joint_s1 (fit_joint, scenario 1, n = 1e4), known_s1_big
+(fit_radius_known_density, scenario 1, n = 1e6) and known_s4 (scenario 4,
+n = 1e4), each at seeds 1-3 on EvalGrid.build(dim=2, nodes_per_axis=33)
+with the default FitConfig.  Two
 checkouts whose lines agree fit bit for bit alike on these inputs; where
 they differ, diffing the per-fit lines sizes the move of each fit and its
 change in probes.
@@ -73,6 +78,24 @@ def d3_reports():
         yield f"d3 n=300 seed={seed} known", sd.fit_radius_known_density(sample, scn.density, grid=grid)
 
 
+# the benchmark's fit workloads: (name, fit, scenario, n)
+BENCH_FITS = (("joint_s1", "joint", 1, 10_000), ("known_s1_big", "known", 1, 1_000_000), ("known_s4", "known", 4, 10_000))
+
+
+def bench_reports():
+    """The benchmark workloads' fits at seeds 1-3, labelled by workload and seed."""
+    grid = sd.EvalGrid.build(dim=2, nodes_per_axis=33)
+    for name, kind, scenario_id, n in BENCH_FITS:
+        scn = sd.scenario(scenario_id)
+        for seed in (1, 2, 3):
+            sample = sd.generate(scn, n, seed)
+            if kind == "joint":
+                report = sd.fit_joint(sample, sd.FitConfig(), grid)
+            else:
+                report = sd.fit_radius_known_density(sample, scn.density, sd.FitConfig(), grid)
+            yield f"bench {name} seed={seed} {kind}", report
+
+
 def fits_hash(fits) -> str:
     total = hashlib.sha256()
     for _, report in fits:
@@ -111,6 +134,8 @@ def parity_lines():
     d3 = list(d3_reports())
     yield f"d3 fits {len(d3)} {fits_hash(d3)}"
     for label, report in d3:
+        yield per_fit_line(label, report)
+    for label, report in bench_reports():
         yield per_fit_line(label, report)
 
 

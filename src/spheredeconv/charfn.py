@@ -49,9 +49,9 @@ psi_model_grid returns, with Psi, what its derivatives need -- the closed
 form's Bessel rows and weights, or dPsi/dR from the same quadrature pass,
 which psi_model_marginals skips -- and psi_model_derivatives takes those,
 so the exact derivatives in (R, Re c_p, Im c_p) cost no kernel call or
-pass of their own.  Each evaluation has one keeper: a grid keeps the
-fits' audits, batches of a Fourier density (EvalGrid.kept_psi), and a
-fit's ContrastContext its latest single-radius probe.
+pass of their own.  A grid keeps the values of the fits' audits, batches
+of a Fourier density (EvalGrid.kept_psi); a descent probe keeps its own
+evaluation for its Jacobian (contrast.contrast_probe).
 
 Data side: the empirical characteristic function on the full grid, split
 like the model's, is one accumulator of exp(i <t, x - m>)
@@ -106,8 +106,8 @@ def bench_grid(dim: int = 2) -> "EvalGrid":
 
 
 # evaluations a grid keeps (EvalGrid.kept_psi): a sweep alternates two audits
-# per grid, the joint and the known fit's, and a K = 12 audit holds about
-# 1 MB of Bessel rows, so four serve two such sweeps at a few MB per grid
+# per grid, the joint and the known fit's, and a 16-radius audit's values on
+# the default grid take 0.14 MB, so four serve two such sweeps
 _KEPT_PSI = 4
 
 
@@ -128,12 +128,12 @@ class EvalGrid:
     axis-1 slice (t1, 0) is column m2 // 2 and the axis-2 slice (0, t2) the
     last row.
 
-    Kept once built: the points, a PolarTable per cutoff, and the
-    _KEPT_PSI latest used batch evaluations of a Fourier density, the fits'
-    audits (kept_psi), keyed on the cutoff and the bytes of the coefficients
-    and radii.  Nothing else is kept here: a descent probe (one radius) is
-    its ContrastContext's to keep, and an audit off the closed form is
-    evaluated afresh.
+    Kept once built: the points, a PolarTable per cutoff, and the Psi
+    values of the _KEPT_PSI latest used batch evaluations of a Fourier
+    density, the fits' audits (kept_psi), keyed on the cutoff and the bytes
+    of the coefficients and radii.  Nothing else is kept here: a descent
+    probe (one radius) keeps its own evaluation (contrast.contrast_probe),
+    and an audit off the closed form is evaluated afresh.
     """
 
     nu_est: float
@@ -197,19 +197,20 @@ class EvalGrid:
         return tables[k_cut]
 
     def kept_psi(self, f: FourierDensity, radii: np.ndarray) -> tuple:
-        """psi_model_grid(f, radii, self) from the grid's store, or computed,
-        made read-only and stored, the least recently used entry evicted."""
+        """psi_model_marginals(f, radii, self) from the grid's store, or
+        computed, made read-only and stored, the least recently used entry
+        evicted.  Only the values are kept, not the Bessel rows under them."""
         store = self.__dict__.setdefault("_kept_psi", {})
         key = (f.cutoff, f.coeffs.tobytes(), radii.tobytes())
-        evaluation = store.pop(key, None)
-        if evaluation is None:
-            evaluation = psi_model_grid(f, radii, self)
-            for array in (*evaluation[0], *evaluation[1]):
+        psi = store.pop(key, None)
+        if psi is None:
+            psi = psi_model_marginals(f, radii, self)
+            for array in psi:
                 array.flags.writeable = False
             if len(store) >= _KEPT_PSI:
                 del store[next(iter(store))]
-        store[key] = evaluation
-        return evaluation
+        store[key] = psi
+        return psi
 
 
 def _expi(phase: np.ndarray) -> np.ndarray:

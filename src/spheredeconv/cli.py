@@ -101,9 +101,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    # fit_joint takes d = 2 samples only, so the flags are checked before --input is read
+    try:
+        cfg, grid = FitConfig(r_min=args.rmin, r_max=args.rmax), default_grid(2, args.nu_est)
+    except ConfigError as exc:
+        raise ConfigError(f"--rmin {args.rmin:g} --rmax {args.rmax:g} --nu-est {args.nu_est:g}: {exc}") from exc
     sample = (load_sample_bin if args.input.endswith(".bin") else load_sample_csv)(args.input)
-    cfg = FitConfig(r_min=args.rmin, r_max=args.rmax)
-    report = fit_joint(sample, cfg, default_grid(sample.dim, args.nu_est))
+    report = fit_joint(sample, cfg, grid)
     payload = json.loads(report.to_json())
     payload["nu_est"] = args.nu_est
     with open(args.out, "w") as handle:

@@ -13,9 +13,10 @@ empirical contrast integrates the squared modulus of this quantity over
 the frequency box; the population version replaces the ECF by the true
 product and weights by |Phi_eps|^2.  Either quadrature is the squared norm
 of one weighted residual vector (_combine), which is what the estimators
-minimize by least squares; contrast_jacobian gives that residual's exact
-Jacobian through _combine's linearisation, from the same model evaluation
-as the residual at that point.
+minimize by least squares.  A descent probe (contrast_probe) returns that
+residual together with its exact Jacobian as a callable, through
+_combine's linearisation, from the one model evaluation both share; the
+context holds only what every evaluation on the sample reuses.
 """
 
 from __future__ import annotations
@@ -40,16 +41,14 @@ class ContrastContext:
     """Grid plus the sample's ECF triple ref, reused across many evaluations,
     with what every residual reuses: the grid's weights' roots
     root_weights = sqrt(w1_i w2_j) and the ECF marginals' product
-    ref_outer = ref1 ref2^T.  Also the latest single-radius psi_model_grid
-    evaluation, a fit's latest probe, kept for its (density object, radius)
-    so that the Jacobian there reads it; the fits' audits are the grid's to
-    keep (EvalGrid.kept_psi)."""
+    ref_outer = ref1 ref2^T.  It keeps no evaluation: a fit's audits are
+    the grid's to keep (EvalGrid.kept_psi), and a descent probe's its own
+    (contrast_probe)."""
 
     grid: EvalGrid
     ref: tuple
     root_weights: np.ndarray = field(init=False, repr=False)
     ref_outer: np.ndarray = field(init=False, repr=False)
-    _latest: tuple = field(default=(None, None, None), init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.root_weights = np.sqrt(np.multiply.outer(self.grid.axis1_weights, self.grid.axis2_weights))
@@ -58,13 +57,6 @@ class ContrastContext:
     @classmethod
     def from_sample(cls, sample, grid: EvalGrid) -> "ContrastContext":
         return cls(grid, ecf(sample, grid))
-
-    def psi(self, f: AngleDensity, radius: float) -> tuple:
-        """psi_model_grid(f, radius, self.grid), served from the kept evaluation
-        when it had this f and radius, else evaluated and kept in its place."""
-        if self._latest[0] is not f or self._latest[1] != radius:
-            self._latest = (f, radius, psi_model_grid(f, radius, self.grid))
-        return self._latest[2]
 
 
 def _weighted(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -113,27 +105,33 @@ def contrast_residual(f: AngleDensity, radius, ctx: ContrastContext) -> np.ndarr
     radius, from one evaluation at all of them (a Fourier density's from
     the grid's store, EvalGrid.kept_psi; any other's without dPsi/dR) and
     one _combine call, each row equal, bit for bit, to the residual at that
-    radius alone.  A single radius is evaluated through ctx.psi.
+    radius alone.  A single radius is evaluated afresh.
     """
-    if np.ndim(radius) == 0:
-        psi = ctx.psi(f, radius)[0]
-    elif isinstance(f, FourierDensity):
-        psi = ctx.grid.kept_psi(f, np.asarray(radius, dtype=float))[0]
+    if np.ndim(radius) == 1 and isinstance(f, FourierDensity):
+        psi = ctx.grid.kept_psi(f, np.asarray(radius, dtype=float))
     else:
         psi = psi_model_marginals(f, radius, ctx.grid)
     return _combine(psi, ctx.ref_outer, ctx.ref[2], ctx.root_weights)
 
 
-def contrast_jacobian(f: AngleDensity, radius: float, ctx: ContrastContext, radius_only: bool = False) -> np.ndarray:
-    """Jacobian of contrast_residual in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
-    or in R alone when radius_only, shape (2 m1 m2, P), from the evaluation
-    contrast_residual(f, radius, ctx) made or shares.  Off the closed form only
-    dPsi/dR exists, and the coefficient columns are refused before any work."""
+def contrast_probe(f: AngleDensity, radius: float, ctx: ContrastContext, radius_only: bool = False) -> tuple:
+    """A descent probe: (contrast_residual(f, radius, ctx), jacobian), both from
+    one psi_model_grid evaluation.  jacobian() returns the residual's Jacobian
+    in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K), or in R alone when
+    radius_only, shape (2 m1 m2, P): it multiplies the Psi arrays the
+    residual compared, and derives only the derivative rows, from the
+    evaluation's Bessel rows or, off the closed form, its dPsi/dR.  Off the
+    closed form only dPsi/dR exists, and the coefficient columns are refused
+    before any work."""
     if not (radius_only or isinstance(f, FourierDensity)):
         raise ValueError("the coefficient columns need the closed form; pass radius_only=True for dPsi/dR")
-    psi, aux = ctx.psi(f, radius)
-    dpsi = psi_model_derivatives(f, radius, ctx.grid, aux, radius_only)
-    return _combine_jacobian(psi[:2], dpsi, ctx.ref_outer, ctx.ref[2], ctx.root_weights)
+    psi, aux = psi_model_grid(f, radius, ctx.grid)
+
+    def jacobian() -> np.ndarray:
+        dpsi = psi_model_derivatives(f, radius, ctx.grid, aux, radius_only)
+        return _combine_jacobian(psi[:2], dpsi, ctx.ref_outer, ctx.ref[2], ctx.root_weights)
+
+    return _combine(psi, ctx.ref_outer, ctx.ref[2], ctx.root_weights), jacobian
 
 
 def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:

@@ -4,18 +4,19 @@ The contrast is the squared norm of a weighted residual vector, so both
 fits minimize it as a nonlinear least-squares problem through one
 skeleton (_scan_and_descend): an audit scan of radii, one residual batch
 from one model evaluation at every audit radius, then one
-trust-region descent (minimize) per basin of that audit profile, with the
-residual's exact Jacobian (contrast_jacobian chained through the
-projection onto the admissible set), derived from the probe's own model
-evaluation.  The descent is the package's own port of scipy's unbounded
+trust-region descent (minimize) per basin of that audit profile.  Each
+descent probe (contrast_probe) returns its residual with the residual's
+exact Jacobian as a callable, derived from the probe's own model
+evaluation and chained through the projection onto the admissible set.
+The descent is the package's own port of scipy's unbounded
 trust-region reflective method: More's Levenberg-Marquardt step, solved
 on the (1 + 2K)-square Gram matrix J^T J rather than on an SVD of the tall
 Jacobian, so the package never imports scipy.optimize.
 fit_joint descends in the radius and the density's Fourier coefficients;
 fit_radius_known_density is the same fit with the density held at
-f_star, descending in the radius alone.  Both probe the
-contrast through one _ProbeLog, which logs every probe and reports the
-best probed point, a certified near-minimum over everything examined.
+f_star, descending in the radius alone.  Both log every probe's
+residual in one _ProbeLog, which reports the best probed point, a
+certified near-minimum over everything examined.
 The center estimate plugs the fitted radius and density barycenter into
 C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import _ONE_THREAD_PRODUCT, EvalGrid, default_grid
-from .contrast import ContrastContext, contrast_jacobian, contrast_residual
+from .contrast import ContrastContext, contrast_probe, contrast_residual
 from .errors import ConfigError, NumericalError, _as_int
 from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_form, fourier_series, sphere_mean
 
@@ -58,7 +59,7 @@ class FitConfig:
     k_cutoff is the Fourier cutoff K of the joint fit's density; restarts
     caps the number of audit basins each fit descends from (see
     _scan_and_descend; at most AUDIT_POINTS), and max_iters caps every
-    descent's residual evaluations, in both fits.
+    descent's probes, in both fits.
     Integer-valued floats are stored as ints.  Every value it refuses is
     refused with ConfigError, a ValueError.
     """
@@ -250,13 +251,12 @@ def _half(f: AngleDensity) -> np.ndarray:
 class _ProbeLog:
     """The fit contract both estimators share.
 
-    Each probe evaluates contrast_residual on the sample's ECF, logs its
-    squared norm (the value contrast_mn returns, bit for bit), refuses a
-    non-finite value with NumericalError, and returns the residual.  A call
-    at a 1-d array of radii, a fit's audit, is one residual batch and logs
-    one probe per row, in order, refusing at its first non-finite row.  Every
-    residual evaluation a descent makes is a probe; the exact Jacobian
-    reuses the latest probe, or probes first at any other point.  The best
+    Each probe hands over the residual of the candidate (f, R) on the
+    sample's ECF; the log evaluates nothing, but logs its squared norm (the
+    value contrast_mn returns, bit for bit) and refuses a non-finite value
+    with NumericalError.  A residual batch at a 1-d array of radii, a fit's
+    audit, logs one probe per row, in order, refusing at its first
+    non-finite row.  Every residual a descent asks for is a probe.  The best
     probe has the smallest contrast; exact value ties break towards the
     smallest radius, then the smallest coefficient mass sum_{k >= 1} |c_k|^2.
     A tolerance window here would let the pick wander by sqrt(tol/curvature)
@@ -264,18 +264,16 @@ class _ProbeLog:
     are broken.
     """
 
-    def __init__(self, data: np.ndarray, ctx: ContrastContext, seed: int | None, t_start: float) -> None:
-        self.data, self.ctx, self.seed, self.t_start = data, ctx, seed, t_start
+    def __init__(self, data: np.ndarray, seed: int | None, t_start: float) -> None:
+        self.data, self.seed, self.t_start = data, seed, t_start
         self.probes: list[tuple[float, float, AngleDensity]] = []
 
-    def __call__(self, f: AngleDensity, radius) -> np.ndarray:
-        r = contrast_residual(f, radius, self.ctx)
-        for row, at in zip(np.atleast_2d(r), np.atleast_1d(radius)):
+    def __call__(self, f: AngleDensity, radius, residual: np.ndarray) -> None:
+        for row, at in zip(np.atleast_2d(residual), np.atleast_1d(radius)):
             value = float(row @ row)
             if not np.isfinite(value):
                 raise NumericalError("contrast evaluated non-finite; degenerate grid or sample")
             self.probes.append((value, float(at), f))
-        return r
 
     def best(self) -> tuple[float, float, AngleDensity]:
         """(value, radius, density) of the best probe."""
@@ -352,10 +350,12 @@ def _trust_step(s2: np.ndarray, vg: np.ndarray, vecs: np.ndarray, m: int, delta:
     return p * (delta / math.sqrt(p @ p)), alpha
 
 
-def minimize(residual, jac, x0: np.ndarray, max_nfev: int) -> np.ndarray:
-    """Least-squares descent of residual from x0, run to roundoff; returns the
-    last accepted point.  jac is the residual's Jacobian as a callable, and
-    max_nfev caps the residual evaluations, the one at x0 included.
+def minimize(fun, x0: np.ndarray, max_nfev: int) -> np.ndarray:
+    """Least-squares descent from x0, run to roundoff; returns the last
+    accepted point.  fun(x) returns the residual at x and its Jacobian there
+    as a callable, which the descent calls only at the point it has just
+    accepted (x0 first); max_nfev caps the calls of fun, the one at x0
+    included.
 
     A port of scipy's unbounded trust-region reflective descent
     (least_squares(method="trf") without bounds, x_scale = 1, linear loss,
@@ -380,10 +380,10 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int) -> np.ndarray:
     model's minimum.
     """
     x = np.array(x0, dtype=float)
-    f = residual(x)
+    f, jac = fun(x)
     cost, nfev, alpha = 0.5 * (f @ f), 1, 0.0
     delta = math.sqrt(x @ x) or 1.0
-    gram, g = _gram(jac(x), f)
+    gram, g = _gram(jac(), f)
     while np.max(np.abs(g)) >= 1e-15 and nfev < max_nfev:
         eigenvalues, vecs = np.linalg.eigh(gram)
         s2, vecs = np.maximum(eigenvalues[::-1], 0.0), vecs[:, ::-1]
@@ -395,7 +395,8 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int) -> np.ndarray:
         while reduction <= 0.0 and nfev < max_nfev:
             step, alpha = _trust_step(s2, vg, vecs, f.size, delta, alpha)
             predicted = -(0.5 * (step @ gram @ step) + g @ step)
-            f_new = residual(x + step)
+            x_new = x + step
+            f_new, jac_new = fun(x_new)
             nfev += 1
             cost_new = 0.5 * (f_new @ f_new)
             reduction, step_norm = cost - cost_new, math.sqrt(step @ step)
@@ -414,56 +415,59 @@ def minimize(residual, jac, x0: np.ndarray, max_nfev: int) -> np.ndarray:
             alpha *= delta / new_delta
             delta = new_delta
         if reduction > 0.0:
-            x, f, cost = x + step, f_new, cost_new
+            x, f, jac, cost = x_new, f_new, jac_new, cost_new
         if done or nfev == max_nfev:
             break
-        gram, g = _gram(jac(x), f)
+        gram, g = _gram(jac(), f)
     return x
 
 
-def _scan_and_descend(log: _ProbeLog, cfg: FitConfig, density, k_cut: int = 0) -> EstimateReport:
+def _scan_and_descend(log: _ProbeLog, ctx: ContrastContext, cfg: FitConfig, density, k_cut: int = 0) -> EstimateReport:
     """The fit skeleton: probe AUDIT_POINTS radii evenly over [r_min, r_max]
     with k_cut coefficients at zero, in one residual batch on the audit's
-    density density(zeros) (on the closed form one Bessel kernel call, which
-    the grid keeps among its latest few, EvalGrid.kept_psi), and rank them by
-    value (stable, so ties go to the smaller radius).  Then descend once per
-    basin of that audit profile, best first, at most cfg.restarts times: from the
-    best audit radius, then from each interior strict local minimum (both
-    neighbours strictly higher).  An endpoint gets a descent only as the
-    best audit radius.  Each descent makes at most cfg.max_iters residual
-    evaluations; returns the log's report.  Every point maps through
-    _project, and density(half) is the density probed there; a descent's
-    first probe, at an audit radius, evaluates Psi there like any other.
-    The Jacobian is contrast_jacobian's in the point's coordinates (R alone
-    for a length-1 point), chained through _project.  The optimizer asks for
-    it at the point it has just evaluated, so it reads the Psi, Bessel rows
-    or, in d >= 3, dPsi/dR that the probe left in the log's ContrastContext;
-    at any other point it probes first.
+    density density(zeros) (on the closed form one Bessel kernel call, whose
+    values the grid keeps among its latest few, EvalGrid.kept_psi), and rank
+    them by value (stable, so ties go to the smaller radius).  Then descend
+    once per basin of that audit profile, best first, at most cfg.restarts
+    times: from the best audit radius, then from each interior strict local
+    minimum (both neighbours strictly higher).  An endpoint gets a descent
+    only as the best audit radius.  Each descent makes at most
+    cfg.max_iters probes; returns the log's report.
+
+    A descent probe maps its point through _project, and density(half) is
+    the density probed there: contrast_probe returns the residual and its
+    Jacobian callable, in the point's coordinates (R alone for a length-1
+    point), which the probe chains through _project at its own raw point.
+    A descent's first probe, at an audit radius, evaluates Psi there like
+    any other.  A point that projects to the latest probe's radius and
+    coefficients, such as a trial step past a window edge, reuses that
+    probe's residual and Jacobian with no evaluation, and is logged as a
+    probe all the same.
     """
+    latest = None  # the latest descent probe: ((radius, coefficient bytes), density, residual, Jacobian)
 
-    def residual(x: np.ndarray) -> np.ndarray:
+    def probe(x: np.ndarray) -> tuple:
+        nonlocal latest
         radius, half = _project(x, cfg)
-        return log(density(half), radius)
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        radius, half = _project(x, cfg)
-        _, last_radius, f = log.probes[-1]
-        # compare the coefficients the descent varies: none in the known fit
-        if radius != last_radius or not np.array_equal(half, _half(f)[: half.size]):
+        key = (radius, half.tobytes())
+        if latest is None or latest[0] != key:
             f = density(half)
-            log(f, radius)
-        return _project_jacobian(contrast_jacobian(f, radius, log.ctx, x.size == 1), x, cfg)
+            latest = (key, f, *contrast_probe(f, radius, ctx, x.size == 1))
+        _, f, residual, jacobian = latest
+        log(f, radius, residual)
+        return residual, lambda: _project_jacobian(jacobian(), x, cfg)
 
     zeros = np.zeros(k_cut, dtype=complex)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
-    log(density(zeros), audit)
+    start = density(zeros)
+    log(start, audit, contrast_residual(start, audit, ctx))
     values = np.array([value for value, _, _ in log.probes])
     ranked = np.argsort(values, kind="stable")
     basin = np.zeros(AUDIT_POINTS, dtype=bool)
     basin[1:-1] = (values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])
     basin[ranked[0]] = True
     for i in ranked[basin[ranked]][: cfg.restarts]:
-        minimize(residual, jacobian, _pack(audit[i], zeros), cfg.max_iters)
+        minimize(probe, _pack(audit[i], zeros), cfg.max_iters)
     return log.report()
 
 
@@ -497,8 +501,8 @@ def fit_joint(
         raise ValueError("need at least 50 observations for a joint fit")
     _check_context(grid, ctx)
     ctx = ctx or ContrastContext.from_sample(data, grid or default_grid(2))
-    log = _ProbeLog(data, ctx, getattr(sample, "seed", None), t_start)
-    return _scan_and_descend(log, cfg, FourierDensity.from_half, cfg.k_cutoff)
+    log = _ProbeLog(data, getattr(sample, "seed", None), t_start)
+    return _scan_and_descend(log, ctx, cfg, FourierDensity.from_half, cfg.k_cutoff)
 
 
 def fit_radius_known_density(
@@ -526,5 +530,5 @@ def fit_radius_known_density(
     _check_context(grid, ctx)
     f_star = fourier_form(f_star)
     ctx = ctx or ContrastContext.from_sample(data, grid or default_grid(data.shape[1]))
-    log = _ProbeLog(data, ctx, getattr(sample, "seed", None), t_start)
-    return _scan_and_descend(log, cfg, lambda half: f_star)
+    log = _ProbeLog(data, getattr(sample, "seed", None), t_start)
+    return _scan_and_descend(log, ctx, cfg, lambda half: f_star)

@@ -96,14 +96,6 @@ class NoiseModel:
             out = out * self.coord_char(j, t_arr[..., j])
         return out
 
-    def mean_vector(self) -> np.ndarray:
-        """E[eps], used when reasoning about center bias."""
-        if self.kind == "none":
-            return np.zeros(self.dim)
-        if self.kind == "mixture_dirac_exp":
-            return np.full(self.dim, 0.5 * MIXTURE_POINT + 0.5 * MIXTURE_MEAN)
-        return self.mean.copy()
-
 
 def draw_noise(model: NoiseModel, n: int, seed) -> np.ndarray:
     """Draw n noise vectors; deterministic given the seed.

@@ -617,8 +617,7 @@ class TestPsiModel:
         monkeypatch.setattr(contrast_mod, "_combine", combine)
         monkeypatch.setattr(contrast_mod, "_combine_jacobian", combine_jacobian)
         ctx = contrast_mod.ContrastContext.from_sample(generate(scenario(1), 200, seed=3), g)
-        contrast_mod.contrast_residual(f, 2.7, ctx)
-        contrast_mod.contrast_jacobian(f, 2.7, ctx)
+        contrast_mod.contrast_probe(f, 2.7, ctx)[1]()
         assert seen[1][0] is seen[0][0] and seen[1][1] is seen[0][1]
 
     @pytest.mark.parametrize("k_cut", [0, 1, 4, 12, 40])

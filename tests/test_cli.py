@@ -111,6 +111,30 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags, named, reason",
+    [
+        (["--rmax", "-1"], "--rmax -1", "r_max"),
+        (["--rmin", "4", "--rmax", "3"], "--rmin 4 --rmax 3", "r_min < r_max"),
+        (["--nu-est", "0"], "--nu-est 0", "nu_est"),
+        (["--nu-est", "inf"], "--nu-est inf", "nu_est"),
+    ],
+    ids=["negative_rmax", "empty_window", "zero_nu_est", "infinite_nu_est"],
+)
+def test_estimate_refuses_bad_flags_before_reading_its_input(tmp_path, capsys, monkeypatch, flags, named, reason):
+    import spheredeconv.cli as cli_mod
+
+    def unread(path):
+        raise AssertionError("--input was read before the flags were checked")
+
+    monkeypatch.setattr(cli_mod, "load_sample_csv", unread)
+    monkeypatch.setattr(cli_mod, "load_sample_bin", unread)
+    for name in ("s.csv", "s.bin"):
+        assert main(["estimate", "--input", str(tmp_path / name), *flags, "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and reason in err
+
+
 def test_estimate_is_the_default_joint_fit(tmp_path, capsys):
     sample_path, report_path = str(tmp_path / "s.bin"), str(tmp_path / "r.json")
     assert main(["generate", "--scenario", "4", "--n", "500", "--seed", "2", "--out", sample_path]) == 0

@@ -7,9 +7,9 @@ from numpy.polynomial.legendre import leggauss
 from spheredeconv.charfn import EvalGrid, psi_model, psi_model_marginals
 from spheredeconv.contrast import (
     ContrastContext,
-    contrast_jacobian,
     contrast_m_oracle,
     contrast_mn,
+    contrast_probe,
     contrast_residual,
 )
 from spheredeconv.geometry import CallableDensity, FourierDensity, uniform_density
@@ -133,8 +133,8 @@ def test_the_grid_serves_batches_read_only_from_a_bounded_store(monkeypatch):
     f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
     batches = [np.linspace(0.5, 10.0, 16) + k for k in range(charfn_mod._KEPT_PSI + 2)]
     contrast_residual(f, batches[0], ctx)
-    ((psi, (jmat, weights)),) = vars(grid)["_kept_psi"].values()
-    for array in (*psi, jmat, weights):
+    (psi,) = vars(grid)["_kept_psi"].values()
+    for array in psi:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
     # a second context on the grid, or another density object with the same
@@ -160,6 +160,21 @@ def test_the_grid_serves_batches_read_only_from_a_bounded_store(monkeypatch):
 
 
 AUDIT_RADII = np.linspace(0.5, 10.0, 16)
+
+
+def test_kept_psi_returns_read_only_values_and_keeps_no_bessel_rows():
+    grid = EvalGrid.build(nodes_per_axis=9)
+    f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
+    got = grid.kept_psi(f, AUDIT_RADII)
+    for array, want in zip(got, psi_model_marginals(f, AUDIT_RADII, grid)):
+        assert array.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    # the store's one entry is those three Psi arrays alone
+    (entry,) = vars(grid)["_kept_psi"].values()
+    assert entry is got and grid.kept_psi(f, AUDIT_RADII.copy()) is got
+    radii = AUDIT_RADII.size
+    assert [a.shape for a in entry] == [(radii, grid.m1), (radii, grid.m2), (radii, grid.m1, grid.m2)]
 
 
 def _rows_match_scalar_calls(monkeypatch, f, radii, ctx):
@@ -239,6 +254,7 @@ def residual_at(ctx):
 @pytest.mark.parametrize("k_cut", [0, 1, 4, 12])
 @pytest.mark.parametrize("scenario_id", [1, 4])
 def test_contrast_jacobian_matches_central_differences(scenario_id, k_cut):
+    # the Jacobian a descent probe returns with its residual
     grid = EvalGrid.build()
     ctx = ContrastContext.from_sample(generate(scenario(scenario_id), 2000, seed=scenario_id), grid)
     rng = np.random.default_rng(10 * scenario_id + k_cut)
@@ -247,7 +263,9 @@ def test_contrast_jacobian_matches_central_differences(scenario_id, k_cut):
         x = np.concatenate([[rng.uniform(0.8, 9.0)], 0.1 * rng.standard_normal(2 * k_cut)])
         want = central_differences(residual, x)
         f = FourierDensity.from_half(x[1::2] + 1j * x[2::2])
-        got = contrast_jacobian(f, x[0], ctx)
+        residual_there, jacobian = contrast_probe(f, x[0], ctx)
+        assert np.array_equal(residual_there, residual(x))
+        got = jacobian()
         assert got.shape == (2 * grid.m1 * grid.m2, 1 + 2 * k_cut)
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
@@ -262,26 +280,22 @@ def test_contrast_jacobian_reuses_the_latest_bessel_rows(monkeypatch):
         calls.append(k_cut)
         return real(k_cut, x)
 
-    # the samples' ECFs call the kernel too, once per coordinate, before any contrast
+    # the sample's ECF calls the kernel too, once per coordinate, before any contrast
     ctx = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
-    fresh = ContrastContext.from_sample(generate(scenario(1), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
     monkeypatch.setattr(charfn_mod, "bessel_rows", counting)
     f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
-    contrast_residual(f, 2.5, ctx)
-    at_probe = contrast_jacobian(f, 2.5, ctx)
-    assert calls == [2]
-    # at another radius the Jacobian evaluates afresh, and a residual there reuses that evaluation
-    elsewhere = contrast_jacobian(f, 2.7, ctx)
-    residual = contrast_residual(f, 2.7, ctx)
+    # a probe is one kernel call, its residual's; its Jacobian, asked for in
+    # any order after other probes, reads that call's rows
+    residual, at_probe = contrast_probe(f, 2.5, ctx)
+    elsewhere_residual, elsewhere = contrast_probe(f, 2.7, ctx)
     assert calls == [2, 2]
-    assert np.array_equal(residual, contrast_residual(f, 2.7, fresh))
-    assert np.array_equal(elsewhere, contrast_jacobian(f, 2.7, fresh))
-    assert not np.array_equal(at_probe, elsewhere)
+    assert not np.array_equal(at_probe(), elsewhere())
+    assert np.array_equal(at_probe(), at_probe()) and calls == [2, 2]
+    assert np.array_equal(residual, contrast_residual(f, 2.5, ctx))
+    assert np.array_equal(elsewhere_residual, contrast_residual(f, 2.7, ctx))
     # K = 0 rows hold J_1 too, so its Jacobian also reuses the probe's rows
-    uniform = FourierDensity.uniform()
-    contrast_residual(uniform, 2.5, ctx)
-    contrast_jacobian(uniform, 2.5, ctx)
-    assert calls[3:] == [0]
+    contrast_probe(FourierDensity.uniform(), 2.5, ctx)[1]()
+    assert calls[4:] == [0]
 
 
 def test_contrast_jacobian_reuses_the_probes_quadrature_pass(monkeypatch):
@@ -291,24 +305,24 @@ def test_contrast_jacobian_reuses_the_probes_quadrature_pass(monkeypatch):
     real = charfn_mod._psi_quadrature
 
     def counting(f, radius, pts, **kwargs):
-        calls.append(radius)
+        calls.append((radius, kwargs.get("d_radius") is not None))
         return real(f, radius, pts, **kwargs)
 
     monkeypatch.setattr(charfn_mod, "_psi_quadrature", counting)
     data = np.random.default_rng(3).standard_normal((200, 3))
     ctx = ContrastContext.from_sample(data, EvalGrid.build(dim=3, nodes_per_axis=3))
     f = uniform_density(2)
-    contrast_residual(f, 2.5, ctx)
-    at_probe = contrast_jacobian(f, 2.5, ctx, radius_only=True)
-    assert calls == [2.5]
-    # another radius or another density object takes a pass of its own
-    elsewhere = contrast_jacobian(f, 2.7, ctx, radius_only=True)
-    contrast_jacobian(uniform_density(2), 2.7, ctx, radius_only=True)
-    assert calls == [2.5, 2.7, 2.7]
-    assert not np.array_equal(at_probe, elsewhere)
-    # the kept pass gives what a fresh grid computes from scratch
+    # the probe's one pass gives dPsi/dR alongside Psi; a lone residual takes none
+    residual, at_probe = contrast_probe(f, 2.5, ctx, radius_only=True)
+    elsewhere = contrast_probe(f, 2.7, ctx, radius_only=True)[1]
+    assert np.array_equal(residual, contrast_residual(f, 2.5, ctx))
+    assert calls == [(2.5, True), (2.7, True), (2.5, False)]
+    got = at_probe()
+    assert calls[3:] == [] and not np.array_equal(got, elsewhere())
+    assert got.shape == (residual.size, 1)
+    # the probe's pass gives what a fresh grid computes from scratch
     fresh = ContrastContext.from_sample(data, EvalGrid.build(dim=3, nodes_per_axis=3))
-    assert np.array_equal(at_probe, contrast_jacobian(f, 2.5, fresh, radius_only=True))
+    assert np.array_equal(got, contrast_probe(f, 2.5, fresh, radius_only=True)[1]())
 
 
 def test_contrast_jacobian_needs_the_closed_form(monkeypatch):
@@ -320,7 +334,7 @@ def test_contrast_jacobian_needs_the_closed_form(monkeypatch):
     ctx = ContrastContext.from_sample(generate(scenario(4), 200, seed=3), EvalGrid.build(nodes_per_axis=9))
     monkeypatch.setattr(charfn_mod, "_psi_quadrature", no_pass)
     with pytest.raises(ValueError, match="closed form"):
-        contrast_jacobian(scenario(4).density, 3.0, ctx)
+        contrast_probe(scenario(4).density, 3.0, ctx)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -347,17 +361,21 @@ def test_interleaved_contexts_on_one_grid_keep_their_own_evaluations(monkeypatch
     radius_only = dim == 3
     grid = EvalGrid.build(dim=dim, nodes_per_axis=nodes)
     a, b = ContrastContext.from_sample(data_a, grid), ContrastContext.from_sample(data_b, grid)
-    contrast_residual(f, 2.5, a)
-    contrast_residual(f, 2.7, b)
+    # a probe on each context, then each Jacobian, the first probe's last
+    at_a, at_b = contrast_probe(f, 2.5, a, radius_only)[1], contrast_probe(f, 2.7, b, radius_only)[1]
     before = len(calls)
-    got = contrast_jacobian(f, 2.5, a, radius_only)
+    got_b, got_a = at_b(), at_a()
     assert len(calls) == before
-    fresh = ContrastContext.from_sample(data_a, EvalGrid.build(dim=dim, nodes_per_axis=nodes))
-    assert np.array_equal(got, contrast_jacobian(f, 2.5, fresh, radius_only))
+    fresh_grid = EvalGrid.build(dim=dim, nodes_per_axis=nodes)
+    for data, radius, got in ((data_a, 2.5, got_a), (data_b, 2.7, got_b)):
+        fresh = ContrastContext.from_sample(data, fresh_grid)
+        assert np.array_equal(got, contrast_probe(f, radius, fresh, radius_only)[1]())
     # the shared grid holds only what it determines: its points and one table per cutoff
     assert set(vars(grid)) - set(EvalGrid.__dataclass_fields__) <= {"_points", "_polar_tables", "_kept_psi"}
     for table in vars(grid).get("_polar_tables", {}).values():
         assert set(vars(table)) == {"k_cut", "radii", "index", "phases"}
+    # and a context only what every evaluation on its sample reuses
+    assert set(vars(a)) == {"grid", "ref", "root_weights", "ref_outer"}
 
 
 def unfolded_contrast(cand, ref, nu_est, nodes, dim, weight=None):

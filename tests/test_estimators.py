@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spheredeconv.charfn import EvalGrid
-from spheredeconv.contrast import ContrastContext, contrast_jacobian, contrast_mn, contrast_residual
+from spheredeconv.contrast import ContrastContext, contrast_mn, contrast_probe, contrast_residual
 from spheredeconv.errors import ConfigError, NumericalError
 from spheredeconv.estimators import (
     AUDIT_POINTS,
@@ -317,22 +317,26 @@ def _basins(values, cap):
     return ([ranked[0]] + [i for i in ranked if i in interior and i != ranked[0]])[:cap]
 
 
-def per_radius(monkeypatch, each):
-    """Patch the fits' contrast_residual so that each(f, radius, row) sees the
-    real residual's row at each radius, one radius at a time, and returns
-    the row the fit takes there.  A batch of radii, a fit's audit, is still
-    evaluated in one call, and the rows each returns are stacked into it."""
+def per_radius(monkeypatch, each, jacobian=None):
+    """Patch the fits' contrast_residual and contrast_probe so that
+    each(f, radius, row) sees the real residual's row at each radius, one
+    radius at a time, and returns the row the fit takes there.  A batch of
+    radii, a fit's audit, is still evaluated in one call, and the rows each
+    returns are stacked into it.  A descent probe's Jacobian is
+    jacobian(f, radius) when given, else the real one."""
     import spheredeconv.estimators as est_mod
 
-    real = est_mod.contrast_residual
+    real_residual, real_probe = est_mod.contrast_residual, est_mod.contrast_probe
 
-    def residual(f, radius, ctx):
-        r = real(f, radius, ctx)
-        if np.ndim(radius) == 0:
-            return each(f, radius, r)
-        return np.stack([each(f, float(at), row) for at, row in zip(radius, r)])
+    def residual(f, radii, ctx):
+        return np.stack([each(f, float(at), row) for at, row in zip(radii, real_residual(f, radii, ctx))])
+
+    def probe(f, radius, ctx, radius_only=False):
+        row, jac = real_probe(f, radius, ctx, radius_only)
+        return each(f, radius, row), (jac if jacobian is None else lambda: jacobian(f, radius))
 
     monkeypatch.setattr(est_mod, "contrast_residual", residual)
+    monkeypatch.setattr(est_mod, "contrast_probe", probe)
 
 
 def _recording_minimize(monkeypatch, starts):
@@ -340,16 +344,14 @@ def _recording_minimize(monkeypatch, starts):
 
     real_minimize = est_mod.minimize
 
-    def recording_minimize(residual, jac, x0, max_nfev):
+    def recording_minimize(fun, x0, max_nfev):
         starts.append(x0.copy())
-        return real_minimize(residual, jac, x0, max_nfev)
+        return real_minimize(fun, x0, max_nfev)
 
     monkeypatch.setattr(est_mod, "minimize", recording_minimize)
 
 
 def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
-    import spheredeconv.estimators as est_mod
-
     probes, starts = [], []
 
     def recording_residual(f, radius, row):
@@ -374,9 +376,8 @@ def test_both_fits_scan_the_audit_radii_and_descend_from_the_best(monkeypatch):
     # leftmost and then from the other basin
     nearest = lambda radius: min((audit[9], audit[5]), key=lambda a: abs(radius - a))  # noqa: E731
     tie = lambda f, radius, row: np.array([abs(radius - nearest(radius))])  # noqa: E731
-    tie_jacobian = lambda f, radius, ctx, radius_only: np.array([[np.sign(radius - nearest(radius))]])  # noqa: E731
-    per_radius(monkeypatch, tie)
-    monkeypatch.setattr(est_mod, "contrast_jacobian", tie_jacobian)
+    tie_jacobian = lambda f, radius: np.array([[np.sign(radius - nearest(radius))]])  # noqa: E731
+    per_radius(monkeypatch, tie, tie_jacobian)
     starts.clear()
     rep = fit_radius_known_density(s, uniform_density(), cfg)
     assert [x0[0] for x0 in starts] == [audit[5], audit[9]]
@@ -399,7 +400,6 @@ def _profile(wells):
 def _profile_fit(monkeypatch, wells, restarts):
     """fit_joint at k_cutoff = 0 on the synthetic contrast min_k (a_k + (R - m_k)^2)
     over wells = ((a_k, m_k), ...): (descent start radii, report)."""
-    import spheredeconv.estimators as est_mod
 
     def well(radius):
         return min(wells, key=lambda w: w[0] + (radius - w[1]) ** 2)
@@ -408,13 +408,12 @@ def _profile_fit(monkeypatch, wells, restarts):
         a, m = well(radius)
         return np.array([math.sqrt(a + (radius - m) ** 2)])
 
-    def jacobian(f, radius, ctx, radius_only):
+    def jacobian(f, radius):
         a, m = well(radius)
         return np.array([[(radius - m) / math.sqrt(a + (radius - m) ** 2)]])
 
     starts = []
-    per_radius(monkeypatch, residual)
-    monkeypatch.setattr(est_mod, "contrast_jacobian", jacobian)
+    per_radius(monkeypatch, residual, jacobian)
     _recording_minimize(monkeypatch, starts)
     rep = fit_joint(generate(scenario(1), 60, seed=0), FitConfig(k_cutoff=0, restarts=restarts))
     return [float(x0[0]) for x0 in starts], rep
@@ -505,6 +504,7 @@ def test_a_context_on_another_grid_is_refused_before_any_work(monkeypatch):
     import spheredeconv.estimators as est_mod
 
     monkeypatch.setattr(est_mod, "contrast_residual", lambda *a: pytest.fail("probed"))
+    monkeypatch.setattr(est_mod, "contrast_probe", lambda *a: pytest.fail("probed"))
     monkeypatch.setattr(est_mod, "fourier_form", lambda *a: pytest.fail("projected"))
     s = generate(scenario(1), 100, seed=0)
     ctx = ContrastContext.from_sample(s.data, EvalGrid.build(nodes_per_axis=5))
@@ -614,7 +614,7 @@ def test_wide_window_fit_reaches_the_largest_argument(monkeypatch):
 # ---------------------------------------------------------------- probe log
 
 
-def test_probe_log_picks_the_smallest_value_and_breaks_only_exact_ties(monkeypatch):
+def test_probe_log_picks_the_smallest_value_and_breaks_only_exact_ties():
     import spheredeconv.estimators as est_mod
 
     values = {1.0: float(np.nextafter(0.25, 1.0)), 2.0: 0.5, 3.5: 0.25, 4.0: 0.25, 5.0: float("nan")}
@@ -628,15 +628,14 @@ def test_probe_log_picks_the_smallest_value_and_breaks_only_exact_ties(monkeypat
         5.0: np.array([float("nan")]),
     }
     assert all(float(residuals[radius] @ residuals[radius]) == values[radius] for radius in (1.0, 2.0, 3.5, 4.0))
-    monkeypatch.setattr(est_mod, "contrast_residual", lambda f, radius, ctx: residuals[radius])
     data = generate(scenario(1), 60, seed=0).data
-    log = est_mod._ProbeLog(data, ContrastContext.from_sample(data, EvalGrid.build(nodes_per_axis=5)), 7, 0.0)
+    log = est_mod._ProbeLog(data, 7, 0.0)
     big, small = FourierDensity.from_half([0.2]), FourierDensity.from_half([0.1])
     for f, radius in ((big, 1.0), (big, 2.0), (big, 4.0), (big, 3.5), (small, 3.5), (small, 4.0)):
-        assert log(f, radius) is residuals[radius]
+        log(f, radius, residuals[radius])
         assert log.probes[-1][0] == values[radius]
     with pytest.raises(NumericalError):
-        log(small, 5.0)
+        log(small, 5.0, residuals[5.0])
     # the value one ulp above the minimum at a smaller radius loses; among
     # the exact ties the smallest radius wins, then the smaller mass
     value, radius, f = log.best()
@@ -648,20 +647,19 @@ def test_probe_log_picks_the_smallest_value_and_breaks_only_exact_ties(monkeypat
     assert rep.seed == 7 and rep.n == 60
 
 
-def test_a_batch_of_radii_is_one_probe_per_row(monkeypatch):
+def test_a_batch_of_radii_is_one_probe_per_row():
     import spheredeconv.estimators as est_mod
 
     rows = {1.0: [0.5, 0.25], 2.0: [float("nan"), 0.0], 3.0: [0.25, 0.0]}
-    monkeypatch.setattr(est_mod, "contrast_residual", lambda f, radii, ctx: np.array([rows[r] for r in radii]))
     data = generate(scenario(1), 60, seed=0).data
-    log = est_mod._ProbeLog(data, ContrastContext.from_sample(data, EvalGrid.build(nodes_per_axis=5)), None, 0.0)
+    log = est_mod._ProbeLog(data, None, 0.0)
     f = FourierDensity.uniform()
-    assert log(f, np.array([3.0, 1.0])).shape == (2, 2)
+    log(f, np.array([3.0, 1.0]), np.array([rows[3.0], rows[1.0]]))
     assert log.probes == [(0.0625, 3.0, f), (0.3125, 1.0, f)]
     assert all(type(radius) is float for _, radius, _ in log.probes)
     # the rows before the first non-finite one are logged, then it is refused
     with pytest.raises(NumericalError):
-        log(f, np.array([1.0, 2.0, 3.0]))
+        log(f, np.array([1.0, 2.0, 3.0]), np.array([rows[1.0], rows[2.0], rows[3.0]]))
     assert [radius for _, radius, _ in log.probes] == [3.0, 1.0, 1.0]
 
 
@@ -689,29 +687,39 @@ def test_max_iters_caps_each_descent():
     s = generate(scenario(1), 200, seed=8)
     full = fit_joint(s, FitConfig(restarts=2, k_cutoff=1))
     capped = fit_joint(s, FitConfig(restarts=2, k_cutoff=1, max_iters=3))
-    # each descent: at most max_iters residual evaluations; its exact
-    # Jacobians reuse them
+    # each descent: at most max_iters probes; its exact Jacobians reuse them
     assert capped.iterations <= AUDIT_POINTS + 2 * 3
     assert capped.iterations < full.iterations
 
 
 @pytest.mark.parametrize("kind", ["joint", "known"])
 def test_every_probe_radius_lies_in_the_box(monkeypatch, kind):
-    radii = []
+    import spheredeconv.estimators as est_mod
+
+    radii, logged = [], []
 
     def recording(f, radius, row):
         radii.append(radius)
         return row
 
+    real_log = est_mod._ProbeLog.__call__
+
+    def logging(log, f, radius, residual):
+        logged.extend(float(at) for at in np.atleast_1d(radius))
+        return real_log(log, f, radius, residual)
+
     per_radius(monkeypatch, recording)
+    monkeypatch.setattr(est_mod._ProbeLog, "__call__", logging)
     # the truth lies beyond r_max, so every descent pushes against the box
     scn = Scenario(scenario_id=0, density=uniform_density(), noise=NoiseModel.none(2), r_star=12.0)
     s = generate(scn, 400, seed=3)
     cfg = FitConfig(restarts=2, k_cutoff=1)
     rep = fit_joint(s, cfg) if kind == "joint" else fit_radius_known_density(s, uniform_density(), cfg)
-    assert len(radii) == rep.iterations
-    assert all(cfg.r_min <= radius <= cfg.r_max for radius in radii)
-    assert radii.count(cfg.r_max) > 2 and rep.r_hat == cfg.r_max
+    # every probe is logged; a repeat of the latest probe's projected point
+    # is logged without an evaluation of its own
+    assert len(logged) == rep.iterations and len(radii) <= len(logged)
+    assert all(cfg.r_min <= radius <= cfg.r_max for radius in logged + radii)
+    assert logged.count(cfg.r_max) > 2 and rep.r_hat == cfg.r_max
 
 
 # ---------------------------------------------------------------- Jacobian
@@ -758,7 +766,7 @@ def test_projected_jacobian_matches_central_differences(scenario_id, radius, coe
         return contrast_residual(density(half), r_proj, ctx)
 
     r_proj, half = est_mod._project(x, cfg)
-    got = est_mod._project_jacobian(contrast_jacobian(density(half), r_proj, ctx, x.size == 1), x, cfg)
+    got = est_mod._project_jacobian(contrast_probe(density(half), r_proj, ctx, x.size == 1)[1](), x, cfg)
     want = central_differences(residual, x)
     assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
     clipped = not cfg.r_min <= radius <= cfg.r_max
@@ -957,38 +965,45 @@ def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
         assert value == contrast_mn(f, radius, fresh)
 
 
-def test_jacobian_away_from_the_latest_probe_probes_first(monkeypatch):
+@pytest.mark.parametrize("known", [False, True])
+def test_a_projected_repeat_is_logged_and_makes_no_kernel_call(monkeypatch, known):
+    import spheredeconv.charfn as charfn_mod
     import spheredeconv.estimators as est_mod
 
-    seen = {}
-
-    def one_step(residual, jac, x0, max_nfev):
-        residual(x0)
-        before = len(probes)
-        away = x0 + np.array([0.25, 0.01, -0.02])
-        seen["jac"], seen["probed"] = jac(away), len(probes) - before
-        seen["at_probe"] = jac(away)
-        seen["probed_again"] = len(probes) - before - seen["probed"]
-        seen["away"] = away
-
-    probes = []
-
-    def recording(f, radius, row):
-        probes.append((f, radius))
-        return row
-
-    monkeypatch.setattr(est_mod, "minimize", one_step)
-    per_radius(monkeypatch, recording)
-    cfg = FitConfig(restarts=1, k_cutoff=1)
-    s = generate(scenario(1), 200, seed=8)
+    cfg, s = FitConfig(restarts=1, k_cutoff=1), generate(scenario(1), 300, seed=2)
     ctx = ContrastContext.from_sample(s, EvalGrid.build())
-    rep = fit_joint(s, cfg, ctx=ctx)
-    assert rep.iterations == len(probes) == AUDIT_POINTS + 2
-    assert (seen["probed"], seen["probed_again"]) == (1, 0)
-    f, radius = probes[-1]
-    assert radius == seen["away"][0]
-    assert np.array_equal(seen["jac"], contrast_jacobian(f, radius, ctx))
-    assert np.array_equal(seen["at_probe"], seen["jac"])
+    kernel, seen = [], {}
+    real_rows = charfn_mod.bessel_rows
+    monkeypatch.setattr(charfn_mod, "bessel_rows", lambda k_cut, x: kernel.append(x.size) or real_rows(k_cut, x))
+
+    def two_probes_past_r_max(fun, x0, max_nfev):
+        # both points project to (r_max, the same coefficients)
+        outer = np.array([cfg.r_max + 1.0, 0.01, -0.02])[: x0.size]
+        further = outer + np.eye(x0.size)[0]
+        before = len(kernel)
+        seen["outer"], seen["further"] = fun(outer), fun(further)
+        seen["jacobians"] = seen["outer"][1](), seen["further"][1]()
+        seen["kernel"], seen["x"] = len(kernel) - before, further
+        return x0
+
+    monkeypatch.setattr(est_mod, "minimize", two_probes_past_r_max)
+    if known:
+        rep = fit_radius_known_density(s, uniform_density(), cfg, ctx=ctx)
+        f = fourier_form(uniform_density())
+    else:
+        rep = fit_joint(s, cfg, ctx=ctx)
+        f = FourierDensity.from_half([0.01 - 0.02j])
+    # one evaluation for both probes, and its Jacobian takes no kernel call
+    assert seen["kernel"] == 1 and seen["further"][0] is seen["outer"][0]
+    # both probes are logged, at the clipped radius
+    assert rep.iterations == AUDIT_POINTS + 2 and rep.r_hat <= cfg.r_max
+    monkeypatch.undo()
+    residual, jacobian = contrast_probe(f, cfg.r_max, ctx, known)
+    assert np.array_equal(seen["further"][0], residual)
+    # each probe chains the shared Jacobian through its own raw point: a clipped radius's zero column
+    want = est_mod._project_jacobian(jacobian(), seen["x"], cfg)
+    assert not want[:, 0].any() and want.shape[1] == (1 if known else 3)
+    assert all(np.array_equal(got, want) for got in seen["jacobians"])
 
 
 # ---------------------------------------------------------------- the descent
@@ -1005,6 +1020,11 @@ def _counted(residual):
     return wrapped
 
 
+def _paired(residual, jac):
+    """minimize's fun of a residual and a Jacobian function: (residual(x), the Jacobian at x as a callable)."""
+    return lambda x: (residual(x), lambda: jac(x))
+
+
 def _linear(a, b):
     return _counted(lambda x: a @ x - b), lambda x: a.copy()
 
@@ -1016,7 +1036,7 @@ def test_descent_reaches_the_least_squares_solution_of_a_linear_residual_in_one_
     want = np.linalg.lstsq(a, b, rcond=None)[0]
     residual, jac = _linear(a, b)
     # the Gauss-Newton step from x0 fits in the first trust region, of radius |x0|
-    x = minimize(residual, jac, want + np.array([0.1, -0.05, 0.08]), 100)
+    x = minimize(_paired(residual, jac), want + np.array([0.1, -0.05, 0.08]), 100)
     assert np.max(np.abs(residual.points[1] - want)) <= 1e-12
     assert np.max(np.abs(x - want)) <= 1e-12
 
@@ -1030,7 +1050,7 @@ def test_descent_with_a_zero_jacobian_column_converges():
     want = np.linalg.lstsq(a, b, rcond=None)[0]
     residual, jac = _linear(np.column_stack([a, np.zeros(40)]), b)
     x0 = np.array([0.0, 0.0, 4.0])
-    x = minimize(residual, jac, x0, 200)
+    x = minimize(_paired(residual, jac), x0, 200)
     assert len(residual.points) < 200
     # that path converges linearly, and ftol stops it at the minimum's cost
     # to roundoff, short of its point
@@ -1070,7 +1090,7 @@ def test_descent_stops_where_the_model_reduction_reaches_the_rounding_floor():
     # descent ends at the first accepted point whose Gauss-Newton model
     # promises at most m eps cost, with no residual evaluation past it
     residual, jac = _exponential(0.5)
-    x = minimize(residual, jac, np.array([1.0, -0.5]), 200)
+    x = minimize(_paired(residual, jac), np.array([1.0, -0.5]), 200)
     floor = lambda cost: 200 * np.finfo(float).eps * cost
     stops = [_model_reduction(residual, jac, p) for p in jac.points]
     assert np.array_equal(jac.points[-1], x) and np.array_equal(residual.points[-1], x)
@@ -1090,7 +1110,7 @@ def test_descent_whose_model_reduction_stays_above_the_floor_reaches_the_minimiz
     # cost at every point, far above m eps cost, so only the trust-region
     # tests end the descent, at the minimizer to roundoff
     residual, jac = _exponential(0.0, scale=1e-3)
-    x = minimize(residual, jac, np.array([1.0, -0.5]), 200)
+    x = minimize(_paired(residual, jac), np.array([1.0, -0.5]), 200)
     for p in jac.points:
         cost, reduction = _model_reduction(residual, jac, p)
         assert reduction > 1e3 * 200 * np.finfo(float).eps * cost
@@ -1106,24 +1126,57 @@ def test_descent_max_nfev_caps_the_residual_evaluations_exactly():
 
     for cap in (1, 2, 3, 5, 8):
         residual = _counted(rosenbrock)
-        minimize(residual, jac, np.array([-1.2, 1.0]), cap)
+        minimize(_paired(residual, jac), np.array([-1.2, 1.0]), cap)
         assert len(residual.points) == cap
     residual = _counted(rosenbrock)
-    x = minimize(residual, jac, np.array([-1.2, 1.0]), 1000)
+    x = minimize(_paired(residual, jac), np.array([-1.2, 1.0]), 1000)
     assert len(residual.points) < 1000
     assert np.max(np.abs(x - 1.0)) <= 1e-10
 
 
+@pytest.mark.parametrize("start", [(-1.2, 1.0), (-3.0, -3.0)])
+def test_descent_calls_only_the_jacobian_of_its_latest_accepted_point(start):
+    # Rosenbrock's valley makes the descent reject trial steps along the way
+    def rosenbrock(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    events = []
+
+    def fun(x):
+        f = rosenbrock(x)
+        events.append(("probe", x.copy(), 0.5 * float(f @ f)))
+        return f, lambda: events.append(("jacobian", x.copy())) or np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    x = minimize(fun, np.array(start), 1000)
+    assert np.max(np.abs(x - 1.0)) <= 1e-10
+    # a probe is accepted when it lowers the cost of the latest accepted one,
+    # x0 first; each Jacobian is that probe's, asked for right after it
+    cost, accepted, rejected = math.inf, [], 0
+    for before, event in zip([None] + events, events):
+        if event[0] == "probe":
+            if event[2] < cost:
+                cost = event[2]
+                accepted.append(event[1])
+            else:
+                rejected += 1
+        else:
+            assert before[0] == "probe" and np.array_equal(before[1], event[1])
+            assert np.array_equal(event[1], accepted[-1])
+    jacobians = [event[1] for event in events if event[0] == "jacobian"]
+    assert len(jacobians) in (len(accepted) - 1, len(accepted)) and rejected > 0
+    assert np.array_equal(accepted[-1], x)
+
+
 def _first_descent(monkeypatch, fit):
-    """(residual, jac, x0, max_nfev) of the first descent fit makes."""
+    """(fun, x0, max_nfev) of the first descent fit makes."""
     import spheredeconv.estimators as est_mod
 
     calls = []
     real_minimize = est_mod.minimize
 
-    def recording_minimize(residual, jac, x0, max_nfev):
-        calls.append((residual, jac, x0.copy(), max_nfev))
-        return real_minimize(residual, jac, x0, max_nfev)
+    def recording_minimize(fun, x0, max_nfev):
+        calls.append((fun, x0.copy(), max_nfev))
+        return real_minimize(fun, x0, max_nfev)
 
     monkeypatch.setattr(est_mod, "minimize", recording_minimize)
     fit()
@@ -1136,14 +1189,15 @@ def test_descent_agrees_with_scipy_trf(monkeypatch, fit):
 
     if fit == "joint_s1":
         s = generate(scenario(1), 2000, seed=6)
-        residual, jac, x0, max_nfev = _first_descent(monkeypatch, lambda: fit_joint(s))
+        fun, x0, max_nfev = _first_descent(monkeypatch, lambda: fit_joint(s))
         assert x0.size == 9
     else:
         scn = scenario(4)
         s = generate(scn, 2000, seed=6)
-        residual, jac, x0, max_nfev = _first_descent(monkeypatch, lambda: fit_radius_known_density(s, scn.density))
+        fun, x0, max_nfev = _first_descent(monkeypatch, lambda: fit_radius_known_density(s, scn.density))
         assert x0.size == 1
-    ours = minimize(residual, jac, x0, max_nfev)
+    ours = minimize(fun, x0, max_nfev)
+    residual, jac = (lambda x: fun(x)[0]), (lambda x: fun(x)[1]())
     theirs = least_squares(
         residual, x0, jac=jac, method="trf", xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev
     ).x
