@@ -11,15 +11,20 @@ names the field that moved), and the determinism_hash of the sweep_s4
 benchmark spec (scenario 4, n = 1e4, 2 replications, both modes,
 restarts = 2) at base seeds 1-3.  Then one line per fit: its scenario,
 n, seed, grid and fit, with r_hat.hex(), contrast_value.hex() and
-iterations (the fit's probes).  Last, the same for two d = 3 known fits
+iterations (the fit's probes).  Then the same for two d = 3 known fits
 (the d = 3 audit and descent off the closed form: a circle-cosine density
 on the 2-sphere, isotropic noise 0.3, R = 2, n = 300, seeds 0-1, on a
-3-node grid): one hash line over both, then one line per fit.  Last, one
+3-node grid): one hash line over both, then one line per fit.  Then one
 line per fit the benchmark's fit workloads refit (perfbench/harness.py):
 joint_s1 (fit_joint, scenario 1, n = 1e4), known_s1_big
 (fit_radius_known_density, scenario 1, n = 1e6) and known_s4 (scenario 4,
 n = 1e4), each at seeds 1-3 on EvalGrid.build(dim=2, nodes_per_axis=33)
-with the default FitConfig.  Two
+with the default FitConfig.  Last, the same for
+128 fits whose descents start at a window edge: both fits on scenarios
+1-4, n = 1e3, seeds 0-1, both grids, in four clipped windows, the
+default one on the data scaled by 0.1 (the truth below r_min) and by 4
+(above r_max), and [0.5, 2.5] and [3.5, 8] on the data as drawn: one
+hash line over all of them, then one line per fit.  Two
 checkouts whose lines agree fit bit for bit alike on these inputs; where
 they differ, diffing the per-fit lines sizes the move of each fit and its
 change in probes.
@@ -76,6 +81,28 @@ def d3_reports():
     for seed in (0, 1):
         sample = sd.generate(scn, 300, seed)
         yield f"d3 n=300 seed={seed} known", sd.fit_radius_known_density(sample, scn.density, grid=grid)
+
+
+# clipped windows, each putting the truth past an edge of [r_min, r_max]:
+# (label, data scale, FitConfig fields)
+EDGE_WINDOWS = (("x0.1", 0.1, {}), ("x4", 4.0, {}), ("[0.5,2.5]", 1.0, {"r_max": 2.5}),
+                ("[3.5,8]", 1.0, {"r_min": 3.5, "r_max": 8.0}))
+
+
+def edge_reports():
+    """The clipped-window fits' labels and reports: both fits on scenarios
+    1-4, n = 1e3, seeds 0-1, both grids, in each EDGE_WINDOWS window."""
+    grids = (("default", sd.EvalGrid.build(dim=2)), ("bench", bench_grid()))
+    for scenario_id in (1, 2, 3, 4):
+        scn = sd.scenario(scenario_id)
+        for seed in (0, 1):
+            data = sd.generate(scn, 1_000, seed).data
+            for window, scale, bounds in EDGE_WINDOWS:
+                cfg = sd.FitConfig(**bounds)
+                for name, grid in grids:
+                    label = f"edge s{scenario_id} n=1000 seed={seed} {window} {name}"
+                    yield f"{label} joint", sd.fit_joint(scale * data, cfg, grid)
+                    yield f"{label} known", sd.fit_radius_known_density(scale * data, scn.density, cfg, grid)
 
 
 # the benchmark's fit workloads: (name, fit, scenario, n)
@@ -136,6 +163,10 @@ def parity_lines():
     for label, report in d3:
         yield per_fit_line(label, report)
     for label, report in bench_reports():
+        yield per_fit_line(label, report)
+    edge = list(edge_reports())
+    yield f"edge fits {len(edge)} {fits_hash(edge)}"
+    for label, report in edge:
         yield per_fit_line(label, report)
 
 

@@ -149,8 +149,9 @@ def bessel_rows(k_cut: int, x: np.ndarray) -> np.ndarray:
 def h_func(d: int, x):
     """H(x) = J_{d/2}(x) / x^{d/2}, extended by continuity to H(0).
 
-    H(0) = 1 / (2^{d/2} Gamma(d/2 + 1)).  H is the angular average of the
-    plane wave over the unit sphere in R^d, up to the constant 2^{d/2}.
+    H(0) = 1 / (2^{d/2} Gamma(d/2 + 1)), and 2^{d/2} Gamma(d/2 + 1) H(|t|)
+    is the mean of exp(i <t, y>) over the unit ball in R^d: 2 J_1(x) / x
+    (d = 2), 3 (sin x - x cos x) / x^3 (d = 3).
     """
     from scipy.special import jv
 

@@ -369,15 +369,17 @@ def minimize(fun, x0: np.ndarray, max_nfev: int) -> np.ndarray:
     the region after a non-finite trial residual is dropped: _ProbeLog
     raises NumericalError on one first.
 
-    One test is added, More's and MINPACK's predicted-reduction test with
-    the cost's rounding bound as its floor: the descent ends before a step
-    once the Gauss-Newton model promises at most m eps cost, where m is the
-    residual's length, i.e. sum vg_i^2 / (2 s2_i) <= m eps cost over the
-    eigenvalues s2_i that pass _trust_step's full-rank threshold.  A sum of
-    m squares is only known to about m eps of itself (Higham's gamma_m), so
-    below that floor trf's ftol = 1e-15 keeps probing points whose costs
-    rounding cannot tell apart; the cost is then within the floor of the
-    model's minimum.
+    Two tests are added.  More's and MINPACK's predicted-reduction test,
+    with the cost's rounding bound as its floor, ends the descent before a
+    step once the Gauss-Newton model promises at most m eps cost, where m
+    is the residual's length, i.e. sum vg_i^2 / (2 s2_i) <= m eps cost over
+    the eigenvalues s2_i that pass _trust_step's full-rank threshold.  A sum
+    of m squares is only known to about m eps of itself (Higham's gamma_m),
+    so below that floor trf's ftol = 1e-15 keeps probing points whose costs
+    rounding cannot tell apart.  And a trial whose residual is bit-identical
+    to the current point's ends it, unaccepted: fun mapped the trial back
+    onto that point, as _project clips a step past a window edge, and trf
+    would only shrink its region over such repeats until xtol fires.
     """
     x = np.array(x0, dtype=float)
     f, jac = fun(x)
@@ -398,6 +400,9 @@ def minimize(fun, x0: np.ndarray, max_nfev: int) -> np.ndarray:
             x_new = x + step
             f_new, jac_new = fun(x_new)
             nfev += 1
+            done = np.array_equal(f_new, f)
+            if done:
+                break
             cost_new = 0.5 * (f_new @ f_new)
             reduction, step_norm = cost - cost_new, math.sqrt(step @ step)
             if predicted > 0.0:
@@ -435,25 +440,17 @@ def _scan_and_descend(log: _ProbeLog, ctx: ContrastContext, cfg: FitConfig, dens
     cfg.max_iters probes; returns the log's report.
 
     A descent probe maps its point through _project, and density(half) is
-    the density probed there: contrast_probe returns the residual and its
-    Jacobian callable, in the point's coordinates (R alone for a length-1
-    point), which the probe chains through _project at its own raw point.
-    A descent's first probe, at an audit radius, evaluates Psi there like
-    any other.  A point that projects to the latest probe's radius and
-    coefficients, such as a trial step past a window edge, reuses that
-    probe's residual and Jacobian with no evaluation, and is logged as a
-    probe all the same.
+    the density probed there: one contrast_probe call gives the residual,
+    which the probe logs, and its Jacobian callable, in the point's
+    coordinates (R alone for a length-1 point), which the probe chains
+    through _project at its own raw point.  No state survives between
+    probes.
     """
-    latest = None  # the latest descent probe: ((radius, coefficient bytes), density, residual, Jacobian)
 
     def probe(x: np.ndarray) -> tuple:
-        nonlocal latest
         radius, half = _project(x, cfg)
-        key = (radius, half.tobytes())
-        if latest is None or latest[0] != key:
-            f = density(half)
-            latest = (key, f, *contrast_probe(f, radius, ctx, x.size == 1))
-        _, f, residual, jacobian = latest
+        f = density(half)
+        residual, jacobian = contrast_probe(f, radius, ctx, x.size == 1)
         log(f, radius, residual)
         return residual, lambda: _project_jacobian(jacobian(), x, cfg)
 

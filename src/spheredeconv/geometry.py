@@ -13,7 +13,7 @@ callable; higher dimensions use callables only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence, Union
 

@@ -141,6 +141,15 @@ def test_ball_average_series_identity():
         assert np.max(np.abs(direct - 2.0 ** (d / 2.0) * h_func(d, xs))) < 1e-10
 
 
+def test_h_func_is_the_plane_wave_average_over_the_unit_ball():
+    # 2^{d/2} Gamma(d/2 + 1) H(x): the disc's 2 J_1(x) / x and the ball's
+    # 3 (sin x - x cos x) / x^3, not the circle's J_0(x)
+    xs = np.linspace(0.5, 20.0, 40)
+    assert np.max(np.abs(2.0 * h_func(2, xs) - 2.0 * sp.j1(xs) / xs)) < 1e-15
+    ball = 3.0 * (np.sin(xs) - xs * np.cos(xs)) / xs**3
+    assert np.max(np.abs(2.0**1.5 * math.gamma(2.5) * h_func(3, xs) - ball)) < 1e-14
+
+
 def test_jacobi_anger_expansion():
     assert abs(plane_wave(2.0, 0.0, 30) - np.exp(2.0j)) < 1e-12
     rng = np.random.default_rng(7)

@@ -27,7 +27,6 @@ from spheredeconv.charfn import (
     psi_model_marginals,
 )
 from spheredeconv.geometry import (
-    CallableDensity,
     FourierDensity,
     sphere_map,
     uniform_density,

@@ -31,7 +31,7 @@ from spheredeconv.geometry import (
     uniform_density,
     vonmises_like,
 )
-from spheredeconv.simulate import NoiseModel, Sample, Scenario, generate, scenario
+from spheredeconv.simulate import NoiseModel, Scenario, generate, scenario
 
 
 # ---------------------------------------------------------------- config
@@ -295,6 +295,16 @@ def test_known_density_fit_flat_sample_is_deterministic_leftmost():
     second = fit_radius_known_density(one, uniform_density())
     assert first.r_hat == second.r_hat
     assert FitConfig().r_min <= first.r_hat <= FitConfig().r_max
+
+
+def test_known_density_fit_from_a_window_edge_stops_at_its_first_repeat():
+    # the truth, R = 12, lies past r_max: the descent starts at r_max and its
+    # first trial step, clipped back onto r_max, ends it, so the fit makes
+    # the audit's probes and two more
+    s = generate(scenario(1), 1000, seed=0)
+    rep = fit_radius_known_density(4.0 * s.data, uniform_density())
+    assert rep.r_hat == FitConfig().r_max and rep.iterations == AUDIT_POINTS + 2
+    assert (rep.r_hat.hex(), rep.contrast_value.hex()) == ("0x1.4000000000000p+3", "0x1.a66907c145d7cp-11")
 
 
 def test_known_density_fit_keeps_its_exact_radius_descent():
@@ -715,9 +725,8 @@ def test_every_probe_radius_lies_in_the_box(monkeypatch, kind):
     s = generate(scn, 400, seed=3)
     cfg = FitConfig(restarts=2, k_cutoff=1)
     rep = fit_joint(s, cfg) if kind == "joint" else fit_radius_known_density(s, uniform_density(), cfg)
-    # every probe is logged; a repeat of the latest probe's projected point
-    # is logged without an evaluation of its own
-    assert len(logged) == rep.iterations and len(radii) <= len(logged)
+    # every probe is evaluated and logged, a repeat of a projected point too
+    assert len(logged) == rep.iterations == len(radii)
     assert all(cfg.r_min <= radius <= cfg.r_max for radius in logged + radii)
     assert logged.count(cfg.r_max) > 2 and rep.r_hat == cfg.r_max
 
@@ -966,7 +975,7 @@ def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
 
 
 @pytest.mark.parametrize("known", [False, True])
-def test_a_projected_repeat_is_logged_and_makes_no_kernel_call(monkeypatch, known):
+def test_a_projected_repeat_is_logged_and_evaluated_again(monkeypatch, known):
     import spheredeconv.charfn as charfn_mod
     import spheredeconv.estimators as est_mod
 
@@ -993,14 +1002,16 @@ def test_a_projected_repeat_is_logged_and_makes_no_kernel_call(monkeypatch, know
     else:
         rep = fit_joint(s, cfg, ctx=ctx)
         f = FourierDensity.from_half([0.01 - 0.02j])
-    # one evaluation for both probes, and its Jacobian takes no kernel call
-    assert seen["kernel"] == 1 and seen["further"][0] is seen["outer"][0]
+    # each probe makes its own evaluation, one kernel call, and its Jacobian
+    # none; both give the same residual
+    assert seen["kernel"] == 2 and seen["further"][0] is not seen["outer"][0]
+    assert np.array_equal(seen["further"][0], seen["outer"][0])
     # both probes are logged, at the clipped radius
     assert rep.iterations == AUDIT_POINTS + 2 and rep.r_hat <= cfg.r_max
     monkeypatch.undo()
     residual, jacobian = contrast_probe(f, cfg.r_max, ctx, known)
-    assert np.array_equal(seen["further"][0], residual)
-    # each probe chains the shared Jacobian through its own raw point: a clipped radius's zero column
+    assert all(np.array_equal(seen[at][0], residual) for at in ("outer", "further"))
+    # each probe chains its Jacobian through its own raw point: a clipped radius's zero column
     want = est_mod._project_jacobian(jacobian(), seen["x"], cfg)
     assert not want[:, 0].any() and want.shape[1] == (1 if known else 3)
     assert all(np.array_equal(got, want) for got in seen["jacobians"])
@@ -1115,6 +1126,16 @@ def test_descent_whose_model_reduction_stays_above_the_floor_reaches_the_minimiz
         cost, reduction = _model_reduction(residual, jac, p)
         assert reduction > 1e3 * 200 * np.finfo(float).eps * cost
     assert np.max(np.abs(x - np.array([2.0, -1.3]))) <= 1e-10
+
+
+def test_descent_ends_at_a_trial_that_changes_nothing():
+    # a residual flat past x = 1, as a radius clipped to r_max, whose cost
+    # falls outwards: from x0 = 1 every step goes past the bound, so the
+    # first trial's residual is the current one, bit for bit
+    residual = _counted(lambda x: np.array([3.0 - min(x[0], 1.0)]))
+    x = minimize(_paired(residual, lambda x: np.array([[0.0 if x[0] > 1.0 else -1.0]])), np.array([1.0]), 100)
+    assert len(residual.points) == 2 and residual.points[1][0] > 1.0
+    assert np.array_equal(x, [1.0])
 
 
 def test_descent_max_nfev_caps_the_residual_evaluations_exactly():
