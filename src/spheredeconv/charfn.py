@@ -22,7 +22,8 @@ t = r (cos 2 pi theta, sin 2 pi theta), to the Bessel sum
 sum_p i^p c_p J_p(r R) exp(-2 i pi p theta); in all other cases the angle
 integral is evaluated by Gauss-Legendre quadrature on the unit box, which
 the fits reach in d >= 3 only: they take circle callables in fourier_form.
-psi_model_grid is the one route from a grid to Psi values.
+psi_model_grid is the one route from a grid to Psi values and their
+derivatives.
 
 The contrast compares three point sets: the axis-1 slice (t1, 0), the
 axis-2 slice (0, t2) and the full grid.  The node count is odd, so both
@@ -45,13 +46,14 @@ over all orders at once: the
 once per evaluation, and Psi and dPsi/dR are the same signed sums over p
 of Bessel rows times weights, even orders into the real part and odd ones
 into the imaginary part.  The grid and its tables hold no fit's state:
-psi_model_grid returns, with Psi, what its derivatives need -- the closed
-form's Bessel rows and weights, or dPsi/dR from the same quadrature pass,
-which psi_model_marginals skips -- and psi_model_derivatives takes those,
-so the exact derivatives in (R, Re c_p, Im c_p) cost no kernel call or
-pass of their own.  A grid keeps the values of the fits' audits, batches
-of a Fourier density (EvalGrid.kept_psi); a descent probe keeps its own
-evaluation for its Jacobian (contrast.contrast_probe).
+on either route psi_model_grid returns (Psi, derivatives), and
+derivatives(radius_only) builds the derivative rows from what the
+evaluation holds -- the closed form's Bessel rows and weights, or dPsi/dR
+from the same quadrature pass -- so the exact derivatives in
+(R, Re c_p, Im c_p) cost no kernel call or pass of their own.  A grid
+keeps the values of the fits' audits, batches of a Fourier density
+(EvalGrid.kept_psi); a descent probe keeps its own evaluation for its
+Jacobian (contrast.contrast_probe).
 
 Data side: the empirical characteristic function on the full grid, split
 like the model's, is one accumulator of exp(i <t, x - m>)
@@ -163,11 +165,14 @@ class EvalGrid:
         dim, nu_est, nodes_per_axis = cls._checked(dim, nu_est, nodes_per_axis)
         x, w = leggauss(nodes_per_axis)
         ax, wx = nu_est * x, nu_est * w
-        ax2, w2 = tensor_rule(ax, wx, dim - 1)
         # the nodes ascend, so the first (m + 1) / 2 are those with t1 <= 0
         kept = (nodes_per_axis + 1) // 2
         ax1 = ax[:kept]
         w1 = np.where(ax1 < 0.0, 2.0 * wx[:kept], wx[:kept])
+        # the weights are positive, so the largest product is that of the largest ones
+        if not math.isfinite(math.prod([float(w1.max())] + [float(wx.max())] * (dim - 1))):
+            raise ConfigError(f"nu_est = {nu_est:g} is too large: the {dim}-d grid's weight products overflow")
+        ax2, w2 = tensor_rule(ax, wx, dim - 1)
         return cls(nu_est, nodes_per_axis, dim, ax1, w1, ax2, w2)
 
     @property
@@ -488,34 +493,37 @@ def _psi_polar(coeffs: np.ndarray, radius, table: PolarTable) -> tuple[np.ndarra
     return vals, (jmat, weights)
 
 
-def _psi_polar_jacobian(radius: float, table: PolarTable, aux: tuple, radius_only: bool = False) -> np.ndarray:
+def _psi_polar_jacobian(radius, table: PolarTable, aux: tuple, radius_only: bool = False) -> np.ndarray:
     """Derivatives of the closed form on a table's points, from the Bessel
-    rows and weights (aux) that _psi_polar returned at this radius.
+    rows and weights (aux) that _psi_polar returned at this radius or array
+    of radii.
 
-    Returns dvals of shape (1 + 2K, m) holding dPsi/dR, then dPsi/dRe c_p and
-    dPsi/dIm c_p for p = 1..K, or of shape (1, m) with dPsi/dR alone.
-    With e_p = exp(-2 i pi p theta),
+    Returns dvals of shape (..., 1 + 2K, m), after any batch axis, holding
+    dPsi/dR, then dPsi/dRe c_p and dPsi/dIm c_p for p = 1..K, or of shape
+    (..., 1, m) with dPsi/dR alone.  With e_p = exp(-2 i pi p theta),
         dPsi/dRe c_p = i^p J_p(rR) 2 Re e_p,   dPsi/dIm c_p = -i^p J_p(rR) 2 Im e_p,
         dPsi/dR = -r J_1(rR) + sum_{p>=1} i^p [r J_{p-1}(rR) - (p/R) J_p(rR)] 2 Re(c_p e_p),
     by J_0' = -J_1 and J_p'(x) = J_{p-1}(x) - (p/x) J_p(x) (DLMF 10.6.2), so
     no order past max(K, 1) enters and nothing divides by r.  dPsi/dR is
-    the same signed sum over p as _psi_polar's, on the same weights.
+    the same signed sum over p as _psi_polar's, on the same weights, and
+    as pointwise, so each radius's rows equal those at that radius alone.
     """
     jmat, weights = aux
     k_cut = table.k_cut
     r = table.radii[table.index]
-    dvals = np.zeros((1 if radius_only else 1 + 2 * k_cut, r.size), dtype=complex)
-    dvals[0].real = -r * jmat[1]
-    orders = np.arange(1.0, k_cut + 1.0)[:, None]
-    slopes = r * jmat[:k_cut] - (orders / radius) * jmat[1 : k_cut + 1]
-    _signed_parts(dvals[0], slopes * weights)
+    lead = jmat.shape[:-2]
+    dvals = np.zeros((*lead, 1 if radius_only else 1 + 2 * k_cut, r.size), dtype=complex)
+    dvals[..., 0, :].real = -r * jmat[..., 1, :]
+    orders = np.arange(1.0, k_cut + 1.0)[:, None] / np.asarray(radius)[..., None, None]
+    slopes = r * jmat[..., :k_cut, :] - orders * jmat[..., 1 : k_cut + 1, :]
+    _signed_parts(dvals[..., 0, :], slopes * weights)
     if not radius_only:
         # the coefficient rows of order p: i^p J_p 2 Re e_p, then -i^p J_p 2 Im e_p
-        rows = jmat[1 : k_cut + 1]
-        pairs = dvals[1:].reshape(k_cut, 2, r.size)
+        rows = jmat[..., 1 : k_cut + 1, :]
+        pairs = dvals[..., 1:, :].reshape(*lead, k_cut, 2, r.size)
         for col, part in ((0, rows * table.phases.real), (1, -rows * table.phases.imag)):
-            pairs[1::2, col].real = part[1::2]
-            pairs[0::2, col].imag = part[0::2]
+            pairs[..., 1::2, col, :].real = part[..., 1::2, :]
+            pairs[..., 0::2, col, :].imag = part[..., 0::2, :]
     return dvals
 
 
@@ -527,9 +535,9 @@ def _angle_quad(dim_minus_1: int) -> tuple[np.ndarray, np.ndarray]:
     return tensor_rule(0.5 * (x + 1.0), 0.5 * w, dim_minus_1)
 
 
-def _psi_quadrature(f: AngleDensity, radius: float, pts: np.ndarray, d_radius: np.ndarray | None = None) -> np.ndarray:
-    """Angle-box quadrature of exp(i R <t, S(u)>) f(u), unclipped density;
-    d_radius, when given, receives dPsi/dR, that of i <t, S(u)> times it."""
+def _psi_quadrature(f: AngleDensity, radius: float, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angle-box quadrature of exp(i R <t, S(u)>) f(u), unclipped density,
+    and of dPsi/dR, that of i <t, S(u)> times it, from the same pass."""
     dm1 = pts.shape[1] - 1
     nodes, weights = _angle_quad(dm1)
     if isinstance(f, FourierDensity):
@@ -538,7 +546,7 @@ def _psi_quadrature(f: AngleDensity, radius: float, pts: np.ndarray, d_radius: n
         fvals = np.asarray(f.fn(nodes), dtype=float)
     payload = weights * fvals
     svecs = sphere_map(nodes)
-    out = np.empty(pts.shape[0], dtype=complex)
+    out, d_radius = np.empty((2, pts.shape[0]), dtype=complex)
     for start in range(0, pts.shape[0], _QUAD_CHUNK):
         block = pts[start : start + _QUAD_CHUNK]
         # one complex product, not a real one each for cos and sin: real dgemv
@@ -547,10 +555,9 @@ def _psi_quadrature(f: AngleDensity, radius: float, pts: np.ndarray, d_radius: n
         proj = block @ svecs.T
         waves = _expi(radius * proj)
         out[start : start + _QUAD_CHUNK] = waves @ payload
-        if d_radius is not None:
-            waves *= proj
-            d_radius[start : start + _QUAD_CHUNK] = 1j * (waves @ payload)
-    return out
+        waves *= proj
+        d_radius[start : start + _QUAD_CHUNK] = 1j * (waves @ payload)
+    return out, d_radius
 
 
 def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
@@ -575,24 +582,27 @@ def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
             raise ValueError("closed form requires a circle Fourier density")
         out = _psi_polar(f.coeffs, float(radius), PolarTable.build(f.cutoff, pts))[0]
     elif method == "quadrature":
-        out = _psi_quadrature(f, float(radius), pts)
+        out = _psi_quadrature(f, float(radius), pts)[0]
     else:
         raise ValueError(f"unknown method {method!r}")
     return out[0] if single else out
 
 
-def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid, derivatives: bool = True) -> tuple:
-    """One evaluation of Psi on grid.points(): ((vals1, vals2, full), aux),
+def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid) -> tuple:
+    """One evaluation of Psi on grid.points(): ((vals1, vals2, full), derivatives),
     at a radius or at each of a 1-d array of radii (a leading batch axis).
 
     The values on the axis-1 slice, the axis-2 slice and the full grid,
     shaped (m1, m2), are views into one array, each equal to the pointwise
-    psi_model call bit for bit (same route, same coordinates).  aux is what
-    psi_model_derivatives reads: the closed form's Bessel rows and weights,
-    from one kernel call for all the radii through the grid's PolarTable for
-    the density's cutoff, or dPsi/dR from the same quadrature pass, one pass
-    per radius.  Off the closed form, derivatives=False skips dPsi/dR and
-    returns aux None, with the same values bit for bit.
+    psi_model call bit for bit (same route, same coordinates).  The closed
+    form is one kernel call for all the radii, through the grid's
+    PolarTable for the density's cutoff; off it, one quadrature pass per
+    radius.  derivatives(radius_only=False) returns the derivative triple
+    (d1, d2, d_full) in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K), or in R
+    alone when radius_only, one row per parameter after any batch axis,
+    from what the evaluation holds: the closed form's Bessel rows and
+    weights, or dPsi/dR from the same quadrature pass, the only derivative
+    off the closed form.  It calls no kernel and makes no pass.
     """
     radii = np.asarray(radius, dtype=float)
     if radii.ndim > 1 or not np.all(radii > 0.0):
@@ -600,32 +610,22 @@ def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid, derivatives: bool = 
     if grid.dim != f.dim_minus_1 + 1:
         raise ValueError("grid dimension does not match the density")
     if isinstance(f, FourierDensity):
-        vals, aux = _psi_polar(f.coeffs, radii, grid.polar_table(f.cutoff))
+        table = grid.polar_table(f.cutoff)
+        vals, aux = _psi_polar(f.coeffs, radii, table)
+        rows = lambda radius_only: _psi_polar_jacobian(radii, table, aux, radius_only)
     else:
         pts = grid.points()
-        vals = np.empty(radii.shape + pts.shape[:1], dtype=complex)
-        aux = np.empty_like(vals) if derivatives else None
+        vals, d_radius = np.empty((2, *radii.shape, pts.shape[0]), dtype=complex)
         for b in np.ndindex(radii.shape):
-            # b is () at a scalar radius, and aux[()] is a view of all of aux
-            vals[b] = _psi_quadrature(f, float(radii[b]), pts, d_radius=None if aux is None else aux[b])
-    return _split(vals, grid), aux
+            vals[b], d_radius[b] = _psi_quadrature(f, float(radii[b]), pts)
+        rows = lambda radius_only: d_radius[..., None, :]
+    return _split(vals, grid), lambda radius_only=False: _split(rows(radius_only), grid)
 
 
-def psi_model_marginals(f: AngleDensity, radius: float, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def psi_model_marginals(f: AngleDensity, radius, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Psi on the axis-1 slice, the axis-2 slice, and the full grid:
-    psi_model_grid's values, without the dPsi/dR pass off the closed form."""
-    return psi_model_grid(f, radius, grid, derivatives=False)[0]
-
-
-def psi_model_derivatives(f: AngleDensity, radius: float, grid: EvalGrid, aux, radius_only: bool = False) -> tuple:
-    """Derivatives (d1, d2, d_full) of Psi in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
-    or in R alone when radius_only, one leading row per parameter, from aux,
-    psi_model_grid's at (f, radius).  Off the closed form aux is dPsi/dR, the only one."""
-    if isinstance(f, FourierDensity):
-        dvals = _psi_polar_jacobian(float(radius), grid.polar_table(f.cutoff), aux, radius_only)
-    else:
-        dvals = aux[None]
-    return _split(dvals, grid)
+    psi_model_grid's values."""
+    return psi_model_grid(f, radius, grid)[0]
 
 
 def _split(vals: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

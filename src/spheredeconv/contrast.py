@@ -15,8 +15,9 @@ product and weights by |Phi_eps|^2.  Either quadrature is the squared norm
 of one weighted residual vector (_combine), which is what the estimators
 minimize by least squares.  A descent probe (contrast_probe) returns that
 residual together with its exact Jacobian as a callable, through
-_combine's linearisation, from the one model evaluation both share; the
-context holds only what every evaluation on the sample reuses.
+_combine's linearisation, from the one model evaluation both share:
+psi_model_grid's values and its derivatives callable, on either route.
+The context holds only what every evaluation on the sample reuses.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import (
-    EvalGrid,
-    bench_grid,
-    ecf,
-    psi_model_derivatives,
-    psi_model_grid,
-    psi_model_marginals,
-)
+from .charfn import EvalGrid, bench_grid, ecf, psi_model_grid, psi_model_marginals
 from .geometry import AngleDensity, FourierDensity, fourier_form
 
 
@@ -103,8 +97,7 @@ def contrast_residual(f: AngleDensity, radius, ctx: ContrastContext) -> np.ndarr
 
     radius may be a 1-d array of radii, a fit's audit: then one row per
     radius, from one evaluation at all of them (a Fourier density's from
-    the grid's store, EvalGrid.kept_psi; any other's without dPsi/dR) and
-    one _combine call, each row equal, bit for bit, to the residual at that
+    the grid's store, EvalGrid.kept_psi) and one _combine call, each row equal, bit for bit, to the residual at that
     radius alone.  A single radius is evaluated afresh.
     """
     if np.ndim(radius) == 1 and isinstance(f, FourierDensity):
@@ -119,19 +112,14 @@ def contrast_probe(f: AngleDensity, radius: float, ctx: ContrastContext, radius_
     one psi_model_grid evaluation.  jacobian() returns the residual's Jacobian
     in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K), or in R alone when
     radius_only, shape (2 m1 m2, P): it multiplies the Psi arrays the
-    residual compared, and derives only the derivative rows, from the
-    evaluation's Bessel rows or, off the closed form, its dPsi/dR.  Off the
-    closed form only dPsi/dR exists, and the coefficient columns are refused
-    before any work."""
+    residual compared by the evaluation's derivatives(radius_only), which
+    call no kernel and make no pass.  Off the closed form only dPsi/dR
+    exists, and the coefficient columns are refused before any work."""
     if not (radius_only or isinstance(f, FourierDensity)):
         raise ValueError("the coefficient columns need the closed form; pass radius_only=True for dPsi/dR")
-    psi, aux = psi_model_grid(f, radius, ctx.grid)
-
-    def jacobian() -> np.ndarray:
-        dpsi = psi_model_derivatives(f, radius, ctx.grid, aux, radius_only)
-        return _combine_jacobian(psi[:2], dpsi, ctx.ref_outer, ctx.ref[2], ctx.root_weights)
-
-    return _combine(psi, ctx.ref_outer, ctx.ref[2], ctx.root_weights), jacobian
+    psi, derivatives = psi_model_grid(f, radius, ctx.grid)
+    args = (ctx.ref_outer, ctx.ref[2], ctx.root_weights)
+    return _combine(psi, *args), lambda: _combine_jacobian(psi[:2], derivatives(radius_only), *args)
 
 
 def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:

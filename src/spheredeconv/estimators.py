@@ -1,13 +1,15 @@
 """Estimators built on the empirical contrast.
 
 The contrast is the squared norm of a weighted residual vector, so both
-fits minimize it as a nonlinear least-squares problem through one
-skeleton (_scan_and_descend): an audit scan of radii, one residual batch
-from one model evaluation at every audit radius, then one
-trust-region descent (minimize) per basin of that audit profile.  Each
-descent probe (contrast_probe) returns its residual with the residual's
-exact Jacobian as a callable, derived from the probe's own model
-evaluation and chained through the projection onto the admissible set.
+fits minimize it as a nonlinear least-squares problem through one driver
+(_fit): after each fit's own input checks, it refuses what cannot be
+fitted before any work, builds the sample's context and probe log, then
+runs an audit scan of radii, one residual batch from one model evaluation
+at every audit radius, and one trust-region descent (minimize) per basin
+of that audit profile.  Each descent probe (contrast_probe) returns its
+residual with the residual's exact Jacobian as a callable, derived from
+the probe's own model evaluation (psi_model_grid's values and
+derivatives) and chained through the projection onto the admissible set.
 The descent is the package's own port of scipy's unbounded
 trust-region reflective method: More's Levenberg-Marquardt step, solved
 on the (1 + 2K)-square Gram matrix J^T J rather than on an SVD of the tall
@@ -57,9 +59,10 @@ class FitConfig:
     the joint fit finds R = 3 up to r_max = 50, not at r_max = 100, and
     returns r_hat ~ 1e6 at r_max = 1e6.
     k_cutoff is the Fourier cutoff K of the joint fit's density; restarts
-    caps the number of audit basins each fit descends from (see
-    _scan_and_descend; at most AUDIT_POINTS), and max_iters caps every
-    descent's probes, in both fits.
+    caps the number of audit basins each fit descends from (see _fit; at
+    most AUDIT_POINTS), and max_iters caps every descent's probes, in both
+    fits.  The fits refuse, before any work, an r_max whose product with
+    the grid's largest |t| overflows.
     Integer-valued floats are stored as ints.  Every value it refuses is
     refused with ConfigError, a ValueError.
     """
@@ -427,17 +430,26 @@ def minimize(fun, x0: np.ndarray, max_nfev: int) -> np.ndarray:
     return x
 
 
-def _scan_and_descend(log: _ProbeLog, ctx: ContrastContext, cfg: FitConfig, density, k_cut: int = 0) -> EstimateReport:
-    """The fit skeleton: probe AUDIT_POINTS radii evenly over [r_min, r_max]
-    with k_cut coefficients at zero, in one residual batch on the audit's
-    density density(zeros) (on the closed form one Bessel kernel call, whose
-    values the grid keeps among its latest few, EvalGrid.kept_psi), and rank
-    them by value (stable, so ties go to the smaller radius).  Then descend
-    once per basin of that audit profile, best first, at most cfg.restarts
-    times: from the best audit radius, then from each interior strict local
-    minimum (both neighbours strictly higher).  An endpoint gets a descent
-    only as the best audit radius.  Each descent makes at most
-    cfg.max_iters probes; returns the log's report.
+def _fit(sample, data: np.ndarray, cfg: FitConfig | None, grid, ctx, density, joint: bool = False) -> EstimateReport:
+    """The fit driver, once a fit's own checks pass; cfg None is FitConfig().
+    Before any work it refuses a ctx built on another grid than a given
+    grid, with ValueError, and a window whose largest Bessel argument
+    r_max max|t| is not finite, with ConfigError; then it takes the audit's
+    density density(zeros), whose refusal also precedes the ECF, and builds
+    the sample's ContrastContext on the fit's grid (ctx's, else grid, else
+    default_grid) and the probe log.
+
+    Then probe AUDIT_POINTS radii evenly over [r_min, r_max] with the free
+    coefficients (cfg.k_cutoff of them when joint, else none) at zero, in
+    one residual batch on density(zeros) (on the closed form one Bessel
+    kernel call, whose values the grid keeps among its latest few,
+    EvalGrid.kept_psi), and rank them by value (stable, so ties go to the
+    smaller radius).  Then descend once per basin of that audit profile,
+    best first, at most cfg.restarts times: from the best audit radius,
+    then from each interior strict local minimum (both neighbours strictly
+    higher).  An endpoint gets a descent only as the best audit radius.
+    Each descent makes at most cfg.max_iters probes; returns the log's
+    report.
 
     A descent probe maps its point through _project, and density(half) is
     the density probed there: one contrast_probe call gives the residual,
@@ -446,6 +458,17 @@ def _scan_and_descend(log: _ProbeLog, ctx: ContrastContext, cfg: FitConfig, dens
     through _project at its own raw point.  No state survives between
     probes.
     """
+    t_start = time.perf_counter()
+    cfg = cfg or FitConfig()
+    if ctx is not None and grid is not None and ctx.grid is not grid:
+        raise ValueError("ctx was built on another grid than the fit's")
+    grid = ctx.grid if ctx else grid or default_grid(data.shape[1])
+    if not math.isfinite(cfg.r_max * math.hypot(*np.abs(grid.points()).max(axis=0))):
+        raise ConfigError(f"r_max = {cfg.r_max:g} at nu_est = {grid.nu_est:g}: the largest Bessel argument overflows")
+    zeros = np.zeros(cfg.k_cutoff if joint else 0, dtype=complex)
+    start = density(zeros)
+    ctx = ctx or ContrastContext.from_sample(data, grid)
+    log = _ProbeLog(data, getattr(sample, "seed", None), t_start)
 
     def probe(x: np.ndarray) -> tuple:
         radius, half = _project(x, cfg)
@@ -454,9 +477,7 @@ def _scan_and_descend(log: _ProbeLog, ctx: ContrastContext, cfg: FitConfig, dens
         log(f, radius, residual)
         return residual, lambda: _project_jacobian(jacobian(), x, cfg)
 
-    zeros = np.zeros(k_cut, dtype=complex)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
-    start = density(zeros)
     log(start, audit, contrast_residual(start, audit, ctx))
     values = np.array([value for value, _, _ in log.probes])
     ranked = np.argsort(values, kind="stable")
@@ -468,38 +489,28 @@ def _scan_and_descend(log: _ProbeLog, ctx: ContrastContext, cfg: FitConfig, dens
     return log.report()
 
 
-def _check_context(grid: EvalGrid | None, ctx: ContrastContext | None) -> None:
-    """ValueError for a prebuilt ctx on another grid than the fit's (None takes ctx's)."""
-    if ctx is not None and grid is not None and ctx.grid is not grid:
-        raise ValueError("ctx was built on another grid than the fit's")
-
-
 def fit_joint(
     sample, cfg: FitConfig | None = None, grid: EvalGrid | None = None, *, ctx: ContrastContext | None = None
 ) -> EstimateReport:
     """Jointly estimate the radius and the angular density on the circle.
 
-    Runs _scan_and_descend over (R, Re c_1, Im c_1, ..., Re c_K, Im c_K)
-    at the uniform density, one descent per audit basin, at most
-    cfg.restarts of them.  The radius clips to [r_min, r_max] and the
-    coefficients shrink into the admissible set inside the residual.
-    Returns the best probe, ties breaking towards the smallest radius.
-    ctx, if given, is the sample's ContrastContext, so a caller fitting one
-    sample twice builds its ECF once; the fit runs on its grid, and one
-    built on another grid than a given grid is refused with ValueError
-    before any work.  Deterministic given (sample, config).
+    Runs the fit driver (_fit) over (R, Re c_1, Im c_1, ..., Re c_K, Im c_K),
+    K = cfg.k_cutoff, from the uniform density, one descent per audit
+    basin, at most cfg.restarts of them.  The radius clips to
+    [r_min, r_max] and the coefficients shrink into the admissible set
+    inside the residual.  Returns the best probe, ties breaking towards the
+    smallest radius.  ctx, if given, is the sample's ContrastContext, so a
+    caller fitting one sample twice builds its ECF once; the fit runs on
+    its grid, and one built on another grid than a given grid is refused
+    with ValueError before any work, as is a window whose Bessel arguments
+    overflow, with ConfigError.  Deterministic given (sample, config).
     """
-    t_start = time.perf_counter()
-    cfg = cfg or FitConfig()
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("fit_joint works on circle data of shape (n, 2)")
     if data.shape[0] < 50:
         raise ValueError("need at least 50 observations for a joint fit")
-    _check_context(grid, ctx)
-    ctx = ctx or ContrastContext.from_sample(data, grid or default_grid(2))
-    log = _ProbeLog(data, getattr(sample, "seed", None), t_start)
-    return _scan_and_descend(log, ctx, cfg, FourierDensity.from_half, cfg.k_cutoff)
+    return _fit(sample, data, cfg, grid, ctx, FourierDensity.from_half, joint=True)
 
 
 def fit_radius_known_density(
@@ -512,20 +523,15 @@ def fit_radius_known_density(
 ) -> EstimateReport:
     """Estimate the radius with the angular density held at f_star.
 
-    Runs _scan_and_descend in R alone, the density fixed: one descent per
-    audit basin, at most cfg.restarts of them, as in fit_joint.  Every contrast
-    evaluation is logged and the best probed radius is returned, ties
-    breaking towards the smaller radius.  A circle callable is fitted and
-    reported in its fourier_form, which may refuse it with ConfigError
-    before any work.  ctx is taken as in fit_joint.
+    Runs the fit driver (_fit) in R alone, the density fixed: one descent
+    per audit basin, at most cfg.restarts of them, as in fit_joint.  Every
+    contrast evaluation is logged and the best probed radius is returned,
+    ties breaking towards the smaller radius.  A circle callable is fitted
+    and reported in its fourier_form, which may refuse it with ConfigError
+    before any work, after the driver's own refusals.  ctx is taken as in
+    fit_joint.
     """
-    t_start = time.perf_counter()
-    cfg = cfg or FitConfig()
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2 or data.shape[1] != f_star.dim_minus_1 + 1:
         raise ValueError("sample dimension does not match the density")
-    _check_context(grid, ctx)
-    f_star = fourier_form(f_star)
-    ctx = ctx or ContrastContext.from_sample(data, grid or default_grid(data.shape[1]))
-    log = _ProbeLog(data, getattr(sample, "seed", None), t_start)
-    return _scan_and_descend(log, ctx, cfg, lambda half: f_star)
+    return _fit(sample, data, cfg, grid, ctx, lambda half: fourier_form(f_star))

@@ -22,10 +22,10 @@ from spheredeconv.charfn import (
     default_grid,
     ecf,
     psi_model,
-    psi_model_derivatives,
     psi_model_grid,
     psi_model_marginals,
 )
+from spheredeconv.errors import ConfigError
 from spheredeconv.geometry import (
     FourierDensity,
     sphere_map,
@@ -217,6 +217,22 @@ class TestEvalGrid:
         monkeypatch.setattr(charfn_mod, "DEFAULT_NODES", kwargs.pop("nodes_per_axis", charfn_mod.DEFAULT_NODES))
         with pytest.raises(ValueError, match=str(built.value)):
             default_grid(**kwargs)
+
+    @pytest.mark.parametrize("dim, refused, accepted", [(2, 1e155, 1e154), (3, 1e104, 1e103)])
+    def test_a_window_whose_weight_products_overflow_is_refused(self, dim, refused, accepted, monkeypatch):
+        import spheredeconv.contrast as contrast_mod
+
+        def no_ecf(*args, **kwargs):
+            raise AssertionError("ECF work started on a refused grid")
+
+        monkeypatch.setattr(contrast_mod, "ecf", no_ecf)
+        with pytest.raises(ConfigError, match="weight products overflow"):
+            EvalGrid.build(dim=dim, nu_est=refused, nodes_per_axis=9)
+        g = EvalGrid.build(dim=dim, nu_est=accepted, nodes_per_axis=9)
+        assert np.isfinite(np.multiply.outer(g.axis1_weights, g.axis2_weights)).all()
+        # the default 33-node rule's weights are smaller, so it overflows later
+        with pytest.raises(ConfigError, match="weight products overflow"):
+            default_grid(dim, 1e300)
 
 
 class TestEcf:
@@ -556,28 +572,6 @@ class TestPsiModel:
                 closed = psi_model(f, radius, t, method="closed")
                 assert np.max(np.abs(closed - psi_model(f, radius, t, method="quadrature"))) < 1e-12
 
-    def test_marginals_skip_the_radius_derivative_off_the_closed_form(self, monkeypatch):
-        import spheredeconv.charfn as charfn_mod
-
-        passes = []
-        real_pass = charfn_mod._psi_quadrature
-
-        def recording(f, radius, pts, d_radius=None):
-            passes.append(d_radius)
-            return real_pass(f, radius, pts, d_radius=d_radius)
-
-        monkeypatch.setattr(charfn_mod, "_psi_quadrature", recording)
-        for f, dim, nodes in ((uniform_density(2), 3, 3), (vonmises_like(), 2, 9)):
-            g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=nodes)
-            passes.clear()
-            vals = psi_model_marginals(f, 2.3, g)
-            assert passes == [None]
-            psi, aux = psi_model_grid(f, 2.3, g)
-            # the pass writes dPsi/dR into aux itself, through the view aux[()]
-            assert passes[1].base is aux and aux.shape == (g.points().shape[0],)
-            for got, want in zip(vals, psi):
-                assert got.tobytes() == want.tobytes()
-
     def test_quadrature_marginals_bitwise_match_batch_calls(self):
         # more than one 128-row chunk, so the axis-1 slice straddles the chunks
         for f, dim, nodes in ((vonmises_like(), 2, 17), (uniform_density(2), 3, 7)):
@@ -595,11 +589,11 @@ class TestPsiModel:
         for k_cut in (0, 3):
             f = random_density(rng, k_cut)
             vals = psi_model_marginals(f, 2.7, g)
-            psi, aux = psi_model_grid(f, 2.7, g)
+            psi, derivatives = psi_model_grid(f, 2.7, g)
             for got, want in zip(psi, vals):
                 assert got.tobytes() == want.tobytes()
             for radius_only, rows in ((False, 1 + 2 * k_cut), (True, 1)):
-                for d, want in zip(psi_model_derivatives(f, 2.7, g, aux, radius_only), vals):
+                for d, want in zip(derivatives(radius_only), vals):
                     assert d.shape == (rows, *want.shape)
         # the contrast's Jacobian multiplies the very Psi arrays its probe compared
         seen = []
@@ -630,29 +624,49 @@ class TestPsiModel:
         radii = np.array([3.0, 0.3, 1.7 * top, 0.6 * top, 1e-3])
         xs = np.multiply.outer(radii, g.polar_table(k_cut).radii)
         assert (xs < max(k_cut, 1)).any() and (xs >= max(k_cut, 1)).any()
-        batch, (jmat, weights) = psi_model_grid(f, radii, g)
+        batch, derivatives = psi_model_grid(f, radii, g)
         assert batch[2].shape == (radii.size, g.m1, g.m2)
+        rows = {radius_only: derivatives(radius_only) for radius_only in (False, True)}
+        assert rows[False][2].shape == (radii.size, 1 + 2 * k_cut, g.m1, g.m2)
+        assert rows[True][2].shape == (radii.size, 1, g.m1, g.m2)
         for b, radius in enumerate(radii):
-            want_vals, (want_jmat, want_weights) = psi_model_grid(f, float(radius), g)
+            want_vals, want_derivatives = psi_model_grid(f, float(radius), g)
             for got, want in zip(batch, want_vals):
                 assert got[b].tobytes() == want.tobytes()
-            # the weights hold for every radius
-            assert jmat[b].tobytes() == want_jmat.tobytes() and weights.tobytes() == want_weights.tobytes()
+            # the derivative rows, built on the Bessel rows and the weights
+            # shared by every radius, equal those of a call at that radius alone
+            for radius_only, got_rows in rows.items():
+                for got, want in zip(got_rows, want_derivatives(radius_only)):
+                    assert got[b].tobytes() == want.tobytes()
 
-    def test_batched_radii_off_the_closed_form_are_one_pass_per_radius(self):
+    def test_batched_radii_off_the_closed_form_are_one_pass_per_radius(self, monkeypatch):
+        import spheredeconv.charfn as charfn_mod
+
+        passes = []
+        real_pass = charfn_mod._psi_quadrature
+
+        def counting(f, radius, pts):
+            passes.append(radius)
+            return real_pass(f, radius, pts)
+
+        monkeypatch.setattr(charfn_mod, "_psi_quadrature", counting)
         for f, dim in ((vonmises_like(), 2), (uniform_density(2), 3)):
             g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=3)
             radii = np.array([2.5, 0.7])
-            for derivatives in (True, False):
-                batch, aux = psi_model_grid(f, radii, g, derivatives)
-                for b, radius in enumerate(radii):
-                    want_vals, want_aux = psi_model_grid(f, float(radius), g, derivatives)
-                    for got, want in zip(batch, want_vals):
-                        assert got[b].tobytes() == want.tobytes()
-                    if derivatives:
-                        assert aux[b].tobytes() == want_aux.tobytes()
-                    else:
-                        assert aux is None and want_aux is None
+            passes.clear()
+            batch, derivatives = psi_model_grid(f, radii, g)
+            # off the closed form dPsi/dR is the only row, whatever radius_only says
+            got_rows = derivatives(True)
+            assert passes == list(radii) and derivatives(False)[2].tobytes() == got_rows[2].tobytes()
+            assert got_rows[2].shape == (radii.size, 1, g.m1, g.m2)
+            for b, radius in enumerate(radii):
+                want_vals, want_derivatives = psi_model_grid(f, float(radius), g)
+                for got, want in zip(batch, want_vals):
+                    assert got[b].tobytes() == want.tobytes()
+                for got, want in zip(got_rows, want_derivatives(True)):
+                    assert got[b].tobytes() == want.tobytes()
+            # the derivatives made no pass of their own
+            assert passes == [2.5, 0.7, 2.5, 0.7]
 
     def test_errors(self):
         f = uniform_density(1)

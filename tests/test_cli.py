@@ -118,8 +118,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         (["--rmin", "4", "--rmax", "3"], "--rmin 4 --rmax 3", "r_min < r_max"),
         (["--nu-est", "0"], "--nu-est 0", "nu_est"),
         (["--nu-est", "inf"], "--nu-est inf", "nu_est"),
+        (["--nu-est", "1e300"], "--nu-est 1e+300", "weight products overflow"),
     ],
-    ids=["negative_rmax", "empty_window", "zero_nu_est", "infinite_nu_est"],
+    ids=["negative_rmax", "empty_window", "zero_nu_est", "infinite_nu_est", "overflowing_nu_est"],
 )
 def test_estimate_refuses_bad_flags_before_reading_its_input(tmp_path, capsys, monkeypatch, flags, named, reason):
     import spheredeconv.cli as cli_mod

@@ -304,19 +304,19 @@ def test_contrast_jacobian_reuses_the_probes_quadrature_pass(monkeypatch):
     calls = []
     real = charfn_mod._psi_quadrature
 
-    def counting(f, radius, pts, **kwargs):
-        calls.append((radius, kwargs.get("d_radius") is not None))
-        return real(f, radius, pts, **kwargs)
+    def counting(f, radius, pts):
+        calls.append(radius)
+        return real(f, radius, pts)
 
     monkeypatch.setattr(charfn_mod, "_psi_quadrature", counting)
     data = np.random.default_rng(3).standard_normal((200, 3))
     ctx = ContrastContext.from_sample(data, EvalGrid.build(dim=3, nodes_per_axis=3))
     f = uniform_density(2)
-    # the probe's one pass gives dPsi/dR alongside Psi; a lone residual takes none
+    # each evaluation is one pass, which gives dPsi/dR alongside Psi
     residual, at_probe = contrast_probe(f, 2.5, ctx, radius_only=True)
     elsewhere = contrast_probe(f, 2.7, ctx, radius_only=True)[1]
     assert np.array_equal(residual, contrast_residual(f, 2.5, ctx))
-    assert calls == [(2.5, True), (2.7, True), (2.5, False)]
+    assert calls == [2.5, 2.7, 2.5]
     got = at_probe()
     assert calls[3:] == [] and not np.array_equal(got, elsewhere())
     assert got.shape == (residual.size, 1)
@@ -486,22 +486,6 @@ class TestPopulationContrast:
             contrast_m_oracle(
                 uniform_density(1), 2.0, uniform_density(1), 3.0, Opaque()
             )
-
-    def test_skips_the_radius_derivative_off_the_closed_form(self, monkeypatch):
-        import spheredeconv.charfn as charfn_mod
-
-        passes = []
-        real_pass = charfn_mod._psi_quadrature
-
-        def recording(f, radius, pts, d_radius=None):
-            passes.append(d_radius)
-            return real_pass(f, radius, pts, d_radius=d_radius)
-
-        monkeypatch.setattr(charfn_mod, "_psi_quadrature", recording)
-        f = uniform_density(2)
-        grid = EvalGrid.build(dim=3, nu_est=0.5, nodes_per_axis=3)
-        val = contrast_m_oracle(f, 2.5, f, 3.0, NoiseModel.isotropic_gaussian(0.3, dim=3), grid=grid)
-        assert val > 0.0 and passes == [None, None]
 
     def test_mixture_noise_supported(self):
         scn = scenario(2)

@@ -562,6 +562,28 @@ def test_circle_callable_off_the_fourier_form_is_refused_before_ecf(monkeypatch,
             fit_radius_known_density(generate(scenario(1), 100, 0), density)
 
 
+@pytest.mark.parametrize("known", [False, True])
+def test_a_window_whose_bessel_arguments_overflow_is_refused_before_ecf(monkeypatch, known):
+    import spheredeconv.contrast as contrast_mod
+
+    def no_ecf(*args, **kwargs):
+        raise AssertionError("ECF work started")
+
+    monkeypatch.setattr(contrast_mod, "ecf", no_ecf)
+    s, grid = generate(scenario(1), 500, seed=0), EvalGrid.build(nu_est=1e3)
+
+    def fit(r_max):
+        cfg = FitConfig(r_max=r_max)
+        return fit_radius_known_density(s, scenario(1).density, cfg, grid) if known else fit_joint(s, cfg, grid)
+
+    # max|t| is about 1.4e3 here: r_max = 1e306 puts the largest argument past
+    # the largest double, r_max = 1e300 does not, and that fit reaches the ECF
+    with pytest.raises(ConfigError, match="r_max = 1e\\+306 at nu_est = 1000"):
+        fit(1e306)
+    with pytest.raises(AssertionError, match="ECF work started"):
+        fit(1e300)
+
+
 def test_known_density_fit_recovers_the_radius_in_three_dimensions():
     # off the closed form: the angle quadrature, with its exact radius column
     # on 3 nodes per axis; seeds 1-3 missed R by at most 0.0019 at this n
@@ -947,13 +969,12 @@ def test_another_audit_misses_the_store_and_is_the_cold_fit(monkeypatch, known, 
 def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
     import spheredeconv.charfn as charfn_mod
 
-    passes, derivatives = [], []
+    passes = []
     real_pass = charfn_mod._psi_quadrature
 
-    def recording(f, radius, pts, d_radius=None):
+    def recording(f, radius, pts):
         passes.append(radius)
-        derivatives.append(d_radius is not None)
-        return real_pass(f, radius, pts, d_radius=d_radius)
+        return real_pass(f, radius, pts)
 
     s = generate(D3_SCENARIO, 300, seed=1)
     grid = EvalGrid.build(dim=3, nodes_per_axis=3)
@@ -962,11 +983,11 @@ def test_three_dimensional_audit_is_one_quadrature_pass_per_radius(monkeypatch):
     monkeypatch.setattr(charfn_mod, "_psi_quadrature", recording)
     fit_radius_known_density(s, D3_SCENARIO.density, cfg, grid)
     audit = np.linspace(cfg.r_min, cfg.r_max, AUDIT_POINTS)
-    assert passes[:AUDIT_POINTS] == list(audit)
-    # the audit takes no dPsi/dR; each descent's one probe, at an audit radius, does
+    # one pass per audit radius, then one per descent, whose one probe (at an
+    # audit radius) takes its Jacobian from that pass
     descents = _basins([value for _, _, value in probes[:AUDIT_POINTS]], cfg.restarts)
     assert len(descents) > 1
-    assert derivatives == [False] * AUDIT_POINTS + [True] * len(descents)
+    assert passes == list(audit) + [audit[i] for i in descents]
     monkeypatch.undo()
     # the values a context holding each radius alone computes
     fresh = ContrastContext.from_sample(s, grid)
