@@ -4,14 +4,15 @@
 
 Runs fit_joint and fit_radius_known_density (the scenario's true density)
 at the default FitConfig on scenarios 1-4, n in {300, 1e3, 1e4}, seeds 0-1,
-on EvalGrid.build() and bench_grid(): 96 fits, with BLAS pinned to one
-thread.  Prints one SHA-256 over every fit's (r_hat, c_hat, f_hat_coeffs,
-contrast_value, iterations), one per field over all fits (so a moved hash
-names the field that moved), and the determinism_hash of the sweep_s4
-benchmark spec (scenario 4, n = 1e4, 2 replications, both modes,
-restarts = 2) at base seeds 1-3.  Then one line per fit: its scenario,
-n, seed, grid and fit, with r_hat.hex(), contrast_value.hex() and
-iterations (the fit's probes).  Then the same for two d = 3 known fits
+on EvalGrid.build() and on EvalGrid.build(nu_est=0.5), labelled "default"
+and "bench" (older outputs' name for the narrower window, so --against
+lines up with them): 96 fits, with BLAS pinned to one thread.  Prints one SHA-256 over every
+fit's (r_hat, c_hat, f_hat_coeffs, contrast_value, iterations), one per
+field over all fits (so a moved hash names the field that moved), and the
+determinism_hash of the sweep_s4 benchmark spec (scenario 4, n = 1e4, 2
+replications, both modes, restarts = 2, on the default grid) at base seeds
+1-3.  Then one line per fit: its scenario, n, seed, grid and fit, with
+r_hat.hex(), contrast_value.hex() and iterations (the fit's probes).  Then the same for two d = 3 known fits
 (the d = 3 audit and descent off the closed form: a circle-cosine density
 on the 2-sphere, isotropic noise 0.3, R = 2, n = 300, seeds 0-1, on a
 3-node grid): one hash line over both, then one line per fit.  Then one
@@ -50,14 +51,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import spheredeconv as sd  # noqa: E402
-from spheredeconv.charfn import bench_grid  # noqa: E402
 
 FIELDS = ("r_hat", "c_hat", "f_hat_coeffs", "contrast_value", "iterations")
 
 
 def fit_reports():
     """The 96 parity fits' labels and reports, in a fixed order."""
-    grids = (("default", sd.EvalGrid.build(dim=2)), ("bench", bench_grid()))
+    grids = (("default", sd.EvalGrid.build(dim=2)), ("bench", sd.EvalGrid.build(dim=2, nu_est=0.5)))
     for scenario_id in (1, 2, 3, 4):
         scn = sd.scenario(scenario_id)
         for n in (300, 1_000, 10_000):
@@ -92,7 +92,7 @@ EDGE_WINDOWS = (("x0.1", 0.1, {}), ("x4", 4.0, {}), ("[0.5,2.5]", 1.0, {"r_max":
 def edge_reports():
     """The clipped-window fits' labels and reports: both fits on scenarios
     1-4, n = 1e3, seeds 0-1, both grids, in each EDGE_WINDOWS window."""
-    grids = (("default", sd.EvalGrid.build(dim=2)), ("bench", bench_grid()))
+    grids = (("default", sd.EvalGrid.build(dim=2)), ("bench", sd.EvalGrid.build(dim=2, nu_est=0.5)))
     for scenario_id in (1, 2, 3, 4):
         scn = sd.scenario(scenario_id)
         for seed in (0, 1):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .charfn import bench_grid
+from .charfn import default_grid
 from .contrast import ContrastContext
 from .errors import ConfigError, NumericalError, _as_int
 from .estimators import FitConfig, fit_joint, fit_radius_known_density, truncation_level
@@ -115,7 +115,7 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
     """
     scn = scenario(spec.scenario_id)
     density = fourier_form(scn.density)
-    grid = bench_grid()
+    grid = default_grid()
     rows = []
     for n in spec.n_values:
         level = truncation_level(n)

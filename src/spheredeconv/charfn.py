@@ -76,40 +76,33 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bessel import bessel_rows, negligible_order
-from .errors import ConfigError, _as_int
+from .errors import ConfigError, _as_float, _as_int
 from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, tensor_rule
 
-# half-width of the default frequency window [-nu_est, nu_est]^d
+# half-width of the frequency window [-nu_est, nu_est]^d of every fit, sweep
+# and population contrast given no grid
 DEFAULT_NU_EST = 1.0
-# the narrower window of bench fits and of the population contrast's default grid
-BENCH_NU_EST = 0.5
 # Gauss-Legendre nodes per frequency axis of a grid built without a count
 DEFAULT_NODES = 33
 
 
-def default_grid(dim: int = 2, nu_est: float = DEFAULT_NU_EST) -> "EvalGrid":
-    """EvalGrid.build(dim=dim, nu_est=nu_est), the grid of a fit given none;
-    built once per value of (dim, nu_est), whatever the call's form, so its
-    cached tables and kept evaluations serve every later call.  Values
-    EvalGrid.build refuses are refused with its ValueError."""
-    dim, nu_est, _ = EvalGrid._checked(dim, nu_est, DEFAULT_NODES)
-    return _default_grid(dim, nu_est)
+def default_grid(dim: int = 2) -> "EvalGrid":
+    """EvalGrid.build(dim=dim), the grid of every fit, sweep and population
+    contrast given none; built once per dimension, whatever the call's form,
+    so its cached tables and kept evaluations serve every later call.  A dim
+    EvalGrid.build refuses is refused with its ValueError."""
+    return _default_grid(_as_int("dim", dim))
 
 
 @lru_cache(maxsize=None)
-def _default_grid(dim: int, nu_est: float) -> "EvalGrid":
-    return EvalGrid.build(dim=dim, nu_est=nu_est)
-
-
-def bench_grid(dim: int = 2) -> "EvalGrid":
-    """The frequency grid of every bench fit and of the population contrast's
-    default: default_grid at BENCH_NU_EST."""
-    return default_grid(dim, BENCH_NU_EST)
+def _default_grid(dim: int) -> "EvalGrid":
+    return EvalGrid.build(dim=dim)
 
 
 # evaluations a grid keeps (EvalGrid.kept_psi): a sweep alternates two audits
 # per grid, the joint and the known fit's, and a 16-radius audit's values on
-# the default grid take 0.14 MB, so four serve two such sweeps
+# the default grid take 0.14 MB, so four serve a sweep on the default grid and
+# two other audits there, such as default fits'
 _KEPT_PSI = 4
 
 
@@ -146,11 +139,12 @@ class EvalGrid:
     axis2_nodes: np.ndarray
     axis2_weights: np.ndarray
 
-    @staticmethod
-    def _checked(dim: int, nu_est: float, nodes_per_axis: int) -> tuple[int, float, int]:
-        """build's arguments as (int, float, int), or ConfigError, a
-        ValueError, for values it refuses."""
+    @classmethod
+    def build(cls, dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = DEFAULT_NODES) -> "EvalGrid":
+        """The grid of these arguments, taken as (int, float, int); ConfigError,
+        a ValueError, for values it refuses, before any work."""
         dim, nodes_per_axis = _as_int("dim", dim), _as_int("nodes_per_axis", nodes_per_axis)
+        nu_est = _as_float("nu_est", nu_est)
         if dim < 2:
             raise ConfigError("dim must be an integer >= 2")
         if not (0.0 < nu_est < math.inf):
@@ -158,11 +152,6 @@ class EvalGrid:
         # only an odd rule has the node 0 that the axis slices lie on
         if nodes_per_axis < 3 or nodes_per_axis % 2 == 0:
             raise ConfigError(f"nodes_per_axis must be an odd integer >= 3, got {nodes_per_axis}")
-        return dim, float(nu_est), nodes_per_axis
-
-    @classmethod
-    def build(cls, dim: int = 2, nu_est: float = DEFAULT_NU_EST, nodes_per_axis: int = DEFAULT_NODES) -> "EvalGrid":
-        dim, nu_est, nodes_per_axis = cls._checked(dim, nu_est, nodes_per_axis)
         x, w = leggauss(nodes_per_axis)
         ax, wx = nu_est * x, nu_est * w
         # the nodes ascend, so the first (m + 1) / 2 are those with t1 <= 0

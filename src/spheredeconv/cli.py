@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .bench import DESK_GRID, FULL_GRID, BenchSpec, determinism_hash, emit, run_bench
-from .charfn import DEFAULT_NU_EST, bench_grid, default_grid
+from .charfn import DEFAULT_NU_EST, EvalGrid, default_grid
 from .errors import ConfigError, NumericalError
 from .estimators import ALPHA, EstimateReport, FitConfig, fit_joint, truncate_density
 from .simulate import generate, load_sample_bin, load_sample_csv, save_sample_bin, save_sample_csv, scenario
@@ -59,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--rmin", type=float, default=FitConfig.r_min)
     e.add_argument("--rmax", type=float, default=FitConfig.r_max)
     e.add_argument("--nu-est", type=float, default=DEFAULT_NU_EST, dest="nu_est",
-                   help="half-width of the frequency window the contrast integrates over")
+                   help="half-width of the frequency window the contrast integrates over "
+                   f"(default {DEFAULT_NU_EST:g}, the window of every fit and of deconv bench)")
     e.add_argument("--out", default="report.json")
 
     g = sub.add_parser("generate", help="write a synthetic sample")
@@ -91,7 +92,7 @@ def _cmd_bench(args) -> int:
     rows = run_bench(spec, progress=not args.quiet)
     fmt = "json" if args.out.endswith(".json") else "csv"
     emit(rows, args.out, fmt)
-    grid = bench_grid()
+    grid = default_grid()
     print(
         f"integration=gauss-legendre nodes={grid.nodes_per_axis} nu_est={grid.nu_est:g} "
         f"rows={len(rows)} out={args.out}"
@@ -103,7 +104,7 @@ def _cmd_bench(args) -> int:
 def _cmd_estimate(args) -> int:
     # fit_joint takes d = 2 samples only, so the flags are checked before --input is read
     try:
-        cfg, grid = FitConfig(r_min=args.rmin, r_max=args.rmax), default_grid(2, args.nu_est)
+        cfg, grid = FitConfig(r_min=args.rmin, r_max=args.rmax), EvalGrid.build(dim=2, nu_est=args.nu_est)
     except ConfigError as exc:
         raise ConfigError(f"--rmin {args.rmin:g} --rmax {args.rmax:g} --nu-est {args.nu_est:g}: {exc}") from exc
     sample = (load_sample_bin if args.input.endswith(".bin") else load_sample_csv)(args.input)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import EvalGrid, bench_grid, ecf, psi_model_grid, psi_model_marginals
+from .charfn import EvalGrid, default_grid, ecf, psi_model_grid, psi_model_marginals
 from .geometry import AngleDensity, FourierDensity, fourier_form
 
 
@@ -146,14 +146,14 @@ def contrast_m_oracle(
     Requires a noise model exposing a closed-form characteristic function,
     char_fn.  Zero exactly at the truth; positive at any
     candidate generating a different observation law.  grid defaults to
-    bench_grid() of the density's dimension.  Circle callables enter in
-    their fourier_form.
+    default_grid() of the density's dimension, the grid of every fit and
+    sweep given none.  Circle callables enter in their fourier_form.
     """
     if not hasattr(noise, "char_fn"):
         raise ValueError("noise model does not expose a closed-form characteristic function")
     f, f_star = fourier_form(f), fourier_form(f_star)
     if grid is None:
-        grid = bench_grid(f.dim_minus_1 + 1)
+        grid = default_grid(f.dim_minus_1 + 1)
     cand, truth = psi_model_marginals(f, radius, grid), psi_model_marginals(f_star, r_star, grid)
     phi = noise.char_fn(grid.points()).reshape(grid.m1, grid.m2)
     scale = np.sqrt(np.multiply.outer(grid.axis1_weights, grid.axis2_weights) * (phi.real**2 + phi.imag**2))

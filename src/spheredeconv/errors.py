@@ -17,3 +17,13 @@ def _as_int(name: str, value) -> int:
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_float(name: str, value) -> float:
+    """value as a float; ConfigError for anything not real, or past the float range."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} overflows a float") from None

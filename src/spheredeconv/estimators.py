@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .charfn import _ONE_THREAD_PRODUCT, EvalGrid, default_grid
 from .contrast import ContrastContext, contrast_probe, contrast_residual
-from .errors import ConfigError, NumericalError, _as_int
+from .errors import ConfigError, NumericalError, _as_float, _as_int
 from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_form, fourier_series, sphere_mean
 
 # radii in both fits' audit scan over [r_min, r_max], the free coefficients at zero
@@ -63,8 +62,10 @@ class FitConfig:
     most AUDIT_POINTS), and max_iters caps every descent's probes, in both
     fits.  The fits refuse, before any work, an r_max whose product with
     the grid's largest |t| overflows.
-    Integer-valued floats are stored as ints.  Every value it refuses is
-    refused with ConfigError, a ValueError.
+    r_min and r_max are stored as floats, and the other fields'
+    integer-valued floats as ints.  Every value it refuses, a non-real or
+    float-overflowing r_min or r_max included, is refused with ConfigError,
+    a ValueError.
     """
 
     r_min: float = 0.5
@@ -74,8 +75,8 @@ class FitConfig:
     max_iters: int = 2000
 
     def __post_init__(self) -> None:
-        if not all(isinstance(r, numbers.Real) for r in (self.r_min, self.r_max)):
-            raise ConfigError(f"r_min and r_max must be real numbers, got {self.r_min!r} and {self.r_max!r}")
+        for name in ("r_min", "r_max"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not (0.0 < self.r_min < self.r_max < math.inf):
             raise ConfigError("need 0 < r_min < r_max < inf")
         for name in ("k_cutoff", "restarts", "max_iters"):

@@ -213,23 +213,62 @@ def test_fourier_density_error_adds_the_mass_past_the_level(monkeypatch):
 
 
 def test_wide_window_sweep_fits_every_replication():
-    # the bench grid's largest |t| is about 0.7, so r_max = 80 reaches Bessel
-    # arguments near 56
+    # the default grid's largest |t| is about 1.4, so r_max = 80 reaches Bessel
+    # arguments near 113
     rows = run_bench(BenchSpec(1, (100,), 1, fit_overrides={"r_max": 80, "restarts": 2}))
     assert [row.mode for row in rows] == list(MODES)
     assert all(row.failures == 0 and math.isfinite(row.mse_R) for row in rows)
 
 
 def test_bench_cli_prints_the_grid_it_used(capsys, tmp_path):
-    from spheredeconv.bench import bench_grid
+    from spheredeconv.charfn import default_grid
     from spheredeconv.cli import main
 
     out = str(tmp_path / "b.csv")
     assert main(["bench", "--scenario", "1", "--n", "100", "--reps", "1", "--mode", "known_f",
                  "--quiet", "--out", out]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    grid = bench_grid()
+    grid = default_grid()
     assert f"nodes={grid.nodes_per_axis} nu_est={grid.nu_est:g} " in first
+
+
+def test_every_default_is_the_one_default_grid(monkeypatch, capsys, tmp_path):
+    # default fits, sweeps, the population contrast and deconv bench share one window
+    import spheredeconv.contrast as contrast_mod
+    from spheredeconv.charfn import default_grid
+    from spheredeconv.cli import main
+    from spheredeconv.contrast import ContrastContext, contrast_m_oracle
+    from spheredeconv.estimators import FitConfig, fit_joint, fit_radius_known_density
+    from spheredeconv.simulate import generate, scenario
+
+    seen = []
+    from_sample, marginals = ContrastContext.from_sample.__func__, contrast_mod.psi_model_marginals
+
+    def recording_context(cls, data, grid):
+        seen.append(("context", grid))
+        return from_sample(cls, data, grid)
+
+    def recording_marginals(f, radius, grid):
+        seen.append(("oracle", grid))
+        return marginals(f, radius, grid)
+
+    monkeypatch.setattr(ContrastContext, "from_sample", classmethod(recording_context))
+    monkeypatch.setattr(contrast_mod, "psi_model_marginals", recording_marginals)
+    scn = scenario(1)
+    sample = generate(scn, 100, seed=0)
+    fit_joint(sample, FitConfig(max_iters=1))
+    fit_radius_known_density(sample, scn.density, FitConfig(max_iters=1))
+    run_bench(BenchSpec(1, (100,), 1, fit_overrides={"max_iters": 1}))
+    contrast_m_oracle(scn.density, 2.7, scn.density, scn.r_star, scn.noise)
+    out = str(tmp_path / "b.csv")
+    assert main(["bench", "--scenario", "1", "--n", "100", "--reps", "1", "--mode", "known_f",
+                 "--quiet", "--out", out]) == 0
+    grid = default_grid(2)
+    # two fits, one sweep replication, two oracle marginals and the CLI's replication
+    assert [kind for kind, _ in seen] == ["context"] * 3 + ["oracle"] * 2 + ["context"]
+    assert all(g is grid for _, g in seen)
+    banner = capsys.readouterr().out.splitlines()[0]
+    assert f"nodes={grid.nodes_per_axis} nu_est={grid.nu_est:g} " in banner
 
 
 # ---------------------------------------------------------------- regression

@@ -18,7 +18,6 @@ from spheredeconv.charfn import (
     _core,
     _phase,
     _reach,
-    bench_grid,
     default_grid,
     ecf,
     psi_model,
@@ -179,10 +178,10 @@ class TestEvalGrid:
 
     def test_default_grid_is_one_grid_per_setting(self):
         grid = default_grid()
-        forms = [((2,), {}), ((2, 1.0), {}), ((), {"dim": 2}), ((2.0, 1), {}), ((np.int64(2), np.float64(1.0)), {})]
+        forms = [((2,), {}), ((), {"dim": 2}), ((2.0,), {}), ((np.int64(2),), {}), ((), {"dim": np.float64(2.0)})]
         for args, kwargs in forms:
             assert default_grid(*args, **kwargs) is grid
-        assert default_grid(3) is not grid and default_grid(2, 0.5) is bench_grid() is not grid
+        assert default_grid(3) is not grid
         assert (grid.dim, grid.nu_est, grid.nodes_per_axis) == (2, 1.0, 33)
         assert type(default_grid(3.0).dim) is int and default_grid(3.0) is default_grid(3)
 
@@ -212,11 +211,10 @@ class TestEvalGrid:
         monkeypatch.setattr(charfn_mod, "leggauss", None)
         with pytest.raises(ValueError) as built:
             EvalGrid.build(**kwargs)
-        # default_grid takes no node count: it checks DEFAULT_NODES as build checks any
-        kwargs = dict(kwargs)
-        monkeypatch.setattr(charfn_mod, "DEFAULT_NODES", kwargs.pop("nodes_per_axis", charfn_mod.DEFAULT_NODES))
-        with pytest.raises(ValueError, match=str(built.value)):
-            default_grid(**kwargs)
+        # default_grid takes the dimension alone, and refuses a bad one as build does
+        if set(kwargs) == {"dim"}:
+            with pytest.raises(ValueError, match=str(built.value)):
+                default_grid(**kwargs)
 
     @pytest.mark.parametrize("dim, refused, accepted", [(2, 1e155, 1e154), (3, 1e104, 1e103)])
     def test_a_window_whose_weight_products_overflow_is_refused(self, dim, refused, accepted, monkeypatch):
@@ -232,7 +230,7 @@ class TestEvalGrid:
         assert np.isfinite(np.multiply.outer(g.axis1_weights, g.axis2_weights)).all()
         # the default 33-node rule's weights are smaller, so it overflows later
         with pytest.raises(ConfigError, match="weight products overflow"):
-            default_grid(dim, 1e300)
+            EvalGrid.build(dim=dim, nu_est=1e300)
 
 
 class TestEcf:
@@ -311,7 +309,7 @@ class TestEcf:
 
     def test_scenario_samples_take_the_moment_route(self):
         # the whole sample is the core, summed by moments: an empty tail
-        for g in (EvalGrid.build(), bench_grid()):
+        for g in (EvalGrid.build(), EvalGrid.build(nu_est=0.5)):
             for sid in (1, 2, 3, 4):
                 for n in (300, 10_000):
                     data = generate(scenario(sid), n, sid).data

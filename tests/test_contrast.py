@@ -205,9 +205,12 @@ def _rows_match_scalar_calls(monkeypatch, f, radii, ctx):
 @pytest.mark.parametrize("grid_name", ["default", "bench", "nine_nodes"])
 @pytest.mark.parametrize("scenario_id", [1, 2, 3, 4])
 def test_batched_residual_rows_bitwise_match_per_radius_calls(monkeypatch, scenario_id, grid_name):
-    from spheredeconv.charfn import bench_grid
-
-    grid = {"default": EvalGrid.build, "bench": bench_grid, "nine_nodes": lambda: EvalGrid.build(nodes_per_axis=9)}
+    # bench: the narrower window nu_est = 0.5
+    grid = {
+        "default": EvalGrid.build,
+        "bench": lambda: EvalGrid.build(nu_est=0.5),
+        "nine_nodes": lambda: EvalGrid.build(nodes_per_axis=9),
+    }
     grid = grid[grid_name]()
     for seed in (0, 1, 2):
         ctx = ContrastContext.from_sample(generate(scenario(scenario_id), 500, seed), grid)
@@ -430,14 +433,15 @@ def test_folded_grid_matches_unfolded_box(dim, nodes):
 
 class TestPopulationContrast:
     def test_default_grid_is_the_bench_grid(self):
-        from spheredeconv.bench import bench_grid
+        # the grid of every sweep and fit given none
+        from spheredeconv.charfn import default_grid
 
         scn = scenario(1)
         f = FourierDensity.from_half([0.03 - 0.01j])
         default = contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise)
-        assert default == contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise, grid=bench_grid())
-        wide = contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise, grid=EvalGrid.build(nu_est=1.0))
-        assert wide != default
+        assert default == contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise, grid=default_grid())
+        narrow = contrast_m_oracle(f, 2.7, scn.density, scn.r_star, scn.noise, grid=EvalGrid.build(nu_est=0.5))
+        assert narrow != default
 
     def test_default_grid_is_built_once(self, monkeypatch):
         scn = scenario(1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,45 @@ def test_fitconfig_integer_valued_fields_fit_as_their_int_twins(name, value):
     want = fit_joint(s, FitConfig(**{**base, name: int(value)}), grid)
     assert (got.r_hat, got.contrast_value, got.iterations) == (want.r_hat, want.contrast_value, want.iterations)
     assert np.array_equal(got.f_hat_coeffs, want.f_hat_coeffs)
+
+
+def test_fitconfig_stores_the_window_as_floats():
+    cfg = FitConfig(r_min=1, r_max=Fraction(21, 2))
+    assert (type(cfg.r_min), type(cfg.r_max)) == (float, float) and (cfg.r_min, cfg.r_max) == (1.0, 10.5)
+    s = generate(scenario(1), 200, seed=8)
+    grid = EvalGrid.build(nodes_per_axis=9)
+    got, want = fit_joint(s, cfg, grid), fit_joint(s, FitConfig(r_min=1.0, r_max=10.5), grid)
+    assert (got.r_hat, got.contrast_value, got.iterations) == (want.r_hat, want.contrast_value, want.iterations)
+
+
+def _run_bench(overrides):
+    from spheredeconv.bench import BenchSpec, run_bench
+
+    return run_bench(BenchSpec(1, (100,), 1, fit_overrides=overrides))
+
+
+@pytest.mark.parametrize(
+    "work",
+    [
+        lambda s: fit_joint(s, FitConfig(r_max=10**400)),
+        lambda s: fit_radius_known_density(s, scenario(1).density, FitConfig(r_max=Fraction(10**400, 3))),
+        # a positive number below the float range is 0.0 as a float
+        lambda s: fit_joint(s, FitConfig(r_min=Fraction(1, 10**400))),
+        lambda s: fit_joint(s, grid=EvalGrid.build(nu_est=10**400)),
+        lambda s: fit_joint(s, grid=EvalGrid.build(nu_est=Fraction(1, 10**400))),
+        lambda s: fit_joint(s, grid=EvalGrid.build(nu_est=1j)),
+        lambda s: _run_bench({"r_max": 10**400}),
+        lambda s: _run_bench({"r_min": Fraction(1, 10**400)}),
+    ],
+    ids=["r_max", "r_max_fraction", "r_min_underflow", "nu_est", "nu_est_underflow", "nu_est_complex",
+         "bench_r_max", "bench_r_min_underflow"],
+)
+def test_numbers_out_of_the_float_range_are_refused_before_any_work(monkeypatch, work):
+    import spheredeconv.contrast as contrast_mod
+
+    monkeypatch.setattr(contrast_mod, "ecf", lambda *a, **k: pytest.fail("ECF work started"))
+    with pytest.raises(ConfigError):
+        work(generate(scenario(1), 100, seed=0))
 
 
 # ---------------------------------------------------------------- report
@@ -499,9 +539,7 @@ def test_default_fits_build_their_grid_once(monkeypatch):
 
 
 def test_fits_on_a_prebuilt_context_are_bitwise_the_fits_that_build_their_own():
-    from spheredeconv.charfn import bench_grid
-
-    grid, cfg = bench_grid(), FitConfig(restarts=2, k_cutoff=2)
+    grid, cfg = EvalGrid.build(nu_est=0.5), FitConfig(restarts=2, k_cutoff=2)
     s = generate(scenario(4), 300, seed=5)
     own = (fit_radius_known_density(s, scenario(4).density, cfg, grid), fit_joint(s, cfg, grid))
     # one context for both fits, in run_bench's order; grid None takes ctx's
@@ -923,14 +961,14 @@ def _audit_calls(monkeypatch, grid) -> list:
 @pytest.mark.parametrize("scenario_id", [1, 4])
 @pytest.mark.parametrize("bench", [False, True])
 def test_a_fit_on_a_warm_grid_is_the_fit_on_a_fresh_grid(known, scenario_id, bench):
-    from spheredeconv.charfn import BENCH_NU_EST, DEFAULT_NU_EST, bench_grid, default_grid
+    from spheredeconv.charfn import default_grid
 
-    warm = bench_grid() if bench else default_grid()
-    nu_est = BENCH_NU_EST if bench else DEFAULT_NU_EST
+    # bench: the narrower window nu_est = 0.5
+    warm = EvalGrid.build(nu_est=0.5) if bench else default_grid()
     # another sample's fit leaves this fit's audit in the grid's store
     _fit(generate(scenario(scenario_id), 500, seed=11), known, warm)
     s = generate(scenario(scenario_id), 1000, seed=12)
-    assert _report_bytes(_fit(s, known, warm)) == _report_bytes(_fit(s, known, EvalGrid.build(nu_est=nu_est)))
+    assert _report_bytes(_fit(s, known, warm)) == _report_bytes(_fit(s, known, EvalGrid.build(nu_est=warm.nu_est)))
 
 
 @pytest.mark.parametrize("known", [False, True])

@@ -195,6 +195,12 @@ def test_fits_follow_the_mirror(scenario_id, seed):
     _assert_transformed(base, mirrored, moved, center=lambda c: c * flip, coeffs=np.conj)
 
 
+@lru_cache(maxsize=None)
+def _scaled_grid(scale: float) -> EvalGrid:
+    """The default window divided by scale, built once per scale."""
+    return EvalGrid.build(nu_est=1.0 / scale)
+
+
 @given(scenario_id=scenario_ids, seed=fit_seeds, power=st.integers(-4, 4))
 def test_fits_scale_with_the_data_the_window_and_the_grid(scenario_id, seed, power):
     # a power of two scales the sample, the window and the grid exactly; the
@@ -205,4 +211,4 @@ def test_fits_scale_with_the_data_the_window_and_the_grid(scenario_id, seed, pow
     scale = 2.0**power
     cfg = FitConfig(r_min=scale * FitConfig.r_min, r_max=scale * FitConfig.r_max)
     moved = scale * data
-    _assert_transformed(base, _fits(moved, f, cfg, default_grid(2, 1.0 / scale)), moved, scale=scale)
+    _assert_transformed(base, _fits(moved, f, cfg, _scaled_grid(scale)), moved, scale=scale)
