@@ -20,12 +20,15 @@ line per fit the benchmark's fit workloads refit (perfbench/harness.py):
 joint_s1 (fit_joint, scenario 1, n = 1e4), known_s1_big
 (fit_radius_known_density, scenario 1, n = 1e6) and known_s4 (scenario 4,
 n = 1e4), each at seeds 1-3 on EvalGrid.build(dim=2, nodes_per_axis=33)
-with the default FitConfig.  Last, the same for
+with the default FitConfig.  Then the same for
 128 fits whose descents start at a window edge: both fits on scenarios
 1-4, n = 1e3, seeds 0-1, both grids, in four clipped windows, the
 default one on the data scaled by 0.1 (the truth below r_min) and by 4
 (above r_max), and [0.5, 2.5] and [3.5, 8] on the data as drawn: one
-hash line over all of them, then one line per fit.  Two
+hash line over all of them, then one line per fit.  Last, one SHA-256
+over generate's output for every sample the script fits, in the order
+drawn, the sweep_s4 replications' and the benchmark's 9 inputs included,
+so a moved fit is told apart from a moved sample.  Two
 checkouts whose lines agree fit bit for bit alike on these inputs; where
 they differ, diffing the per-fit lines sizes the move of each fit and its
 change in probes.
@@ -55,21 +58,28 @@ import spheredeconv as sd  # noqa: E402
 FIELDS = ("r_hat", "c_hat", "f_hat_coeffs", "contrast_value", "iterations")
 
 
-def fit_reports():
+def draw(drawn: list, scn, n: int, seed: int):
+    """generate(scn, n, seed), the SHA-256 of its data appended to drawn."""
+    sample = sd.generate(scn, n, seed)
+    drawn.append(hashlib.sha256(sample.data.tobytes()).digest())
+    return sample
+
+
+def fit_reports(drawn: list):
     """The 96 parity fits' labels and reports, in a fixed order."""
     grids = (("default", sd.EvalGrid.build(dim=2)), ("bench", sd.EvalGrid.build(dim=2, nu_est=0.5)))
     for scenario_id in (1, 2, 3, 4):
         scn = sd.scenario(scenario_id)
         for n in (300, 1_000, 10_000):
             for seed in (0, 1):
-                sample = sd.generate(scn, n, seed)
+                sample = draw(drawn, scn, n, seed)
                 for name, grid in grids:
                     label = f"s{scenario_id} n={n} seed={seed} {name}"
                     yield f"{label} joint", sd.fit_joint(sample, grid=grid)
                     yield f"{label} known", sd.fit_radius_known_density(sample, scn.density, grid=grid)
 
 
-def d3_reports():
+def d3_reports(drawn: list):
     """The two d = 3 known fits' labels and reports."""
     scn = sd.Scenario(
         0,
@@ -79,7 +89,7 @@ def d3_reports():
     )
     grid = sd.EvalGrid.build(dim=3, nodes_per_axis=3)
     for seed in (0, 1):
-        sample = sd.generate(scn, 300, seed)
+        sample = draw(drawn, scn, 300, seed)
         yield f"d3 n=300 seed={seed} known", sd.fit_radius_known_density(sample, scn.density, grid=grid)
 
 
@@ -89,14 +99,14 @@ EDGE_WINDOWS = (("x0.1", 0.1, {}), ("x4", 4.0, {}), ("[0.5,2.5]", 1.0, {"r_max":
                 ("[3.5,8]", 1.0, {"r_min": 3.5, "r_max": 8.0}))
 
 
-def edge_reports():
+def edge_reports(drawn: list):
     """The clipped-window fits' labels and reports: both fits on scenarios
     1-4, n = 1e3, seeds 0-1, both grids, in each EDGE_WINDOWS window."""
     grids = (("default", sd.EvalGrid.build(dim=2)), ("bench", sd.EvalGrid.build(dim=2, nu_est=0.5)))
     for scenario_id in (1, 2, 3, 4):
         scn = sd.scenario(scenario_id)
         for seed in (0, 1):
-            data = sd.generate(scn, 1_000, seed).data
+            data = draw(drawn, scn, 1_000, seed).data
             for window, scale, bounds in EDGE_WINDOWS:
                 cfg = sd.FitConfig(**bounds)
                 for name, grid in grids:
@@ -109,13 +119,13 @@ def edge_reports():
 BENCH_FITS = (("joint_s1", "joint", 1, 10_000), ("known_s1_big", "known", 1, 1_000_000), ("known_s4", "known", 4, 10_000))
 
 
-def bench_reports():
+def bench_reports(drawn: list):
     """The benchmark workloads' fits at seeds 1-3, labelled by workload and seed."""
     grid = sd.EvalGrid.build(dim=2, nodes_per_axis=33)
     for name, kind, scenario_id, n in BENCH_FITS:
         scn = sd.scenario(scenario_id)
         for seed in (1, 2, 3):
-            sample = sd.generate(scn, n, seed)
+            sample = draw(drawn, scn, n, seed)
             if kind == "joint":
                 report = sd.fit_joint(sample, sd.FitConfig(), grid)
             else:
@@ -145,7 +155,8 @@ def field_bytes(report, name: str) -> bytes:
 def parity_lines():
     """The script's output, line by line."""
     per_field = {name: hashlib.sha256() for name in FIELDS}
-    fits = list(fit_reports())
+    drawn = []  # every fitted sample's hash, in the order drawn
+    fits = list(fit_reports(drawn))
     for _, report in fits:
         for name in FIELDS:
             per_field[name].update(field_bytes(report, name))
@@ -156,18 +167,21 @@ def parity_lines():
         spec = sd.BenchSpec(4, n_values=(10_000,), replications=2, mode="both", base_seed=seed,
                             fit_overrides={"restarts": 2})
         yield f"sweep_s4 seed {seed} {sd.determinism_hash(sd.run_bench(spec))}"
+        for rep in range(spec.replications):
+            draw(drawn, sd.scenario(4), 10_000, sd.derive_seed(seed, 4, 10_000, rep))
     for label, report in fits:
         yield per_fit_line(label, report)
-    d3 = list(d3_reports())
+    d3 = list(d3_reports(drawn))
     yield f"d3 fits {len(d3)} {fits_hash(d3)}"
     for label, report in d3:
         yield per_fit_line(label, report)
-    for label, report in bench_reports():
+    for label, report in bench_reports(drawn):
         yield per_fit_line(label, report)
-    edge = list(edge_reports())
+    edge = list(edge_reports(drawn))
     yield f"edge fits {len(edge)} {fits_hash(edge)}"
     for label, report in edge:
         yield per_fit_line(label, report)
+    yield f"samples {len(drawn)} {hashlib.sha256(b''.join(drawn)).hexdigest()}"
 
 
 PER_FIT = re.compile(r"(.+) r_hat (\S+) contrast (\S+) iterations (\d+)")

@@ -54,6 +54,9 @@ class BenchSpec:
             raise ConfigError("n_values must be non-empty")
         if any(n < 50 for n in ns):
             raise ConfigError("sample sizes below 50 are not benchable")
+        # every scenario is on the circle: a sample is n rows of 2 float64s
+        if any(n > np.iinfo(np.intp).max // 16 for n in ns):
+            raise ConfigError(f"sample sizes above {np.iinfo(np.intp).max // 16} do not fit in one array")
         if list(ns) != sorted(ns):
             raise ConfigError("n_values must be sorted ascending")
         object.__setattr__(self, "n_values", ns)

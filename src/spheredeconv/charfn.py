@@ -84,6 +84,8 @@ from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, 
 DEFAULT_NU_EST = 1.0
 # Gauss-Legendre nodes per frequency axis of a grid built without a count
 DEFAULT_NODES = 33
+# the most nodes per axis: numpy's leggauss is tested up to 100 nodes
+MAX_NODES = 99
 
 
 def default_grid(dim: int = 2) -> "EvalGrid":
@@ -150,8 +152,8 @@ class EvalGrid:
         if not (0.0 < nu_est < math.inf):
             raise ConfigError("nu_est must be positive and finite")
         # only an odd rule has the node 0 that the axis slices lie on
-        if nodes_per_axis < 3 or nodes_per_axis % 2 == 0:
-            raise ConfigError(f"nodes_per_axis must be an odd integer >= 3, got {nodes_per_axis}")
+        if not (3 <= nodes_per_axis <= MAX_NODES) or nodes_per_axis % 2 == 0:
+            raise ConfigError(f"nodes_per_axis must be an odd integer in [3, {MAX_NODES}], got {nodes_per_axis}")
         x, w = leggauss(nodes_per_axis)
         ax, wx = nu_est * x, nu_est * w
         # the nodes ascend, so the first (m + 1) / 2 are those with t1 <= 0

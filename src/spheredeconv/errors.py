@@ -1,6 +1,5 @@
 """Exception types shared across the package."""
 
-import math
 import numbers
 
 
@@ -13,10 +12,17 @@ class NumericalError(RuntimeError):
 
 
 def _as_int(name: str, value) -> int:
-    """value as an int; ConfigError for anything not integer-valued."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """value as an int; ConfigError for anything not integer-valued.  An
+    integer of any size is taken as it is; the caller bounds it."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (OverflowError, ValueError):  # inf, nan
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_float(name: str, value) -> float:

@@ -35,7 +35,15 @@ import numpy as np
 from .charfn import _ONE_THREAD_PRODUCT, EvalGrid, default_grid
 from .contrast import ContrastContext, contrast_probe, contrast_residual
 from .errors import ConfigError, NumericalError, _as_float, _as_int
-from .geometry import COEFF_NORM_BOUND, AngleDensity, FourierDensity, fourier_form, fourier_series, sphere_mean
+from .geometry import (
+    COEFF_NORM_BOUND,
+    TAIL_CUTOFF,
+    AngleDensity,
+    FourierDensity,
+    fourier_form,
+    fourier_series,
+    sphere_mean,
+)
 
 # radii in both fits' audit scan over [r_min, r_max], the free coefficients at zero
 AUDIT_POINTS = 16
@@ -57,7 +65,9 @@ class FitConfig:
     spread (r_max - r_min) / 15 apart.  On scenario 1 at n = 2000 (seed 3)
     the joint fit finds R = 3 up to r_max = 50, not at r_max = 100, and
     returns r_hat ~ 1e6 at r_max = 1e6.
-    k_cutoff is the Fourier cutoff K of the joint fit's density; restarts
+    k_cutoff is the Fourier cutoff K of the joint fit's density, at most
+    geometry.TAIL_CUTOFF (64), the harmonic past which fourier_form counts
+    a circle density's coefficients as zero; restarts
     caps the number of audit basins each fit descends from (see _fit; at
     most AUDIT_POINTS), and max_iters caps every descent's probes, in both
     fits.  The fits refuse, before any work, an r_max whose product with
@@ -81,8 +91,8 @@ class FitConfig:
             raise ConfigError("need 0 < r_min < r_max < inf")
         for name in ("k_cutoff", "restarts", "max_iters"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if self.k_cutoff < 0:
-            raise ConfigError("k_cutoff must be >= 0")
+        if not (0 <= self.k_cutoff <= TAIL_CUTOFF):
+            raise ConfigError(f"k_cutoff must lie in [0, {TAIL_CUTOFF}]")
         if not (1 <= self.restarts <= AUDIT_POINTS):
             raise ConfigError(f"restarts must lie in [1, {AUDIT_POINTS}]")
         if self.max_iters < 1:

@@ -27,6 +27,8 @@ COEFF_NORM_BOUND = 10.0
 # it if they hold over TAIL_BOUND of int f^2) and cuts it where sum_{k > K} |c_k| <= TAIL_BOUND
 TAIL_CUTOFF = 64
 TAIL_BOUND = 1e-13
+# rows per slice where sphere_map and sample_angles work through a batch
+ROW_SLICE = 2**14
 
 
 def sphere_map(u):
@@ -34,6 +36,8 @@ def sphere_map(u):
 
     Accepts a single point (scalar for d = 2, or a length d-1 vector) or a
     batch of shape (n, d-1); returns shape (d,) or (n, d) accordingly.
+    Works through ROW_SLICE rows at a time, so its temporaries stay that
+    size; each row's value is the same whatever the batch.
     """
     arr = np.asarray(u, dtype=float)
     if arr.ndim == 0:
@@ -46,14 +50,16 @@ def sphere_map(u):
         raise ValueError("angles must lie in the unit box [0, 1]^{d-1}")
     n, dm1 = pts.shape
     out = np.empty((n, dm1 + 1))
-    full_turn = 2.0 * np.pi * pts[:, 0]
-    out[:, 0] = np.cos(full_turn)
-    running = np.sin(full_turn)
-    for j in range(1, dm1):
-        half_turn = np.pi * pts[:, j]
-        out[:, j] = running * np.cos(half_turn)
-        running = running * np.sin(half_turn)
-    out[:, dm1] = running
+    for lo in range(0, n, ROW_SLICE):
+        rows = slice(lo, lo + ROW_SLICE)
+        full_turn = 2.0 * np.pi * pts[rows, 0]
+        out[rows, 0] = np.cos(full_turn)
+        running = np.sin(full_turn)
+        for j in range(1, dm1):
+            half_turn = np.pi * pts[rows, j]
+            out[rows, j] = running * np.cos(half_turn)
+            running = running * np.sin(half_turn)
+        out[rows, dm1] = running
     return out[0] if single else out
 
 
@@ -320,7 +326,10 @@ def sample_angles(f: AngleDensity, n: int, seed) -> np.ndarray:
     """Draw n i.i.d. angle vectors from f; returns shape (n, d-1).
 
     Deterministic given the seed (PCG64 stream).  Every density is drawn
-    by rejection sampling from the uniform envelope on [0, 1]^{d-1}.
+    by rejection sampling from the uniform envelope on [0, 1]^{d-1}: each
+    batch draws its candidates, then their heights, and keeps the accepted
+    candidates in order.  The test runs over ROW_SLICE rows at a time,
+    straight into the output, and stops once it is full.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -330,14 +339,17 @@ def sample_angles(f: AngleDensity, n: int, seed) -> np.ndarray:
     out = np.empty((n, dm1))
     filled = 0
     while filled < n:
-        want = n - filled
-        batch = max(int(want * envelope * 1.2) + 16, 64)
+        batch = max(int((n - filled) * envelope * 1.2) + 16, 64)
         cand = rng.random((batch, dm1))
-        height = rng.random(batch) * envelope
-        accept = height <= density_eval(f, cand)
-        take = min(int(accept.sum()), want)
-        out[filled : filled + take] = cand[accept][:take]
-        filled += take
+        height = rng.random(batch)
+        height *= envelope
+        for lo in range(0, batch, ROW_SLICE):
+            rows = slice(lo, lo + ROW_SLICE)
+            kept = cand[rows][height[rows] <= density_eval(f, cand[rows])][: n - filled]
+            out[filled : filled + len(kept)] = kept
+            filled += len(kept)
+            if filled == n:
+                break
     return out
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spheredeconv.charfn import EvalGrid
+from spheredeconv.bench import BenchSpec
+from spheredeconv.charfn import MAX_NODES, EvalGrid
 from spheredeconv.contrast import ContrastContext, contrast_mn, contrast_probe, contrast_residual
 from spheredeconv.errors import ConfigError, NumericalError
 from spheredeconv.estimators import (
@@ -24,6 +25,7 @@ from spheredeconv.estimators import (
 )
 from spheredeconv.geometry import (
     COEFF_NORM_BOUND,
+    TAIL_CUTOFF,
     CallableDensity,
     FourierDensity,
     fourier_form,
@@ -122,6 +124,50 @@ def test_numbers_out_of_the_float_range_are_refused_before_any_work(monkeypatch,
     monkeypatch.setattr(contrast_mod, "ecf", lambda *a, **k: pytest.fail("ECF work started"))
     with pytest.raises(ConfigError):
         work(generate(scenario(1), 100, seed=0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EvalGrid.build(nodes_per_axis=10**400),
+        lambda: EvalGrid.build(nodes_per_axis=10**400 + 1),
+        lambda: EvalGrid.build(nodes_per_axis=MAX_NODES + 2),
+        lambda: BenchSpec(1, n_values=(10**400,)),
+        lambda: BenchSpec(1, n_values=(2**62,)),
+        lambda: FitConfig(k_cutoff=10**12),
+        lambda: FitConfig(k_cutoff=TAIL_CUTOFF + 1),
+        lambda: BenchSpec(1, fit_overrides={"k_cutoff": TAIL_CUTOFF + 1}),
+        lambda: FitConfig(restarts=10**400),
+        lambda: FitConfig(max_iters=Fraction(10**400, 3)),
+    ],
+    ids=["nodes_even", "nodes_odd", "nodes_past_max", "bench_n", "bench_n_past_an_array", "k_cutoff",
+         "k_cutoff_past_tail", "bench_k_cutoff", "restarts", "max_iters_fraction"],
+)
+def test_integers_past_a_field_bound_are_refused_before_any_work(monkeypatch, build):
+    import spheredeconv.contrast as contrast_mod
+
+    monkeypatch.setattr(contrast_mod, "ecf", lambda *a, **k: pytest.fail("ECF work started"))
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_integers_at_a_field_bound_are_taken_as_they_are(monkeypatch):
+    import spheredeconv.contrast as contrast_mod
+
+    monkeypatch.setattr(contrast_mod, "ecf", lambda *a, **k: pytest.fail("ECF work started"))
+    assert FitConfig(max_iters=10**400).max_iters == 10**400
+    assert FitConfig(k_cutoff=TAIL_CUTOFF).k_cutoff == TAIL_CUTOFF
+    assert BenchSpec(1, fit_overrides={"k_cutoff": TAIL_CUTOFF}).fit_overrides == {"k_cutoff": TAIL_CUTOFF}
+    assert EvalGrid.build(nodes_per_axis=MAX_NODES).nodes_per_axis == MAX_NODES
+
+
+def test_a_max_iters_past_the_float_range_caps_nothing():
+    s, f = generate(scenario(1), 200, seed=8), scenario(1).density
+    grid = EvalGrid.build(nodes_per_axis=9)
+    got = fit_radius_known_density(s, f, FitConfig(max_iters=10**400), grid)
+    want = fit_radius_known_density(s, f, FitConfig(), grid)
+    assert want.iterations < FitConfig().max_iters
+    assert (got.r_hat, got.contrast_value, got.iterations) == (want.r_hat, want.contrast_value, want.iterations)
 
 
 # ---------------------------------------------------------------- report

@@ -1,9 +1,13 @@
 """Tests for noise models, scenario sampling, and sample serialization."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import i0e
 
-from spheredeconv.geometry import uniform_density
+from spheredeconv.geometry import CallableDensity, FourierDensity, uniform_density
 from spheredeconv.simulate import (
     MIXTURE_MEAN,
     MIXTURE_POINT,
@@ -19,6 +23,33 @@ from spheredeconv.simulate import (
     save_sample_csv,
     scenario,
 )
+
+# SHA-256 of panel_samples(), recorded before generate worked in place and in slices
+PANEL_SHA256 = "ad5d364c1036845343f3556914a9b4c6d3320d6e652ce3ff873865880c4dbae2"
+# SHA-256 of the CSV files test_csv_text_is_pinned_and_round_trips_bit_for_bit writes
+CSV_SHA256 = "1972534ba69da93e6692320def9375f371cea7e5b14ce6e5794277a4990ef1e8"
+CSV_ANONYMOUS_SHA256 = "615fe26b7a5f0fb3e6822dde58ac110bb501ad3fd4aad24890a73083a0ff3125"
+
+
+def panel_samples():
+    """generate's outputs that PANEL_SHA256 pins, in order.  The sizes straddle
+    the rejection batch's minimum (64 rows), the 2**14-row slices of
+    sample_angles (13505 draws a batch of 16384 candidates) and of sphere_map
+    (16385 rows); the peaked density takes a second rejection batch at n = 7
+    (seed 2) and n = 50 (seeds 1, 2)."""
+    peaked = CallableDensity(lambda u: np.exp(20.0 * (np.cos(2.0 * np.pi * u[:, 0]) - 1.0)) / i0e(20.0))
+    scns = [scenario(i) for i in (1, 2, 3, 4)] + [
+        Scenario(0, uniform_density(2), NoiseModel.isotropic_gaussian(0.3, 3), r_star=2.0, c_star=(1.0, -2.0, 0.5)),
+        Scenario(0, FourierDensity.from_half([0.2 + 0.1j, 0.05 - 0.1j]),
+                 NoiseModel.diagonal_gaussian(mean=(0.3, -0.2), sigma=(0.1, 0.2)), r_star=2.5, c_star=(1.5, -0.5)),
+        Scenario(0, peaked, NoiseModel.isotropic_gaussian(0.1, 2), r_star=0.5),
+        scenario(1).noiseless(),
+    ]
+    for scn in scns:
+        for n in (1, 7, 50, 1000, 13505, 16385, 20000, 100003):
+            for seed in (0, 1, 2, 12345):
+                yield generate(scn, n, seed).data
+    yield generate(scenario(1), 1_000_000, 0).data
 
 
 class TestNoiseModels:
@@ -128,6 +159,24 @@ class TestScenarios:
         assert a.seed == 99 and a.scenario_id == 2
         assert a.n == 200 and a.dim == 2
 
+    def test_samples_are_pinned_bit_for_bit(self):
+        assert hashlib.sha256(b"".join(data.tobytes() for data in panel_samples())).hexdigest() == PANEL_SHA256
+
+    @pytest.mark.parametrize("scenario_id", [1, 2, 3, 4])
+    def test_generate_peaks_at_a_small_multiple_of_its_output(self, scenario_id):
+        # the sample, the angles, the noise and one rejection batch's
+        # candidates and heights: at most 3.5 times the output's bytes
+        # (scenario 4's batch is 2.6 n rows, the others' 1.2 n)
+        generate(scenario(scenario_id), 1_000, 0)  # warm every cache first
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sample = generate(scenario(scenario_id), 200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * sample.data.nbytes
+
     def test_derive_seed_distinct_cells(self):
         seeds = {
             derive_seed(42, sid, n, rep)
@@ -149,6 +198,54 @@ class TestSampleIO:
         assert back.seed == 7 and back.scenario_id == 1
         header = path.read_text().splitlines()[0]
         assert header == "# seed=7 scenario=1"
+
+    def test_csv_text_is_pinned_and_round_trips_bit_for_bit(self, tmp_path):
+        # the file's bytes were hashed from the format that joined every line
+        # into one string; the streaming writer writes the same bytes
+        data = generate(scenario(4), 300, 5).data.copy()
+        data[:6, 0] = [-0.0, 5e-324, -1.7976931348623157e308, 0.1, 1.0, 2.0**-1074 * 3]
+        for sample, want in ((Sample(data, seed=5, scenario_id=4), CSV_SHA256),
+                             (Sample(data[:3]), CSV_ANONYMOUS_SHA256)):
+            path = tmp_path / "sample.csv"
+            save_sample_csv(sample, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+            back = load_sample_csv(path)
+            assert back.data.tobytes() == sample.data.tobytes()
+            assert (back.seed, back.scenario_id) == (sample.seed, sample.scenario_id)
+
+    def test_csv_skips_blank_lines_and_refuses_ragged_rows(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("\n# seed=3 scenario=-\n\ny1,y2\n1,2\n  \n3,4\n")
+        back = load_sample_csv(path)
+        assert back.data.tolist() == [[1.0, 2.0], [3.0, 4.0]] and (back.seed, back.scenario_id) == (3, None)
+        path.write_text("# seed=- scenario=-\ny1,y2\n1,2\n3,4,5\n")
+        with pytest.raises(ValueError, match="data row 2 has 3 values"):
+            load_sample_csv(path)
+        path.write_text("# seed=- scenario=-\ny1,y2\n1,2\n3,x\n")
+        with pytest.raises(ValueError, match="could not convert"):
+            load_sample_csv(path)
+        path.write_text("# seed=- scenario=-\ny1,y2\n\n")
+        with pytest.raises(ValueError, match="missing header"):
+            load_sample_csv(path)
+
+    def test_csv_io_streams_rows(self, tmp_path):
+        # no text of the whole file and no list of rows: writing holds one
+        # row's text, reading one growing float buffer
+        sample = generate(scenario(1), 20_000, 3)
+        path = tmp_path / "sample.csv"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            save_sample_csv(sample, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = load_sample_csv(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, sample.data)
+        assert write_peak <= 0.5 * sample.data.nbytes
+        assert read_peak <= 2.0 * sample.data.nbytes
 
     def test_binary_round_trip_lossless(self, tmp_path):
         sample = generate(scenario(4), 64, 123)
