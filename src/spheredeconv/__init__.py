@@ -24,7 +24,6 @@ from .errors import ConfigError, NumericalError
 from .estimators import (
     EstimateReport,
     FitConfig,
-    TrigPolynomial,
     estimate_center,
     fit_joint,
     fit_radius_known_density,
@@ -38,7 +37,6 @@ from .geometry import (
     density_eval,
     density_from_json,
     density_to_json,
-    fourier_coefficient,
     fourier_series,
     sample_angles,
     sphere_map,
@@ -80,7 +78,6 @@ __all__ = [
     "RateFit",
     "Sample",
     "Scenario",
-    "TrigPolynomial",
     "contrast_m_oracle",
     "contrast_mn",
     "density_eval",
@@ -94,7 +91,6 @@ __all__ = [
     "estimate_center",
     "fit_joint",
     "fit_radius_known_density",
-    "fourier_coefficient",
     "fourier_series",
     "generate",
     "load_sample_bin",

@@ -121,7 +121,8 @@ def run_bench(spec: BenchSpec, progress: bool = False) -> list:
     grid = default_grid()
     rows = []
     for n in spec.n_values:
-        level = truncation_level(n)
+        # score and fit up to N(n, 1), above the estimator's N(n, ALPHA): K = max(4, N)
+        level = truncation_level(n, 1.0)
         base_kwargs = dict(k_cutoff=max(FitConfig.k_cutoff, level))
         base_kwargs.update(spec.fit_overrides or {})
         cfg = FitConfig(**base_kwargs)

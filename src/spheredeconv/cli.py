@@ -19,6 +19,7 @@ from .bench import DESK_GRID, FULL_GRID, BenchSpec, determinism_hash, emit, run_
 from .charfn import DEFAULT_NU_EST, EvalGrid, default_grid
 from .errors import ConfigError, NumericalError
 from .estimators import ALPHA, EstimateReport, FitConfig, fit_joint, truncate_density
+from .geometry import fourier_series
 from .simulate import generate, load_sample_bin, load_sample_csv, save_sample_bin, save_sample_csv, scenario
 
 
@@ -41,9 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--scenario", type=int, required=True, choices=(1, 2, 3, 4))
     b.add_argument("--n", type=_int_list, default=None, metavar="N1,N2,...")
     b.add_argument("--reps", type=int, default=None,
-                   help="replications per cell (default: 10, or 30 with --full)")
-    b.add_argument("--mode", default="both", choices=("known_f", "unknown_f", "both"))
-    b.add_argument("--seed", type=int, default=0)
+                   help=f"replications per cell (default: {BenchSpec.replications}, or 30 with --full)")
+    b.add_argument("--mode", default=BenchSpec.mode, choices=("known_f", "unknown_f", "both"))
+    b.add_argument("--seed", type=int, default=BenchSpec.base_seed)
     b.add_argument("--out", default="bench.csv")
     b.add_argument("--rmin", type=float, default=None)
     b.add_argument("--rmax", type=float, default=None)
@@ -79,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bench(args) -> int:
     n_values = args.n if args.n is not None else (FULL_GRID if args.full else DESK_GRID)
-    reps = args.reps if args.reps is not None else (30 if args.full else 10)
+    reps = args.reps if args.reps is not None else (30 if args.full else BenchSpec.replications)
     overrides = {key: value for key, value in (("r_min", args.rmin), ("r_max", args.rmax)) if value is not None}
     spec = BenchSpec(
         scenario_id=args.scenario,
@@ -136,14 +137,14 @@ def _cmd_density(args) -> int:
         raise ConfigError("--grid must be >= 2")
     with open(args.report) as handle:
         report = EstimateReport.from_json(handle.read())
-    poly = truncate_density(report, args.alpha)
+    density = truncate_density(report, args.alpha)
     xs = (np.arange(args.grid) + 0.5) / args.grid
-    values = poly(xs)
+    values = fourier_series(density.coeffs, xs)
     with open(args.out, "w") as handle:
         handle.write("x,density\n")
         for x, v in zip(xs, values):
             handle.write(f"{x:.17g},{v:.17g}\n")
-    print(f"truncation_level={poly.degree} points={args.grid} out={args.out}")
+    print(f"truncation_level={density.cutoff} points={args.grid} out={args.out}")
     return 0
 
 

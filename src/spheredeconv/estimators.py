@@ -20,7 +20,11 @@ f_star, descending in the radius alone.  Both log every probe's
 residual in one _ProbeLog, which reports the best probed point, a
 certified near-minimum over everything examined.
 The center estimate plugs the fitted radius and density barycenter into
-C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.
+C-hat = mean(Y) - R-hat * int S(u) f-hat(u) du.  The d = 2 density
+estimate (truncate_density) is a FourierDensity, the fitted coefficients
+kept up to N = floor(alpha log n / log log n), so every AngleDensity
+consumer takes it: sample_angles, sphere_mean, density_to_json, or a
+known-density fit.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .geometry import (
     AngleDensity,
     FourierDensity,
     fourier_form,
-    fourier_series,
     sphere_mean,
 )
 
@@ -71,7 +74,8 @@ class FitConfig:
     caps the number of audit basins each fit descends from (see _fit; at
     most AUDIT_POINTS), and max_iters caps every descent's probes, in both
     fits.  The fits refuse, before any work, an r_max whose product with
-    the grid's largest |t| overflows.
+    the grid's largest |t| overflows, and a nu_est at which the descent's
+    arithmetic can overflow (see _fit).
     r_min and r_max are stored as floats, and the other fields'
     integer-valued floats as ints.  Every value it refuses, a non-real or
     float-overflowing r_min or r_max included, is refused with ConfigError,
@@ -149,33 +153,7 @@ _REPORT_FIELDS = {
 }
 
 
-@dataclass(eq=False)
-class TrigPolynomial:
-    """Real trigonometric polynomial sum_{|k| <= N} c_k exp(-2 i pi k x)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 1 or self.coeffs.size % 2 == 0:
-            raise ValueError("coeffs must have odd length")
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size // 2
-
-    def __call__(self, x):
-        return fourier_series(self.coeffs, x)
-
-    def l2_distance(self, other: "TrigPolynomial") -> float:
-        """Exact L2([0,1]) distance: the exponential basis is orthonormal,
-        so the squared distance is the sum of squared coefficient gaps."""
-        big = max(self.degree, other.degree)
-        a, b = (np.pad(p.coeffs, big - p.degree) for p in (self, other))
-        return float(np.sqrt(np.sum(np.abs(a - b) ** 2)))
-
-
-def truncation_level(n: int, alpha: float = 1.0) -> int:
+def truncation_level(n: int, alpha: float) -> int:
     """floor(alpha * log n / log log n).
 
     Requires n >= 16 so that log log n is safely positive.
@@ -187,9 +165,12 @@ def truncation_level(n: int, alpha: float = 1.0) -> int:
     return int(math.floor(alpha * math.log(n) / math.log(math.log(n))))
 
 
-def truncate_density(report: EstimateReport, alpha: float = ALPHA) -> TrigPolynomial:
-    """Keep the estimated coefficients up to N = floor(alpha log n / log log n),
-    n = report.n; alpha must lie in (0, 1/2)."""
+def truncate_density(report: EstimateReport, alpha: float = ALPHA) -> FourierDensity:
+    """The paper's d = 2 density estimate: the FourierDensity of the estimated
+    coefficients c_-N..c_N, N = floor(alpha log n / log log n), n = report.n;
+    alpha must lie in (0, 1/2).  Kept coefficients that are not a density's
+    (c_0 != 1, c_-k != conj(c_k), or past COEFF_NORM_BOUND) are refused with
+    FourierDensity's ValueError."""
     if not (0.0 < alpha < 0.5):
         raise ValueError("alpha must lie in (0, 1/2)")
     level = truncation_level(report.n, alpha)
@@ -198,7 +179,7 @@ def truncate_density(report: EstimateReport, alpha: float = ALPHA) -> TrigPolyno
         raise ValueError(
             f"truncation level {level} exceeds the estimated cutoff {k_cut}; refit with larger k_cutoff"
         )
-    return TrigPolynomial(report.f_hat_coeffs[k_cut - level : k_cut + level + 1])
+    return FourierDensity(report.f_hat_coeffs[k_cut - level : k_cut + level + 1])
 
 
 def estimate_center(sample, r_hat: float, f_hat: AngleDensity) -> np.ndarray:
@@ -446,8 +427,17 @@ def _fit(sample, data: np.ndarray, cfg: FitConfig | None, grid, ctx, density, jo
     Before any work it refuses a ctx built on another grid than a given
     grid, with ValueError, and a window whose largest Bessel argument
     r_max max|t| is not finite, with ConfigError; then it takes the audit's
-    density density(zeros), whose refusal also precedes the ECF, and builds
-    the sample's ContrastContext on the fit's grid (ctx's, else grid, else
+    density density(zeros), whose refusal also precedes the ECF.  Then it
+    refuses, with ConfigError naming nu_est, a grid on which the descent's
+    arithmetic can overflow.  Every density probed has sum_k |c_k| <= A =
+    1 + sqrt(2 K COEFF_NORM_BOUND) (K its cutoff; A = 1 in d >= 3), and
+    |J_p|, |J_p'| <= 1 and |ECF| <= 1, so |Psi| <= A, |dPsi/dR| <= |t| A and
+    |dPsi/d(Re, Im c_k)| <= 2.  With W = sum_ij w1_i w2_j, J^T J is then at
+    most G = W (1 + 2A)^2 ((max|t| A)^2 + 8K) and |f|^2 at most
+    F = W (A (1 + A))^2; _trust_step cubes J^T J's eigenvalues (denom**3)
+    and squares vg = V^T J^T f, |vg|^2 <= G F, so G^3 and G F must be finite
+    (on a 2-d grid at K = 4, nu_est up to about 2e24).  Last it builds the
+    sample's ContrastContext on the fit's grid (ctx's, else grid, else
     default_grid) and the probe log.
 
     Then probe AUDIT_POINTS radii evenly over [r_min, r_max] with the free
@@ -474,10 +464,20 @@ def _fit(sample, data: np.ndarray, cfg: FitConfig | None, grid, ctx, density, jo
     if ctx is not None and grid is not None and ctx.grid is not grid:
         raise ValueError("ctx was built on another grid than the fit's")
     grid = ctx.grid if ctx else grid or default_grid(data.shape[1])
-    if not math.isfinite(cfg.r_max * math.hypot(*np.abs(grid.points()).max(axis=0))):
+    t_max = math.hypot(*np.abs(grid.points()).max(axis=0))
+    if not math.isfinite(cfg.r_max * t_max):
         raise ConfigError(f"r_max = {cfg.r_max:g} at nu_est = {grid.nu_est:g}: the largest Bessel argument overflows")
     zeros = np.zeros(cfg.k_cutoff if joint else 0, dtype=complex)
     start = density(zeros)
+    k = max(zeros.size, _half(start).size)
+    a = 1.0 + math.sqrt(2 * k * COEFF_NORM_BOUND)
+    weight_sum = float(np.sum(grid.axis1_weights)) * float(np.sum(grid.axis2_weights))
+    gram_max = weight_sum * (1.0 + 2.0 * a) ** 2 * ((t_max * a) * (t_max * a) + 8 * k)
+    cost_max = weight_sum * (a * (1.0 + a)) ** 2
+    if not (math.isfinite(gram_max * gram_max * gram_max) and math.isfinite(gram_max * cost_max)):
+        raise ConfigError(
+            f"nu_est = {grid.nu_est:g}: the descent's Gram matrix may reach {gram_max:.3g}, past what its step can cube"
+        )
     ctx = ctx or ContrastContext.from_sample(data, grid)
     log = _ProbeLog(data, getattr(sample, "seed", None), t_start)
 
@@ -514,7 +514,8 @@ def fit_joint(
     caller fitting one sample twice builds its ECF once; the fit runs on
     its grid, and one built on another grid than a given grid is refused
     with ValueError before any work, as is a window whose Bessel arguments
-    overflow, with ConfigError.  Deterministic given (sample, config).
+    or descent arithmetic can overflow, with ConfigError.  Deterministic
+    given (sample, config).
     """
     data = np.asarray(getattr(sample, "data", sample), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:

@@ -241,14 +241,8 @@ def density_eval(f: AngleDensity, u):
     return np.maximum(vals, 0.0)
 
 
-def fourier_coefficient(f: AngleDensity, k: int) -> complex:
-    """c_k = int_0^1 f(u) exp(+2i pi k u) du; exact for Fourier densities,
-    ~1e4-node quadrature for circle callables."""
-    return complex(fourier_coefficients(f, abs(k))[k + abs(k)])
-
-
 def fourier_coefficients(f: AngleDensity, k_cut: int) -> np.ndarray:
-    """c_{-K}..c_K for K = k_cut, each equal to fourier_coefficient's.
+    """c_{-K}..c_K for K = k_cut, c_k = int_0^1 f(u) exp(+2i pi k u) du.
 
     A circle callable is evaluated once on the quadrature rule, and all its
     c_k come from _rule_coefficients; c_{-k} = conj(c_k) exactly, as f is
@@ -302,7 +296,7 @@ def sphere_mean(f: AngleDensity) -> np.ndarray:
     On the circle this is (Re c_1, Im c_1); otherwise tensor quadrature.
     """
     if isinstance(f, FourierDensity):
-        c1 = fourier_coefficient(f, 1)
+        c1 = fourier_coefficients(f, 1)[2]
         return np.array([c1.real, c1.imag])
     nodes, weights = _unit_box_grid(f.dim_minus_1, _axis_node_count(f.dim_minus_1))
     vals = np.asarray(f.fn(nodes), dtype=float)

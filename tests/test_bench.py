@@ -169,7 +169,7 @@ def test_each_replication_computes_one_ecf_for_both_modes(monkeypatch):
 def test_callable_density_error_is_the_parseval_split(monkeypatch):
     import spheredeconv.bench as bench_mod
     from spheredeconv.estimators import truncation_level
-    from spheredeconv.geometry import TAIL_CUTOFF, fourier_coefficient
+    from spheredeconv.geometry import TAIL_CUTOFF, fourier_coefficients
     from spheredeconv.simulate import scenario
 
     reports, real = [], bench_mod.fit_joint
@@ -180,8 +180,8 @@ def test_callable_density_error_is_the_parseval_split(monkeypatch):
 
     monkeypatch.setattr(bench_mod, "fit_joint", recording)
     rows = run_bench(BenchSpec(scenario_id=4, n_values=(100,), replications=2, mode="unknown_f", base_seed=5))
-    f, level = scenario(4).density, truncation_level(100)
-    coeffs = {k: fourier_coefficient(f, k) for k in range(-TAIL_CUTOFF, TAIL_CUTOFF + 1)}
+    f, level = scenario(4).density, truncation_level(100, 1.0)
+    coeffs = dict(zip(range(-TAIL_CUTOFF, TAIL_CUTOFF + 1), fourier_coefficients(f, TAIL_CUTOFF)))
     tail = sum(abs(coeffs[k]) ** 2 for k in coeffs if abs(k) > level)
     want = []
     for rep in reports:

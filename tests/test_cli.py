@@ -161,9 +161,60 @@ def test_density_rejects_alpha_outside_the_open_half(tmp_path, capsys):
     assert "truncation_level=1 " in capsys.readouterr().out
 
 
-def test_cli_defaults_are_the_library_defaults():
+def _write_report(path, coeffs, n=10**6):
+    from spheredeconv.estimators import EstimateReport
+
+    report = EstimateReport(
+        r_hat=3.0, c_hat=np.zeros(2), f_hat_coeffs=np.asarray(coeffs, dtype=complex),
+        contrast_value=0.0, iterations=1, wall_time=0.0, seed=None, n=n,
+    )
+    path.write_text(report.to_json())
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ([], "27b0338841921ac90caaa0062e8a07603abb4c0ae62d0dd20d4beb9979cf0fe5"),
+        (["--alpha", "0.3", "--grid", "33"], "1513b016de88c66dfe86328034844e4ebf36a44375ab4bfb9030852dfe3d9293"),
+    ],
+    ids=["defaults", "alpha_0.3_grid_33"],
+)
+def test_density_table_is_pinned(tmp_path, capsys, flags, digest):
+    import hashlib
+
+    half = np.array([0.3 + 0.1j, 0.05 - 0.02j, 0.01, 0.002j])
+    report = _write_report(tmp_path / "r.json", np.concatenate([np.conj(half[::-1]), [1.0], half]))
+    out = tmp_path / "d.csv"
+    assert main(["density", "--report", report, *flags, "--out", str(out)]) == 0
+    # the unclipped sum c_-N..c_N at N(1e6, 0.45) = 2 and N(1e6, 0.3) = 1
+    assert f"truncation_level={2 if not flags else 1} " in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "coeffs, reason",
+    [
+        ([0.0, 0.1, 2.0, 0.1, 0.0], "c_0 must equal 1"),
+        ([0.0, 0.1 + 0.2j, 1.0, 0.1 + 0.2j, 0.0], "c_{-k} = conj(c_k)"),
+    ],
+    ids=["mass_2", "not_real"],
+)
+def test_density_refuses_coefficients_that_are_not_a_density(tmp_path, capsys, coeffs, reason):
+    out = tmp_path / "d.csv"
+    assert main(["density", "--report", _write_report(tmp_path / "r.json", coeffs), "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+    # only the kept coefficients must be a density's: past N(1e6, 0.3) = 1 anything goes
+    assert main(["density", "--report", _write_report(tmp_path / "r.json", [5.0, 0.1, 1.0, 0.1, 0.0]),
+                 "--alpha", "0.3", "--out", str(out)]) == 0
+
+
+def test_cli_defaults_are_the_library_defaults(monkeypatch, tmp_path):
     import inspect
 
+    import spheredeconv.cli as cli_mod
+    from spheredeconv.bench import BenchSpec
     from spheredeconv.cli import _build_parser
     from spheredeconv.estimators import FitConfig, truncate_density
 
@@ -172,6 +223,14 @@ def test_cli_defaults_are_the_library_defaults():
     assert (estimate.rmin, estimate.rmax) == (FitConfig().r_min, FitConfig().r_max)
     density = parser.parse_args(["density", "--report", "r.json"])
     assert density.alpha == inspect.signature(truncate_density).parameters["alpha"].default
+    specs = []
+    monkeypatch.setattr(cli_mod, "run_bench", lambda spec, progress: specs.append(spec) or [])
+    assert main(["bench", "--scenario", "1", "--quiet", "--out", str(tmp_path / "b.csv")]) == 0
+    library = BenchSpec(1)
+    assert (specs[0].replications, specs[0].base_seed, specs[0].mode) == (
+        library.replications, library.base_seed, library.mode
+    )
+    assert (specs[0].n_values, specs[0].fit_overrides) == (library.n_values, None)
 
 
 def test_argparse_rejects_unknown_scenario(capsys):

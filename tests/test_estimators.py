@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from spheredeconv.estimators import (
     AUDIT_POINTS,
     EstimateReport,
     FitConfig,
-    TrigPolynomial,
     estimate_center,
     fit_joint,
     fit_radius_known_density,
@@ -28,7 +28,11 @@ from spheredeconv.geometry import (
     TAIL_CUTOFF,
     CallableDensity,
     FourierDensity,
+    density_from_json,
+    density_to_json,
     fourier_form,
+    fourier_series,
+    sample_angles,
     sphere_map,
     sphere_mean,
     uniform_density,
@@ -205,35 +209,13 @@ def test_report_json_roundtrip_is_exact():
 
 def test_trig_polynomial_evaluates_the_fourier_sum():
     coeffs = np.array([0.2 - 0.1j, 1.0, 0.2 + 0.1j])
-    p = TrigPolynomial(coeffs)
-    assert p.degree == 1
+    p = FourierDensity(coeffs)
+    assert p.cutoff == 1
     xs = np.linspace(0.0, 1.0, 17)
     manual = np.real(
         sum(c * np.exp(-2j * np.pi * k * xs) for k, c in zip(range(-1, 2), coeffs))
     )
-    assert np.allclose(p(xs), manual, atol=1e-14)
-
-
-def test_trig_polynomial_rejects_even_length():
-    with pytest.raises(ValueError):
-        TrigPolynomial(np.array([1.0, 0.5]))
-
-
-def test_l2_distance_matches_parseval_and_quadrature():
-    p = TrigPolynomial(np.array([0.25 - 0.125j, 1.0, 0.25 + 0.125j]))
-    q = TrigPolynomial(np.array([1.0 + 0.0j]))
-    # Parseval: distance^2 = 2 |c_1|^2
-    assert math.isclose(p.l2_distance(q), math.sqrt(2 * abs(0.25 + 0.125j) ** 2), rel_tol=1e-15)
-
-    rng = np.random.default_rng(20240814)
-    xs = (np.arange(2**12) + 0.5) / 2**12  # midpoint rule, exact for low harmonics
-    for _ in range(5):
-        half_a = rng.standard_normal(3) * 0.3 + 1j * rng.standard_normal(3) * 0.3
-        half_b = rng.standard_normal(2) * 0.3 + 1j * rng.standard_normal(2) * 0.3
-        a = TrigPolynomial(np.concatenate([np.conj(half_a[::-1]), [1.0], half_a]))
-        b = TrigPolynomial(np.concatenate([np.conj(half_b[::-1]), [1.0], half_b]))
-        numeric = math.sqrt(np.mean((a(xs) - b(xs)) ** 2))
-        assert abs(a.l2_distance(b) - numeric) <= 1e-12
+    assert np.allclose(fourier_series(p.coeffs, xs), manual, atol=1e-14)
 
 
 # ---------------------------------------------------------------- truncation
@@ -241,13 +223,13 @@ def test_l2_distance_matches_parseval_and_quadrature():
 
 def test_truncation_level_frozen_values():
     assert truncation_level(10_000, 0.45) == 1
-    assert truncation_level(10_000) == 4
-    assert truncation_level(1_000_000) == 5
+    assert truncation_level(10_000, 1.0) == 4
+    assert truncation_level(1_000_000, 1.0) == 5
 
 
 def test_truncation_level_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        truncation_level(15)
+        truncation_level(15, 1.0)
     with pytest.raises(ValueError):
         truncation_level(1000, 0.0)
 
@@ -264,7 +246,7 @@ def test_truncate_density_keeps_low_harmonics():
     full = np.concatenate([np.conj(half[::-1]), [1.0], half])
     poly = truncate_density(_report_with(full))
     # N(10^4, 0.45) = 1: only c_{-1}, c_0, c_1 survive
-    assert poly.degree == 1
+    assert poly.cutoff == 1
     assert np.allclose(poly.coeffs, [np.conj(half[0]), 1.0, half[0]], atol=0)
 
 
@@ -273,7 +255,7 @@ def test_truncate_density_uniform_is_constant_one():
     full[4] = 1.0
     poly = truncate_density(_report_with(full))
     xs = np.linspace(0.0, 1.0, 101)
-    assert np.all(poly(xs) == 1.0)
+    assert np.all(fourier_series(poly.coeffs, xs) == 1.0)
 
 
 def test_truncate_density_raises_when_level_exceeds_cutoff():
@@ -284,14 +266,30 @@ def test_truncate_density_raises_when_level_exceeds_cutoff():
 def test_truncate_density_reads_n_from_the_report():
     full = np.array([0.01, 0.1, 1.0, 0.1, 0.01], dtype=complex)
     # N(10^4, 0.45) = 1, N(10^6, 0.45) = 2
-    assert truncate_density(_report_with(full, n=10_000)).degree == 1
-    assert truncate_density(_report_with(full, n=10**6)).degree == 2
+    assert truncate_density(_report_with(full, n=10_000)).cutoff == 1
+    assert truncate_density(_report_with(full, n=10**6)).cutoff == 2
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.0, -0.1, float("nan")])
 def test_truncate_density_rejects_alpha_outside_the_open_half(alpha):
     with pytest.raises(ValueError, match="alpha"):
         truncate_density(_report_with([0.0, 1.0, 0.0]), alpha)
+
+
+def test_the_density_estimate_plugs_into_every_angle_density_consumer():
+    s = generate(scenario(4), 10_000, seed=0)
+    f_hat = truncate_density(fit_joint(s))
+    assert isinstance(f_hat, FourierDensity) and f_hat.cutoff == 1
+    # N(1e4, 0.45) = 1 keeps c_1 alone of exp(cos), whose c_2 is 0.11, so
+    # this fit is biased (r_hat 2.84 for R = 3); it must run, not fit well
+    rep = fit_radius_known_density(s, f_hat)
+    assert np.isfinite(rep.contrast_value) and 2.5 < rep.r_hat < 3.5
+    assert np.array_equal(rep.f_hat_coeffs, f_hat.coeffs)
+    u = sample_angles(f_hat, 20_000, seed=1)[:, 0]
+    c1 = f_hat.coeffs[2]
+    assert abs(np.mean(np.exp(2j * np.pi * u)) - c1) <= 3.0 / math.sqrt(u.size)
+    assert np.array_equal(sphere_mean(f_hat), [c1.real, c1.imag])
+    assert np.array_equal(density_from_json(density_to_json(f_hat)).coeffs, f_hat.coeffs)
 
 
 # ---------------------------------------------------------------- center
@@ -666,6 +664,24 @@ def test_a_window_whose_bessel_arguments_overflow_is_refused_before_ecf(monkeypa
         fit(1e306)
     with pytest.raises(AssertionError, match="ECF work started"):
         fit(1e300)
+
+
+@pytest.mark.parametrize("known", [False, True])
+@pytest.mark.parametrize("nu_est", [1e3, 1e60, 1e70, 1e80, 1e90, 1e100])
+def test_a_window_whose_descent_can_overflow_is_refused_before_ecf(monkeypatch, known, nu_est):
+    import spheredeconv.contrast as contrast_mod
+
+    def no_ecf(*args, **kwargs):
+        raise AssertionError("ECF work started")
+
+    monkeypatch.setattr(contrast_mod, "ecf", no_ecf)
+    s, grid = generate(scenario(1), 500, seed=0), EvalGrid.build(nu_est=nu_est)
+    # from 1e60 up, _trust_step's denom**3 overflowed, and from 1e80 the
+    # joint fit failed mid-descent on a NaN radius; every window the other
+    # tests fit on (nu_est <= 1e3) still reaches the ECF
+    refused = pytest.raises(ConfigError, match=re.escape(f"nu_est = {nu_est:g}: the descent's Gram matrix"))
+    with refused if nu_est > 1e3 else pytest.raises(AssertionError, match="ECF work started"):
+        fit_radius_known_density(s, scenario(1).density, grid=grid) if known else fit_joint(s, grid=grid)
 
 
 def test_known_density_fit_recovers_the_radius_in_three_dimensions():
