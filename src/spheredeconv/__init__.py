@@ -18,7 +18,7 @@ from .bench import (
     read_rows,
     run_bench,
 )
-from .charfn import EvalGrid, ecf, psi_model, psi_model_marginals
+from .charfn import EvalGrid, ecf, psi_model, psi_model_grid
 from .contrast import ContrastContext, contrast_m_oracle, contrast_mn
 from .errors import ConfigError, NumericalError
 from .estimators import (
@@ -96,7 +96,7 @@ __all__ = [
     "load_sample_bin",
     "load_sample_csv",
     "psi_model",
-    "psi_model_marginals",
+    "psi_model_grid",
     "rate_regression",
     "read_rows",
     "run_bench",

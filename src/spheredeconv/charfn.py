@@ -25,12 +25,11 @@ the fits reach in d >= 3 only: they take circle callables in fourier_form.
 psi_model_grid is the one route from a grid to Psi values and their
 derivatives.
 
-The contrast compares three point sets: the axis-1 slice (t1, 0), the
-axis-2 slice (0, t2) and the full grid.  The node count is odd, so both
-slices are lines of the full grid, t2 = 0 its column m2 // 2 and t1 = 0
-its last row: EvalGrid.points() is the full grid alone, built once per
-grid, each grid evaluation is one call on it, and _split reads the
-slices as views.  The closed form reads a PolarTable
+The contrast compares Psi(t) with the product of its marginals Psi(t1, 0)
+Psi(0, t2), lines of the full grid as the node count is odd: each grid
+evaluation is one call on EvalGrid.points(), built once per grid, and
+one array shaped (..., m1, m2), off which contrast._marginals reads the
+lines as views.  The closed form reads a PolarTable
 of a point set: the sorted distinct radii, each point's index into them,
 and the phase powers exp(-2 i pi p theta), p = 1..K, scaled by the sign of
 i^p and the 2 of conjugate pairs.  EvalGrid caches one table of its
@@ -55,8 +54,8 @@ keeps the values of the fits' audits, batches of a Fourier density
 (EvalGrid.kept_psi); a descent probe keeps its own evaluation for its
 Jacobian (contrast.contrast_probe).
 
-Data side: the empirical characteristic function on the full grid, split
-like the model's, is one accumulator of exp(i <t, x - m>)
+Data side: the empirical characteristic function on the full grid, one
+(m1, m2) array like the model's, is one accumulator of exp(i <t, x - m>)
 about the centre m of the sample's core, multiplied once by exp(i <t, m>),
 its phase split exactly: the contrast is translation invariant, and the
 cost follows the core, not the sample's offset or extremes.  The core,
@@ -192,17 +191,16 @@ class EvalGrid:
             tables[k_cut] = PolarTable.build(k_cut, self.points())
         return tables[k_cut]
 
-    def kept_psi(self, f: FourierDensity, radii: np.ndarray) -> tuple:
-        """psi_model_marginals(f, radii, self) from the grid's store, or
+    def kept_psi(self, f: FourierDensity, radii: np.ndarray) -> np.ndarray:
+        """psi_model_grid(f, radii, self)'s values from the grid's store, or
         computed, made read-only and stored, the least recently used entry
         evicted.  Only the values are kept, not the Bessel rows under them."""
         store = self.__dict__.setdefault("_kept_psi", {})
         key = (f.cutoff, f.coeffs.tobytes(), radii.tobytes())
         psi = store.pop(key, None)
         if psi is None:
-            psi = psi_model_marginals(f, radii, self)
-            for array in psi:
-                array.flags.writeable = False
+            psi = psi_model_grid(f, radii, self)[0]
+            psi.flags.writeable = False
             if len(store) >= _KEPT_PSI:
                 del store[next(iter(store))]
         store[key] = psi
@@ -234,9 +232,9 @@ _MOMENT_CHUNK, _QUAD_CHUNK = 1 << 12, 128
 _WINDOW = 12.0
 
 
-def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Empirical characteristic function of the sample on the grid, over the
-    folded axis-1 nodes, as the (axis-1, axis-2, full) views _split reads.
+def ecf(sample, grid: EvalGrid) -> np.ndarray:
+    """Empirical characteristic function of the sample on grid.points(),
+    shaped (m1, m2) over the folded axis-1 nodes and the axis-2 block.
 
     Accepts an (n, d) array or any object with a .data attribute holding
     one.  One (m1, m2) array of sums of exp(i <t, x - m>) on the full grid
@@ -263,7 +261,7 @@ def ecf(sample, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     centre, scale, orders, keep = _core(data, grid, lo, hi)
     sums = _ecf_moments(data, keep, centre, scale, orders, grid) / n
     sums *= np.multiply.outer(_phase(grid.axis1_nodes[:, None], centre[:1]), _phase(grid.axis2_nodes, centre[1:]))
-    return _split(sums.ravel(), grid)
+    return sums
 
 
 def _core(data: np.ndarray, grid: EvalGrid, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -580,20 +578,19 @@ def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
 
 
 def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid) -> tuple:
-    """One evaluation of Psi on grid.points(): ((vals1, vals2, full), derivatives),
-    at a radius or at each of a 1-d array of radii (a leading batch axis).
+    """One evaluation of Psi on grid.points(): (psi, derivatives), at a
+    radius or at each of a 1-d array of radii (a leading batch axis).
 
-    The values on the axis-1 slice, the axis-2 slice and the full grid,
-    shaped (m1, m2), are views into one array, each equal to the pointwise
-    psi_model call bit for bit (same route, same coordinates).  The closed
-    form is one kernel call for all the radii, through the grid's
-    PolarTable for the density's cutoff; off it, one quadrature pass per
-    radius.  derivatives(radius_only=False) returns the derivative triple
-    (d1, d2, d_full) in (R, Re c_1, Im c_1, ..., Re c_K, Im c_K), or in R
-    alone when radius_only, one row per parameter after any batch axis,
-    from what the evaluation holds: the closed form's Bessel rows and
-    weights, or dPsi/dR from the same quadrature pass, the only derivative
-    off the closed form.  It calls no kernel and makes no pass.
+    psi is shaped (..., m1, m2), each value equal to the pointwise psi_model
+    call bit for bit (same route, same coordinates).  The closed form is one
+    kernel call for all the radii, through the grid's PolarTable for the
+    density's cutoff; off it, one quadrature pass per radius.
+    derivatives(radius_only=False) returns the derivatives in
+    (R, Re c_1, Im c_1, ..., Re c_K, Im c_K), or in R alone when
+    radius_only, shaped (..., P, m1, m2), one row per parameter after any
+    batch axis, from what the evaluation holds: the closed form's Bessel
+    rows and weights, or dPsi/dR from the same quadrature pass, the only
+    derivative off the closed form.  It calls no kernel and makes no pass.
     """
     radii = np.asarray(radius, dtype=float)
     if radii.ndim > 1 or not np.all(radii > 0.0):
@@ -610,19 +607,5 @@ def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid) -> tuple:
         for b in np.ndindex(radii.shape):
             vals[b], d_radius[b] = _psi_quadrature(f, float(radii[b]), pts)
         rows = lambda radius_only: d_radius[..., None, :]
-    return _split(vals, grid), lambda radius_only=False: _split(rows(radius_only), grid)
-
-
-def psi_model_marginals(f: AngleDensity, radius, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Psi on the axis-1 slice, the axis-2 slice, and the full grid:
-    psi_model_grid's values."""
-    return psi_model_grid(f, radius, grid)[0]
-
-
-def _split(vals: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values on grid.points() (last axis) as the axis-1 slice (t1, 0), the
-    axis-2 slice (0, t2) and the full grid shaped (..., m1, m2): views into
-    vals, the slices the full grid's column m2 // 2, whose axis-2 node is
-    all zero, and its last row, whose axis-1 node is 0."""
-    full = vals.reshape(*vals.shape[:-1], grid.m1, grid.m2)
-    return full[..., grid.m2 // 2], full[..., -1, :], full
+    on_grid = lambda a: a.reshape(*a.shape[:-1], grid.m1, grid.m2)
+    return on_grid(vals), lambda radius_only=False: on_grid(rows(radius_only))

@@ -3,7 +3,8 @@
 Subcommands: bench (MSE sweep to CSV/JSON), estimate (joint fit of one
 sample file to a JSON report), generate (write a seeded synthetic sample),
 density (evaluate the truncated density estimate on a grid).  Exit codes:
-0 success, 2 configuration problem, 3 numerical failure.
+0 success, 2 configuration problem (a size too large to allocate
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def main(argv=None) -> int:
         if os.path.isdir(args.out or ".") or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             raise ConfigError(f"--out {args.out}: not a file in an existing writable directory")
         return _HANDLERS[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

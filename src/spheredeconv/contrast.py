@@ -16,8 +16,9 @@ of one weighted residual vector (_combine), which is what the estimators
 minimize by least squares.  A descent probe (contrast_probe) returns that
 residual together with its exact Jacobian as a callable, through
 _combine's linearisation, from the one model evaluation both share:
-psi_model_grid's values and its derivatives callable, on either route.
-The context holds only what every evaluation on the sample reuses.
+psi_model_grid's values and its derivatives callable, on either route,
+each one (..., m1, m2) array, as the ECF is.  The context holds only
+what every evaluation on the sample reuses.
 """
 
 from __future__ import annotations
@@ -26,31 +27,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import EvalGrid, default_grid, ecf, psi_model_grid, psi_model_marginals
+from .charfn import EvalGrid, default_grid, ecf, psi_model_grid
 from .geometry import AngleDensity, FourierDensity, fourier_form
 
 
 @dataclass(eq=False)
 class ContrastContext:
-    """Grid plus the sample's ECF triple ref, reused across many evaluations,
-    with what every residual reuses: the grid's weights' roots
-    root_weights = sqrt(w1_i w2_j) and the ECF marginals' product
-    ref_outer = ref1 ref2^T.  It keeps no evaluation: a fit's audits are
-    the grid's to keep (EvalGrid.kept_psi), and a descent probe's its own
-    (contrast_probe)."""
+    """Grid plus the sample's ECF ref, one (m1, m2) array (ValueError for any
+    other shape), reused across many evaluations, with what every residual
+    reuses: the grid's weights' roots root_weights = sqrt(w1_i w2_j) and the
+    ECF marginals' product ref_outer = ref1 ref2^T.  It keeps no evaluation:
+    a fit's audits are the grid's to keep (EvalGrid.kept_psi), and a
+    descent probe's its own (contrast_probe)."""
 
     grid: EvalGrid
-    ref: tuple
+    ref: np.ndarray
     root_weights: np.ndarray = field(init=False, repr=False)
     ref_outer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        shape = (self.grid.m1, self.grid.m2)
+        if getattr(self.ref, "shape", None) != shape:
+            raise ValueError(f"the ECF must be one array of the grid's shape {shape}")
         self.root_weights = np.sqrt(np.multiply.outer(self.grid.axis1_weights, self.grid.axis2_weights))
-        self.ref_outer = np.multiply.outer(self.ref[0], self.ref[1])
+        self.ref_outer = np.multiply.outer(*_marginals(self.ref))
 
     @classmethod
     def from_sample(cls, sample, grid: EvalGrid) -> "ContrastContext":
         return cls(grid, ecf(sample, grid))
+
+
+def _marginals(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal lines (t1, 0) and (0, t2) of a grid evaluation shaped
+    (..., m1, m2), as views: its column m2 // 2 and its last row."""
+    return full[..., full.shape[-1] // 2], full[..., -1, :]
 
 
 def _weighted(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -60,34 +70,34 @@ def _weighted(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.concatenate(((scale * diff.real).reshape(*lead, -1), (scale * diff.imag).reshape(*lead, -1)), axis=-1)
 
 
-def _combine(psi: tuple, ref_outer: np.ndarray, ref_full: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Weighted residual of psi_full ref1 ref2 - ref_full psi1 psi2 over the grid's box.
+def _combine(psi: np.ndarray, ref_outer: np.ndarray, ref: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Weighted residual of psi ref1 ref2 - ref psi1 psi2 over the grid's box.
 
-    psi is an (axis-1, axis-2, full) triple, full shaped (..., m1, m2) with
-    any leading radius axes, and ref_outer = ref1 ref2^T and ref_full
-    shaped (m1, m2).  Returns the Re and Im parts of the difference, each
-    scaled by scale, sqrt(w1_i w2_j) times any extra weight's root,
-    flattened to rows of length 2 m1 m2, so the quadrature of each row's
-    squared modulus is its squared norm.  The products are elementwise, so
-    each row equals, bit for bit, a call on that radius's triple alone.
+    psi is shaped (..., m1, m2) with any leading radius axes, psi1 and psi2
+    its _marginals, and ref_outer = ref1 ref2^T and ref (m1, m2).  Returns
+    the Re and Im parts of the difference, each scaled by scale,
+    sqrt(w1_i w2_j) times any extra weight's root, flattened to rows of
+    length 2 m1 m2, so the quadrature of each row's squared modulus is its
+    squared norm.  The products are elementwise, so each row equals, bit
+    for bit, a call on that radius's psi alone.
     """
-    psi1, psi2, psi_full = psi
-    diff = psi_full * ref_outer - ref_full * (psi1[..., :, None] * psi2[..., None, :])
+    psi1, psi2 = _marginals(psi)
+    diff = psi * ref_outer - ref * (psi1[..., :, None] * psi2[..., None, :])
     return _weighted(diff, scale)
 
 
 def _combine_jacobian(
-    psi: tuple, dpsi: tuple, ref_outer: np.ndarray, ref_full: np.ndarray, scale: np.ndarray
+    psi: np.ndarray, dpsi: np.ndarray, ref_outer: np.ndarray, ref: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
-    """_combine(psi, ref_outer, ref_full, scale) linearised in psi: its (2 m1 m2, P) Jacobian.
+    """_combine(psi, ref_outer, ref, scale) linearised in psi: its (2 m1 m2, P) Jacobian.
 
-    psi is the (axis-1, axis-2) pair and dpsi the derivative triple, one
-    leading row per parameter: d diff = d psi_full ref1 ref2 - ref_full (d psi1 psi2 + psi1 d psi2).
+    psi is shaped (m1, m2) and dpsi (P, m1, m2), one leading row per
+    parameter: d diff = d psi ref1 ref2 - ref (d psi1 psi2 + psi1 d psi2).
     """
-    psi1, psi2 = psi
-    d1, d2, d_full = dpsi
+    psi1, psi2 = _marginals(psi)
+    d1, d2 = _marginals(dpsi)
     dprod = d1[:, :, None] * psi2 + psi1[:, None] * d2[:, None, :]
-    ddiff = d_full * ref_outer - ref_full * dprod
+    ddiff = dpsi * ref_outer - ref * dprod
     return _weighted(ddiff, scale).T
 
 
@@ -103,8 +113,8 @@ def contrast_residual(f: AngleDensity, radius, ctx: ContrastContext) -> np.ndarr
     if np.ndim(radius) == 1 and isinstance(f, FourierDensity):
         psi = ctx.grid.kept_psi(f, np.asarray(radius, dtype=float))
     else:
-        psi = psi_model_marginals(f, radius, ctx.grid)
-    return _combine(psi, ctx.ref_outer, ctx.ref[2], ctx.root_weights)
+        psi = psi_model_grid(f, radius, ctx.grid)[0]
+    return _combine(psi, ctx.ref_outer, ctx.ref, ctx.root_weights)
 
 
 def contrast_probe(f: AngleDensity, radius: float, ctx: ContrastContext, radius_only: bool = False) -> tuple:
@@ -118,8 +128,8 @@ def contrast_probe(f: AngleDensity, radius: float, ctx: ContrastContext, radius_
     if not (radius_only or isinstance(f, FourierDensity)):
         raise ValueError("the coefficient columns need the closed form; pass radius_only=True for dPsi/dR")
     psi, derivatives = psi_model_grid(f, radius, ctx.grid)
-    args = (ctx.ref_outer, ctx.ref[2], ctx.root_weights)
-    return _combine(psi, *args), lambda: _combine_jacobian(psi[:2], derivatives(radius_only), *args)
+    args = (ctx.ref_outer, ctx.ref, ctx.root_weights)
+    return _combine(psi, *args), lambda: _combine_jacobian(psi, derivatives(radius_only), *args)
 
 
 def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:
@@ -154,8 +164,8 @@ def contrast_m_oracle(
     f, f_star = fourier_form(f), fourier_form(f_star)
     if grid is None:
         grid = default_grid(f.dim_minus_1 + 1)
-    cand, truth = psi_model_marginals(f, radius, grid), psi_model_marginals(f_star, r_star, grid)
+    cand, truth = psi_model_grid(f, radius, grid)[0], psi_model_grid(f_star, r_star, grid)[0]
     phi = noise.char_fn(grid.points()).reshape(grid.m1, grid.m2)
     scale = np.sqrt(np.multiply.outer(grid.axis1_weights, grid.axis2_weights) * (phi.real**2 + phi.imag**2))
-    r = _combine(cand, np.multiply.outer(truth[0], truth[1]), truth[2], scale)
+    r = _combine(cand, np.multiply.outer(*_marginals(truth)), truth, scale)
     return float(r @ r)

@@ -242,30 +242,34 @@ def test_every_default_is_the_one_default_grid(monkeypatch, capsys, tmp_path):
     from spheredeconv.simulate import generate, scenario
 
     seen = []
-    from_sample, marginals = ContrastContext.from_sample.__func__, contrast_mod.psi_model_marginals
+    from_sample, psi_model_grid = ContrastContext.from_sample.__func__, contrast_mod.psi_model_grid
 
     def recording_context(cls, data, grid):
         seen.append(("context", grid))
         return from_sample(cls, data, grid)
 
-    def recording_marginals(f, radius, grid):
-        seen.append(("oracle", grid))
-        return marginals(f, radius, grid)
+    def recording_psi(f, radius, grid):
+        seen.append(("psi", grid))
+        return psi_model_grid(f, radius, grid)
 
     monkeypatch.setattr(ContrastContext, "from_sample", classmethod(recording_context))
-    monkeypatch.setattr(contrast_mod, "psi_model_marginals", recording_marginals)
+    monkeypatch.setattr(contrast_mod, "psi_model_grid", recording_psi)
     scn = scenario(1)
     sample = generate(scn, 100, seed=0)
     fit_joint(sample, FitConfig(max_iters=1))
     fit_radius_known_density(sample, scn.density, FitConfig(max_iters=1))
     run_bench(BenchSpec(1, (100,), 1, fit_overrides={"max_iters": 1}))
+    before = len(seen)
     contrast_m_oracle(scn.density, 2.7, scn.density, scn.r_star, scn.noise)
+    # the oracle evaluates the candidate's and the truth's Psi
+    assert [kind for kind, _ in seen[before:]] == ["psi"] * 2
     out = str(tmp_path / "b.csv")
     assert main(["bench", "--scenario", "1", "--n", "100", "--reps", "1", "--mode", "known_f",
                  "--quiet", "--out", out]) == 0
     grid = default_grid(2)
-    # two fits, one sweep replication, two oracle marginals and the CLI's replication
-    assert [kind for kind, _ in seen] == ["context"] * 3 + ["oracle"] * 2 + ["context"]
+    # two fits, one sweep replication and the CLI's replication; every Psi the
+    # contrast evaluated, the fits' descent probes' too, was on the same grid
+    assert [kind for kind, _ in seen if kind == "context"] == ["context"] * 4
     assert all(g is grid for _, g in seen)
     banner = capsys.readouterr().out.splitlines()[0]
     assert f"nodes={grid.nodes_per_axis} nu_est={grid.nu_est:g} " in banner

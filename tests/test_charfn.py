@@ -22,8 +22,8 @@ from spheredeconv.charfn import (
     ecf,
     psi_model,
     psi_model_grid,
-    psi_model_marginals,
 )
+from spheredeconv.contrast import _marginals
 from spheredeconv.errors import ConfigError
 from spheredeconv.geometry import (
     FourierDensity,
@@ -32,17 +32,6 @@ from spheredeconv.geometry import (
     vonmises_like,
 )
 from spheredeconv.simulate import NoiseModel, Scenario, generate, scenario
-
-
-def grid_slices(g):
-    """The axis-1, axis-2 and full point sets: the full grid's column m2 // 2,
-    its last row and itself, each checked against its definition."""
-    full = g.points()
-    lines = full.reshape(g.m1, g.m2, g.dim)
-    axis1, axis2 = lines[:, g.m2 // 2], lines[-1]
-    assert np.array_equal(axis1[:, 0], g.axis1_nodes) and not axis1[:, 1:].any()
-    assert np.array_equal(axis2[:, 1:], g.axis2_nodes) and not axis2[:, 0].any()
-    return axis1, axis2, full
 
 
 def exact_exp(t, x):
@@ -62,14 +51,13 @@ def exact_exp(t, x):
 
 
 def direct_ecf(data, g):
-    """The unfolded formula, exact in the phase: one exp(i t_c x_c) factor per
-    node, coordinate and observation."""
+    """The unfolded formula on the full grid, exact in the phase: one
+    exp(i t_c x_c) factor per node, coordinate and observation."""
     e1 = exact_exp(g.axis1_nodes[:, None], data[:, 0])
     e2 = np.ones((g.m2, data.shape[0]), dtype=complex)
     for c in range(1, data.shape[1]):
         e2 *= exact_exp(g.axis2_nodes[:, c - 1, None], data[:, c])
-    n = data.shape[0]
-    return e1.sum(axis=1) / n, e2.sum(axis=1) / n, e1 @ e2.T / n
+    return e1 @ e2.T / data.shape[0]
 
 
 def core(data, g):
@@ -127,21 +115,24 @@ class TestEvalGrid:
         assert g.points().shape == (4 * 49, 3)
 
     def test_marginals_are_views_of_the_full_grid_on_its_zero_lines(self):
-        # psi's and the ECF's axis slices are the full grid's column m2 // 2,
-        # where t2 = +0.0, and its last row, where t1 = +0.0
+        # psi and the ECF are one (m1, m2) array each; _marginals reads their
+        # lines (t1, 0), the column m2 // 2, where t2 = +0.0, and (0, t2), the
+        # last row, where t1 = +0.0
         rng = np.random.default_rng(3)
         for dim, nodes in ((2, 9), (2, 33), (3, 5)):
             g = EvalGrid.build(dim=dim, nu_est=0.7, nodes_per_axis=nodes)
             col = g.m2 // 2
-            pts = g.points().reshape(g.m1, g.m2, dim)
-            for zeros in (pts[:, col, 1:], pts[-1, :, 0]):
+            axis1, axis2 = _marginals(np.moveaxis(g.points().reshape(g.m1, g.m2, dim), -1, 0))
+            assert np.array_equal(axis1[0], g.axis1_nodes) and np.array_equal(axis2[1:].T, g.axis2_nodes)
+            for zeros in (axis1[1:], axis2[0]):
                 assert not zeros.any() and np.all(np.copysign(1.0, zeros) == 1.0)
             if dim == 2:
                 f, data = random_density(rng), generate(scenario(1), 300, 1).data
             else:
                 f, data = uniform_density(2), d3_sample(300, 1)
-            for one, two, full in (psi_model_marginals(f, 2.3, g), ecf(data, g)):
+            for full in (psi_model_grid(f, 2.3, g)[0], ecf(data, g)):
                 assert full.shape == (g.m1, g.m2)
+                one, two = _marginals(full)
                 assert np.shares_memory(one, full) and np.shares_memory(two, full)
                 assert one.tobytes() == full[:, col].tobytes() and two.tobytes() == full[-1].tobytes()
 
@@ -237,7 +228,7 @@ class TestEcf:
     def test_single_observation_exact(self):
         g = EvalGrid.build(nodes_per_axis=9)
         y = np.array([[0.7, -1.3]])
-        full = ecf(y, g)[2]
+        full = ecf(y, g)
         t = g.points()
         want = np.exp(1j * (t @ y[0])).reshape(5, 9)
         assert np.max(np.abs(full - want)) < 1e-14
@@ -248,13 +239,14 @@ class TestEcf:
         for dim, nodes in ((2, 9), (2, 11), (3, 5), (3, 3)):
             g = EvalGrid.build(dim=dim, nu_est=1.3, nodes_per_axis=nodes)
             y = np.array([[0.7, -1.3, 2.9][:dim]])
-            marg2 = ecf(y, g)[1]
+            marg2 = _marginals(ecf(y, g))[1]
             want = np.exp(1j * (g.axis2_nodes @ y[0, 1:]))
             assert np.max(np.abs(marg2 - want)) <= 1e-15, (dim, nodes)
 
     def test_unit_value_at_origin_and_modulus_bound(self):
         g = EvalGrid.build(nodes_per_axis=33)
-        marg1, marg2, full = ecf(generate(scenario(1), 500, 21).data, g)
+        full = ecf(generate(scenario(1), 500, 21).data, g)
+        marg1, marg2 = _marginals(full)
         mid1, mid2 = g.m1 - 1, g.m2 // 2  # the folded axis 1 ends at the origin
         assert g.axis1_nodes[mid1] == 0.0 and g.axis2_nodes[mid2, 0] == 0.0
         assert abs(marg1[mid1] - 1.0) < 1e-12
@@ -266,19 +258,17 @@ class TestEcf:
     def test_conjugate_symmetry(self):
         g = EvalGrid.build(nodes_per_axis=9)
         data = generate(scenario(2), 300, 4).data
-        marg1, marg2, full = ecf(data, g)
-        # the axis-2 slice and the t1 = 0 row hold both t and -t
+        full = ecf(data, g)
+        # the axis-2 slice, the t1 = 0 row, holds both t and -t
+        marg2 = _marginals(full)[1]
         assert np.allclose(marg2, np.conj(marg2[::-1]), atol=1e-13)
-        assert np.allclose(full[-1], np.conj(full[-1, ::-1]), atol=1e-13)
         # the dropped half box: psi-tilde at -t is the reflected sample's value at t
-        for got, want in zip(ecf(-data, g), (marg1, marg2, full)):
-            assert np.allclose(got, np.conj(want), atol=1e-13)
+        assert np.allclose(ecf(-data, g), np.conj(full), atol=1e-13)
 
     def test_chunking_consistent(self):
         g = EvalGrid.build(nodes_per_axis=9)
         data = generate(scenario(1), 1000, 2).data
-        for a, c in zip(ecf(data, g), ecf(data, g)):
-            assert np.array_equal(a, c)  # fixed chunking is bitwise stable
+        assert np.array_equal(ecf(data, g), ecf(data, g))  # fixed chunking is bitwise stable
 
     def test_concentration_around_product_form(self):
         # psi-tilde should concentrate around Psi * Phi_eps: checked on 20 seeds
@@ -289,7 +279,7 @@ class TestEcf:
         product = sp.j0(scn.r_star * np.linalg.norm(t, axis=1)) * scn.noise.char_fn(t)
         bound = 5.0 / np.sqrt(n) * (1.0 + np.sqrt(2.0) * g.nu_est)
         for seed in range(20):
-            full = ecf(generate(scn, n, seed).data, g)[2]
+            full = ecf(generate(scn, n, seed).data, g)
             gap = np.max(np.abs(full.ravel() - product))
             assert gap <= bound, (seed, gap, bound)
 
@@ -304,8 +294,7 @@ class TestEcf:
         for g3 in (EvalGrid.build(dim=3, nodes_per_axis=9), EvalGrid.build(dim=3, nodes_per_axis=17)):
             cases += [(data, g3) for data in (d3, d3 + 1e6, with_outlier(d3, 30.0))]
         for data, g in cases:
-            for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
-                assert np.max(np.abs(got - ref)) <= 2e-15, (g.dim, g.nodes_per_axis)
+            assert np.max(np.abs(ecf(data, g) - direct_ecf(data, g))) <= 2e-15, (g.dim, g.nodes_per_axis)
 
     def test_scenario_samples_take_the_moment_route(self):
         # the whole sample is the core, summed by moments: an empty tail
@@ -351,21 +340,20 @@ class TestEcf:
             centre, scale, orders, keep = core(data, g)
             assert (keep is None) == in_window
             assert np.all(orders <= cap) and (in_window or np.all(orders == cap))
-            for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
-                assert np.max(np.abs(got - ref)) <= 2e-15
+            assert np.max(np.abs(ecf(data, g) - direct_ecf(data, g))) <= 2e-15
         # a window of nu_est = 50 leaves no observation of scenario 1 in the core
         g = EvalGrid.build(nu_est=50.0, nodes_per_axis=9)
         data = generate(scenario(1), 1500, 1).data
         assert not core(data, g)[3].any()
-        for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
-            assert np.max(np.abs(got - ref)) <= 2e-15
+        assert np.max(np.abs(ecf(data, g) - direct_ecf(data, g))) <= 2e-15
 
     def test_a_spread_past_any_order_is_summed_directly(self):
         # negligible_order(1e300) is no integer order: the pair goes to the tail
         g = EvalGrid.build(nodes_per_axis=9)
         pair = np.array([[1e300, 0.0], [-1e300, 0.0]])
         assert not core(pair, g)[3].any()
-        marg1, marg2, full = ecf(pair, g)
+        full = ecf(pair, g)
+        marg1, marg2 = _marginals(full)
         assert np.max(np.abs(marg1 - np.cos(1e300 * g.axis1_nodes))) <= 1e-15
         assert np.array_equal(marg2, np.ones(g.m2)) and np.max(np.abs(full - marg1[:, None])) <= 1e-15
 
@@ -395,23 +383,23 @@ class TestEcf:
         g = EvalGrid.build(nu_est=1.3, nodes_per_axis=9)
         pair = np.array([[0.7, 0.0], [-0.7, 0.0]])
         assert core(pair, g)[2].tolist() == [15, 0]
-        marg1, marg2, full = ecf(pair, g)
+        full = ecf(pair, g)
+        marg1, marg2 = _marginals(full)
         assert np.array_equal(marg2, np.ones(g.m2))
         assert np.max(np.abs(marg1 - np.cos(0.7 * g.axis1_nodes))) <= 1e-15
         assert np.max(np.abs(full - marg1[:, None])) <= 1e-15
-        marg1, marg2, full = ecf(np.array([[0.0, -1.3]]), g)
+        full = ecf(np.array([[0.0, -1.3]]), g)
+        marg1, marg2 = _marginals(full)
         assert np.array_equal(marg1, np.ones(g.m1))
         assert np.max(np.abs(marg2 - np.exp(-1.3j * g.axis2_nodes[:, 0]))) <= 1e-15
         assert np.max(np.abs(full - marg2)) <= 1e-15
-        for got in ecf(np.zeros((1, 2)), g):
-            assert np.array_equal(got, np.ones_like(got))
+        assert np.array_equal(ecf(np.zeros((1, 2)), g), np.ones((g.m1, g.m2)))
 
     def test_moment_route_in_three_dimensions(self):
         data = d3_sample(1500, 2)
         g = EvalGrid.build(dim=3, nodes_per_axis=17)
         assert core(data, g)[3] is None
-        for got, ref in zip(ecf(data, g), direct_ecf(data, g)):
-            assert np.max(np.abs(got - ref)) <= 2e-15
+        assert np.max(np.abs(ecf(data, g) - direct_ecf(data, g))) <= 2e-15
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS reads its thread count once, at load, so each count needs its
@@ -430,8 +418,7 @@ class TestEcf:
             "for nodes in (33, 65):\n"
             "    g, wide = EvalGrid.build(nodes_per_axis=nodes), EvalGrid.build(nu_est=50.0, nodes_per_axis=nodes)\n"
             "    for sample, grid in ((d, g), (d + 1e6, g), (far, g), (d, wide)):\n"
-            "        c = ecf(sample, grid)\n"
-            "        print(hashlib.sha256(b''.join(a.tobytes() for a in c)).hexdigest())"
+            "        print(hashlib.sha256(ecf(sample, grid).tobytes()).hexdigest())"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -540,14 +527,11 @@ class TestPsiModel:
         for nodes_per_axis in (9, 11):
             for nu_est in (0.5, 1.0):
                 g = EvalGrid.build(nu_est=nu_est, nodes_per_axis=nodes_per_axis)
-                point_sets = grid_slices(g)
                 for k_cut in (2, 0, 4, 1, 3, 2):
                     f = random_density(rng, k_cut)
                     radius = float(rng.uniform(0.5, 10.0))
-                    vals = psi_model_marginals(f, radius, g)
-                    for got, pts in zip(vals, point_sets):
-                        want = np.array([psi_model(f, radius, t) for t in pts])
-                        assert got.ravel().tobytes() == want.tobytes()
+                    want = np.array([psi_model(f, radius, t) for t in g.points()])
+                    assert psi_model_grid(f, radius, g)[0].ravel().tobytes() == want.tobytes()
 
     def test_marginals_bitwise_match_pointwise_calls_at_high_cutoffs(self):
         # past 8 orders of one parity numpy's sum pairs up a single column's terms
@@ -556,10 +540,8 @@ class TestPsiModel:
         g = EvalGrid.build(nu_est=1.0, nodes_per_axis=9)
         for k_cut, radius in ((16, 2.2), (40, 9.5)):
             f = random_density(rng, k_cut)
-            vals = psi_model_marginals(f, radius, g)
-            for got, pts in zip(vals, grid_slices(g)):
-                want = np.array([psi_model(f, radius, t) for t in pts])
-                assert got.ravel().tobytes() == want.tobytes()
+            want = np.array([psi_model(f, radius, t) for t in g.points()])
+            assert psi_model_grid(f, radius, g)[0].ravel().tobytes() == want.tobytes()
 
     def test_closed_and_quadrature_routes_agree_at_high_cutoffs(self):
         rng = np.random.default_rng(14)
@@ -571,13 +553,17 @@ class TestPsiModel:
                 assert np.max(np.abs(closed - psi_model(f, radius, t, method="quadrature"))) < 1e-12
 
     def test_quadrature_marginals_bitwise_match_batch_calls(self):
-        # more than one 128-row chunk, so the axis-1 slice straddles the chunks
+        # more than one 128-row chunk, so the axis-1 slice straddles the chunks;
+        # each marginal equals a batch call on its own line of points
         for f, dim, nodes in ((vonmises_like(), 2, 17), (uniform_density(2), 3, 7)):
             g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=nodes)
-            assert g.points().shape[0] > 128
-            vals = psi_model_marginals(f, 2.3, g)
-            for got, pts in zip(vals, grid_slices(g)):
-                assert got.ravel().tobytes() == psi_model(f, 2.3, pts).tobytes()
+            pts = g.points()
+            assert pts.shape[0] > 128
+            full = psi_model_grid(f, 2.3, g)[0]
+            assert full.ravel().tobytes() == psi_model(f, 2.3, pts).tobytes()
+            lines = _marginals(np.moveaxis(pts.reshape(g.m1, g.m2, dim), -1, 0))
+            for got, line in zip(_marginals(full), lines):
+                assert got.tobytes() == psi_model(f, 2.3, np.ascontiguousarray(line.T)).tobytes()
 
     def test_jacobian_values_bitwise_match_marginals(self, monkeypatch):
         import spheredeconv.contrast as contrast_mod
@@ -586,13 +572,10 @@ class TestPsiModel:
         g = EvalGrid.build(nu_est=0.5, nodes_per_axis=9)
         for k_cut in (0, 3):
             f = random_density(rng, k_cut)
-            vals = psi_model_marginals(f, 2.7, g)
             psi, derivatives = psi_model_grid(f, 2.7, g)
-            for got, want in zip(psi, vals):
-                assert got.tobytes() == want.tobytes()
+            assert psi.tobytes() == psi_model_grid(f, 2.7, g)[0].tobytes()
             for radius_only, rows in ((False, 1 + 2 * k_cut), (True, 1)):
-                for d, want in zip(derivatives(radius_only), vals):
-                    assert d.shape == (rows, *want.shape)
+                assert derivatives(radius_only).shape == (rows, g.m1, g.m2)
         # the contrast's Jacobian multiplies the very Psi arrays its probe compared
         seen = []
         real_combine, real_jacobian = contrast_mod._combine, contrast_mod._combine_jacobian
@@ -609,7 +592,7 @@ class TestPsiModel:
         monkeypatch.setattr(contrast_mod, "_combine_jacobian", combine_jacobian)
         ctx = contrast_mod.ContrastContext.from_sample(generate(scenario(1), 200, seed=3), g)
         contrast_mod.contrast_probe(f, 2.7, ctx)[1]()
-        assert seen[1][0] is seen[0][0] and seen[1][1] is seen[0][1]
+        assert seen[1] is seen[0]
 
     @pytest.mark.parametrize("k_cut", [0, 1, 4, 12, 40])
     @pytest.mark.parametrize("nodes_per_axis", [9, 11])
@@ -623,19 +606,17 @@ class TestPsiModel:
         xs = np.multiply.outer(radii, g.polar_table(k_cut).radii)
         assert (xs < max(k_cut, 1)).any() and (xs >= max(k_cut, 1)).any()
         batch, derivatives = psi_model_grid(f, radii, g)
-        assert batch[2].shape == (radii.size, g.m1, g.m2)
+        assert batch.shape == (radii.size, g.m1, g.m2)
         rows = {radius_only: derivatives(radius_only) for radius_only in (False, True)}
-        assert rows[False][2].shape == (radii.size, 1 + 2 * k_cut, g.m1, g.m2)
-        assert rows[True][2].shape == (radii.size, 1, g.m1, g.m2)
+        assert rows[False].shape == (radii.size, 1 + 2 * k_cut, g.m1, g.m2)
+        assert rows[True].shape == (radii.size, 1, g.m1, g.m2)
         for b, radius in enumerate(radii):
             want_vals, want_derivatives = psi_model_grid(f, float(radius), g)
-            for got, want in zip(batch, want_vals):
-                assert got[b].tobytes() == want.tobytes()
+            assert batch[b].tobytes() == want_vals.tobytes()
             # the derivative rows, built on the Bessel rows and the weights
             # shared by every radius, equal those of a call at that radius alone
             for radius_only, got_rows in rows.items():
-                for got, want in zip(got_rows, want_derivatives(radius_only)):
-                    assert got[b].tobytes() == want.tobytes()
+                assert got_rows[b].tobytes() == want_derivatives(radius_only).tobytes()
 
     def test_batched_radii_off_the_closed_form_are_one_pass_per_radius(self, monkeypatch):
         import spheredeconv.charfn as charfn_mod
@@ -655,14 +636,12 @@ class TestPsiModel:
             batch, derivatives = psi_model_grid(f, radii, g)
             # off the closed form dPsi/dR is the only row, whatever radius_only says
             got_rows = derivatives(True)
-            assert passes == list(radii) and derivatives(False)[2].tobytes() == got_rows[2].tobytes()
-            assert got_rows[2].shape == (radii.size, 1, g.m1, g.m2)
+            assert passes == list(radii) and derivatives(False).tobytes() == got_rows.tobytes()
+            assert got_rows.shape == (radii.size, 1, g.m1, g.m2)
             for b, radius in enumerate(radii):
                 want_vals, want_derivatives = psi_model_grid(f, float(radius), g)
-                for got, want in zip(batch, want_vals):
-                    assert got[b].tobytes() == want.tobytes()
-                for got, want in zip(got_rows, want_derivatives(True)):
-                    assert got[b].tobytes() == want.tobytes()
+                assert batch[b].tobytes() == want_vals.tobytes()
+                assert got_rows[b].tobytes() == want_derivatives(True).tobytes()
             # the derivatives made no pass of their own
             assert passes == [2.5, 0.7, 2.5, 0.7]
 

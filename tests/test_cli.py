@@ -210,6 +210,21 @@ def test_density_refuses_coefficients_that_are_not_a_density(tmp_path, capsys, c
                  "--alpha", "0.3", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["generate", "density"])
+def test_a_size_that_cannot_be_allocated_exits_2(tmp_path, capsys, command):
+    # 10**15 values of 8 bytes exceed any address space, so numpy fails
+    # before it touches memory
+    out = tmp_path / "out.csv"
+    if command == "generate":
+        argv = ["generate", "--scenario", "1", "--n", str(10**15), "--seed", "0"]
+    else:
+        argv = ["density", "--report", _write_report(tmp_path / "r.json", [0.1, 1.0, 0.1]), "--grid", str(10**15)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_defaults_are_the_library_defaults(monkeypatch, tmp_path):
     import inspect
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from spheredeconv.charfn import EvalGrid, psi_model, psi_model_marginals
+from spheredeconv.charfn import EvalGrid, ecf, psi_model, psi_model_grid
 from spheredeconv.contrast import (
     ContrastContext,
     contrast_m_oracle,
@@ -18,17 +18,16 @@ from spheredeconv.simulate import NoiseModel, Scenario, generate, scenario
 
 def product_ref(f, radius, noise, grid):
     """ECF replaced by its infinite-n limit Psi * Phi_eps (factorized)."""
-    psi1, psi2, psi_full = psi_model_marginals(f, radius, grid)
     phi1 = noise.coord_char(0, grid.axis1_nodes)
     phi2 = noise.coord_char(1, grid.axis2_nodes[:, 0])
-    return psi1 * phi1, psi2 * phi2, psi_full * np.multiply.outer(phi1, phi2)
+    return psi_model_grid(f, radius, grid)[0] * np.multiply.outer(phi1, phi2)
 
 
 class TestEmpiricalContrast:
     def test_zero_when_cache_equals_model_noiseless(self):
         grid = EvalGrid.build(nodes_per_axis=17, nu_est=0.5)
         f = uniform_density(1)
-        val = contrast_mn(f, 3.0, ContrastContext(grid, psi_model_marginals(f, 3.0, grid)))
+        val = contrast_mn(f, 3.0, ContrastContext(grid, psi_model_grid(f, 3.0, grid)[0]))
         assert 0.0 <= val <= 1e-20
 
     def test_zero_at_truth_for_exact_product_cache(self):
@@ -63,9 +62,11 @@ class TestEmpiricalContrast:
         assert r.shape == (2 * grid.m1 * grid.m2,)
         assert contrast_mn(f, 2.7, ctx) == float(r @ r)
         # reference: the quadrature of |diff|^2 over the box, summed directly
-        psi1, psi2, psi_full = psi_model_marginals(f, 2.7, grid)
-        ref1, ref2, ref_full = ctx.ref
-        diff = psi_full * np.multiply.outer(ref1, ref2) - ref_full * np.multiply.outer(psi1, psi2)
+        # the marginals straight from their definition: t2 = 0 is node m2 // 2, t1 = 0 node m1 - 1
+        psi = psi_model_grid(f, 2.7, grid)[0]
+        col, ref = grid.m2 // 2, ctx.ref
+        assert grid.axis1_nodes[-1] == 0.0 and not grid.axis2_nodes[col].any()
+        diff = psi * np.multiply.outer(ref[:, col], ref[-1]) - ref * np.multiply.outer(psi[:, col], psi[-1])
         direct = grid.axis1_weights @ np.abs(diff) ** 2 @ grid.axis2_weights
         assert float(r @ r) == pytest.approx(direct, rel=1e-13)
 
@@ -134,9 +135,8 @@ def test_the_grid_serves_batches_read_only_from_a_bounded_store(monkeypatch):
     batches = [np.linspace(0.5, 10.0, 16) + k for k in range(charfn_mod._KEPT_PSI + 2)]
     contrast_residual(f, batches[0], ctx)
     (psi,) = vars(grid)["_kept_psi"].values()
-    for array in psi:
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        psi[...] = 0.0
     # a second context on the grid, or another density object with the same
     # coefficients, is served the kept batch; the store's least recently used
     # batch goes first
@@ -166,15 +166,13 @@ def test_kept_psi_returns_read_only_values_and_keeps_no_bessel_rows():
     grid = EvalGrid.build(nodes_per_axis=9)
     f = FourierDensity.from_half([0.05 - 0.02j, 0.01j])
     got = grid.kept_psi(f, AUDIT_RADII)
-    for array, want in zip(got, psi_model_marginals(f, AUDIT_RADII, grid)):
-        assert array.tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0.0
-    # the store's one entry is those three Psi arrays alone
+    assert got.tobytes() == psi_model_grid(f, AUDIT_RADII, grid)[0].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        got[...] = 0.0
+    # the store's one entry is that one Psi array alone
     (entry,) = vars(grid)["_kept_psi"].values()
     assert entry is got and grid.kept_psi(f, AUDIT_RADII.copy()) is got
-    radii = AUDIT_RADII.size
-    assert [a.shape for a in entry] == [(radii, grid.m1), (radii, grid.m2), (radii, grid.m1, grid.m2)]
+    assert isinstance(entry, np.ndarray) and entry.shape == (AUDIT_RADII.size, grid.m1, grid.m2)
 
 
 def _rows_match_scalar_calls(monkeypatch, f, radii, ctx):
@@ -187,7 +185,7 @@ def _rows_match_scalar_calls(monkeypatch, f, radii, ctx):
     real = contrast_mod._combine
 
     def counting(*args):
-        combines.append(args[0][2].shape)
+        combines.append(args[0].shape)
         return real(*args)
 
     monkeypatch.setattr(contrast_mod, "_combine", counting)
@@ -497,3 +495,24 @@ class TestPopulationContrast:
         assert val > 0.0
         at_truth = contrast_m_oracle(scn.density, scn.r_star, scn.density, scn.r_star, scn.noise)
         assert at_truth <= 1e-18
+
+
+@pytest.mark.parametrize("case", ["3_node_corner", "3_node", "17_node", "transposed", "triple"])
+def test_an_ecf_off_the_context_grid_is_refused(case):
+    # scenario 1, n = 500: a context on the 33-node grid once took a 3-node
+    # ECF's 1 x 1 corner, and both fits then returned r_max, or a 17-node ECF,
+    # and the fits failed mid-audit with a broadcasting error
+    grid = EvalGrid.build()
+    data = generate(scenario(1), 500, 0).data
+    own = ecf(data, grid)
+    three, seventeen = (ecf(data, EvalGrid.build(nodes_per_axis=nodes)) for nodes in (3, 17))
+    ref = {
+        "3_node_corner": three[-1:, 1:2],
+        "3_node": three,
+        "17_node": seventeen,
+        "transposed": own.T,
+        "triple": (own[:, grid.m2 // 2], own[-1], own),
+    }[case]
+    with pytest.raises(ValueError, match=r"grid's shape \(17, 33\)"):
+        ContrastContext(grid, ref)
+    assert ContrastContext(grid, own).ref is own
