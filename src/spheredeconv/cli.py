@@ -3,8 +3,7 @@
 Subcommands: bench (MSE sweep to CSV/JSON), estimate (joint fit of one
 sample file to a JSON report), generate (write a seeded synthetic sample),
 density (evaluate the truncated density estimate on a grid).  Exit codes:
-0 success, 2 configuration problem (a size too large to allocate
-included), 3 numerical failure.
+0 success, 2 configuration problem or a size too large to allocate, 3 numerical failure.
 """
 
 from __future__ import annotations
