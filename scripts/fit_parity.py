@@ -25,7 +25,11 @@ with the default FitConfig.  Then the same for
 1-4, n = 1e3, seeds 0-1, both grids, in four clipped windows, the
 default one on the data scaled by 0.1 (the truth below r_min) and by 4
 (above r_max), and [0.5, 2.5] and [3.5, 8] on the data as drawn: one
-hash line over all of them, then one line per fit.  Last, one SHA-256
+hash line over all of them, then one line per fit.  Then one SHA-256
+over the 54 values of the population contrast's panel (contrast_m_oracle
+on scenarios 1-4 at R in {2, 2.9, 3, 3.3} for 3 candidates and at each
+scenario's truth, on the default grid, and 2 values in d = 3 on a 5-node
+grid), then one line per value, its float.hex().  Last, one SHA-256
 over generate's output for every sample the script fits, in the order
 drawn, the sweep_s4 replications' and the benchmark's 9 inputs included,
 so a moved fit is told apart from a moved sample.  Two
@@ -115,6 +119,31 @@ def edge_reports(drawn: list):
                     yield f"{label} known", sd.fit_radius_known_density(scale * data, scn.density, cfg, grid)
 
 
+# the population contrast's candidates at each scenario and radius: (label, density)
+ORACLE_CANDIDATES = (("uniform", sd.FourierDensity.uniform()), ("c1", sd.FourierDensity.from_half([0.05 - 0.02j])),
+                     ("c1c2", sd.FourierDensity.from_half([0.1j, 0.03])))
+
+
+def oracle_values():
+    """The population contrast's panel, labelled: scenarios 1-4 at R in
+    {2, 2.9, 3, 3.3} for each ORACLE_CANDIDATES density and at the truth,
+    then in d = 3 (uniform truth on the 2-sphere, R* = 2, isotropic noise
+    0.3, 5-node grid) at the truth and a circle-cosine candidate at R = 2.3."""
+    for scenario_id in (1, 2, 3, 4):
+        scn = sd.scenario(scenario_id)
+        for radius in (2.0, 2.9, 3.0, 3.3):
+            for name, f in ORACLE_CANDIDATES:
+                yield f"oracle s{scenario_id} R={radius:g} {name}", sd.contrast_m_oracle(
+                    f, radius, scn.density, scn.r_star, scn.noise)
+        yield f"oracle s{scenario_id} truth", sd.contrast_m_oracle(
+            scn.density, scn.r_star, scn.density, scn.r_star, scn.noise)
+    truth, noise = sd.uniform_density(2), sd.NoiseModel.isotropic_gaussian(0.3, 3)
+    cosine = sd.CallableDensity(lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * u[:, 0]), dim_minus_1=2)
+    grid = sd.EvalGrid.build(dim=3, nodes_per_axis=5)
+    yield "oracle d3 truth", sd.contrast_m_oracle(truth, 2.0, truth, 2.0, noise, grid)
+    yield "oracle d3 R=2.3 cosine", sd.contrast_m_oracle(cosine, 2.3, truth, 2.0, noise, grid)
+
+
 # the benchmark's fit workloads: (name, fit, scenario, n)
 BENCH_FITS = (("joint_s1", "joint", 1, 10_000), ("known_s1_big", "known", 1, 1_000_000), ("known_s4", "known", 4, 10_000))
 
@@ -181,6 +210,10 @@ def parity_lines():
     yield f"edge fits {len(edge)} {fits_hash(edge)}"
     for label, report in edge:
         yield per_fit_line(label, report)
+    oracle = list(oracle_values())
+    yield f"oracle values {len(oracle)} {hashlib.sha256(np.array([v for _, v in oracle]).tobytes()).hexdigest()}"
+    for label, value in oracle:
+        yield f"{label} {value.hex()}"
     yield f"samples {len(drawn)} {hashlib.sha256(b''.join(drawn)).hexdigest()}"
 
 

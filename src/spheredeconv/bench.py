@@ -33,8 +33,12 @@ FULL_GRID = (
 )
 DESK_GRID = (100, 1_000, 10_000)
 MODES = ("known_f", "unknown_f")
-# reps is the requested count; reps - failures replications entered the means
-EMIT_COLUMNS = ("n", "mode", "mse_R", "mse_C", "l2_density_err", "reps", "base_seed", "failures", "wall_ms")
+# each emitted column, in file order, and its parser: reps is the requested
+# count, reps - failures replications entered the means, and med_abs_R is the
+# median |R_hat - R*| that rate_regression fits
+COLUMNS = {"n": int, "mode": str, "mse_R": float, "mse_C": float, "l2_density_err": float, "reps": int,
+           "base_seed": int, "failures": int, "wall_ms": float, "med_abs_R": float}
+EMIT_COLUMNS = tuple(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class BenchRow:
     base_seed: int
     wall_ms: float
     failures: int = 0
-    # a diagnostic, not emitted: rate regression wants a robust location
+    # rate regression wants a robust location
     med_abs_R: float = math.nan
 
 
@@ -251,27 +255,15 @@ def read_rows(path: str, fmt: str = "csv") -> list:
                 raise ConfigError(f"unknown output format {fmt!r}")
     except OSError as exc:
         raise OSError(f"cannot read benchmark output from {path!r}: {exc}") from exc
-    rows = []
-    for rec in raw:
-        rows.append(
-            BenchRow(
-                n=int(rec["n"]),
-                mode=str(rec["mode"]),
-                mse_R=float(rec["mse_R"]),
-                mse_C=float(rec["mse_C"]),
-                l2_density_err=float(rec["l2_density_err"]),
-                reps=int(rec["reps"]),
-                base_seed=int(rec["base_seed"]),
-                failures=int(rec["failures"]),
-                wall_ms=float(rec["wall_ms"]),
-            )
-        )
-    return rows
+    return [BenchRow(**{col: parse(rec[col]) for col, parse in COLUMNS.items()}) for rec in raw]
 
 
 def determinism_hash(rows) -> str:
-    """SHA-256 over every emitted column except wall_ms."""
-    stable = [col for col in EMIT_COLUMNS if col != "wall_ms"]
+    """SHA-256 over the emitted columns before wall_ms, n to failures.
+    wall_ms is a clock; med_abs_R, emitted after it, is left out so that
+    every hash recorded before it was emitted still holds, and mse_R
+    already depends on the same fitted radii."""
+    stable = EMIT_COLUMNS[: EMIT_COLUMNS.index("wall_ms")]
     digest = hashlib.sha256()
     for row in rows:
         line = ",".join(_format_value(getattr(row, col)) for col in stable)

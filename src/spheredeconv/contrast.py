@@ -10,15 +10,15 @@ with Phi_eps(t1, t2) = Phi_1(t1) Phi_2(t2).  Consequently
 vanishes identically (up to sampling error in the ECF psi~) exactly when
 the candidate matches the truth, without knowing the noise law.  The
 empirical contrast integrates the squared modulus of this quantity over
-the frequency box; the population version replaces the ECF by the true
-product and weights by |Phi_eps|^2.  Either quadrature is the squared norm
-of one weighted residual vector (_combine), which is what the estimators
-minimize by least squares.  A descent probe (contrast_probe) returns that
-residual together with its exact Jacobian as a callable, through
-_combine's linearisation, from the one model evaluation both share:
-psi_model_grid's values and its derivatives callable, on either route,
-each one (..., m1, m2) array, as the ECF is.  The context holds only
-what every evaluation on the sample reuses.
+the frequency box; the population one replaces the ECF by the true law's
+Psi_{f*,R*} Phi_eps, and as Phi_eps(t) = Phi_eps(t1, 0) Phi_eps(0, t2) its
+difference is Phi_eps(t) times the noiseless one.  Either is the squared
+norm of one weighted residual vector (_combine over a ContrastContext),
+which the estimators minimize by least squares.  A descent probe
+(contrast_probe) returns that residual and its exact Jacobian as a
+callable, through _combine's linearisation, from the one model evaluation
+both share: psi_model_grid's values and derivatives callable, each one
+(..., m1, m2) array, as the ECF is.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ from .geometry import AngleDensity, FourierDensity, fourier_form
 
 @dataclass(eq=False)
 class ContrastContext:
-    """Grid plus the sample's ECF ref, one (m1, m2) array (ValueError for any
-    other shape), reused across many evaluations, with what every residual
-    reuses: the grid's weights' roots root_weights = sqrt(w1_i w2_j) and the
-    ECF marginals' product ref_outer = ref1 ref2^T.  It keeps no evaluation:
-    a fit's audits are the grid's to keep (EvalGrid.kept_psi), and a
-    descent probe's its own (contrast_probe)."""
+    """Grid plus ref, an observation law's characteristic function on the
+    grid, one (m1, m2) array (ValueError for any other shape): a sample's
+    ECF (from_sample) or a population one (contrast_m_oracle).  Reused
+    across many evaluations, with what every residual reuses: the grid's
+    weights' roots root_weights = sqrt(w1_i w2_j) and ref's marginals'
+    product ref_outer = ref1 ref2^T.  It keeps no evaluation: a fit's
+    audits are the grid's to keep (EvalGrid.kept_psi), and a descent
+    probe's its own (contrast_probe)."""
 
     grid: EvalGrid
     ref: np.ndarray
@@ -63,33 +65,30 @@ def _marginals(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return full[..., full.shape[-1] // 2], full[..., -1, :]
 
 
-def _weighted(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Re and Im parts of diff, each scaled by scale over its last two axes
-    (m1, m2) and flattened, then concatenated."""
-    lead = diff.shape[:-2]
-    return np.concatenate(((scale * diff.real).reshape(*lead, -1), (scale * diff.imag).reshape(*lead, -1)), axis=-1)
+def _weighted(diff: np.ndarray, ctx: ContrastContext) -> np.ndarray:
+    """Re and Im parts of diff, each times ctx.root_weights over its last two
+    axes (m1, m2) and flattened, then concatenated."""
+    lead, root = diff.shape[:-2], ctx.root_weights
+    return np.concatenate(((root * diff.real).reshape(*lead, -1), (root * diff.imag).reshape(*lead, -1)), axis=-1)
 
 
-def _combine(psi: np.ndarray, ref_outer: np.ndarray, ref: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _combine(psi: np.ndarray, ctx: ContrastContext) -> np.ndarray:
     """Weighted residual of psi ref1 ref2 - ref psi1 psi2 over the grid's box.
 
     psi is shaped (..., m1, m2) with any leading radius axes, psi1 and psi2
-    its _marginals, and ref_outer = ref1 ref2^T and ref (m1, m2).  Returns
-    the Re and Im parts of the difference, each scaled by scale,
-    sqrt(w1_i w2_j) times any extra weight's root, flattened to rows of
-    length 2 m1 m2, so the quadrature of each row's squared modulus is its
-    squared norm.  The products are elementwise, so each row equals, bit
-    for bit, a call on that radius's psi alone.
+    its _marginals, and ref and ref_outer = ref1 ref2^T are ctx's.  Returns
+    the Re and Im parts of the difference, each times sqrt(w1_i w2_j),
+    flattened to rows of length 2 m1 m2, so the quadrature of each row's
+    squared modulus is its squared norm.  The products are elementwise, so
+    each row equals, bit for bit, a call on that radius's psi alone.
     """
     psi1, psi2 = _marginals(psi)
-    diff = psi * ref_outer - ref * (psi1[..., :, None] * psi2[..., None, :])
-    return _weighted(diff, scale)
+    diff = psi * ctx.ref_outer - ctx.ref * (psi1[..., :, None] * psi2[..., None, :])
+    return _weighted(diff, ctx)
 
 
-def _combine_jacobian(
-    psi: np.ndarray, dpsi: np.ndarray, ref_outer: np.ndarray, ref: np.ndarray, scale: np.ndarray
-) -> np.ndarray:
-    """_combine(psi, ref_outer, ref, scale) linearised in psi: its (2 m1 m2, P) Jacobian.
+def _combine_jacobian(psi: np.ndarray, dpsi: np.ndarray, ctx: ContrastContext) -> np.ndarray:
+    """_combine(psi, ctx) linearised in psi: its (2 m1 m2, P) Jacobian.
 
     psi is shaped (m1, m2) and dpsi (P, m1, m2), one leading row per
     parameter: d diff = d psi ref1 ref2 - ref (d psi1 psi2 + psi1 d psi2).
@@ -97,24 +96,25 @@ def _combine_jacobian(
     psi1, psi2 = _marginals(psi)
     d1, d2 = _marginals(dpsi)
     dprod = d1[:, :, None] * psi2 + psi1[:, None] * d2[:, None, :]
-    ddiff = dpsi * ref_outer - ref * dprod
-    return _weighted(ddiff, scale).T
+    ddiff = dpsi * ctx.ref_outer - ctx.ref * dprod
+    return _weighted(ddiff, ctx).T
 
 
 def contrast_residual(f: AngleDensity, radius, ctx: ContrastContext) -> np.ndarray:
-    """Weighted residual of the candidate (f, R) against the sample ECF;
-    its squared norm is contrast_mn.
+    """Weighted residual of the candidate (f, R) against ctx.ref; its
+    squared norm is contrast_mn.
 
     radius may be a 1-d array of radii, a fit's audit: then one row per
     radius, from one evaluation at all of them (a Fourier density's from
-    the grid's store, EvalGrid.kept_psi) and one _combine call, each row equal, bit for bit, to the residual at that
-    radius alone.  A single radius is evaluated afresh.
+    the grid's store, EvalGrid.kept_psi) and one _combine call, each row
+    equal, bit for bit, to the residual at that radius alone.  A single
+    radius is evaluated afresh.
     """
     if np.ndim(radius) == 1 and isinstance(f, FourierDensity):
         psi = ctx.grid.kept_psi(f, np.asarray(radius, dtype=float))
     else:
         psi = psi_model_grid(f, radius, ctx.grid)[0]
-    return _combine(psi, ctx.ref_outer, ctx.ref, ctx.root_weights)
+    return _combine(psi, ctx)
 
 
 def contrast_probe(f: AngleDensity, radius: float, ctx: ContrastContext, radius_only: bool = False) -> tuple:
@@ -128,15 +128,13 @@ def contrast_probe(f: AngleDensity, radius: float, ctx: ContrastContext, radius_
     if not (radius_only or isinstance(f, FourierDensity)):
         raise ValueError("the coefficient columns need the closed form; pass radius_only=True for dPsi/dR")
     psi, derivatives = psi_model_grid(f, radius, ctx.grid)
-    args = (ctx.ref_outer, ctx.ref, ctx.root_weights)
-    return _combine(psi, *args), lambda: _combine_jacobian(psi, derivatives(radius_only), *args)
+    return _combine(psi, ctx), lambda: _combine_jacobian(psi, derivatives(radius_only), ctx)
 
 
 def contrast_mn(f: AngleDensity, radius: float, ctx: ContrastContext) -> float:
-    """Empirical contrast of the candidate (f, R) against the sample ECF.
-
-    Nonnegative; zero exactly when the candidate's characteristic-function
-    products reproduce the ECF's on the whole grid.
+    """Contrast of the candidate (f, R) against ctx.ref, empirical on a
+    sample's ECF.  Nonnegative; zero exactly when the candidate's
+    characteristic-function products reproduce ref's on the whole grid.
     """
     r = contrast_residual(f, radius, ctx)
     return float(r @ r)
@@ -150,11 +148,12 @@ def contrast_m_oracle(
     noise,
     grid: EvalGrid | None = None,
 ) -> float:
-    """Population contrast: the ECF is replaced by the true characteristic
-    function products, and the integrand is weighted by |Phi_eps(t)|^2.
+    """Population contrast: contrast_mn on the context whose ref is the true
+    observation law's characteristic function Psi_{f*,R*} Phi_eps, the
+    ECF's large-sample limit.
 
     Requires a noise model exposing a closed-form characteristic function,
-    char_fn.  Zero exactly at the truth; positive at any
+    char_fn.  Zero at the truth up to roundoff; positive at any
     candidate generating a different observation law.  grid defaults to
     default_grid() of the density's dimension, the grid of every fit and
     sweep given none.  Circle callables enter in their fourier_form.
@@ -164,8 +163,5 @@ def contrast_m_oracle(
     f, f_star = fourier_form(f), fourier_form(f_star)
     if grid is None:
         grid = default_grid(f.dim_minus_1 + 1)
-    cand, truth = psi_model_grid(f, radius, grid)[0], psi_model_grid(f_star, r_star, grid)[0]
     phi = noise.char_fn(grid.points()).reshape(grid.m1, grid.m2)
-    scale = np.sqrt(np.multiply.outer(grid.axis1_weights, grid.axis2_weights) * (phi.real**2 + phi.imag**2))
-    r = _combine(cand, np.multiply.outer(*_marginals(truth)), truth, scale)
-    return float(r @ r)
+    return contrast_mn(f, radius, ContrastContext(grid, psi_model_grid(f_star, r_star, grid)[0] * phi))

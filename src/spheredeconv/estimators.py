@@ -271,12 +271,8 @@ class _ProbeLog:
             self.probes.append((value, float(at), f))
 
     def best(self) -> tuple[float, float, AngleDensity]:
-        """(value, radius, density) of the best probe."""
-        vmin = min(p[0] for p in self.probes)
-        return min(
-            (p for p in self.probes if p[0] == vmin),
-            key=lambda p: (p[1], float(np.sum(np.abs(_half(p[2])) ** 2))),
-        )
+        """(value, radius, density) of the best probe; a full tie goes to the first logged."""
+        return min(self.probes, key=lambda p: (p[0], p[1], float(np.sum(np.abs(_half(p[2])) ** 2))))
 
     def report(self) -> EstimateReport:
         """The best probe as a report: its logged contrast, the center it

@@ -329,9 +329,10 @@ def test_rate_regression_reports_both_modes():
 def _example_rows():
     return [
         BenchRow(n=100, mode="known_f", mse_R=3.7957912345678901e-04, mse_C=9.978e-02,
-                 l2_density_err=0.0, reps=2, base_seed=9, wall_ms=81.5),
+                 l2_density_err=0.0, reps=2, base_seed=9, wall_ms=81.5, med_abs_R=1.9482789e-02),
         BenchRow(n=100, mode="unknown_f", mse_R=1.905e-04, mse_C=2.564e-03,
-                 l2_density_err=5.052e-02, reps=2, base_seed=9, wall_ms=6200.0, failures=1),
+                 l2_density_err=5.052e-02, reps=2, base_seed=9, wall_ms=6200.0, failures=1,
+                 med_abs_R=1.3802173e-02),
         BenchRow(n=400, mode="known_f", mse_R=float("nan"), mse_C=float("nan"),
                  l2_density_err=float("nan"), reps=2, base_seed=9, wall_ms=float("nan")),
     ]
@@ -341,7 +342,7 @@ def _rows_equal(a, b):
     def key(r):
         return (r.n, r.mode, r.reps, r.base_seed, r.failures) + tuple(
             (math.isnan(v), v if not math.isnan(v) else 0.0)
-            for v in (r.mse_R, r.mse_C, r.l2_density_err, r.wall_ms)
+            for v in (r.mse_R, r.mse_C, r.l2_density_err, r.wall_ms, r.med_abs_R)
         )
 
     return [key(r) for r in a] == [key(r) for r in b]
@@ -356,11 +357,33 @@ def test_emit_read_roundtrip(tmp_path, fmt):
     assert _rows_equal(rows, back)
 
 
+@pytest.fixture(scope="module")
+def sweep_rows():
+    return run_bench(BenchSpec(1, (100, 300, 1000), 2))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_saved_sweep_regresses_as_the_sweep(tmp_path, sweep_rows, fmt):
+    # rate_regression fits med_abs_R, so a saved sweep must carry it
+    back = read_rows(emit(sweep_rows, str(tmp_path / f"sweep.{fmt}"), fmt), fmt)
+    assert back == sweep_rows
+    assert rate_regression(back) == rate_regression(sweep_rows)
+
+
+def test_determinism_hash_keeps_the_recorded_columns():
+    # n to failures, as hashed before med_abs_R was emitted: recorded hashes hold
+    rows = _example_rows()
+    assert determinism_hash(rows) == "5b4fec224d812b31c505512d0f9e8970deafecd544ce12e3959f71e0ba3c1d0b"
+    moved = [BenchRow(**{**row.__dict__, "med_abs_R": 0.5}) for row in rows]
+    assert determinism_hash(moved) == determinism_hash(rows)
+
+
 def test_emit_csv_layout(tmp_path):
     path = str(tmp_path / "out.csv")
     emit(_example_rows(), path, "csv")
     lines = open(path).read().strip().splitlines()
     assert lines[0] == ",".join(EMIT_COLUMNS)
+    assert lines[0] == "n,mode,mse_R,mse_C,l2_density_err,reps,base_seed,failures,wall_ms,med_abs_R"
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "100" and first[1] == "known_f"

@@ -12,7 +12,7 @@ from spheredeconv.contrast import (
     contrast_probe,
     contrast_residual,
 )
-from spheredeconv.geometry import CallableDensity, FourierDensity, uniform_density
+from spheredeconv.geometry import CallableDensity, FourierDensity, fourier_form, uniform_density
 from spheredeconv.simulate import NoiseModel, Scenario, generate, scenario
 
 
@@ -495,6 +495,23 @@ class TestPopulationContrast:
         assert val > 0.0
         at_truth = contrast_m_oracle(scn.density, scn.r_star, scn.density, scn.r_star, scn.noise)
         assert at_truth <= 1e-18
+
+
+@pytest.mark.parametrize("scenario_id", [1, 2, 3, 4])
+def test_the_oracle_is_the_large_sample_limit_of_the_contrast(scenario_id):
+    # the oracle is contrast_mn on the true law's Psi * Phi_eps, the ECF's
+    # limit: at n = 1e6 the empirical contrast is within 2% of it
+    from spheredeconv.charfn import default_grid
+
+    scn, grid = scenario(scenario_id), default_grid()
+    f = FourierDensity.from_half([0.05 - 0.02j])
+    sample_ctx = ContrastContext.from_sample(generate(scn, 1_000_000, 5).data, grid)
+    phi = scn.noise.char_fn(grid.points()).reshape(grid.m1, grid.m2)
+    population = ContrastContext(grid, psi_model_grid(fourier_form(scn.density), scn.r_star, grid)[0] * phi)
+    for radius in (2.7, 3.0):
+        oracle = contrast_m_oracle(f, radius, scn.density, scn.r_star, scn.noise)
+        assert oracle == contrast_mn(f, radius, population)
+        assert abs(contrast_mn(f, radius, sample_ctx) - oracle) <= 2e-2 * oracle
 
 
 @pytest.mark.parametrize("case", ["3_node_corner", "3_node", "17_node", "transposed", "triple"])

@@ -779,6 +779,18 @@ def test_probe_log_picks_the_smallest_value_and_breaks_only_exact_ties():
     assert rep.seed == 7 and rep.n == 60
 
 
+def test_a_full_tie_goes_to_the_first_logged_probe():
+    import spheredeconv.estimators as est_mod
+
+    log = est_mod._ProbeLog(generate(scenario(1), 60, seed=0).data, None, 0.0)
+    first, second = FourierDensity.from_half([0.1j]), FourierDensity.from_half([-0.1])
+    for f in (first, second, first):
+        log(f, 3.0, np.array([0.5]))
+    assert log.best()[2] is first
+    log(second, 3.0, np.array([0.25]))
+    assert log.best()[2] is second
+
+
 def test_a_batch_of_radii_is_one_probe_per_row():
     import spheredeconv.estimators as est_mod
 
