@@ -51,10 +51,8 @@ from .simulate import (
     derive_seed,
     draw_noise,
     generate,
-    load_sample_bin,
-    load_sample_csv,
-    save_sample_bin,
-    save_sample_csv,
+    load_sample,
+    save_sample,
     scenario,
 )
 
@@ -93,16 +91,14 @@ __all__ = [
     "fit_radius_known_density",
     "fourier_series",
     "generate",
-    "load_sample_bin",
-    "load_sample_csv",
+    "load_sample",
     "psi_model",
     "psi_model_grid",
     "rate_regression",
     "read_rows",
     "run_bench",
     "sample_angles",
-    "save_sample_bin",
-    "save_sample_csv",
+    "save_sample",
     "scenario",
     "sphere_map",
     "sphere_mean",

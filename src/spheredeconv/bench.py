@@ -1,4 +1,6 @@
-"""Benchmark sweep: MSE tables over n, rate regression, CSV/JSON output.
+"""Benchmark sweep: MSE tables over n, rate regression, and the table
+files: emit writes and read_rows reads JSON for a path ending in .json,
+CSV for any other.
 
 run_bench drives the two radius estimators over a grid of sample sizes
 with seeded replications; both modes consume identical samples per
@@ -19,7 +21,7 @@ import numpy as np
 
 from .charfn import default_grid
 from .contrast import ContrastContext
-from .errors import ConfigError, NumericalError, _as_int
+from .errors import ConfigError, NumericalError, _as_int, _parse_fields
 from .estimators import FitConfig, fit_joint, fit_radius_known_density, truncation_level
 from .geometry import fourier_coefficients, fourier_form
 from .simulate import derive_seed, generate, scenario
@@ -38,7 +40,6 @@ MODES = ("known_f", "unknown_f")
 # median |R_hat - R*| that rate_regression fits
 COLUMNS = {"n": int, "mode": str, "mse_R": float, "mse_C": float, "l2_density_err": float, "reps": int,
            "base_seed": int, "failures": int, "wall_ms": float, "med_abs_R": float}
-EMIT_COLUMNS = tuple(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -220,42 +221,34 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def emit(rows, path: str, fmt: str = "csv") -> str:
-    """Write rows to path in the stable column order; returns the path."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
+def emit(rows, path: str) -> str:
+    """Write rows to path in the stable column order, as JSON when path ends
+    in .json and as CSV otherwise; returns the path."""
     try:
         with open(path, "w", newline="") as handle:
-            if fmt == "csv":
-                writer = csv.writer(handle)
-                writer.writerow(EMIT_COLUMNS)
-                for row in rows:
-                    writer.writerow([_format_value(getattr(row, col)) for col in EMIT_COLUMNS])
-            else:
-                payload = [
-                    {col: getattr(row, col) for col in EMIT_COLUMNS} for row in rows
-                ]
-                json.dump(payload, handle, indent=1)
+            if str(path).endswith(".json"):
+                json.dump([{col: getattr(row, col) for col in COLUMNS} for row in rows], handle, indent=1)
                 handle.write("\n")
+            else:
+                writer = csv.writer(handle)
+                writer.writerow(COLUMNS)
+                for row in rows:
+                    writer.writerow([_format_value(getattr(row, col)) for col in COLUMNS])
     except OSError as exc:
         raise OSError(f"cannot write benchmark output to {path!r}: {exc}") from exc
     return path
 
 
-def read_rows(path: str, fmt: str = "csv") -> list:
-    """Parse a file written by emit back into BenchRow values."""
+def read_rows(path: str) -> list:
+    """Parse a file written by emit back into BenchRow values, reading
+    JSON when path ends in .json and CSV otherwise; ValueError names a
+    missing or malformed column."""
     try:
         with open(path, newline="") as handle:
-            if fmt == "csv":
-                reader = csv.DictReader(handle)
-                raw = list(reader)
-            elif fmt == "json":
-                raw = json.load(handle)
-            else:
-                raise ConfigError(f"unknown output format {fmt!r}")
+            raw = json.load(handle) if str(path).endswith(".json") else list(csv.DictReader(handle))
     except OSError as exc:
         raise OSError(f"cannot read benchmark output from {path!r}: {exc}") from exc
-    return [BenchRow(**{col: parse(rec[col]) for col, parse in COLUMNS.items()}) for rec in raw]
+    return [BenchRow(**_parse_fields(rec, COLUMNS, f"{path}: column")) for rec in raw]
 
 
 def determinism_hash(rows) -> str:
@@ -263,7 +256,7 @@ def determinism_hash(rows) -> str:
     wall_ms is a clock; med_abs_R, emitted after it, is left out so that
     every hash recorded before it was emitted still holds, and mse_R
     already depends on the same fitted radii."""
-    stable = EMIT_COLUMNS[: EMIT_COLUMNS.index("wall_ms")]
+    stable = list(COLUMNS)[: list(COLUMNS).index("wall_ms")]
     digest = hashlib.sha256()
     for row in rows:
         line = ",".join(_format_value(getattr(row, col)) for col in stable)

@@ -221,8 +221,8 @@ def _expi(phase: np.ndarray) -> np.ndarray:
 # ECF sums its products over slices small enough to stay below those sizes,
 # so its bits do not depend on the BLAS thread count
 _ONE_THREAD_PRODUCT = 2 * 65536 * 4
-# observations per ecf chunk and at most in its subsample; points per _psi_quadrature block
-_MOMENT_CHUNK, _QUAD_CHUNK = 1 << 12, 128
+# observations per ecf chunk and at most in its subsample
+_MOMENT_CHUNK = 1 << 12
 # The core's orders keep (J + 1)^d <= _WINDOW (1 + m1)(1 + m2): its moment
 # block holds about _WINDOW times the m1 m2 entries of a tail observation's
 # product.  Per observation (CPU time, one BLAS thread) moments cost as much
@@ -536,16 +536,19 @@ def _psi_quadrature(f: AngleDensity, radius: float, pts: np.ndarray) -> tuple[np
     payload = weights * fvals
     svecs = sphere_map(nodes)
     out, d_radius = np.empty((2, pts.shape[0]), dtype=complex)
-    for start in range(0, pts.shape[0], _QUAD_CHUNK):
-        block = pts[start : start + _QUAD_CHUNK]
+    # even blocks of at most _ONE_THREAD_PRODUCT waves (8 MB) and at least 4
+    # points: a one-row block's product would round differently
+    blocks = max(1, -(-pts.shape[0] // max(4, _ONE_THREAD_PRODUCT // nodes.shape[0])))
+    edges = np.arange(blocks + 1) * pts.shape[0] // blocks
+    for lo, hi in zip(edges[:-1], edges[1:]):
         # one complex product, not a real one each for cos and sin: real dgemv
         # rounds a call's last rows differently, so grid values would stop
         # equalling pointwise psi_model calls bit for bit
-        proj = block @ svecs.T
+        proj = pts[lo:hi] @ svecs.T
         waves = _expi(radius * proj)
-        out[start : start + _QUAD_CHUNK] = waves @ payload
+        out[lo:hi] = waves @ payload
         waves *= proj
-        d_radius[start : start + _QUAD_CHUNK] = 1j * (waves @ payload)
+        d_radius[lo:hi] = 1j * (waves @ payload)
     return out, d_radius
 
 

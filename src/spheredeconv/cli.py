@@ -1,9 +1,10 @@
 """Command line front end.
 
-Subcommands: bench (MSE sweep to CSV/JSON), estimate (joint fit of one
-sample file to a JSON report), generate (write a seeded synthetic sample),
-density (evaluate the truncated density estimate on a grid).  Exit codes:
-0 success, 2 configuration problem or a size too large to allocate, 3 numerical failure.
+Subcommands: bench (MSE sweep to CSV, or JSON for a .json --out), estimate
+(joint fit of one sample file to a JSON report), generate (write a seeded
+synthetic sample), density (evaluate the truncated density estimate on a
+grid).  A sample file is binary when its path ends in .bin, CSV otherwise.
+Exit codes: 0 success, 2 configuration problem or a size too large to allocate, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .charfn import DEFAULT_NU_EST, EvalGrid, default_grid
 from .errors import ConfigError, NumericalError
 from .estimators import ALPHA, EstimateReport, FitConfig, fit_joint, truncate_density
 from .geometry import fourier_series
-from .simulate import generate, load_sample_bin, load_sample_csv, save_sample_bin, save_sample_csv, scenario
+from .simulate import generate, load_sample, save_sample, scenario
 
 
 def _int_list(text: str) -> tuple:
@@ -91,8 +92,7 @@ def _cmd_bench(args) -> int:
         fit_overrides=overrides or None,
     )
     rows = run_bench(spec, progress=not args.quiet)
-    fmt = "json" if args.out.endswith(".json") else "csv"
-    emit(rows, args.out, fmt)
+    emit(rows, args.out)
     grid = default_grid()
     print(
         f"integration=gauss-legendre nodes={grid.nodes_per_axis} nu_est={grid.nu_est:g} "
@@ -108,7 +108,7 @@ def _cmd_estimate(args) -> int:
         cfg, grid = FitConfig(r_min=args.rmin, r_max=args.rmax), EvalGrid.build(dim=2, nu_est=args.nu_est)
     except ConfigError as exc:
         raise ConfigError(f"--rmin {args.rmin:g} --rmax {args.rmax:g} --nu-est {args.nu_est:g}: {exc}") from exc
-    sample = (load_sample_bin if args.input.endswith(".bin") else load_sample_csv)(args.input)
+    sample = load_sample(args.input)
     report = fit_joint(sample, cfg, grid)
     payload = json.loads(report.to_json())
     payload["nu_est"] = args.nu_est
@@ -124,10 +124,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_generate(args) -> int:
     sample = generate(scenario(args.scenario), args.n, args.seed)
-    if args.out.endswith(".bin"):
-        save_sample_bin(sample, args.out)
-    else:
-        save_sample_csv(sample, args.out)
+    save_sample(sample, args.out)
     print(f"wrote {sample.n} observations to {args.out}")
     return 0
 

@@ -33,3 +33,14 @@ def _as_float(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ConfigError(f"{name} overflows a float") from None
+
+
+def _parse_fields(record, parsers: dict, label: str) -> dict:
+    """{name: parse(record[name])} over parsers; ValueError names a missing or malformed field."""
+    out = {}
+    for name, parse in parsers.items():
+        try:
+            out[name] = parse(record[name])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{label} {name!r} is missing or malformed: {exc!r}") from exc
+    return out

@@ -38,7 +38,7 @@ import numpy as np
 
 from .charfn import _ONE_THREAD_PRODUCT, EvalGrid, default_grid
 from .contrast import ContrastContext, contrast_probe, contrast_residual
-from .errors import ConfigError, NumericalError, _as_float, _as_int
+from .errors import ConfigError, NumericalError, _as_float, _as_int, _parse_fields
 from .geometry import (
     COEFF_NORM_BOUND,
     TAIL_CUTOFF,
@@ -117,39 +117,26 @@ class EstimateReport:
     n: int
 
     def to_json(self) -> str:
-        payload = {
-            "r_hat": self.r_hat,
-            "c_hat": [float(v) for v in self.c_hat],
-            "f_hat_coeffs": [[c.real, c.imag] for c in self.f_hat_coeffs],
-            "contrast_value": self.contrast_value,
-            "iterations": self.iterations,
-            "wall_time": self.wall_time,
-            "seed": self.seed,
-            "n": self.n,
-        }
+        payload = {name: dump(getattr(self, name)) for name, (dump, _) in _REPORT_FIELDS.items()}
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EstimateReport":
         """The report to_json wrote; ValueError names a missing or malformed field."""
-        d, fields = json.loads(text), {}
-        for name, parse in _REPORT_FIELDS.items():
-            try:
-                fields[name] = parse(d[name])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"report field {name!r} is missing or malformed: {exc!r}") from exc
-        return cls(**fields)
+        parsers = {name: parse for name, (_, parse) in _REPORT_FIELDS.items()}
+        return cls(**_parse_fields(json.loads(text), parsers, "report field"))
 
 
+# each report field: (to its JSON value, back from it)
 _REPORT_FIELDS = {
-    "r_hat": float,
-    "c_hat": lambda v: np.asarray(v, dtype=float),
-    "f_hat_coeffs": lambda v: np.array([complex(re, im) for re, im in v]),
-    "contrast_value": float,
-    "iterations": int,
-    "wall_time": float,
-    "seed": lambda v: None if v is None else int(v),
-    "n": int,
+    "r_hat": (float, float),
+    "c_hat": (lambda a: [float(v) for v in a], lambda v: np.asarray(v, dtype=float)),
+    "f_hat_coeffs": (lambda a: [[c.real, c.imag] for c in a], lambda v: np.array([complex(re, im) for re, im in v])),
+    "contrast_value": (float, float),
+    "iterations": (int, int),
+    "wall_time": (float, float),
+    "seed": (lambda v: v, lambda v: None if v is None else int(v)),
+    "n": (int, int),
 }
 
 

@@ -215,7 +215,17 @@ def generate(scn: Scenario, n: int, seed: int) -> Sample:
     return Sample(data, seed=seed, scenario_id=scn.scenario_id)
 
 
-def save_sample_csv(sample: Sample, path) -> None:
+def save_sample(sample: Sample, path) -> None:
+    """Write sample to path: the binary format when path ends in .bin, CSV otherwise."""
+    (_save_sample_bin if str(path).endswith(".bin") else _save_sample_csv)(sample, path)
+
+
+def load_sample(path) -> Sample:
+    """The sample save_sample wrote to path, read by the same suffix rule."""
+    return (_load_sample_bin if str(path).endswith(".bin") else _load_sample_csv)(path)
+
+
+def _save_sample_csv(sample: Sample, path) -> None:
     """Write one observation per row; the leading comment line records the
     seed and scenario.  Floats use 17 significant digits (lossless).  Rows
     are written one at a time, so no text of the whole file is built."""
@@ -232,8 +242,8 @@ def save_sample_csv(sample: Sample, path) -> None:
         raise OSError(f"cannot write sample to {path}: {exc}") from exc
 
 
-def load_sample_csv(path) -> Sample:
-    """The sample save_sample_csv wrote.  Blank lines are skipped; the
+def _load_sample_csv(path) -> Sample:
+    """The sample _save_sample_csv wrote.  Blank lines are skipped; the
     file is read line by line into one growing float buffer."""
     import array  # imported on first use, so importing the package does not load it
 
@@ -260,7 +270,7 @@ def load_sample_csv(path) -> Sample:
     return Sample(np.frombuffer(values).reshape(rows, width), seed=seed, scenario_id=scen)
 
 
-def save_sample_bin(sample: Sample, path) -> None:
+def _save_sample_bin(sample: Sample, path) -> None:
     """Compact binary format: 8-byte magic, little-endian u64 n and d,
     i64 seed and scenario (-1 encodes absent), then n*d little-endian f64."""
     path = Path(path)
@@ -273,7 +283,7 @@ def save_sample_bin(sample: Sample, path) -> None:
         raise OSError(f"cannot write sample to {path}: {exc}") from exc
 
 
-def load_sample_bin(path) -> Sample:
+def _load_sample_bin(path) -> Sample:
     path = Path(path)
     try:
         blob = path.read_bytes()

@@ -1,13 +1,15 @@
 """Benchmark harness: spec validation, sweep behavior, regression, emits."""
 
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 from spheredeconv.bench import (
+    COLUMNS,
     DESK_GRID,
-    EMIT_COLUMNS,
     FULL_GRID,
     MODES,
     BenchRow,
@@ -145,7 +147,7 @@ def test_failed_replications_are_recorded_not_raised(monkeypatch):
     assert calls["k"] == 2
     assert rows[0].failures == 2
     assert math.isnan(rows[0].mse_R)
-    assert "failures" in EMIT_COLUMNS
+    assert "failures" in COLUMNS
     assert determinism_hash(rows) != determinism_hash([BenchRow(**{**rows[0].__dict__, "failures": 0})])
 
 
@@ -352,8 +354,8 @@ def _rows_equal(a, b):
 def test_emit_read_roundtrip(tmp_path, fmt):
     rows = _example_rows()
     path = str(tmp_path / f"out.{fmt}")
-    assert emit(rows, path, fmt) == path
-    back = read_rows(path, fmt)
+    assert emit(rows, path) == path
+    back = read_rows(path)
     assert _rows_equal(rows, back)
 
 
@@ -365,7 +367,7 @@ def sweep_rows():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_saved_sweep_regresses_as_the_sweep(tmp_path, sweep_rows, fmt):
     # rate_regression fits med_abs_R, so a saved sweep must carry it
-    back = read_rows(emit(sweep_rows, str(tmp_path / f"sweep.{fmt}"), fmt), fmt)
+    back = read_rows(emit(sweep_rows, str(tmp_path / f"sweep.{fmt}")))
     assert back == sweep_rows
     assert rate_regression(back) == rate_regression(sweep_rows)
 
@@ -380,9 +382,9 @@ def test_determinism_hash_keeps_the_recorded_columns():
 
 def test_emit_csv_layout(tmp_path):
     path = str(tmp_path / "out.csv")
-    emit(_example_rows(), path, "csv")
+    emit(_example_rows(), path)
     lines = open(path).read().strip().splitlines()
-    assert lines[0] == ",".join(EMIT_COLUMNS)
+    assert lines[0] == ",".join(COLUMNS)
     assert lines[0] == "n,mode,mse_R,mse_C,l2_density_err,reps,base_seed,failures,wall_ms,med_abs_R"
     assert len(lines) == 4
     first = lines[1].split(",")
@@ -391,13 +393,50 @@ def test_emit_csv_layout(tmp_path):
     assert float(first[2]) == 3.7957912345678901e-04
 
 
-def test_emit_rejects_unknown_format(tmp_path):
-    with pytest.raises(ConfigError):
-        emit(_example_rows(), str(tmp_path / "x"), "xml")
+def test_the_format_follows_the_path(tmp_path):
+    # JSON for a path ending in .json, CSV for any other, str or Path
+    rows = _example_rows()
+    payload = json.loads(open(emit(rows, tmp_path / "x.json")).read())
+    assert [list(rec) for rec in payload] == [list(COLUMNS)] * len(rows)
+    assert payload[1]["mode"] == "unknown_f" and payload[1]["failures"] == 1
+    csv_text = open(emit(rows, str(tmp_path / "x.csv"))).read()
+    for name in ("x.txt", "x", "x.json.csv"):
+        assert open(emit(rows, str(tmp_path / name))).read() == csv_text
+        assert _rows_equal(read_rows(str(tmp_path / name)), rows)
+    assert _rows_equal(read_rows(tmp_path / "x.json"), rows)
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+@pytest.mark.parametrize(
+    "column, edit, problem",
+    [
+        # a file written before med_abs_R was emitted
+        ("med_abs_R", lambda rec: rec.pop("med_abs_R"), "KeyError"),
+        ("mse_R", lambda rec: rec.update(mse_R="x"), "ValueError"),
+        ("n", lambda rec: rec.update(n="1e3"), "ValueError"),
+    ],
+    ids=["missing", "malformed_float", "malformed_int"],
+)
+def test_read_rows_names_a_missing_or_malformed_column(tmp_path, suffix, column, edit, problem):
+    path = emit(_example_rows(), str(tmp_path / f"rows.{suffix}"))
+    with open(path, newline="") as handle:
+        recs = json.load(handle) if suffix == "json" else list(csv.DictReader(handle))
+    for rec in recs:
+        edit(rec)
+    with open(path, "w", newline="") as handle:
+        if suffix == "json":
+            json.dump(recs, handle)
+        else:
+            writer = csv.DictWriter(handle, list(recs[0]))
+            writer.writeheader()
+            writer.writerows(recs)
+    with pytest.raises(ValueError, match=f"column '{column}' is missing or malformed: {problem}") as info:
+        read_rows(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_emit_surfaces_io_errors_with_path():
     with pytest.raises(OSError, match="no/such/dir"):
-        emit(_example_rows(), "/no/such/dir/out.csv", "csv")
+        emit(_example_rows(), "/no/such/dir/out.csv")
     with pytest.raises(OSError, match="missing.csv"):
-        read_rows("/no/such/dir/missing.csv", "csv")
+        read_rows("/no/such/dir/missing.csv")

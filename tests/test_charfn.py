@@ -4,6 +4,7 @@ function (closed form and quadrature routes)."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +522,29 @@ class TestPsiModel:
         got = psi_model(f, radius, t)
         assert abs(got - oracle) < 1e-8
 
+    def test_dim3_quadrature_peak_memory_is_bounded(self):
+        # a block's waves hold at most 524 288 entries: 8 points against the
+        # 65 536 angle nodes in d = 3, where 128-point blocks peaked near 150 MB
+        g = EvalGrid.build(dim=3, nu_est=0.5, nodes_per_axis=5)
+        f = uniform_density(2)
+        psi_model_grid(f, 2.3, g)  # the angle rule is built once and cached
+        tracemalloc.start()
+        try:
+            psi_model_grid(f, 2.3, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+
+    def test_quadrature_values_do_not_depend_on_the_blocks(self):
+        # a point's value is the same in any multi-point call, 129 points
+        # included: no block is one row, whose product rounds differently
+        f = uniform_density(2)
+        pts = np.random.default_rng(3).uniform(-0.5, 0.5, size=(129, 3))
+        full = psi_model(f, 2.3, pts)
+        for i in (0, 64, 127, 128):
+            assert psi_model(f, 2.3, pts[[i, i - 1]])[0] == full[i]
+
     def test_marginals_bitwise_match_pointwise_calls(self):
         # cutoffs are interleaved so each grid serves several cached tables
         rng = np.random.default_rng(9)
@@ -553,8 +577,9 @@ class TestPsiModel:
                 assert np.max(np.abs(closed - psi_model(f, radius, t, method="quadrature"))) < 1e-12
 
     def test_quadrature_marginals_bitwise_match_batch_calls(self):
-        # more than one 128-row chunk, so the axis-1 slice straddles the chunks;
-        # each marginal equals a batch call on its own line of points
+        # in d = 3 the grid spans many quadrature blocks of 8 points, so the
+        # lines straddle them; each marginal equals a batch call on its own
+        # line of points
         for f, dim, nodes in ((vonmises_like(), 2, 17), (uniform_density(2), 3, 7)):
             g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=nodes)
             pts = g.points()

@@ -1,21 +1,23 @@
 """CLI behavior: subcommand chains, output files, exit codes."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from spheredeconv.bench import DESK_GRID, FULL_GRID
+from spheredeconv.bench import DESK_GRID, FULL_GRID, determinism_hash, rate_regression, read_rows
 from spheredeconv.cli import main
 from spheredeconv.estimators import fit_joint
-from spheredeconv.simulate import generate, load_sample_bin, load_sample_csv, scenario
+from spheredeconv.simulate import generate, load_sample, scenario
 
 
 def test_generate_writes_loadable_sample(tmp_path, capsys):
     out = str(tmp_path / "sample.csv")
     assert main(["generate", "--scenario", "1", "--n", "200", "--seed", "7", "--out", out]) == 0
     assert "200 observations" in capsys.readouterr().out
-    sample = load_sample_csv(out)
+    sample = load_sample(out)
     assert sample.n == 200 and sample.seed == 7 and sample.scenario_id == 1
     direct = generate(scenario(1), 200, 7)
     assert np.allclose(sample.data, direct.data, atol=1e-15)
@@ -24,7 +26,24 @@ def test_generate_writes_loadable_sample(tmp_path, capsys):
 def test_generate_binary_output(tmp_path):
     out = str(tmp_path / "sample.bin")
     assert main(["generate", "--scenario", "2", "--n", "64", "--seed", "1", "--out", out]) == 0
-    assert load_sample_bin(out).n == 64
+    assert load_sample(out).n == 64
+
+
+# SHA-256 of the files `deconv generate --scenario 4 --n 64 --seed 3` wrote
+# when the command chose the sample format itself: CSV, binary, CSV
+GENERATED_SHA256 = {
+    "csv": "c060cd6b0494098c700ca48a4da43cdabed0206ebf1938b9f574089a88cdae8c",
+    "bin": "488f837753ce10c5ecededab7877f7b948cee76dfd5c16666f34bb10dae07a3b",
+    "txt": "c060cd6b0494098c700ca48a4da43cdabed0206ebf1938b9f574089a88cdae8c",
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(GENERATED_SHA256))
+def test_generated_files_are_pinned(tmp_path, capsys, suffix):
+    out = tmp_path / f"sample.{suffix}"
+    assert main(["generate", "--scenario", "4", "--n", "64", "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATED_SHA256[suffix]
+    assert load_sample(out).data.tobytes() == generate(scenario(4), 64, 3).data.tobytes()
 
 
 def test_estimate_then_density_chain(tmp_path, capsys):
@@ -88,6 +107,18 @@ def test_bench_json_output(tmp_path, capsys):
     assert len(rows) == 1 and rows[0]["mode"] == "known_f"
 
 
+def test_a_json_sweep_regresses_from_its_file(tmp_path, capsys):
+    # the README's rate_regression(read_rows(path)) on the file deconv bench wrote
+    out = str(tmp_path / "sweep.json")
+    assert main(["bench", "--scenario", "1", "--n", "100,200,300", "--reps", "2",
+                 "--mode", "known_f", "--seed", "4", "--quiet", "--out", out]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    rows = read_rows(out)
+    assert printed == f"determinism_hash {determinism_hash(rows)}"
+    fit = rate_regression(rows)["known_f"]
+    assert math.isfinite(fit.slope) and math.isfinite(fit.stderr)
+
+
 def test_exit_code_2_on_config_errors(tmp_path, capsys):
     # missing input file
     assert main(["estimate", "--input", str(tmp_path / "absent.csv")]) == 2
@@ -128,8 +159,7 @@ def test_estimate_refuses_bad_flags_before_reading_its_input(tmp_path, capsys, m
     def unread(path):
         raise AssertionError("--input was read before the flags were checked")
 
-    monkeypatch.setattr(cli_mod, "load_sample_csv", unread)
-    monkeypatch.setattr(cli_mod, "load_sample_bin", unread)
+    monkeypatch.setattr(cli_mod, "load_sample", unread)
     for name in ("s.csv", "s.bin"):
         assert main(["estimate", "--input", str(tmp_path / name), *flags, "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
@@ -141,7 +171,7 @@ def test_estimate_is_the_default_joint_fit(tmp_path, capsys):
     assert main(["generate", "--scenario", "4", "--n", "500", "--seed", "2", "--out", sample_path]) == 0
     assert main(["estimate", "--input", sample_path, "--out", report_path]) == 0
     capsys.readouterr()
-    rep = fit_joint(load_sample_bin(sample_path))
+    rep = fit_joint(load_sample(sample_path))
     assert json.loads(open(report_path).read())["r_hat"] == rep.r_hat
 
 

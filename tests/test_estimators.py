@@ -1,5 +1,6 @@
 """Estimator behavior: configs, reports, truncation, center, radius fits."""
 
+import hashlib
 import json
 import math
 import re
@@ -202,6 +203,17 @@ def test_report_json_roundtrip_is_exact():
     )
     assert EstimateReport.from_json(rep_none.to_json()).seed is None
     assert json.loads(rep_none.to_json())["seed"] is None
+
+
+def test_report_json_bytes_are_pinned():
+    # SHA-256 of the text to_json wrote before it read the field table
+    rep = EstimateReport(
+        r_hat=2.9871234567890123, c_hat=np.array([-0.012345678901234567, 1e-300]),
+        f_hat_coeffs=np.array([0.05 + 0.02j, 1.0 + 0.0j, 0.05 - 0.02j]) / (2 * np.pi),
+        contrast_value=3.0517578125e-05 / 3, iterations=17, wall_time=0.125, seed=42, n=10_000,
+    )
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == "a9d37ca20ef0411e0e7e6edd512a0f226c59451606bbf77749d75a1f7fd8754e"
 
 
 # ------------------------------------------------- trigonometric polynomial

@@ -17,10 +17,8 @@ from spheredeconv.simulate import (
     derive_seed,
     draw_noise,
     generate,
-    load_sample_bin,
-    load_sample_csv,
-    save_sample_bin,
-    save_sample_csv,
+    load_sample,
+    save_sample,
     scenario,
 )
 
@@ -192,8 +190,8 @@ class TestSampleIO:
     def test_csv_round_trip_lossless(self, tmp_path):
         sample = generate(scenario(1), 50, 7)
         path = tmp_path / "sample.csv"
-        save_sample_csv(sample, path)
-        back = load_sample_csv(path)
+        save_sample(sample, path)
+        back = load_sample(path)
         assert np.array_equal(back.data, sample.data)
         assert back.seed == 7 and back.scenario_id == 1
         header = path.read_text().splitlines()[0]
@@ -207,26 +205,26 @@ class TestSampleIO:
         for sample, want in ((Sample(data, seed=5, scenario_id=4), CSV_SHA256),
                              (Sample(data[:3]), CSV_ANONYMOUS_SHA256)):
             path = tmp_path / "sample.csv"
-            save_sample_csv(sample, path)
+            save_sample(sample, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == want
-            back = load_sample_csv(path)
+            back = load_sample(path)
             assert back.data.tobytes() == sample.data.tobytes()
             assert (back.seed, back.scenario_id) == (sample.seed, sample.scenario_id)
 
     def test_csv_skips_blank_lines_and_refuses_ragged_rows(self, tmp_path):
         path = tmp_path / "sample.csv"
         path.write_text("\n# seed=3 scenario=-\n\ny1,y2\n1,2\n  \n3,4\n")
-        back = load_sample_csv(path)
+        back = load_sample(path)
         assert back.data.tolist() == [[1.0, 2.0], [3.0, 4.0]] and (back.seed, back.scenario_id) == (3, None)
         path.write_text("# seed=- scenario=-\ny1,y2\n1,2\n3,4,5\n")
         with pytest.raises(ValueError, match="data row 2 has 3 values"):
-            load_sample_csv(path)
+            load_sample(path)
         path.write_text("# seed=- scenario=-\ny1,y2\n1,2\n3,x\n")
         with pytest.raises(ValueError, match="could not convert"):
-            load_sample_csv(path)
+            load_sample(path)
         path.write_text("# seed=- scenario=-\ny1,y2\n\n")
         with pytest.raises(ValueError, match="missing header"):
-            load_sample_csv(path)
+            load_sample(path)
 
     def test_csv_io_streams_rows(self, tmp_path):
         # no text of the whole file and no list of rows: writing holds one
@@ -236,10 +234,10 @@ class TestSampleIO:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            save_sample_csv(sample, path)
+            save_sample(sample, path)
             write_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            back = load_sample_csv(path)
+            back = load_sample(path)
             read_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -250,28 +248,45 @@ class TestSampleIO:
     def test_binary_round_trip_lossless(self, tmp_path):
         sample = generate(scenario(4), 64, 123)
         path = tmp_path / "sample.bin"
-        save_sample_bin(sample, path)
-        back = load_sample_bin(path)
+        save_sample(sample, path)
+        back = load_sample(path)
         assert np.array_equal(back.data, sample.data)
         assert back.seed == 123 and back.scenario_id == 4
 
     def test_binary_rejects_corruption(self, tmp_path):
         sample = generate(scenario(1), 10, 1)
         path = tmp_path / "sample.bin"
-        save_sample_bin(sample, path)
+        save_sample(sample, path)
         blob = path.read_bytes()
         (tmp_path / "bad_magic.bin").write_bytes(b"XXXXXXXX" + blob[8:])
         with pytest.raises(ValueError):
-            load_sample_bin(tmp_path / "bad_magic.bin")
+            load_sample(tmp_path / "bad_magic.bin")
         (tmp_path / "short.bin").write_bytes(blob[:-16])
         with pytest.raises(ValueError):
-            load_sample_bin(tmp_path / "short.bin")
+            load_sample(tmp_path / "short.bin")
+
+    def test_the_format_follows_the_path(self, tmp_path):
+        # binary for a path ending in .bin, CSV for any other, str or Path
+        sample = generate(scenario(4), 64, 123)
+        save_sample(sample, tmp_path / "a.bin")
+        save_sample(sample, str(tmp_path / "a.csv"))
+        assert (tmp_path / "a.bin").read_bytes().startswith(b"SPHSMP01")
+        assert (tmp_path / "a.csv").read_text().startswith("# seed=123 scenario=4\n")
+        for name in ("a.txt", "a", "a.bin.csv"):
+            save_sample(sample, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "a.csv").read_bytes()
+        for name in ("a.bin", "a.csv", "a.txt", "a"):
+            assert load_sample(str(tmp_path / name)).data.tobytes() == sample.data.tobytes()
+        # a binary file under another name is read as CSV, and refused
+        (tmp_path / "b.csv").write_bytes((tmp_path / "a.bin").read_bytes())
+        with pytest.raises(ValueError):
+            load_sample(tmp_path / "b.csv")
 
     def test_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ValueError):
-            load_sample_csv(path)
+            load_sample(path)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
