@@ -29,7 +29,12 @@ hash line over all of them, then one line per fit.  Then one SHA-256
 over the 54 values of the population contrast's panel (contrast_m_oracle
 on scenarios 1-4 at R in {2, 2.9, 3, 3.3} for 3 candidates and at each
 scenario's truth, on the default grid, and 2 values in d = 3 on a 5-node
-grid), then one line per value, its float.hex().  Last, one SHA-256
+grid), then one line per value, its float.hex().  Then one SHA-256 over
+psi_model's values on a seeded panel (PSI_DENSITIES: Fourier densities at
+K = 0 and K = 4 and fourier_form(vonmises_like()) on the closed form,
+scenario 4's callable and a d = 3 callable on the quadrature; per density
+50 points at each of three radii, then one single-point call), so a moved
+psi value shows even where no fit moves.  Last, one SHA-256
 over generate's output for every sample the script fits, in the order
 drawn, the sweep_s4 replications' and the benchmark's 9 inputs included,
 so a moved fit is told apart from a moved sample.  Two
@@ -58,6 +63,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import spheredeconv as sd  # noqa: E402
+from spheredeconv.geometry import fourier_form  # noqa: E402
 
 FIELDS = ("r_hat", "c_hat", "f_hat_coeffs", "contrast_value", "iterations")
 
@@ -144,6 +150,29 @@ def oracle_values():
     yield "oracle d3 R=2.3 cosine", sd.contrast_m_oracle(cosine, 2.3, truth, 2.0, noise, grid)
 
 
+# psi_model's panel: (label, density); three radii of 50 points each, then one point
+PSI_DENSITIES = (
+    ("K=0", sd.FourierDensity.uniform()),
+    ("K=4", sd.FourierDensity.from_half([0.1 - 0.05j, -0.08j, 0.04 + 0.03j, -0.02])),
+    ("vonmises fourier_form", fourier_form(sd.vonmises_like())),
+    ("s4 callable", sd.scenario(4).density),
+    ("d3 cosine", sd.CallableDensity(lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * u[:, 0]), dim_minus_1=2)),
+)
+PSI_RADII = (0.7, 2.9, 6.0)
+
+
+def psi_values() -> np.ndarray:
+    """psi_model on the PSI_DENSITIES panel, points drawn from one seeded stream."""
+    rng = np.random.default_rng(7)
+    out = []
+    for _, f in PSI_DENSITIES:
+        dim = f.dim_minus_1 + 1
+        for radius in PSI_RADII:
+            out.append(sd.psi_model(f, radius, rng.uniform(-1.0, 1.0, size=(50, dim))))
+        out.append([sd.psi_model(f, PSI_RADII[1], rng.uniform(-1.0, 1.0, size=dim))])
+    return np.concatenate(out)
+
+
 # the benchmark's fit workloads: (name, fit, scenario, n)
 BENCH_FITS = (("joint_s1", "joint", 1, 10_000), ("known_s1_big", "known", 1, 1_000_000), ("known_s4", "known", 4, 10_000))
 
@@ -214,6 +243,8 @@ def parity_lines():
     yield f"oracle values {len(oracle)} {hashlib.sha256(np.array([v for _, v in oracle]).tobytes()).hexdigest()}"
     for label, value in oracle:
         yield f"{label} {value.hex()}"
+    psi = psi_values()
+    yield f"psi values {psi.size} {hashlib.sha256(psi.tobytes()).hexdigest()}"
     yield f"samples {len(drawn)} {hashlib.sha256(b''.join(drawn)).hexdigest()}"
 
 

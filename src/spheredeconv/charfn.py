@@ -16,11 +16,12 @@ does: each dropped node (t1, t2), t1 > 0, mirrors the kept node
 (-t1, -t2), which has the same weight, since the axis-2 block keeps all
 its nodes.
 
-Model side: Psi_{f,R}(t) = int exp(i R <t, S(u)>) f(u) du.  On the circle
-with Fourier coefficients this collapses, in polar coordinates
-t = r (cos 2 pi theta, sin 2 pi theta), to the Bessel sum
-sum_p i^p c_p J_p(r R) exp(-2 i pi p theta); in all other cases the angle
-integral is evaluated by Gauss-Legendre quadrature on the unit box, which
+Model side: Psi_{f,R}(t) = int exp(i R <t, S(u)>) f(u) du.  One rule, in
+one function (_psi) that psi_model and psi_model_grid both call, picks the
+route: a FourierDensity takes the closed form, which in polar coordinates
+t = r (cos 2 pi theta, sin 2 pi theta) is the Bessel sum
+sum_p i^p c_p J_p(r R) exp(-2 i pi p theta); any other density takes
+Gauss-Legendre quadrature of the angle integral on the unit box, which
 the fits reach in d >= 3 only: they take circle callables in fourier_form.
 psi_model_grid is the one route from a grid to Psi values and their
 derivatives.
@@ -76,7 +77,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .bessel import bessel_rows, negligible_order
 from .errors import ConfigError, _as_float, _as_int
-from .geometry import AngleDensity, FourierDensity, fourier_series, sphere_map, tensor_rule
+from .geometry import AngleDensity, CallableDensity, FourierDensity, sphere_map, tensor_rule
 
 # half-width of the frequency window [-nu_est, nu_est]^d of every fit, sweep
 # and population contrast given no grid
@@ -524,16 +525,11 @@ def _angle_quad(dim_minus_1: int) -> tuple[np.ndarray, np.ndarray]:
     return tensor_rule(0.5 * (x + 1.0), 0.5 * w, dim_minus_1)
 
 
-def _psi_quadrature(f: AngleDensity, radius: float, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angle-box quadrature of exp(i R <t, S(u)>) f(u), unclipped density,
+def _psi_quadrature(f: CallableDensity, radius: float, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angle-box quadrature of exp(i R <t, S(u)>) f(u) for a callable density,
     and of dPsi/dR, that of i <t, S(u)> times it, from the same pass."""
-    dm1 = pts.shape[1] - 1
-    nodes, weights = _angle_quad(dm1)
-    if isinstance(f, FourierDensity):
-        fvals = fourier_series(f.coeffs, nodes[:, 0])
-    else:
-        fvals = np.asarray(f.fn(nodes), dtype=float)
-    payload = weights * fvals
+    nodes, weights = _angle_quad(pts.shape[1] - 1)
+    payload = weights * np.asarray(f.fn(nodes), dtype=float)
     svecs = sphere_map(nodes)
     out, d_radius = np.empty((2, pts.shape[0]), dtype=complex)
     # even blocks of at most _ONE_THREAD_PRODUCT waves (8 MB) and at least 4
@@ -552,42 +548,47 @@ def _psi_quadrature(f: AngleDensity, radius: float, pts: np.ndarray) -> tuple[np
     return out, d_radius
 
 
-def psi_model(f: AngleDensity, radius: float, t, method: str | None = None):
-    """Model characteristic function Psi_{f,R}(t) = E exp(i R <t, S(U)>).
-
-    t is a single d-vector or an (m, d) batch.  method selects the route:
-    "closed" (circle Fourier densities only), "quadrature", or None for
-    automatic (closed form whenever it applies).
-    """
-    if not (radius > 0.0):
-        raise ValueError("radius must be positive")
-    t_arr = np.asarray(t, dtype=float)
-    single = t_arr.ndim == 1
-    pts = t_arr[None, :] if single else t_arr
+def _psi(f: AngleDensity, radius, pts: np.ndarray, tables) -> tuple:
+    """Psi at the (m, d) points pts, at a radius or at each of a 1-d array
+    of radii (a leading batch axis): (vals, rows), vals shaped (..., m) and
+    rows(radius_only) the derivative rows, shaped (..., P, m).  The one
+    route choice: the closed Bessel form for a FourierDensity, on
+    tables(f.cutoff), the PolarTable of pts; the angle quadrature, one pass
+    per radius, for any other density."""
+    radii = np.asarray(radius, dtype=float)
+    if radii.ndim > 1 or not np.all(radii > 0.0):
+        raise ValueError("radius must be positive, or a 1-d array of positive radii")
     if pts.ndim != 2 or pts.shape[1] != f.dim_minus_1 + 1:
-        raise ValueError("t must have d = dim_minus_1 + 1 coordinates")
-    closed_ok = isinstance(f, FourierDensity)
-    if method is None:
-        method = "closed" if closed_ok else "quadrature"
-    if method == "closed":
-        if not closed_ok:
-            raise ValueError("closed form requires a circle Fourier density")
-        out = _psi_polar(f.coeffs, float(radius), PolarTable.build(f.cutoff, pts))[0]
-    elif method == "quadrature":
-        out = _psi_quadrature(f, float(radius), pts)[0]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return out[0] if single else out
+        raise ValueError("the points must have d = dim_minus_1 + 1 coordinates")
+    if isinstance(f, FourierDensity):
+        table = tables(f.cutoff)
+        vals, aux = _psi_polar(f.coeffs, radii, table)
+        return vals, lambda radius_only: _psi_polar_jacobian(radii, table, aux, radius_only)
+    vals, d_radius = np.empty((2, *radii.shape, pts.shape[0]), dtype=complex)
+    for b in np.ndindex(radii.shape):
+        vals[b], d_radius[b] = _psi_quadrature(f, float(radii[b]), pts)
+    return vals, lambda radius_only: d_radius[..., None, :]
+
+
+def psi_model(f: AngleDensity, radius: float, t):
+    """Model characteristic function Psi_{f,R}(t) = E exp(i R <t, S(U)>) at
+    one radius: the closed form for a FourierDensity, the angle quadrature
+    for any other density (_psi).  t is a single d-vector or an (m, d) batch."""
+    t_arr = np.asarray(t, dtype=float)
+    pts = t_arr[None, :] if t_arr.ndim == 1 else t_arr
+    out = _psi(f, float(radius), pts, lambda k_cut: PolarTable.build(k_cut, pts))[0]
+    return out[0] if t_arr.ndim == 1 else out
 
 
 def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid) -> tuple:
     """One evaluation of Psi on grid.points(): (psi, derivatives), at a
     radius or at each of a 1-d array of radii (a leading batch axis).
 
-    psi is shaped (..., m1, m2), each value equal to the pointwise psi_model
-    call bit for bit (same route, same coordinates).  The closed form is one
-    kernel call for all the radii, through the grid's PolarTable for the
-    density's cutoff; off it, one quadrature pass per radius.
+    psi is shaped (..., m1, m2), each value equal, bit for bit, to psi_model
+    at that point in a call on the same points: both take _psi's route.  The
+    closed form is one kernel call for all the radii, through the grid's
+    PolarTable for the density's cutoff; off it, one quadrature pass per
+    radius.
     derivatives(radius_only=False) returns the derivatives in
     (R, Re c_1, Im c_1, ..., Re c_K, Im c_K), or in R alone when
     radius_only, shaped (..., P, m1, m2), one row per parameter after any
@@ -595,20 +596,6 @@ def psi_model_grid(f: AngleDensity, radius, grid: EvalGrid) -> tuple:
     rows and weights, or dPsi/dR from the same quadrature pass, the only
     derivative off the closed form.  It calls no kernel and makes no pass.
     """
-    radii = np.asarray(radius, dtype=float)
-    if radii.ndim > 1 or not np.all(radii > 0.0):
-        raise ValueError("radius must be positive, or a 1-d array of positive radii")
-    if grid.dim != f.dim_minus_1 + 1:
-        raise ValueError("grid dimension does not match the density")
-    if isinstance(f, FourierDensity):
-        table = grid.polar_table(f.cutoff)
-        vals, aux = _psi_polar(f.coeffs, radii, table)
-        rows = lambda radius_only: _psi_polar_jacobian(radii, table, aux, radius_only)
-    else:
-        pts = grid.points()
-        vals, d_radius = np.empty((2, *radii.shape, pts.shape[0]), dtype=complex)
-        for b in np.ndindex(radii.shape):
-            vals[b], d_radius[b] = _psi_quadrature(f, float(radii[b]), pts)
-        rows = lambda radius_only: d_radius[..., None, :]
+    vals, rows = _psi(f, radius, grid.points(), grid.polar_table)
     on_grid = lambda a: a.reshape(*a.shape[:-1], grid.m1, grid.m2)
     return on_grid(vals), lambda radius_only=False: on_grid(rows(radius_only))

@@ -131,12 +131,13 @@ class FourierDensity:
 
 @dataclass(eq=False, frozen=True)
 class CallableDensity:
-    """Density on [0, 1]^{d-1} given as a vectorized callable.
+    """Density on the angle box [0, 1]^{d-1}, with respect to Lebesgue
+    measure on the box, given as a vectorized callable.
 
     fn maps an (n, d-1) array to n nonnegative values and must integrate
-    to 1 over the unit box (checked at construction with ~1e4 quadrature
-    nodes).  Frozen, so that a circle callable's fourier_form, kept on it
-    once projected, stays its own.
+    to 1 over the unit box (checked at construction by the tensor trapezoid
+    rule on ~1e4 nodes).  Frozen, so that a circle callable's fourier_form,
+    kept on it once projected, stays its own.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -207,7 +208,10 @@ def _unit_box_integral(fn, dim_minus_1: int) -> float:
 
 
 def uniform_density(dim_minus_1: int = 1) -> AngleDensity:
-    """Uniform angular density; Fourier form on the circle, callable above."""
+    """Uniform density on the angle box; Fourier form on the circle, callable
+    above.  For d >= 3 it is uniform on the box, not on the sphere: on the
+    2-sphere its density is proportional to 1 / |sin 2 pi u_1|, unbounded
+    at x_0 = +-1."""
     if dim_minus_1 == 1:
         return FourierDensity.uniform(name="uniform")
     return CallableDensity(lambda u: np.ones(u.shape[0]), dim_minus_1=dim_minus_1, name="uniform")

@@ -249,7 +249,7 @@ def _load_sample_csv(path) -> Sample:
 
     path = Path(path)
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             lines = (ln for raw in fh for ln in raw.splitlines() if ln.strip())
             head = list(itertools.islice(lines, 3))
             if len(head) < 3 or not head[0].startswith("#"):
@@ -265,6 +265,8 @@ def _load_sample_csv(path) -> Sample:
                     raise ValueError(f"{path}: data row {rows + 1} has {len(row)} values, the first has {width}")
                 values.extend(row)
                 rows += 1
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a sample CSV (not UTF-8 text)") from None
     except OSError as exc:
         raise OSError(f"cannot read sample from {path}: {exc}") from exc
     return Sample(np.frombuffer(values).reshape(rows, width), seed=seed, scenario_id=scen)

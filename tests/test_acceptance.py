@@ -21,7 +21,7 @@ from spheredeconv.bessel import bessel_rows, h_func
 from spheredeconv.cli import main as cli_main
 from spheredeconv.contrast import contrast_m_oracle
 from spheredeconv.estimators import fit_joint, fit_radius_known_density
-from spheredeconv.geometry import FourierDensity, uniform_density
+from spheredeconv.geometry import CallableDensity, FourierDensity, fourier_series, uniform_density
 from spheredeconv.simulate import Sample, generate, scenario
 
 
@@ -156,8 +156,10 @@ def test_acceptance_03_closed_form_vs_quadrature():
             f = FourierDensity.from_half(half)
             radius = rng.uniform(0.5, 8.0)
             t = rng.uniform(-1.5, 1.5, 2)
-            closed = psi_model(f, radius, t, method="closed")
-            quad = psi_model(f, radius, t, method="quadrature")
+            closed = psi_model(f, radius, t)
+            # the same series as a circle callable takes the angle quadrature
+            series = CallableDensity(lambda u: fourier_series(f.coeffs, u[:, 0]))
+            quad = psi_model(series, radius, t)
             assert abs(closed - quad) <= 1e-8
 
         uniform = uniform_density()

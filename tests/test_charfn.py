@@ -27,7 +27,9 @@ from spheredeconv.charfn import (
 from spheredeconv.contrast import _marginals
 from spheredeconv.errors import ConfigError
 from spheredeconv.geometry import (
+    CallableDensity,
     FourierDensity,
+    fourier_series,
     sphere_map,
     uniform_density,
     vonmises_like,
@@ -80,6 +82,21 @@ def d3_sample(n, seed):
 def random_density(rng, k_cut=4, scale=0.08):
     half = scale * (rng.normal(size=k_cut) + 1j * rng.normal(size=k_cut)) / np.arange(1, k_cut + 1)
     return FourierDensity.from_half(half)
+
+
+def series_callable(f):
+    """f's Fourier series as a circle callable: psi_model takes it through
+    the angle quadrature, the closed form's reference."""
+    return CallableDensity(lambda u: fourier_series(f.coeffs, u[:, 0]))
+
+
+def pointwise_psi(f, radius, pts):
+    """psi_model at each row of pts, each from a call of its own: one point
+    on the closed form; off it the point and its predecessor, as a one-point
+    quadrature call is a one-row product, which rounds differently."""
+    if isinstance(f, FourierDensity):
+        return np.array([psi_model(f, radius, t) for t in pts])
+    return np.array([psi_model(f, radius, pts[[i, i - 1]])[0] for i in range(len(pts))])
 
 
 class TestEvalGrid:
@@ -454,8 +471,8 @@ class TestPsiModel:
     def test_value_one_at_zero_frequency(self):
         rng = np.random.default_rng(0)
         f = random_density(rng)
-        for method in ("closed", "quadrature"):
-            assert psi_model(f, 2.5, np.zeros(2), method=method) == pytest.approx(1.0, abs=1e-12)
+        for g in (f, series_callable(f)):
+            assert psi_model(g, 2.5, np.zeros(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_and_quadrature_routes_agree(self):
         rng = np.random.default_rng(42)
@@ -464,8 +481,8 @@ class TestPsiModel:
             f = random_density(rng, k_cut=int(rng.integers(1, 7)))
             radius = float(rng.uniform(0.5, 8.0))
             t = rng.uniform(-1.5, 1.5, size=2)
-            a = psi_model(f, radius, t, method="closed")
-            b = psi_model(f, radius, t, method="quadrature")
+            a = psi_model(f, radius, t)
+            b = psi_model(series_callable(f), radius, t)
             worst = max(worst, abs(a - b))
         assert worst < 1e-8
 
@@ -475,10 +492,10 @@ class TestPsiModel:
         # imaginary part entering through i^1; verified against quadrature
         f = FourierDensity.from_half([0.3 + 0.2j])
         radius, r = 2.0, 0.8
-        got = psi_model(f, radius, np.array([r, 0.0]), method="closed")
+        got = psi_model(f, radius, np.array([r, 0.0]))
         want = sp.j0(r * radius) + 1j * sp.j1(r * radius) * 2.0 * 0.3
         assert got == pytest.approx(want, abs=1e-13)
-        quad = psi_model(f, radius, np.array([r, 0.0]), method="quadrature")
+        quad = psi_model(series_callable(f), radius, np.array([r, 0.0]))
         assert got == pytest.approx(quad, abs=1e-10)
 
     def test_case4_density_against_midpoint_oracle(self):
@@ -546,16 +563,21 @@ class TestPsiModel:
             assert psi_model(f, 2.3, pts[[i, i - 1]])[0] == full[i]
 
     def test_marginals_bitwise_match_pointwise_calls(self):
-        # cutoffs are interleaved so each grid serves several cached tables
+        # cutoffs are interleaved so each grid serves several cached tables;
+        # the last series of each grid also goes as a callable, off the closed form
         rng = np.random.default_rng(9)
+        cases = []
         for nodes_per_axis in (9, 11):
             for nu_est in (0.5, 1.0):
                 g = EvalGrid.build(nu_est=nu_est, nodes_per_axis=nodes_per_axis)
                 for k_cut in (2, 0, 4, 1, 3, 2):
-                    f = random_density(rng, k_cut)
-                    radius = float(rng.uniform(0.5, 10.0))
-                    want = np.array([psi_model(f, radius, t) for t in g.points()])
-                    assert psi_model_grid(f, radius, g)[0].ravel().tobytes() == want.tobytes()
+                    cases.append((random_density(rng, k_cut), float(rng.uniform(0.5, 10.0)), g))
+                cases.append((series_callable(cases[-1][0]), cases[-1][1], g))
+        cosine = CallableDensity(lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * u[:, 0]), dim_minus_1=2)
+        cases.append((cosine, 2.3, EvalGrid.build(dim=3, nu_est=0.5, nodes_per_axis=3)))
+        for f, radius, g in cases:
+            want = pointwise_psi(f, radius, g.points())
+            assert psi_model_grid(f, radius, g)[0].ravel().tobytes() == want.tobytes()
 
     def test_marginals_bitwise_match_pointwise_calls_at_high_cutoffs(self):
         # past 8 orders of one parity numpy's sum pairs up a single column's terms
@@ -573,14 +595,15 @@ class TestPsiModel:
         for k_cut in (12, 24):
             f = random_density(rng, k_cut)
             for radius in (0.7, 3.0, 8.0):
-                closed = psi_model(f, radius, t, method="closed")
-                assert np.max(np.abs(closed - psi_model(f, radius, t, method="quadrature"))) < 1e-12
+                closed = psi_model(f, radius, t)
+                assert np.max(np.abs(closed - psi_model(series_callable(f), radius, t))) < 1e-12
 
     def test_quadrature_marginals_bitwise_match_batch_calls(self):
         # in d = 3 the grid spans many quadrature blocks of 8 points, so the
         # lines straddle them; each marginal equals a batch call on its own
-        # line of points
-        for f, dim, nodes in ((vonmises_like(), 2, 17), (uniform_density(2), 3, 7)):
+        # line of points, on the closed form too
+        closed = FourierDensity.from_half([0.1 - 0.2j, 0.05j])
+        for f, dim, nodes in ((vonmises_like(), 2, 17), (uniform_density(2), 3, 7), (closed, 2, 17)):
             g = EvalGrid.build(dim=dim, nu_est=0.5, nodes_per_axis=nodes)
             pts = g.points()
             assert pts.shape[0] > 128
@@ -679,7 +702,6 @@ class TestPsiModel:
             psi_model(f, 0.0, np.zeros(2))
         with pytest.raises(ValueError):
             psi_model(f, 1.0, np.zeros(3))
-        with pytest.raises(ValueError):
-            psi_model(f, 1.0, np.zeros(2), method="mc")
-        with pytest.raises(ValueError):
-            psi_model(uniform_density(2), 1.0, np.zeros(3), method="closed")
+        # the density picks the route: there is no method to pass
+        with pytest.raises(TypeError):
+            psi_model(f, 1.0, np.zeros(2), method="closed")

@@ -142,6 +142,20 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_binary_sample_under_a_csv_name_is_refused_naming_the_path(tmp_path, capsys):
+    # the suffix says CSV, so the binary bytes are read as text and refused
+    from spheredeconv.simulate import save_sample
+
+    save_sample(generate(scenario(4), 64, 3), tmp_path / "s.bin")
+    wrong = tmp_path / "wrong.csv"
+    wrong.write_bytes((tmp_path / "s.bin").read_bytes())
+    with pytest.raises(ValueError, match=r"not a sample CSV \(not UTF-8 text\)"):
+        load_sample(wrong)
+    assert main(["estimate", "--input", str(wrong), "--out", str(tmp_path / "r.json")]) == 2
+    assert f"error: {wrong}: not a sample CSV (not UTF-8 text)" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "flags, named, reason",
     [
