@@ -531,9 +531,11 @@ def _psi_quadrature(f: CallableDensity, radius: float, pts: np.ndarray) -> tuple
     nodes, weights = _angle_quad(pts.shape[1] - 1)
     payload = weights * np.asarray(f.fn(nodes), dtype=float)
     svecs = sphere_map(nodes)
-    out, d_radius = np.empty((2, pts.shape[0]), dtype=complex)
     # even blocks of at most _ONE_THREAD_PRODUCT waves (8 MB) and at least 4
-    # points: a one-row block's product would round differently
+    # points, and a lone point as two rows, the first kept: a one-row
+    # block's product would round differently
+    m, pts = pts.shape[0], np.repeat(pts, 2, axis=0) if pts.shape[0] == 1 else pts
+    out, d_radius = np.empty((2, pts.shape[0]), dtype=complex)
     blocks = max(1, -(-pts.shape[0] // max(4, _ONE_THREAD_PRODUCT // nodes.shape[0])))
     edges = np.arange(blocks + 1) * pts.shape[0] // blocks
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -545,7 +547,7 @@ def _psi_quadrature(f: CallableDensity, radius: float, pts: np.ndarray) -> tuple
         out[lo:hi] = waves @ payload
         waves *= proj
         d_radius[lo:hi] = 1j * (waves @ payload)
-    return out, d_radius
+    return out[:m], d_radius[:m]
 
 
 def _psi(f: AngleDensity, radius, pts: np.ndarray, tables) -> tuple:

@@ -137,10 +137,7 @@ def _cmd_density(args) -> int:
     density = truncate_density(report, args.alpha)
     xs = (np.arange(args.grid) + 0.5) / args.grid
     values = fourier_series(density.coeffs, xs)
-    with open(args.out, "w") as handle:
-        handle.write("x,density\n")
-        for x, v in zip(xs, values):
-            handle.write(f"{x:.17g},{v:.17g}\n")
+    np.savetxt(args.out, np.column_stack([xs, values]), fmt="%.17g", delimiter=",", header="x,density", comments="")
     print(f"truncation_level={density.cutoff} points={args.grid} out={args.out}")
     return 0
 

@@ -19,11 +19,13 @@ sizes.  Everything computed from the draws is scaled and summed in place
 or worked through in slices of geometry.ROW_SLICE rows, so its peak is at
 most 3.5 times the bytes of the sample it returns (2.0 on scenarios 1 and
 3, 2.1 on 2, 3.2 on 4, whose exp(cos) envelope draws 2.6 n candidates).
+
+Files: save_sample and load_sample go through numpy's own readers and
+writers, CSV or the .bin format by the path's suffix, one copy in memory.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,6 +41,7 @@ MIXTURE_POINT = -1.0
 MIXTURE_MEAN = 0.12
 
 _BIN_MAGIC = b"SPHSMP01"
+_BIN_HEADER = struct.Struct("<8sQQqq")  # magic, n, d, seed, scenario
 
 
 @dataclass(eq=False)
@@ -217,92 +220,87 @@ def generate(scn: Scenario, n: int, seed: int) -> Sample:
 
 def save_sample(sample: Sample, path) -> None:
     """Write sample to path: the binary format when path ends in .bin, CSV otherwise."""
-    (_save_sample_bin if str(path).endswith(".bin") else _save_sample_csv)(sample, path)
+    path = Path(path)
+    try:
+        (_save_sample_bin if path.name.endswith(".bin") else _save_sample_csv)(sample, path)
+    except OSError as exc:
+        raise OSError(f"cannot write sample to {path}: {exc}") from exc
 
 
 def load_sample(path) -> Sample:
-    """The sample save_sample wrote to path, read by the same suffix rule."""
-    return (_load_sample_bin if str(path).endswith(".bin") else _load_sample_csv)(path)
+    """The sample save_sample wrote to path, read by the same suffix rule.
 
-
-def _save_sample_csv(sample: Sample, path) -> None:
-    """Write one observation per row; the leading comment line records the
-    seed and scenario.  Floats use 17 significant digits (lossless).  Rows
-    are written one at a time, so no text of the whole file is built."""
+    Every refusal is a ValueError that starts with the path.  A CSV row is
+    named by numpy's message, which counts data rows (blank lines skipped)
+    from 0 for a bad value ("at row 1, column 2" is the second) and from 1
+    for a bad width ("from 2 to 3 at row 2")."""
     path = Path(path)
-    seed_txt = "-" if sample.seed is None else str(sample.seed)
-    scen_txt = "-" if sample.scenario_id is None else str(sample.scenario_id)
     try:
-        with path.open("w") as fh:
-            fh.write(f"# seed={seed_txt} scenario={scen_txt}\n")
-            fh.write(",".join(f"y{j + 1}" for j in range(sample.dim)) + "\n")
-            for row in sample.data:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        return (_load_sample_bin if path.name.endswith(".bin") else _load_sample_csv)(path)
     except OSError as exc:
-        raise OSError(f"cannot write sample to {path}: {exc}") from exc
-
-
-def _load_sample_csv(path) -> Sample:
-    """The sample _save_sample_csv wrote.  Blank lines are skipped; the
-    file is read line by line into one growing float buffer."""
-    import array  # imported on first use, so importing the package does not load it
-
-    path = Path(path)
-    try:
-        with path.open(encoding="utf-8") as fh:
-            lines = (ln for raw in fh for ln in raw.splitlines() if ln.strip())
-            head = list(itertools.islice(lines, 3))
-            if len(head) < 3 or not head[0].startswith("#"):
-                raise ValueError(f"{path}: not a sample CSV (missing header)")
-            fields = dict(part.split("=", 1) for part in head[0].lstrip("# ").split())
-            seed = None if fields.get("seed", "-") == "-" else int(fields["seed"])
-            scen = None if fields.get("scenario", "-") == "-" else int(fields["scenario"])
-            values = array.array("d", [float(v) for v in head[2].split(",")])
-            width, rows = len(values), 1
-            for ln in lines:
-                row = [float(v) for v in ln.split(",")]
-                if len(row) != width:
-                    raise ValueError(f"{path}: data row {rows + 1} has {len(row)} values, the first has {width}")
-                values.extend(row)
-                rows += 1
+        raise OSError(f"cannot read sample from {path}: {exc}") from exc
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not a sample CSV (not UTF-8 text)") from None
-    except OSError as exc:
-        raise OSError(f"cannot read sample from {path}: {exc}") from exc
-    return Sample(np.frombuffer(values).reshape(rows, width), seed=seed, scenario_id=scen)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _save_sample_bin(sample: Sample, path) -> None:
+def _save_sample_csv(sample: Sample, path: Path) -> None:
+    """A comment line with the seed and scenario, a line of column names,
+    then one observation per row in 17 significant digits (lossless),
+    through np.savetxt."""
+    seed_txt, scen_txt = ("-" if v is None else v for v in (sample.seed, sample.scenario_id))
+    names = ",".join(f"y{j + 1}" for j in range(sample.dim))
+    header = f"# seed={seed_txt} scenario={scen_txt}\n{names}"
+    np.savetxt(path, sample.data, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def _load_sample_csv(path: Path) -> Sample:
+    """The sample _save_sample_csv wrote.  Blank lines are skipped; the rows
+    after the two header lines go to np.loadtxt as they are read."""
+    with path.open(encoding="utf-8") as fh:
+        lines = (ln for ln in fh if ln.strip())
+        head = [next(lines, "") for _ in range(3)]
+        if not head[2] or not head[0].startswith("#"):
+            raise ValueError("not a sample CSV (missing header)")
+        fields = dict(part.partition("=")[::2] for part in head[0].lstrip("# ").split())
+        try:
+            seed, scen = (None if fields.get(key, "-") == "-" else int(fields[key]) for key in ("seed", "scenario"))
+        except ValueError:
+            raise ValueError(f"header {head[0].strip()!r} is not '# seed=<int or -> scenario=<int or ->'") from None
+        # the first data row, already taken to tell an empty body apart, then the rest
+        rows = (ln for part in ([head[2]], lines) for ln in part)
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    return Sample(data, seed=seed, scenario_id=scen)
+
+
+def _save_sample_bin(sample: Sample, path: Path) -> None:
     """Compact binary format: 8-byte magic, little-endian u64 n and d,
-    i64 seed and scenario (-1 encodes absent), then n*d little-endian f64."""
-    path = Path(path)
-    seed = -1 if sample.seed is None else int(sample.seed)
-    scen = -1 if sample.scenario_id is None else int(sample.scenario_id)
-    header = _BIN_MAGIC + struct.pack("<QQqq", sample.n, sample.dim, seed, scen)
-    try:
-        path.write_bytes(header + sample.data.astype("<f8").tobytes())
-    except OSError as exc:
-        raise OSError(f"cannot write sample to {path}: {exc}") from exc
+    i64 seed and scenario (-1 encodes absent), then n*d little-endian f64,
+    written from the array itself.  A seed or scenario outside 0 to
+    2**63 - 1 is refused before the file is created."""
+    for name, value in (("seed", sample.seed), ("scenario", sample.scenario_id)):
+        if value is not None and not 0 <= int(value) < 2**63:
+            raise ValueError(f"{path}: {name} {value} does not fit the binary header (0 to 2**63 - 1)")
+    seed, scen = (-1 if v is None else int(v) for v in (sample.seed, sample.scenario_id))
+    with path.open("wb") as fh:
+        fh.write(_BIN_HEADER.pack(_BIN_MAGIC, sample.n, sample.dim, seed, scen))
+        sample.data.astype("<f8", copy=False).tofile(fh)
 
 
-def _load_sample_bin(path) -> Sample:
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise OSError(f"cannot read sample from {path}: {exc}") from exc
-    head = len(_BIN_MAGIC) + struct.calcsize("<QQqq")
-    if len(blob) < head or blob[: len(_BIN_MAGIC)] != _BIN_MAGIC:
-        raise ValueError(f"{path}: not a sample binary (bad magic)")
-    n, d, seed, scen = struct.unpack("<QQqq", blob[len(_BIN_MAGIC) : head])
-    body = np.frombuffer(blob[head:], dtype="<f8")
+def _load_sample_bin(path: Path) -> Sample:
+    """The sample _save_sample_bin wrote: the header, then np.fromfile over
+    the rest of the file, so the read holds one copy of the payload and
+    allocates no more than the file holds."""
+    with path.open("rb") as fh:
+        head = fh.read(_BIN_HEADER.size)
+        if len(head) < _BIN_HEADER.size or not head.startswith(_BIN_MAGIC):
+            raise ValueError("not a sample binary (bad magic)")
+        _, n, d, seed, scen = _BIN_HEADER.unpack(head)
+        body = np.fromfile(fh, dtype="<f8")
     if body.size != n * d:
-        raise ValueError(f"{path}: truncated payload ({body.size} of {n * d} values)")
-    return Sample(
-        body.reshape(n, d).astype(float),
-        seed=None if seed < 0 else int(seed),
-        scenario_id=None if scen < 0 else int(scen),
-    )
+        raise ValueError(f"truncated payload ({body.size} of {n * d} values)")
+    return Sample(body.reshape(n, d), seed=None if seed < 0 else seed, scenario_id=None if scen < 0 else scen)
 
 
 def derive_seed(base_seed: int, scenario_id: int, n: int, replication: int) -> int:

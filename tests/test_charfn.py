@@ -90,15 +90,6 @@ def series_callable(f):
     return CallableDensity(lambda u: fourier_series(f.coeffs, u[:, 0]))
 
 
-def pointwise_psi(f, radius, pts):
-    """psi_model at each row of pts, each from a call of its own: one point
-    on the closed form; off it the point and its predecessor, as a one-point
-    quadrature call is a one-row product, which rounds differently."""
-    if isinstance(f, FourierDensity):
-        return np.array([psi_model(f, radius, t) for t in pts])
-    return np.array([psi_model(f, radius, pts[[i, i - 1]])[0] for i in range(len(pts))])
-
-
 class TestEvalGrid:
     def test_weights_sum_to_box_volume(self):
         for dim in (2, 3):
@@ -554,13 +545,13 @@ class TestPsiModel:
         assert peak < 60e6
 
     def test_quadrature_values_do_not_depend_on_the_blocks(self):
-        # a point's value is the same in any multi-point call, 129 points
+        # a point's value is the same in any call, one point and 129 points
         # included: no block is one row, whose product rounds differently
         f = uniform_density(2)
         pts = np.random.default_rng(3).uniform(-0.5, 0.5, size=(129, 3))
         full = psi_model(f, 2.3, pts)
         for i in (0, 64, 127, 128):
-            assert psi_model(f, 2.3, pts[[i, i - 1]])[0] == full[i]
+            assert psi_model(f, 2.3, pts[[i, i - 1]])[0] == psi_model(f, 2.3, pts[i]) == full[i]
 
     def test_marginals_bitwise_match_pointwise_calls(self):
         # cutoffs are interleaved so each grid serves several cached tables;
@@ -576,7 +567,7 @@ class TestPsiModel:
         cosine = CallableDensity(lambda u: 1.0 + 0.5 * np.cos(2.0 * np.pi * u[:, 0]), dim_minus_1=2)
         cases.append((cosine, 2.3, EvalGrid.build(dim=3, nu_est=0.5, nodes_per_axis=3)))
         for f, radius, g in cases:
-            want = pointwise_psi(f, radius, g.points())
+            want = np.array([psi_model(f, radius, t) for t in g.points()])
             assert psi_model_grid(f, radius, g)[0].ravel().tobytes() == want.tobytes()
 
     def test_marginals_bitwise_match_pointwise_calls_at_high_cutoffs(self):

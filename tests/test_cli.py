@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from spheredeconv.bench import DESK_GRID, FULL_GRID, determinism_hash, rate_regression, read_rows
 from spheredeconv.cli import main
 from spheredeconv.estimators import fit_joint
-from spheredeconv.simulate import generate, load_sample, scenario
+from spheredeconv.simulate import Sample, generate, load_sample, save_sample, scenario
 
 
 def test_generate_writes_loadable_sample(tmp_path, capsys):
@@ -144,8 +145,6 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
 
 def test_a_binary_sample_under_a_csv_name_is_refused_naming_the_path(tmp_path, capsys):
     # the suffix says CSV, so the binary bytes are read as text and refused
-    from spheredeconv.simulate import save_sample
-
     save_sample(generate(scenario(4), 64, 3), tmp_path / "s.bin")
     wrong = tmp_path / "wrong.csv"
     wrong.write_bytes((tmp_path / "s.bin").read_bytes())
@@ -154,6 +153,45 @@ def test_a_binary_sample_under_a_csv_name_is_refused_naming_the_path(tmp_path, c
     assert main(["estimate", "--input", str(wrong), "--out", str(tmp_path / "r.json")]) == 2
     assert f"error: {wrong}: not a sample CSV (not UTF-8 text)" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("# seed=- scenario=-\ny1,y2\n1,2\n3,x\n", "'x' to float64 at row 1, column 2"),
+        ("# seed=- scenario=-\ny1,y2\n1,2,\n", "'' to float64 at row 0, column 3"),
+        ("# seed=abc scenario=1\ny1,y2\n1,2\n", "header '# seed=abc scenario=1'"),
+        ("# seed scenario=1\ny1,y2\n1,2\n", "header '# seed scenario=1'"),
+    ],
+    ids=["bad_value", "trailing_comma", "bad_seed", "seed_without_value"],
+)
+def test_a_bad_csv_is_refused_naming_the_path_and_the_row(tmp_path, capsys, text, named):
+    # numpy counts the data rows from 0 in a value it cannot convert
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .*{re.escape(named)}"):
+        load_sample(bad)
+    assert main(["estimate", "--input", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and named in err
+
+
+def test_a_binary_save_refuses_ids_its_header_cannot_hold(tmp_path, capsys):
+    # the header's seed and scenario are i64 with -1 for absent; the CSV header takes any integer
+    out = tmp_path / "x.bin"
+    for seed, scen, named in ((2**64 - 1, 1, f"seed {2**64 - 1}"), (2**63, None, f"seed {2**63}"),
+                              (-5, 1, "seed -5"), (0, 2**63, f"scenario {2**63}")):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(out))}: {named} does not fit"):
+            save_sample(Sample(np.zeros((3, 2)), seed=seed, scenario_id=scen), out)
+        assert not out.exists()
+    args = ["generate", "--scenario", "1", "--n", "60", "--seed", str(2**64 - 1), "--out"]
+    assert main([*args, str(out)]) == 2
+    assert f"error: {out}: seed {2**64 - 1} does not fit" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*args, str(tmp_path / "x.csv")]) == 0
+    assert load_sample(tmp_path / "x.csv").seed == 2**64 - 1
+    save_sample(Sample(np.zeros((3, 2)), seed=2**63 - 1, scenario_id=0), out)
+    assert (load_sample(out).seed, load_sample(out).scenario_id) == (2**63 - 1, 0)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
 """Tests for noise models, scenario sampling, and sample serialization."""
 
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import i0e
 
 from spheredeconv.geometry import CallableDensity, FourierDensity, uniform_density
@@ -27,6 +31,10 @@ PANEL_SHA256 = "ad5d364c1036845343f3556914a9b4c6d3320d6e652ce3ff873865880c4dbae2
 # SHA-256 of the CSV files test_csv_text_is_pinned_and_round_trips_bit_for_bit writes
 CSV_SHA256 = "1972534ba69da93e6692320def9375f371cea7e5b14ce6e5794277a4990ef1e8"
 CSV_ANONYMOUS_SHA256 = "615fe26b7a5f0fb3e6822dde58ac110bb501ad3fd4aad24890a73083a0ff3125"
+# finite doubles, the signed zeros, the least subnormal and the extremes among them
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+)
 
 
 def panel_samples():
@@ -217,7 +225,7 @@ class TestSampleIO:
         back = load_sample(path)
         assert back.data.tolist() == [[1.0, 2.0], [3.0, 4.0]] and (back.seed, back.scenario_id) == (3, None)
         path.write_text("# seed=- scenario=-\ny1,y2\n1,2\n3,4,5\n")
-        with pytest.raises(ValueError, match="data row 2 has 3 values"):
+        with pytest.raises(ValueError, match="columns changed from 2 to 3 at row 2"):
             load_sample(path)
         path.write_text("# seed=- scenario=-\ny1,y2\n1,2\n3,x\n")
         with pytest.raises(ValueError, match="could not convert"):
@@ -227,8 +235,8 @@ class TestSampleIO:
             load_sample(path)
 
     def test_csv_io_streams_rows(self, tmp_path):
-        # no text of the whole file and no list of rows: writing holds one
-        # row's text, reading one growing float buffer
+        # no text of the whole file and no list of rows: np.savetxt writes row
+        # by row, np.loadtxt reads the lines as they come
         sample = generate(scenario(1), 20_000, 3)
         path = tmp_path / "sample.csv"
         tracemalloc.start()
@@ -252,6 +260,47 @@ class TestSampleIO:
         back = load_sample(path)
         assert np.array_equal(back.data, sample.data)
         assert back.seed == 123 and back.scenario_id == 4
+
+    def test_binary_io_holds_one_copy(self, tmp_path):
+        # the load holds the payload once, the save writes from the array
+        sample = generate(scenario(1), 20_000, 3)
+        path = tmp_path / "sample.bin"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            save_sample(sample, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = load_sample(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            # a header that claims 2**62 rows: the read takes no more than the file holds
+            big = tmp_path / "big.bin"
+            blob = path.read_bytes()
+            big.write_bytes(blob[:8] + struct.pack("<Q", 2**62) + blob[16:])
+            del blob
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError, match=r"big\.bin: truncated payload \(40000 of 9223372036854775808 values\)"):
+                load_sample(big)
+            big_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert back.data.tobytes() == sample.data.tobytes()
+        assert save_peak <= 0.1 * sample.data.nbytes
+        assert load_peak <= 1.1 * sample.data.nbytes
+        assert big_peak <= 1.1 * big.stat().st_size
+
+    @pytest.mark.parametrize("suffix, id_max", [(".bin", 2**63 - 1), (".csv", 2**64 - 1)])
+    @given(data=st.data())
+    def test_files_round_trip_byte_for_byte(self, tmp_path_factory, suffix, id_max, data):
+        values = data.draw(arrays(np.float64, st.tuples(st.integers(1, 300), st.integers(2, 4)), elements=FINITE))
+        ids = st.none() | st.integers(0, id_max)
+        sample = Sample(values, seed=data.draw(ids), scenario_id=data.draw(ids))
+        path = tmp_path_factory.mktemp("round_trip") / f"sample{suffix}"
+        save_sample(sample, path)
+        back = load_sample(path)
+        assert back.data.shape == values.shape and back.data.tobytes() == values.tobytes()
+        assert (back.seed, back.scenario_id) == (sample.seed, sample.scenario_id)
 
     def test_binary_rejects_corruption(self, tmp_path):
         sample = generate(scenario(1), 10, 1)
